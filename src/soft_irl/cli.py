@@ -46,7 +46,7 @@ from .opt import FitConfig, fit_empirical
 from .soft_dp import soft_backward
 from .svg import loglog_chart
 
-_TOP_LEVEL_KEYS = {"seed", "output_dir", "emit_plots", "threads"}
+_TOP_LEVEL_KEYS = {"seed", "output_dir", "emit_plots"}
 _COMMANDS = (
     "solve",
     "fit",
@@ -65,7 +65,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     emit_plots: bool = False
-    threads: int = 1
     sections: dict = dataclasses.field(default_factory=dict)
 
 
@@ -79,7 +78,6 @@ def _load_run_config(path: str | None) -> RunConfig:
         seed=int(obj.get("seed", 0)),
         output_dir=str(obj.get("output_dir", "out")),
         emit_plots=bool(obj.get("emit_plots", False)),
-        threads=int(obj.get("threads", 1)),
         sections=sections,
     )
 
@@ -203,8 +201,7 @@ def cmd_rates(args) -> int:
         burn_in_delta=float(section.get("burn_in_delta", RateConfig.burn_in_delta)),
         min_slope_points=int(section.get("min_slope_points", RateConfig.min_slope_points)),
     )
-    threads = args.threads or config.threads
-    report = run_rate_experiment(rate_cfg, threads=threads)
+    report = run_rate_experiment(rate_cfg)
 
     out = _out_dir(args, config)
     pio.dump_json(pio.rate_report_to_dict(report), out / "rates.json")
@@ -361,7 +358,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
     parser.add_argument("--builtin", metavar="NAME", help=f"builtin instance ({', '.join(BUILTIN_NAMES)})")
     parser.add_argument("--output", metavar="DIR", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker threads (results unaffected)")
     parser.add_argument("--emit-plots", action="store_true", help="write SVG plots where supported")
 
 

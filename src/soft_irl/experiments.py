@@ -7,7 +7,6 @@ are reproducible bit-for-bit and independent of how work is scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .linear_reward import (
     LinearRewardModel,
     derivative_bundle,
     effective_dimension,
-    hessian_J,
     kernel_basis,
     max_cumulative_feature_norm,
     max_score_norm,
@@ -116,6 +114,11 @@ def _spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+def _hessian_at_zero(mdp: Mdp, features: FeatureMap, beta: float) -> np.ndarray:
+    model0 = LinearRewardModel(features=features, theta=np.zeros(features.d))
+    return derivative_bundle(mdp, model0, beta).hessian
+
+
 def _identifiable_features(mdp: Mdp, spec: InstanceSpec) -> FeatureMap:
     """Draw N(0,1) features; if requested, retry/project until the Hessian at
     zero is positive definite (no unidentifiable parameter directions)."""
@@ -126,14 +129,13 @@ def _identifiable_features(mdp: Mdp, spec: InstanceSpec) -> FeatureMap:
         features = FeatureMap(phi=phi)
         if not spec.exclude_kernel:
             return features
-        model0 = LinearRewardModel(features=features, theta=np.zeros(spec.d))
-        H0 = hessian_J(mdp, model0, spec.beta)
+        H0 = _hessian_at_zero(mdp, features, spec.beta)
         kernel = kernel_basis(H0)
         if kernel.shape[1] > 0:
             # remove the unidentifiable component and re-check
             phi = phi - phi @ kernel @ kernel.T
             features = FeatureMap(phi=phi)
-            H0 = hessian_J(mdp, LinearRewardModel(features=features, theta=np.zeros(spec.d)), spec.beta)
+            H0 = _hessian_at_zero(mdp, features, spec.beta)
         eigvals = np.linalg.eigvalsh(H0)
         if eigvals[0] > 1e-8 * max(eigvals[-1], 1e-300):
             return features
@@ -307,7 +309,7 @@ def _rate_cell(
     return values, result.converged
 
 
-def run_rate_experiment(config: RateConfig, threads: int = 1) -> RateReport:
+def run_rate_experiment(config: RateConfig) -> RateReport:
     """Measure how fast empirical fits approach the population solution.
 
     For each sample size in the grid and each replicate, draws a dataset from
@@ -346,34 +348,19 @@ def run_rate_experiment(config: RateConfig, threads: int = 1) -> RateReport:
         B_A_phi**2 * ed.d_star * math.log(1.0 / config.burn_in_delta) / (beta**2 * lambda_star)
     )
 
-    cells = [
-        (i_n, rep, n, _cell_seed(config.data_seed, i_n, rep))
-        for i_n, n in enumerate(config.n_grid)
-        for rep in range(config.replicates)
-    ]
     support = (support_states, support_actions)
-
-    def run(cell):
-        i_n, rep, n, seed = cell
-        values, converged = _rate_cell(
-            instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, support, n, seed
-        )
-        return i_n, rep, n, values, converged
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
-    outcomes.sort(key=lambda item: (item[0], item[1]))
-
     records = []
     non_converged = 0
-    for i_n, rep, n, values, converged in outcomes:
-        non_converged += 0 if converged else 1
-        for metric in RATE_METRICS:
-            records.append(
-                RateRecord(metric=metric, n=n, replicate=rep, value=values[metric], converged=converged)
+    for i_n, n in enumerate(config.n_grid):
+        for rep in range(config.replicates):
+            seed = _cell_seed(config.data_seed, i_n, rep)
+            values, converged = _rate_cell(
+                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, support, n, seed
+            )
+            non_converged += 0 if converged else 1
+            records.extend(
+                RateRecord(metric=m, n=n, replicate=rep, value=values[m], converged=converged)
+                for m in RATE_METRICS
             )
 
     def _median(metric: str, n: int) -> float:
@@ -568,7 +555,7 @@ def dikin_boundary_pair(
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
-    H0 = hessian_J(mdp, LinearRewardModel(features=features, theta=theta0), beta)
+    H0 = derivative_bundle(mdp, LinearRewardModel(features=features, theta=theta0), beta).hessian
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
         raise DomainError("dikin_boundary_pair requires a positive-definite Hessian at theta0")
@@ -584,8 +571,10 @@ def dikin_boundary_pair(
         if abs(new_rho - rho) <= 1e-12 * rho:
             rho = new_rho
             break
+        if new_rho > rho:
+            break  # rho stays put, so every later round would rebuild this segment
         # move monotonically downward so the final segment's own bound is valid
-        rho = min(rho, new_rho)
+        rho = new_rho
     return theta0 + (boundary_factor * rho) * unit
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, InvariantError
 from .mdp import (
     DEFAULT_ENUMERATION_CAP,
-    Dataset,
     Mdp,
     Policy,
     Trajectory,
@@ -35,10 +34,8 @@ from .mdp import (
 from .soft_dp import (
     RewardTable,
     SoftSolution,
-    delta_terms,
     feature_advantage,
     feature_values,
-    gather_table,
     policy_evaluate,
     soft_backward,
 )
@@ -157,34 +154,32 @@ def solve_model(mdp: Mdp, model: LinearRewardModel, beta: float) -> SoftSolution
     return soft_backward(mdp, reward_of(model), beta)
 
 
-def grad_J(mdp: Mdp, model: LinearRewardModel, beta: float) -> np.ndarray:
-    """Exact gradient of ``J*``: feature expectation of the Gibbs policy."""
+def _gibbs_advantage(mdp: Mdp, model: LinearRewardModel, beta: float):
+    """Soft solution of the model's reward and its Gibbs policy's feature advantages."""
     solution = solve_model(mdp, model, beta)
-    mu = forward_occupancy(mdp, solution.pi_star).mu
-    return np.einsum("tsa,tsad->d", mu, model.features.phi)
+    return solution, feature_advantage(mdp, model.features, solution.pi_star)
 
 
-def hessian_J(mdp: Mdp, model: LinearRewardModel, beta: float) -> np.ndarray:
-    """Exact Hessian of ``J*``: scaled feature-advantage second moments.
-
-    Occupancy-weighted ``sum_t E[A_phi A_phi^T] / beta`` under the Gibbs
-    policy, symmetrized to remove floating-point drift.
-    """
-    solution = solve_model(mdp, model, beta)
-    mu = forward_occupancy(mdp, solution.pi_star).mu
-    adv = feature_advantage(mdp, model.features, solution.pi_star)
-    H = np.einsum("tsa,tsad,tsae->de", mu, adv, adv) / beta
-    return 0.5 * (H + H.T)
+def _weighted_second_moment(mu: np.ndarray, adv: np.ndarray) -> np.ndarray:
+    """``sum_{t,s,a} mu[t,s,a] adv[t,s,a] adv[t,s,a]^T`` as one matmul, symmetrized."""
+    flat = adv.reshape(-1, adv.shape[-1])
+    M = (flat * mu.reshape(-1, 1)).T @ flat
+    return 0.5 * (M + M.T)
 
 
 def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> DerivativeBundle:
-    """Value, gradient and Hessian of ``J*`` at ``model.theta`` in one shot."""
-    solution = solve_model(mdp, model, beta)
+    """Value, gradient and Hessian of ``J*`` at ``model.theta`` from one soft solve.
+
+    The gradient is the feature expectation of the Gibbs policy; the Hessian
+    is its occupancy-weighted second moment of per-step feature advantages,
+    divided by ``beta``.
+    """
+    solution, adv = _gibbs_advantage(mdp, model, beta)
     mu = forward_occupancy(mdp, solution.pi_star).mu
-    grad = np.einsum("tsa,tsad->d", mu, model.features.phi)
-    adv = feature_advantage(mdp, model.features, solution.pi_star)
-    H = np.einsum("tsa,tsad,tsae->de", mu, adv, adv) / beta
-    return DerivativeBundle(J_star=solution.J_star, grad=grad, hessian=0.5 * (H + H.T))
+    grad = mu.ravel() @ model.features.phi.reshape(-1, model.features.d)
+    return DerivativeBundle(
+        J_star=solution.J_star, grad=grad, hessian=_weighted_second_moment(mu, adv) / beta
+    )
 
 
 def batch_scores(adv: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -200,8 +195,7 @@ def score(mdp: Mdp, model: LinearRewardModel, beta: float, tau: Trajectory) -> n
     with respect to ``theta``.
     """
     _check_trajectory(mdp, tau)
-    solution = solve_model(mdp, model, beta)
-    adv = feature_advantage(mdp, model.features, solution.pi_star)
+    _, adv = _gibbs_advantage(mdp, model, beta)
     states = np.asarray(tau.states, dtype=np.int64)[None, :]
     actions = np.asarray(tau.actions, dtype=np.int64)[None, :]
     return batch_scores(adv, states, actions)[0]
@@ -221,8 +215,7 @@ def third_derivative(
     Equals the third moment ``E[Z_xi Z_zeta Z_omega] / beta**2`` of projected
     trajectory scores under the Gibbs policy; symmetric in its directions.
     """
-    solution = solve_model(mdp, model, beta)
-    adv = feature_advantage(mdp, model.features, solution.pi_star)
+    solution, adv = _gibbs_advantage(mdp, model, beta)
     states, actions, probs = enumerate_support(mdp, solution.pi_star, enumeration_cap)
     Z = batch_scores(adv, states, actions)
     return float(probs @ ((Z @ xi) * (Z @ zeta) * (Z @ omega))) / beta**2
@@ -254,12 +247,7 @@ def shaping_projector(
     minimum-variance representative of the input's shaping equivalence class.
     """
     evaluation = policy_evaluate(mdp, reward, policy, beta)
-    out = np.empty_like(reward.r)
-    for t in range(mdp.T):
-        out[t] = reward.r[t] - evaluation.V[t][:, None]
-        if t < mdp.T - 1:
-            out[t] += np.einsum("saz,z->sa", mdp.kernels[t], evaluation.V[t + 1])
-    return RewardTable(r=out)
+    return RewardTable(r=evaluation.Q - evaluation.V[:-1, :, None])
 
 
 def _feature_delta_covariance(mdp: Mdp, Vfeat: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -306,7 +294,7 @@ def effective_dimension(
     mu = forward_occupancy(mdp, expert).mu
     Qfeat, Vfeat = feature_values(mdp, features, expert)
     adv = Qfeat - Vfeat[:-1, :, None, :]
-    action_part = np.einsum("tsa,tsad,tsae->de", mu, adv, adv)
+    action_part = _weighted_second_moment(mu, adv)
     dynamics_part = _feature_delta_covariance(mdp, Vfeat, mu)
 
     if (mdp.S * mdp.A) ** mdp.T <= enumeration_cap:
@@ -327,7 +315,7 @@ def effective_dimension(
     return EffectiveDimension(
         d_star=d_star,
         Sigma_E=Sigma_E,
-        action_part=0.5 * (action_part + action_part.T),
+        action_part=action_part,
         dynamics_part=0.5 * (dynamics_part + dynamics_part.T),
     )
 
@@ -355,8 +343,7 @@ def max_score_norm(
     best = 0.0
     for theta in thetas:
         model = LinearRewardModel(features=features, theta=np.asarray(theta, dtype=np.float64))
-        pi = solve_model(mdp, model, beta).pi_star
-        adv = feature_advantage(mdp, features, pi)
+        _, adv = _gibbs_advantage(mdp, model, beta)
         Z = batch_scores(adv, states, actions)
         best = max(best, float(np.linalg.norm(Z, axis=1).max()))
     return best
@@ -401,7 +388,7 @@ def geometry_constants(
         B_phi = float(np.sqrt((phi**2).sum(axis=3)).max(axis=(1, 2)).sum())
         B_A_phi = 2.0 * mdp.T * B_phi
 
-    H = hessian_J(mdp, model, beta)
+    H = derivative_bundle(mdp, model, beta).hessian
     lambda_star = float(np.linalg.eigvalsh(H).min())
     if expert is None:
         expert = solve_model(mdp, model, beta).pi_star

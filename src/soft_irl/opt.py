@@ -153,22 +153,26 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
         solution = solve_model(mdp, model0.with_theta(theta), beta)
         return solution.J_star - float(theta @ target)
 
+    def bundle_at(theta: np.ndarray):
+        return derivative_bundle(mdp, model0.with_theta(theta), beta)
+
+    def newton_step(bundle):
+        return _restricted_newton_step(
+            bundle.grad - target, bundle.hessian, image, config.ridge, config.ridge_threshold
+        )
+
     theta = np.zeros(features.d)
-    loss = loss_at(theta)
+    bundle = bundle_at(theta)
+    loss = bundle.J_star
+    image = _image_basis(bundle.hessian)  # the identifiable subspace, fixed at the start
     trace: list[IterationRecord] = []
     converged = False
     decrement = float("nan")
     iterations = 0
 
-    image = None
     for it in range(config.max_iters):
-        bundle = derivative_bundle(mdp, model0.with_theta(theta), beta)
-        if image is None:  # fix the identifiable subspace at the initial iterate
-            image = _image_basis(bundle.hessian)
         grad = bundle.grad - target
-        step, decrement, ridge_used = _restricted_newton_step(
-            grad, bundle.hessian, image, config.ridge, config.ridge_threshold
-        )
+        step, decrement, ridge_used = newton_step(bundle)
         trace.append(
             IterationRecord(
                 iteration=it,
@@ -195,30 +199,33 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
                 break
             alpha *= config.line_search_factor
 
+        next_bundle = None
         stalled = (not accepted) or candidate_loss >= loss
         if stalled and not ridge_used and decrement <= 0.25:
             # The loss is flat to float resolution around the iterate, which is
             # exactly what the bottom of a well-conditioned quadratic bowl looks
-            # like once the true descent per step drops below one ulp.  The full
-            # Newton step still refines the iterate (the decrement contracts
-            # quadratically), so take it as long as it does not genuinely
-            # increase the loss.
+            # like once the true descent per step drops below one ulp, so loss
+            # differences can no longer judge a step.  The full Newton step
+            # still refines the iterate (the decrement contracts quadratically):
+            # take it when it shrinks the decrement.
             full = _project_ball(theta + step, config.B_theta)
-            full_loss = loss_at(full)
-            if full_loss <= loss + 4.0 * np.finfo(np.float64).eps * max(1.0, abs(loss)):
-                candidate, candidate_loss, alpha = full, full_loss, 1.0
+            full_bundle = bundle_at(full)
+            if newton_step(full_bundle)[1] < decrement:
+                candidate, alpha = full, 1.0
+                candidate_loss = full_bundle.J_star - float(full @ target)
+                next_bundle = full_bundle
                 stalled = False
         if stalled:
             break  # cannot make progress (flat to machine precision)
         trace[-1] = replace(trace[-1], step_size=alpha)
         theta, loss = candidate, candidate_loss
+        bundle = next_bundle if next_bundle is not None else bundle_at(theta)
         iterations = it + 1
 
     active = float(np.linalg.norm(theta)) >= config.B_theta * (1.0 - 1e-9)
     if active:
         theta, loss = _polish_on_ball(loss_at, mdp, features, target, config, theta)
-
-    bundle = derivative_bundle(mdp, model0.with_theta(theta), beta)
+        bundle = bundle_at(theta)
     grad = bundle.grad - target
     if not converged and active:
         # on the boundary the Newton decrement is not the right certificate;

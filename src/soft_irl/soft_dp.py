@@ -5,6 +5,12 @@ MDP's per-action reference measure, scaled by a temperature ``beta``.  The
 optimal policy is then a Gibbs distribution over the soft Q-values, and the
 soft value recursion is a log-sum-exp backup.  ``beta = 0`` (no
 regularization) is handled by :func:`hard_backward` with max backups.
+
+All four value recursions (:func:`soft_backward`, :func:`hard_backward`,
+:func:`policy_evaluate` and :func:`feature_values`) run one private backward
+kernel, ``Q_t = r_t + P_t V_{t+1}`` then ``V_t = backup(t, Q_t)``; they differ
+only in the backup: log-sum-exp, max, the policy-weighted regularized ``Q``,
+or the policy-weighted ``Q`` of every feature coordinate at once.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, DimensionError, InvariantError
 from .mdp import (
@@ -133,6 +138,24 @@ def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     return np.einsum("saz,z...->sa...", kernel_t, v_next)
 
 
+def _backward(kernels: np.ndarray, r: np.ndarray, backup) -> tuple[np.ndarray, np.ndarray]:
+    """The one backward-induction loop: ``Q_t = r_t + P_t V_{t+1}``, ``V_t = backup(t, Q_t)``.
+
+    ``r`` has shape ``(T, S, A, ...)``; trailing axes ride along unchanged.
+    Returns ``(Q, V)`` with ``V`` of shape ``(T+1, S, ...)`` and an all-zero
+    terminal row.
+    """
+    T, S = r.shape[:2]
+    V = np.zeros((T + 1, S) + r.shape[3:])
+    Q = np.empty(r.shape)
+    for t in reversed(range(T)):
+        Q[t] = r[t]
+        if t < T - 1:
+            Q[t] += _expected_next(kernels[t], V[t + 1])
+        V[t] = backup(t, Q[t])
+    return Q, V
+
+
 def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     """Solve the entropy-regularized control problem by backward induction.
 
@@ -143,27 +166,23 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     _check_reward(mdp, reward)
     if not beta > 0.0:
         raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
-
-    V = np.zeros((mdp.T + 1, mdp.S))
-    Q = np.empty((mdp.T, mdp.S, mdp.A))
-    probs = np.empty((mdp.T, mdp.S, mdp.A))
     log_nu = mdp.log_ref_measure
-    for t in reversed(range(mdp.T)):
-        Q[t] = reward.r[t]
-        if t < mdp.T - 1:
-            Q[t] += _expected_next(mdp.kernels[t], V[t + 1])
-        V[t] = beta * logsumexp(Q[t] / beta + log_nu, axis=-1)
-        probs[t] = np.exp((Q[t] - V[t][:, None]) / beta + log_nu)
-        # Rows sum to one analytically; renormalize away the last few ulps so
-        # downstream validators can insist on tight stochasticity.
-        probs[t] /= probs[t].sum(axis=-1, keepdims=True)
 
-    pi_star = Policy(probs=probs, label=f"gibbs(beta={beta:g})")
+    def log_sum_exp(t, q):
+        z = q / beta + log_nu
+        top = z.max(axis=-1)
+        return beta * (top + np.log(np.exp(z - top[:, None]).sum(axis=-1)))
+
+    Q, V = _backward(mdp.kernels, reward.r, log_sum_exp)
+    probs = np.exp((Q - V[:-1, :, None]) / beta + log_nu)
+    # Rows sum to one analytically; renormalize away the last few ulps so
+    # downstream validators can insist on tight stochasticity.
+    probs /= probs.sum(axis=-1, keepdims=True)
     return SoftSolution(
         beta=float(beta),
         V=V,
         Q=Q,
-        pi_star=pi_star,
+        pi_star=Policy(probs=probs, label=f"gibbs(beta={beta:g})"),
         J_star=float(mdp.initial_dist @ V[0]),
     )
 
@@ -171,16 +190,9 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
 def hard_backward(mdp: Mdp, reward: RewardTable) -> HardSolution:
     """Unregularized backward induction; ties resolve to the lowest action index."""
     _check_reward(mdp, reward)
-    V = np.zeros((mdp.T + 1, mdp.S))
-    Q = np.empty((mdp.T, mdp.S, mdp.A))
-    probs = np.zeros((mdp.T, mdp.S, mdp.A))
-    for t in reversed(range(mdp.T)):
-        Q[t] = reward.r[t]
-        if t < mdp.T - 1:
-            Q[t] += _expected_next(mdp.kernels[t], V[t + 1])
-        V[t] = Q[t].max(axis=-1)
-        probs[t, np.arange(mdp.S), Q[t].argmax(axis=-1)] = 1.0
-
+    Q, V = _backward(mdp.kernels, reward.r, lambda t, q: q.max(axis=-1))
+    probs = np.zeros_like(Q)
+    np.put_along_axis(probs, Q.argmax(axis=-1)[..., None], 1.0, axis=-1)
     policy = Policy(probs=probs, label="greedy")
     return HardSolution(V=V, Q=Q, policy=policy, J=float(mdp.initial_dist @ V[0]))
 
@@ -205,24 +217,19 @@ def policy_evaluate(
     _check_compatible(mdp, policy)
     if beta < 0.0:
         raise DomainError("policy_evaluate requires beta >= 0")
-
+    probs = policy.probs
     log_density = log_policy_density(mdp, policy)
-    V = np.zeros((mdp.T + 1, mdp.S))
-    Q = np.empty((mdp.T, mdp.S, mdp.A))
-    for t in reversed(range(mdp.T)):
-        Q[t] = reward.r[t]
-        if t < mdp.T - 1:
-            Q[t] += _expected_next(mdp.kernels[t], V[t + 1])
-        contrib = Q[t] - beta * log_density[t]
-        V[t] = np.where(policy.probs[t] > 0.0, policy.probs[t] * contrib, 0.0).sum(axis=-1)
 
-    advantage = Q - V[:-1, :, None] - beta * log_density
+    def expected_regularized(t, q):
+        return np.where(probs[t] > 0.0, probs[t] * (q - beta * log_density[t]), 0.0).sum(axis=-1)
+
+    Q, V = _backward(mdp.kernels, reward.r, expected_regularized)
     return PolicyEvaluation(
         beta=float(beta),
         V=V,
         Q=Q,
         J=float(mdp.initial_dist @ V[0]),
-        advantage=advantage,
+        advantage=Q - V[:-1, :, None] - beta * log_density,
     )
 
 
@@ -237,27 +244,14 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
     if phi.ndim != 4 or phi.shape[:3] != (mdp.T, mdp.S, mdp.A):
         raise DimensionError("features", (mdp.T, mdp.S, mdp.A, "d"), phi.shape)
     _check_compatible(mdp, policy)
-
-    d = phi.shape[-1]
-    V = np.zeros((mdp.T + 1, mdp.S, d))
-    Q = np.empty((mdp.T, mdp.S, mdp.A, d))
-    for t in reversed(range(mdp.T)):
-        Q[t] = phi[t]
-        if t < mdp.T - 1:
-            Q[t] += _expected_next(mdp.kernels[t], V[t + 1])
-        V[t] = np.einsum("sa,sad->sd", policy.probs[t], Q[t])
-    return Q, V
+    probs = policy.probs
+    return _backward(mdp.kernels, phi, lambda t, q: np.einsum("sa,sad->sd", probs[t], q))
 
 
 def feature_advantage(mdp: Mdp, features, policy: Policy) -> np.ndarray:
     """Per-coordinate unregularized advantages ``Q - V``, shape ``(T, S, A, d)``."""
     Q, V = feature_values(mdp, features, policy)
     return Q - V[:-1, :, None, :]
-
-
-def advantage_vector(mdp: Mdp, features, policy: Policy) -> np.ndarray:
-    """Alias of :func:`feature_advantage` (the vector of per-coordinate advantages)."""
-    return feature_advantage(mdp, features, policy)
 
 
 def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:

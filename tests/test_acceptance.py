@@ -15,6 +15,7 @@ from soft_irl import (
     check_concentration,
     check_local_geometry,
     delta_terms,
+    derivative_bundle,
     dikin_boundary_pair,
     effective_dimension,
     empirical_feature_expectation,
@@ -26,8 +27,6 @@ from soft_irl import (
     gather_table,
     generate_instance,
     geometry_constants,
-    grad_J,
-    hessian_J,
     kernel_basis,
     nonconvexity_probe,
     policy_evaluate,
@@ -85,13 +84,14 @@ def test_criterion_2_derivative_oracles():
         theta = 0.7 * rng.normal(size=d)
         model = model_at(features, theta)
 
-        grad = grad_J(mdp, model, beta)
+        bundle = derivative_bundle(mdp, model, beta)
+        grad = bundle.grad
         fd_g = fd_grad(mdp, features, theta, beta)
         rel_g = np.linalg.norm(fd_g - grad) / max(np.linalg.norm(grad), 1e-12)
         if rel_g > 1e-5:
             failures.append(f"instance {k}: gradient FD relative error {rel_g:.2e}")
 
-        H = hessian_J(mdp, model, beta)
+        H = bundle.hessian
         fd_H = fd_hessian(mdp, features, theta, beta)
         rel_H = np.linalg.norm(fd_H - H) / max(np.linalg.norm(H), 1e-12)
         if rel_H > 1e-5:
@@ -183,7 +183,7 @@ def test_criterion_5_identifiability():
         thetas = [0.5 * rng.normal(size=d) for _ in range(2)]
         bases = []
         for theta in thetas:
-            H = hessian_J(mdp, model_at(features, theta), beta)
+            H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
             if np.linalg.norm(H @ direction) > 1e-8 * max(np.linalg.norm(H), 1.0):
                 failures.append(f"instance {k}: shaping direction not in ker H")
             bases.append(kernel_basis(H))
@@ -232,7 +232,7 @@ def test_criterion_6_local_geometry_suite():
         beta = float(inst_rng.choice([0.6, 0.9]))
         theta = 0.5 * inst_rng.normal(size=3)
         model = model_at(features, theta)
-        H = hessian_J(mdp, model, beta)
+        H = derivative_bundle(mdp, model, beta).hessian
         gc = geometry_constants(mdp, features, model, beta, mode="exact")
         for _ in range(10):
             xi = inst_rng.normal(size=3)
@@ -319,7 +319,7 @@ def test_criterion_9_optimizer_feature_matching():
             converged_fits += 1
             target = empirical_feature_expectation(data, inst.features)
             model = LinearRewardModel(features=inst.features, theta=result.theta_hat)
-            gap = np.abs(grad_J(inst.mdp, model, spec.beta) - target).max()
+            gap = np.abs(derivative_bundle(inst.mdp, model, spec.beta).grad - target).max()
             if gap > 1e-8:
                 failures.append(f"n={n} rep={rep}: feature-matching gap {gap:.2e}")
     if converged_fits < 8:

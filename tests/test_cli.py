@@ -163,7 +163,7 @@ def test_rates_writes_json_csv_and_plots(tmp_path, capsys):
     assert svg.startswith("<svg") and "slope" in svg
 
 
-def test_rates_threads_flag_does_not_change_output(tmp_path, capsys):
+def test_rates_rerun_is_byte_identical(tmp_path, capsys):
     payload = {
         "output_dir": str(tmp_path / "a"),
         "rates": {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 2, "data_seed": 2},
@@ -171,7 +171,7 @@ def test_rates_threads_flag_does_not_change_output(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["rates", "--config", cfg]) == 0
     a = (tmp_path / "a" / "rates.json").read_bytes()
-    assert main(["rates", "--config", cfg, "--output", str(tmp_path / "b"), "--threads", "4"]) == 0
+    assert main(["rates", "--config", cfg, "--output", str(tmp_path / "b")]) == 0
     b = (tmp_path / "b" / "rates.json").read_bytes()
     assert a == b
     capsys.readouterr()

@@ -16,9 +16,9 @@ from soft_irl import (
     check_concentration,
     check_local_geometry,
     chi,
+    derivative_bundle,
     dikin_boundary_pair,
     generate_instance,
-    hessian_J,
     psi,
     run_rate_experiment,
     solve_model,
@@ -99,7 +99,7 @@ def test_deterministic_flag_gives_one_hot_rows():
 def test_exclude_kernel_makes_hessian_definite():
     inst = generate_instance(TINY)
     model = LinearRewardModel(features=inst.features, theta=np.zeros(TINY.d))
-    H = hessian_J(inst.mdp, model, TINY.beta)
+    H = derivative_bundle(inst.mdp, model, TINY.beta).hessian
     assert float(np.linalg.eigvalsh(H).min()) > 1e-8
 
 
@@ -171,6 +171,30 @@ def test_geometry_far_pair_uses_global_bounds():
         assert check.passed, f"{check.name}: {check.lower} <= {check.value} <= {check.upper}"
 
 
+def test_dikin_boundary_pair_scores_each_segment_once(monkeypatch):
+    """Once a round's radius stops shrinking, the fixed-point loop ends."""
+    from soft_irl import experiments
+
+    spec = InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5)  # the configs/rates.json instance
+    inst = generate_instance(spec)
+    rng = np.random.default_rng(2605)
+    pairs = [(0.5 * rng.normal(size=spec.d), rng.normal(size=spec.d)) for _ in range(3)]
+    theta0, direction = pairs[2]  # this pair's radius grows after its second round
+
+    segments = []
+    score_norm = experiments.max_score_norm
+
+    def recording(mdp, features, beta, thetas, states, actions):
+        segments.append(np.asarray(thetas).tobytes())
+        return score_norm(mdp, features, beta, thetas, states, actions)
+
+    monkeypatch.setattr(experiments, "max_score_norm", recording)
+    theta1 = dikin_boundary_pair(inst.mdp, inst.features, spec.beta, theta0, direction)
+    assert len(segments) == len(set(segments))
+    report = check_local_geometry(inst.mdp, inst.features, spec.beta, theta0, theta1)
+    assert report.mode == "local" and report.all_passed
+
+
 def test_geometry_requires_definite_hessian():
     from soft_irl import DomainError, FeatureMap, Mdp
 
@@ -240,15 +264,14 @@ def test_concentration_rejects_bad_delta():
 # rate experiment
 
 
-def test_rate_experiment_reproducible_and_thread_invariant():
+def test_rate_experiment_reproducible():
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=3, data_seed=2)
     a = run_rate_experiment(cfg)
     b = run_rate_experiment(cfg)
-    c = run_rate_experiment(cfg, threads=4)
-    assert a.records == b.records == c.records
-    assert a.slopes == b.slopes == c.slopes
-    assert a.medians == c.medians
-    assert a.theta_star == c.theta_star
+    assert a.records == b.records
+    assert a.slopes == b.slopes
+    assert a.medians == b.medians
+    assert a.theta_star == b.theta_star
 
 
 def test_rate_records_are_complete_and_nonnegative():

@@ -9,10 +9,10 @@ from soft_irl import (
     LinearRewardModel,
     Policy,
     delta_terms,
+    derivative_bundle,
     enumerate_support,
     equivalence_report,
     feature_expectation,
-    grad_J,
     irl_empirical_loss,
     irl_population_loss,
     mle_loss,
@@ -74,7 +74,7 @@ def test_irl_empirical_approaches_population():
     se = per_traj.std(ddof=1) / np.sqrt(n)
     assert abs(emp - pop) <= 4 * se
 
-    grad = grad_J(mdp, model, beta) - empirical_feature_expectation(data, features)
+    grad = derivative_bundle(mdp, model, beta).grad - empirical_feature_expectation(data, features)
     per_coord_se = (
         features.phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1).std(axis=0, ddof=1)
         / np.sqrt(n)

@@ -7,13 +7,14 @@ import scipy.linalg
 from soft_irl import (
     FeatureMap,
     FitConfig,
+    InstanceSpec,
     Mdp,
+    derivative_bundle,
     empirical_feature_expectation,
     feature_expectation,
     fit_empirical,
     fit_population,
-    grad_J,
-    hessian_J,
+    generate_instance,
     irl_empirical_loss,
     irl_population_loss,
     kernel_basis,
@@ -68,7 +69,7 @@ def test_single_step_fit_matches_bisection():
     pseudo = np.array([target])
 
     def grad(theta):
-        return float(grad_J(mdp, model_at(features, [theta]), beta)[0] - pseudo[0])
+        return float(derivative_bundle(mdp, model_at(features, [theta]), beta).grad[0] - pseudo[0])
 
     lo, hi = -50.0, 50.0
     for _ in range(200):
@@ -124,6 +125,19 @@ def test_interior_fit_matches_features():
     pi_hat = solve_model(mdp, model_at(features, result.theta_hat), beta).pi_star
     np.testing.assert_allclose(feature_expectation(mdp, pi_hat, features), target, atol=1e-8)
     assert result.gradient_norm <= 1e-8
+
+
+def test_fit_finishes_on_a_loss_flat_to_roundoff():
+    """Near the optimum the predicted decrease drops below J*'s roundoff; the
+    fitter must keep taking full Newton steps instead of stopping as stalled."""
+    inst = generate_instance(InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5))
+    data = sample_trajectories(inst.mdp, inst.expert, 256, 17672303468427022154)
+    result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.5))
+    assert result.converged
+    pi_hat = solve_model(inst.mdp, model_at(inst.features, result.theta_hat), 0.5).pi_star
+    gap = feature_expectation(inst.mdp, pi_hat, inst.features)
+    gap = gap - empirical_feature_expectation(data, inst.features)
+    assert float(np.abs(gap).max()) <= 1e-8
 
 
 def test_misspecified_fit_beats_random_probes():
@@ -185,7 +199,7 @@ def test_kernel_component_stays_at_initialization():
     features = FeatureMap(phi=phi)
     beta = 0.8
 
-    H = hessian_J(mdp, model_at(features, np.zeros(4)), beta)
+    H = derivative_bundle(mdp, model_at(features, np.zeros(4)), beta).hessian
     basis = kernel_basis(H)
     assert basis.shape[1] >= 1
 
@@ -239,9 +253,8 @@ def test_ball_constraint_kkt():
     assert result.active_ball_constraint
     assert np.linalg.norm(result.theta_hat) == pytest.approx(radius, abs=1e-9)
     # KKT: the gradient points inward along theta_hat with nonneg multiplier
-    g = grad_J(mdp, model_at(features, result.theta_hat), 0.5) - feature_expectation(
-        mdp, expert, features
-    )
+    g = derivative_bundle(mdp, model_at(features, result.theta_hat), 0.5).grad
+    g = g - feature_expectation(mdp, expert, features)
     theta = result.theta_hat
     lam = -float(g @ theta) / radius**2
     assert lam >= -1e-12
@@ -278,8 +291,8 @@ def test_hessian_sandwich_between_iterates():
     thetas = [np.array(rec.theta) for rec in result.trace]
     checked = 0
     for prev, cur in zip(thetas, thetas[1:]):
-        H_prev = hessian_J(mdp, model_at(features, prev), beta)
-        H_cur = hessian_J(mdp, model_at(features, cur), beta)
+        H_prev = derivative_bundle(mdp, model_at(features, prev), beta).hessian
+        H_cur = derivative_bundle(mdp, model_at(features, cur), beta).hessian
         grid = [prev + s * (cur - prev) for s in np.linspace(0.0, 1.0, 9)]
         B = max_score_norm(mdp, features, beta, grid, support_states, support_actions)
         lam_min = float(np.linalg.eigvalsh(H_prev).min())

@@ -17,8 +17,6 @@ from soft_irl import (
     enumerate_support,
     feature_advantage,
     geometry_constants,
-    grad_J,
-    hessian_J,
     kernel_basis,
     max_cumulative_feature_norm,
     policy_evaluate,
@@ -62,8 +60,8 @@ def fd_hessian(mdp, features, theta, beta, step=1e-4):
     for i in range(d):
         e = np.zeros(d)
         e[i] = step
-        up = grad_J(mdp, model_at(features, theta + e), beta)
-        dn = grad_J(mdp, model_at(features, theta - e), beta)
+        up = derivative_bundle(mdp, model_at(features, theta + e), beta).grad
+        dn = derivative_bundle(mdp, model_at(features, theta - e), beta).grad
         out[i] = (up - dn) / (2 * step)
     return 0.5 * (out + out.T)
 
@@ -128,7 +126,7 @@ def test_grad_of_constant_basis_feature():
     features = FeatureMap(phi=phi)
     for theta in [np.zeros(2), np.array([0.3, -2.0])]:
         np.testing.assert_allclose(
-            grad_J(mdp, model_at(features, theta), 0.7), [mdp.T, 0.0], atol=1e-12
+            derivative_bundle(mdp, model_at(features, theta), 0.7).grad, [mdp.T, 0.0], atol=1e-12
         )
 
 
@@ -139,7 +137,7 @@ def test_grad_matches_finite_differences():
         features = random_features(rng, mdp, 3)
         theta = rng.normal(size=3)
         beta = float(rng.uniform(0.4, 1.5))
-        g = grad_J(mdp, model_at(features, theta), beta)
+        g = derivative_bundle(mdp, model_at(features, theta), beta).grad
         fd = fd_grad(mdp, features, theta, beta)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-6
 
@@ -147,7 +145,7 @@ def test_grad_matches_finite_differences():
 def test_grad_on_branching_counterexample():
     mdp, features, _ = counterexample_instance()
     theta = np.array([2.0, 4.0])
-    g = grad_J(mdp, model_at(features, theta), 1.0)
+    g = derivative_bundle(mdp, model_at(features, theta), 1.0).grad
     fd = fd_grad(mdp, features, theta, 1.0)
     np.testing.assert_allclose(g, fd, atol=1e-6)
 
@@ -163,7 +161,7 @@ def test_grad_is_feature_expectation_of_gibbs():
 
     pi = solve_model(mdp, model, beta).pi_star
     np.testing.assert_allclose(
-        grad_J(mdp, model, beta), feature_expectation(mdp, pi, features), atol=1e-12
+        derivative_bundle(mdp, model, beta).grad, feature_expectation(mdp, pi, features), atol=1e-12
     )
 
 
@@ -175,7 +173,7 @@ def test_hessian_of_constant_features_is_zero():
     rng = np.random.default_rng(7)
     mdp = random_mdp(rng)
     phi = np.broadcast_to([1.0, -0.5], (mdp.T, mdp.S, mdp.A, 2)).copy()
-    H = hessian_J(mdp, model_at(FeatureMap(phi=phi), [0.1, 0.2]), 1.0)
+    H = derivative_bundle(mdp, model_at(FeatureMap(phi=phi), [0.1, 0.2]), 1.0).hessian
     np.testing.assert_allclose(H, 0.0, atol=1e-12)
 
 
@@ -186,7 +184,7 @@ def test_hessian_matches_finite_differences():
         features = random_features(rng, mdp, 3)
         theta = rng.normal(size=3)
         beta = float(rng.uniform(0.4, 1.5))
-        H = hessian_J(mdp, model_at(features, theta), beta)
+        H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
         fd = fd_hessian(mdp, features, theta, beta)
         assert np.linalg.norm(H - fd) / np.linalg.norm(H) <= 1e-5
 
@@ -200,7 +198,7 @@ def test_hessian_equals_beta_times_fisher():
     beta = 0.6
     model = model_at(features, theta)
 
-    H = hessian_J(mdp, model, beta)
+    H = derivative_bundle(mdp, model, beta).hessian
     pi = solve_model(mdp, model, beta).pi_star
     states, actions, probs = enumerate_support(mdp, pi)
     Z = batch_scores(feature_advantage(mdp, features, pi), states, actions)
@@ -213,7 +211,8 @@ def test_hessian_is_psd():
     for _ in range(10):
         mdp = random_mdp(rng, S=3, A=2, T=3)
         features = random_features(rng, mdp, 4)
-        H = hessian_J(mdp, model_at(features, rng.normal(size=4)), float(rng.uniform(0.3, 2.0)))
+        model = model_at(features, rng.normal(size=4))
+        H = derivative_bundle(mdp, model, float(rng.uniform(0.3, 2.0))).hessian
         assert np.linalg.eigvalsh(H).min() >= -1e-9
 
 
@@ -223,9 +222,14 @@ def test_derivative_bundle_consistency():
     features = random_features(rng, mdp, 3)
     model = model_at(features, rng.normal(size=3))
     bundle = derivative_bundle(mdp, model, 0.8)
-    assert bundle.J_star == pytest.approx(solve_model(mdp, model, 0.8).J_star)
-    np.testing.assert_allclose(bundle.grad, grad_J(mdp, model, 0.8))
-    np.testing.assert_allclose(bundle.hessian, hessian_J(mdp, model, 0.8))
+    solution = solve_model(mdp, model, 0.8)
+    assert bundle.J_star == pytest.approx(solution.J_star)
+    # gradient and Hessian against enumerated trajectory moments of the Gibbs policy
+    states, actions, probs = enumerate_support(mdp, solution.pi_star)
+    F = features.phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1)
+    np.testing.assert_allclose(bundle.grad, probs @ F, rtol=1e-10, atol=1e-12)
+    Z = batch_scores(feature_advantage(mdp, features, solution.pi_star), states, actions)
+    np.testing.assert_allclose(bundle.hessian, (Z.T * probs) @ Z / 0.8, rtol=1e-9, atol=1e-12)
 
 
 def test_bregman_identity():
@@ -240,7 +244,7 @@ def test_bregman_identity():
         bregman = (
             solve_model(mdp, m1, beta).J_star
             - solve_model(mdp, m0, beta).J_star
-            - float(grad_J(mdp, m0, beta) @ (theta1 - theta0))
+            - float(derivative_bundle(mdp, m0, beta).grad @ (theta1 - theta0))
         )
         pi0 = solve_model(mdp, m0, beta).pi_star
         pi1 = solve_model(mdp, m1, beta).pi_star
@@ -311,8 +315,8 @@ def test_third_derivative_matches_finite_differences():
 
     val = third_derivative(mdp, model_at(features, theta), beta, xi, zeta, omega)
     step = 1e-3
-    up = xi @ hessian_J(mdp, model_at(features, theta + step * omega), beta) @ zeta
-    dn = xi @ hessian_J(mdp, model_at(features, theta - step * omega), beta) @ zeta
+    up = xi @ derivative_bundle(mdp, model_at(features, theta + step * omega), beta).hessian @ zeta
+    dn = xi @ derivative_bundle(mdp, model_at(features, theta - step * omega), beta).hessian @ zeta
     fd = (up - dn) / (2 * step)
     assert val == pytest.approx(fd, rel=1e-3)
 
@@ -325,7 +329,7 @@ def test_pseudo_self_concordance_inequality():
     theta = rng.normal(size=3) * 0.5
     beta = 0.9
     model = model_at(features, theta)
-    H = hessian_J(mdp, model, beta)
+    H = derivative_bundle(mdp, model, beta).hessian
     gc = geometry_constants(mdp, features, model, beta, mode="exact")
     for _ in range(10):
         xi = rng.normal(size=3)
@@ -346,7 +350,7 @@ def test_kernel_contains_constant_direction():
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 3))
     phi[:, :, :, 0] = 1.0  # constant column
     features = FeatureMap(phi=phi)
-    H = hessian_J(mdp, model_at(features, np.zeros(3)), 1.0)
+    H = derivative_bundle(mdp, model_at(features, np.zeros(3)), 1.0).hessian
     basis = kernel_basis(H)
     assert basis.shape[1] >= 1
     e0 = np.eye(3)[0]
@@ -358,7 +362,7 @@ def test_kernel_empty_for_generic_features():
     rng = np.random.default_rng(20)
     mdp = random_mdp(rng, S=4, A=3, T=3)
     features = random_features(rng, mdp, 3)
-    H = hessian_J(mdp, model_at(features, np.zeros(3)), 1.0)
+    H = derivative_bundle(mdp, model_at(features, np.zeros(3)), 1.0).hessian
     assert kernel_basis(H).shape[1] == 0
 
 
@@ -370,7 +374,7 @@ def test_shaping_direction_lies_in_kernel():
     features = FeatureMap(phi=phi)
 
     theta = rng.normal(size=4)
-    H = hessian_J(mdp, model_at(features, theta), 0.8)
+    H = derivative_bundle(mdp, model_at(features, theta), 0.8).hessian
     basis = kernel_basis(H)
     assert basis.shape[1] >= 1
     # the pure-shaping parameter direction is reproduced by the kernel projector
@@ -386,8 +390,8 @@ def test_kernel_is_theta_independent():
     phi[:, :, :, 3] = shaping_feature(rng, mdp)
     features = FeatureMap(phi=phi)
 
-    b1 = kernel_basis(hessian_J(mdp, model_at(features, rng.normal(size=4)), 0.8))
-    b2 = kernel_basis(hessian_J(mdp, model_at(features, rng.normal(size=4)), 0.8))
+    b1 = kernel_basis(derivative_bundle(mdp, model_at(features, rng.normal(size=4)), 0.8).hessian)
+    b2 = kernel_basis(derivative_bundle(mdp, model_at(features, rng.normal(size=4)), 0.8).hessian)
     assert b1.shape == b2.shape and b1.shape[1] >= 2
     angles = np.linalg.svd(b1.T @ b2, compute_uv=False)
     np.testing.assert_allclose(angles, 1.0, atol=1e-6)
@@ -402,7 +406,7 @@ def test_trajectory_law_invariant_along_kernel():
     theta = rng.normal(size=4)
     beta = 1.2
 
-    H = hessian_J(mdp, model_at(features, theta), beta)
+    H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
     basis = kernel_basis(H)
     pi0 = solve_model(mdp, model_at(features, theta), beta).pi_star
     for k in range(basis.shape[1]):
@@ -419,12 +423,12 @@ def test_gradient_is_constant_along_kernel():
     features = FeatureMap(phi=phi)
     beta = 0.9
 
-    H = hessian_J(mdp, model_at(features, np.zeros(4)), beta)
+    H = derivative_bundle(mdp, model_at(features, np.zeros(4)), beta).hessian
     basis = kernel_basis(H)
     assert basis.shape[1] >= 1
     xi = basis[:, 0]
-    g1 = grad_J(mdp, model_at(features, rng.normal(size=4)), beta)
-    g2 = grad_J(mdp, model_at(features, rng.normal(size=4)), beta)
+    g1 = derivative_bundle(mdp, model_at(features, rng.normal(size=4)), beta).grad
+    g2 = derivative_bundle(mdp, model_at(features, rng.normal(size=4)), beta).grad
     assert float(g1 @ xi) == pytest.approx(float(g2 @ xi), abs=1e-8)
 
 
@@ -494,7 +498,7 @@ def test_effective_dimension_sigma_matches_enumeration():
     mdp = random_mdp(rng, S=3, A=2, T=3)
     features = random_features(rng, mdp, 3)
     expert = random_policy(rng, mdp)
-    H_ref = hessian_J(mdp, model_at(features, np.zeros(3)), 1.0) + 1e-6 * np.eye(3)
+    H_ref = derivative_bundle(mdp, model_at(features, np.zeros(3)), 1.0).hessian + 1e-6 * np.eye(3)
 
     ed = effective_dimension(mdp, features, expert, H_ref)
     states, actions, probs = enumerate_support(mdp, expert)
@@ -514,7 +518,7 @@ def test_effective_dimension_bound():
     beta = 0.8
     model = model_at(features, rng.normal(size=3) * 0.3)
     expert = solve_model(mdp, model, beta).pi_star
-    H = hessian_J(mdp, model, beta)
+    H = derivative_bundle(mdp, model, beta).hessian
     lam = float(np.linalg.eigvalsh(H).min())
     assert lam > 1e-8
 
