@@ -17,6 +17,7 @@ from .mdp import (
     DEFAULT_ENUMERATION_CAP,
     Mdp,
     Policy,
+    batch_trajectory_probs,
     empirical_feature_expectation,
     enumerate_support,
     feature_expectation,
@@ -97,6 +98,8 @@ class InstanceSpec:
             raise InputError(f"unknown expert_kind {self.expert_kind!r}")
         if not self.beta > 0.0:
             raise InputError("InstanceSpec.beta must be positive")
+        if self.seed < 0:
+            raise InputError("InstanceSpec.seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,8 @@ class RateConfig:
             raise InputError("n_grid must be increasing")
         if self.replicates < 1:
             raise InputError("replicates must be >= 1")
+        if self.data_seed < 0:
+            raise InputError("data_seed must be non-negative")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
 
     def fit_config(self) -> FitConfig:
@@ -279,11 +284,10 @@ def _rate_cell(
     pi_star: Policy,
     approx_floor: float,
     support: tuple[np.ndarray, np.ndarray],
+    p_star: np.ndarray,
     n: int,
     seed: int,
 ) -> tuple[dict, bool]:
-    from .mdp import batch_trajectory_probs
-
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     data = sample_trajectories(mdp, expert, n, seed)
     result = fit_empirical(mdp, features, data, fit_cfg)
@@ -291,9 +295,7 @@ def _rate_cell(
     pi_hat = solve_model(mdp, model_hat, fit_cfg.beta).pi_star
 
     diff = result.theta_hat - theta_star
-    states, actions = support
-    p_star = batch_trajectory_probs(mdp, pi_star, states, actions)
-    p_hat = batch_trajectory_probs(mdp, pi_hat, states, actions)
+    p_hat = batch_trajectory_probs(mdp, pi_hat, *support)
     expert_kl = trajectory_kl(mdp, expert, pi_hat)
     kl_star_to_hat = trajectory_kl(mdp, pi_star, pi_hat)
     kl_hat_to_star = trajectory_kl(mdp, pi_hat, pi_star)
@@ -349,13 +351,14 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     )
 
     support = (support_states, support_actions)
+    p_star = batch_trajectory_probs(mdp, pi_star, *support)
     records = []
     non_converged = 0
     for i_n, n in enumerate(config.n_grid):
         for rep in range(config.replicates):
             seed = _cell_seed(config.data_seed, i_n, rep)
             values, converged = _rate_cell(
-                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, support, n, seed
+                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, support, p_star, n, seed
             )
             non_converged += 0 if converged else 1
             records.extend(
@@ -489,8 +492,6 @@ def check_local_geometry(
 
     pi0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta).pi_star
     pi1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta).pi_star
-
-    from .mdp import batch_trajectory_probs
 
     p0 = batch_trajectory_probs(mdp, pi0, states, actions)
     p1 = batch_trajectory_probs(mdp, pi1, states, actions)

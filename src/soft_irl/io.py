@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .linear_reward import FeatureMap
 from .losses import NonconvexityReport, RiskReport
-from .mdp import Dataset, Mdp, Policy, Trajectory
+from .mdp import Dataset, Mdp, Policy
 from .opt import IrlFitResult
 from .soft_dp import RewardTable, SoftSolution
 
@@ -97,8 +97,8 @@ def dataset_to_dict(data: Dataset) -> dict:
         "seed": data.seed,
         "generator_label": data.generator_label,
         "trajectories": [
-            {"states": list(tau.states), "actions": list(tau.actions)}
-            for tau in data.trajectories
+            {"states": s, "actions": a}
+            for s, a in zip(data.states.tolist(), data.actions.tolist())
         ],
     }
 
@@ -107,12 +107,11 @@ def dataset_from_dict(obj: dict, where: str = "dataset") -> Dataset:
     check_keys(obj, {"seed", "generator_label", "trajectories"}, set(), where)
     if not isinstance(obj["trajectories"], list):
         raise InputError(f"{where}.trajectories: expected a list")
-    trajectories = []
     for i, item in enumerate(obj["trajectories"]):
         check_keys(item, {"states", "actions"}, set(), f"{where}.trajectories[{i}]")
-        trajectories.append(Trajectory(states=tuple(item["states"]), actions=tuple(item["actions"])))
     return Dataset(
-        trajectories=tuple(trajectories),
+        states=[item["states"] for item in obj["trajectories"]],
+        actions=[item["actions"] for item in obj["trajectories"]],
         seed=int(obj["seed"]),
         generator_label=str(obj["generator_label"]),
     )

@@ -305,8 +305,7 @@ def effective_dimension(
         Sigma_E = np.einsum("n,nd,ne->de", probs, centered, centered)
     else:
         data = sample_trajectories(mdp, expert, mc_samples, mc_seed)
-        states, actions = data.stacked()
-        F = phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1)
+        F = phi[np.arange(mdp.T)[None, :], data.states, data.actions].sum(axis=1)
         centered = F - F.mean(axis=0)
         Sigma_E = centered.T @ centered / len(data)
 

@@ -94,8 +94,7 @@ def mle_loss(mdp: Mdp, policy: Policy, data: Dataset) -> float:
     reference measure.  ``+inf`` as soon as any observed action has zero
     probability."""
     log_density = log_policy_density(mdp, policy)
-    states, actions = data.stacked()
-    terms = gather_table(log_density, states, actions)
+    terms = gather_table(log_density, data.states, data.actions)
     if np.any(np.isneginf(terms)):
         return float("inf")
     return float(-terms.sum(axis=1).mean())
@@ -116,8 +115,7 @@ def soft_optimal_residuals(
 ) -> np.ndarray:
     """Summed dynamics-noise terms of the soft-optimal value, per trajectory."""
     solution = solve_model(mdp, model, beta)
-    states, actions = data.stacked()
-    return delta_terms(mdp, solution.V, states, actions).sum(axis=1)
+    return delta_terms(mdp, solution.V, data.states, data.actions).sum(axis=1)
 
 
 def equivalence_report(
@@ -159,7 +157,7 @@ def nonconvexity_probe(
     from .instances import counterexample_instance
 
     mdp, features, tau = counterexample_instance()
-    data = Dataset(trajectories=(tau,), seed=0, generator_label="demonstration")
+    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0, generator_label="demonstration")
 
     def loss_at(theta: np.ndarray) -> float:
         model = LinearRewardModel(features=features, theta=theta)

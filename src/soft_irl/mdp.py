@@ -14,15 +14,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CapacityError,
     DimensionError,
+    DomainError,
     EmptyDatasetError,
+    InputError,
     InvariantError,
 )
 
@@ -158,36 +159,51 @@ class Trajectory:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A collection of trajectories plus the seed/label that produced it."""
+def _as_index_array(x, field_name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # ragged nested sequences
+        raise InvariantError(f"{field_name}: all trajectories must share one horizon") from exc
+    if arr.ndim != 2:
+        raise DimensionError(field_name, "(n, T)", arr.shape)
+    if arr.shape[0] == 0:
+        raise EmptyDatasetError("a dataset must contain at least one trajectory")
+    if arr.shape[1] == 0:
+        raise InvariantError("a trajectory must contain at least one step")
+    if arr.dtype.kind not in "iu":
+        raise InvariantError(f"{field_name}: entries must be integers, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=np.int64)
+    if np.any(arr < 0):
+        raise InvariantError("trajectory indices must be non-negative")
+    arr.flags.writeable = False
+    return arr
 
-    trajectories: tuple[Trajectory, ...]
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """``n`` trajectories as read-only ``(n, T)`` int64 ``states`` and
+    ``actions`` arrays, plus the seed/label that produced them."""
+
+    states: np.ndarray
+    actions: np.ndarray
     seed: int
     generator_label: str = ""
 
     def __post_init__(self) -> None:
-        trajectories = tuple(self.trajectories)
-        if not trajectories:
-            raise EmptyDatasetError("a dataset must contain at least one trajectory")
-        horizon = trajectories[0].T
-        if any(tau.T != horizon for tau in trajectories):
-            raise InvariantError("all trajectories in a dataset must share the same horizon")
-        object.__setattr__(self, "trajectories", trajectories)
+        states = _as_index_array(self.states, "states")
+        actions = _as_index_array(self.actions, "actions")
+        if actions.shape != states.shape:
+            raise DimensionError("actions", states.shape, actions.shape)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.states.shape[0]
 
     @property
     def T(self) -> int:
-        return self.trajectories[0].T
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(states, actions)`` as ``(n, T)`` integer arrays."""
-        states = np.array([tau.states for tau in self.trajectories], dtype=np.int64)
-        actions = np.array([tau.actions for tau in self.trajectories], dtype=np.int64)
-        return states, actions
+        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -241,18 +257,122 @@ def forward_occupancy(mdp: Mdp, policy: Policy) -> OccupancyMeasures:
     return OccupancyMeasures(mu=mu)
 
 
+# Constants of numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx,
+# numpy/random/src/pcg64): the stream below reproduces theirs bit for bit.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MAX_STREAMS = 2**32  # the trajectory index is a single uint32 spawn word
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``seed`` as little-endian uint32 words, zero-padded to the pool size."""
+    words = []
+    while seed > 0:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    return words + [0] * (_POOL_SIZE - len(words))
+
+
+def _hash_constants(init: int, mult: int):
+    """The ``(xor, multiplier)`` pairs of SeedSequence's successive hashes."""
+    h = init
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hash(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _spawned_pools(seed: int, n: int) -> list[np.ndarray]:
+    """Entropy pools of ``SeedSequence(seed, spawn_key=(i,))``: four uint32 rows."""
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _seed_words(seed)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i], constants) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hash(pool[i_src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], _hash(word, constants))
+    return pool
+
+
+def _generate_state64(pool: list[np.ndarray]) -> list[np.ndarray]:
+    """``generate_state(4, np.uint64)`` of each pool column: four uint64 rows."""
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hash(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    return [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * b``, from 32-bit limbs."""
+    m32 = np.uint64(_MASK32)
+    a0, a1 = a & m32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & m32) + (p10 & m32)
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step ``state * MULT + inc`` on ``(hi, lo)`` uint64 halves."""
+    new_hi = hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + _mulhi64(lo, _PCG_MULT_LO)
+    new_lo = lo * np.uint64(_PCG_MULT_LO)
+    out_lo = new_lo + inc_lo
+    carry = (out_lo < new_lo).astype(np.uint64)
+    return new_hi + inc_hi + carry, out_lo
+
+
 def _child_uniforms(seed: int, n: int, draws: int) -> np.ndarray:
     """Uniforms for ``n`` trajectories, one child generator per trajectory.
 
-    Trajectory ``i`` draws its block from
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` so sampling can be
-    split across workers at any granularity without changing the result.
+    Row ``i`` equals ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))
+    .random(draws)`` bit for bit, so sampling can be split across workers at
+    any granularity without changing the result.  All ``n`` streams advance
+    together as uint64 array arithmetic.
     """
+    w0, w1, w2, w3 = _generate_state64(_spawned_pools(seed, n))
+    # PCG64 seeding: inc = (w2:w3) << 1 | 1, state = 0; step, add (w0:w1), step.
+    # The first step from state 0 leaves just inc.
+    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < w1).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
     out = np.empty((n, draws))
-    for i in range(n):
-        ss = np.random.SeedSequence(seed, spawn_key=(i,))
-        out[i] = np.random.Generator(np.random.PCG64(ss)).random(draws)
+    for k in range(draws):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then the top 53 bits as a double in [0, 1)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, k] = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
     return out
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 def _rows_inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -267,11 +387,18 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
 
     Bit-reproducible: trajectory ``i`` consumes the uniforms of its own child
     generator in the fixed order ``s_0, a_0, s_1, a_1, ...``; results do not
-    depend on how the work is batched.
+    depend on how the work is batched.  ``seed`` must be a non-negative
+    integer and ``1 <= n < 2**32``; anything else raises an ``InputError``.
     """
     _check_compatible(mdp, policy)
+    seed = _check_seed(seed)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InputError(f"n must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise EmptyDatasetError("cannot sample an empty dataset (n must be >= 1)")
+    if n >= _MAX_STREAMS:
+        raise DomainError(f"n must be below 2**32 (one uint32 stream index per trajectory), got {n}")
     u = _child_uniforms(seed, n, 2 * mdp.T)
 
     states = np.empty((n, mdp.T), dtype=np.int64)
@@ -284,11 +411,7 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
         actions[:, t] = a
         if t < mdp.T - 1:
             s = _rows_inverse_cdf(mdp.kernels[t][s, a], u[:, 2 * t + 2])
-
-    trajectories = tuple(
-        Trajectory(states=tuple(states[i]), actions=tuple(actions[i])) for i in range(n)
-    )
-    return Dataset(trajectories=trajectories, seed=seed, generator_label=policy.label)
+    return Dataset(states=states, actions=actions, seed=seed, generator_label=policy.label)
 
 
 def enumerate_support(
@@ -397,12 +520,15 @@ def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
         raise DimensionError("features", "(T, S, A, d)", phi.shape)
     if phi.shape[0] != data.T:
         raise DimensionError("features", f"T={data.T}", f"T={phi.shape[0]}")
-    states, actions = data.stacked()
     # Group repeated trajectories and average with multiplicity weights: the
     # empirical measure lives on a finite trajectory space, and this keeps the
-    # average exact when every draw is the same trajectory.
-    trajs, counts = np.unique(np.concatenate([states, actions], axis=1), axis=0, return_counts=True)
-    u_states, u_actions = trajs[:, : data.T], trajs[:, data.T :]
+    # average exact when every draw is the same trajectory.  Sorting the rows
+    # lexicographically gives the groups in the order np.unique(axis=0) does.
+    rows = np.concatenate([data.states, data.actions], axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)]))
+    counts = np.diff(np.append(starts, len(rows)))
+    u_states, u_actions = rows[starts, : data.T], rows[starts, data.T :]
     # (k, T, d): gather each visited feature vector, then sum steps in t order
     gathered = phi[np.arange(data.T)[None, :], u_states, u_actions]
     return (counts / len(data)) @ gathered.sum(axis=1)

@@ -106,6 +106,25 @@ def test_fit_unknown_instance_key_rejected(tmp_path):
     assert main(["fit", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("fit", {"instance": TINY_INSTANCE, "n": 16, "data_seed": -1}),
+        ("fit", {"instance": dict(TINY_INSTANCE, seed=-1), "n": 16, "data_seed": 1}),
+        ("rates", {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 1, "data_seed": -1}),
+    ],
+)
+def test_negative_seed_is_input_error(tmp_path, capsys, command, section):
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), command: section})
+    assert main([command, "--config", cfg]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_fit_oversized_n_is_input_error(tmp_path):
+    cfg = write_config(tmp_path, {"fit": {"instance": TINY_INSTANCE, "n": 2**32, "data_seed": 1}})
+    assert main(["fit", "--config", cfg]) == 2
+
+
 def test_seed_env_override_changes_instance(tmp_path, monkeypatch, capsys):
     spec = {k: v for k, v in TINY_INSTANCE.items() if k != "seed"}
     payload = {
@@ -341,6 +360,13 @@ def test_validate_kind_mismatch(tmp_path):
     assert main(["validate", str(path), "--kind", "dataset"]) == 2
 
 
+def test_validate_rejects_ragged_dataset(tmp_path):
+    path = tmp_path / "ragged.json"
+    trajectories = [{"states": [0, 1], "actions": [0, 1]}, {"states": [0], "actions": [1]}]
+    pio.dump_json({"seed": 0, "generator_label": "", "trajectories": trajectories}, path)
+    assert main(["validate", str(path), "--kind", "dataset"]) == 2
+
+
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
@@ -358,10 +384,8 @@ def test_dataset_json_round_trip():
     data = sample_trajectories(mdp, uniform_policy(mdp), 4, seed=9)
     clone = pio.dataset_from_dict(json.loads(pio.to_json_text(pio.dataset_to_dict(data))))
     assert clone.seed == data.seed
-    a_states, a_actions = clone.stacked()
-    b_states, b_actions = data.stacked()
-    np.testing.assert_array_equal(a_states, b_states)
-    np.testing.assert_array_equal(a_actions, b_actions)
+    np.testing.assert_array_equal(clone.states, data.states)
+    np.testing.assert_array_equal(clone.actions, data.actions)
 
 
 def test_check_keys_reports_unknown_and_missing():

@@ -290,7 +290,8 @@ def test_return_decomposition_residual_vanishes():
         reward = random_reward(rng, mdp)
         pi = random_policy(rng, mdp)
         data = sample_trajectories(mdp, pi, 20, seed=5)
-        for tau in data.trajectories:
+        for states, actions in zip(data.states, data.actions):
+            tau = Trajectory(states=states, actions=actions)
             dec = return_decomposition(mdp, reward, pi, beta, tau)
             assert dec.residual == pytest.approx(0.0, abs=1e-9)
 
@@ -300,7 +301,9 @@ def test_deterministic_dynamics_kill_delta():
     mdp = random_mdp(rng, S=3, A=2, T=4, deterministic=True)
     reward = random_reward(rng, mdp)
     pi = random_policy(rng, mdp)
-    for tau in sample_trajectories(mdp, pi, 10, seed=6).trajectories:
+    data = sample_trajectories(mdp, pi, 10, seed=6)
+    for states, actions in zip(data.states, data.actions):
+        tau = Trajectory(states=states, actions=actions)
         dec = return_decomposition(mdp, reward, pi, 0.5, tau)
         assert dec.delta_sum == pytest.approx(0.0, abs=1e-12)
         assert dec.residual == pytest.approx(0.0, abs=1e-9)
@@ -312,7 +315,9 @@ def test_gibbs_policy_kills_advantage_terms():
     reward = random_reward(rng, mdp)
     beta = 1.1
     sol = soft_backward(mdp, reward, beta)
-    for tau in sample_trajectories(mdp, sol.pi_star, 10, seed=7).trajectories:
+    data = sample_trajectories(mdp, sol.pi_star, 10, seed=7)
+    for states, actions in zip(data.states, data.actions):
+        tau = Trajectory(states=states, actions=actions)
         dec = return_decomposition(mdp, reward, sol.pi_star, beta, tau)
         assert dec.advantage_sum == pytest.approx(0.0, abs=1e-9)
 

@@ -69,7 +69,7 @@ def test_irl_empirical_approaches_population():
     pop = irl_population_loss(mdp, model, beta, expert)
 
     # the only fluctuation is <theta, phi_hat - phi>; bound it by 4 SEs
-    states, actions = data.stacked()
+    states, actions = data.states, data.actions
     per_traj = features.phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1) @ theta
     se = per_traj.std(ddof=1) / np.sqrt(n)
     assert abs(emp - pop) <= 4 * se
@@ -156,7 +156,7 @@ def test_mle_loss_infinite_on_unsupported_action():
     probs[:, :, 0] = 1.0
     deterministic = Policy(probs=probs)
     data = sample_trajectories(mdp, uniform_policy(mdp), 50, seed=5)
-    took_other = any(1 in tau.actions for tau in data.trajectories)
+    took_other = bool(np.any(data.actions == 1))
     assert took_other
     assert mle_loss(mdp, deterministic, data) == np.inf
 
@@ -165,7 +165,7 @@ def test_empirical_frequencies_minimize_mle_loss():
     rng = np.random.default_rng(8)
     mdp = random_mdp(rng, S=2, A=2, T=2)
     data = sample_trajectories(mdp, random_policy(rng, mdp), 200, seed=6)
-    states, actions = data.stacked()
+    states, actions = data.states, data.actions
 
     counts = np.zeros((mdp.T, mdp.S, mdp.A))
     for t in range(mdp.T):
@@ -274,7 +274,7 @@ def test_population_residual_is_mean_zero():
 
 def test_counterexample_single_trajectory_identity():
     mdp, features, tau = counterexample_instance()
-    data = Dataset(trajectories=(tau,), seed=0, generator_label="demonstration")
+    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0, generator_label="demonstration")
     model = model_at(features, [2.0, 4.0])
     report = equivalence_report(mdp, model, 1.0, data, uniform_policy(mdp))
     assert report.irl_empirical + report.residual_term == pytest.approx(LOSS_A, rel=1e-12)

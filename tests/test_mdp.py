@@ -12,6 +12,7 @@ from soft_irl import (
     Dataset,
     DimensionError,
     EmptyDatasetError,
+    InputError,
     InvariantError,
     Mdp,
     Policy,
@@ -26,7 +27,9 @@ from soft_irl import (
     trajectory_log_prob,
     uniform_policy,
 )
+from soft_irl.experiments import InstanceSpec, generate_instance
 from soft_irl.io import dataset_to_dict, to_json_text
+from soft_irl.mdp import _child_uniforms
 from soft_irl.soft_dp import RewardTable, soft_backward
 
 
@@ -106,13 +109,39 @@ def test_trajectory_validation():
         Trajectory(states=(0, -1), actions=(0, 0))
 
 
-def test_dataset_must_be_nonempty_and_homogeneous():
-    with pytest.raises(EmptyDatasetError):
-        Dataset(trajectories=(), seed=0)
-    t1 = Trajectory(states=(0,), actions=(0,))
-    t2 = Trajectory(states=(0, 0), actions=(0, 0))
+def test_dataset_validation():
+    with pytest.raises(DimensionError):
+        Dataset(states=[[0, 1]], actions=[[0]], seed=0)
     with pytest.raises(InvariantError):
-        Dataset(trajectories=(t1, t2), seed=0)
+        Dataset(states=np.empty((1, 0), dtype=np.int64), actions=np.empty((1, 0), dtype=np.int64), seed=0)
+    with pytest.raises(InvariantError):
+        Dataset(states=[[0, -1]], actions=[[0, 0]], seed=0)
+    with pytest.raises(InvariantError):
+        Dataset(states=[[0, 1]], actions=[[0.0, 1.0]], seed=0)
+    with pytest.raises(InvariantError):
+        Dataset(states=[[0, 1]], actions=[[0, 2**63]], seed=0)
+    with pytest.raises(DimensionError):
+        Dataset(states=[0, 1], actions=[0, 1], seed=0)
+
+
+def test_dataset_must_be_nonempty_and_homogeneous():
+    empty = np.empty((0, 2), dtype=np.int64)
+    with pytest.raises(EmptyDatasetError):
+        Dataset(states=empty, actions=empty, seed=0)
+    ragged = [[0], [0, 0]]
+    with pytest.raises(InvariantError):
+        Dataset(states=ragged, actions=ragged, seed=0)
+
+
+def test_dataset_holds_read_only_copies():
+    states = np.array([[0, 1], [2, 0]])
+    data = Dataset(states=states, actions=np.zeros((2, 2), dtype=np.int32), seed=3)
+    assert data.states.dtype == data.actions.dtype == np.int64
+    assert (len(data), data.T) == (2, 2)
+    with pytest.raises(ValueError):
+        data.states[0, 0] = 1
+    states[0, 0] = 1  # the caller's array stays writable and is not aliased
+    assert data.states[0, 0] == 0
 
 
 def test_arrays_are_frozen():
@@ -161,7 +190,7 @@ def test_occupancy_monte_carlo_oracle():
 
     n = 1_000_000
     data = sample_trajectories(mdp, policy, n, seed=12345)
-    states, actions = data.stacked()
+    states, actions = data.states, data.actions
     counts = np.zeros((mdp.T, mdp.S, mdp.A))
     for t in range(mdp.T):
         np.add.at(counts[t], (states[:, t], actions[:, t]), 1.0)
@@ -195,7 +224,8 @@ def test_sampling_deterministic_instance_all_identical():
     probs = np.zeros((3, 3, 2))
     probs[:, :, 0] = 1.0
     data = sample_trajectories(mdp, Policy(probs=probs), 32, seed=0)
-    assert len(set(data.trajectories)) == 1
+    rows = np.concatenate([data.states, data.actions], axis=1)
+    assert np.all(rows == rows[0])
 
 
 def test_sampling_same_seed_identical_serialization():
@@ -216,7 +246,8 @@ def test_sampling_prefix_stability():
     policy = random_policy(rng, mdp)
     small = sample_trajectories(mdp, policy, 10, seed=9)
     large = sample_trajectories(mdp, policy, 50, seed=9)
-    assert small.trajectories == large.trajectories[:10]
+    np.testing.assert_array_equal(small.states, large.states[:10])
+    np.testing.assert_array_equal(small.actions, large.actions[:10])
 
 
 def test_sampling_rejects_empty():
@@ -226,6 +257,64 @@ def test_sampling_rejects_empty():
         sample_trajectories(mdp, uniform_policy(mdp), 0, seed=0)
 
 
+def test_sampling_rejects_bad_seeds_and_sizes():
+    rng = np.random.default_rng(4)
+    mdp = random_mdp(rng)
+    policy = uniform_policy(mdp)
+    for seed in (-1, -(2**64), 1.5, "3", None, True):
+        with pytest.raises(InputError):
+            sample_trajectories(mdp, policy, 4, seed=seed)
+    for n in (2**32, 2**62, 2.0):
+        with pytest.raises(InputError):
+            sample_trajectories(mdp, policy, n, seed=0)
+    assert len(sample_trajectories(mdp, policy, np.int64(3), seed=np.uint64(2**64 - 1))) == 3
+
+
+def _seed_sequence_uniforms(seed, n, draws):
+    """Reference stream: one numpy child generator per trajectory."""
+    out = np.empty((n, draws))
+    for i in range(n):
+        ss = np.random.SeedSequence(seed, spawn_key=(i,))
+        out[i] = np.random.Generator(np.random.PCG64(ss)).random(draws)
+    return out
+
+
+STREAM_SEEDS = (0, 1, 7, 2**32 + 5, 14449357594836781232, 2**64 - 1, 2**100 + 3, 2**200 + 11)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_child_uniforms_match_seed_sequence_generators(seed):
+    for n, draws in [(1, 1), (5, 3), (1000, 8), (300, 40), (70, 2), (3, 101)]:
+        np.testing.assert_array_equal(
+            _child_uniforms(seed, n, draws), _seed_sequence_uniforms(seed, n, draws)
+        )
+
+
+# (seed, n, row, states, actions) sampled from the expert of the rates instance
+# by the per-trajectory SeedSequence implementation; any change to the stream
+# must show up here.
+PINNED_ROWS = [
+    (1, 1024, 0, [1, 2, 1, 0], [0, 0, 1, 1]),
+    (1, 1024, 1, [1, 1, 2, 4], [0, 0, 0, 2]),
+    (1, 1024, 2, [1, 2, 2, 1], [0, 0, 0, 2]),
+    (1, 1024, 1023, [1, 1, 2, 1], [0, 0, 0, 2]),
+    (0, 300, 0, [4, 3, 4, 0], [0, 0, 1, 1]),
+    (0, 300, 299, [4, 0, 2, 0], [0, 2, 0, 2]),
+    (2**64 - 1, 300, 150, [4, 1, 1, 4], [0, 0, 1, 2]),
+    (2**64 - 1, 300, 299, [3, 2, 3, 1], [2, 0, 1, 2]),
+    (2**200 + 11, 300, 0, [1, 2, 3, 1], [0, 0, 0, 2]),
+    (2**200 + 11, 300, 299, [1, 1, 2, 4], [0, 0, 2, 2]),
+]
+
+
+def test_sampling_reproduces_pinned_rows():
+    instance = generate_instance(InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5))
+    for seed, n, row, states, actions in PINNED_ROWS:
+        data = sample_trajectories(instance.mdp, instance.expert, n, seed)
+        assert data.states[row].tolist() == states, (seed, row)
+        assert data.actions[row].tolist() == actions, (seed, row)
+
+
 def test_sampling_frequencies_match_occupancy():
     rng = np.random.default_rng(10)
     mdp = random_mdp(rng, S=3, A=3, T=2)
@@ -233,7 +322,7 @@ def test_sampling_frequencies_match_occupancy():
     occ = forward_occupancy(mdp, policy)
     n = 100_000
     data = sample_trajectories(mdp, policy, n, seed=77)
-    states, actions = data.stacked()
+    states, actions = data.states, data.actions
     for t in range(mdp.T):
         counts = np.zeros((mdp.S, mdp.A))
         np.add.at(counts, (states[:, t], actions[:, t]), 1.0)
@@ -350,9 +439,37 @@ def test_empirical_feature_expectation_single_trajectory():
     mdp = random_mdp(rng)
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 3))
     tau = Trajectory(states=(0, 1, 2), actions=(1, 0, 1))
-    data = Dataset(trajectories=(tau,), seed=0)
+    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0)
     expected = sum(phi[t, tau.states[t], tau.actions[t]] for t in range(mdp.T))
     np.testing.assert_allclose(empirical_feature_expectation(data, phi), expected)
+
+
+def _unique_grouping_reference(data, phi):
+    """The feature average grouped by ``np.unique(axis=0)``."""
+    rows = np.concatenate([data.states, data.actions], axis=1)
+    trajs, counts = np.unique(rows, axis=0, return_counts=True)
+    gathered = phi[np.arange(data.T)[None, :], trajs[:, : data.T], trajs[:, data.T :]]
+    return (counts / len(data)) @ gathered.sum(axis=1)
+
+
+def test_empirical_feature_expectation_matches_unique_grouping():
+    rng = np.random.default_rng(22)
+    mdp = random_mdp(rng, S=3, A=2, T=4)
+    phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 5))
+    data = sample_trajectories(mdp, random_policy(rng, mdp), 2000, seed=31)
+    np.testing.assert_array_equal(
+        empirical_feature_expectation(data, phi), _unique_grouping_reference(data, phi)
+    )
+
+    # the degenerate dataset where every draw is the same trajectory
+    det = random_mdp(np.random.default_rng(5), S=3, A=2, T=3, deterministic=True)
+    probs = np.zeros((3, 3, 2))
+    probs[:, :, 0] = 1.0
+    same = sample_trajectories(det, Policy(probs=probs), 32, seed=0)
+    phi3 = rng.normal(size=(3, 3, 2, 4))
+    np.testing.assert_array_equal(
+        empirical_feature_expectation(same, phi3), _unique_grouping_reference(same, phi3)
+    )
 
 
 def test_empirical_feature_expectation_converges_to_population():
@@ -367,8 +484,7 @@ def test_empirical_feature_expectation_converges_to_population():
     est = empirical_feature_expectation(data, phi)
 
     # per-coordinate standard error of the per-trajectory feature return
-    states, actions = data.stacked()
-    per_traj = phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1)
+    per_traj = phi[np.arange(mdp.T)[None, :], data.states, data.actions].sum(axis=1)
     se = per_traj.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(est - target) <= 4.0 * se)
 
