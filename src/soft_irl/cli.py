@@ -330,9 +330,9 @@ def cmd_concentration(args) -> int:
         instance.features,
         spec.beta,
         instance.expert,
-        n=int(section.get("n", 256)),
+        n=section.get("n", 256),
         delta=float(section.get("delta", 0.1)),
-        trials=int(section.get("trials", 500)),
+        trials=section.get("trials", 500),
         seed=int(section.get("data_seed", seed + 1)),
     )
     out = _out_dir(args, config)

@@ -102,7 +102,7 @@ class InstanceSpec:
             raise InputError("InstanceSpec.seed must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A generated problem: dynamics, features and the demonstrating expert."""
 
@@ -283,8 +283,6 @@ def _rate_cell(
     H_star: np.ndarray,
     pi_star: Policy,
     approx_floor: float,
-    support: tuple[np.ndarray, np.ndarray],
-    p_star: np.ndarray,
     n: int,
     seed: int,
 ) -> tuple[dict, bool]:
@@ -295,7 +293,6 @@ def _rate_cell(
     pi_hat = solve_model(mdp, model_hat, fit_cfg.beta).pi_star
 
     diff = result.theta_hat - theta_star
-    p_hat = batch_trajectory_probs(mdp, pi_hat, *support)
     expert_kl = trajectory_kl(mdp, expert, pi_hat)
     kl_star_to_hat = trajectory_kl(mdp, pi_star, pi_hat)
     kl_hat_to_star = trajectory_kl(mdp, pi_hat, pi_star)
@@ -306,7 +303,7 @@ def _rate_cell(
         "kl_star_to_hat": kl_star_to_hat,
         "kl_hat_to_star": kl_hat_to_star,
         "sym_kl_star": kl_star_to_hat + kl_hat_to_star,
-        "hellinger_star": float(((np.sqrt(p_star) - np.sqrt(p_hat)) ** 2).sum()),
+        "hellinger_star": trajectory_hellinger(mdp, pi_star, pi_hat),
     }
     return values, result.converged
 
@@ -337,7 +334,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     pi_star = solve_model(mdp, model_star, beta).pi_star
     approx_floor = trajectory_kl(mdp, expert, pi_star)
 
-    ed = effective_dimension(mdp, features, expert, H_star, config.enumeration_cap)
+    ed = effective_dimension(mdp, features, expert, H_star)
     support_states, support_actions, _ = enumerate_support(
         mdp, uniform_policy(mdp), config.enumeration_cap
     )
@@ -350,15 +347,13 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         B_A_phi**2 * ed.d_star * math.log(1.0 / config.burn_in_delta) / (beta**2 * lambda_star)
     )
 
-    support = (support_states, support_actions)
-    p_star = batch_trajectory_probs(mdp, pi_star, *support)
     records = []
     non_converged = 0
     for i_n, n in enumerate(config.n_grid):
         for rep in range(config.replicates):
             seed = _cell_seed(config.data_seed, i_n, rep)
             values, converged = _rate_cell(
-                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, support, p_star, n, seed
+                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, n, seed
             )
             non_converged += 0 if converged else 1
             records.extend(
@@ -505,7 +500,7 @@ def check_local_geometry(
     checks: list[GeometryCheck]
     if local:
         kl01 = trajectory_kl(mdp, pi0, pi1)
-        hell = trajectory_hellinger(mdp, pi0, pi1, enumeration_cap)
+        hell = trajectory_hellinger(mdp, pi0, pi1)
         checks = [
             GeometryCheck("density_ratio", 0.0, max_log_ratio, 1.0),
             GeometryCheck("hessian_sandwich_min", math.exp(-1.0), float(gen_eigs.min()), math.inf),
@@ -623,8 +618,12 @@ def check_concentration(
     expectation, measured in the inverse-Hessian norm at the population
     solution; the bound is ``sqrt(2 d* log(1/delta) / n) +
     4 B_phi log(1/delta) / (sqrt(lambda*) n)`` and should fail with frequency
-    at most ``delta`` (plus binomial noise).
+    at most ``delta`` (plus binomial noise).  ``n`` and ``trials`` must be
+    positive integers; anything else raises an ``InputError`` before any work.
     """
+    for name, count in (("n", n), ("trials", trials)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise InputError(f"{name} must be a positive integer, got {count!r}")
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
@@ -636,7 +635,7 @@ def check_concentration(
     if lambda_star <= 1e-10:
         raise DomainError("concentration bound requires a positive-definite Hessian")
 
-    ed = effective_dimension(mdp, features, expert, H_star, enumeration_cap)
+    ed = effective_dimension(mdp, features, expert, H_star)
     states, actions, _ = enumerate_support(mdp, uniform_policy(mdp), enumeration_cap)
     B_phi = max_cumulative_feature_norm(features, states, actions)
 

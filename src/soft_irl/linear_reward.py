@@ -28,6 +28,7 @@ from .mdp import (
     Trajectory,
     enumerate_support,
     forward_occupancy,
+    gather_table,
     uniform_policy,
     _check_trajectory,
 )
@@ -41,7 +42,7 @@ from .soft_dp import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Per-step feature vectors ``phi[t, s, a] in R^d``."""
 
@@ -66,7 +67,7 @@ class FeatureMap:
         return self.phi.shape[3]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRewardModel:
     """A feature map together with a parameter vector inside a norm ball."""
 
@@ -92,7 +93,7 @@ class LinearRewardModel:
         return LinearRewardModel(features=self.features, theta=theta, B_theta=self.B_theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeBundle:
     """Value, gradient and Hessian of ``J*`` at one parameter."""
 
@@ -134,7 +135,7 @@ class GeometryConstants:
                 raise InvariantError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveDimension:
     """Feature-return covariance, its source decomposition and ``d_star``."""
 
@@ -184,8 +185,7 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
 
 def batch_scores(adv: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays."""
-    T = states.shape[1]
-    return adv[np.arange(T)[None, :], states, actions].sum(axis=1)
+    return gather_table(adv, states, actions).sum(axis=1)
 
 
 def score(mdp: Mdp, model: LinearRewardModel, beta: float, tau: Trajectory) -> np.ndarray:
@@ -253,69 +253,44 @@ def shaping_projector(
 def _feature_delta_covariance(mdp: Mdp, Vfeat: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``sum_t E[delta_t,phi delta_t,phi^T]`` from occupancies (no enumeration).
 
-    ``Vfeat`` is the ``(T+1, S, d)`` per-coordinate value table; each step's
-    dynamics-noise covariance is the conditional covariance of the successor
-    value under the kernel, averaged over the current occupancy.
+    ``Vfeat`` is the ``(T+1, S, d)`` per-coordinate value table.  Step ``k``'s
+    dynamics noise is the successor value minus its conditional mean
+    ``m = P_{k-1} V_k``, so its second moment is ``E[V_k V_k^T]`` under the
+    step-``k`` state marginal minus ``E[m m^T]`` under the step-``k-1``
+    occupancy; step 0 measures the initial draw against its mean.
     """
-    d = Vfeat.shape[-1]
-    M = np.zeros((d, d))
-    # step 0: randomness of the initial state
     mean0 = mdp.initial_dist @ Vfeat[0]
-    M += np.einsum("s,sd,se->de", mdp.initial_dist, Vfeat[0], Vfeat[0]) - np.outer(mean0, mean0)
+    M = _weighted_second_moment(mdp.initial_dist, Vfeat[0]) - np.outer(mean0, mean0)
     for k in range(1, mdp.T):
-        kern = mdp.kernels[k - 1]  # (S, A, S)
-        second = np.einsum("saz,zd,ze->sade", kern, Vfeat[k], Vfeat[k])
-        mean = np.einsum("saz,zd->sad", kern, Vfeat[k])
-        cond_cov = second - np.einsum("sad,sae->sade", mean, mean)
-        M += np.einsum("sa,sade->de", mu[k - 1], cond_cov)
+        cond_mean = np.einsum("saz,zd->sad", mdp.kernels[k - 1], Vfeat[k])
+        M += _weighted_second_moment(mu[k].sum(axis=-1), Vfeat[k])
+        M -= _weighted_second_moment(mu[k - 1], cond_mean)
     return M
 
 
 def effective_dimension(
-    mdp: Mdp,
-    features: FeatureMap,
-    expert: Policy,
-    H_star: np.ndarray,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    mc_samples: int = 200_000,
-    mc_seed: int = 2**32 - 59,
+    mdp: Mdp, features: FeatureMap, expert: Policy, H_star: np.ndarray
 ) -> EffectiveDimension:
     """Effective dimension ``tr(Sigma_E H_star^{-1})`` and its source split.
 
     ``Sigma_E`` is the covariance of the per-trajectory feature return under
-    ``expert``, computed exactly by enumeration when ``(S*A)**T`` fits the
-    cap and by seeded Monte Carlo otherwise.  It decomposes into an action
-    part (summed feature-advantage second moments) and a dynamics part
-    (summed dynamics-noise second moments), both computed from occupancies.
+    ``expert``.  The return minus its mean is a sum of martingale differences,
+    the per-step feature advantages and dynamics-noise terms, so ``Sigma_E``
+    is exactly their summed second moments: an action part and a dynamics
+    part, both computed from occupancies.  Exact at every size, with no
+    enumeration or sampling.
     """
-    from .mdp import sample_trajectories
-
-    phi = features.phi
     mu = forward_occupancy(mdp, expert).mu
     Qfeat, Vfeat = feature_values(mdp, features, expert)
     adv = Qfeat - Vfeat[:-1, :, None, :]
     action_part = _weighted_second_moment(mu, adv)
     dynamics_part = _feature_delta_covariance(mdp, Vfeat, mu)
-
-    if (mdp.S * mdp.A) ** mdp.T <= enumeration_cap:
-        states, actions, probs = enumerate_support(mdp, expert, enumeration_cap)
-        F = phi[np.arange(mdp.T)[None, :], states, actions].sum(axis=1)
-        mean = probs @ F
-        centered = F - mean
-        Sigma_E = np.einsum("n,nd,ne->de", probs, centered, centered)
-    else:
-        data = sample_trajectories(mdp, expert, mc_samples, mc_seed)
-        F = phi[np.arange(mdp.T)[None, :], data.states, data.actions].sum(axis=1)
-        centered = F - F.mean(axis=0)
-        Sigma_E = centered.T @ centered / len(data)
-
-    Sigma_E = 0.5 * (Sigma_E + Sigma_E.T)
-    d_star = float(np.trace(np.linalg.solve(H_star, Sigma_E)))
+    Sigma_E = action_part + dynamics_part
     return EffectiveDimension(
-        d_star=d_star,
+        d_star=float(np.trace(np.linalg.solve(H_star, Sigma_E))),
         Sigma_E=Sigma_E,
         action_part=action_part,
-        dynamics_part=0.5 * (dynamics_part + dynamics_part.T),
+        dynamics_part=dynamics_part,
     )
 
 
@@ -323,9 +298,7 @@ def max_cumulative_feature_norm(
     features: FeatureMap, states: np.ndarray, actions: np.ndarray
 ) -> float:
     """Max over trajectories and start times of ``||sum_{k>=t} phi_k||``."""
-    phi = features.phi
-    T = states.shape[1]
-    gathered = phi[np.arange(T)[None, :], states, actions]  # (N, T, d)
+    gathered = gather_table(features.phi, states, actions)  # (N, T, d)
     suffix = np.cumsum(gathered[:, ::-1, :], axis=1)[:, ::-1, :]
     return float(np.sqrt((suffix**2).sum(axis=2)).max())
 
@@ -392,7 +365,7 @@ def geometry_constants(
     if expert is None:
         expert = solve_model(mdp, model, beta).pi_star
     if lambda_star > 1e-10:
-        d_star = effective_dimension(mdp, features, expert, H, enumeration_cap).d_star
+        d_star = effective_dimension(mdp, features, expert, H).d_star
     else:
         d_star = float("nan")  # undefined for a singular Hessian
     rho_star = beta * np.sqrt(max(lambda_star, 0.0)) / B_A_phi if B_A_phi > 0 else float("inf")

@@ -27,9 +27,10 @@ from .mdp import (
     empirical_feature_expectation,
     feature_expectation,
     forward_occupancy,
+    gather_table,
 )
 from .linear_reward import LinearRewardModel, reward_of, solve_model
-from .soft_dp import delta_terms, gather_table, log_policy_density, soft_backward
+from .soft_dp import delta_terms, log_policy_density
 
 
 @dataclass(frozen=True)

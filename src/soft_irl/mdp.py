@@ -54,7 +54,7 @@ def _check_distribution(arr: np.ndarray, field_name: str, axis: int = -1) -> Non
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mdp:
     """A finite-horizon controlled Markov chain without a reward.
 
@@ -103,7 +103,7 @@ class Mdp:
         return np.log(self.ref_measure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """A Markovian, time-inhomogeneous policy: ``probs[t, s]`` is a distribution."""
 
@@ -206,7 +206,7 @@ class Dataset:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyMeasures:
     """Exact state-action visitation probabilities ``mu[t, s, a]``."""
 
@@ -476,6 +476,12 @@ def enumerate_trajectories(
     ]
 
 
+def gather_table(table: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T, ...)``."""
+    T = states.shape[1]
+    return table[np.arange(T)[None, :], states, actions]
+
+
 def _gather_factors(
     mdp: Mdp, policy: Policy, states: np.ndarray, actions: np.ndarray
 ) -> np.ndarray:
@@ -483,10 +489,9 @@ def _gather_factors(
     n, T = states.shape
     factors = np.empty((n, 2 * T))
     factors[:, 0] = mdp.initial_dist[states[:, 0]]
-    for t in range(T):
-        factors[:, 2 * t + 1] = policy.probs[t][states[:, t], actions[:, t]]
-        if t < T - 1:
-            factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
+    factors[:, 1::2] = gather_table(policy.probs, states, actions)
+    for t in range(T - 1):
+        factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
     return factors
 
 
@@ -530,8 +535,7 @@ def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
     counts = np.diff(np.append(starts, len(rows)))
     u_states, u_actions = rows[starts, : data.T], rows[starts, data.T :]
     # (k, T, d): gather each visited feature vector, then sum steps in t order
-    gathered = phi[np.arange(data.T)[None, :], u_states, u_actions]
-    return (counts / len(data)) @ gathered.sum(axis=1)
+    return (counts / len(data)) @ gather_table(phi, u_states, u_actions).sum(axis=1)
 
 
 def feature_expectation(mdp: Mdp, policy: Policy, features) -> np.ndarray:

@@ -70,7 +70,7 @@ class IterationRecord:
     theta: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrlFitResult:
     """Solution report of a fit.
 

@@ -11,6 +11,8 @@ All four value recursions (:func:`soft_backward`, :func:`hard_backward`,
 kernel, ``Q_t = r_t + P_t V_{t+1}`` then ``V_t = backup(t, Q_t)``; they differ
 only in the backup: log-sum-exp, max, the policy-weighted regularized ``Q``,
 or the policy-weighted ``Q`` of every feature coordinate at once.
+:func:`trajectory_hellinger` runs the same kernel on a zero reward with a
+Hellinger-remainder backup.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from .mdp import (
     Trajectory,
     enumerate_support,
     forward_occupancy,
+    gather_table,
     _check_compatible,
     _check_trajectory,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewardTable:
     """Time-dependent tabular reward ``r[t, s, a]``."""
 
@@ -53,7 +56,7 @@ class RewardTable:
         return self.r.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftSolution:
     """Output of :func:`soft_backward`.
 
@@ -69,7 +72,7 @@ class SoftSolution:
     J_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardSolution:
     """Output of :func:`hard_backward` (unregularized max backups)."""
 
@@ -79,7 +82,7 @@ class HardSolution:
     J: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
     """Regularized evaluation of a fixed policy.
 
@@ -96,7 +99,7 @@ class PolicyEvaluation:
     advantage: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnDecomposition:
     """Pathwise split of ``G - J`` into advantage and dynamics-noise terms."""
 
@@ -277,28 +280,27 @@ def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
     return total
 
 
-def trajectory_hellinger(
-    mdp: Mdp, p: Policy, q: Policy, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
-    """Squared Hellinger distance between trajectory laws, by enumeration.
+def trajectory_hellinger(mdp: Mdp, p: Policy, q: Policy) -> float:
+    """Exact squared Hellinger distance between the trajectory laws of two policies.
 
-    Enumerates the union support via the 50/50 policy mixture and sums
-    ``(sqrt(P_p) - sqrt(P_q))**2`` exactly.  Always in ``[0, 2]``; equals 2
-    for disjoint supports.
+    A backward recursion on the one kernel, with no enumeration: the
+    remainder ``D_t = h_t + sum_a sqrt(p q)_t (P_t D_{t+1})`` accumulates the
+    per-step distances ``h_t(s) = 1/2 sum_a (sqrt(p) - sqrt(q))**2``, and
+    ``H**2 = 2 <rho_0, D_0>``.  Every term is non-negative, so the result is
+    never negative; it is exactly 0 for ``p == q`` and 2 to rounding for
+    disjoint supports.
     """
-    from .mdp import batch_trajectory_probs
+    _check_compatible(mdp, p)
+    _check_compatible(mdp, q)
+    root_p, root_q = np.sqrt(p.probs), np.sqrt(q.probs)
+    affinity = root_p * root_q
+    local = 0.5 * ((root_p - root_q) ** 2).sum(axis=-1)
 
-    mixture = Policy(probs=0.5 * p.probs + 0.5 * q.probs, label="mixture")
-    states, actions, _ = enumerate_support(mdp, mixture, enumeration_cap)
-    pp = batch_trajectory_probs(mdp, p, states, actions)
-    qp = batch_trajectory_probs(mdp, q, states, actions)
-    return float(((np.sqrt(pp) - np.sqrt(qp)) ** 2).sum())
+    def remainder(t, expected_next):
+        return local[t] + (affinity[t] * expected_next).sum(axis=-1)
 
-
-def gather_table(table: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T)``."""
-    T = states.shape[1]
-    return table[np.arange(T)[None, :], states, actions]
+    _, D = _backward(mdp.kernels, np.zeros(p.probs.shape), remainder)
+    return float(2.0 * (mdp.initial_dist @ D[0]))
 
 
 def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -317,6 +317,14 @@ def test_concentration_passes(tmp_path, capsys):
     assert payload["violation_frequency"] <= payload["frequency_threshold"]
 
 
+@pytest.mark.parametrize("section", [{"n": 0}, {"n": -3}, {"n": 2.5}, {"trials": 0}])
+def test_concentration_bad_counts_are_input_errors(tmp_path, capsys, section):
+    payload = dict({"instance": TINY_INSTANCE, "n": 64, "trials": 10}, **section)
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "concentration": payload})
+    assert main(["concentration", "--config", cfg]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # validate + io round-trips
 

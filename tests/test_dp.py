@@ -262,7 +262,7 @@ def test_hellinger_basics():
     rng = np.random.default_rng(16)
     mdp = random_mdp(rng, S=2, A=2, T=2)
     pi = random_policy(rng, mdp)
-    assert trajectory_hellinger(mdp, pi, pi) == pytest.approx(0.0, abs=1e-14)
+    assert trajectory_hellinger(mdp, pi, Policy(probs=pi.probs.copy())) == 0.0
 
     left = np.zeros((2, 2, 2))
     left[:, :, 0] = 1.0
@@ -277,6 +277,62 @@ def test_hellinger_bounded_by_kl():
         mdp = random_mdp(rng, S=3, A=2, T=3)
         p, q = random_policy(rng, mdp), random_policy(rng, mdp)
         assert trajectory_hellinger(mdp, p, q) <= trajectory_kl(mdp, p, q) + 1e-12
+
+
+def hellinger_by_enumeration(mdp, p, q):
+    """Oracle: sum (sqrt(P_p) - sqrt(P_q))**2 over the support of the 50/50 mixture."""
+    from soft_irl import batch_trajectory_probs
+
+    mixture = Policy(probs=0.5 * p.probs + 0.5 * q.probs, label="mixture")
+    states, actions, _ = enumerate_support(mdp, mixture)
+    pp = batch_trajectory_probs(mdp, p, states, actions)
+    qq = batch_trajectory_probs(mdp, q, states, actions)
+    return float(((np.sqrt(pp) - np.sqrt(qq)) ** 2).sum())
+
+
+def sparse_policy(rng, mdp):
+    """A random policy with about a third of its entries exactly zero."""
+    probs = rng.dirichlet(np.ones(mdp.A), size=(mdp.T, mdp.S))
+    probs[rng.random(probs.shape) < 0.35] = 0.0
+    probs[probs.sum(axis=-1) == 0.0, 0] = 1.0
+    return Policy(probs=probs / probs.sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "deterministic", "zero_probability"])
+def test_hellinger_recursion_matches_enumeration(kind):
+    rng = np.random.default_rng({"stochastic": 40, "deterministic": 41, "zero_probability": 42}[kind])
+    for _ in range(10):
+        mdp = random_mdp(rng, S=3, A=3, T=4, deterministic=kind == "deterministic")
+        draw = sparse_policy if kind == "zero_probability" else random_policy
+        p, q = draw(rng, mdp), draw(rng, mdp)
+        expected = hellinger_by_enumeration(mdp, p, q)
+        assert 0.0 < expected <= 2.0
+        assert trajectory_hellinger(mdp, p, q) == pytest.approx(expected, rel=1e-9)
+
+
+def test_hellinger_recursion_near_identical_policies():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        mdp = random_mdp(rng, S=3, A=3, T=4)
+        p = random_policy(rng, mdp)
+        tilted = p.probs * np.exp(5e-6 * rng.normal(size=p.probs.shape))
+        q = Policy(probs=tilted / tilted.sum(axis=-1, keepdims=True))
+        expected = hellinger_by_enumeration(mdp, p, q)
+        assert 1e-12 < expected < 1e-10
+        assert trajectory_hellinger(mdp, p, q) == pytest.approx(expected, rel=1e-9)
+
+
+def test_hellinger_beyond_enumeration_cap():
+    from soft_irl import CapacityError, DEFAULT_ENUMERATION_CAP
+
+    rng = np.random.default_rng(45)
+    mdp = random_mdp(rng, S=50, A=10, T=20)
+    assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
+    p, q = random_policy(rng, mdp), random_policy(rng, mdp)
+    with pytest.raises(CapacityError):
+        hellinger_by_enumeration(mdp, p, q)
+    value = trajectory_hellinger(mdp, p, q)
+    assert np.isfinite(value) and 0.0 <= value <= 2.0
 
 
 # ---------------------------------------------------------------------------

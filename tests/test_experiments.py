@@ -260,6 +260,29 @@ def test_concentration_rejects_bad_delta():
         check_concentration(inst.mdp, inst.features, TINY.beta, inst.expert, n=8, delta=1.5)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("n", {"n": 0}),
+        ("n", {"n": -3}),
+        ("n", {"n": 2.5}),
+        ("n", {"n": True}),
+        ("trials", {"n": 8, "trials": 0}),
+        ("trials", {"n": 8, "trials": "10"}),
+    ],
+)
+def test_concentration_rejects_bad_counts_before_any_work(monkeypatch, name, kwargs):
+    import soft_irl.experiments as experiments
+
+    def no_fit(*args, **kw):
+        raise AssertionError("the population fit ran before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "fit_population", no_fit)
+    inst = generate_instance(TINY)
+    with pytest.raises(InputError, match=name):
+        check_concentration(inst.mdp, inst.features, TINY.beta, inst.expert, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # rate experiment
 
@@ -272,6 +295,19 @@ def test_rate_experiment_reproducible():
     assert a.slopes == b.slopes
     assert a.medians == b.medians
     assert a.theta_star == b.theta_star
+
+
+def test_rate_experiment_needs_no_trajectory_probabilities(monkeypatch):
+    import soft_irl.experiments as experiments
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("the rate experiment gathered trajectory probabilities")
+
+    monkeypatch.setattr(experiments, "batch_trajectory_probs", no_gather)
+    cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=2, data_seed=2)
+    report = run_rate_experiment(cfg)
+    assert len(report.records) == len(RATE_METRICS) * 2 * 2
+    assert all(np.isfinite(v) and v > 0.0 for v in report.medians["hellinger_star"])
 
 
 def test_rate_records_are_complete_and_nonnegative():

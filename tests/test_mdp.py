@@ -100,6 +100,52 @@ def test_policy_rows_must_be_stochastic():
         Policy(probs=np.full((2, 2, 2), 0.3))
 
 
+def test_records_with_array_fields_compare_by_identity():
+    """``==`` on two equal copies of each record type with an ndarray field
+    returns a bool instead of raising numpy's ambiguous-truth error."""
+    from soft_irl import (
+        FitConfig,
+        LinearRewardModel,
+        derivative_bundle,
+        effective_dimension,
+        fit_population,
+        hard_backward,
+        policy_evaluate,
+        return_decomposition,
+    )
+
+    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    mdp, features, expert = inst.mdp, inst.features, inst.expert
+    model = LinearRewardModel(features=features, theta=np.zeros(features.d))
+    reward = RewardTable(r=np.ones((mdp.T, mdp.S, mdp.A)))
+    bundle = derivative_bundle(mdp, model, 0.7)
+    tau = Trajectory(states=(0, 1, 2), actions=(0, 1, 0))
+    builders = {
+        "Mdp": lambda: Mdp(T=mdp.T, S=mdp.S, A=mdp.A, initial_dist=mdp.initial_dist.copy(),
+                           kernels=mdp.kernels.copy(), ref_measure=mdp.ref_measure.copy()),
+        "Policy": lambda: Policy(probs=expert.probs.copy()),
+        "OccupancyMeasures": lambda: forward_occupancy(mdp, expert),
+        "RewardTable": lambda: RewardTable(r=reward.r.copy()),
+        "SoftSolution": lambda: soft_backward(mdp, reward, 0.7),
+        "HardSolution": lambda: hard_backward(mdp, reward),
+        "PolicyEvaluation": lambda: policy_evaluate(mdp, reward, expert, 0.7),
+        "ReturnDecomposition": lambda: return_decomposition(mdp, reward, expert, 0.7, tau),
+        "FeatureMap": lambda: type(features)(phi=features.phi.copy()),
+        "LinearRewardModel": lambda: model.with_theta(model.theta.copy()),
+        "DerivativeBundle": lambda: derivative_bundle(mdp, model, 0.7),
+        "EffectiveDimension": lambda: effective_dimension(mdp, features, expert, bundle.hessian),
+        "IrlFitResult": lambda: fit_population(mdp, features, expert, FitConfig(beta=0.7)),
+        "Instance": lambda: generate_instance(inst.spec),
+        "Dataset": lambda: sample_trajectories(mdp, expert, 4, 0),
+    }
+    for name, build in builders.items():
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert (a == b) is False, name
+        assert (a == a) is True, name
+        assert (a != b) is True, name
+
+
 def test_trajectory_validation():
     with pytest.raises(DimensionError):
         Trajectory(states=(0, 1), actions=(0,))

@@ -511,6 +511,24 @@ def test_effective_dimension_sigma_matches_enumeration():
     assert ed.d_star == pytest.approx(float(np.trace(np.linalg.solve(H_ref, sigma))), abs=1e-8)
 
 
+def test_effective_dimension_beyond_enumeration_cap_is_exact_and_deterministic():
+    from soft_irl import DEFAULT_ENUMERATION_CAP
+
+    rng = np.random.default_rng(33)
+    mdp = random_mdp(rng, S=5, A=3, T=6)
+    assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
+    features = random_features(rng, mdp, 4)
+    expert = random_policy(rng, mdp)
+    H = derivative_bundle(mdp, model_at(features, np.zeros(4)), 0.7).hessian
+    a = effective_dimension(mdp, features, expert, H)
+    b = effective_dimension(mdp, features, expert, H)
+    assert a.d_star == b.d_star
+    np.testing.assert_array_equal(a.Sigma_E, b.Sigma_E)
+    np.testing.assert_array_equal(a.Sigma_E, a.action_part + a.dynamics_part)
+    expected = float(np.trace(np.linalg.solve(H, a.action_part + a.dynamics_part)))
+    assert np.isfinite(a.d_star) and a.d_star == pytest.approx(expected, rel=1e-12)
+
+
 def test_effective_dimension_bound():
     rng = np.random.default_rng(30)
     mdp = random_mdp(rng, S=4, A=3, T=3)
