@@ -171,8 +171,8 @@ def cmd_fit(args) -> int:
     else:
         if expert is None:
             raise InputError("config.fit: sampling demonstrations requires 'instance'")
-        n = int(section.get("n", 1024))
-        data = sample_trajectories(mdp, expert, n, int(section.get("data_seed", seed)))
+        n, data_seed = section.get("n", 1024), section.get("data_seed", seed)
+        data = sample_trajectories(mdp, expert, n, data_seed)
 
     result = fit_empirical(mdp, features, data, fit_cfg)
     out = _out_dir(args, config)
@@ -196,7 +196,7 @@ def cmd_rates(args) -> int:
         instance=spec,
         n_grid=tuple(section.get("n_grid", RateConfig.n_grid)),
         replicates=int(section.get("replicates", RateConfig.replicates)),
-        data_seed=int(section.get("data_seed", seed + 1)),
+        data_seed=section.get("data_seed", seed + 1),
         fit=fit_cfg,
         burn_in_delta=float(section.get("burn_in_delta", RateConfig.burn_in_delta)),
         min_slope_points=int(section.get("min_slope_points", RateConfig.min_slope_points)),
@@ -242,9 +242,8 @@ def cmd_equivalence(args) -> int:
     else:
         theta = np.zeros(instance.features.d)
     model = LinearRewardModel(features=instance.features, theta=theta)
-    n = int(section.get("n", 1024))
     data = sample_trajectories(
-        instance.mdp, instance.expert, n, int(section.get("data_seed", seed + 1))
+        instance.mdp, instance.expert, section.get("n", 1024), section.get("data_seed", seed + 1)
     )
     report = equivalence_report(instance.mdp, model, spec.beta, data, instance.expert)
     out = _out_dir(args, config)
@@ -331,9 +330,9 @@ def cmd_concentration(args) -> int:
         spec.beta,
         instance.expert,
         n=section.get("n", 256),
-        delta=float(section.get("delta", 0.1)),
+        delta=section.get("delta", 0.1),
         trials=section.get("trials", 500),
-        seed=int(section.get("data_seed", seed + 1)),
+        seed=section.get("data_seed", seed + 1),
     )
     out = _out_dir(args, config)
     pio.dump_json(pio.concentration_to_dict(report), out / "concentration.json")

@@ -23,6 +23,7 @@ from .mdp import (
     feature_expectation,
     sample_trajectories,
     uniform_policy,
+    _check_seed,
 )
 from .soft_dp import trajectory_hellinger, trajectory_kl
 from .linear_reward import (
@@ -221,8 +222,7 @@ class RateConfig:
             raise InputError("n_grid must be increasing")
         if self.replicates < 1:
             raise InputError("replicates must be >= 1")
-        if self.data_seed < 0:
-            raise InputError("data_seed must be non-negative")
+        _check_seed(self.data_seed)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
 
     def fit_config(self) -> FitConfig:
@@ -619,13 +619,18 @@ def check_concentration(
     solution; the bound is ``sqrt(2 d* log(1/delta) / n) +
     4 B_phi log(1/delta) / (sqrt(lambda*) n)`` and should fail with frequency
     at most ``delta`` (plus binomial noise).  ``n`` and ``trials`` must be
-    positive integers; anything else raises an ``InputError`` before any work.
+    positive integers, ``delta`` a number in ``(0, 1)`` and ``seed`` a
+    non-negative integer; anything else raises an ``InputError`` before any
+    work.
     """
     for name, count in (("n", n), ("trials", trials)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise InputError(f"{name} must be a positive integer, got {count!r}")
+    if isinstance(delta, bool) or not isinstance(delta, (int, float, np.integer, np.floating)):
+        raise InputError(f"delta must be a number in (0, 1), got {delta!r}")
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
+    _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
     population = fit_population(mdp, features, expert, cfg)
     if not population.converged:

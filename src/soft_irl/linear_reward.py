@@ -7,7 +7,8 @@ and convex in ``theta``; its derivatives have closed tabular forms:
 * Hessian: ``1/beta`` times the summed second moments of per-step feature
   advantages under that policy (also ``beta`` times the Fisher information of
   the trajectory law);
-* third derivative: a scaled third moment of the trajectory score.
+* third derivative: a scaled third moment of the trajectory score, from two
+  more policy-weighted backward passes.
 
 The Hessian's kernel consists of directions that do not move the trajectory
 law at all (potential-shaping combinations plus never-visited entries), which
@@ -35,6 +36,8 @@ from .mdp import (
 from .soft_dp import (
     RewardTable,
     SoftSolution,
+    _martingale_covariance,
+    _weighted_second_moment,
     feature_advantage,
     feature_values,
     policy_evaluate,
@@ -161,13 +164,6 @@ def _gibbs_advantage(mdp: Mdp, model: LinearRewardModel, beta: float):
     return solution, feature_advantage(mdp, model.features, solution.pi_star)
 
 
-def _weighted_second_moment(mu: np.ndarray, adv: np.ndarray) -> np.ndarray:
-    """``sum_{t,s,a} mu[t,s,a] adv[t,s,a] adv[t,s,a]^T`` as one matmul, symmetrized."""
-    flat = adv.reshape(-1, adv.shape[-1])
-    M = (flat * mu.reshape(-1, 1)).T @ flat
-    return 0.5 * (M + M.T)
-
-
 def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> DerivativeBundle:
     """Value, gradient and Hessian of ``J*`` at ``model.theta`` from one soft solve.
 
@@ -208,17 +204,29 @@ def third_derivative(
     xi: np.ndarray,
     zeta: np.ndarray,
     omega: np.ndarray,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """Directional third derivative of ``J*`` via exact trajectory enumeration.
+    """Directional third derivative of ``J*``, exact at every size.
 
     Equals the third moment ``E[Z_xi Z_zeta Z_omega] / beta**2`` of projected
     trajectory scores under the Gibbs policy; symmetric in its directions.
+    ``Z_u`` sums the per-step advantages ``x^u_t`` of the feature ``<u, phi>``,
+    which have zero mean given ``s_t``, so every suffix sum ``R_t = x_t +
+    R_{t+1}`` has zero mean given ``(s_t, a_t)`` and the cross terms with a
+    single suffix factor vanish.  Two policy-weighted backward passes remain:
+    one for the mixed second moments ``E[R^j_t R^k_t | s_t]`` of the three
+    direction pairs, one for the third moment with local term
+    ``x^xi x^zeta x^omega + sum_j x^j P_t E[R^k_{t+1} R^l_{t+1} | s_{t+1}]``.
     """
-    solution, adv = _gibbs_advantage(mdp, model, beta)
-    states, actions, probs = enumerate_support(mdp, solution.pi_star, enumeration_cap)
-    Z = batch_scores(adv, states, actions)
-    return float(probs @ ((Z @ xi) * (Z @ zeta) * (Z @ omega))) / beta**2
+    pi = solve_model(mdp, model, beta).pi_star
+    directions = np.stack([xi, zeta, omega], axis=1)
+    x = feature_advantage(mdp, model.features.phi @ directions, pi)  # (T, S, A, 3)
+    pairs = ((1, 2), (0, 2), (0, 1))  # the other two directions of each one
+    _, M2 = feature_values(mdp, np.stack([x[..., j] * x[..., k] for j, k in pairs], axis=-1), pi)
+    next_M2 = np.zeros(x.shape)
+    next_M2[:-1] = np.einsum("tsaz,tzk->tsak", mdp.kernels, M2[1:-1])
+    local = x[..., 0] * x[..., 1] * x[..., 2] + (x * next_M2).sum(axis=-1)
+    _, M3 = feature_values(mdp, local[..., None], pi)
+    return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
 
 
 def kernel_basis(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -250,24 +258,6 @@ def shaping_projector(
     return RewardTable(r=evaluation.Q - evaluation.V[:-1, :, None])
 
 
-def _feature_delta_covariance(mdp: Mdp, Vfeat: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``sum_t E[delta_t,phi delta_t,phi^T]`` from occupancies (no enumeration).
-
-    ``Vfeat`` is the ``(T+1, S, d)`` per-coordinate value table.  Step ``k``'s
-    dynamics noise is the successor value minus its conditional mean
-    ``m = P_{k-1} V_k``, so its second moment is ``E[V_k V_k^T]`` under the
-    step-``k`` state marginal minus ``E[m m^T]`` under the step-``k-1``
-    occupancy; step 0 measures the initial draw against its mean.
-    """
-    mean0 = mdp.initial_dist @ Vfeat[0]
-    M = _weighted_second_moment(mdp.initial_dist, Vfeat[0]) - np.outer(mean0, mean0)
-    for k in range(1, mdp.T):
-        cond_mean = np.einsum("saz,zd->sad", mdp.kernels[k - 1], Vfeat[k])
-        M += _weighted_second_moment(mu[k].sum(axis=-1), Vfeat[k])
-        M -= _weighted_second_moment(mu[k - 1], cond_mean)
-    return M
-
-
 def effective_dimension(
     mdp: Mdp, features: FeatureMap, expert: Policy, H_star: np.ndarray
 ) -> EffectiveDimension:
@@ -283,8 +273,7 @@ def effective_dimension(
     mu = forward_occupancy(mdp, expert).mu
     Qfeat, Vfeat = feature_values(mdp, features, expert)
     adv = Qfeat - Vfeat[:-1, :, None, :]
-    action_part = _weighted_second_moment(mu, adv)
-    dynamics_part = _feature_delta_covariance(mdp, Vfeat, mu)
+    action_part, dynamics_part = _martingale_covariance(mdp, mu, adv, Vfeat)
     Sigma_E = action_part + dynamics_part
     return EffectiveDimension(
         d_star=float(np.trace(np.linalg.solve(H_star, Sigma_E))),

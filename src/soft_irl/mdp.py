@@ -461,21 +461,6 @@ def enumerate_support(
     return states, actions, probs
 
 
-def enumerate_trajectories(
-    mdp: Mdp, policy: Policy, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[Trajectory, float]]:
-    """Complete support enumeration as ``[(Trajectory, probability), ...]``.
-
-    Zero-probability trajectories are omitted.  Raises :class:`CapacityError`
-    when the worst case ``(S*A)**T`` exceeds ``enumeration_cap``.
-    """
-    states, actions, probs = enumerate_support(mdp, policy, enumeration_cap)
-    return [
-        (Trajectory(states=tuple(states[i]), actions=tuple(actions[i])), float(probs[i]))
-        for i in range(states.shape[0])
-    ]
-
-
 def gather_table(table: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T, ...)``."""
     T = states.shape[1]

@@ -12,7 +12,8 @@ kernel, ``Q_t = r_t + P_t V_{t+1}`` then ``V_t = backup(t, Q_t)``; they differ
 only in the backup: log-sum-exp, max, the policy-weighted regularized ``Q``,
 or the policy-weighted ``Q`` of every feature coordinate at once.
 :func:`trajectory_hellinger` runs the same kernel on a zero reward with a
-Hellinger-remainder backup.
+Hellinger-remainder backup, and :func:`variance_decomposition` reads the
+return variance off one evaluation and the policy's occupancies.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ import numpy as np
 
 from .errors import DomainError, DimensionError, InvariantError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     Mdp,
     Policy,
     Trajectory,
-    enumerate_support,
     forward_occupancy,
     gather_table,
     _check_compatible,
@@ -88,8 +87,8 @@ class PolicyEvaluation:
 
     ``advantage[t, s, a] = Q[t, s, a] - V[t, s] - beta * log density`` where
     the density is the policy probability divided by the reference weight; the
-    entry is ``+inf`` where the policy places no mass (only meaningful on the
-    policy's support when ``beta > 0``).
+    entry is ``+inf`` where the policy places no mass when ``beta > 0``, and
+    ``Q - V`` there when ``beta = 0`` (``0 log 0 = 0``).
     """
 
     beta: float
@@ -207,6 +206,16 @@ def log_policy_density(mdp: Mdp, policy: Policy) -> np.ndarray:
         return np.log(policy.probs) - mdp.log_ref_measure
 
 
+def _regularizer(mdp: Mdp, policy: Policy, beta: float) -> np.ndarray:
+    """``beta * log density`` with ``0 log 0 = 0``: all zero at ``beta = 0``.
+
+    For ``beta > 0`` the entries are ``-inf`` where the policy has no mass.
+    """
+    if beta == 0.0:
+        return np.zeros(policy.probs.shape)
+    return beta * log_policy_density(mdp, policy)
+
+
 def policy_evaluate(
     mdp: Mdp, reward: RewardTable, policy: Policy, beta: float
 ) -> PolicyEvaluation:
@@ -214,17 +223,17 @@ def policy_evaluate(
 
     Works for any ``beta >= 0``.  Zero-probability actions contribute nothing
     to the value (the usual ``0 log 0 = 0`` convention); their advantage
-    entries are ``+inf`` when ``beta > 0``.
+    entries are ``+inf`` when ``beta > 0`` and ``Q - V`` when ``beta = 0``.
     """
     _check_reward(mdp, reward)
     _check_compatible(mdp, policy)
     if beta < 0.0:
         raise DomainError("policy_evaluate requires beta >= 0")
     probs = policy.probs
-    log_density = log_policy_density(mdp, policy)
+    penalty = _regularizer(mdp, policy, beta)
 
     def expected_regularized(t, q):
-        return np.where(probs[t] > 0.0, probs[t] * (q - beta * log_density[t]), 0.0).sum(axis=-1)
+        return (probs[t] * np.where(probs[t] > 0.0, q - penalty[t], 0.0)).sum(axis=-1)
 
     Q, V = _backward(mdp.kernels, reward.r, expected_regularized)
     return PolicyEvaluation(
@@ -232,7 +241,7 @@ def policy_evaluate(
         V=V,
         Q=Q,
         J=float(mdp.initial_dist @ V[0]),
-        advantage=Q - V[:-1, :, None] - beta * log_density,
+        advantage=Q - V[:-1, :, None] - penalty,
     )
 
 
@@ -318,21 +327,6 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
     return out
 
 
-def _realized_returns(
-    mdp: Mdp,
-    reward: RewardTable,
-    policy: Policy,
-    beta: float,
-    states: np.ndarray,
-    actions: np.ndarray,
-) -> np.ndarray:
-    """Regularized return ``sum_t r - beta * log density`` along each trajectory."""
-    log_density = log_policy_density(mdp, policy)
-    r_terms = gather_table(reward.r, states, actions)
-    ld_terms = gather_table(log_density, states, actions)
-    return (r_terms - beta * ld_terms).sum(axis=1)
-
-
 def return_decomposition(
     mdp: Mdp, reward: RewardTable, policy: Policy, beta: float, tau: Trajectory
 ) -> ReturnDecomposition:
@@ -346,7 +340,8 @@ def return_decomposition(
     evaluation = policy_evaluate(mdp, reward, policy, beta)
     states = np.asarray(tau.states, dtype=np.int64)[None, :]
     actions = np.asarray(tau.actions, dtype=np.int64)[None, :]
-    G = float(_realized_returns(mdp, reward, policy, beta, states, actions)[0])
+    regularized = reward.r - _regularizer(mdp, policy, beta)
+    G = float(gather_table(regularized, states, actions).sum())
     adv = gather_table(evaluation.advantage, states, actions)[0]
     deltas = delta_terms(mdp, evaluation.V, states, actions)[0]
     return ReturnDecomposition(
@@ -354,27 +349,54 @@ def return_decomposition(
     )
 
 
+def _weighted_second_moment(mu: np.ndarray, adv: np.ndarray) -> np.ndarray:
+    """``sum_{t,s,a} mu[t,s,a] adv[t,s,a] adv[t,s,a]^T`` as one matmul, symmetrized."""
+    flat = adv.reshape(-1, adv.shape[-1])
+    M = (flat * mu.reshape(-1, 1)).T @ flat
+    return 0.5 * (M + M.T)
+
+
+def _martingale_covariance(
+    mdp: Mdp, mu: np.ndarray, adv: np.ndarray, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Action and dynamics parts of the covariance of a vector return, from occupancies.
+
+    Under the policy with occupancy ``mu``, a return minus its mean is the sum
+    of the per-step advantages ``adv`` (``(T, S, A, d)``, finite wherever
+    ``mu > 0``) and the per-step dynamics noise of the values ``V``
+    (``(T+1, S, d)``).  These are martingale differences, so the covariance is
+    exactly their summed second moments.  Step ``k``'s dynamics noise is the
+    successor value minus its conditional mean ``m = P_{k-1} V_k``, so its
+    second moment is ``E[V_k V_k^T]`` under the step-``k`` state marginal minus
+    ``E[m m^T]`` under the step-``k-1`` occupancy; step 0 measures the initial
+    draw against its mean.
+    """
+    mean0 = mdp.initial_dist @ V[0]
+    dynamics = _weighted_second_moment(mdp.initial_dist, V[0]) - np.outer(mean0, mean0)
+    for k in range(1, mdp.T):
+        cond_mean = np.einsum("saz,zd->sad", mdp.kernels[k - 1], V[k])
+        dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k])
+        dynamics -= _weighted_second_moment(mu[k - 1], cond_mean)
+    return _weighted_second_moment(mu, adv), dynamics
+
+
 def variance_decomposition(
-    mdp: Mdp,
-    reward: RewardTable,
-    policy: Policy,
-    beta: float,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    mdp: Mdp, reward: RewardTable, policy: Policy, beta: float
 ) -> VarianceDecomposition:
     """Exact variance of the regularized return, split by noise source.
 
-    Enumerates the policy's trajectory support; the action component is the
-    second moment of summed advantages, the dynamics component that of summed
-    dynamics-noise terms.  They add up to the total variance.
+    The action component is the second moment of summed advantages, the
+    dynamics component that of summed dynamics-noise terms; being sums of
+    orthogonal martingale differences, they add up to the total variance.
+    Both come from one evaluation and the policy's occupancies, so the split
+    is exact at every size, with no enumeration.  ``mean_return`` is ``J``.
     """
     evaluation = policy_evaluate(mdp, reward, policy, beta)
-    states, actions, probs = enumerate_support(mdp, policy, enumeration_cap)
-    G = _realized_returns(mdp, reward, policy, beta, states, actions)
-    adv_sums = gather_table(evaluation.advantage, states, actions).sum(axis=1)
-    delta_sums = delta_terms(mdp, evaluation.V, states, actions).sum(axis=1)
+    mu = forward_occupancy(mdp, policy).mu
+    # mu is 0 where the policy has no mass, and the advantage may be +inf there
+    adv = np.where(policy.probs > 0.0, evaluation.advantage, 0.0)
+    action, dynamics = _martingale_covariance(mdp, mu, adv[..., None], evaluation.V[..., None])
+    action, dynamics = float(action[0, 0]), float(dynamics[0, 0])
     return VarianceDecomposition(
-        total=float(probs @ (G - evaluation.J) ** 2),
-        action=float(probs @ adv_sums**2),
-        dynamics=float(probs @ delta_sums**2),
-        mean_return=float(probs @ G),
+        total=action + dynamics, action=action, dynamics=dynamics, mean_return=evaluation.J
     )

@@ -39,6 +39,7 @@ from soft_irl import (
 )
 from soft_irl.cli import main
 
+from test_dp import variance_by_enumeration
 from test_mdp import random_mdp, random_policy
 from test_rewards import fd_grad, fd_hessian, model_at, random_features, shaping_feature
 
@@ -160,6 +161,11 @@ def test_criterion_4_orthogonal_decomposition():
         var = variance_decomposition(mdp, reward, pi, beta)
         if abs(var.total - (var.action + var.dynamics)) > 1e-9:
             failures.append(f"instance {k}: variance parts do not sum")
+        oracle = variance_by_enumeration(mdp, reward, pi, beta)
+        for field in ("total", "mean_return"):
+            value, expected = getattr(var, field), getattr(oracle, field)
+            if abs(value - expected) > 1e-10 * abs(expected):
+                failures.append(f"instance {k}: {field} {value!r} != enumerated {expected!r}")
     _report(4, "orthogonal decomposition", 10.0, time.perf_counter() - start, failures)
 
 

@@ -120,6 +120,22 @@ def test_negative_seed_is_input_error(tmp_path, capsys, command, section):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("fit", {"instance": TINY_INSTANCE, "n": 16, "data_seed": 2.7}),
+        ("rates", {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 1, "data_seed": 2.7}),
+        ("equivalence", {"instance": TINY_INSTANCE, "n": 16, "data_seed": 2.7}),
+        ("concentration", {"instance": TINY_INSTANCE, "n": 16, "trials": 2, "data_seed": 2.7}),
+    ],
+)
+def test_fractional_data_seed_is_input_error(tmp_path, capsys, command, section):
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), command: section})
+    assert main([command, "--config", cfg]) == 2
+    assert "seed must be a non-negative integer, got 2.7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_oversized_n_is_input_error(tmp_path):
     cfg = write_config(tmp_path, {"fit": {"instance": TINY_INSTANCE, "n": 2**32, "data_seed": 1}})
     assert main(["fit", "--config", cfg]) == 2
@@ -323,6 +339,14 @@ def test_concentration_bad_counts_are_input_errors(tmp_path, capsys, section):
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "concentration": payload})
     assert main(["concentration", "--config", cfg]) == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["x", None, True])
+def test_concentration_non_numeric_delta_is_input_error(tmp_path, capsys, delta):
+    payload = {"instance": TINY_INSTANCE, "n": 64, "trials": 10, "delta": delta}
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "concentration": payload})
+    assert main(["concentration", "--config", cfg]) == 2
+    assert "delta must be a number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

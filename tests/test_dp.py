@@ -9,11 +9,13 @@ from soft_irl import (
     Policy,
     RewardTable,
     Trajectory,
+    VarianceDecomposition,
     delta_terms,
     enumerate_support,
     feature_advantage,
     gather_table,
     hard_backward,
+    log_policy_density,
     policy_evaluate,
     return_decomposition,
     sample_trajectories,
@@ -339,6 +341,23 @@ def test_hellinger_beyond_enumeration_cap():
 # return and variance decompositions
 
 
+def test_zero_probability_advantage_follows_zero_log_zero():
+    """An action the policy never takes has advantage ``Q - V`` at beta = 0, ``+inf`` above."""
+    rng = np.random.default_rng(47)
+    mdp = random_mdp(rng, S=3, A=3, T=3)
+    reward = random_reward(rng, mdp)
+    probs = random_policy(rng, mdp).probs.copy()
+    probs[:, :, 0] = 0.0
+    pi = Policy(probs=probs / probs.sum(axis=-1, keepdims=True))
+
+    hard = policy_evaluate(mdp, reward, pi, 0.0)
+    np.testing.assert_array_equal(hard.advantage, hard.Q - hard.V[:-1, :, None])
+    soft = policy_evaluate(mdp, reward, pi, 0.5)
+    assert np.all(soft.advantage[:, :, 0] == np.inf)
+    assert np.all(np.isfinite(soft.advantage[:, :, 1:]))
+    assert np.all(np.isfinite(soft.V))
+
+
 def test_return_decomposition_residual_vanishes():
     rng = np.random.default_rng(18)
     for beta in [0.0, 0.7]:
@@ -397,6 +416,35 @@ def test_decomposition_terms_pairwise_orthogonal():
     np.testing.assert_allclose(off_diag, 0.0, atol=1e-10)
 
 
+def variance_by_enumeration(mdp, reward, policy, beta):
+    """Oracle: the variance split as sums over every trajectory of the policy's support.
+
+    ``total`` and ``mean_return`` use the realized returns alone; ``action``
+    and ``dynamics`` sum the gathered advantage and dynamics-noise terms.
+    """
+    ev = policy_evaluate(mdp, reward, policy, beta)
+    states, actions, probs = enumerate_support(mdp, policy)
+    log_density = gather_table(log_policy_density(mdp, policy), states, actions)
+    G = (gather_table(reward.r, states, actions) - beta * log_density).sum(axis=1)
+    mean = float(probs @ G)
+    adv_sum = gather_table(ev.advantage, states, actions).sum(axis=1)
+    dta_sum = delta_terms(mdp, ev.V, states, actions).sum(axis=1)
+    return VarianceDecomposition(
+        total=float(probs @ (G - mean) ** 2),
+        action=float(probs @ adv_sum**2),
+        dynamics=float(probs @ dta_sum**2),
+        mean_return=mean,
+    )
+
+
+def assert_matches_oracle(value, expected):
+    """1e-10 relative, or 1e-12 absolute where the oracle is a roundoff zero."""
+    if abs(expected) < 1e-12:
+        assert abs(value - expected) <= 1e-12
+    else:
+        assert value == pytest.approx(expected, rel=1e-10)
+
+
 def test_variance_decomposition_sums_and_matches_enumeration():
     rng = np.random.default_rng(22)
     mdp = random_mdp(rng, S=3, A=2, T=3)
@@ -414,6 +462,49 @@ def test_variance_decomposition_sums_and_matches_enumeration():
     dta_sum = delta_terms(mdp, ev.V, states, actions).sum(axis=1)
     assert var.action == pytest.approx(float(probs @ adv_sum**2), abs=1e-9)
     assert var.dynamics == pytest.approx(float(probs @ dta_sum**2), abs=1e-9)
+
+    # the total and the mean against the enumerated returns themselves
+    oracle = variance_by_enumeration(mdp, reward, pi, beta)
+    assert var.total == pytest.approx(oracle.total, rel=1e-10)
+    assert var.mean_return == pytest.approx(oracle.mean_return, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind, beta",
+    [
+        ("stochastic", 0.9),
+        ("deterministic", 0.6),
+        ("zero_probability", 0.0),
+        ("zero_probability", 0.7),
+    ],
+)
+def test_variance_decomposition_matches_enumeration_oracle(kind, beta):
+    rng = np.random.default_rng({"stochastic": 50, "deterministic": 51, "zero_probability": 52}[kind])
+    for _ in range(10):
+        mdp = random_mdp(rng, S=3, A=3, T=4, deterministic=kind == "deterministic")
+        reward = random_reward(rng, mdp)
+        pi = (sparse_policy if kind == "zero_probability" else random_policy)(rng, mdp)
+        var = variance_decomposition(mdp, reward, pi, beta)
+        oracle = variance_by_enumeration(mdp, reward, pi, beta)
+        for field in ("total", "action", "dynamics", "mean_return"):
+            assert_matches_oracle(getattr(var, field), getattr(oracle, field))
+
+
+def test_variance_decomposition_beyond_enumeration_cap():
+    from soft_irl import CapacityError, DEFAULT_ENUMERATION_CAP
+
+    rng = np.random.default_rng(53)
+    mdp = random_mdp(rng, S=50, A=10, T=20)
+    assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
+    reward = random_reward(rng, mdp)
+    pi = random_policy(rng, mdp)
+    with pytest.raises(CapacityError):
+        variance_by_enumeration(mdp, reward, pi, 0.5)
+    var = variance_decomposition(mdp, reward, pi, 0.5)
+    values = [var.total, var.action, var.dynamics, var.mean_return]
+    assert np.all(np.isfinite(values))
+    assert var.action > 0.0 and var.dynamics > 0.0
+    assert var.mean_return == policy_evaluate(mdp, reward, pi, 0.5).J
 
 
 def test_variance_components_vanish_in_degenerate_cases():

@@ -20,7 +20,6 @@ from soft_irl import (
     batch_trajectory_probs,
     empirical_feature_expectation,
     enumerate_support,
-    enumerate_trajectories,
     feature_expectation,
     forward_occupancy,
     sample_trajectories,
@@ -378,6 +377,15 @@ def test_sampling_frequencies_match_occupancy():
 
 # ---------------------------------------------------------------------------
 # enumeration and trajectory probabilities
+
+
+def enumerate_trajectories(mdp, policy):
+    """The support of ``policy`` as ``[(Trajectory, probability), ...]``."""
+    states, actions, probs = enumerate_support(mdp, policy)
+    return [
+        (Trajectory(states=tuple(s), actions=tuple(a)), float(p))
+        for s, a, p in zip(states, actions, probs)
+    ]
 
 
 def test_enumerate_uniform_single_state():

@@ -283,6 +283,54 @@ def test_score_single_step_is_centered_feature():
 # third derivative
 
 
+def third_derivative_by_enumeration(mdp, model, beta, xi, zeta, omega):
+    """Oracle: ``E[Z_xi Z_zeta Z_omega] / beta**2`` summed over the Gibbs policy's support."""
+    pi = solve_model(mdp, model, beta).pi_star
+    adv = feature_advantage(mdp, model.features, pi)
+    states, actions, probs = enumerate_support(mdp, pi)
+    Z = batch_scores(adv, states, actions)
+    return float(probs @ ((Z @ xi) * (Z @ zeta) * (Z @ omega))) / beta**2
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_third_derivative_matches_enumeration(deterministic):
+    rng = np.random.default_rng(34 + deterministic)
+    for _ in range(10):
+        mdp = random_mdp(rng, S=3, A=3, T=4, deterministic=deterministic)
+        features = random_features(rng, mdp, 3)
+        model = model_at(features, rng.normal(size=3))
+        beta = float(rng.choice([0.4, 0.8, 1.5]))
+        dirs = [rng.normal(size=3) for _ in range(3)]
+        expected = third_derivative_by_enumeration(mdp, model, beta, *dirs)
+        value = third_derivative(mdp, model, beta, *dirs)
+        if abs(expected) < 1e-12:
+            assert abs(value - expected) <= 1e-12
+        else:
+            assert value == pytest.approx(expected, rel=1e-10)
+
+
+def test_third_derivative_beyond_enumeration_cap():
+    from soft_irl import CapacityError, DEFAULT_ENUMERATION_CAP
+
+    rng = np.random.default_rng(46)
+    mdp = random_mdp(rng, S=50, A=10, T=20)
+    assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
+    features = random_features(rng, mdp, 50)
+    theta = 0.1 * rng.normal(size=50)
+    beta = 0.8
+    xi, zeta, omega = (rng.normal(size=50) for _ in range(3))
+    model = model_at(features, theta)
+    with pytest.raises(CapacityError):
+        third_derivative_by_enumeration(mdp, model, beta, xi, zeta, omega)
+
+    val = third_derivative(mdp, model, beta, xi, zeta, omega)
+    step = 1e-3
+    up = xi @ derivative_bundle(mdp, model_at(features, theta + step * omega), beta).hessian @ zeta
+    dn = xi @ derivative_bundle(mdp, model_at(features, theta - step * omega), beta).hessian @ zeta
+    assert np.isfinite(val)
+    assert val == pytest.approx((up - dn) / (2 * step), rel=1e-4)
+
+
 def test_third_derivative_constant_features():
     rng = np.random.default_rng(15)
     mdp = random_mdp(rng)
