@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    solve           backward induction on an MDP + reward
+    solve           backward induction on an MDP + reward (--builtin NAME)
     fit             fit a linear reward to demonstrations
-    rates           convergence-rate experiment (JSON + CSV + optional SVG)
+    rates           convergence-rate experiment (JSON + CSV, SVG with --emit-plots)
     equivalence     loss-equivalence report at one parameter
     counterexample  non-quasiconvexity probe of the likelihood loss
     geometry        trust-region inequality checks on random parameter pairs
@@ -41,7 +41,7 @@ from .experiments import (
 from .instances import BUILTIN_NAMES, builtin_mdp_reward
 from .linear_reward import LinearRewardModel
 from .losses import equivalence_report, nonconvexity_probe
-from .mdp import sample_trajectories
+from .mdp import _check_count, _check_flag, _check_real, _check_seed, sample_trajectories
 from .opt import FitConfig, fit_empirical
 from .soft_dp import soft_backward
 from .svg import loglog_chart
@@ -67,6 +67,12 @@ class RunConfig:
     emit_plots: bool = False
     sections: dict = dataclasses.field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        _check_seed(self.seed)
+        if not isinstance(self.output_dir, str):
+            raise InputError(f"output_dir must be a string, got {self.output_dir!r}")
+        _check_flag(self.emit_plots, "emit_plots")
+
 
 def _load_run_config(path: str | None) -> RunConfig:
     if path is None:
@@ -74,12 +80,8 @@ def _load_run_config(path: str | None) -> RunConfig:
     obj = pio.load_json(path)
     pio.check_keys(obj, set(), _TOP_LEVEL_KEYS | set(_COMMANDS), str(path))
     sections = {name: obj[name] for name in _COMMANDS if name in obj}
-    return RunConfig(
-        seed=int(obj.get("seed", 0)),
-        output_dir=str(obj.get("output_dir", "out")),
-        emit_plots=bool(obj.get("emit_plots", False)),
-        sections=sections,
-    )
+    top = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
+    return RunConfig(sections=sections, **top)
 
 
 def _effective_seed(config: RunConfig) -> int:
@@ -95,20 +97,13 @@ def _effective_seed(config: RunConfig) -> int:
 def _instance_spec(section: dict, seed: int, where: str) -> InstanceSpec:
     allowed = {f.name for f in dataclasses.fields(InstanceSpec)}
     pio.check_keys(section, set(), allowed, where)
-    kwargs = dict(section)
-    kwargs.setdefault("seed", seed)
-    try:
-        return InstanceSpec(**kwargs)
-    except TypeError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return InstanceSpec(**{"seed": seed, **section})
 
 
 def _fit_config(section: dict, beta: float, where: str) -> FitConfig:
     allowed = {f.name for f in dataclasses.fields(FitConfig)}
     pio.check_keys(section, set(), allowed, where)
-    kwargs = dict(section)
-    kwargs.setdefault("beta", beta)
-    return FitConfig(**kwargs)
+    return FitConfig(**{"beta": beta, **section})
 
 
 def _out_dir(args, config: RunConfig) -> Path:
@@ -123,9 +118,9 @@ def _out_dir(args, config: RunConfig) -> Path:
 
 def cmd_solve(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("solve", {}))
+    section = config.sections.get("solve", {})
     pio.check_keys(section, set(), {"beta", "mdp", "reward", "builtin"}, "config.solve")
-    beta = float(section.get("beta", 1.0))
+    beta = _check_real(section.get("beta", 1.0), "config.solve.beta", 0.0)
     builtin = args.builtin or section.get("builtin")
     if builtin is not None:
         mdp, reward = builtin_mdp_reward(builtin)
@@ -144,7 +139,7 @@ def cmd_solve(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("fit", {}))
+    section = config.sections.get("fit", {})
     pio.check_keys(
         section,
         set(),
@@ -165,7 +160,7 @@ def cmd_fit(args) -> int:
         beta = 1.0
         expert = None
 
-    fit_cfg = _fit_config(dict(section.get("fit", {})), beta, "config.fit.fit")
+    fit_cfg = _fit_config(section.get("fit", {}), beta, "config.fit.fit")
     if "data" in section:
         data = pio.dataset_from_dict(pio.load_json(section["data"]), section["data"])
     else:
@@ -186,20 +181,16 @@ def cmd_fit(args) -> int:
 
 def cmd_rates(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("rates", {}))
-    allowed = {"instance", "n_grid", "replicates", "data_seed", "fit", "burn_in_delta", "min_slope_points"}
-    pio.check_keys(section, set(), allowed, "config.rates")
+    section = config.sections.get("rates", {})
+    options = {"n_grid", "replicates", "burn_in_delta", "min_slope_points"}
+    pio.check_keys(section, set(), options | {"instance", "data_seed", "fit"}, "config.rates")
     seed = _effective_seed(config)
-    spec = _instance_spec(dict(section.get("instance", {})), seed, "config.rates.instance")
-    fit_cfg = _fit_config(dict(section.get("fit", {})), spec.beta, "config.rates.fit")
+    spec = _instance_spec(section.get("instance", {}), seed, "config.rates.instance")
     rate_cfg = RateConfig(
         instance=spec,
-        n_grid=tuple(section.get("n_grid", RateConfig.n_grid)),
-        replicates=int(section.get("replicates", RateConfig.replicates)),
         data_seed=section.get("data_seed", seed + 1),
-        fit=fit_cfg,
-        burn_in_delta=float(section.get("burn_in_delta", RateConfig.burn_in_delta)),
-        min_slope_points=int(section.get("min_slope_points", RateConfig.min_slope_points)),
+        fit=_fit_config(section.get("fit", {}), spec.beta, "config.rates.fit"),
+        **{key: section[key] for key in options & section.keys()},
     )
     report = run_rate_experiment(rate_cfg)
 
@@ -230,13 +221,13 @@ def cmd_rates(args) -> int:
 
 def cmd_equivalence(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("equivalence", {}))
+    section = config.sections.get("equivalence", {})
     pio.check_keys(section, set(), {"instance", "theta", "n", "data_seed"}, "config.equivalence")
     seed = _effective_seed(config)
-    spec = _instance_spec(dict(section.get("instance", {})), seed, "config.equivalence.instance")
+    spec = _instance_spec(section.get("instance", {}), seed, "config.equivalence.instance")
     instance = generate_instance(spec)
     if "theta" in section:
-        theta = np.asarray(section["theta"], dtype=np.float64)
+        theta = pio.number_array(section["theta"], "config.equivalence.theta")
     elif instance.theta_expert is not None:
         theta = instance.theta_expert
     else:
@@ -258,14 +249,11 @@ def cmd_equivalence(args) -> int:
 
 def cmd_counterexample(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("counterexample", {}))
+    section = config.sections.get("counterexample", {})
     pio.check_keys(section, set(), {"theta_a", "theta_b"}, "config.counterexample")
-    kwargs = {}
-    if "theta_a" in section:
-        kwargs["theta_a"] = tuple(section["theta_a"])
-    if "theta_b" in section:
-        kwargs["theta_b"] = tuple(section["theta_b"])
-    report = nonconvexity_probe(**kwargs)
+    report = nonconvexity_probe(
+        **{k: tuple(pio.number_array(v, f"config.counterexample.{k}")) for k, v in section.items()}
+    )
     out = _out_dir(args, config)
     pio.dump_json(pio.nonconvexity_to_dict(report), out / "counterexample.json")
     print(f"loss(theta_a)  = {report.loss_a:.4f}")
@@ -280,18 +268,19 @@ def cmd_counterexample(args) -> int:
 
 def cmd_geometry(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("geometry", {}))
+    section = config.sections.get("geometry", {})
     allowed = {"instance", "pairs", "theta_scale", "placement", "far_factor"}
     pio.check_keys(section, set(), allowed, "config.geometry")
     seed = _effective_seed(config)
-    spec = _instance_spec(dict(section.get("instance", {})), seed, "config.geometry.instance")
-    instance = generate_instance(spec)
-    pairs = int(section.get("pairs", 5))
-    scale = float(section.get("theta_scale", 0.5))
-    placement = str(section.get("placement", "boundary"))
+    spec = _instance_spec(section.get("instance", {}), seed, "config.geometry.instance")
+    pairs = _check_count(section.get("pairs", 5), "config.geometry.pairs")
+    scale = _check_real(section.get("theta_scale", 0.5), "config.geometry.theta_scale")
+    far_factor = _check_real(section.get("far_factor", 10.0), "config.geometry.far_factor", 0.0)
+    placement = section.get("placement", "boundary")
     if placement not in ("boundary", "far"):
         raise InputError("config.geometry.placement must be 'boundary' or 'far'")
-    factor = float(section.get("far_factor", 10.0)) if placement == "far" else 1.0
+    factor = far_factor if placement == "far" else 1.0
+    instance = generate_instance(spec)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(7,))))
     reports = []
@@ -319,10 +308,10 @@ def cmd_geometry(args) -> int:
 
 def cmd_concentration(args) -> int:
     config = _load_run_config(args.config)
-    section = dict(config.sections.get("concentration", {}))
+    section = config.sections.get("concentration", {})
     pio.check_keys(section, set(), {"instance", "n", "delta", "trials", "data_seed"}, "config.concentration")
     seed = _effective_seed(config)
-    spec = _instance_spec(dict(section.get("instance", {})), seed, "config.concentration.instance")
+    spec = _instance_spec(section.get("instance", {}), seed, "config.concentration.instance")
     instance = generate_instance(spec)
     report = check_concentration(
         instance.mdp,
@@ -353,13 +342,6 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    parser.add_argument("--builtin", metavar="NAME", help=f"builtin instance ({', '.join(BUILTIN_NAMES)})")
-    parser.add_argument("--output", metavar="DIR", help="output directory (overrides config)")
-    parser.add_argument("--emit-plots", action="store_true", help="write SVG plots where supported")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soft-irl",
@@ -375,10 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
         "geometry": cmd_geometry,
         "concentration": cmd_concentration,
     }
+    commands = {}
     for name, handler in handlers.items():
-        sp = sub.add_parser(name, help=f"run the {name} command")
-        _add_common(sp)
+        sp = commands[name] = sub.add_parser(name, help=f"run the {name} command")
+        sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
+        sp.add_argument("--output", metavar="DIR", help="output directory (overrides config)")
         sp.set_defaults(handler=handler)
+    commands["solve"].add_argument(
+        "--builtin", metavar="NAME", help=f"builtin instance ({', '.join(BUILTIN_NAMES)})"
+    )
+    commands["rates"].add_argument("--emit-plots", action="store_true", help="also write SVG charts")
     vp = sub.add_parser("validate", help="validate an input file")
     vp.add_argument("path", help="JSON file to check")
     vp.add_argument(

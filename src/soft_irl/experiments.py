@@ -14,7 +14,6 @@ import scipy.linalg
 
 from .errors import DomainError, InputError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     Mdp,
     Policy,
     batch_trajectory_probs,
@@ -23,6 +22,9 @@ from .mdp import (
     feature_expectation,
     sample_trajectories,
     uniform_policy,
+    _check_count,
+    _check_flag,
+    _check_real,
     _check_seed,
 )
 from .soft_dp import trajectory_hellinger, trajectory_kl
@@ -95,12 +97,16 @@ class InstanceSpec:
     expert_temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("S", "A", "T", "d"):
+            _check_count(getattr(self, name), f"InstanceSpec.{name}")
+        _check_real(self.beta, "InstanceSpec.beta", 0.0)
+        _check_seed(self.seed)
+        for name in ("deterministic", "exclude_kernel"):
+            _check_flag(getattr(self, name), f"InstanceSpec.{name}")
         if self.expert_kind not in ("well_specified", "random_softmax"):
             raise InputError(f"unknown expert_kind {self.expert_kind!r}")
-        if not self.beta > 0.0:
-            raise InputError("InstanceSpec.beta must be positive")
-        if self.seed < 0:
-            raise InputError("InstanceSpec.seed must be non-negative")
+        _check_real(self.expert_theta_scale, "InstanceSpec.expert_theta_scale")
+        _check_real(self.expert_temperature, "InstanceSpec.expert_temperature", 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,17 +219,19 @@ class RateConfig:
     fit: FitConfig | None = None
     burn_in_delta: float = 0.1
     min_slope_points: int = 4
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
-        if len(self.n_grid) < 2 or any(n < 1 for n in self.n_grid):
-            raise InputError("n_grid must contain at least two positive sizes")
-        if sorted(self.n_grid) != list(self.n_grid):
+        if not isinstance(self.n_grid, (list, tuple)) or len(self.n_grid) < 2:
+            raise InputError(f"n_grid must list at least two sample sizes, got {self.n_grid!r}")
+        n_grid = tuple(_check_count(n, "each n_grid entry") for n in self.n_grid)
+        if sorted(n_grid) != list(n_grid):
             raise InputError("n_grid must be increasing")
-        if self.replicates < 1:
-            raise InputError("replicates must be >= 1")
+        _check_count(self.replicates, "replicates")
         _check_seed(self.data_seed)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        _check_real(self.burn_in_delta, "burn_in_delta", 0.0, 1.0)
+        if _check_count(self.min_slope_points, "min_slope_points") < 2:
+            raise InputError("min_slope_points must be at least 2: a slope needs two points")
+        object.__setattr__(self, "n_grid", n_grid)
 
     def fit_config(self) -> FitConfig:
         return self.fit if self.fit is not None else FitConfig(beta=self.instance.beta)
@@ -335,9 +343,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     approx_floor = trajectory_kl(mdp, expert, pi_star)
 
     ed = effective_dimension(mdp, features, expert, H_star)
-    support_states, support_actions, _ = enumerate_support(
-        mdp, uniform_policy(mdp), config.enumeration_cap
-    )
+    support_states, support_actions, _ = enumerate_support(mdp, uniform_policy(mdp))
     B_phi = max_cumulative_feature_norm(features, support_states, support_actions)
     B_A_phi = max_score_norm(
         mdp, features, beta, [theta_star, np.zeros(features.d)], support_states, support_actions
@@ -417,6 +423,9 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
 # local geometry checks
 
 
+_SEGMENT_POINTS = 17  # parameters per segment over which the score bound is maximized
+
+
 @dataclass(frozen=True)
 class GeometryCheck:
     name: str
@@ -452,8 +461,6 @@ def check_local_geometry(
     beta: float,
     theta0: np.ndarray,
     theta1: np.ndarray,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    segment_points: int = 17,
 ) -> GeometryCheckReport:
     """Verify the curvature/divergence inequalities between two parameters.
 
@@ -475,8 +482,8 @@ def check_local_geometry(
     if lam0 <= 0.0:
         raise DomainError("check_local_geometry requires a positive-definite Hessian at theta0")
 
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp), enumeration_cap)
-    alphas = np.linspace(0.0, 1.0, segment_points)
+    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
+    alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
     thetas = [theta0 + a * delta for a in alphas]
     B_A_phi = max_score_norm(mdp, features, beta, thetas, states, actions)
 
@@ -537,9 +544,7 @@ def dikin_boundary_pair(
     beta: float,
     theta0: np.ndarray,
     direction: np.ndarray,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     boundary_factor: float = 1.0,
-    segment_points: int = 17,
 ) -> np.ndarray:
     """Place ``theta1`` along ``direction`` at ``boundary_factor`` times the
     Dikin radius (in ``H(theta0)`` norm).
@@ -557,10 +562,10 @@ def dikin_boundary_pair(
         raise DomainError("dikin_boundary_pair requires a positive-definite Hessian at theta0")
     unit = direction / float(np.sqrt(direction @ H0 @ direction))
 
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp), enumeration_cap)
+    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
     rho = beta * math.sqrt(lam0) / max_score_norm(mdp, features, beta, [theta0], states, actions)
     for _ in range(8):
-        alphas = np.linspace(0.0, 1.0, segment_points)
+        alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
         thetas = [theta0 + a * (boundary_factor * rho) * unit for a in alphas]
         B = max_score_norm(mdp, features, beta, thetas, states, actions)
         new_rho = beta * math.sqrt(lam0) / B
@@ -610,7 +615,6 @@ def check_concentration(
     trials: int = 500,
     seed: int = 0,
     fit_config: FitConfig | None = None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConcentrationReport:
     """Estimate how often the dual-norm feature deviation exceeds its bound.
 
@@ -623,13 +627,9 @@ def check_concentration(
     non-negative integer; anything else raises an ``InputError`` before any
     work.
     """
-    for name, count in (("n", n), ("trials", trials)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise InputError(f"{name} must be a positive integer, got {count!r}")
-    if isinstance(delta, bool) or not isinstance(delta, (int, float, np.integer, np.floating)):
-        raise InputError(f"delta must be a number in (0, 1), got {delta!r}")
-    if not 0.0 < delta < 1.0:
-        raise InputError("delta must lie in (0, 1)")
+    _check_count(n, "n")
+    _check_count(trials, "trials")
+    _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
     population = fit_population(mdp, features, expert, cfg)
@@ -641,7 +641,7 @@ def check_concentration(
         raise DomainError("concentration bound requires a positive-definite Hessian")
 
     ed = effective_dimension(mdp, features, expert, H_star)
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp), enumeration_cap)
+    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
     B_phi = max_cumulative_feature_norm(features, states, actions)
 
     target = feature_expectation(mdp, expert, features)

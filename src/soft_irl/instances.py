@@ -1,7 +1,7 @@
 """Small built-in instances shipped with the package.
 
-These are fixed, hand-constructed problems used by the CLI ``--builtin``
-flag, the non-convexity probe and a number of tests.
+These are fixed, hand-constructed problems used by ``soft-irl solve
+--builtin``, the non-convexity probe and a number of tests.
 """
 
 from __future__ import annotations
@@ -10,18 +10,18 @@ import numpy as np
 
 from .errors import InputError
 from .linear_reward import FeatureMap
-from .mdp import Mdp, Trajectory
+from .mdp import Dataset, Mdp
 from .soft_dp import RewardTable
 
 
-def counterexample_instance() -> tuple[Mdp, FeatureMap, Trajectory]:
+def counterexample_instance() -> tuple[Mdp, FeatureMap, Dataset]:
     """Two-state, two-action, two-step instance with a non-quasiconvex MLE loss.
 
     State 0 is the start; action 0 moves to state 1 surely while action 1
     stays/moves with probability 1/2 each.  Rewards act only at the final
     step, through two features that pay for action 0 in state 0 resp. state 1.
-    The returned trajectory (take action 1, land in state 1, take action 0)
-    is the observation on which the likelihood is evaluated.
+    The returned one-row dataset (take action 1, land in state 1, take
+    action 0) is the observation on which the likelihood is evaluated.
     """
     T, S, A = 2, 2, 2
     initial_dist = np.array([1.0, 0.0])
@@ -38,8 +38,8 @@ def counterexample_instance() -> tuple[Mdp, FeatureMap, Trajectory]:
     phi[1, 1, 0, 1] = 1.0
     features = FeatureMap(phi=phi)
 
-    tau = Trajectory(states=(0, 1), actions=(1, 0))
-    return mdp, features, tau
+    data = Dataset(states=[[0, 1]], actions=[[1, 0]], seed=0, generator_label="demonstration")
+    return mdp, features, data
 
 
 def deterministic_chain_instance(S: int = 4, A: int = 2, T: int = 3) -> tuple[Mdp, RewardTable]:

@@ -30,15 +30,17 @@ from .opt import IrlFitResult
 from .soft_dp import RewardTable, SoftSolution
 
 
-def dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def to_json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def dump_json(obj: Any, path: str | Path) -> None:
+    Path(path).write_text(to_json_text(obj))
+
+
 def load_json(path: str | Path) -> Any:
+    if not isinstance(path, (str, Path)):
+        raise InputError(f"expected a file path, got {path!r}")
     path = Path(path)
     try:
         text = path.read_text()
@@ -48,6 +50,17 @@ def load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def number_array(obj: Any, where: str) -> np.ndarray:
+    """``obj`` as a float64 array: an ``InputError`` unless it nests numbers only."""
+    try:
+        arr = np.asarray(obj)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{where}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{where}: expected a nested array of numbers")
+    return arr.astype(np.float64)
 
 
 def check_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -79,17 +92,14 @@ def mdp_to_dict(mdp: Mdp) -> dict:
 
 def mdp_from_dict(obj: dict, where: str = "mdp") -> Mdp:
     check_keys(obj, {"T", "S", "A", "initial_dist", "kernels", "ref_measure"}, set(), where)
-    try:
-        return Mdp(
-            T=int(obj["T"]),
-            S=int(obj["S"]),
-            A=int(obj["A"]),
-            initial_dist=np.asarray(obj["initial_dist"], dtype=np.float64),
-            kernels=np.asarray(obj["kernels"], dtype=np.float64),
-            ref_measure=np.asarray(obj["ref_measure"], dtype=np.float64),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return Mdp(
+        T=obj["T"],
+        S=obj["S"],
+        A=obj["A"],
+        initial_dist=number_array(obj["initial_dist"], f"{where}.initial_dist"),
+        kernels=number_array(obj["kernels"], f"{where}.kernels"),
+        ref_measure=number_array(obj["ref_measure"], f"{where}.ref_measure"),
+    )
 
 
 def dataset_to_dict(data: Dataset) -> dict:
@@ -112,20 +122,20 @@ def dataset_from_dict(obj: dict, where: str = "dataset") -> Dataset:
     return Dataset(
         states=[item["states"] for item in obj["trajectories"]],
         actions=[item["actions"] for item in obj["trajectories"]],
-        seed=int(obj["seed"]),
+        seed=obj["seed"],
         generator_label=str(obj["generator_label"]),
     )
 
 
 def reward_from_obj(obj: Any, where: str = "reward") -> RewardTable:
-    arr = np.asarray(obj, dtype=np.float64)
+    arr = number_array(obj, where)
     if arr.ndim != 3:
         raise InputError(f"{where}: expected a [t][s][a] nested array, got ndim={arr.ndim}")
     return RewardTable(r=arr)
 
 
 def features_from_obj(obj: Any, where: str = "features") -> FeatureMap:
-    arr = np.asarray(obj, dtype=np.float64)
+    arr = number_array(obj, where)
     if arr.ndim != 4:
         raise InputError(f"{where}: expected a [t][s][a][d] nested array, got ndim={arr.ndim}")
     return FeatureMap(phi=arr)
@@ -138,7 +148,7 @@ def policy_to_dict(policy: Policy) -> dict:
 def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
     check_keys(obj, {"probs"}, {"label"}, where)
     return Policy(
-        probs=np.asarray(obj["probs"], dtype=np.float64), label=str(obj.get("label", ""))
+        probs=number_array(obj["probs"], f"{where}.probs"), label=str(obj.get("label", ""))
     )
 
 
@@ -256,7 +266,7 @@ def detect_kind(obj: Any) -> str:
         if "probs" in obj:
             return "policy"
         raise InputError("cannot detect input kind from object keys")
-    arr = np.asarray(obj, dtype=np.float64)
+    arr = number_array(obj, "input")
     if arr.ndim == 3:
         return "reward"
     if arr.ndim == 4:

@@ -21,17 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvariantError
+from .errors import DimensionError, InvariantError
 from .mdp import (
     DEFAULT_ENUMERATION_CAP,
+    Dataset,
     Mdp,
     Policy,
-    Trajectory,
     enumerate_support,
     forward_occupancy,
     gather_table,
     uniform_policy,
-    _check_trajectory,
+    _check_dataset,
 )
 from .soft_dp import (
     RewardTable,
@@ -184,17 +184,16 @@ def batch_scores(adv: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np
     return gather_table(adv, states, actions).sum(axis=1)
 
 
-def score(mdp: Mdp, model: LinearRewardModel, beta: float, tau: Trajectory) -> np.ndarray:
-    """Cumulative feature advantage of ``tau`` under the model's Gibbs policy.
+def score(mdp: Mdp, model: LinearRewardModel, beta: float, data: Dataset) -> np.ndarray:
+    """Cumulative feature advantage of each trajectory of ``data`` under the
+    model's Gibbs policy, shape ``(n, d)``.
 
     Dividing by ``beta`` gives the gradient of the trajectory log-likelihood
     with respect to ``theta``.
     """
-    _check_trajectory(mdp, tau)
     _, adv = _gibbs_advantage(mdp, model, beta)
-    states = np.asarray(tau.states, dtype=np.int64)[None, :]
-    actions = np.asarray(tau.actions, dtype=np.int64)[None, :]
-    return batch_scores(adv, states, actions)[0]
+    _check_dataset(data, adv)
+    return batch_scores(adv, data.states, data.actions)
 
 
 def third_derivative(
@@ -317,36 +316,28 @@ def geometry_constants(
     beta: float,
     theta_grid: np.ndarray | None = None,
     expert: Policy | None = None,
-    mode: str = "auto",
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GeometryConstants:
     """Compute the geometry constants of a linear-reward instance.
 
-    In exact mode the sup constants are maximized over every
-    dynamics-consistent trajectory (``B_A_phi`` additionally over
-    ``theta_grid`` plus the model's own parameter); in conservative mode the
-    triangle bound for ``B_phi`` and ``2 T B_phi`` for ``B_A_phi`` are used.
-    ``lambda_star`` and ``rho_star`` refer to the Hessian at ``model.theta``;
-    ``d_star`` uses ``expert`` (the model's own Gibbs policy by default).
+    When ``(S*A)**T`` is within ``DEFAULT_ENUMERATION_CAP`` the sup constants
+    are exact maxima over every dynamics-consistent trajectory (``B_A_phi``
+    additionally over ``theta_grid`` plus the model's own parameter);
+    otherwise the conservative triangle bound for ``B_phi`` and ``2 T B_phi``
+    for ``B_A_phi`` are used, and ``mode`` says which.  ``lambda_star`` and
+    ``rho_star`` refer to the Hessian at ``model.theta``; ``d_star`` uses
+    ``expert`` (the model's own Gibbs policy by default).
     """
-    if mode not in ("auto", "exact", "conservative"):
-        raise DomainError(f"unknown geometry mode {mode!r}")
-    phi = features.phi
-    fits_cap = (mdp.S * mdp.A) ** mdp.T <= enumeration_cap
-    if mode == "exact" and not fits_cap:
-        raise DomainError("exact geometry constants require (S*A)**T within the enumeration cap")
-    use_exact = mode == "exact" or (mode == "auto" and fits_cap)
-
+    exact = (mdp.S * mdp.A) ** mdp.T <= DEFAULT_ENUMERATION_CAP
     thetas = [np.asarray(model.theta, dtype=np.float64)]
     if theta_grid is not None:
         thetas.extend(np.atleast_2d(np.asarray(theta_grid, dtype=np.float64)))
 
-    if use_exact:
-        states, actions, _ = enumerate_support(mdp, uniform_policy(mdp), enumeration_cap)
+    if exact:
+        states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
         B_phi = max_cumulative_feature_norm(features, states, actions)
         B_A_phi = max_score_norm(mdp, features, beta, thetas, states, actions)
     else:
-        B_phi = float(np.sqrt((phi**2).sum(axis=3)).max(axis=(1, 2)).sum())
+        B_phi = float(np.sqrt((features.phi**2).sum(axis=3)).max(axis=(1, 2)).sum())
         B_A_phi = 2.0 * mdp.T * B_phi
 
     H = derivative_bundle(mdp, model, beta).hessian
@@ -364,5 +355,5 @@ def geometry_constants(
         lambda_star=lambda_star,
         d_star=d_star,
         rho_star=rho_star,
-        mode="exact" if use_exact else "conservative",
+        mode="exact" if exact else "conservative",
     )

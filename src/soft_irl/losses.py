@@ -28,6 +28,7 @@ from .mdp import (
     feature_expectation,
     forward_occupancy,
     gather_table,
+    _check_dataset,
 )
 from .linear_reward import LinearRewardModel, reward_of, solve_model
 from .soft_dp import delta_terms, log_policy_density
@@ -95,6 +96,7 @@ def mle_loss(mdp: Mdp, policy: Policy, data: Dataset) -> float:
     reference measure.  ``+inf`` as soon as any observed action has zero
     probability."""
     log_density = log_policy_density(mdp, policy)
+    _check_dataset(data, log_density)
     terms = gather_table(log_density, data.states, data.actions)
     if np.any(np.isneginf(terms)):
         return float("inf")
@@ -116,6 +118,7 @@ def soft_optimal_residuals(
 ) -> np.ndarray:
     """Summed dynamics-noise terms of the soft-optimal value, per trajectory."""
     solution = solve_model(mdp, model, beta)
+    _check_dataset(data, solution.Q)
     return delta_terms(mdp, solution.V, data.states, data.actions).sum(axis=1)
 
 
@@ -157,8 +160,7 @@ def nonconvexity_probe(
     """
     from .instances import counterexample_instance
 
-    mdp, features, tau = counterexample_instance()
-    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0, generator_label="demonstration")
+    mdp, features, data = counterexample_instance()
 
     def loss_at(theta: np.ndarray) -> float:
         model = LinearRewardModel(features=features, theta=theta)

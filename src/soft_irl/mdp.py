@@ -79,8 +79,8 @@ class Mdp:
     ref_measure: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.T < 1 or self.S < 1 or self.A < 1:
-            raise InvariantError("T, S and A must all be at least 1")
+        for name in ("T", "S", "A"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         object.__setattr__(
             self, "initial_dist", _as_float_array(self.initial_dist, "initial_dist", (self.S,))
         )
@@ -135,30 +135,6 @@ def uniform_policy(mdp: Mdp, label: str = "uniform") -> Policy:
     return Policy(probs=probs, label=label)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A single rollout: ``T`` states and ``T`` actions (no terminal state)."""
-
-    states: tuple[int, ...]
-    actions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        states = tuple(int(s) for s in self.states)
-        actions = tuple(int(a) for a in self.actions)
-        if len(states) != len(actions):
-            raise DimensionError("actions", f"length {len(states)}", f"length {len(actions)}")
-        if len(states) == 0:
-            raise InvariantError("a trajectory must contain at least one step")
-        if any(s < 0 for s in states) or any(a < 0 for a in actions):
-            raise InvariantError("trajectory indices must be non-negative")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-
-    @property
-    def T(self) -> int:
-        return len(self.states)
-
-
 def _as_index_array(x, field_name: str) -> np.ndarray:
     try:
         arr = np.asarray(x)
@@ -196,7 +172,7 @@ class Dataset:
             raise DimensionError("actions", states.shape, actions.shape)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -236,13 +212,15 @@ def _check_compatible(mdp: Mdp, policy: Policy) -> None:
         raise DimensionError("policy.probs", (mdp.T, mdp.S, mdp.A), policy.probs.shape)
 
 
-def _check_trajectory(mdp: Mdp, tau: Trajectory) -> None:
-    if tau.T != mdp.T:
-        raise DimensionError("trajectory", f"horizon {mdp.T}", f"horizon {tau.T}")
-    if max(tau.states) >= mdp.S:
-        raise InvariantError(f"trajectory state index out of range (S={mdp.S})")
-    if max(tau.actions) >= mdp.A:
-        raise InvariantError(f"trajectory action index out of range (A={mdp.A})")
+def _check_dataset(data: Dataset, table: np.ndarray) -> None:
+    """Reject ``data`` unless its horizon and indices fit ``table``'s ``(T, S, A)`` axes."""
+    T, S, A = table.shape[:3]
+    if data.T != T:
+        raise DimensionError("dataset", f"horizon {T}", f"horizon {data.T}")
+    if data.states.max() >= S:
+        raise InvariantError(f"dataset state index out of range (S={S})")
+    if data.actions.max() >= A:
+        raise InvariantError(f"dataset action index out of range (A={A})")
 
 
 def forward_occupancy(mdp: Mdp, policy: Policy) -> OccupancyMeasures:
@@ -367,12 +345,39 @@ def _child_uniforms(seed: int, n: int, draws: int) -> np.ndarray:
     return out
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not _is_integer(seed):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as an int: an ``InputError`` unless it is an integer >= 1."""
+    if not (_is_integer(value) and value >= 1):
+        error = DomainError if _is_integer(value) else InputError
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _check_real(value, name: str, low: float = -np.inf, high: float = np.inf) -> float:
+    """``value`` as a float: an ``InputError`` unless it is a number in ``(low, high)``."""
+    numeric = _is_integer(value) or isinstance(value, (float, np.floating))
+    if not (numeric and low < value < high):
+        error = DomainError if numeric else InputError
+        raise error(f"{name} must be a number in ({low:g}, {high:g}), got {value!r}")
+    return float(value)
 
 
 def _rows_inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -392,7 +397,7 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
     """
     _check_compatible(mdp, policy)
     seed = _check_seed(seed)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise InputError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
@@ -414,20 +419,19 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
     return Dataset(states=states, actions=actions, seed=seed, generator_label=policy.label)
 
 
-def enumerate_support(
-    mdp: Mdp, policy: Policy, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def enumerate_support(mdp: Mdp, policy: Policy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Enumerate every positive-probability trajectory of ``policy``.
 
     Returns ``(states, actions, probs)`` with shapes ``(N, T)``, ``(N, T)``,
     ``(N,)``; probabilities are exact products of the model factors and sum to
     one.  Trajectories appear in lexicographic ``(s_0, a_0, s_1, ...)`` order.
+    Raises ``CapacityError`` when ``(S*A)**T`` exceeds ``DEFAULT_ENUMERATION_CAP``.
     """
     _check_compatible(mdp, policy)
     worst_case = (mdp.S * mdp.A) ** mdp.T
-    if worst_case > enumeration_cap:
+    if worst_case > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"(S*A)**T = {worst_case} exceeds enumeration cap {enumeration_cap}"
+            f"(S*A)**T = {worst_case} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
 
     keep = mdp.initial_dist > 0.0
@@ -487,16 +491,16 @@ def batch_trajectory_probs(
     return _gather_factors(mdp, policy, states, actions).prod(axis=1)
 
 
-def trajectory_log_prob(mdp: Mdp, policy: Policy, tau: Trajectory) -> float:
-    """Log-probability of ``tau``; ``-inf`` as soon as any factor vanishes."""
+def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
+    """Log-probability of each trajectory of ``data``, shape ``(n,)``.
+
+    A row is ``-inf`` as soon as any of its factors vanishes.
+    """
     _check_compatible(mdp, policy)
-    _check_trajectory(mdp, tau)
-    states = np.asarray(tau.states, dtype=np.int64)[None, :]
-    actions = np.asarray(tau.actions, dtype=np.int64)[None, :]
-    factors = _gather_factors(mdp, policy, states, actions)[0]
-    if np.any(factors == 0.0):
-        return float("-inf")
-    return float(np.log(factors).sum())
+    _check_dataset(data, policy.probs)
+    factors = _gather_factors(mdp, policy, data.states, data.actions)
+    with np.errstate(divide="ignore"):
+        return np.log(factors).sum(axis=1)
 
 
 def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
@@ -508,8 +512,7 @@ def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
     phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
     if phi.ndim != 4:
         raise DimensionError("features", "(T, S, A, d)", phi.shape)
-    if phi.shape[0] != data.T:
-        raise DimensionError("features", f"T={data.T}", f"T={phi.shape[0]}")
+    _check_dataset(data, phi)
     # Group repeated trajectories and average with multiplicity weights: the
     # empirical measure lives on a finite trajectory space, and this keeps the
     # average exact when every draw is the same trajectory.  Sorting the rows

@@ -23,13 +23,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
 from .mdp import (
     Dataset,
     Mdp,
     Policy,
     empirical_feature_expectation,
     feature_expectation,
+    _check_count,
+    _check_real,
 )
 from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle, solve_model
 
@@ -50,12 +51,13 @@ class FitConfig:
     line_search_accept: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise DomainError("FitConfig.beta must be positive")
-        if not self.B_theta > 0.0:
-            raise DomainError("FitConfig.B_theta must be positive")
-        if not 0.0 < self.line_search_factor < 1.0:
-            raise DomainError("FitConfig.line_search_factor must be in (0, 1)")
+        if self.B_theta != float("inf"):
+            _check_real(self.B_theta, "FitConfig.B_theta", 0.0)
+        for name in ("beta", "tol_decrement", "ridge", "ridge_threshold"):
+            _check_real(getattr(self, name), f"FitConfig.{name}", 0.0)
+        for name in ("line_search_factor", "line_search_accept"):
+            _check_real(getattr(self, name), f"FitConfig.{name}", 0.0, 1.0)
+        _check_count(self.max_iters, "FitConfig.max_iters")
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,13 @@ import numpy as np
 
 from .errors import DomainError, DimensionError, InvariantError
 from .mdp import (
+    Dataset,
     Mdp,
     Policy,
-    Trajectory,
     forward_occupancy,
     gather_table,
     _check_compatible,
-    _check_trajectory,
+    _check_dataset,
 )
 
 
@@ -100,23 +100,27 @@ class PolicyEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class ReturnDecomposition:
-    """Pathwise split of ``G - J`` into advantage and dynamics-noise terms."""
+    """Pathwise split of ``G - J`` into advantage and dynamics-noise terms.
 
-    G: float
+    One row per trajectory: ``G`` has shape ``(n,)`` and the per-step terms
+    ``(n, T)``; ``J`` is the common expectation.
+    """
+
+    G: np.ndarray
     J: float
     advantage_terms: np.ndarray
     delta_terms: np.ndarray
 
     @property
-    def advantage_sum(self) -> float:
-        return float(self.advantage_terms.sum())
+    def advantage_sum(self) -> np.ndarray:
+        return self.advantage_terms.sum(axis=1)
 
     @property
-    def delta_sum(self) -> float:
-        return float(self.delta_terms.sum())
+    def delta_sum(self) -> np.ndarray:
+        return self.delta_terms.sum(axis=1)
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> np.ndarray:
         return self.G - self.J - self.advantage_sum - self.delta_sum
 
 
@@ -328,24 +332,23 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
 
 
 def return_decomposition(
-    mdp: Mdp, reward: RewardTable, policy: Policy, beta: float, tau: Trajectory
+    mdp: Mdp, reward: RewardTable, policy: Policy, beta: float, data: Dataset
 ) -> ReturnDecomposition:
-    """Split the realized regularized return of ``tau`` around its expectation.
+    """Split the realized regularized return of each trajectory of ``data``
+    around its expectation.
 
     ``G - J`` equals the sum of per-step advantages plus per-step dynamics
     noise; the residual of the returned object is numerically zero for
     trajectories in the policy's support.
     """
-    _check_trajectory(mdp, tau)
     evaluation = policy_evaluate(mdp, reward, policy, beta)
-    states = np.asarray(tau.states, dtype=np.int64)[None, :]
-    actions = np.asarray(tau.actions, dtype=np.int64)[None, :]
+    _check_dataset(data, evaluation.Q)
     regularized = reward.r - _regularizer(mdp, policy, beta)
-    G = float(gather_table(regularized, states, actions).sum())
-    adv = gather_table(evaluation.advantage, states, actions)[0]
-    deltas = delta_terms(mdp, evaluation.V, states, actions)[0]
     return ReturnDecomposition(
-        G=G, J=evaluation.J, advantage_terms=adv, delta_terms=deltas
+        G=gather_table(regularized, data.states, data.actions).sum(axis=1),
+        J=evaluation.J,
+        advantage_terms=gather_table(evaluation.advantage, data.states, data.actions),
+        delta_terms=delta_terms(mdp, evaluation.V, data.states, data.actions),
     )
 
 

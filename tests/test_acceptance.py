@@ -239,7 +239,9 @@ def test_criterion_6_local_geometry_suite():
         theta = 0.5 * inst_rng.normal(size=3)
         model = model_at(features, theta)
         H = derivative_bundle(mdp, model, beta).hessian
-        gc = geometry_constants(mdp, features, model, beta, mode="exact")
+        gc = geometry_constants(mdp, features, model, beta)
+        if gc.mode != "exact":
+            failures.append(f"geometry constants not exact at S3 A2 T3: {gc.mode}")
         for _ in range(10):
             xi = inst_rng.normal(size=3)
             zeta = inst_rng.normal(size=3)

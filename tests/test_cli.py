@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface and file round-trips."""
 
+import argparse
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from soft_irl import cli
 from soft_irl import io as pio
-from soft_irl.cli import main
+from soft_irl.cli import build_parser, main
 from soft_irl.mdp import Mdp, Policy, sample_trajectories, uniform_policy
 
 from test_mdp import random_mdp
@@ -350,6 +354,93 @@ def test_concentration_non_numeric_delta_is_input_error(tmp_path, capsys, delta)
 
 
 # ---------------------------------------------------------------------------
+# config values reach typed checks unconverted
+
+
+RATES_SECTION = {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 1, "data_seed": 2}
+FIT_SECTION = {"instance": TINY_INSTANCE, "n": 16, "data_seed": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("fit", {"seed": 2.7, "fit": FIT_SECTION}, "seed must be a non-negative integer, got 2.7"),
+        ("counterexample", {"output_dir": 5}, "output_dir must be a string, got 5"),
+        ("rates", {"emit_plots": "false", "rates": RATES_SECTION}, "emit_plots must be true or false"),
+        ("rates", {"rates": dict(RATES_SECTION, replicates=1.9)}, "replicates must be a positive integer"),
+        ("rates", {"rates": dict(RATES_SECTION, n_grid=[64.7, 128])}, "n_grid entry must be a positive integer"),
+        ("rates", {"rates": dict(RATES_SECTION, burn_in_delta="x")}, "burn_in_delta must be a number in (0, 1)"),
+        ("rates", {"rates": dict(RATES_SECTION, min_slope_points=2.5)}, "min_slope_points must be a positive"),
+        ("rates", {"rates": dict(RATES_SECTION, fit={"max_iters": "x"})}, "max_iters must be a positive integer"),
+        ("fit", {"fit": dict(FIT_SECTION, instance=dict(TINY_INSTANCE, S=2.5))}, "InstanceSpec.S must be"),
+        ("equivalence", {"equivalence": {"instance": TINY_INSTANCE, "theta": "abc"}}, "theta: expected a nested array of numbers"),
+        ("counterexample", {"counterexample": {"theta_a": ["x", 1.0]}}, "theta_a: expected a nested array"),
+        ("geometry", {"geometry": {"instance": TINY_INSTANCE, "pairs": 2.5}}, "pairs must be a positive integer"),
+        ("geometry", {"geometry": {"instance": TINY_INSTANCE, "theta_scale": "x"}}, "theta_scale must be a number"),
+        (
+            "geometry",
+            {"geometry": {"instance": TINY_INSTANCE, "placement": "far", "far_factor": "x"}},
+            "far_factor must be a number in (0, inf)",
+        ),
+        ("solve", {"solve": {"builtin": "zero-reward", "beta": "x"}}, "beta must be a number in (0, inf)"),
+        ("solve", {"solve": {"mdp": 5, "reward": "reward.json"}}, "expected a file path, got 5"),
+    ],
+)
+def test_config_values_are_checked_before_conversion(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, dict({"output_dir": str(tmp_path / "out")}, **payload))
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_out_of_range_data_is_input_error(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("mdp", "features", "data")}
+    pio.dump_json(pio.mdp_to_dict(random_mdp(rng, S=5, A=2, T=3)), paths["mdp"])
+    pio.dump_json(rng.normal(size=(3, 5, 2, 2)).tolist(), paths["features"])
+    trajectories = [{"states": [0, 1, 2], "actions": [0, 1, 0]}, {"states": [4, 7, 1], "actions": [1, 0, 0]}]
+    pio.dump_json({"seed": 0, "generator_label": "", "trajectories": trajectories}, paths["data"])
+    section = {name: str(path) for name, path in paths.items()}
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "fit": section})
+    assert main(["fit", "--config", cfg]) == 2
+    assert "dataset state index out of range (S=5)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def test_each_command_accepts_exactly_the_options_its_handler_reads():
+    """An option that a command's handler ignores is not on its parser."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {
+        "solve", "fit", "rates", "equivalence", "counterexample", "geometry", "concentration", "validate"
+    }
+    for name, sub in commands.items():
+        accepted = {action.dest for action in sub._actions if action.dest != "help"}
+        handler = sub.get_default("handler")
+        source = inspect.getsource(handler)
+        if "_out_dir(args" in source:
+            source += inspect.getsource(cli._out_dir)
+        assert accepted == set(re.findall(r"\bargs\.(\w+)", source)), name
+    assert {a.dest for a in commands["solve"]._actions} >= {"builtin"}
+    assert {a.dest for a in commands["rates"]._actions} >= {"emit_plots"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--builtin", "zero-reward"], ["rates", "--builtin", "zero-reward"], ["solve", "--emit-plots"],
+     ["geometry", "--emit-plots"]],
+)
+def test_unread_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # validate + io round-trips
 
 
@@ -386,6 +477,33 @@ def test_validate_rejects_corrupted_mdp(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_rejects_fractional_mdp_size(tmp_path, capsys):
+    obj = pio.mdp_to_dict(_tiny_mdp())
+    obj["T"] = 2.7  # the kernels still fit T = 2
+    path = tmp_path / "mdp.json"
+    pio.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 2
+    assert "T must be a positive integer, got 2.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        (None, [[["x"]]]),
+        ("reward", [[["x"]]]),
+        ("reward", [[[True]]]),
+        ("features", [[[["1.5"]]]]),
+        (None, {"probs": [[["x"]]]}),
+        (None, {"T": 2, "S": 1, "A": 1, "initial_dist": ["1"], "kernels": [[[[1.0]]]], "ref_measure": [1.0]}),
+    ],
+)
+def test_validate_rejects_non_numeric_arrays(tmp_path, capsys, kind, obj):
+    path = tmp_path / "input.json"
+    pio.dump_json(obj, path)
+    assert main(["validate", str(path)] + (["--kind", kind] if kind else [])) == 2
+    assert "expected a nested array of numbers" in capsys.readouterr().err
+
+
 def test_validate_kind_mismatch(tmp_path):
     path = tmp_path / "mdp.json"
     pio.dump_json(pio.mdp_to_dict(_tiny_mdp()), path)
@@ -397,6 +515,15 @@ def test_validate_rejects_ragged_dataset(tmp_path):
     trajectories = [{"states": [0, 1], "actions": [0, 1]}, {"states": [0], "actions": [1]}]
     pio.dump_json({"seed": 0, "generator_label": "", "trajectories": trajectories}, path)
     assert main(["validate", str(path), "--kind", "dataset"]) == 2
+
+
+@pytest.mark.parametrize("seed", ["abc", 2.7, -1])
+def test_validate_rejects_bad_dataset_seed(tmp_path, capsys, seed):
+    path = tmp_path / "data.json"
+    trajectories = [{"states": [0, 1], "actions": [0, 1]}]
+    pio.dump_json({"seed": seed, "generator_label": "", "trajectories": trajectories}, path)
+    assert main(["validate", str(path), "--kind", "dataset"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_validate_missing_file(tmp_path):

@@ -8,7 +8,6 @@ from soft_irl import (
     Mdp,
     Policy,
     RewardTable,
-    Trajectory,
     VarianceDecomposition,
     delta_terms,
     enumerate_support,
@@ -365,10 +364,10 @@ def test_return_decomposition_residual_vanishes():
         reward = random_reward(rng, mdp)
         pi = random_policy(rng, mdp)
         data = sample_trajectories(mdp, pi, 20, seed=5)
-        for states, actions in zip(data.states, data.actions):
-            tau = Trajectory(states=states, actions=actions)
-            dec = return_decomposition(mdp, reward, pi, beta, tau)
-            assert dec.residual == pytest.approx(0.0, abs=1e-9)
+        dec = return_decomposition(mdp, reward, pi, beta, data)
+        assert dec.G.shape == dec.residual.shape == (20,)
+        assert dec.advantage_terms.shape == dec.delta_terms.shape == (20, mdp.T)
+        np.testing.assert_allclose(dec.residual, 0.0, atol=1e-9)
 
 
 def test_deterministic_dynamics_kill_delta():
@@ -377,11 +376,9 @@ def test_deterministic_dynamics_kill_delta():
     reward = random_reward(rng, mdp)
     pi = random_policy(rng, mdp)
     data = sample_trajectories(mdp, pi, 10, seed=6)
-    for states, actions in zip(data.states, data.actions):
-        tau = Trajectory(states=states, actions=actions)
-        dec = return_decomposition(mdp, reward, pi, 0.5, tau)
-        assert dec.delta_sum == pytest.approx(0.0, abs=1e-12)
-        assert dec.residual == pytest.approx(0.0, abs=1e-9)
+    dec = return_decomposition(mdp, reward, pi, 0.5, data)
+    np.testing.assert_allclose(dec.delta_sum, 0.0, atol=1e-12)
+    np.testing.assert_allclose(dec.residual, 0.0, atol=1e-9)
 
 
 def test_gibbs_policy_kills_advantage_terms():
@@ -391,10 +388,8 @@ def test_gibbs_policy_kills_advantage_terms():
     beta = 1.1
     sol = soft_backward(mdp, reward, beta)
     data = sample_trajectories(mdp, sol.pi_star, 10, seed=7)
-    for states, actions in zip(data.states, data.actions):
-        tau = Trajectory(states=states, actions=actions)
-        dec = return_decomposition(mdp, reward, sol.pi_star, beta, tau)
-        assert dec.advantage_sum == pytest.approx(0.0, abs=1e-9)
+    dec = return_decomposition(mdp, reward, sol.pi_star, beta, data)
+    np.testing.assert_allclose(dec.advantage_sum, 0.0, atol=1e-9)
 
 
 def test_decomposition_terms_pairwise_orthogonal():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from soft_irl import (
-    Dataset,
     FeatureMap,
     LinearRewardModel,
     Policy,
@@ -273,8 +272,8 @@ def test_population_residual_is_mean_zero():
 
 
 def test_counterexample_single_trajectory_identity():
-    mdp, features, tau = counterexample_instance()
-    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0, generator_label="demonstration")
+    mdp, features, data = counterexample_instance()
+    assert len(data) == 1
     model = model_at(features, [2.0, 4.0])
     report = equivalence_report(mdp, model, 1.0, data, uniform_policy(mdp))
     assert report.irl_empirical + report.residual_term == pytest.approx(LOSS_A, rel=1e-12)

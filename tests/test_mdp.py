@@ -16,7 +16,6 @@ from soft_irl import (
     InvariantError,
     Mdp,
     Policy,
-    Trajectory,
     batch_trajectory_probs,
     empirical_feature_expectation,
     enumerate_support,
@@ -118,7 +117,7 @@ def test_records_with_array_fields_compare_by_identity():
     model = LinearRewardModel(features=features, theta=np.zeros(features.d))
     reward = RewardTable(r=np.ones((mdp.T, mdp.S, mdp.A)))
     bundle = derivative_bundle(mdp, model, 0.7)
-    tau = Trajectory(states=(0, 1, 2), actions=(0, 1, 0))
+    tau = Dataset(states=[[0, 1, 2]], actions=[[0, 1, 0]], seed=0)
     builders = {
         "Mdp": lambda: Mdp(T=mdp.T, S=mdp.S, A=mdp.A, initial_dist=mdp.initial_dist.copy(),
                            kernels=mdp.kernels.copy(), ref_measure=mdp.ref_measure.copy()),
@@ -146,12 +145,13 @@ def test_records_with_array_fields_compare_by_identity():
 
 
 def test_trajectory_validation():
+    """A single trajectory is a one-row ``Dataset`` and gets its checks."""
     with pytest.raises(DimensionError):
-        Trajectory(states=(0, 1), actions=(0,))
+        Dataset(states=[[0, 1]], actions=[[0]], seed=0)
     with pytest.raises(InvariantError):
-        Trajectory(states=(), actions=())
+        Dataset(states=[[]], actions=[[]], seed=0)
     with pytest.raises(InvariantError):
-        Trajectory(states=(0, -1), actions=(0, 0))
+        Dataset(states=[[0, -1]], actions=[[0, 0]], seed=0)
 
 
 def test_dataset_validation():
@@ -380,20 +380,17 @@ def test_sampling_frequencies_match_occupancy():
 
 
 def enumerate_trajectories(mdp, policy):
-    """The support of ``policy`` as ``[(Trajectory, probability), ...]``."""
+    """The support of ``policy`` as a ``Dataset`` and the probability of each row."""
     states, actions, probs = enumerate_support(mdp, policy)
-    return [
-        (Trajectory(states=tuple(s), actions=tuple(a)), float(p))
-        for s, a, p in zip(states, actions, probs)
-    ]
+    return Dataset(states=states, actions=actions, seed=0), probs
 
 
 def test_enumerate_uniform_single_state():
     mdp = Mdp(T=2, S=1, A=2, initial_dist=[1.0],
               kernels=np.ones((1, 1, 2, 1)), ref_measure=[1.0, 1.0])
-    pairs = enumerate_trajectories(mdp, uniform_policy(mdp))
-    assert len(pairs) == 4
-    for _, p in pairs:
+    support, probs = enumerate_trajectories(mdp, uniform_policy(mdp))
+    assert len(support) == len(probs) == 4
+    for p in probs:
         assert p == pytest.approx(0.25, abs=1e-15)
 
 
@@ -402,20 +399,20 @@ def test_enumerate_deterministic_single_trajectory():
     mdp = random_mdp(rng, S=3, A=2, T=4, deterministic=True)
     probs = np.zeros((4, 3, 2))
     probs[:, :, 1] = 1.0
-    pairs = enumerate_trajectories(mdp, Policy(probs=probs))
-    assert len(pairs) == 1
-    assert pairs[0][1] == pytest.approx(1.0, abs=1e-15)
+    support, probs = enumerate_trajectories(mdp, Policy(probs=probs))
+    assert len(support) == len(probs) == 1
+    assert probs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_enumeration_cross_checks_log_prob():
     rng = np.random.default_rng(13)
     mdp = random_mdp(rng, S=2, A=2, T=3)
     policy = random_policy(rng, mdp)
-    pairs = enumerate_trajectories(mdp, policy)
-    total = sum(p for _, p in pairs)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    for tau, p in pairs:
-        assert np.exp(trajectory_log_prob(mdp, policy, tau)) == pytest.approx(p, rel=1e-12)
+    support, probs = enumerate_trajectories(mdp, policy)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    log_probs = trajectory_log_prob(mdp, policy, support)  # the whole support in one call
+    assert log_probs.shape == probs.shape
+    np.testing.assert_allclose(np.exp(log_probs), probs, rtol=1e-12)
 
 
 def test_batch_probs_match_enumeration():
@@ -449,8 +446,8 @@ def test_enumeration_cap_error_names_size():
 def test_log_prob_all_factors_one_is_zero():
     mdp = Mdp(T=2, S=1, A=1, initial_dist=[1.0],
               kernels=np.ones((1, 1, 1, 1)), ref_measure=[1.0])
-    tau = Trajectory(states=(0, 0), actions=(0, 0))
-    assert trajectory_log_prob(mdp, uniform_policy(mdp), tau) == 0.0
+    tau = Dataset(states=[[0, 0]], actions=[[0, 0]], seed=0)
+    assert trajectory_log_prob(mdp, uniform_policy(mdp), tau).tolist() == [0.0]
 
 
 def test_log_prob_zero_factor_is_minus_inf():
@@ -458,8 +455,10 @@ def test_log_prob_zero_factor_is_minus_inf():
     mdp = random_mdp(rng, S=2, A=2, T=2)
     probs = np.zeros((2, 2, 2))
     probs[:, :, 0] = 1.0
-    tau = Trajectory(states=(0, 0), actions=(1, 0))  # action 1 has probability 0
-    assert trajectory_log_prob(mdp, Policy(probs=probs), tau) == -np.inf
+    tau = Dataset(states=[[0, 0], [0, 1]], actions=[[1, 0], [0, 0]], seed=0)  # action 1 has probability 0
+    log_probs = trajectory_log_prob(mdp, Policy(probs=probs), tau)
+    assert log_probs[0] == -np.inf
+    assert np.isfinite(log_probs[1])  # one vanishing row leaves the others alone
 
 
 def test_gibbs_policies_share_support():
@@ -473,6 +472,54 @@ def test_gibbs_policies_share_support():
     states, actions, probs = enumerate_support(mdp, pi1)
     assert np.all(probs > 0.0)
     assert np.all(batch_trajectory_probs(mdp, pi2, states, actions) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# datasets read through tables
+
+
+def test_dataset_indices_are_checked_against_the_tables():
+    """Every function that reads a dataset through a ``(T, S, A)`` table rejects
+    an out-of-range index or a wrong horizon with an ``InputError``."""
+    from soft_irl import (
+        FitConfig,
+        LinearRewardModel,
+        fit_empirical,
+        irl_empirical_loss,
+        mle_loss,
+        return_decomposition,
+        score,
+        soft_optimal_residuals,
+    )
+
+    rng = np.random.default_rng(23)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    policy = random_policy(rng, mdp)
+    features = generate_instance(InstanceSpec(S=3, A=2, T=3, d=2, seed=3)).features
+    model = LinearRewardModel(features=features, theta=np.zeros(2))
+    reward = RewardTable(r=rng.normal(size=(3, 3, 2)))
+    calls = {
+        "empirical_feature_expectation": lambda d: empirical_feature_expectation(d, features),
+        "mle_loss": lambda d: mle_loss(mdp, policy, d),
+        "soft_optimal_residuals": lambda d: soft_optimal_residuals(mdp, model, 0.7, d),
+        "irl_empirical_loss": lambda d: irl_empirical_loss(mdp, model, 0.7, d),
+        "fit_empirical": lambda d: fit_empirical(mdp, features, d, FitConfig(beta=0.7)),
+        "trajectory_log_prob": lambda d: trajectory_log_prob(mdp, policy, d),
+        "score": lambda d: score(mdp, model, 0.7, d),
+        "return_decomposition": lambda d: return_decomposition(mdp, reward, policy, 0.7, d),
+    }
+    good = sample_trajectories(mdp, policy, 5, seed=0)
+    bad_state = Dataset(states=[[0, 1, 2], [0, 3, 1]], actions=[[0, 1, 0], [1, 1, 0]], seed=0)
+    bad_action = Dataset(states=[[0, 1, 2]], actions=[[0, 1, 2]], seed=0)
+    short = Dataset(states=[[0, 1]], actions=[[0, 1]], seed=0)
+    for name, call in calls.items():
+        call(good)
+        with pytest.raises(InvariantError, match=r"state index out of range \(S=3\)"):
+            call(bad_state)
+        with pytest.raises(InvariantError, match=r"action index out of range \(A=2\)"):
+            call(bad_action)
+        with pytest.raises(DimensionError, match="horizon 3"):
+            call(short)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +539,9 @@ def test_empirical_feature_expectation_single_trajectory():
     rng = np.random.default_rng(19)
     mdp = random_mdp(rng)
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 3))
-    tau = Trajectory(states=(0, 1, 2), actions=(1, 0, 1))
-    data = Dataset(states=[tau.states], actions=[tau.actions], seed=0)
-    expected = sum(phi[t, tau.states[t], tau.actions[t]] for t in range(mdp.T))
+    states, actions = (0, 1, 2), (1, 0, 1)
+    data = Dataset(states=[states], actions=[actions], seed=0)
+    expected = sum(phi[t, states[t], actions[t]] for t in range(mdp.T))
     np.testing.assert_allclose(empirical_feature_expectation(data, phi), expected)
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from soft_irl import (
+    DEFAULT_ENUMERATION_CAP,
+    Dataset,
     FeatureMap,
     LinearRewardModel,
     Mdp,
     RewardTable,
-    Trajectory,
     batch_scores,
     derivative_bundle,
     effective_dimension,
@@ -273,10 +274,12 @@ def test_score_single_step_is_centered_feature():
     features = random_features(rng, mdp, 1)
     model = model_at(features, [0.4])
     pi = solve_model(mdp, model, 1.0).pi_star
-    tau = Trajectory(states=(1,), actions=(2,))
+    tau = Dataset(states=[[1]], actions=[[2]], seed=0)
     phi_row = features.phi[0, 1, :, 0]
     expected = phi_row[2] - float(pi.probs[0, 1] @ phi_row)
-    assert score(mdp, model, 1.0, tau)[0] == pytest.approx(expected, abs=1e-12)
+    Z = score(mdp, model, 1.0, tau)
+    assert Z.shape == (1, 1)
+    assert Z[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +381,8 @@ def test_pseudo_self_concordance_inequality():
     beta = 0.9
     model = model_at(features, theta)
     H = derivative_bundle(mdp, model, beta).hessian
-    gc = geometry_constants(mdp, features, model, beta, mode="exact")
+    gc = geometry_constants(mdp, features, model, beta)
+    assert gc.mode == "exact"
     for _ in range(10):
         xi = rng.normal(size=3)
         xi /= np.linalg.norm(xi)
@@ -599,8 +603,18 @@ def test_geometry_constants_constant_features():
     mdp = random_mdp(rng)
     phi = np.broadcast_to([2.0, 1.0], (mdp.T, mdp.S, mdp.A, 2)).copy()
     features = FeatureMap(phi=phi)
-    gc = geometry_constants(mdp, features, model_at(features, np.zeros(2)), 1.0, mode="exact")
+    gc = geometry_constants(mdp, features, model_at(features, np.zeros(2)), 1.0)
+    assert gc.mode == "exact"
     assert gc.B_A_phi == pytest.approx(0.0, abs=1e-12)
+
+
+def triangle_bound(features):
+    """``sum_t max_{s,a} ||phi_t(s, a)||``, one feature vector at a time."""
+    T, S, A, _ = features.phi.shape
+    return sum(
+        max(float(np.linalg.norm(features.phi[t, s, a])) for s in range(S) for a in range(A))
+        for t in range(T)
+    )
 
 
 def test_geometry_constants_bounds_and_brute_force():
@@ -609,11 +623,10 @@ def test_geometry_constants_bounds_and_brute_force():
     features = random_features(rng, mdp, 3)
     model = model_at(features, rng.normal(size=3) * 0.4)
 
-    exact = geometry_constants(mdp, features, model, 0.9, mode="exact")
-    conservative = geometry_constants(mdp, features, model, 0.9, mode="conservative")
+    exact = geometry_constants(mdp, features, model, 0.9)
+    assert exact.mode == "exact"
     assert exact.B_A_phi <= 2 * mdp.T * exact.B_phi + 1e-12
-    assert conservative.B_A_phi == pytest.approx(2 * mdp.T * conservative.B_phi, abs=1e-12)
-    assert exact.mode == "exact" and conservative.mode == "conservative"
+    assert exact.B_phi <= triangle_bound(features) + 1e-12
 
     # brute-force the suffix-sum feature norm over every enumerated trajectory
     from soft_irl import uniform_policy
@@ -627,3 +640,16 @@ def test_geometry_constants_bounds_and_brute_force():
                 acc += features.phi[t, states[i, t], actions[i, t]]
             best = max(best, float(np.linalg.norm(acc)))
     assert exact.B_phi == pytest.approx(best, abs=1e-12)
+
+
+def test_geometry_constants_conservative_above_the_cap():
+    """Above the enumeration cap the sup constants fall back to the triangle bounds."""
+    rng = np.random.default_rng(33)
+    mdp = Mdp(T=12, S=4, A=4, initial_dist=np.full(4, 0.25),
+              kernels=np.full((11, 4, 4, 4), 0.25), ref_measure=np.ones(4))
+    assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
+    features = random_features(rng, mdp, 3)
+    gc = geometry_constants(mdp, features, model_at(features, rng.normal(size=3) * 0.4), 0.9)
+    assert gc.mode == "conservative"
+    assert gc.B_A_phi == pytest.approx(2 * mdp.T * gc.B_phi, abs=1e-12)
+    assert gc.B_phi == pytest.approx(triangle_bound(features), rel=1e-12)
