@@ -175,6 +175,9 @@ def cmd_fit(args) -> int:
     theta = ", ".join(f"{x:.6g}" for x in result.theta_hat)
     print(f"theta_hat = [{theta}]")
     print(f"converged = {result.converged} after {result.iterations} iterations")
+    print(f"status = {result.status}")
+    if result.separation_margin is not None:
+        print(f"separation_margin = {result.separation_margin:.6g}")
     print(f"wrote {out / 'fit.json'}")
     return 0
 
@@ -214,6 +217,8 @@ def cmd_rates(args) -> int:
     for metric, slope in sorted(report.slopes.items()):
         print(f"slope[{metric}] = {slope:.4f}")
     print(f"non_converged = {report.non_converged}")
+    for status, count in report.fit_statuses.items():
+        print(f"fits[{status}] = {count}")
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -38,7 +38,7 @@ from .linear_reward import (
     max_score_norm,
     solve_model,
 )
-from .opt import FitConfig, fit_empirical, fit_population
+from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +243,11 @@ class RateRecord:
     n: int
     replicate: int
     value: float
-    converged: bool
+    status: str  # the fit's status, one of opt.FIT_STATUSES
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 RATE_METRICS = (
@@ -277,8 +281,12 @@ class RateReport:
     medians: dict
     slopes: dict
     intercepts: dict
-    non_converged: int
+    fit_statuses: dict  # number of fits per status, in opt.FIT_STATUSES order
     d_star_beta_d_gap: float | None
+
+    @property
+    def non_converged(self) -> int:
+        return sum(count for status, count in self.fit_statuses.items() if status != "converged")
 
     def median(self, metric: str, n: int) -> float:
         return self.medians[metric][self.config.n_grid.index(n)]
@@ -293,7 +301,7 @@ def _rate_cell(
     approx_floor: float,
     n: int,
     seed: int,
-) -> tuple[dict, bool]:
+) -> tuple[dict, str]:
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     data = sample_trajectories(mdp, expert, n, seed)
     result = fit_empirical(mdp, features, data, fit_cfg)
@@ -313,7 +321,7 @@ def _rate_cell(
         "sym_kl_star": kl_star_to_hat + kl_hat_to_star,
         "hellinger_star": trajectory_hellinger(mdp, pi_star, pi_hat),
     }
-    return values, result.converged
+    return values, result.status
 
 
 def run_rate_experiment(config: RateConfig) -> RateReport:
@@ -354,16 +362,16 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     )
 
     records = []
-    non_converged = 0
+    fit_statuses = dict.fromkeys(FIT_STATUSES, 0)
     for i_n, n in enumerate(config.n_grid):
         for rep in range(config.replicates):
             seed = _cell_seed(config.data_seed, i_n, rep)
-            values, converged = _rate_cell(
+            values, status = _rate_cell(
                 instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, n, seed
             )
-            non_converged += 0 if converged else 1
+            fit_statuses[status] += 1
             records.extend(
-                RateRecord(metric=m, n=n, replicate=rep, value=values[m], converged=converged)
+                RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=status)
                 for m in RATE_METRICS
             )
 
@@ -414,7 +422,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         medians=medians,
         slopes=slopes,
         intercepts=intercepts,
-        non_converged=non_converged,
+        fit_statuses=fit_statuses,
         d_star_beta_d_gap=d_star_gap,
     )
 

@@ -167,7 +167,7 @@ def solution_to_dict(solution: SoftSolution) -> dict:
 
 
 def fit_result_to_dict(result: IrlFitResult) -> dict:
-    return {
+    out = {
         "theta_hat": np.asarray(result.theta_hat).tolist(),
         "final_loss": result.final_loss,
         "iterations": result.iterations,
@@ -176,8 +176,13 @@ def fit_result_to_dict(result: IrlFitResult) -> dict:
         "hessian_at_solution": np.asarray(result.hessian_at_solution).tolist(),
         "active_ball_constraint": result.active_ball_constraint,
         "converged": result.converged,
+        "status": result.status,
         "trace": [dataclasses.asdict(rec) | {"theta": list(rec.theta)} for rec in result.trace],
     }
+    if result.separating_direction is not None:  # an infeasible fit's certificate
+        out["separating_direction"] = result.separating_direction.tolist()
+        out["separation_margin"] = result.separation_margin
+    return out
 
 
 def risk_report_to_dict(report: RiskReport) -> dict:
@@ -238,8 +243,9 @@ def rate_report_to_dict(report: RateReport) -> dict:
         "slopes": dict(report.slopes),
         "intercepts": dict(report.intercepts),
         "non_converged": report.non_converged,
+        "fit_statuses": dict(report.fit_statuses),
         "d_star_beta_d_gap": report.d_star_beta_d_gap,
-        "records": [dataclasses.asdict(r) for r in report.records],
+        "records": [dataclasses.asdict(r) | {"converged": r.converged} for r in report.records],
     }
 
 
@@ -247,10 +253,11 @@ def rate_report_to_csv(report: RateReport, path: str | Path) -> None:
     """One row per (metric, n, replicate); the fitted slope is repeated per metric."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["metric", "n", "replicate", "value", "converged", "slope"])
+        writer.writerow(["metric", "n", "replicate", "value", "converged", "slope", "status"])
         for rec in report.records:
             slope = report.slopes.get(rec.metric, "")
-            writer.writerow([rec.metric, rec.n, rec.replicate, repr(rec.value), rec.converged, slope])
+            value = repr(rec.value)
+            writer.writerow([rec.metric, rec.n, rec.replicate, value, rec.converged, slope, rec.status])
 
 
 # --------------------------------------------------------------------------

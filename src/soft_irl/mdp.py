@@ -84,10 +84,14 @@ class Mdp:
         object.__setattr__(
             self, "initial_dist", _as_float_array(self.initial_dist, "initial_dist", (self.S,))
         )
+        kernels = self.kernels
+        if self.T == 1 and np.size(kernels) == 0:
+            # a T = 1 MDP has no kernels; an empty JSON list keeps no shape
+            kernels = np.empty((0, self.S, self.A, self.S))
         object.__setattr__(
             self,
             "kernels",
-            _as_float_array(self.kernels, "kernels", (self.T - 1, self.S, self.A, self.S)),
+            _as_float_array(kernels, "kernels", (self.T - 1, self.S, self.A, self.S)),
         )
         object.__setattr__(
             self, "ref_measure", _as_float_array(self.ref_measure, "ref_measure", (self.A,))

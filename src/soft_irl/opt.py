@@ -13,6 +13,12 @@ handled explicitly:
 * An optional norm ball constrains the parameter.  Trial points are projected
   onto the ball inside the line search, and an active constraint at
   termination triggers a projected-gradient polish.
+* Without the ball, a target outside the moment set ``M`` of feature
+  expectations has no minimizer, and the iterates run off to infinity.  The
+  support function of ``M`` is a max-plus (hard) DP, so each iterate's
+  direction ``u = theta / |theta|`` is tested for separation,
+  ``<u, target> > h_M(u)``; once it holds the loss is unbounded below along
+  ``u`` and the fit stops as ``"infeasible"`` with ``u`` as its certificate.
 
 Everything is deterministic: same inputs produce bitwise-identical traces.
 """
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import InvariantError
 from .mdp import (
     Dataset,
     Mdp,
@@ -32,9 +39,15 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle, solve_model
+from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle
+from .soft_dp import _optimal_value
 
 _RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
+# Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
+# both <u, target> and h_M(u)) are taken for rounding, not for a certificate.
+_RELATIVE_SEPARATION_CUT = 1e-9
+
+FIT_STATUSES = ("converged", "infeasible", "max_iters", "stalled")
 
 
 @dataclass(frozen=True)
@@ -76,9 +89,14 @@ class IterationRecord:
 class IrlFitResult:
     """Solution report of a fit.
 
-    ``converged`` is True when the Newton decrement reached the tolerance;
-    a result with ``iterations == max_iters`` and ``converged == False`` is
-    returned rather than raising.  ``trace`` records every iterate.
+    ``status`` is one of ``FIT_STATUSES``: ``"converged"`` when the Newton
+    decrement (or, on an active ball, the projected-gradient gap) reached the
+    tolerance; ``"infeasible"`` when the target lies outside the moment set,
+    with ``separating_direction`` ``u`` and ``separation_margin`` ``m > 0``
+    such that ``L(theta + s u) <= L(theta) - s m`` for every ``s >= 0``;
+    ``"max_iters"`` when the iteration budget ran out; ``"stalled"`` when no
+    step could decrease the loss.  A fit that did not converge is returned
+    rather than raised.  ``trace`` records every iterate.
     """
 
     theta_hat: np.ndarray
@@ -88,8 +106,14 @@ class IrlFitResult:
     gradient_norm: float
     hessian_at_solution: np.ndarray
     active_ball_constraint: bool
-    converged: bool
+    status: str
     trace: tuple[IterationRecord, ...]
+    separating_direction: np.ndarray | None = None
+    separation_margin: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def newton_decrement(grad: np.ndarray, hessian: np.ndarray, ridge: float = 0.0) -> float:
@@ -147,13 +171,47 @@ def _restricted_newton_step(
     return step, decrement, ridge_used
 
 
+def _loss(mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray) -> float:
+    """``L(theta) = J*(theta) - <theta, target>`` from one value-only soft pass.
+
+    The checks of the public types stay at the boundary; the one that remains
+    here keeps a non-finite trial reward from becoming a silent NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = phi @ theta
+    if not np.isfinite(r).all():
+        raise InvariantError("loss: the reward at the trial parameter is not finite")
+    return _optimal_value(mdp, r, beta) - float(theta @ target)
+
+
+def _separation(
+    mdp: Mdp, phi: np.ndarray, target: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """``(u, margin)`` if ``u = theta / |theta|`` separates ``target`` from the moment set.
+
+    ``margin = <u, target> - h_M(u)``, where the support function ``h_M(u)``
+    is the max-plus optimal value of the reward ``<u, phi>``.  ``None`` unless
+    the margin exceeds the rounding cut.
+    """
+    norm = float(np.linalg.norm(theta))
+    if norm == 0.0:
+        return None
+    u = theta / norm
+    r = phi @ u
+    margin = float(u @ target) - _optimal_value(mdp, r, 0.0)
+    if margin <= _RELATIVE_SEPARATION_CUT * float(np.abs(r).max(axis=(1, 2)).sum()):
+        return None
+    return u, margin
+
+
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
     beta = config.beta
+    phi = features.phi
     model0 = LinearRewardModel(features=features, theta=np.zeros(features.d), B_theta=config.B_theta)
+    bounded = config.B_theta != float("inf")  # a ball-constrained problem always has a minimizer
 
     def loss_at(theta: np.ndarray) -> float:
-        solution = solve_model(mdp, model0.with_theta(theta), beta)
-        return solution.J_star - float(theta @ target)
+        return _loss(mdp, phi, target, beta, theta)
 
     def bundle_at(theta: np.ndarray):
         return derivative_bundle(mdp, model0.with_theta(theta), beta)
@@ -168,7 +226,8 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
     loss = bundle.J_star
     image = _image_basis(bundle.hessian)  # the identifiable subspace, fixed at the start
     trace: list[IterationRecord] = []
-    converged = False
+    status = "max_iters"
+    separation = None
     decrement = float("nan")
     iterations = 0
 
@@ -186,8 +245,13 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
             )
         )
         if decrement <= config.tol_decrement:
-            converged = True
+            status = "converged"
             break
+        if not bounded:
+            separation = _separation(mdp, phi, target, theta)
+            if separation is not None:
+                status = "infeasible"
+                break
 
         # backtracking line search on the (ball-projected) Newton step
         directional = float(grad @ step)  # = -decrement**2
@@ -218,7 +282,8 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
                 next_bundle = full_bundle
                 stalled = False
         if stalled:
-            break  # cannot make progress (flat to machine precision)
+            status = "stalled"  # cannot make progress (flat to machine precision)
+            break
         trace[-1] = replace(trace[-1], step_size=alpha)
         theta, loss = candidate, candidate_loss
         bundle = next_bundle if next_bundle is not None else bundle_at(theta)
@@ -229,13 +294,14 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
         theta, loss = _polish_on_ball(loss_at, mdp, features, target, config, theta)
         bundle = bundle_at(theta)
     grad = bundle.grad - target
-    if not converged and active:
+    if status != "converged" and active:
         # on the boundary the Newton decrement is not the right certificate;
         # report the projected-gradient stationarity gap (which equals the
         # Lagrangian gradient norm at a KKT point) instead
         step_vec = _project_ball(theta - grad, config.B_theta) - theta
         decrement = float(np.linalg.norm(step_vec))
-        converged = decrement <= max(config.tol_decrement, 1e-8)
+        if decrement <= max(config.tol_decrement, 1e-8):
+            status = "converged"
 
     return IrlFitResult(
         theta_hat=theta,
@@ -245,8 +311,10 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
         gradient_norm=float(np.linalg.norm(grad)),
         hessian_at_solution=bundle.hessian,
         active_ball_constraint=bool(active),
-        converged=bool(converged),
+        status=status,
         trace=tuple(trace),
+        separating_direction=None if separation is None else separation[0],
+        separation_margin=None if separation is None else separation[1],
     )
 
 

@@ -162,6 +162,31 @@ def _backward(kernels: np.ndarray, r: np.ndarray, backup) -> tuple[np.ndarray, n
     return Q, V
 
 
+def _backup(mdp: Mdp, beta: float):
+    """The optimal-control backup: log-sum-exp for ``beta > 0``, max for ``beta = 0``."""
+    if beta == 0.0:
+        return lambda t, q: q.max(axis=-1)
+    log_nu = mdp.log_ref_measure
+
+    def log_sum_exp(t, q):
+        z = q / beta + log_nu
+        top = z.max(axis=-1)
+        return beta * (top + np.log(np.exp(z - top[:, None]).sum(axis=-1)))
+
+    return log_sum_exp
+
+
+def _optimal_value(mdp: Mdp, r: np.ndarray, beta: float) -> float:
+    """Optimal value of the reward table ``r`` and nothing else: no policy, no checks.
+
+    Bit-identical to ``soft_backward(...).J_star`` for ``beta > 0`` and to
+    ``hard_backward(...).J`` for ``beta = 0``.  For internal loops whose
+    caller has already validated ``r`` and ``beta``.
+    """
+    _, V = _backward(mdp.kernels, r, _backup(mdp, beta))
+    return float(mdp.initial_dist @ V[0])
+
+
 def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     """Solve the entropy-regularized control problem by backward induction.
 
@@ -172,15 +197,8 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     _check_reward(mdp, reward)
     if not beta > 0.0:
         raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
-    log_nu = mdp.log_ref_measure
-
-    def log_sum_exp(t, q):
-        z = q / beta + log_nu
-        top = z.max(axis=-1)
-        return beta * (top + np.log(np.exp(z - top[:, None]).sum(axis=-1)))
-
-    Q, V = _backward(mdp.kernels, reward.r, log_sum_exp)
-    probs = np.exp((Q - V[:-1, :, None]) / beta + log_nu)
+    Q, V = _backward(mdp.kernels, reward.r, _backup(mdp, beta))
+    probs = np.exp((Q - V[:-1, :, None]) / beta + mdp.log_ref_measure)
     # Rows sum to one analytically; renormalize away the last few ulps so
     # downstream validators can insist on tight stochasticity.
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -196,7 +214,7 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
 def hard_backward(mdp: Mdp, reward: RewardTable) -> HardSolution:
     """Unregularized backward induction; ties resolve to the lowest action index."""
     _check_reward(mdp, reward)
-    Q, V = _backward(mdp.kernels, reward.r, lambda t, q: q.max(axis=-1))
+    Q, V = _backward(mdp.kernels, reward.r, _backup(mdp, 0.0))
     probs = np.zeros_like(Q)
     np.put_along_axis(probs, Q.argmax(axis=-1)[..., None], 1.0, axis=-1)
     policy = Policy(probs=probs, label="greedy")

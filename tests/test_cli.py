@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from soft_irl import cli
+from soft_irl import RATE_METRICS, cli
 from soft_irl import io as pio
 from soft_irl.cli import build_parser, main
 from soft_irl.mdp import Mdp, Policy, sample_trajectories, uniform_policy
@@ -93,10 +93,40 @@ def test_fit_from_instance(tmp_path, capsys):
     assert main(["fit", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "theta_hat = [" in out and "converged = True" in out
+    assert "status = converged" in out and "separation_margin" not in out
     payload = json.loads((tmp_path / "out" / "fit.json").read_text())
-    assert payload["converged"] is True
+    assert payload["converged"] is True and payload["status"] == "converged"
+    assert "separating_direction" not in payload and "separation_margin" not in payload
     assert len(payload["theta_hat"]) == TINY_INSTANCE["d"]
     assert payload["iterations"] == len(payload["trace"]) - 1 or payload["iterations"] <= len(payload["trace"])
+
+
+# the configs/rates.json instance; replicate 1 of its n = 64 cell samples a
+# target outside the moment set
+RATES_INSTANCE = {"S": 5, "A": 3, "T": 4, "d": 6, "beta": 0.5, "seed": 5}
+OUTSIDE_SEED = 10679137941945874026
+
+
+def test_fit_reports_an_infeasible_target(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "output_dir": str(tmp_path / "out"),
+            "fit": {"instance": RATES_INSTANCE, "n": 64, "data_seed": OUTSIDE_SEED},
+        },
+    )
+    assert main(["fit", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "converged = False" in out and "status = infeasible" in out
+    margin = float(re.search(r"separation_margin = (\S+)", out).group(1))
+    payload = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert payload["status"] == "infeasible" and payload["converged"] is False
+    assert payload["iterations"] < 100
+    assert payload["separation_margin"] > 0.0
+    assert margin == pytest.approx(payload["separation_margin"], rel=1e-5)
+    u = np.asarray(payload["separating_direction"])
+    assert u.shape == (RATES_INSTANCE["d"],)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_unknown_key_rejected(tmp_path):
@@ -196,10 +226,32 @@ def test_rates_writes_json_csv_and_plots(tmp_path, capsys):
     assert set(report["slopes"]) >= {"expert_kl", "param_err_hess"}
     csv_text = (tmp_path / "out" / "rates.csv").read_text()
     header, *rows = csv_text.strip().splitlines()
-    assert header == "metric,n,replicate,value,converged,slope"
+    assert header == "metric,n,replicate,value,converged,slope,status"
     assert len(rows) == len(report["records"])
     svg = (tmp_path / "out" / "rates_param_err_hess.svg").read_text()
     assert svg.startswith("<svg") and "slope" in svg
+
+
+def test_rates_reports_fit_statuses(tmp_path, capsys):
+    """Two of these 16 cells (n = 64, replicates 1 and 7) sample a target
+    outside the moment set; both count as infeasible and as non-converged."""
+    payload = {
+        "output_dir": str(tmp_path / "out"),
+        "rates": {"instance": RATES_INSTANCE, "n_grid": [64, 128], "replicates": 8, "data_seed": 1},
+    }
+    assert main(["rates", "--config", write_config(tmp_path, payload)]) == 0
+    out = capsys.readouterr().out
+    for line in ("non_converged = 2", "fits[converged] = 14", "fits[infeasible] = 2",
+                 "fits[max_iters] = 0", "fits[stalled] = 0"):
+        assert line in out.splitlines()
+    report = json.loads((tmp_path / "out" / "rates.json").read_text())
+    assert report["non_converged"] == 2
+    assert report["fit_statuses"] == {"converged": 14, "infeasible": 2, "max_iters": 0, "stalled": 0}
+    infeasible = {(r["n"], r["replicate"]) for r in report["records"] if r["status"] == "infeasible"}
+    assert infeasible == {(64, 1), (64, 7)}
+    assert all(r["converged"] == (r["status"] == "converged") for r in report["records"])
+    rows = (tmp_path / "out" / "rates.csv").read_text().strip().splitlines()[1:]
+    assert sum(1 for row in rows if row.endswith(",infeasible")) == 2 * len(RATE_METRICS)
 
 
 def test_rates_rerun_is_byte_identical(tmp_path, capsys):
@@ -536,6 +588,20 @@ def test_mdp_json_round_trip():
     np.testing.assert_array_equal(clone.kernels, mdp.kernels)
     np.testing.assert_array_equal(clone.initial_dist, mdp.initial_dist)
     np.testing.assert_array_equal(clone.ref_measure, mdp.ref_measure)
+
+
+@pytest.mark.parametrize("T", [1, 3])
+def test_mdp_json_round_trip_at_every_horizon(tmp_path, capsys, T):
+    """A T = 1 MDP has an empty kernel list, which must read back as (0, S, A, S)."""
+    mdp = random_mdp(np.random.default_rng(4), S=2, A=2, T=T)
+    path = tmp_path / "mdp.json"
+    pio.dump_json(pio.mdp_to_dict(mdp), path)
+    clone = pio.mdp_from_dict(pio.load_json(path))
+    assert clone.kernels.shape == (T - 1, 2, 2, 2)
+    np.testing.assert_array_equal(clone.kernels, mdp.kernels)
+    np.testing.assert_array_equal(clone.initial_dist, mdp.initial_dist)
+    assert main(["validate", str(path)]) == 0
+    assert "valid mdp" in capsys.readouterr().out
 
 
 def test_dataset_json_round_trip():

@@ -1,10 +1,13 @@
 """Tests for instance generation, geometry/concentration checks and rates."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from soft_irl import (
     FitConfig,
@@ -18,11 +21,15 @@ from soft_irl import (
     chi,
     derivative_bundle,
     dikin_boundary_pair,
+    empirical_feature_expectation,
+    fit_empirical,
     generate_instance,
     psi,
     run_rate_experiment,
+    sample_trajectories,
     solve_model,
 )
+from soft_irl.experiments import _cell_seed
 from soft_irl.linear_reward import LinearRewardModel
 
 TINY = InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1)
@@ -352,3 +359,91 @@ def test_rate_experiment_rejects_mismatched_fit_temperature():
     )
     with pytest.raises(InputError, match="temperature"):
         run_rate_experiment(cfg)
+
+
+# ---------------------------------------------------------------------------
+# fit status against an occupancy LP
+
+
+def occupancy_lp_margin(mdp, phi, target):
+    """Largest ``eps`` with an occupancy-like ``mu >= eps`` whose feature sum is ``target``.
+
+    ``mu`` satisfies the initial and flow equations of ``mdp``; ``eps`` is
+    capped to ``[-1, 1]``.  So ``eps < 0`` means ``target`` lies outside the
+    moment set, and ``eps > 0`` that it lies in its interior.  (HiGHS, test
+    only.)
+    """
+    T, S, A, d = phi.shape
+    m = T * S * A
+    index = np.arange(m).reshape(T, S, A)
+    rows, rhs = [], []
+    for t in range(T):
+        for s in range(S):
+            row = np.zeros(m + 1)
+            row[index[t, s]] = 1.0
+            if t > 0:
+                row[index[t - 1].ravel()] -= mdp.kernels[t - 1][:, :, s].ravel()
+            rows.append(row)
+            rhs.append(mdp.initial_dist[s] if t == 0 else 0.0)
+    features = np.hstack([phi.reshape(m, d).T, np.zeros((d, 1))])
+    result = scipy.optimize.linprog(
+        c=np.r_[np.zeros(m), -1.0],
+        A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.vstack(rows + [features]),
+        b_eq=np.r_[rhs, target],
+        bounds=[(None, None)] * m + [(-1.0, 1.0)],
+        method="highs",
+    )
+    return -result.fun if result.status == 0 else -np.inf
+
+
+def test_infeasible_fits_are_exactly_the_targets_outside_the_moment_set():
+    """On every target of the shipped rates experiment, a fit stops as
+    infeasible exactly when the LP puts the target outside the moment set."""
+    config_path = Path(__file__).resolve().parents[1] / "configs" / "rates.json"
+    section = json.loads(config_path.read_text())["rates"]
+    spec = InstanceSpec(**section["instance"])
+    config = RateConfig(
+        instance=spec,
+        n_grid=tuple(section["n_grid"]),
+        replicates=section["replicates"],
+        data_seed=section["data_seed"],
+    )
+    report = run_rate_experiment(config)
+    status = {(r.n, r.replicate): r.status for r in report.records}
+    assert sum(report.fit_statuses.values()) == len(status)
+    for name, count in report.fit_statuses.items():
+        assert count == sum(1 for s in status.values() if s == name)
+
+    inst = generate_instance(spec)
+    outside = set()
+    for i_n, n in enumerate(config.n_grid):
+        for rep in range(config.replicates):
+            seed = _cell_seed(config.data_seed, i_n, rep)
+            target = empirical_feature_expectation(
+                sample_trajectories(inst.mdp, inst.expert, n, seed), inst.features
+            )
+            eps = occupancy_lp_margin(inst.mdp, inst.features.phi, target)
+            assert abs(eps) > 1e-6  # the LP verdict is clear of its own tolerances
+            if eps < 0.0:
+                outside.add((n, rep))
+    assert outside == {cell for cell, s in status.items() if s == "infeasible"}
+    assert len(outside) == 5 == report.non_converged
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deterministic_targets_are_never_infeasible(seed):
+    """Under deterministic dynamics every sample path is an occupancy, so an
+    empirical target lies in the moment set at every n (on its boundary for
+    small samples, where the fit may not converge but must not be called
+    infeasible)."""
+    for spec in (
+        InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=seed, deterministic=True),
+        InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=seed, deterministic=True),
+    ):
+        inst = generate_instance(spec)
+        for n in (1, 2, 16):
+            data = sample_trajectories(inst.mdp, inst.expert, n, seed=100 * seed + n)
+            result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=spec.beta))
+            assert result.status != "infeasible", (spec, n)

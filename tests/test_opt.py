@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soft_irl import (
     FeatureMap,
@@ -19,13 +21,17 @@ from soft_irl import (
     irl_population_loss,
     kernel_basis,
     max_score_norm,
+    hard_backward,
     newton_decrement,
     sample_trajectories,
     solve_model,
     trajectory_kl,
     uniform_policy,
 )
+from soft_irl import opt
+from soft_irl.errors import SoftIrlError
 from soft_irl.mdp import enumerate_support
+from soft_irl.soft_dp import RewardTable
 
 from test_mdp import random_mdp, random_policy
 from test_rewards import model_at, random_features, shaping_feature
@@ -274,6 +280,7 @@ def test_max_iters_flags_nonconvergence():
     data = sample_trajectories(mdp, random_policy(rng, mdp), 64, seed=10)
     result = fit_empirical(mdp, features, data, FitConfig(beta=0.7, max_iters=1))
     assert not result.converged
+    assert result.status == "max_iters"
     assert result.iterations == 1
 
 
@@ -305,3 +312,119 @@ def test_hessian_sandwich_between_iterates():
         assert eigs.max() <= np.exp(1.0) + 1e-6
         checked += 1
     assert checked >= 1
+
+
+# ---------------------------------------------------------------------------
+# value-only loss, fit status and the infeasibility certificate
+
+
+def support_function(mdp, features, u):
+    """``h_M(u)``: the largest ``<u, E[sum_t phi_t]>`` over all policies (a max-plus DP)."""
+    return hard_backward(mdp, RewardTable(r=features.phi @ u)).J
+
+
+def outside_target(rng, mdp, features, margin):
+    """A target ``margin`` beyond the moment set along a random unit direction."""
+    u = rng.normal(size=features.d)
+    u /= np.linalg.norm(u)
+    return u * (support_function(mdp, features, u) + margin)
+
+
+def test_loss_is_bitwise_the_soft_value():
+    rng = np.random.default_rng(21)
+    mdp = random_mdp(rng, S=4, A=3, T=4)
+    features = random_features(rng, mdp, 5)
+    target = rng.normal(size=5)
+    for scale in (1e-3, 1.0, 30.0):
+        for _ in range(20):
+            theta = scale * rng.normal(size=5)
+            J = solve_model(mdp, model_at(features, theta), 0.6).J_star
+            assert opt._loss(mdp, features.phi, np.zeros(5), 0.6, theta) == J
+            assert opt._loss(mdp, features.phi, target, 0.6, theta) == J - float(theta @ target)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_loss_at_a_non_finite_reward_is_a_typed_error(bad):
+    rng = np.random.default_rng(22)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    features = random_features(rng, mdp, 3)
+    theta = np.array([0.5, bad, -0.25])
+    with pytest.raises(SoftIrlError, match="not finite"):
+        opt._loss(mdp, features.phi, np.zeros(3), 0.7, theta)
+
+
+def test_stalled_status_at_the_roundoff_floor():
+    """With a tolerance no float decrement reaches, the fit stops flat at the
+    optimum and says so."""
+    rng = np.random.default_rng(9)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    features = random_features(rng, mdp, 3)
+    data = sample_trajectories(mdp, random_policy(rng, mdp), 256, seed=0)
+    result = fit_empirical(mdp, features, data, FitConfig(beta=0.7, tol_decrement=1e-300))
+    assert result.status == "stalled" and not result.converged
+    assert result.iterations < 100
+    assert result.gradient_norm <= 1e-12
+    assert result.separating_direction is None and result.separation_margin is None
+
+
+def test_certificate_stops_a_target_outside_the_moment_set():
+    rng = np.random.default_rng(23)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    features = random_features(rng, mdp, 3)
+    target = outside_target(rng, mdp, features, margin=0.5)
+    result = opt._fit(mdp, features, target, FitConfig(beta=0.7))
+    assert result.status == "infeasible" and not result.converged
+    assert result.iterations < 100
+    u = result.separating_direction
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert result.separation_margin == pytest.approx(
+        float(u @ target) - support_function(mdp, features, u), abs=1e-12
+    )
+    assert result.separation_margin > 0.0
+
+
+def test_ball_constrained_fit_skips_the_certificate():
+    """A ball keeps a minimizer even for a target outside the moment set: the
+    fit converges on the sphere instead of stopping as infeasible."""
+    rng = np.random.default_rng(23)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    features = random_features(rng, mdp, 3)
+    target = outside_target(rng, mdp, features, margin=0.5)
+    result = opt._fit(mdp, features, target, FitConfig(beta=0.7, B_theta=2.0))
+    assert result.status == "converged" and result.active_ball_constraint
+    assert result.separating_direction is None and result.separation_margin is None
+    assert np.linalg.norm(result.theta_hat) == pytest.approx(2.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_certificate_soundness_property(seed, S, A, T, d, offset):
+    """The certificate never fires on a full-support policy's feature
+    expectation (a point inside the moment set); when it fires on a shifted
+    target, the loss falls at least ``margin`` per unit length along it."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    features = random_features(rng, mdp, d)
+    beta = 0.7
+    inside = feature_expectation(mdp, random_policy(rng, mdp), features)
+    assert opt._fit(mdp, features, inside, FitConfig(beta=beta)).status != "infeasible"
+
+    target = inside + offset * rng.normal(size=d)
+    result = opt._fit(mdp, features, target, FitConfig(beta=beta))
+    if result.status != "infeasible":
+        return
+    theta, u, margin = result.theta_hat, result.separating_direction, result.separation_margin
+
+    def loss(point):
+        return solve_model(mdp, model_at(features, point), beta).J_star - float(point @ target)
+
+    start = loss(theta)
+    for s in (1.0, 10.0, 100.0):
+        assert loss(theta + s * u) <= start - s * margin + 1e-9 * (1.0 + s)
