@@ -16,7 +16,6 @@ from .errors import DomainError, InputError
 from .mdp import (
     Mdp,
     Policy,
-    batch_trajectory_probs,
     empirical_feature_expectation,
     enumerate_support,
     feature_expectation,
@@ -26,8 +25,10 @@ from .mdp import (
     _check_flag,
     _check_real,
     _check_seed,
+    _path_rows,
+    _path_sum,
 )
-from .soft_dp import trajectory_hellinger, trajectory_kl
+from .soft_dp import SoftSolution, trajectory_hellinger, trajectory_kl
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
@@ -44,27 +45,42 @@ from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
 # --------------------------------------------------------------------------
 # scalar helper functions for the self-concordance bounds
 
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # exp overflows past this
+
+
+def _exp(x: float) -> float:
+    """``exp(x)``, ``+inf`` past the float range instead of an ``OverflowError``."""
+    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
+
 
 def psi(x):
-    """``(exp(x) - x - 1) / x**2`` with a series branch near zero."""
+    """``(exp(x) - x - 1) / x**2`` with a series branch near zero.
+
+    ``+inf`` where ``exp(x)`` leaves the float range.
+    """
     x = np.asarray(x, dtype=np.float64)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
+    huge = x >= _LOG_FLOAT_MAX
+    safe = np.where(small | huge, 1.0, x)
     # expm1 keeps the numerator accurate where exp(x) - 1 - x would cancel
     exact = (np.expm1(safe) - safe) / safe**2
     series = 0.5 + x / 6.0 + x**2 / 24.0
-    out = np.where(small, series, exact)
+    out = np.where(small, series, np.where(huge, np.inf, exact))
     return float(out) if out.ndim == 0 else out
 
 
 def chi(x):
-    """``(exp(x) - 1) / x`` with a series branch near zero."""
+    """``(exp(x) - 1) / x`` with a series branch near zero.
+
+    ``+inf`` where ``exp(x)`` leaves the float range.
+    """
     x = np.asarray(x, dtype=np.float64)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
+    huge = x >= _LOG_FLOAT_MAX
+    safe = np.where(small | huge, 1.0, x)
     exact = np.expm1(safe) / safe
     series = 1.0 + x / 2.0 + x**2 / 6.0
-    out = np.where(small, series, exact)
+    out = np.where(small, series, np.where(huge, np.inf, exact))
     return float(out) if out.ndim == 0 else out
 
 
@@ -443,7 +459,9 @@ class GeometryCheck:
 
     @property
     def passed(self) -> bool:
-        tol = 1e-9 * max(1.0, abs(self.lower), abs(self.value), abs(self.upper))
+        # an infinite bound must not widen the tolerance of the other one
+        finite = [abs(x) for x in (self.lower, self.value, self.upper) if math.isfinite(x)]
+        tol = 1e-9 * max([1.0] + finite)
         return self.lower - tol <= self.value <= self.upper + tol
 
 
@@ -461,6 +479,12 @@ class GeometryCheckReport:
     @property
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
+
+
+def _log_gibbs(mdp: Mdp, solution: SoftSolution) -> np.ndarray:
+    """``log pi*`` of a soft solution, ``(Q - V) / beta + log nu``: finite wherever
+    ``Q`` is, even where ``pi*`` itself underflows."""
+    return (solution.Q - solution.V[:-1, :, None]) / solution.beta + mdp.log_ref_measure
 
 
 def check_local_geometry(
@@ -500,12 +524,15 @@ def check_local_geometry(
     deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
     local = delta_h0 <= dikin * (1.0 + 1e-12)
 
-    pi0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta).pi_star
-    pi1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta).pi_star
+    solution0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta)
+    solution1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta)
+    pi0, pi1 = solution0.pi_star, solution1.pi_star
 
-    p0 = batch_trajectory_probs(mdp, pi0, states, actions)
-    p1 = batch_trajectory_probs(mdp, pi1, states, actions)
-    max_log_ratio = float(np.abs(np.log(p1) - np.log(p0)).max())
+    # The initial and kernel factors of the two trajectory laws cancel, so the
+    # log density ratio of a path is its sum of per-step policy log ratios.
+    log_ratio = _log_gibbs(mdp, solution1) - _log_gibbs(mdp, solution0)
+    rows = _path_rows(log_ratio.shape, states, actions)
+    max_log_ratio = float(np.abs(_path_sum(log_ratio.ravel(), rows)).max())
 
     gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
     bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
@@ -530,7 +557,7 @@ def check_local_geometry(
         checks = [
             GeometryCheck("density_ratio", 0.0, max_log_ratio, S),
             GeometryCheck("hessian_sandwich_min", math.exp(-S), float(gen_eigs.min()), math.inf),
-            GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), math.exp(S)),
+            GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), _exp(S)),
             GeometryCheck("bregman", psi(-S) * sq, bregman, psi(S) * sq),
             GeometryCheck("gradient_gap", chi(-S) * sq, gradient_gap, chi(S) * sq),
         ]

@@ -32,6 +32,8 @@ from .mdp import (
     gather_table,
     uniform_policy,
     _check_dataset,
+    _path_rows,
+    _path_sum,
 )
 from .soft_dp import (
     RewardTable,
@@ -180,8 +182,13 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
 
 
 def batch_scores(adv: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays."""
-    return gather_table(adv, states, actions).sum(axis=1)
+    """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays.
+
+    Summed in ``t`` order without the ``(N, T, ...)`` gather, bit-identical to
+    ``gather_table(adv, states, actions).sum(axis=1)``.
+    """
+    flat = adv.reshape((-1,) + adv.shape[3:])
+    return _path_sum(flat, _path_rows(adv.shape, states, actions))
 
 
 def score(mdp: Mdp, model: LinearRewardModel, beta: float, data: Dataset) -> np.ndarray:
@@ -299,12 +306,17 @@ def max_score_norm(
     states: np.ndarray,
     actions: np.ndarray,
 ) -> float:
-    """Max trajectory-score norm over the given trajectories and parameters."""
+    """Max trajectory-score norm over the given trajectories and parameters.
+
+    The trajectories' flat table rows are built once and reused for every
+    parameter; each score is the :func:`batch_scores` path sum.
+    """
+    rows = _path_rows(features.phi.shape, states, actions)
     best = 0.0
     for theta in thetas:
         model = LinearRewardModel(features=features, theta=np.asarray(theta, dtype=np.float64))
         _, adv = _gibbs_advantage(mdp, model, beta)
-        Z = batch_scores(adv, states, actions)
+        Z = _path_sum(adv.reshape(-1, features.d), rows)
         best = max(best, float(np.linalg.norm(Z, axis=1).max()))
     return best
 

@@ -475,6 +475,30 @@ def gather_table(table: np.ndarray, states: np.ndarray, actions: np.ndarray) -> 
     return table[np.arange(T)[None, :], states, actions]
 
 
+def _path_rows(shape: tuple[int, ...], states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Row ``(t*S + s_t)*A + a_t`` of each visited entry of a ``(T, S, A, ...)``
+    table flattened over its first three axes, shape ``(T, N)``: one row per step."""
+    T, S, A = shape[:3]
+    return np.ascontiguousarray((np.arange(T)[:, None] * S + states.T) * A + actions.T)
+
+
+def _path_sum(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_t flat[rows[t]]`` for a table flattened to ``(T*S*A, ...)``: shape ``(N, ...)``.
+
+    Adds one row-``take`` per step in ``t`` order, so the ``(N, T, ...)`` gather
+    is never held, and is bit-identical to ``gather_table(...).sum(axis=1)``.
+    Where the trailing axes hold a single value, numpy sums the step axis of
+    the gather pairwise, so that gather (no larger than ``rows``) is reduced
+    the same way instead.
+    """
+    if flat[0].size <= 1:
+        return flat.take(np.ascontiguousarray(rows.T), axis=0).sum(axis=1)
+    total = flat.take(rows[0], axis=0)
+    for row in rows[1:]:
+        total += flat.take(row, axis=0)
+    return total
+
+
 def _gather_factors(
     mdp: Mdp, policy: Policy, states: np.ndarray, actions: np.ndarray
 ) -> np.ndarray:

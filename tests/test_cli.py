@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from test_mdp import random_mdp
 
 
 TINY_INSTANCE = {"S": 3, "A": 2, "T": 3, "d": 3, "beta": 0.7, "seed": 1}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -268,6 +270,25 @@ def test_rates_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+# configs/rates.json runs in test_acceptance.py; these are the other shipped configs
+OTHER_SHIPPED_CONFIGS = [
+    "geometry", "concentration", "fit", "equivalence_deterministic", "solve_zero_reward"
+]
+
+
+@pytest.mark.parametrize("name", OTHER_SHIPPED_CONFIGS)
+def test_shipped_config_runs_and_reruns_byte_identical(tmp_path, capsys, name):
+    path = CONFIGS / f"{name}.json"
+    (command,) = set(json.loads(path.read_text())) & set(cli._COMMANDS)
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([command, "--config", str(path), "--output", str(out)]) == 0
+        runs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
+    assert runs[0] and runs[0] == runs[1]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # equivalence / counterexample
 
@@ -368,6 +389,23 @@ def test_geometry_far_pairs_use_global_mode(tmp_path, capsys):
     )
     assert main(["geometry", "--config", cfg]) == 0
     assert capsys.readouterr().out.count("mode=global") == 2
+
+
+def test_geometry_far_pairs_past_the_float_range_pass(tmp_path, capsys):
+    """Deviation bounds above 709.8 give infinite upper bounds, not an OverflowError."""
+    geometry = json.loads((CONFIGS / "geometry.json").read_text())["geometry"]
+    geometry.update(pairs=2, placement="far", far_factor=2000.0)
+    cfg = write_config(
+        tmp_path, {"output_dir": str(tmp_path / "out"), "seed": 1, "geometry": geometry}
+    )
+    assert main(["geometry", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("mode=global") == 2 and "FAIL" not in out
+    pairs = json.loads((tmp_path / "out" / "geometry.json").read_text())["pairs"]
+    for pair in pairs:
+        ratio = pair["checks"][0]
+        assert ratio["name"] == "density_ratio" and ratio["passed"]
+        assert 500.0 < ratio["value"] <= pair["deviation_bound"]
 
 
 def test_geometry_bad_placement_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,24 +11,30 @@ import pytest
 import scipy.optimize
 
 from soft_irl import (
+    Dataset,
     FitConfig,
+    GeometryCheck,
     InputError,
     InstanceSpec,
     Policy,
     RATE_METRICS,
     RateConfig,
+    batch_trajectory_probs,
     check_concentration,
     check_local_geometry,
     chi,
     derivative_bundle,
     dikin_boundary_pair,
     empirical_feature_expectation,
+    enumerate_support,
     fit_empirical,
     generate_instance,
     psi,
     run_rate_experiment,
     sample_trajectories,
     solve_model,
+    trajectory_log_prob,
+    uniform_policy,
 )
 from soft_irl.experiments import _cell_seed
 from soft_irl.linear_reward import LinearRewardModel
@@ -59,6 +66,17 @@ def test_psi_chi_branch_continuity():
         assert abs(above - below) <= 1e-11
     out = chi(np.array([-1.0, 0.0, 1.0]))
     assert out.shape == (3,) and out[1] == 1.0
+
+
+def test_psi_chi_are_infinite_past_the_float_range():
+    x = np.array([1.0, 709.0, 709.8, 1266.0, 1e5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, c = psi(x), chi(x)
+        assert psi(1266.0) == chi(1266.0) == math.inf
+    assert np.all(np.isinf(p[2:])) and np.all(np.isinf(c[2:]))
+    assert p[1] == pytest.approx(math.exp(709.0) / 709.0**2, rel=1e-12)
+    assert c[1] == pytest.approx(math.exp(709.0) / 709.0, rel=1e-12)
 
 
 def test_chi_lower_bound_on_grid():
@@ -176,6 +194,58 @@ def test_geometry_far_pair_uses_global_bounds():
     assert report.delta_h0_norm > report.dikin_radius
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.lower} <= {check.value} <= {check.upper}"
+
+
+def test_an_infinite_bound_leaves_the_other_tolerance_alone():
+    assert not GeometryCheck("sandwich", 1.0, 0.5, math.inf).passed
+    assert GeometryCheck("sandwich", 1.0, 1.0 - 1e-10, math.inf).passed
+    assert not GeometryCheck("bregman", -math.inf, 2.0, 1.0).passed
+    assert not GeometryCheck("density_ratio", 0.0, math.inf, 5.0).passed
+
+
+def _far_pairs(count, far_factor):
+    """The first pairs of ``soft-irl geometry`` on configs/geometry.json, placed far."""
+    spec = InstanceSpec(S=4, A=2, T=3, d=4, beta=0.5, seed=1)
+    inst = generate_instance(spec)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1, spawn_key=(7,))))
+    for _ in range(count):
+        theta0 = 0.5 * rng.normal(size=spec.d)
+        direction = rng.normal(size=spec.d)
+        theta1 = dikin_boundary_pair(
+            inst.mdp, inst.features, spec.beta, theta0, direction, boundary_factor=far_factor
+        )
+        yield inst, spec.beta, theta0, theta1
+
+
+def test_far_pair_density_ratio_is_finite_where_trajectory_probabilities_underflow():
+    """Deviations past exp's float range: finite ratios, infinite upper bounds, no warning."""
+    underflows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst, beta, theta0, theta1 in _far_pairs(2, far_factor=2000.0):
+            mdp, features = inst.mdp, inst.features
+            report = check_local_geometry(mdp, features, beta, theta0, theta1)
+            assert report.mode == "global" and report.deviation_bound > 1000.0
+            ratio = report.checks[0]
+            assert ratio.name == "density_ratio"
+            assert math.isfinite(ratio.value) and 500.0 < ratio.value <= report.deviation_bound
+            assert report.all_passed
+            upper = {check.name: check.upper for check in report.checks}
+            assert upper["hessian_sandwich_max"] == upper["bregman"] == math.inf
+
+            pi0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta).pi_star
+            pi1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta).pi_star
+            states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
+            underflows.append(np.any(batch_trajectory_probs(mdp, pi1, states, actions) == 0.0))
+            # oracle: per-path log-likelihood ratio wherever neither law underflows
+            data = Dataset(states=states, actions=actions, seed=0)
+            with np.errstate(divide="ignore"):
+                gap = trajectory_log_prob(mdp, pi1, data) - trajectory_log_prob(mdp, pi0, data)
+            finite = np.abs(gap[np.isfinite(gap)])
+            assert finite.max() <= ratio.value * (1.0 + 1e-12)
+    # the first pair has a path whose product of factors underflows to 0, so a
+    # ratio of trajectory probabilities would read inf there
+    assert underflows == [True, False]
 
 
 def test_dikin_boundary_pair_scores_each_segment_once(monkeypatch):
@@ -305,16 +375,24 @@ def test_rate_experiment_reproducible():
 
 
 def test_rate_experiment_needs_no_trajectory_probabilities(monkeypatch):
+    import soft_irl
     import soft_irl.experiments as experiments
+    import soft_irl.mdp as mdp_module
 
     def no_gather(*args, **kwargs):
-        raise AssertionError("the rate experiment gathered trajectory probabilities")
+        raise AssertionError("trajectory probabilities were gathered")
 
-    monkeypatch.setattr(experiments, "batch_trajectory_probs", no_gather)
+    monkeypatch.setattr(mdp_module, "batch_trajectory_probs", no_gather)
+    monkeypatch.setattr(soft_irl, "batch_trajectory_probs", no_gather)
+    assert not hasattr(experiments, "batch_trajectory_probs")
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=2, data_seed=2)
     report = run_rate_experiment(cfg)
     assert len(report.records) == len(RATE_METRICS) * 2 * 2
     assert all(np.isfinite(v) and v > 0.0 for v in report.medians["hellinger_star"])
+
+    inst, theta0, theta1 = _instance_pair(3, boundary_factor=1.0)
+    geometry = check_local_geometry(inst.mdp, inst.features, TINY.beta, theta0, theta1)
+    assert geometry.mode == "local" and geometry.all_passed
 
 
 def test_rate_records_are_complete_and_nonnegative():

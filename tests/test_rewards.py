@@ -9,6 +9,7 @@ from soft_irl import (
     DEFAULT_ENUMERATION_CAP,
     Dataset,
     FeatureMap,
+    InstanceSpec,
     LinearRewardModel,
     Mdp,
     RewardTable,
@@ -17,9 +18,12 @@ from soft_irl import (
     effective_dimension,
     enumerate_support,
     feature_advantage,
+    gather_table,
+    generate_instance,
     geometry_constants,
     kernel_basis,
     max_cumulative_feature_norm,
+    max_score_norm,
     policy_evaluate,
     reward_of,
     score,
@@ -28,6 +32,7 @@ from soft_irl import (
     soft_backward,
     third_derivative,
     trajectory_kl,
+    uniform_policy,
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
@@ -280,6 +285,77 @@ def test_score_single_step_is_centered_feature():
     Z = score(mdp, model, 1.0, tau)
     assert Z.shape == (1, 1)
     assert Z[0, 0] == pytest.approx(expected, abs=1e-12)
+
+
+def gathered_scores(table, states, actions):
+    """Oracle: hold the ``(N, T, ...)`` gather, then reduce its step axis with numpy."""
+    return gather_table(table, states, actions).sum(axis=1)
+
+
+def gathered_max_score_norm(mdp, features, beta, thetas, states, actions):
+    best = 0.0
+    for theta in thetas:
+        pi = solve_model(mdp, model_at(features, theta), beta).pi_star
+        Z = gathered_scores(feature_advantage(mdp, features, pi), states, actions)
+        best = max(best, float(np.linalg.norm(Z, axis=1).max()))
+    return best
+
+
+def score_oracle_cases():
+    """(mdp, features, beta, thetas): the rates instance, a deterministic one and d = 9."""
+    rates = generate_instance(InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5))
+    rng = np.random.default_rng(2605)
+    thetas = [0.5 * rng.normal(size=6) for _ in range(3)] + [np.zeros(6)]
+    yield "rates", rates.mdp, rates.features, 0.5, thetas
+    for name, deterministic, d in (("deterministic", True, 4), ("d9", False, 9)):
+        rng = np.random.default_rng(91 + d)
+        mdp = random_mdp(rng, S=4, A=3, T=3, deterministic=deterministic)
+        features = random_features(rng, mdp, d)
+        yield name, mdp, features, 0.7, [3.0 * rng.normal(size=d) for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", list(score_oracle_cases()), ids=lambda case: case[0])
+def test_path_sum_scores_are_bitwise_the_gathered_sum(case):
+    _, mdp, features, beta, thetas = case
+    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
+    for theta in thetas:
+        pi = solve_model(mdp, model_at(features, theta), beta).pi_star
+        adv = feature_advantage(mdp, features, pi)
+        expected = gathered_scores(adv, states, actions)
+        assert np.array_equal(batch_scores(adv, states, actions), expected)
+    got = max_score_norm(mdp, features, beta, thetas, states, actions)
+    assert got == gathered_max_score_norm(mdp, features, beta, thetas, states, actions)
+    if features.d == 6:
+        assert len(states) == (mdp.S * mdp.A) ** mdp.T == 50625  # every path of the rates instance
+
+
+@pytest.mark.parametrize("T, trailing", [(3, ()), (9, ()), (9, (1,)), (9, (2,)), (12, (2, 3))])
+def test_path_sum_scores_match_the_gathered_sum_for_any_trailing_shape(T, trailing):
+    """From T = 8 on, numpy sums the gather's step axis pairwise where the
+    trailing axes hold one value."""
+    rng = np.random.default_rng(T + len(trailing))
+    S, A, n = 3, 2, 500
+    shape = (T, S, A) + trailing
+    table = rng.normal(size=shape) * np.exp(4.0 * rng.normal(size=shape))
+    states, actions = rng.integers(S, size=(n, T)), rng.integers(A, size=(n, T))
+    Z = batch_scores(table, states, actions)
+    assert Z.shape == (n,) + trailing
+    assert np.array_equal(Z, gathered_scores(table, states, actions))
+
+
+def test_one_row_dataset_scores_are_bitwise_the_gathered_sum():
+    rng = np.random.default_rng(17)
+    mdp = random_mdp(rng, S=3, A=2, T=4)
+    features = random_features(rng, mdp, 5)
+    model = model_at(features, rng.normal(size=5))
+    data = Dataset(states=[[2, 0, 1, 1]], actions=[[1, 1, 0, 1]], seed=0)
+    adv = feature_advantage(mdp, features, solve_model(mdp, model, 0.8).pi_star)
+    expected = gathered_scores(adv, data.states, data.actions)
+    assert expected.shape == (1, 5)
+    assert np.array_equal(score(mdp, model, 0.8, data), expected)
+    assert np.array_equal(batch_scores(adv, data.states, data.actions), expected)
+    norm = max_score_norm(mdp, features, 0.8, [model.theta], data.states, data.actions)
+    assert norm == float(np.linalg.norm(expected, axis=1).max())
 
 
 # ---------------------------------------------------------------------------
