@@ -38,6 +38,7 @@ from .linear_reward import (
     max_cumulative_feature_norm,
     max_score_norm,
     solve_model,
+    _solution_bundle,
 )
 from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
 
@@ -507,8 +508,12 @@ def check_local_geometry(
     theta1 = np.asarray(theta1, dtype=np.float64)
     delta = theta1 - theta0
 
-    bundle0 = derivative_bundle(mdp, LinearRewardModel(features=features, theta=theta0), beta)
-    bundle1 = derivative_bundle(mdp, LinearRewardModel(features=features, theta=theta1), beta)
+    model0 = LinearRewardModel(features=features, theta=theta0)
+    model1 = LinearRewardModel(features=features, theta=theta1)
+    solution0 = solve_model(mdp, model0, beta)
+    solution1 = solve_model(mdp, model1, beta)
+    bundle0 = _solution_bundle(mdp, model0, solution0)
+    bundle1 = _solution_bundle(mdp, model1, solution1)
     H0, H1 = bundle0.hessian, bundle1.hessian
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
@@ -524,8 +529,6 @@ def check_local_geometry(
     deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
     local = delta_h0 <= dikin * (1.0 + 1e-12)
 
-    solution0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta)
-    solution1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta)
     pi0, pi1 = solution0.pi_star, solution1.pi_star
 
     # The initial and kernel factors of the two trajectory laws cancel, so the

@@ -38,6 +38,7 @@ from .mdp import (
 from .soft_dp import (
     RewardTable,
     SoftSolution,
+    _expected_next,
     _martingale_covariance,
     _weighted_second_moment,
     feature_advantage,
@@ -173,11 +174,19 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
     is its occupancy-weighted second moment of per-step feature advantages,
     divided by ``beta``.
     """
-    solution, adv = _gibbs_advantage(mdp, model, beta)
+    return _solution_bundle(mdp, model, solve_model(mdp, model, beta))
+
+
+def _solution_bundle(
+    mdp: Mdp, model: LinearRewardModel, solution: SoftSolution
+) -> DerivativeBundle:
+    """:func:`derivative_bundle` at ``model.theta`` from the soft solution of
+    the model's reward, for callers that already hold it."""
+    adv = feature_advantage(mdp, model.features, solution.pi_star)
     mu = forward_occupancy(mdp, solution.pi_star).mu
     grad = mu.ravel() @ model.features.phi.reshape(-1, model.features.d)
     return DerivativeBundle(
-        J_star=solution.J_star, grad=grad, hessian=_weighted_second_moment(mu, adv) / beta
+        J_star=solution.J_star, grad=grad, hessian=_weighted_second_moment(mu, adv) / solution.beta
     )
 
 
@@ -229,7 +238,8 @@ def third_derivative(
     pairs = ((1, 2), (0, 2), (0, 1))  # the other two directions of each one
     _, M2 = feature_values(mdp, np.stack([x[..., j] * x[..., k] for j, k in pairs], axis=-1), pi)
     next_M2 = np.zeros(x.shape)
-    next_M2[:-1] = np.einsum("tsaz,tzk->tsak", mdp.kernels, M2[1:-1])
+    for t in range(mdp.T - 1):
+        next_M2[t] = _expected_next(mdp.kernels[t], M2[t + 1])
     local = x[..., 0] * x[..., 1] * x[..., 2] + (x * next_M2).sum(axis=-1)
     _, M3 = feature_values(mdp, local[..., None], pi)
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
@@ -352,10 +362,11 @@ def geometry_constants(
         B_phi = float(np.sqrt((features.phi**2).sum(axis=3)).max(axis=(1, 2)).sum())
         B_A_phi = 2.0 * mdp.T * B_phi
 
-    H = derivative_bundle(mdp, model, beta).hessian
+    solution = solve_model(mdp, model, beta)
+    H = _solution_bundle(mdp, model, solution).hessian
     lambda_star = float(np.linalg.eigvalsh(H).min())
     if expert is None:
-        expert = solve_model(mdp, model, beta).pi_star
+        expert = solution.pi_star
     if lambda_star > 1e-10:
         d_star = effective_dimension(mdp, features, expert, H).d_star
     else:

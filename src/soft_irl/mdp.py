@@ -235,7 +235,7 @@ def forward_occupancy(mdp: Mdp, policy: Policy) -> OccupancyMeasures:
     for t in range(mdp.T):
         mu[t] = marginal[:, None] * policy.probs[t]
         if t < mdp.T - 1:
-            marginal = np.einsum("sa,saz->z", mu[t], mdp.kernels[t])
+            marginal = mu[t].ravel() @ mdp.kernels[t].reshape(mdp.S * mdp.A, mdp.S)
     return OccupancyMeasures(mu=mu)
 
 

@@ -39,8 +39,8 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle
-from .soft_dp import _optimal_value
+from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle, _solution_bundle
+from .soft_dp import _gibbs_solution, _optimal_value, _optimal_values
 
 _RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
 # Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
@@ -171,8 +171,11 @@ def _restricted_newton_step(
     return step, decrement, ridge_used
 
 
-def _loss(mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray) -> float:
-    """``L(theta) = J*(theta) - <theta, target>`` from one value-only soft pass.
+def _loss_and_values(
+    mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """``L(theta) = J*(theta) - <theta, target>`` from one value-only soft pass,
+    with that pass's soft-optimal ``(Q, V)``.
 
     The checks of the public types stay at the boundary; the one that remains
     here keeps a non-finite trial reward from becoming a silent NaN.
@@ -181,7 +184,13 @@ def _loss(mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.
         r = phi @ theta
     if not np.isfinite(r).all():
         raise InvariantError("loss: the reward at the trial parameter is not finite")
-    return _optimal_value(mdp, r, beta) - float(theta @ target)
+    Q, V = _optimal_values(mdp, r, beta)
+    return float(mdp.initial_dist @ V[0]) - float(theta @ target), (Q, V)
+
+
+def _loss(mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray) -> float:
+    """``L(theta)`` alone, as :func:`_loss_and_values` computes it."""
+    return _loss_and_values(mdp, phi, target, beta, theta)[0]
 
 
 def _separation(
@@ -215,6 +224,11 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
 
     def bundle_at(theta: np.ndarray):
         return derivative_bundle(mdp, model0.with_theta(theta), beta)
+
+    def bundle_from(theta: np.ndarray, values):
+        # the line search already solved the accepted point: no second soft pass
+        solution = _gibbs_solution(mdp, beta, *values)
+        return _solution_bundle(mdp, model0.with_theta(theta), solution)
 
     def newton_step(bundle):
         return _restricted_newton_step(
@@ -259,7 +273,7 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
         accepted = False
         while alpha > 2.0**-60:
             candidate = _project_ball(theta + alpha * step, config.B_theta)
-            candidate_loss = loss_at(candidate)
+            candidate_loss, candidate_values = _loss_and_values(mdp, phi, target, beta, candidate)
             if candidate_loss <= loss + config.line_search_accept * alpha * directional:
                 accepted = True
                 break
@@ -286,7 +300,7 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
             break
         trace[-1] = replace(trace[-1], step_size=alpha)
         theta, loss = candidate, candidate_loss
-        bundle = next_bundle if next_bundle is not None else bundle_at(theta)
+        bundle = next_bundle if next_bundle is not None else bundle_from(theta, candidate_values)
         iterations = it + 1
 
     active = float(np.linalg.norm(theta)) >= config.B_theta * (1.0 - 1e-9)

@@ -140,8 +140,14 @@ def _check_reward(mdp: Mdp, reward: RewardTable) -> None:
 
 
 def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """(P_t v)(s, a) for a value vector or a batch of value columns."""
-    return np.einsum("saz,z...->sa...", kernel_t, v_next)
+    """``(P_t v)(s, a, ...)`` for a value vector or a batch of value columns.
+
+    One matmul of the ``(S*A, S)`` kernel with ``v`` flattened to ``(S, -1)``,
+    so the product runs in BLAS whatever the trailing shape of ``v``.
+    """
+    S, A, Z = kernel_t.shape
+    flat = kernel_t.reshape(S * A, Z) @ v_next.reshape(Z, -1)
+    return flat.reshape((S, A) + v_next.shape[1:])
 
 
 def _backward(kernels: np.ndarray, r: np.ndarray, backup) -> tuple[np.ndarray, np.ndarray]:
@@ -176,28 +182,29 @@ def _backup(mdp: Mdp, beta: float):
     return log_sum_exp
 
 
+def _optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal ``(Q, V)`` of the reward table ``r`` and nothing else: no policy, no checks.
+
+    The tables :func:`soft_backward` (``beta > 0``) or :func:`hard_backward`
+    (``beta = 0``) solve for, bit for bit.  For internal loops whose caller
+    has already validated ``r`` and ``beta``.
+    """
+    return _backward(mdp.kernels, r, _backup(mdp, beta))
+
+
 def _optimal_value(mdp: Mdp, r: np.ndarray, beta: float) -> float:
-    """Optimal value of the reward table ``r`` and nothing else: no policy, no checks.
+    """Optimal value of the reward table ``r``, as :func:`_optimal_values` computes it.
 
     Bit-identical to ``soft_backward(...).J_star`` for ``beta > 0`` and to
-    ``hard_backward(...).J`` for ``beta = 0``.  For internal loops whose
-    caller has already validated ``r`` and ``beta``.
+    ``hard_backward(...).J`` for ``beta = 0``.
     """
-    _, V = _backward(mdp.kernels, r, _backup(mdp, beta))
+    _, V = _optimal_values(mdp, r, beta)
     return float(mdp.initial_dist @ V[0])
 
 
-def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
-    """Solve the entropy-regularized control problem by backward induction.
-
-    Backups are log-sum-exp with max subtraction, stable down to very small
-    temperatures (``beta ~ 1e-3``).  Requires ``beta > 0``; for ``beta = 0``
-    use :func:`hard_backward`.
-    """
-    _check_reward(mdp, reward)
-    if not beta > 0.0:
-        raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
-    Q, V = _backward(mdp.kernels, reward.r, _backup(mdp, beta))
+def _gibbs_solution(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> SoftSolution:
+    """The :class:`SoftSolution` of soft-optimal tables ``(Q, V)``: the Gibbs
+    policy, checked as a :class:`Policy`, and ``J*``."""
     probs = np.exp((Q - V[:-1, :, None]) / beta + mdp.log_ref_measure)
     # Rows sum to one analytically; renormalize away the last few ulps so
     # downstream validators can insist on tight stochasticity.
@@ -211,10 +218,24 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     )
 
 
+def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
+    """Solve the entropy-regularized control problem by backward induction.
+
+    Backups are log-sum-exp with max subtraction, stable down to very small
+    temperatures (``beta ~ 1e-3``).  Requires ``beta > 0``; for ``beta = 0``
+    use :func:`hard_backward`.
+    """
+    _check_reward(mdp, reward)
+    if not beta > 0.0:
+        raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
+    Q, V = _optimal_values(mdp, reward.r, beta)
+    return _gibbs_solution(mdp, beta, Q, V)
+
+
 def hard_backward(mdp: Mdp, reward: RewardTable) -> HardSolution:
     """Unregularized backward induction; ties resolve to the lowest action index."""
     _check_reward(mdp, reward)
-    Q, V = _backward(mdp.kernels, reward.r, _backup(mdp, 0.0))
+    Q, V = _optimal_values(mdp, reward.r, 0.0)
     probs = np.zeros_like(Q)
     np.put_along_axis(probs, Q.argmax(axis=-1)[..., None], 1.0, axis=-1)
     policy = Policy(probs=probs, label="greedy")
@@ -279,7 +300,7 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
         raise DimensionError("features", (mdp.T, mdp.S, mdp.A, "d"), phi.shape)
     _check_compatible(mdp, policy)
     probs = policy.probs
-    return _backward(mdp.kernels, phi, lambda t, q: np.einsum("sa,sad->sd", probs[t], q))
+    return _backward(mdp.kernels, phi, lambda t, q: np.matmul(probs[t][:, None, :], q)[:, 0, :])
 
 
 def feature_advantage(mdp: Mdp, features, policy: Policy) -> np.ndarray:
@@ -293,7 +314,10 @@ def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
 
     Computed from occupancies as the state-marginal-weighted sum of per-step
     action KLs, so no enumeration is needed.  ``+inf`` when ``p`` puts mass
-    where ``q`` does not on a reachable state.
+    where ``q`` does not on a reachable state; states ``p`` never reaches
+    contribute nothing.  Never negative: each action KL is clamped at 0, which
+    it can undershoot only by rounding (Gibbs' inequality), so ``p == q``
+    gives exactly 0.
     """
     _check_compatible(mdp, p)
     _check_compatible(mdp, q)
@@ -303,11 +327,13 @@ def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
     for t in range(mdp.T):
         pm, qm = p.probs[t], q.probs[t]
         support = pm > 0.0
-        if np.any(support & (qm == 0.0) & (marginals[t][:, None] > 0.0)):
+        reachable = marginals[t] > 0.0
+        if np.any(support & (qm == 0.0) & reachable[:, None]):
             return float("inf")
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(support, pm * (np.log(pm) - np.log(qm)), 0.0)
-        total += float(marginals[t] @ np.nan_to_num(terms, nan=0.0, posinf=np.inf).sum(axis=-1))
+        action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
+        total += float(marginals[t] @ action_kl)
     return total
 
 
@@ -395,7 +421,7 @@ def _martingale_covariance(
     mean0 = mdp.initial_dist @ V[0]
     dynamics = _weighted_second_moment(mdp.initial_dist, V[0]) - np.outer(mean0, mean0)
     for k in range(1, mdp.T):
-        cond_mean = np.einsum("saz,zd->sad", mdp.kernels[k - 1], V[k])
+        cond_mean = _expected_next(mdp.kernels[k - 1], V[k])
         dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k])
         dynamics -= _weighted_second_moment(mu[k - 1], cond_mean)
     return _weighted_second_moment(mu, adv), dynamics

@@ -4,7 +4,10 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +290,26 @@ def test_shipped_config_runs_and_reruns_byte_identical(tmp_path, capsys, name):
         runs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
     assert runs[0] and runs[0] == runs[1]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["fit", "geometry", "concentration"])
+def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, name):
+    """The successor products and Hessians run in BLAS; on the shipped configs
+    one and two OpenBLAS threads must write the same bytes."""
+    path = CONFIGS / f"{name}.json"
+    (command,) = set(json.loads(path.read_text())) & set(cli._COMMANDS)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [command, "--config", str(path), "--output", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "soft_irl.cli", *argv], env=env, check=True, capture_output=True
+        )
+        runs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
+    assert runs[0] and runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

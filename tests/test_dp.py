@@ -2,29 +2,44 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soft_irl import (
     DomainError,
+    FeatureMap,
+    FitConfig,
+    InstanceSpec,
+    LinearRewardModel,
     Mdp,
     Policy,
     RewardTable,
     VarianceDecomposition,
     delta_terms,
+    derivative_bundle,
+    effective_dimension,
     enumerate_support,
     feature_advantage,
+    feature_values,
+    fit_population,
+    forward_occupancy,
     gather_table,
+    generate_instance,
     hard_backward,
     log_policy_density,
     policy_evaluate,
     return_decomposition,
     sample_trajectories,
     soft_backward,
+    solve_model,
+    third_derivative,
     trajectory_hellinger,
     trajectory_kl,
     uniform_policy,
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
+from soft_irl.soft_dp import _expected_next
 
 from test_mdp import random_mdp, random_policy
 
@@ -244,6 +259,50 @@ def test_kl_missing_support_is_infinite():
     assert trajectory_kl(mdp, uniform_policy(mdp), q) == np.inf
     # the reverse direction stays finite: q's support is contained in p's
     assert np.isfinite(trajectory_kl(mdp, q, uniform_policy(mdp)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1e-16, 1e-15, -1e-15, 1e-13]),
+)
+def test_kl_of_near_equal_gibbs_policies_is_never_negative(seed, S, A, T, rel):
+    """The exact KL is >= 0 (Gibbs' inequality); rounding must not push the
+    computed one below it when the two laws agree to the last few ulps."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    r = rng.normal(size=(T, S, A))
+    p = soft_backward(mdp, RewardTable(r=r), 0.5).pi_star
+    q = soft_backward(mdp, RewardTable(r=r * (1.0 + rel)), 0.5).pi_star
+    assert trajectory_kl(mdp, p, q) >= 0.0
+    assert trajectory_kl(mdp, q, p) >= 0.0
+    assert trajectory_kl(mdp, p, p) == 0.0
+
+
+def test_kl_near_equal_on_the_rates_instance_is_never_negative():
+    inst = generate_instance(InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5))
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        theta = rng.normal(size=6)
+        p, q = (
+            solve_model(inst.mdp, LinearRewardModel(inst.features, th), 0.5).pi_star
+            for th in (theta, theta * (1 + 1e-15))
+        )
+        assert trajectory_kl(inst.mdp, p, q) >= 0.0
+
+
+def test_kl_ignores_disjoint_support_on_unreachable_states():
+    # every move stays in state 0, so state 1 is never reached
+    kernels = np.zeros((1, 2, 2, 2))
+    kernels[..., 0] = 1.0
+    mdp = Mdp(T=2, S=2, A=2, initial_dist=[1.0, 0.0], kernels=kernels, ref_measure=[1.0, 1.0])
+    p = np.full((2, 2, 2), 0.5)
+    q = p.copy()
+    q[1, 1] = [1.0, 0.0]
+    assert trajectory_kl(mdp, Policy(probs=p), Policy(probs=q)) == 0.0
 
 
 def test_kl_matches_enumeration():
@@ -515,3 +574,116 @@ def test_variance_components_vanish_in_degenerate_cases():
     sol = soft_backward(sto, reward, beta)
     assert variance_decomposition(sto, reward, sol.pi_star, beta).action == \
         pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# successor products: the BLAS matmuls against the einsum forms they replaced
+#
+# Every input below is non-negative, so each product is a sum of non-negative
+# terms and any two summation orders agree to a few ulps relative, entry by
+# entry: rtol = 1e-13 with no absolute slack.
+
+
+def einsum_expected_next(kernel_t, v_next):
+    return np.einsum("saz,z...->sa...", kernel_t, v_next)
+
+
+def einsum_feature_values(mdp, phi, policy):
+    T, S = phi.shape[:2]
+    Q, V = np.empty(phi.shape), np.zeros((T + 1, S) + phi.shape[3:])
+    for t in reversed(range(T)):
+        Q[t] = phi[t]
+        if t < T - 1:
+            Q[t] += einsum_expected_next(mdp.kernels[t], V[t + 1])
+        V[t] = np.einsum("sa,sad->sd", policy.probs[t], Q[t])
+    return Q, V
+
+
+def einsum_occupancy(mdp, policy):
+    mu = np.empty((mdp.T, mdp.S, mdp.A))
+    marginal = mdp.initial_dist
+    for t in range(mdp.T):
+        mu[t] = marginal[:, None] * policy.probs[t]
+        if t < mdp.T - 1:
+            marginal = np.einsum("sa,saz->z", mu[t], mdp.kernels[t])
+    return mu
+
+
+def assert_matches_einsum(value, expected):
+    assert value.shape == expected.shape
+    np.testing.assert_allclose(value, expected, rtol=1e-13, atol=0.0)
+
+
+# (S, A, T, d): the rates instance and the fit_large benchmark instance
+SUCCESSOR_SIZES = [(5, 3, 4, 6), (50, 10, 20, 50)]
+
+
+@pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES)
+@pytest.mark.parametrize("tail", [(), "d", (3,), (2, 3)])
+def test_expected_next_matches_einsum(S, A, T, d, tail):
+    rng = np.random.default_rng(S + len(tail))
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    tail = (d,) if tail == "d" else tail
+    for t in range(T - 1):
+        v = rng.random((S,) + tail)
+        kernel = mdp.kernels[t]
+        assert_matches_einsum(_expected_next(kernel, v), einsum_expected_next(kernel, v))
+
+
+@pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES + [(4, 3, 1, 5)])
+def test_feature_values_and_occupancy_match_einsum(S, A, T, d):
+    rng = np.random.default_rng(S * T)
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    policy = random_policy(rng, mdp)
+    phi = rng.random((T, S, A, d))
+    Q, V = feature_values(mdp, phi, policy)
+    Q_ref, V_ref = einsum_feature_values(mdp, phi, policy)
+    assert_matches_einsum(Q, Q_ref)
+    assert_matches_einsum(V, V_ref)
+    assert_matches_einsum(forward_occupancy(mdp, policy).mu, einsum_occupancy(mdp, policy))
+
+
+def test_one_step_mdp_runs_every_successor_path():
+    """T = 1: no kernels, so every successor product is skipped; each changed
+    path must still give its closed form."""
+    rng = np.random.default_rng(41)
+    mdp = random_mdp(rng, S=4, A=3, T=1)
+    assert mdp.kernels.shape == (0, 4, 3, 4)
+    policy = random_policy(rng, mdp)
+    phi = rng.random((1, 4, 3, 2))
+    Q, V = feature_values(mdp, phi, policy)
+    assert np.array_equal(Q, phi)
+    assert_matches_einsum(V[0], np.einsum("sa,sad->sd", policy.probs[0], phi[0]))
+    mu = forward_occupancy(mdp, policy).mu
+    assert np.array_equal(mu[0], mdp.initial_dist[:, None] * policy.probs[0])
+
+    features = FeatureMap(phi=rng.normal(size=(1, 4, 3, 2)))
+    model = LinearRewardModel(features=features, theta=np.array([0.3, -0.7]))
+    beta = 0.8
+    pi = soft_backward(mdp, RewardTable(r=features.phi @ model.theta), beta).pi_star
+    # one step: the Hessian is the initial-weighted action covariance of phi / beta
+    mean = np.einsum("sa,sad->sd", pi.probs[0], features.phi[0])
+    centred = features.phi[0] - mean[:, None, :]
+    cov = np.einsum("s,sa,sai,saj->ij", mdp.initial_dist, pi.probs[0], centred, centred)
+    bundle = derivative_bundle(mdp, model, beta)
+    np.testing.assert_allclose(bundle.hessian, cov / beta, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(bundle.grad, mdp.initial_dist @ mean, rtol=1e-12)
+    # the one-step third moment of the score, and the split of its covariance
+    xi, zeta, omega = np.eye(2)[0], np.eye(2)[1], np.array([1.0, 1.0])
+    third = np.einsum(
+        "s,sa,sa,sa,sa->", mdp.initial_dist, pi.probs[0],
+        centred @ xi, centred @ zeta, centred @ omega,
+    )
+    value = third_derivative(mdp, model, beta, xi, zeta, omega)
+    assert value == pytest.approx(third / beta**2, rel=1e-12)
+    split = effective_dimension(mdp, features, pi, bundle.hessian)
+    np.testing.assert_allclose(split.action_part, cov, rtol=1e-12, atol=1e-15)
+    init_mean = mdp.initial_dist @ mean
+    dynamics = np.einsum("s,si,sj->ij", mdp.initial_dist, mean - init_mean, mean - init_mean)
+    np.testing.assert_allclose(split.dynamics_part, dynamics, rtol=1e-12, atol=1e-15)
+    # a fit reuses its line-search passes; the divergence needs no kernel either
+    fit = fit_population(mdp, features, policy, FitConfig(beta=beta))
+    assert fit.converged
+    at_fit = derivative_bundle(mdp, LinearRewardModel(features=features, theta=fit.theta_hat), beta)
+    assert np.array_equal(fit.hessian_at_solution, at_fit.hessian)
+    assert trajectory_kl(mdp, policy, pi) > 0.0 and trajectory_kl(mdp, pi, pi) == 0.0

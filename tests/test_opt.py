@@ -28,7 +28,7 @@ from soft_irl import (
     trajectory_kl,
     uniform_policy,
 )
-from soft_irl import opt
+from soft_irl import linear_reward, opt, soft_dp
 from soft_irl.errors import SoftIrlError
 from soft_irl.mdp import enumerate_support
 from soft_irl.soft_dp import RewardTable
@@ -341,6 +341,52 @@ def test_loss_is_bitwise_the_soft_value():
             J = solve_model(mdp, model_at(features, theta), 0.6).J_star
             assert opt._loss(mdp, features.phi, np.zeros(5), 0.6, theta) == J
             assert opt._loss(mdp, features.phi, target, 0.6, theta) == J - float(theta @ target)
+
+
+RATES_SPEC = InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5)  # the configs/rates.json instance
+
+
+@pytest.mark.parametrize("n, data_seed", [(256, 2), (1024, 1), (4096, 3), (64, 4)])
+def test_hessian_at_solution_is_the_bundle_at_theta_hat(n, data_seed):
+    """The accepted point's bundle is built from the line search's soft pass,
+    bit-identical to a fresh derivative bundle there."""
+    inst = generate_instance(RATES_SPEC)
+    data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
+    result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.5))
+    assert result.converged and result.iterations > 0
+    bundle = derivative_bundle(inst.mdp, model_at(inst.features, result.theta_hat), 0.5)
+    assert np.array_equal(result.hessian_at_solution, bundle.hessian)
+    assert result.gradient_norm == float(np.linalg.norm(
+        bundle.grad - empirical_feature_expectation(data, inst.features)
+    ))
+
+
+def count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n, data_seed", [(256, 2), (1024, 1), (4096, 3)])
+def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch, n, data_seed):
+    """One soft solve for the starting bundle and one per full-step fallback
+    (each of which asks for a derivative bundle): every accepted line-search
+    point reuses its own pass.  The first fit takes no fallback."""
+    inst = generate_instance(RATES_SPEC)
+    data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
+    calls = {"soft_backward": 0, "derivative_bundle": 0}
+    count_calls(monkeypatch, soft_dp, "soft_backward", calls)
+    count_calls(monkeypatch, linear_reward, "soft_backward", calls)
+    count_calls(monkeypatch, opt, "derivative_bundle", calls)
+    result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.5))
+    assert result.converged and result.iterations >= 6
+    assert calls["soft_backward"] == calls["derivative_bundle"] < result.iterations
+    if (n, data_seed) == (256, 2):
+        assert calls["soft_backward"] == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
