@@ -32,6 +32,7 @@ from .mdp import (
     gather_table,
     uniform_policy,
     _check_dataset,
+    _occupancy_average,
     _path_rows,
     _path_sum,
 )
@@ -183,10 +184,11 @@ def _solution_bundle(
     """:func:`derivative_bundle` at ``model.theta`` from the soft solution of
     the model's reward, for callers that already hold it."""
     adv = feature_advantage(mdp, model.features, solution.pi_star)
-    mu = forward_occupancy(mdp, solution.pi_star).mu
-    grad = mu.ravel() @ model.features.phi.reshape(-1, model.features.d)
+    mu = forward_occupancy(mdp, solution.pi_star)
     return DerivativeBundle(
-        J_star=solution.J_star, grad=grad, hessian=_weighted_second_moment(mu, adv) / solution.beta
+        J_star=solution.J_star,
+        grad=_occupancy_average(mu, model.features.phi),
+        hessian=_weighted_second_moment(mu, adv) / solution.beta,
     )
 
 
@@ -286,7 +288,7 @@ def effective_dimension(
     part, both computed from occupancies.  Exact at every size, with no
     enumeration or sampling.
     """
-    mu = forward_occupancy(mdp, expert).mu
+    mu = forward_occupancy(mdp, expert)
     Qfeat, Vfeat = feature_values(mdp, features, expert)
     adv = Qfeat - Vfeat[:-1, :, None, :]
     action_part, dynamics_part = _martingale_covariance(mdp, mu, adv, Vfeat)

@@ -27,8 +27,8 @@ from .mdp import (
     empirical_feature_expectation,
     feature_expectation,
     forward_occupancy,
-    gather_table,
     _check_dataset,
+    _visit_frequencies,
 )
 from .linear_reward import LinearRewardModel, reward_of, solve_model
 from .soft_dp import delta_terms, log_policy_density
@@ -91,26 +91,27 @@ def irl_population_loss(
     return solution.J_star - float(model.theta @ target)
 
 
+def _neg_log_likelihood(mu: np.ndarray, log_density: np.ndarray) -> float:
+    """``-sum mu log density`` over an occupancy; ``+inf`` as soon as a visited
+    entry has no mass."""
+    visited = mu > 0.0
+    if np.any(visited & np.isneginf(log_density)):
+        return float("inf")
+    # unvisited entries stay 0, never 0 * -inf
+    return float(-np.multiply(mu, log_density, out=np.zeros(mu.shape), where=visited).sum())
+
+
 def mle_loss(mdp: Mdp, policy: Policy, data: Dataset) -> float:
     """Average negative log-likelihood of the actions, density w.r.t. the
-    reference measure.  ``+inf`` as soon as any observed action has zero
-    probability."""
+    reference measure: the population formula at the empirical occupancy.
+    ``+inf`` as soon as any observed action has zero probability."""
     log_density = log_policy_density(mdp, policy)
-    _check_dataset(data, log_density)
-    terms = gather_table(log_density, data.states, data.actions)
-    if np.any(np.isneginf(terms)):
-        return float("inf")
-    return float(-terms.sum(axis=1).mean())
+    return _neg_log_likelihood(_visit_frequencies(data, log_density), log_density)
 
 
 def mle_population_loss(mdp: Mdp, policy: Policy, expert: Policy) -> float:
     """Expected negative log-likelihood under the expert's occupancy."""
-    log_density = log_policy_density(mdp, policy)
-    mu = forward_occupancy(mdp, expert).mu
-    visited = mu > 0.0
-    if np.any(visited & np.isneginf(log_density)):
-        return float("inf")
-    return float(-(np.where(visited, mu * log_density, 0.0)).sum())
+    return _neg_log_likelihood(forward_occupancy(mdp, expert), log_policy_density(mdp, policy))
 
 
 def soft_optimal_residuals(

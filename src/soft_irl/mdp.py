@@ -46,9 +46,8 @@ def _as_float_array(x, field_name: str, shape: tuple[int, ...] | None = None) ->
 def _check_distribution(arr: np.ndarray, field_name: str, axis: int = -1) -> None:
     if np.any(arr < 0.0):
         raise InvariantError(f"{field_name}: negative probability entry")
-    sums = arr.sum(axis=axis)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=_DIST_ATOL):
-        worst = float(np.max(np.abs(sums - 1.0)))
+    worst = float(np.max(np.abs(arr.sum(axis=axis) - 1.0), initial=0.0))
+    if not worst <= _DIST_ATOL:  # a NaN sum fails too
         raise InvariantError(
             f"{field_name}: rows must sum to 1 within {_DIST_ATOL} (worst error {worst:.3e})"
         )
@@ -186,31 +185,6 @@ class Dataset:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyMeasures:
-    """Exact state-action visitation probabilities ``mu[t, s, a]``."""
-
-    mu: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=np.float64)
-        if mu.ndim != 3:
-            raise DimensionError("mu", "(T, S, A)", mu.shape)
-        object.__setattr__(self, "mu", _as_float_array(mu, "mu"))
-        if np.any(self.mu < 0.0):
-            raise InvariantError("mu: negative occupancy entry")
-        sums = self.mu.sum(axis=(1, 2))
-        if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-10):
-            raise InvariantError("mu: per-step occupancies must sum to 1 within 1e-10")
-
-    @property
-    def T(self) -> int:
-        return self.mu.shape[0]
-
-    def state_marginals(self) -> np.ndarray:
-        return self.mu.sum(axis=2)
-
-
 def _check_compatible(mdp: Mdp, policy: Policy) -> None:
     if policy.probs.shape != (mdp.T, mdp.S, mdp.A):
         raise DimensionError("policy.probs", (mdp.T, mdp.S, mdp.A), policy.probs.shape)
@@ -227,8 +201,9 @@ def _check_dataset(data: Dataset, table: np.ndarray) -> None:
         raise InvariantError(f"dataset action index out of range (A={A})")
 
 
-def forward_occupancy(mdp: Mdp, policy: Policy) -> OccupancyMeasures:
-    """Propagate the initial distribution through ``policy`` exactly."""
+def forward_occupancy(mdp: Mdp, policy: Policy) -> np.ndarray:
+    """State-action visitation probabilities ``mu[t, s, a]`` of ``policy``,
+    propagated exactly from the initial distribution: shape ``(T, S, A)``."""
     _check_compatible(mdp, policy)
     mu = np.empty((mdp.T, mdp.S, mdp.A))
     marginal = mdp.initial_dist
@@ -236,7 +211,7 @@ def forward_occupancy(mdp: Mdp, policy: Policy) -> OccupancyMeasures:
         mu[t] = marginal[:, None] * policy.probs[t]
         if t < mdp.T - 1:
             marginal = mu[t].ravel() @ mdp.kernels[t].reshape(mdp.S * mdp.A, mdp.S)
-    return OccupancyMeasures(mu=mu)
+    return mu
 
 
 # Constants of numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx,
@@ -531,8 +506,36 @@ def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
         return np.log(factors).sum(axis=1)
 
 
+def _visit_frequencies(data: Dataset, table: np.ndarray) -> np.ndarray:
+    """Empirical occupancy ``mu_hat[t, s, a] = N_t(s, a) / n`` of ``data`` on
+    ``table``'s ``(T, S, A)`` axes.
+
+    The dataset is checked first: an out-of-range index would otherwise be
+    counted, silently, in a cell of another step.
+    """
+    _check_dataset(data, table)
+    T, S, A = table.shape[:3]
+    rows = _path_rows(table.shape, data.states, data.actions)
+    return (np.bincount(rows.ravel(), minlength=T * S * A) / len(data)).reshape(T, S, A)
+
+
+def _occupancy_average(mu: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``sum_t <mu_t, table_t>`` of a ``(T, S, A, d)`` table at an occupancy: shape ``(d,)``."""
+    return mu.reshape(-1) @ table.reshape(mu.size, -1)
+
+
+def _feature_table(features, mdp: Mdp) -> np.ndarray:
+    """``features``, a feature-map object exposing ``.phi`` or a raw array, as
+    a float ``(T, S, A, d)`` table on ``mdp``'s axes."""
+    phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
+    if phi.ndim != 4 or phi.shape[:3] != (mdp.T, mdp.S, mdp.A):
+        raise DimensionError("features", (mdp.T, mdp.S, mdp.A, "d"), phi.shape)
+    return phi
+
+
 def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
-    """Average per-trajectory feature return ``(1/n) sum_i sum_t phi_t(s, a)``.
+    """Average per-trajectory feature return ``(1/n) sum_i sum_t phi_t(s, a)``,
+    the population formula at the empirical occupancy.
 
     ``features`` may be a feature-map object exposing ``.phi`` or a raw array
     of shape ``(T, S, A, d)``.
@@ -540,25 +543,10 @@ def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
     phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
     if phi.ndim != 4:
         raise DimensionError("features", "(T, S, A, d)", phi.shape)
-    _check_dataset(data, phi)
-    # Group repeated trajectories and average with multiplicity weights: the
-    # empirical measure lives on a finite trajectory space, and this keeps the
-    # average exact when every draw is the same trajectory.  Sorting the rows
-    # lexicographically gives the groups in the order np.unique(axis=0) does.
-    rows = np.concatenate([data.states, data.actions], axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    starts = np.flatnonzero(np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)]))
-    counts = np.diff(np.append(starts, len(rows)))
-    u_states, u_actions = rows[starts, : data.T], rows[starts, data.T :]
-    # (k, T, d): gather each visited feature vector, then sum steps in t order
-    return (counts / len(data)) @ gather_table(phi, u_states, u_actions).sum(axis=1)
+    return _occupancy_average(_visit_frequencies(data, phi), phi)
 
 
 def feature_expectation(mdp: Mdp, policy: Policy, features) -> np.ndarray:
     """Population feature expectation ``sum_t <phi_t, mu_t>`` under ``policy``."""
-    phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
-    mu = forward_occupancy(mdp, policy).mu
-    out = np.zeros(phi.shape[-1])
-    for t in range(mdp.T):  # accumulate in t order (matches the empirical sum)
-        out = out + np.einsum("sa,sad->d", mu[t], phi[t])
-    return out
+    phi = _feature_table(features, mdp)
+    return _occupancy_average(forward_occupancy(mdp, policy), phi)

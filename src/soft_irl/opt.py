@@ -116,15 +116,6 @@ class IrlFitResult:
         return self.status == "converged"
 
 
-def newton_decrement(grad: np.ndarray, hessian: np.ndarray, ridge: float = 0.0) -> float:
-    """``sqrt(g^T (H + ridge I)^{-1} g)`` for a PSD ``H``."""
-    H = np.asarray(hessian, dtype=np.float64)
-    g = np.asarray(grad, dtype=np.float64)
-    if ridge > 0.0:
-        H = H + ridge * np.eye(H.shape[0])
-    return float(np.sqrt(g @ np.linalg.solve(H, g)))
-
-
 def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
     norm = float(np.linalg.norm(theta))
     if norm <= radius:

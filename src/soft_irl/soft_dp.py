@@ -31,6 +31,7 @@ from .mdp import (
     gather_table,
     _check_compatible,
     _check_dataset,
+    _feature_table,
 )
 
 
@@ -295,9 +296,7 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
     coordinate's table), fused into a single backward pass.  Returns
     ``(Q, V)`` with shapes ``(T, S, A, d)`` and ``(T+1, S, d)``.
     """
-    phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
-    if phi.ndim != 4 or phi.shape[:3] != (mdp.T, mdp.S, mdp.A):
-        raise DimensionError("features", (mdp.T, mdp.S, mdp.A, "d"), phi.shape)
+    phi = _feature_table(features, mdp)
     _check_compatible(mdp, policy)
     probs = policy.probs
     return _backward(mdp.kernels, phi, lambda t, q: np.matmul(probs[t][:, None, :], q)[:, 0, :])
@@ -321,7 +320,7 @@ def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
     """
     _check_compatible(mdp, p)
     _check_compatible(mdp, q)
-    marginals = forward_occupancy(mdp, p).state_marginals()  # (T, S)
+    marginals = forward_occupancy(mdp, p).sum(axis=2)  # (T, S)
 
     total = 0.0
     for t in range(mdp.T):
@@ -439,7 +438,7 @@ def variance_decomposition(
     is exact at every size, with no enumeration.  ``mean_return`` is ``J``.
     """
     evaluation = policy_evaluate(mdp, reward, policy, beta)
-    mu = forward_occupancy(mdp, policy).mu
+    mu = forward_occupancy(mdp, policy)
     # mu is 0 where the policy has no mass, and the advantage may be +inf there
     adv = np.where(policy.probs > 0.0, evaluation.advantage, 0.0)
     action, dynamics = _martingale_covariance(mdp, mu, adv[..., None], evaluation.V[..., None])

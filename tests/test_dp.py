@@ -640,7 +640,7 @@ def test_feature_values_and_occupancy_match_einsum(S, A, T, d):
     Q_ref, V_ref = einsum_feature_values(mdp, phi, policy)
     assert_matches_einsum(Q, Q_ref)
     assert_matches_einsum(V, V_ref)
-    assert_matches_einsum(forward_occupancy(mdp, policy).mu, einsum_occupancy(mdp, policy))
+    assert_matches_einsum(forward_occupancy(mdp, policy), einsum_occupancy(mdp, policy))
 
 
 def test_one_step_mdp_runs_every_successor_path():
@@ -654,7 +654,7 @@ def test_one_step_mdp_runs_every_successor_path():
     Q, V = feature_values(mdp, phi, policy)
     assert np.array_equal(Q, phi)
     assert_matches_einsum(V[0], np.einsum("sa,sad->sd", policy.probs[0], phi[0]))
-    mu = forward_occupancy(mdp, policy).mu
+    mu = forward_occupancy(mdp, policy)
     assert np.array_equal(mu[0], mdp.initial_dist[:, None] * policy.probs[0])
 
     features = FeatureMap(phi=rng.normal(size=(1, 4, 3, 2)))

@@ -26,6 +26,7 @@ from soft_irl import (
 )
 from soft_irl.instances import counterexample_instance
 from soft_irl.mdp import empirical_feature_expectation
+from soft_irl.soft_dp import log_policy_density
 
 from test_mdp import random_mdp, random_policy
 from test_rewards import model_at, random_features
@@ -158,6 +159,45 @@ def test_mle_loss_infinite_on_unsupported_action():
     took_other = bool(np.any(data.actions == 1))
     assert took_other
     assert mle_loss(mdp, deterministic, data) == np.inf
+
+
+def _per_row_mle_loss(mdp, policy, data):
+    """The average negative log-likelihood from each row's gathered log-densities."""
+    log_density = log_policy_density(mdp, policy)
+    terms = log_density[np.arange(data.T)[None, :], data.states, data.actions]
+    if np.any(np.isneginf(terms)):
+        return np.inf
+    return float(-terms.sum(axis=1).mean())
+
+
+def test_mle_loss_matches_per_row_average():
+    """The visit-frequency loss equals the per-row average up to summation order.
+
+    With a unit reference measure every log-density is <= 0, so both sides sum
+    terms of one sign and each lies within ``gamma(m) = m 2**-53 / (1 - m 2**-53)``
+    of the exact value relatively, with ``m`` at most ``T*S*A + T + n + 2``;
+    that is below 1e-13 here, so ``rel=1e-12`` separates rounding from a
+    counting error.  A zero-probability action is ``+inf`` on both sides when
+    the data take it and harmless when they do not.
+    """
+    rng = np.random.default_rng(12)
+    for seed in range(5):
+        mdp = random_mdp(rng, S=3, A=2, T=4)
+        policy = random_policy(rng, mdp)
+        data = sample_trajectories(mdp, random_policy(rng, mdp), 500, seed=seed)
+        assert mle_loss(mdp, policy, data) == pytest.approx(
+            _per_row_mle_loss(mdp, policy, data), rel=1e-12
+        )
+
+    first = np.zeros((mdp.T, mdp.S, mdp.A))
+    first[:, :, 0] = 1.0  # no mass on the action the data never take
+    expert = Policy(probs=first)
+    data = sample_trajectories(mdp, expert, 50, seed=9)
+    assert mle_loss(mdp, expert, data) == _per_row_mle_loss(mdp, expert, data) == 0.0
+    other = Policy(probs=first[:, :, ::-1].copy())
+    assert mle_loss(mdp, other, data) == _per_row_mle_loss(mdp, other, data) == np.inf
+    assert mle_population_loss(mdp, expert, expert) == 0.0
+    assert mle_population_loss(mdp, other, expert) == np.inf
 
 
 def test_empirical_frequencies_minimize_mle_loss():

@@ -93,6 +93,21 @@ def test_mdp_rejects_wrong_kernel_shape():
             kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
 
 
+def test_distribution_check_bound_and_message():
+    """Rows pass within 1e-12 of summing to 1 and fail beyond it, a NaN row
+    fails, the message names the worst error, and an empty table passes."""
+    from soft_irl.mdp import _check_distribution
+
+    _check_distribution(np.array([[0.5, 0.5 + 0.9e-12], [0.25, 0.75]]), "rows")
+    with pytest.raises(InvariantError, match=r"rows: rows must sum to 1 within 1e-12 \(worst error 2\.000e-12\)"):
+        _check_distribution(np.array([[0.5, 0.5 + 2e-12], [0.25, 0.75]]), "rows")
+    with pytest.raises(InvariantError, match="worst error nan"):
+        _check_distribution(np.array([[0.5, np.nan]]), "rows")
+    with pytest.raises(InvariantError, match="negative probability"):
+        _check_distribution(np.array([[1.5, -0.5]]), "rows")
+    _check_distribution(np.empty((0, 2, 3)), "rows")
+
+
 def test_policy_rows_must_be_stochastic():
     with pytest.raises(InvariantError):
         Policy(probs=np.full((2, 2, 2), 0.3))
@@ -122,7 +137,6 @@ def test_records_with_array_fields_compare_by_identity():
         "Mdp": lambda: Mdp(T=mdp.T, S=mdp.S, A=mdp.A, initial_dist=mdp.initial_dist.copy(),
                            kernels=mdp.kernels.copy(), ref_measure=mdp.ref_measure.copy()),
         "Policy": lambda: Policy(probs=expert.probs.copy()),
-        "OccupancyMeasures": lambda: forward_occupancy(mdp, expert),
         "RewardTable": lambda: RewardTable(r=reward.r.copy()),
         "SoftSolution": lambda: soft_backward(mdp, reward, 0.7),
         "HardSolution": lambda: hard_backward(mdp, reward),
@@ -204,17 +218,17 @@ def test_occupancy_degenerate_chain_is_point_mass():
     mdp = random_mdp(rng, S=3, A=2, T=4, deterministic=True)
     probs = np.zeros((4, 3, 2))
     probs[:, :, 1] = 1.0  # always the second action
-    occ = forward_occupancy(mdp, Policy(probs=probs))
+    mu = forward_occupancy(mdp, Policy(probs=probs))
     for t in range(mdp.T):
-        assert np.count_nonzero(occ.mu[t]) == 1
-        assert occ.mu[t].max() == 1.0
+        assert np.count_nonzero(mu[t]) == 1
+        assert mu[t].max() == 1.0
 
 
 def test_occupancy_uniform_symmetry():
     mdp = Mdp(T=2, S=2, A=2, initial_dist=[0.5, 0.5],
               kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
-    occ = forward_occupancy(mdp, uniform_policy(mdp))
-    np.testing.assert_allclose(occ.mu, 0.25)
+    mu = forward_occupancy(mdp, uniform_policy(mdp))
+    np.testing.assert_allclose(mu, 0.25)
 
 
 def test_occupancy_matches_brute_force():
@@ -222,8 +236,8 @@ def test_occupancy_matches_brute_force():
     for _ in range(5):
         mdp = random_mdp(rng, S=3, A=2, T=3)
         policy = random_policy(rng, mdp)
-        occ = forward_occupancy(mdp, policy)
-        np.testing.assert_allclose(occ.mu, brute_occupancy(mdp, policy), atol=1e-13)
+        mu = forward_occupancy(mdp, policy)
+        np.testing.assert_allclose(mu, brute_occupancy(mdp, policy), atol=1e-13)
 
 
 def test_occupancy_monte_carlo_oracle():
@@ -231,7 +245,7 @@ def test_occupancy_monte_carlo_oracle():
     rng = np.random.default_rng(3)
     mdp = random_mdp(rng, S=3, A=2, T=3)
     policy = random_policy(rng, mdp)
-    occ = forward_occupancy(mdp, policy)
+    mu = forward_occupancy(mdp, policy)
 
     n = 1_000_000
     data = sample_trajectories(mdp, policy, n, seed=12345)
@@ -241,15 +255,35 @@ def test_occupancy_monte_carlo_oracle():
         np.add.at(counts[t], (states[:, t], actions[:, t]), 1.0)
     freq = counts / n
 
-    se = np.sqrt(occ.mu * (1.0 - occ.mu) / n)
-    assert np.all(np.abs(freq - occ.mu) <= 3.0 * se + 1e-12)
+    se = np.sqrt(mu * (1.0 - mu) / n)
+    assert np.all(np.abs(freq - mu) <= 3.0 * se + 1e-12)
 
 
 def test_occupancy_rows_sum_to_one_random():
     rng = np.random.default_rng(11)
     mdp = random_mdp(rng, S=4, A=3, T=5)
-    occ = forward_occupancy(mdp, random_policy(rng, mdp))
-    np.testing.assert_allclose(occ.mu.sum(axis=(1, 2)), 1.0, atol=1e-12)
+    mu = forward_occupancy(mdp, random_policy(rng, mdp))
+    np.testing.assert_allclose(mu.sum(axis=(1, 2)), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4), st.booleans())
+def test_occupancy_is_a_distribution_at_every_step_property(seed, S, A, T, deterministic):
+    """``forward_occupancy`` is non-negative and each step sums to 1 within
+    1e-10, on random MDPs and on deterministic ones under a deterministic
+    policy; ``T = 1`` has no kernels.  The result is a plain array, checked
+    here rather than on every call."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=deterministic)
+    if deterministic:
+        policy = Policy(probs=np.eye(A)[rng.integers(A, size=(T, S))])
+    else:
+        policy = random_policy(rng, mdp)
+    mu = forward_occupancy(mdp, policy)
+    assert mu.shape == (T, S, A)
+    assert np.all(mu >= 0.0)
+    assert np.all(np.abs(mu.sum(axis=(1, 2)) - 1.0) <= 1e-10)
 
 
 def test_occupancy_shape_mismatch():
@@ -364,15 +398,15 @@ def test_sampling_frequencies_match_occupancy():
     rng = np.random.default_rng(10)
     mdp = random_mdp(rng, S=3, A=3, T=2)
     policy = random_policy(rng, mdp)
-    occ = forward_occupancy(mdp, policy)
+    mu = forward_occupancy(mdp, policy)
     n = 100_000
     data = sample_trajectories(mdp, policy, n, seed=77)
     states, actions = data.states, data.actions
     for t in range(mdp.T):
         counts = np.zeros((mdp.S, mdp.A))
         np.add.at(counts, (states[:, t], actions[:, t]), 1.0)
-        se = np.sqrt(occ.mu[t] * (1.0 - occ.mu[t]) / n)
-        assert np.all(np.abs(counts / n - occ.mu[t]) <= 4.0 * se + 1e-12)
+        se = np.sqrt(mu[t] * (1.0 - mu[t]) / n)
+        assert np.all(np.abs(counts / n - mu[t]) <= 4.0 * se + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +588,34 @@ def _unique_grouping_reference(data, phi):
 
 
 def test_empirical_feature_expectation_matches_unique_grouping():
+    """The visit-count average agrees with the grouped sum up to summation order.
+
+    Let ``E`` be the exact average, ``M = (1/n) sum_i sum_t |phi_t(s_it, a_it)|``
+    per coordinate, ``u = 2**-53`` and ``gamma(m) = m u / (1 - m u)``.  The
+    visit-count side rounds ``N/n`` once, then forms a ``K = T*S*A``-term dot
+    product in some order (one product and at most ``K - 1`` additions per
+    term): ``|a - E| <= gamma(K + 1) M``.  The grouped side sums ``T`` steps per
+    group, rounds ``count/n`` once and forms a dot product over at most ``n``
+    groups: ``|b - E| <= gamma(T + n) M``.  Both hold for any summation order,
+    so ``|a - b| <= (gamma(K + 1) + gamma(T + n)) M`` bounds the difference
+    whatever order BLAS picks, and any counting error (of order ``1/n``) is
+    far above it.
+    """
     rng = np.random.default_rng(22)
     mdp = random_mdp(rng, S=3, A=2, T=4)
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 5))
-    data = sample_trajectories(mdp, random_policy(rng, mdp), 2000, seed=31)
-    np.testing.assert_array_equal(
-        empirical_feature_expectation(data, phi), _unique_grouping_reference(data, phi)
-    )
+    n = 2000
+    data = sample_trajectories(mdp, random_policy(rng, mdp), n, seed=31)
+    u = 2.0**-53
+
+    def gamma(m):
+        return m * u / (1.0 - m * u)
+
+    K = mdp.T * mdp.S * mdp.A
+    M = np.abs(phi[np.arange(mdp.T)[None, :], data.states, data.actions]).sum(axis=1).mean(axis=0)
+    bound = (gamma(K + 1) + gamma(mdp.T + n)) * M
+    diff = np.abs(empirical_feature_expectation(data, phi) - _unique_grouping_reference(data, phi))
+    assert np.all(diff <= bound), (diff, bound)
 
     # the degenerate dataset where every draw is the same trajectory
     det = random_mdp(np.random.default_rng(5), S=3, A=2, T=3, deterministic=True)
@@ -590,13 +645,20 @@ def test_empirical_feature_expectation_converges_to_population():
     assert np.all(np.abs(est - target) <= 4.0 * se)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3, 2), (2, 3, 2, 2), (3, 3, 2)])
+def test_feature_expectation_rejects_features_off_the_mdp_axes(shape):
+    mdp = random_mdp(np.random.default_rng(24), S=3, A=2, T=3)
+    with pytest.raises(DimensionError, match="features"):
+        feature_expectation(mdp, uniform_policy(mdp), np.zeros(shape))
+
+
 def test_population_feature_expectation_matches_occupancy_contraction():
     rng = np.random.default_rng(21)
     mdp = random_mdp(rng, S=3, A=3, T=4)
     policy = random_policy(rng, mdp)
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2))
-    occ = forward_occupancy(mdp, policy)
-    expected = np.einsum("tsa,tsad->d", occ.mu, phi)
+    mu = forward_occupancy(mdp, policy)
+    expected = np.einsum("tsa,tsad->d", mu, phi)
     np.testing.assert_allclose(feature_expectation(mdp, policy, phi), expected, atol=1e-12)
 
 
@@ -612,10 +674,10 @@ def test_occupancy_consistency_property(seed, S, A, T):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T)
     policy = random_policy(rng, mdp)
-    occ = forward_occupancy(mdp, policy)
+    mu = forward_occupancy(mdp, policy)
 
     states, _, probs = enumerate_support(mdp, policy)
     marg = np.zeros((T, S))
     for t in range(T):
         np.add.at(marg[t], states[:, t], probs)
-    np.testing.assert_allclose(occ.state_marginals(), marg, atol=1e-12)
+    np.testing.assert_allclose(mu.sum(axis=2), marg, atol=1e-12)

@@ -22,7 +22,6 @@ from soft_irl import (
     kernel_basis,
     max_score_norm,
     hard_backward,
-    newton_decrement,
     sample_trajectories,
     solve_model,
     trajectory_kl,
@@ -38,16 +37,23 @@ from test_rewards import model_at, random_features, shaping_feature
 
 
 # ---------------------------------------------------------------------------
-# newton_decrement
+# the Newton decrement of the restricted step, on a full image basis
+
+
+def decrement(grad, hessian):
+    """``sqrt(g^T H^{-1} g)`` as the fitter computes it: the whole space as
+    the image, no ridge."""
+    d = len(grad)
+    return opt._restricted_newton_step(grad, hessian, np.eye(d), 0.0, 0.0)[1]
 
 
 def test_decrement_zero_gradient():
-    assert newton_decrement(np.zeros(3), np.eye(3)) == 0.0
+    assert decrement(np.zeros(3), np.eye(3)) == 0.0
 
 
 def test_decrement_identity_hessian():
     g = np.array([3.0, 4.0])
-    assert newton_decrement(g, np.eye(2)) == pytest.approx(5.0, abs=1e-14)
+    assert decrement(g, np.eye(2)) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_decrement_matches_direct_solve():
@@ -56,7 +62,7 @@ def test_decrement_matches_direct_solve():
     H = A @ A.T + 0.5 * np.eye(4)
     g = rng.normal(size=4)
     expected = float(np.sqrt(g @ np.linalg.solve(H, g)))
-    assert newton_decrement(g, H) == pytest.approx(expected, abs=1e-12)
+    assert decrement(g, H) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
