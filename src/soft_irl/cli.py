@@ -86,12 +86,13 @@ def _load_run_config(path: str | None) -> RunConfig:
 
 def _effective_seed(config: RunConfig) -> int:
     env = os.environ.get("SOFT_IRL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"SOFT_IRL_SEED must be an integer, got {env!r}") from exc
-    return config.seed
+    if env is None:
+        return config.seed
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise InputError(f"SOFT_IRL_SEED must be an integer, got {env!r}") from exc
+    return _check_seed(seed)
 
 
 def _instance_spec(section: dict, seed: int, where: str) -> InstanceSpec:

@@ -33,11 +33,11 @@ from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
     derivative_bundle,
-    effective_dimension,
+    geometry_constants,
     kernel_basis,
-    max_cumulative_feature_norm,
     max_score_norm,
     solve_model,
+    _dikin_radius,
     _solution_bundle,
 )
 from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
@@ -362,20 +362,18 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         raise DomainError("population fit did not converge; cannot define theta_star")
     theta_star = population.theta_hat
     H_star = population.hessian_at_solution
-    lambda_star = float(np.linalg.eigvalsh(H_star).min())
     model_star = LinearRewardModel(features=features, theta=theta_star, B_theta=fit_cfg.B_theta)
     pi_star = solve_model(mdp, model_star, beta).pi_star
     approx_floor = trajectory_kl(mdp, expert, pi_star)
 
-    ed = effective_dimension(mdp, features, expert, H_star)
-    support_states, support_actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-    B_phi = max_cumulative_feature_norm(features, support_states, support_actions)
-    B_A_phi = max_score_norm(
-        mdp, features, beta, [theta_star, np.zeros(features.d)], support_states, support_actions
+    constants = geometry_constants(
+        mdp, features, model_star, beta, theta_grid=[np.zeros(features.d)], expert=expert
     )
-    rho_star = beta * math.sqrt(max(lambda_star, 0.0)) / B_A_phi if B_A_phi > 0 else float("inf")
     burn_in = (
-        B_A_phi**2 * ed.d_star * math.log(1.0 / config.burn_in_delta) / (beta**2 * lambda_star)
+        constants.B_A_phi**2
+        * constants.d_star
+        * math.log(1.0 / config.burn_in_delta)
+        / (beta**2 * constants.lambda_star)
     )
 
     records = []
@@ -422,16 +420,16 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     d_star_gap = None
     if config.instance.deterministic and config.instance.expert_kind == "well_specified":
         target = beta * features.d
-        d_star_gap = abs(ed.d_star - target) / target
+        d_star_gap = abs(constants.d_star - target) / target
 
     return RateReport(
         config=config,
         theta_star=tuple(float(x) for x in theta_star),
-        lambda_star=lambda_star,
-        d_star=ed.d_star,
-        B_phi=B_phi,
-        B_A_phi=B_A_phi,
-        rho_star=rho_star,
+        lambda_star=constants.lambda_star,
+        d_star=constants.d_star,
+        B_phi=constants.B_phi,
+        B_A_phi=constants.B_A_phi,
+        rho_star=constants.rho_star,
         burn_in_n=float(burn_in),
         slope_window=slope_window,
         approx_floor_kl=float(approx_floor),
@@ -512,8 +510,8 @@ def check_local_geometry(
     model1 = LinearRewardModel(features=features, theta=theta1)
     solution0 = solve_model(mdp, model0, beta)
     solution1 = solve_model(mdp, model1, beta)
-    bundle0 = _solution_bundle(mdp, model0, solution0)
-    bundle1 = _solution_bundle(mdp, model1, solution1)
+    bundle0 = _solution_bundle(mdp, features, solution0)
+    bundle1 = _solution_bundle(mdp, features, solution1)
     H0, H1 = bundle0.hessian, bundle1.hessian
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
@@ -525,7 +523,7 @@ def check_local_geometry(
     B_A_phi = max_score_norm(mdp, features, beta, thetas, states, actions)
 
     delta_h0 = float(np.sqrt(delta @ H0 @ delta))
-    dikin = beta * math.sqrt(lam0) / B_A_phi if B_A_phi > 0 else float("inf")
+    dikin = _dikin_radius(beta, lam0, B_A_phi)
     deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
     local = delta_h0 <= dikin * (1.0 + 1e-12)
 
@@ -598,15 +596,18 @@ def dikin_boundary_pair(
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
         raise DomainError("dikin_boundary_pair requires a positive-definite Hessian at theta0")
-    unit = direction / float(np.sqrt(direction @ H0 @ direction))
+    length = float(np.sqrt(direction @ H0 @ direction))
+    if not length > 0.0:
+        raise DomainError("dikin_boundary_pair requires a non-zero direction")
+    unit = direction / length
 
     states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-    rho = beta * math.sqrt(lam0) / max_score_norm(mdp, features, beta, [theta0], states, actions)
+    rho = _dikin_radius(beta, lam0, max_score_norm(mdp, features, beta, [theta0], states, actions))
     for _ in range(8):
         alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
         thetas = [theta0 + a * (boundary_factor * rho) * unit for a in alphas]
         B = max_score_norm(mdp, features, beta, thetas, states, actions)
-        new_rho = beta * math.sqrt(lam0) / B
+        new_rho = _dikin_radius(beta, lam0, B)
         if abs(new_rho - rho) <= 1e-12 * rho:
             rho = new_rho
             break
@@ -673,20 +674,19 @@ def check_concentration(
     population = fit_population(mdp, features, expert, cfg)
     if not population.converged:
         raise DomainError("population fit did not converge")
-    H_star = population.hessian_at_solution
-    lambda_star = float(np.linalg.eigvalsh(H_star).min())
+    model_star = LinearRewardModel(
+        features=features, theta=population.theta_hat, B_theta=cfg.B_theta
+    )
+    constants = geometry_constants(mdp, features, model_star, beta, expert=expert)
+    lambda_star = constants.lambda_star
     if lambda_star <= 1e-10:
         raise DomainError("concentration bound requires a positive-definite Hessian")
 
-    ed = effective_dimension(mdp, features, expert, H_star)
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-    B_phi = max_cumulative_feature_norm(features, states, actions)
-
     target = feature_expectation(mdp, expert, features)
-    chol = scipy.linalg.cholesky(H_star, lower=True)
+    chol = scipy.linalg.cholesky(population.hessian_at_solution, lower=True)
     log_inv_delta = math.log(1.0 / delta)
-    bound = math.sqrt(2.0 * ed.d_star * log_inv_delta / n) + 4.0 * B_phi * log_inv_delta / (
-        math.sqrt(lambda_star) * n
+    bound = math.sqrt(2.0 * constants.d_star * log_inv_delta / n) + (
+        4.0 * constants.B_phi * log_inv_delta / (math.sqrt(lambda_star) * n)
     )
 
     etas = np.empty(trials)
@@ -704,9 +704,9 @@ def check_concentration(
         n=int(n),
         delta=float(delta),
         trials=int(trials),
-        d_star=ed.d_star,
+        d_star=constants.d_star,
         lambda_star=lambda_star,
-        B_phi=B_phi,
+        B_phi=constants.B_phi,
         bound=float(bound),
         violation_frequency=float(frequency),
         frequency_threshold=float(threshold),

@@ -17,6 +17,7 @@ is what :func:`kernel_basis` extracts and :func:`shaping_projector` removes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .mdp import (
     gather_table,
     uniform_policy,
     _check_dataset,
+    _check_paths,
     _occupancy_average,
     _path_rows,
     _path_sum,
@@ -175,29 +177,28 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
     is its occupancy-weighted second moment of per-step feature advantages,
     divided by ``beta``.
     """
-    return _solution_bundle(mdp, model, solve_model(mdp, model, beta))
+    return _solution_bundle(mdp, model.features, solve_model(mdp, model, beta))
 
 
-def _solution_bundle(
-    mdp: Mdp, model: LinearRewardModel, solution: SoftSolution
-) -> DerivativeBundle:
-    """:func:`derivative_bundle` at ``model.theta`` from the soft solution of
-    the model's reward, for callers that already hold it."""
-    adv = feature_advantage(mdp, model.features, solution.pi_star)
+def _solution_bundle(mdp: Mdp, features: FeatureMap, solution: SoftSolution) -> DerivativeBundle:
+    """:func:`derivative_bundle` at a parameter from the soft solution of its
+    reward, for callers that already hold it."""
+    adv = feature_advantage(mdp, features, solution.pi_star)
     mu = forward_occupancy(mdp, solution.pi_star)
     return DerivativeBundle(
         J_star=solution.J_star,
-        grad=_occupancy_average(mu, model.features.phi),
+        grad=_occupancy_average(mu, features.phi),
         hessian=_weighted_second_moment(mu, adv) / solution.beta,
     )
 
 
-def batch_scores(adv: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def batch_scores(adv: np.ndarray, states, actions) -> np.ndarray:
     """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays.
 
     Summed in ``t`` order without the ``(N, T, ...)`` gather, bit-identical to
     ``gather_table(adv, states, actions).sum(axis=1)``.
     """
+    states, actions = _check_paths(adv.shape, states, actions)
     flat = adv.reshape((-1,) + adv.shape[3:])
     return _path_sum(flat, _path_rows(adv.shape, states, actions))
 
@@ -247,6 +248,19 @@ def third_derivative(
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
 
 
+def _eigen_split(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) ``(kernel, image)`` of a PSD matrix.
+
+    An eigenvalue of the symmetric part is assigned to the kernel when it
+    does not exceed ``tol`` times the largest one (relative threshold), and
+    every eigenvalue is when the largest is not positive.
+    """
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (H + H.T))
+    top = float(eigvals[-1])
+    kernel = eigvals <= tol * top if top > 0.0 else np.ones(eigvals.shape, dtype=bool)
+    return eigvecs[:, kernel], eigvecs[:, ~kernel]
+
+
 def kernel_basis(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a PSD matrix.
 
@@ -254,12 +268,7 @@ def kernel_basis(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     times the largest eigenvalue (relative threshold).  Shape ``(d, k)``;
     ``k = 0`` when the matrix is numerically positive definite.
     """
-    H = np.asarray(H, dtype=np.float64)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (H + H.T))
-    top = float(eigvals[-1])
-    if top <= 0.0:
-        return eigvecs  # the whole space
-    return eigvecs[:, eigvals <= tol * top]
+    return _eigen_split(np.asarray(H, dtype=np.float64), tol)[0]
 
 
 def shaping_projector(
@@ -301,9 +310,7 @@ def effective_dimension(
     )
 
 
-def max_cumulative_feature_norm(
-    features: FeatureMap, states: np.ndarray, actions: np.ndarray
-) -> float:
+def max_cumulative_feature_norm(features: FeatureMap, states, actions) -> float:
     """Max over trajectories and start times of ``||sum_{k>=t} phi_k||``."""
     gathered = gather_table(features.phi, states, actions)  # (N, T, d)
     suffix = np.cumsum(gathered[:, ::-1, :], axis=1)[:, ::-1, :]
@@ -315,14 +322,16 @@ def max_score_norm(
     features: FeatureMap,
     beta: float,
     thetas,
-    states: np.ndarray,
-    actions: np.ndarray,
+    states,
+    actions,
 ) -> float:
     """Max trajectory-score norm over the given trajectories and parameters.
 
-    The trajectories' flat table rows are built once and reused for every
-    parameter; each score is the :func:`batch_scores` path sum.
+    The trajectories are checked and their flat table rows built once, then
+    reused for every parameter; each score is the :func:`batch_scores` path
+    sum.
     """
+    states, actions = _check_paths(features.phi.shape, states, actions)
     rows = _path_rows(features.phi.shape, states, actions)
     best = 0.0
     for theta in thetas:
@@ -331,6 +340,12 @@ def max_score_norm(
         Z = _path_sum(adv.reshape(-1, features.d), rows)
         best = max(best, float(np.linalg.norm(Z, axis=1).max()))
     return best
+
+
+def _dikin_radius(beta: float, lambda_min: float, B_A_phi: float) -> float:
+    """Trust-region (Dikin) radius ``beta * sqrt(lambda_min) / B_A_phi``;
+    ``inf`` when the score bound ``B_A_phi`` is 0."""
+    return beta * math.sqrt(max(lambda_min, 0.0)) / B_A_phi if B_A_phi > 0 else float("inf")
 
 
 def geometry_constants(
@@ -365,7 +380,7 @@ def geometry_constants(
         B_A_phi = 2.0 * mdp.T * B_phi
 
     solution = solve_model(mdp, model, beta)
-    H = _solution_bundle(mdp, model, solution).hessian
+    H = _solution_bundle(mdp, features, solution).hessian
     lambda_star = float(np.linalg.eigvalsh(H).min())
     if expert is None:
         expert = solution.pi_star
@@ -373,12 +388,11 @@ def geometry_constants(
         d_star = effective_dimension(mdp, features, expert, H).d_star
     else:
         d_star = float("nan")  # undefined for a singular Hessian
-    rho_star = beta * np.sqrt(max(lambda_star, 0.0)) / B_A_phi if B_A_phi > 0 else float("inf")
     return GeometryConstants(
         B_phi=B_phi,
         B_A_phi=B_A_phi,
         lambda_star=lambda_star,
         d_star=d_star,
-        rho_star=rho_star,
+        rho_star=_dikin_radius(beta, lambda_star, B_A_phi),
         mode="exact" if exact else "conservative",
     )

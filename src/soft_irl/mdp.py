@@ -190,15 +190,24 @@ def _check_compatible(mdp: Mdp, policy: Policy) -> None:
         raise DimensionError("policy.probs", (mdp.T, mdp.S, mdp.A), policy.probs.shape)
 
 
+def _check_paths(shape: tuple[int, ...], states, actions, what: str = "path"):
+    """``states`` and ``actions`` as ``(n, T)`` arrays, or an error unless
+    their horizon and indices fit the ``(T, S, A)`` axes of ``shape``."""
+    states, actions = np.asarray(states), np.asarray(actions)
+    T, S, A = shape[:3]
+    if states.shape[1:] != (T,):
+        raise DimensionError(what, f"horizon {T}", f"shape {states.shape}")
+    if actions.shape != states.shape:
+        raise DimensionError(f"{what} actions", states.shape, actions.shape)
+    for index, name, axis, size in ((states, "state", "S", S), (actions, "action", "A", A)):
+        if index.min(initial=0) < 0 or index.max(initial=0) >= size:
+            raise InvariantError(f"{what} {name} index out of range ({axis}={size})")
+    return states, actions
+
+
 def _check_dataset(data: Dataset, table: np.ndarray) -> None:
     """Reject ``data`` unless its horizon and indices fit ``table``'s ``(T, S, A)`` axes."""
-    T, S, A = table.shape[:3]
-    if data.T != T:
-        raise DimensionError("dataset", f"horizon {T}", f"horizon {data.T}")
-    if data.states.max() >= S:
-        raise InvariantError(f"dataset state index out of range (S={S})")
-    if data.actions.max() >= A:
-        raise InvariantError(f"dataset action index out of range (A={A})")
+    _check_paths(table.shape, data.states, data.actions, "dataset")
 
 
 def forward_occupancy(mdp: Mdp, policy: Policy) -> np.ndarray:
@@ -444,8 +453,9 @@ def enumerate_support(mdp: Mdp, policy: Policy) -> tuple[np.ndarray, np.ndarray,
     return states, actions, probs
 
 
-def gather_table(table: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def gather_table(table: np.ndarray, states, actions) -> np.ndarray:
     """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T, ...)``."""
+    states, actions = _check_paths(table.shape, states, actions)
     T = states.shape[1]
     return table[np.arange(T)[None, :], states, actions]
 
@@ -474,26 +484,6 @@ def _path_sum(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gather_factors(
-    mdp: Mdp, policy: Policy, states: np.ndarray, actions: np.ndarray
-) -> np.ndarray:
-    """Probability factors of each trajectory, shape ``(N, 2T)``."""
-    n, T = states.shape
-    factors = np.empty((n, 2 * T))
-    factors[:, 0] = mdp.initial_dist[states[:, 0]]
-    factors[:, 1::2] = gather_table(policy.probs, states, actions)
-    for t in range(T - 1):
-        factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
-    return factors
-
-
-def batch_trajectory_probs(
-    mdp: Mdp, policy: Policy, states: np.ndarray, actions: np.ndarray
-) -> np.ndarray:
-    """Exact probability of each ``(states[i], actions[i])`` trajectory."""
-    return _gather_factors(mdp, policy, states, actions).prod(axis=1)
-
-
 def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
     """Log-probability of each trajectory of ``data``, shape ``(n,)``.
 
@@ -501,7 +491,12 @@ def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
     """
     _check_compatible(mdp, policy)
     _check_dataset(data, policy.probs)
-    factors = _gather_factors(mdp, policy, data.states, data.actions)
+    states, actions = data.states, data.actions
+    factors = np.empty((len(data), 2 * mdp.T))
+    factors[:, 0] = mdp.initial_dist[states[:, 0]]
+    factors[:, 1::2] = policy.probs[np.arange(mdp.T), states, actions]
+    for t in range(mdp.T - 1):
+        factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
     with np.errstate(divide="ignore"):
         return np.log(factors).sum(axis=1)
 

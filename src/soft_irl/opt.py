@@ -2,7 +2,7 @@
 
 The loss ``L(theta) = J*(theta) - <theta, target>`` is smooth and convex with
 an explicit Hessian, so a guarded Newton iteration with backtracking line
-search converges in a handful of steps.  Two practical complications are
+search converges in a handful of steps.  Three practical complications are
 handled explicitly:
 
 * The Hessian may be singular along directions that do not move the
@@ -12,7 +12,7 @@ handled explicitly:
   later collapses along the run.
 * An optional norm ball constrains the parameter.  Trial points are projected
   onto the ball inside the line search, and an active constraint at
-  termination triggers a projected-gradient polish.
+  termination triggers a Newton polish on the sphere.
 * Without the ball, a target outside the moment set ``M`` of feature
   expectations has no minimizer, and the iterates run off to infinity.  The
   support function of ``M`` is a max-plus (hard) DP, so each iterate's
@@ -20,12 +20,17 @@ handled explicitly:
   ``<u, target> > h_M(u)``; once it holds the loss is unbounded below along
   ``u`` and the fit stops as ``"infeasible"`` with ``u`` as its certificate.
 
+The interior loop and the polish share one Newton step
+(:func:`_restricted_newton_step`), one Armijo search (:func:`_line_search`)
+and one way to a derivative bundle: a value-only soft pass, whose tables
+become the bundle once the point is accepted.
+
 Everything is deterministic: same inputs produce bitwise-identical traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,13 +44,22 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, LinearRewardModel, derivative_bundle, _solution_bundle
+from .linear_reward import FeatureMap, _eigen_split, _solution_bundle
 from .soft_dp import _gibbs_solution, _optimal_value, _optimal_values
 
 _RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
 # Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
 # both <u, target> and h_M(u)) are taken for rounding, not for a certificate.
 _RELATIVE_SEPARATION_CUT = 1e-9
+# The ridge added to the restricted Hessian's spectrum once its smallest
+# eigenvalue drops below the threshold.
+_RIDGE = 1e-9
+_RIDGE_THRESHOLD = 1e-10
+# Armijo search: step sizes 1, 1/2, 1/4, ... above the floor; a step must
+# achieve this fraction of the first-order decrease it predicts.
+_LINE_SEARCH_FACTOR = 0.5
+_LINE_SEARCH_FLOOR = 2.0**-60
+_LINE_SEARCH_ACCEPT = 1e-4
 
 FIT_STATUSES = ("converged", "infeasible", "max_iters", "stalled")
 
@@ -58,18 +72,12 @@ class FitConfig:
     B_theta: float = float("inf")
     tol_decrement: float = 1e-10
     max_iters: int = 100
-    ridge: float = 1e-9
-    ridge_threshold: float = 1e-10
-    line_search_factor: float = 0.5
-    line_search_accept: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.B_theta != float("inf"):
             _check_real(self.B_theta, "FitConfig.B_theta", 0.0)
-        for name in ("beta", "tol_decrement", "ridge", "ridge_threshold"):
+        for name in ("beta", "tol_decrement"):
             _check_real(getattr(self, name), f"FitConfig.{name}", 0.0)
-        for name in ("line_search_factor", "line_search_accept"):
-            _check_real(getattr(self, name), f"FitConfig.{name}", 0.0, 1.0)
         _check_count(self.max_iters, "FitConfig.max_iters")
 
 
@@ -123,39 +131,26 @@ def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
     return theta * (radius / norm)
 
 
-def _image_basis(hessian: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical image of a PSD matrix.
-
-    Eigenvalues that are a negligible fraction of the largest mark flat
-    (shaping) directions of the loss.  The basis is computed once, at the
-    initial Hessian, and the iteration never moves along the excluded
-    directions.
-    """
-    eigvals, eigvecs = np.linalg.eigh(hessian)
-    top = float(eigvals[-1])
-    if top <= 0.0:
-        return eigvecs[:, :0]
-    return eigvecs[:, eigvals > _RELATIVE_KERNEL_CUT * top]
-
-
 def _restricted_newton_step(
-    grad: np.ndarray, hessian: np.ndarray, image: np.ndarray, ridge: float, ridge_threshold: float
+    grad: np.ndarray, hessian: np.ndarray, image: np.ndarray
 ) -> tuple[np.ndarray, float, bool]:
-    """Newton direction confined to the fixed image subspace.
+    """Newton direction confined to the span of the orthonormal columns of ``image``.
 
-    Returns ``(step, decrement, ridge_used)``.  The ridge kicks in whenever
-    the curvature restricted to the image drops below ``ridge_threshold`` —
-    for example when the iterates run off toward a face of the feasible
-    moment set — which keeps the decrement honest: it stays large as long as
-    the restricted gradient is large, so divergent runs are reported as not
-    converged rather than silently reclassified as flat.
+    Returns ``(step, decrement, ridge_used)``, with ``<grad, step> =
+    -decrement**2``, so the step is a descent direction.  The ridge kicks in
+    whenever the curvature restricted to the image drops below
+    ``_RIDGE_THRESHOLD`` — for example when the iterates run off toward a
+    face of the feasible moment set — which keeps the decrement honest: it
+    stays large as long as the restricted gradient is large, so divergent
+    runs are reported as not converged rather than silently reclassified as
+    flat.
     """
     if image.shape[1] == 0:
         return np.zeros_like(grad), 0.0, False
     w, V = np.linalg.eigh(image.T @ hessian @ image)
-    ridge_used = bool(float(w[0]) < ridge_threshold)
+    ridge_used = bool(float(w[0]) < _RIDGE_THRESHOLD)
     if ridge_used:
-        w = w + ridge
+        w = w + _RIDGE
     g_proj = V.T @ (image.T @ grad)
     step = -image @ (V @ (g_proj / w))
     decrement = float(np.sqrt((g_proj**2 / w).sum()))
@@ -179,11 +174,6 @@ def _loss_and_values(
     return float(mdp.initial_dist @ V[0]) - float(theta @ target), (Q, V)
 
 
-def _loss(mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray) -> float:
-    """``L(theta)`` alone, as :func:`_loss_and_values` computes it."""
-    return _loss_and_values(mdp, phi, target, beta, theta)[0]
-
-
 def _separation(
     mdp: Mdp, phi: np.ndarray, target: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
@@ -204,32 +194,47 @@ def _separation(
     return u, margin
 
 
-def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
-    beta = config.beta
-    phi = features.phi
-    model0 = LinearRewardModel(features=features, theta=np.zeros(features.d), B_theta=config.B_theta)
-    bounded = config.B_theta != float("inf")  # a ball-constrained problem always has a minimizer
+def _line_search(value_pass, loss: float, directional: float, point_at):
+    """Armijo backtracking along the curve ``point_at(alpha)``.
 
-    def loss_at(theta: np.ndarray) -> float:
-        return _loss(mdp, phi, target, beta, theta)
+    Tries ``alpha = 1, 1/2, 1/4, ...`` above ``_LINE_SEARCH_FLOOR`` and
+    returns ``(alpha, point, point_loss, values)`` for the first point whose
+    value pass (``value_pass(point) = (loss, values)``) decreases ``loss`` by
+    at least ``_LINE_SEARCH_ACCEPT * alpha * directional``; ``None`` if no
+    step size does.
+    """
+    alpha = 1.0
+    while alpha > _LINE_SEARCH_FLOOR:
+        point = point_at(alpha)
+        point_loss, values = value_pass(point)
+        if point_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
+            return alpha, point, point_loss, values
+        alpha *= _LINE_SEARCH_FACTOR
+    return None
+
+
+def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
+    beta, phi, radius = config.beta, features.phi, config.B_theta
+    bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
+
+    def value_pass(theta: np.ndarray):
+        return _loss_and_values(mdp, phi, target, beta, theta)
+
+    def bundle_from(values):
+        # the derivative bundle from a value pass already made: no second soft pass
+        return _solution_bundle(mdp, features, _gibbs_solution(mdp, beta, *values))
 
     def bundle_at(theta: np.ndarray):
-        return derivative_bundle(mdp, model0.with_theta(theta), beta)
-
-    def bundle_from(theta: np.ndarray, values):
-        # the line search already solved the accepted point: no second soft pass
-        solution = _gibbs_solution(mdp, beta, *values)
-        return _solution_bundle(mdp, model0.with_theta(theta), solution)
+        loss, values = value_pass(theta)
+        return loss, bundle_from(values)
 
     def newton_step(bundle):
-        return _restricted_newton_step(
-            bundle.grad - target, bundle.hessian, image, config.ridge, config.ridge_threshold
-        )
+        return _restricted_newton_step(bundle.grad - target, bundle.hessian, image)
 
     theta = np.zeros(features.d)
-    bundle = bundle_at(theta)
-    loss = bundle.J_star
-    image = _image_basis(bundle.hessian)  # the identifiable subspace, fixed at the start
+    loss, bundle = bundle_at(theta)
+    # the identifiable subspace, fixed at the start
+    image = _eigen_split(bundle.hessian, _RELATIVE_KERNEL_CUT)[1]
     trace: list[IterationRecord] = []
     status = "max_iters"
     separation = None
@@ -258,52 +263,40 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
                 status = "infeasible"
                 break
 
-        # backtracking line search on the (ball-projected) Newton step
-        directional = float(grad @ step)  # = -decrement**2
-        alpha = 1.0
-        accepted = False
-        while alpha > 2.0**-60:
-            candidate = _project_ball(theta + alpha * step, config.B_theta)
-            candidate_loss, candidate_values = _loss_and_values(mdp, phi, target, beta, candidate)
-            if candidate_loss <= loss + config.line_search_accept * alpha * directional:
-                accepted = True
-                break
-            alpha *= config.line_search_factor
-
-        next_bundle = None
-        stalled = (not accepted) or candidate_loss >= loss
-        if stalled and not ridge_used and decrement <= 0.25:
+        found = _line_search(
+            value_pass, loss, float(grad @ step), lambda a: _project_ball(theta + a * step, radius)
+        )
+        if found is not None and found[2] < loss:
+            alpha, theta, loss, values = found
+            bundle = bundle_from(values)
+        elif not ridge_used and decrement <= 0.25:
             # The loss is flat to float resolution around the iterate, which is
             # exactly what the bottom of a well-conditioned quadratic bowl looks
             # like once the true descent per step drops below one ulp, so loss
             # differences can no longer judge a step.  The full Newton step
             # still refines the iterate (the decrement contracts quadratically):
             # take it when it shrinks the decrement.
-            full = _project_ball(theta + step, config.B_theta)
-            full_bundle = bundle_at(full)
-            if newton_step(full_bundle)[1] < decrement:
-                candidate, alpha = full, 1.0
-                candidate_loss = full_bundle.J_star - float(full @ target)
-                next_bundle = full_bundle
-                stalled = False
-        if stalled:
+            full = _project_ball(theta + step, radius)
+            full_loss, full_bundle = bundle_at(full)
+            if not newton_step(full_bundle)[1] < decrement:
+                status = "stalled"
+                break
+            alpha, theta, loss, bundle = 1.0, full, full_loss, full_bundle
+        else:
             status = "stalled"  # cannot make progress (flat to machine precision)
             break
         trace[-1] = replace(trace[-1], step_size=alpha)
-        theta, loss = candidate, candidate_loss
-        bundle = next_bundle if next_bundle is not None else bundle_from(theta, candidate_values)
         iterations = it + 1
 
-    active = float(np.linalg.norm(theta)) >= config.B_theta * (1.0 - 1e-9)
+    active = float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
     if active:
-        theta, loss = _polish_on_ball(loss_at, mdp, features, target, config, theta)
-        bundle = bundle_at(theta)
+        theta, loss, bundle = _polish_on_ball(value_pass, bundle_from, target, radius, theta)
     grad = bundle.grad - target
     if status != "converged" and active:
         # on the boundary the Newton decrement is not the right certificate;
         # report the projected-gradient stationarity gap (which equals the
         # Lagrangian gradient norm at a KKT point) instead
-        step_vec = _project_ball(theta - grad, config.B_theta) - theta
+        step_vec = _project_ball(theta - grad, radius) - theta
         decrement = float(np.linalg.norm(step_vec))
         if decrement <= max(config.tol_decrement, 1e-8):
             status = "converged"
@@ -323,51 +316,42 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
     )
 
 
-def _polish_on_ball(loss_at, mdp, features, target, config: FitConfig, theta: np.ndarray):
+def _polish_on_ball(value_pass, bundle_from, target: np.ndarray, radius: float, theta: np.ndarray):
     """Newton refinement on the sphere once the ball constraint is active.
 
-    The constrained minimizer sits on the boundary, so the iteration runs in
-    an orthonormal basis of the tangent space at the current point, using the
-    Lagrangian Hessian (loss curvature plus the constraint term), and retracts
-    each step back onto the sphere under a backtracking guard.
+    The constrained minimizer sits on the boundary.  Each step is the
+    restricted Newton step of the Lagrangian Hessian (loss curvature plus the
+    constraint term) on the tangent space at the current point, and
+    :func:`_line_search` runs along its retraction back onto the sphere.
+    ``value_pass`` and ``bundle_from`` are the fit's.  Returns the final
+    point, its loss and its derivative bundle.
     """
     import scipy.linalg
 
-    B = config.B_theta
-    d = theta.shape[0]
-    model0 = LinearRewardModel(features=features, theta=np.zeros(d), B_theta=B)
-    theta = theta * (B / float(np.linalg.norm(theta)))
-    loss = loss_at(theta)
+    def retract(point: np.ndarray) -> np.ndarray:
+        return point * (radius / float(np.linalg.norm(point)))
+
+    theta = retract(theta)
+    loss, values = value_pass(theta)
+    bundle = bundle_from(values)
     for _ in range(100):
-        bundle = derivative_bundle(mdp, model0.with_theta(theta), config.beta)
         grad = bundle.grad - target
-        tangent = scipy.linalg.null_space(theta[None, :] / B)
+        tangent = scipy.linalg.null_space(theta[None, :] / radius)
         if tangent.shape[1] == 0:
             break  # d = 1: the sphere is a point pair, nothing to refine
-        g_t = tangent.T @ grad
-        if float(np.linalg.norm(g_t)) <= 1e-12:
+        if float(np.linalg.norm(tangent.T @ grad)) <= 1e-12:
             break
-        multiplier = max(-float(grad @ theta) / (B * B), 0.0)
-        H_t = tangent.T @ (bundle.hessian + multiplier * np.eye(d)) @ tangent
-        try:
-            step = np.linalg.solve(H_t, -g_t)
-        except np.linalg.LinAlgError:
-            step = -g_t
-        if float(g_t @ step) >= 0.0:  # not a descent direction; fall back
-            step = -g_t
-        alpha, accepted = 1.0, False
-        while alpha > 2.0**-40:
-            candidate = theta + tangent @ (alpha * step)
-            candidate *= B / float(np.linalg.norm(candidate))
-            candidate_loss = loss_at(candidate)
-            if candidate_loss <= loss + 1e-4 * alpha * float(g_t @ step):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        multiplier = max(-float(grad @ theta) / (radius * radius), 0.0)
+        lagrangian = bundle.hessian + multiplier * np.eye(theta.shape[0])
+        step = _restricted_newton_step(grad, lagrangian, tangent)[0]
+        found = _line_search(
+            value_pass, loss, float(grad @ step), lambda a: retract(theta + a * step)
+        )
+        if found is None:
             break
-        theta, loss = candidate, candidate_loss
-    return theta, loss
+        _, theta, loss, values = found
+        bundle = bundle_from(values)
+    return theta, loss, bundle
 
 
 def fit_empirical(

@@ -23,6 +23,8 @@ from test_mdp import random_mdp
 
 TINY_INSTANCE = {"S": 3, "A": 2, "T": 3, "d": 3, "beta": 0.7, "seed": 1}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+RATES_SECTION = {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 1, "data_seed": 2}
+FIT_SECTION = {"instance": TINY_INSTANCE, "n": 16, "data_seed": 1}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -139,6 +141,16 @@ def test_fit_unknown_key_rejected(tmp_path):
     assert main(["fit", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key", ["ridge", "ridge_threshold", "line_search_factor", "line_search_accept"])
+@pytest.mark.parametrize("command, section", [("fit", FIT_SECTION), ("rates", RATES_SECTION)])
+def test_solver_constants_are_not_config_fields(tmp_path, capsys, command, section, key):
+    """The ridge and line-search constants are the solver's own, not options."""
+    payload = {"output_dir": str(tmp_path / "out"), command: dict(section, fit={key: 0.5})}
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+    assert f"config.{command}.fit: unknown field(s) ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_unknown_instance_key_rejected(tmp_path):
     bad = dict(TINY_INSTANCE, horizon=4)
     cfg = write_config(tmp_path, {"fit": {"instance": bad}})
@@ -203,6 +215,16 @@ def test_seed_env_override_changes_instance(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setenv("SOFT_IRL_SEED", "one")
     assert main(["fit", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command", ["geometry", "fit", "rates", "concentration"])
+def test_negative_seed_env_is_input_error(tmp_path, monkeypatch, capsys, command):
+    """``SOFT_IRL_SEED`` passes the same check as a config seed, before any work."""
+    path = CONFIGS / f"{command}.json"
+    monkeypatch.setenv("SOFT_IRL_SEED", "-1")
+    assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +490,6 @@ def test_concentration_non_numeric_delta_is_input_error(tmp_path, capsys, delta)
 
 # ---------------------------------------------------------------------------
 # config values reach typed checks unconverted
-
-
-RATES_SECTION = {"instance": TINY_INSTANCE, "n_grid": [64, 128], "replicates": 1, "data_seed": 2}
-FIT_SECTION = {"instance": TINY_INSTANCE, "n": 16, "data_seed": 1}
 
 
 @pytest.mark.parametrize(

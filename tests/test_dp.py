@@ -41,7 +41,7 @@ from soft_irl import (
 from soft_irl.instances import counterexample_instance
 from soft_irl.soft_dp import _expected_next
 
-from test_mdp import random_mdp, random_policy
+from test_mdp import random_mdp, random_policy, trajectory_probs
 
 
 def random_reward(rng, mdp, scale=1.0):
@@ -311,9 +311,7 @@ def test_kl_matches_enumeration():
     p, q = random_policy(rng, mdp), random_policy(rng, mdp)
     _, _, pp = enumerate_support(mdp, p)
     states, actions, _ = enumerate_support(mdp, p)
-    from soft_irl import batch_trajectory_probs
-
-    qq = batch_trajectory_probs(mdp, q, states, actions)
+    qq = trajectory_probs(mdp, q, states, actions)
     direct = float(np.sum(pp * (np.log(pp) - np.log(qq))))
     assert trajectory_kl(mdp, p, q) == pytest.approx(direct, abs=1e-10)
 
@@ -341,12 +339,10 @@ def test_hellinger_bounded_by_kl():
 
 def hellinger_by_enumeration(mdp, p, q):
     """Oracle: sum (sqrt(P_p) - sqrt(P_q))**2 over the support of the 50/50 mixture."""
-    from soft_irl import batch_trajectory_probs
-
     mixture = Policy(probs=0.5 * p.probs + 0.5 * q.probs, label="mixture")
     states, actions, _ = enumerate_support(mdp, mixture)
-    pp = batch_trajectory_probs(mdp, p, states, actions)
-    qq = batch_trajectory_probs(mdp, q, states, actions)
+    pp = trajectory_probs(mdp, p, states, actions)
+    qq = trajectory_probs(mdp, q, states, actions)
     return float(((np.sqrt(pp) - np.sqrt(qq)) ** 2).sum())
 
 

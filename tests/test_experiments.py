@@ -19,7 +19,6 @@ from soft_irl import (
     Policy,
     RATE_METRICS,
     RateConfig,
-    batch_trajectory_probs,
     check_concentration,
     check_local_geometry,
     chi,
@@ -38,6 +37,8 @@ from soft_irl import (
 )
 from soft_irl.experiments import _cell_seed
 from soft_irl.linear_reward import LinearRewardModel
+
+from test_mdp import trajectory_probs
 
 TINY = InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1)
 
@@ -236,7 +237,7 @@ def test_far_pair_density_ratio_is_finite_where_trajectory_probabilities_underfl
             pi0 = solve_model(mdp, LinearRewardModel(features=features, theta=theta0), beta).pi_star
             pi1 = solve_model(mdp, LinearRewardModel(features=features, theta=theta1), beta).pi_star
             states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-            underflows.append(np.any(batch_trajectory_probs(mdp, pi1, states, actions) == 0.0))
+            underflows.append(np.any(trajectory_probs(mdp, pi1, states, actions) == 0.0))
             # oracle: per-path log-likelihood ratio wherever neither law underflows
             data = Dataset(states=states, actions=actions, seed=0)
             with np.errstate(divide="ignore"):
@@ -270,6 +271,19 @@ def test_dikin_boundary_pair_scores_each_segment_once(monkeypatch):
     assert len(segments) == len(set(segments))
     report = check_local_geometry(inst.mdp, inst.features, spec.beta, theta0, theta1)
     assert report.mode == "local" and report.all_passed
+
+
+def test_dikin_boundary_pair_rejects_a_zero_direction():
+    """A zero direction has no Dikin boundary point: a ``DomainError`` before
+    the 0/0 division, which would otherwise warn and then fail as a non-finite
+    parameter."""
+    from soft_irl import DomainError
+
+    inst = generate_instance(TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-zero direction"):
+            dikin_boundary_pair(inst.mdp, inst.features, TINY.beta, np.zeros(TINY.d), np.zeros(TINY.d))
 
 
 def test_geometry_requires_definite_hessian():
@@ -382,9 +396,9 @@ def test_rate_experiment_needs_no_trajectory_probabilities(monkeypatch):
     def no_gather(*args, **kwargs):
         raise AssertionError("trajectory probabilities were gathered")
 
-    monkeypatch.setattr(mdp_module, "batch_trajectory_probs", no_gather)
-    monkeypatch.setattr(soft_irl, "batch_trajectory_probs", no_gather)
-    assert not hasattr(experiments, "batch_trajectory_probs")
+    monkeypatch.setattr(mdp_module, "trajectory_log_prob", no_gather)
+    monkeypatch.setattr(soft_irl, "trajectory_log_prob", no_gather)
+    assert not hasattr(experiments, "trajectory_log_prob")
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=2, data_seed=2)
     report = run_rate_experiment(cfg)
     assert len(report.records) == len(RATE_METRICS) * 2 * 2

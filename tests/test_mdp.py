@@ -16,7 +16,6 @@ from soft_irl import (
     InvariantError,
     Mdp,
     Policy,
-    batch_trajectory_probs,
     empirical_feature_expectation,
     enumerate_support,
     feature_expectation,
@@ -46,6 +45,18 @@ def random_mdp(rng, S=3, A=2, T=3, deterministic=False):
 
 def random_policy(rng, mdp):
     return Policy(probs=rng.dirichlet(np.ones(mdp.A), size=(mdp.T, mdp.S)), label="random")
+
+
+def trajectory_probs(mdp, policy, states, actions):
+    """Exact probability of each ``(states[i], actions[i])`` path: the product
+    of its ``2T`` initial, policy and kernel factors."""
+    n, T = states.shape
+    factors = np.empty((n, 2 * T))
+    factors[:, 0] = mdp.initial_dist[states[:, 0]]
+    factors[:, 1::2] = policy.probs[np.arange(T), states, actions]
+    for t in range(T - 1):
+        factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
+    return factors.prod(axis=1)
 
 
 def brute_occupancy(mdp, policy):
@@ -454,7 +465,7 @@ def test_batch_probs_match_enumeration():
     mdp = random_mdp(rng, S=3, A=2, T=3)
     policy = random_policy(rng, mdp)
     states, actions, probs = enumerate_support(mdp, policy)
-    np.testing.assert_allclose(batch_trajectory_probs(mdp, policy, states, actions), probs,
+    np.testing.assert_allclose(trajectory_probs(mdp, policy, states, actions), probs,
                                rtol=1e-13)
 
 
@@ -505,7 +516,7 @@ def test_gibbs_policies_share_support():
     pi2 = soft_backward(mdp, r2, 1.3).pi_star
     states, actions, probs = enumerate_support(mdp, pi1)
     assert np.all(probs > 0.0)
-    assert np.all(batch_trajectory_probs(mdp, pi2, states, actions) > 0.0)
+    assert np.all(trajectory_probs(mdp, pi2, states, actions) > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,13 @@ from test_rewards import model_at, random_features, shaping_feature
 
 
 def decrement(grad, hessian):
-    """``sqrt(g^T H^{-1} g)`` as the fitter computes it: the whole space as
-    the image, no ridge."""
+    """``sqrt(g^T H^{-1} g)`` as the fitter computes it, with the whole space as
+    the image.  The Hessians below have eigenvalues of at least 0.5, far
+    above the ridge threshold, so the ridge is never added."""
     d = len(grad)
-    return opt._restricted_newton_step(grad, hessian, np.eye(d), 0.0, 0.0)[1]
+    _, value, ridge_used = opt._restricted_newton_step(grad, hessian, np.eye(d))
+    assert not ridge_used
+    return value
 
 
 def test_decrement_zero_gradient():
@@ -345,8 +348,10 @@ def test_loss_is_bitwise_the_soft_value():
         for _ in range(20):
             theta = scale * rng.normal(size=5)
             J = solve_model(mdp, model_at(features, theta), 0.6).J_star
-            assert opt._loss(mdp, features.phi, np.zeros(5), 0.6, theta) == J
-            assert opt._loss(mdp, features.phi, target, 0.6, theta) == J - float(theta @ target)
+            assert opt._loss_and_values(mdp, features.phi, np.zeros(5), 0.6, theta)[0] == J
+            assert opt._loss_and_values(mdp, features.phi, target, 0.6, theta)[0] == (
+                J - float(theta @ target)
+            )
 
 
 RATES_SPEC = InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5)  # the configs/rates.json instance
@@ -367,32 +372,47 @@ def test_hessian_at_solution_is_the_bundle_at_theta_hat(n, data_seed):
     ))
 
 
-def count_calls(monkeypatch, module, name, calls):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 @pytest.mark.parametrize("n, data_seed", [(256, 2), (1024, 1), (4096, 3)])
 def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch, n, data_seed):
-    """One soft solve for the starting bundle and one per full-step fallback
-    (each of which asks for a derivative bundle): every accepted line-search
-    point reuses its own pass.  The first fit takes no fallback."""
+    """Every soft pass of a fit is a value pass, and every derivative bundle is
+    built from the value pass just before it: the start point's, an accepted
+    line-search point's own, or a full-step fallback's.  No point is solved
+    twice in a row, so no accepted point is solved again for its bundle.
+    The first fit takes no fallback, so its passes are the start plus one per
+    step size tried."""
     inst = generate_instance(RATES_SPEC)
     data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
-    calls = {"soft_backward": 0, "derivative_bundle": 0}
-    count_calls(monkeypatch, soft_dp, "soft_backward", calls)
-    count_calls(monkeypatch, linear_reward, "soft_backward", calls)
-    count_calls(monkeypatch, opt, "derivative_bundle", calls)
+    events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q, V))
+    value_pass, gibbs = opt._loss_and_values, opt._gibbs_solution
+
+    def recorded_value_pass(mdp, phi, target, beta, theta):
+        loss, values = value_pass(mdp, phi, target, beta, theta)
+        events.append(("value", np.asarray(theta).tobytes(), values))
+        return loss, values
+
+    def recorded_gibbs(mdp, beta, Q, V):
+        events.append(("bundle", (Q, V)))
+        return gibbs(mdp, beta, Q, V)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the fit ran a soft solve outside its value passes")
+
+    monkeypatch.setattr(opt, "_loss_and_values", recorded_value_pass)
+    monkeypatch.setattr(opt, "_gibbs_solution", recorded_gibbs)
+    monkeypatch.setattr(soft_dp, "soft_backward", no_solve)
+    monkeypatch.setattr(linear_reward, "soft_backward", no_solve)
     result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.5))
     assert result.converged and result.iterations >= 6
-    assert calls["soft_backward"] == calls["derivative_bundle"] < result.iterations
+
+    bundles = [i for i, event in enumerate(events) if event[0] == "bundle"]
+    assert len(bundles) == result.iterations + 1  # the start and each accepted point
+    for i in bundles:
+        assert i >= 1 and events[i - 1][0] == "value"
+        assert all(a is b for a, b in zip(events[i][1], events[i - 1][2]))
+        assert i == 1 or events[i - 2][0] == "bundle" or events[i - 2][1] != events[i - 1][1]
     if (n, data_seed) == (256, 2):
-        assert calls["soft_backward"] == 1
+        tried = sum(round(-np.log2(rec.step_size)) + 1 for rec in result.trace[:-1])
+        assert len(events) - len(bundles) == 1 + tried
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
@@ -402,7 +422,7 @@ def test_loss_at_a_non_finite_reward_is_a_typed_error(bad):
     features = random_features(rng, mdp, 3)
     theta = np.array([0.5, bad, -0.25])
     with pytest.raises(SoftIrlError, match="not finite"):
-        opt._loss(mdp, features.phi, np.zeros(3), 0.7, theta)
+        opt._loss_and_values(mdp, features.phi, np.zeros(3), 0.7, theta)
 
 
 def test_stalled_status_at_the_roundoff_floor():

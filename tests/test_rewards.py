@@ -10,10 +10,13 @@ from soft_irl import (
     Dataset,
     FeatureMap,
     InstanceSpec,
+    InvariantError,
     LinearRewardModel,
     Mdp,
+    RateConfig,
     RewardTable,
     batch_scores,
+    check_concentration,
     derivative_bundle,
     effective_dimension,
     enumerate_support,
@@ -26,6 +29,7 @@ from soft_irl import (
     max_score_norm,
     policy_evaluate,
     reward_of,
+    run_rate_experiment,
     score,
     shaping_projector,
     solve_model,
@@ -356,6 +360,32 @@ def test_one_row_dataset_scores_are_bitwise_the_gathered_sum():
     assert np.array_equal(batch_scores(adv, data.states, data.actions), expected)
     norm = max_score_norm(mdp, features, 0.8, [model.theta], data.states, data.actions)
     assert norm == float(np.linalg.norm(expected, axis=1).max())
+
+
+def test_path_readers_reject_indices_off_the_table():
+    """A path index outside ``[0, S)`` or ``[0, A)`` is an ``InvariantError``
+    wherever paths are read through a table, instead of a read of another
+    step's cell (index S at step t is row 0 of step t + 1) or a wrap-around
+    (index -1)."""
+    table = np.arange(24.0).reshape(3, 4, 2, 1)
+    zeros = np.zeros((1, 3), dtype=np.int64)
+    with pytest.raises(InvariantError, match=r"state index out of range \(S=4\)"):
+        batch_scores(table, np.array([[4, 0, 0]]), zeros)
+    for states, actions in (([[-1, 0, 0]], zeros), (zeros, [[0, 2, 0]]), (zeros, [[0, 0, -1]])):
+        with pytest.raises(InvariantError, match="index out of range"):
+            batch_scores(table, np.array(states), np.array(actions))
+        with pytest.raises(InvariantError, match="index out of range"):
+            gather_table(table, np.array(states), np.array(actions))
+
+    rng = np.random.default_rng(41)
+    mdp = random_mdp(rng, S=4, A=2, T=3)
+    features = random_features(rng, mdp, 1)
+    for states in ([[4, 0, 0]], [[-1, 0, 0]]):
+        with pytest.raises(InvariantError, match=r"state index out of range \(S=4\)"):
+            max_score_norm(mdp, features, 0.8, [np.zeros(1)], np.array(states), zeros)
+        with pytest.raises(InvariantError, match=r"state index out of range \(S=4\)"):
+            max_cumulative_feature_norm(features, np.array(states), zeros)
+    assert batch_scores(table, zeros, zeros).tolist() == [[0.0 + 8.0 + 16.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +748,40 @@ def test_geometry_constants_bounds_and_brute_force():
     assert exact.B_phi == pytest.approx(best, abs=1e-12)
 
 
-def test_geometry_constants_conservative_above_the_cap():
-    """Above the enumeration cap the sup constants fall back to the triangle bounds."""
+def above_the_cap_instance():
+    """An S4 A4 T12 MDP with uniform dynamics, (S*A)**T above the cap, and d = 3 features."""
     rng = np.random.default_rng(33)
     mdp = Mdp(T=12, S=4, A=4, initial_dist=np.full(4, 0.25),
               kernels=np.full((11, 4, 4, 4), 0.25), ref_measure=np.ones(4))
     assert (mdp.S * mdp.A) ** mdp.T > DEFAULT_ENUMERATION_CAP
-    features = random_features(rng, mdp, 3)
+    return rng, mdp, random_features(rng, mdp, 3)
+
+
+def test_geometry_constants_conservative_above_the_cap():
+    """Above the enumeration cap the sup constants fall back to the triangle bounds."""
+    rng, mdp, features = above_the_cap_instance()
     gc = geometry_constants(mdp, features, model_at(features, rng.normal(size=3) * 0.4), 0.9)
     assert gc.mode == "conservative"
     assert gc.B_A_phi == pytest.approx(2 * mdp.T * gc.B_phi, abs=1e-12)
     assert gc.B_phi == pytest.approx(triangle_bound(features), rel=1e-12)
+
+
+def test_rates_and_concentration_run_above_the_cap():
+    """Above the enumeration cap ``check_concentration`` and
+    ``run_rate_experiment`` take the conservative constants of
+    :func:`geometry_constants` instead of raising ``CapacityError``."""
+    rng, mdp, features = above_the_cap_instance()
+    expert = solve_model(mdp, model_at(features, rng.normal(size=3) * 0.4), 0.9).pi_star
+    report = check_concentration(mdp, features, 0.9, expert, n=64, trials=8, seed=1)
+    assert report.B_phi == pytest.approx(triangle_bound(features), rel=1e-12)
+    assert report.lambda_star > 0.0 and np.isfinite(report.d_star)
+    assert np.isfinite(report.bound) and len(report.etas) == 8
+
+    spec = InstanceSpec(S=4, A=4, T=12, d=3, beta=0.9, seed=2)
+    rates = run_rate_experiment(RateConfig(instance=spec, n_grid=(64, 128), replicates=2))
+    B_phi = triangle_bound(generate_instance(spec).features)
+    assert rates.B_phi == pytest.approx(B_phi, rel=1e-12)
+    assert rates.B_A_phi == 2 * spec.T * rates.B_phi
+    assert rates.rho_star == 0.9 * np.sqrt(rates.lambda_star) / rates.B_A_phi
+    assert sum(rates.fit_statuses.values()) == 4
+    assert all(np.isfinite(record.value) for record in rates.records)
