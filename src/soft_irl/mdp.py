@@ -368,11 +368,21 @@ def _check_real(value, name: str, low: float = -np.inf, high: float = np.inf) ->
     return float(value)
 
 
-def _rows_inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF sampling: ``rows[i]`` is a distribution, ``u[i]`` a uniform."""
-    cum = np.cumsum(rows, axis=1)
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+def _inverse_cdf(table: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Index ``i`` drawn from row ``rows[i]`` of ``table`` (a stack of
+    distributions) with uniform ``u[i]``; ``rows`` may be one index for every
+    draw.  The rule is spelled out in ``sample_trajectories``."""
+    w = table.shape[1]
+    cdf = np.cumsum(table, axis=1)
+    # From each row's last positive entry on, no total is ever counted: a
+    # draw stops at that entry even when the rounded row total is <= u.  The
+    # last column is then always +inf and need not be compared.
+    last = w - 1 - np.argmax(table[:, ::-1] > 0.0, axis=1)
+    cdf[np.arange(w) >= last[:, None]] = np.inf
+    idx = np.zeros(u.shape, dtype=np.int64)
+    for column in cdf.T[:-1]:
+        idx += column.take(rows) <= u
+    return idx
 
 
 def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
@@ -382,6 +392,13 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
     generator in the fixed order ``s_0, a_0, s_1, a_1, ...``; results do not
     depend on how the work is batched.  ``seed`` must be a non-negative
     integer and ``1 <= n < 2**32``; anything else raises an ``InputError``.
+
+    A draw is an inverse-CDF lookup.  Per call, the running totals of each row
+    of ``initial_dist``, of ``policy.probs[t]`` and of ``kernels[t]`` (as
+    ``(S*A, S)`` rows, row ``s*A + a``) are summed once, and a draw from a
+    ``w``-wide row is the number of its first ``w - 1`` totals at or below the
+    uniform.  Totals from the row's last positive entry onward count as
+    ``+inf``, so a draw never lands on an entry of probability zero.
     """
     _check_compatible(mdp, policy)
     seed = _check_seed(seed)
@@ -396,14 +413,14 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
 
     states = np.empty((n, mdp.T), dtype=np.int64)
     actions = np.empty((n, mdp.T), dtype=np.int64)
-    init_rows = np.broadcast_to(mdp.initial_dist, (n, mdp.S))
-    s = _rows_inverse_cdf(init_rows, u[:, 0])
+    successors = mdp.kernels.reshape(mdp.T - 1, mdp.S * mdp.A, mdp.S)
+    s = _inverse_cdf(mdp.initial_dist[None, :], 0, u[:, 0])
     for t in range(mdp.T):
         states[:, t] = s
-        a = _rows_inverse_cdf(policy.probs[t][s], u[:, 2 * t + 1])
+        a = _inverse_cdf(policy.probs[t], s, u[:, 2 * t + 1])
         actions[:, t] = a
         if t < mdp.T - 1:
-            s = _rows_inverse_cdf(mdp.kernels[t][s, a], u[:, 2 * t + 2])
+            s = _inverse_cdf(successors[t], s * mdp.A + a, u[:, 2 * t + 2])
     return Dataset(states=states, actions=actions, seed=seed, generator_label=policy.label)
 
 

@@ -26,7 +26,7 @@ from soft_irl import (
 )
 from soft_irl.experiments import InstanceSpec, generate_instance
 from soft_irl.io import dataset_to_dict, to_json_text
-from soft_irl.mdp import _child_uniforms
+from soft_irl.mdp import _child_uniforms, _inverse_cdf
 from soft_irl.soft_dp import RewardTable, soft_backward
 
 
@@ -403,6 +403,115 @@ def test_sampling_reproduces_pinned_rows():
         data = sample_trajectories(instance.mdp, instance.expert, n, seed)
         assert data.states[row].tolist() == states, (seed, row)
         assert data.actions[row].tolist() == actions, (seed, row)
+
+
+# (row, states, actions) of the fit_large benchmark data: seed 1, n = 4096,
+# from the expert of the S50 A10 T20 instance below.  These pin the sampler on
+# 50-wide kernel rows and 10-wide policy rows over twenty steps.
+WIDE_PINNED_ROWS = [
+    (0, [32, 31, 5, 9, 18, 19, 39, 14, 38, 32, 43, 46, 34, 21, 43, 43, 39, 37, 37, 49],
+     [0, 5, 8, 7, 4, 1, 5, 9, 8, 6, 2, 1, 7, 9, 7, 2, 7, 5, 6, 8]),
+    (1, [21, 9, 25, 48, 12, 25, 39, 14, 11, 25, 32, 6, 4, 39, 8, 37, 3, 4, 3, 42],
+     [7, 3, 4, 5, 2, 2, 5, 9, 4, 2, 4, 0, 5, 8, 0, 1, 8, 0, 0, 1]),
+    (2047, [1, 40, 43, 31, 39, 12, 13, 22, 49, 26, 37, 10, 46, 44, 17, 27, 6, 18, 42, 30],
+     [3, 1, 0, 9, 8, 3, 3, 7, 5, 4, 6, 2, 9, 6, 0, 5, 1, 7, 1, 8]),
+    (4095, [8, 36, 30, 0, 25, 5, 0, 32, 42, 40, 30, 32, 32, 31, 44, 8, 34, 47, 28, 31],
+     [3, 2, 2, 2, 3, 7, 9, 5, 1, 4, 0, 6, 7, 4, 7, 6, 6, 4, 1, 2]),
+]
+
+
+def test_sampling_reproduces_wide_pinned_rows():
+    instance = generate_instance(InstanceSpec(S=50, A=10, T=20, d=50, beta=0.5, seed=11))
+    data = sample_trajectories(instance.mdp, instance.expert, 4096, 1)
+    for row, states, actions in WIDE_PINNED_ROWS:
+        assert data.states[row].tolist() == states, row
+        assert data.actions[row].tolist() == actions, row
+
+
+def reference_samples(mdp, policy, n, seed):
+    """``(states, actions)`` by the per-draw formula: gather each draw's row,
+    take its running totals, count those at or below the uniform and clamp to
+    the last index; the uniforms are ``_child_uniforms``'.
+
+    ``sample_trajectories`` sums each table row once per call and caps draws at
+    the row's last positive entry.  The two differ only where this formula is
+    wrong: a uniform at or above a row's rounded total, with zero mass after
+    it, here draws a zero-mass entry (``test_draw_from_a_row_short_of_one``).
+    """
+    u = _child_uniforms(seed, n, 2 * mdp.T)
+
+    def draw(rows, uniforms):
+        cum = np.cumsum(rows, axis=1)
+        return np.minimum((cum <= uniforms[:, None]).sum(axis=1), rows.shape[1] - 1)
+
+    states = np.empty((n, mdp.T), dtype=np.int64)
+    actions = np.empty((n, mdp.T), dtype=np.int64)
+    s = draw(np.broadcast_to(mdp.initial_dist, (n, mdp.S)), u[:, 0])
+    for t in range(mdp.T):
+        states[:, t] = s
+        a = draw(policy.probs[t][s], u[:, 2 * t + 1])
+        actions[:, t] = a
+        if t < mdp.T - 1:
+            s = draw(mdp.kernels[t][s, a], u[:, 2 * t + 2])
+    return states, actions
+
+
+def sparse_distributions(rng, shape):
+    """Random distributions along the last axis of ``shape``, about half of
+    each row's entries zero and at least one positive."""
+    x = rng.random(shape) * (rng.random(shape) < 0.5)
+    keep = rng.integers(shape[-1], size=shape[:-1])
+    np.put_along_axis(x, keep[..., None], 1.0 + rng.random(shape[:-1])[..., None], axis=-1)
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=1, max_value=300),
+       st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                 st.integers(min_value=2**128, max_value=2**200)))
+def test_sampling_matches_the_per_draw_reference_property(rng_seed, S, A, T, deterministic, n, seed):
+    """States and actions equal ``reference_samples``' exactly, on random MDPs
+    and policies with zero-mass entries and on deterministic kernels under a
+    one-hot policy; ``T = 1`` (no kernels), ``S = 1``, ``A = 1`` and seeds of
+    more than four 32-bit words are in range."""
+    rng = np.random.default_rng(rng_seed)
+    if deterministic:
+        mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=True)
+        policy = Policy(probs=np.eye(A)[rng.integers(A, size=(T, S))])
+    else:
+        mdp = Mdp(T=T, S=S, A=A, initial_dist=sparse_distributions(rng, (S,)),
+                  kernels=sparse_distributions(rng, (T - 1, S, A, S)), ref_measure=np.ones(A))
+        policy = Policy(probs=sparse_distributions(rng, (T, S, A)))
+    data = sample_trajectories(mdp, policy, n, seed)
+    states, actions = reference_samples(mdp, policy, n, seed)
+    np.testing.assert_array_equal(data.states, states)
+    np.testing.assert_array_equal(data.actions, actions)
+
+
+def test_draw_from_a_row_short_of_one():
+    """This row passes the distribution check, but its running total rounds to
+    ``1 - 2**-53``, the largest uniform.  The draw is its last positive entry,
+    not the zero after it."""
+    row = np.array([[0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0]])
+    Policy(probs=row[None])
+    assert np.cumsum(row)[-1] == 1 - 2**-53
+    assert _inverse_cdf(row, np.zeros(1, dtype=np.int64), np.array([1 - 2**-53])).tolist() == [2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.just(0.0) | st.floats(min_value=1e-3, max_value=1.0),
+                min_size=1, max_size=6).filter(any),
+       st.integers(min_value=1, max_value=4), st.floats(min_value=1 - 1e-12, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1 - 2**-53))
+def test_draws_have_positive_mass_property(weights, zeros, scale, u):
+    """A row with trailing zeros, whose total may be short of 1 by up to the
+    distribution check's tolerance, never yields a zero-mass index, for any
+    uniform the stream can emit."""
+    row = np.concatenate([np.asarray(weights) / np.sum(weights) * scale, np.zeros(zeros)])
+    index = _inverse_cdf(row[None, :], np.zeros(1, dtype=np.int64), np.array([u]))[0]
+    assert row[index] > 0.0
 
 
 def test_sampling_frequencies_match_occupancy():
