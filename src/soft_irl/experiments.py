@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InputError
 from .mdp import (
@@ -291,6 +290,7 @@ class RateReport:
     B_phi: float
     B_A_phi: float
     rho_star: float
+    constants_mode: str  # GeometryConstants.mode: "exact" or "conservative"
     burn_in_n: float
     slope_window: tuple[int, ...]
     approx_floor_kl: float
@@ -430,6 +430,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         B_phi=constants.B_phi,
         B_A_phi=constants.B_A_phi,
         rho_star=constants.rho_star,
+        constants_mode=constants.mode,
         burn_in_n=float(burn_in),
         slope_window=slope_window,
         approx_floor_kl=float(approx_floor),
@@ -502,6 +503,8 @@ def check_local_geometry(
     displacement, and KL within [1, 3] times squared Hellinger.  Outside it,
     the deviation-dependent global bounds are checked instead.
     """
+    import scipy.linalg
+
     theta0 = np.asarray(theta0, dtype=np.float64)
     theta1 = np.asarray(theta1, dtype=np.float64)
     delta = theta1 - theta0
@@ -632,6 +635,7 @@ class ConcentrationReport:
     d_star: float
     lambda_star: float
     B_phi: float
+    constants_mode: str  # GeometryConstants.mode: "exact" or "conservative"
     bound: float
     violation_frequency: float
     frequency_threshold: float
@@ -666,6 +670,8 @@ def check_concentration(
     non-negative integer; anything else raises an ``InputError`` before any
     work.
     """
+    import scipy.linalg
+
     _check_count(n, "n")
     _check_count(trials, "trials")
     _check_real(delta, "delta", 0.0, 1.0)
@@ -707,6 +713,7 @@ def check_concentration(
         d_star=constants.d_star,
         lambda_star=lambda_star,
         B_phi=constants.B_phi,
+        constants_mode=constants.mode,
         bound=float(bound),
         violation_frequency=float(frequency),
         frequency_threshold=float(threshold),

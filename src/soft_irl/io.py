@@ -236,6 +236,7 @@ def rate_report_to_dict(report: RateReport) -> dict:
         "B_phi": report.B_phi,
         "B_A_phi": report.B_A_phi,
         "rho_star": report.rho_star,
+        "constants_mode": report.constants_mode,
         "burn_in_n": report.burn_in_n,
         "slope_window": list(report.slope_window),
         "approx_floor_kl": report.approx_floor_kl,

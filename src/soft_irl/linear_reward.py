@@ -175,7 +175,8 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
 
     The gradient is the feature expectation of the Gibbs policy; the Hessian
     is its occupancy-weighted second moment of per-step feature advantages,
-    divided by ``beta``.
+    divided by ``beta``: the Gram of the advantage table scaled by the root
+    of the occupancy, built in the table's own memory.
     """
     return _solution_bundle(mdp, model.features, solve_model(mdp, model, beta))
 

@@ -303,9 +303,14 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
 
 
 def feature_advantage(mdp: Mdp, features, policy: Policy) -> np.ndarray:
-    """Per-coordinate unregularized advantages ``Q - V``, shape ``(T, S, A, d)``."""
+    """Per-coordinate unregularized advantages ``Q - V``, shape ``(T, S, A, d)``.
+
+    ``V`` is subtracted from the fresh ``Q`` table in place, so the caller
+    owns the returned table.
+    """
     Q, V = feature_values(mdp, features, policy)
-    return Q - V[:-1, :, None, :]
+    Q -= V[:-1, :, None, :]
+    return Q
 
 
 def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
@@ -395,11 +400,17 @@ def return_decomposition(
     )
 
 
-def _weighted_second_moment(mu: np.ndarray, adv: np.ndarray) -> np.ndarray:
-    """``sum_{t,s,a} mu[t,s,a] adv[t,s,a] adv[t,s,a]^T`` as one matmul, symmetrized."""
-    flat = adv.reshape(-1, adv.shape[-1])
-    M = (flat * mu.reshape(-1, 1)).T @ flat
-    return 0.5 * (M + M.T)
+def _weighted_second_moment(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_i mu[i] rows[i] rows[i]^T`` over the leading axes, as the Gram
+    ``W^T W`` of ``W = sqrt(mu) rows``: one BLAS ``syrk``, exactly symmetric.
+
+    ``rows`` has shape ``mu.shape + (d,)`` and is finite wherever ``mu > 0``;
+    ``mu`` is non-negative.  ``rows`` is consumed: ``W`` is built in its
+    memory, so callers pass a table they own and no copy of it is made.
+    """
+    W = rows.reshape(-1, rows.shape[-1])
+    W *= np.sqrt(mu).reshape(-1, 1)
+    return W.T @ W
 
 
 def _martingale_covariance(
@@ -415,13 +426,13 @@ def _martingale_covariance(
     successor value minus its conditional mean ``m = P_{k-1} V_k``, so its
     second moment is ``E[V_k V_k^T]`` under the step-``k`` state marginal minus
     ``E[m m^T]`` under the step-``k-1`` occupancy; step 0 measures the initial
-    draw against its mean.
+    draw against its mean.  ``adv`` is consumed; ``V`` is left as it is.
     """
     mean0 = mdp.initial_dist @ V[0]
-    dynamics = _weighted_second_moment(mdp.initial_dist, V[0]) - np.outer(mean0, mean0)
+    dynamics = _weighted_second_moment(mdp.initial_dist, V[0].copy()) - np.outer(mean0, mean0)
     for k in range(1, mdp.T):
         cond_mean = _expected_next(mdp.kernels[k - 1], V[k])
-        dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k])
+        dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k].copy())
         dynamics -= _weighted_second_moment(mu[k - 1], cond_mean)
     return _weighted_second_moment(mu, adv), dynamics
 

@@ -314,10 +314,12 @@ def test_shipped_config_runs_and_reruns_byte_identical(tmp_path, capsys, name):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("name", ["fit", "geometry", "concentration"])
+@pytest.mark.parametrize("name", ["fit", "geometry", "concentration", "rates"])
 def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, name):
     """The successor products and Hessians run in BLAS; on the shipped configs
-    one and two OpenBLAS threads must write the same bytes."""
+    one and two OpenBLAS threads must write the same bytes.  The shipped
+    instances are within the enumeration cap, so the reports that carry
+    geometry constants say they are exact."""
     path = CONFIGS / f"{name}.json"
     (command,) = set(json.loads(path.read_text())) & set(cli._COMMANDS)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -332,6 +334,23 @@ def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, na
         )
         runs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
     assert runs[0] and runs[0] == runs[1]
+    for report in {"rates.json", "concentration.json"} & set(runs[0]):
+        assert json.loads(runs[0][report])["constants_mode"] == "exact"
+
+
+def test_importing_the_package_and_cli_leaves_scipy_unloaded():
+    """scipy is imported by the functions that use it, not by the package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, soft_irl, soft_irl.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

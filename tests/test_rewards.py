@@ -1,9 +1,12 @@
 """Tests for linear reward models: derivatives, kernel, shaping, dimensions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soft_irl import (
     DEFAULT_ENUMERATION_CAP,
@@ -21,6 +24,7 @@ from soft_irl import (
     effective_dimension,
     enumerate_support,
     feature_advantage,
+    forward_occupancy,
     gather_table,
     generate_instance,
     geometry_constants,
@@ -40,7 +44,11 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
+from soft_irl.io import concentration_to_dict, rate_report_to_dict
+from soft_irl.linear_reward import _solution_bundle
+from soft_irl.soft_dp import _weighted_second_moment
 
+from test_dp import sparse_policy
 from test_mdp import random_mdp, random_policy
 
 
@@ -214,6 +222,79 @@ def test_hessian_equals_beta_times_fisher():
     Z = batch_scores(feature_advantage(mdp, features, pi), states, actions)
     fisher = (Z * probs[:, None]).T @ Z / beta**2  # scores are Z / beta
     np.testing.assert_allclose(H, beta * fisher, atol=1e-9)
+
+
+def weighted_gemm_second_moment(mu, adv):
+    """``sum mu adv adv^T`` as the ``mu``-weighted gemm of the flat table,
+    symmetrized: the formula the square-root Gram replaced, kept as its oracle."""
+    flat = adv.reshape(-1, adv.shape[-1])
+    M = (flat * mu.reshape(-1, 1)).T @ flat
+    return 0.5 * (M + M.T)
+
+
+# Each formula rounds an entry by at most about (T*S*A + 2) * 2**-53 times
+# sum mu |a_i a_j|, which is at most tr(M) by Cauchy-Schwarz: below 1e-14 tr(M)
+# at the sizes drawn here.
+HESSIAN_ORACLE_RTOL = 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    S=st.integers(min_value=1, max_value=4),
+    A=st.integers(min_value=1, max_value=3),
+    T=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=4),
+    deterministic=st.booleans(),
+    beta=st.sampled_from([1e-3, 0.05, 0.7, 3.0]),
+)
+@example(seed=0, S=3, A=2, T=1, d=1, deterministic=True, beta=1e-3)
+@example(seed=1, S=4, A=3, T=4, d=1, deterministic=True, beta=0.7)
+@example(seed=2, S=2, A=3, T=3, d=3, deterministic=False, beta=1e-3)
+def test_hessian_matches_the_weighted_gemm_oracle_property(seed, S, A, T, d, deterministic, beta):
+    """The bundle Hessian, one Gram of the root-occupancy-scaled advantage
+    table, equals the weighted-gemm formula within ``HESSIAN_ORACLE_RTOL``
+    of the oracle's trace and is exactly symmetric.  Deterministic dynamics
+    leave states unreached (zero occupancy), and ``beta = 1e-3`` drives Gibbs
+    probabilities to exactly 0.  The same holds for the second moment under a
+    policy with zero-probability entries and one-hot rows, as the return
+    covariance takes it."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=deterministic)
+    features = random_features(rng, mdp, d)
+    solution = solve_model(mdp, model_at(features, rng.normal(size=d)), beta)
+    H = _solution_bundle(mdp, features, solution).hessian
+    pi = solution.pi_star
+    oracle = weighted_gemm_second_moment(
+        forward_occupancy(mdp, pi), feature_advantage(mdp, features, pi)
+    ) / beta
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - oracle).max() <= HESSIAN_ORACLE_RTOL * np.trace(oracle)
+
+    policy = sparse_policy(rng, mdp)
+    mu = forward_occupancy(mdp, policy)
+    adv = feature_advantage(mdp, features, policy)
+    oracle = weighted_gemm_second_moment(mu, adv)
+    M = _weighted_second_moment(mu, adv)  # consumes adv, so it goes last
+    assert np.array_equal(M, M.T)
+    assert np.abs(M - oracle).max() <= HESSIAN_ORACLE_RTOL * np.trace(oracle)
+
+
+def test_a_derivative_bundle_allocates_under_two_feature_tables():
+    """The bundle builds its Hessian in the advantage table's own memory: at
+    S20 A5 T10 d20 its traced peak stays below twice the feature table."""
+    rng = np.random.default_rng(14)
+    mdp = random_mdp(rng, S=20, A=5, T=10)
+    features = random_features(rng, mdp, 20)
+    solution = solve_model(mdp, model_at(features, 0.3 * rng.normal(size=20)), 0.5)
+    _solution_bundle(mdp, features, solution)
+    tracemalloc.start()
+    try:
+        _solution_bundle(mdp, features, solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / features.phi.nbytes < 2.0
 
 
 def test_hessian_is_psd():
@@ -773,12 +854,14 @@ def test_rates_and_concentration_run_above_the_cap():
     rng, mdp, features = above_the_cap_instance()
     expert = solve_model(mdp, model_at(features, rng.normal(size=3) * 0.4), 0.9).pi_star
     report = check_concentration(mdp, features, 0.9, expert, n=64, trials=8, seed=1)
+    assert concentration_to_dict(report)["constants_mode"] == "conservative"
     assert report.B_phi == pytest.approx(triangle_bound(features), rel=1e-12)
     assert report.lambda_star > 0.0 and np.isfinite(report.d_star)
     assert np.isfinite(report.bound) and len(report.etas) == 8
 
     spec = InstanceSpec(S=4, A=4, T=12, d=3, beta=0.9, seed=2)
     rates = run_rate_experiment(RateConfig(instance=spec, n_grid=(64, 128), replicates=2))
+    assert rate_report_to_dict(rates)["constants_mode"] == "conservative"
     B_phi = triangle_bound(generate_instance(spec).features)
     assert rates.B_phi == pytest.approx(B_phi, rel=1e-12)
     assert rates.B_A_phi == 2 * spec.T * rates.B_phi
