@@ -47,15 +47,6 @@ from .soft_dp import soft_backward
 from .svg import loglog_chart
 
 _TOP_LEVEL_KEYS = {"seed", "output_dir", "emit_plots"}
-_COMMANDS = (
-    "solve",
-    "fit",
-    "rates",
-    "equivalence",
-    "counterexample",
-    "geometry",
-    "concentration",
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,16 +86,15 @@ def _effective_seed(config: RunConfig) -> int:
     return _check_seed(seed)
 
 
-def _instance_spec(section: dict, seed: int, where: str) -> InstanceSpec:
-    allowed = {f.name for f in dataclasses.fields(InstanceSpec)}
-    pio.check_keys(section, set(), allowed, where)
-    return InstanceSpec(**{"seed": seed, **section})
+def _section_fields(cls, section: dict, where: str) -> dict:
+    """``section`` itself, once its keys are known to name fields of the dataclass ``cls``."""
+    pio.check_keys(section, set(), {f.name for f in dataclasses.fields(cls)}, where)
+    return section
 
 
-def _fit_config(section: dict, beta: float, where: str) -> FitConfig:
-    allowed = {f.name for f in dataclasses.fields(FitConfig)}
-    pio.check_keys(section, set(), allowed, where)
-    return FitConfig(**{"beta": beta, **section})
+def _read_section(cls, section: dict, where: str, **defaults):
+    """The dataclass ``cls`` from a config section; ``defaults`` fill the fields it leaves out."""
+    return cls(**(defaults | _section_fields(cls, section, where)))
 
 
 def _out_dir(args, config: RunConfig) -> Path:
@@ -132,7 +122,7 @@ def cmd_solve(args) -> int:
         reward = pio.reward_from_obj(pio.load_json(section["reward"]), section["reward"])
     solution = soft_backward(mdp, reward, beta)
     out = _out_dir(args, config)
-    pio.dump_json(pio.solution_to_dict(solution), out / "solution.json")
+    pio.dump_json(solution, out / "solution.json")
     print(f"J_star = {solution.J_star:.12g}")
     print(f"wrote {out / 'solution.json'}")
     return 0
@@ -149,7 +139,8 @@ def cmd_fit(args) -> int:
     )
     seed = _effective_seed(config)
     if "instance" in section:
-        instance = generate_instance(_instance_spec(section["instance"], seed, "config.fit.instance"))
+        spec = _read_section(InstanceSpec, section["instance"], "config.fit.instance", seed=seed)
+        instance = generate_instance(spec)
         mdp, features = instance.mdp, instance.features
         beta = instance.spec.beta
         expert = instance.expert
@@ -161,7 +152,7 @@ def cmd_fit(args) -> int:
         beta = 1.0
         expert = None
 
-    fit_cfg = _fit_config(section.get("fit", {}), beta, "config.fit.fit")
+    fit_cfg = _read_section(FitConfig, section.get("fit", {}), "config.fit.fit", beta=beta)
     if "data" in section:
         data = pio.dataset_from_dict(pio.load_json(section["data"]), section["data"])
     else:
@@ -172,7 +163,7 @@ def cmd_fit(args) -> int:
 
     result = fit_empirical(mdp, features, data, fit_cfg)
     out = _out_dir(args, config)
-    pio.dump_json(pio.fit_result_to_dict(result), out / "fit.json")
+    pio.dump_json(result, out / "fit.json")
     theta = ", ".join(f"{x:.6g}" for x in result.theta_hat)
     print(f"theta_hat = [{theta}]")
     print(f"converged = {result.converged} after {result.iterations} iterations")
@@ -185,21 +176,18 @@ def cmd_fit(args) -> int:
 
 def cmd_rates(args) -> int:
     config = _load_run_config(args.config)
-    section = config.sections.get("rates", {})
-    options = {"n_grid", "replicates", "burn_in_delta", "min_slope_points"}
-    pio.check_keys(section, set(), options | {"instance", "data_seed", "fit"}, "config.rates")
+    section = _section_fields(RateConfig, config.sections.get("rates", {}), "config.rates")
     seed = _effective_seed(config)
-    spec = _instance_spec(section.get("instance", {}), seed, "config.rates.instance")
-    rate_cfg = RateConfig(
-        instance=spec,
-        data_seed=section.get("data_seed", seed + 1),
-        fit=_fit_config(section.get("fit", {}), spec.beta, "config.rates.fit"),
-        **{key: section[key] for key in options & section.keys()},
+    spec = _read_section(
+        InstanceSpec, section.get("instance", {}), "config.rates.instance", seed=seed
     )
-    report = run_rate_experiment(rate_cfg)
+    fit = _read_section(FitConfig, section.get("fit", {}), "config.rates.fit", beta=spec.beta)
+    report = run_rate_experiment(
+        RateConfig(**({"data_seed": seed + 1} | section | {"instance": spec, "fit": fit}))
+    )
 
     out = _out_dir(args, config)
-    pio.dump_json(pio.rate_report_to_dict(report), out / "rates.json")
+    pio.dump_json(report, out / "rates.json")
     pio.rate_report_to_csv(report, out / "rates.csv")
     written = [out / "rates.json", out / "rates.csv"]
     if args.emit_plots or config.emit_plots:
@@ -230,7 +218,9 @@ def cmd_equivalence(args) -> int:
     section = config.sections.get("equivalence", {})
     pio.check_keys(section, set(), {"instance", "theta", "n", "data_seed"}, "config.equivalence")
     seed = _effective_seed(config)
-    spec = _instance_spec(section.get("instance", {}), seed, "config.equivalence.instance")
+    spec = _read_section(
+        InstanceSpec, section.get("instance", {}), "config.equivalence.instance", seed=seed
+    )
     instance = generate_instance(spec)
     if "theta" in section:
         theta = pio.number_array(section["theta"], "config.equivalence.theta")
@@ -244,7 +234,7 @@ def cmd_equivalence(args) -> int:
     )
     report = equivalence_report(instance.mdp, model, spec.beta, data, instance.expert)
     out = _out_dir(args, config)
-    pio.dump_json(pio.risk_report_to_dict(report), out / "equivalence.json")
+    pio.dump_json(report, out / "equivalence.json")
     print(f"irl_empirical  = {report.irl_empirical:.12g}")
     print(f"mle_empirical  = {report.mle_empirical:.12g}")
     print(f"residual_term  = {report.residual_term:.12g}")
@@ -261,7 +251,7 @@ def cmd_counterexample(args) -> int:
         **{k: tuple(pio.number_array(v, f"config.counterexample.{k}")) for k, v in section.items()}
     )
     out = _out_dir(args, config)
-    pio.dump_json(pio.nonconvexity_to_dict(report), out / "counterexample.json")
+    pio.dump_json(report, out / "counterexample.json")
     print(f"loss(theta_a)  = {report.loss_a:.4f}")
     print(f"loss(theta_b)  = {report.loss_b:.4f}")
     print(f"loss(midpoint) = {report.loss_mid:.4f}")
@@ -278,7 +268,9 @@ def cmd_geometry(args) -> int:
     allowed = {"instance", "pairs", "theta_scale", "placement", "far_factor"}
     pio.check_keys(section, set(), allowed, "config.geometry")
     seed = _effective_seed(config)
-    spec = _instance_spec(section.get("instance", {}), seed, "config.geometry.instance")
+    spec = _read_section(
+        InstanceSpec, section.get("instance", {}), "config.geometry.instance", seed=seed
+    )
     pairs = _check_count(section.get("pairs", 5), "config.geometry.pairs")
     scale = _check_real(section.get("theta_scale", 0.5), "config.geometry.theta_scale")
     far_factor = _check_real(section.get("far_factor", 10.0), "config.geometry.far_factor", 0.0)
@@ -298,7 +290,7 @@ def cmd_geometry(args) -> int:
             instance.mdp, instance.features, spec.beta, theta0, direction, boundary_factor=factor
         )
         report = check_local_geometry(instance.mdp, instance.features, spec.beta, theta0, theta1)
-        reports.append(pio.geometry_report_to_dict(report))
+        reports.append(report)
         status = "pass" if report.all_passed else "FAIL"
         if not report.all_passed:
             failures += 1
@@ -317,7 +309,9 @@ def cmd_concentration(args) -> int:
     section = config.sections.get("concentration", {})
     pio.check_keys(section, set(), {"instance", "n", "delta", "trials", "data_seed"}, "config.concentration")
     seed = _effective_seed(config)
-    spec = _instance_spec(section.get("instance", {}), seed, "config.concentration.instance")
+    spec = _read_section(
+        InstanceSpec, section.get("instance", {}), "config.concentration.instance", seed=seed
+    )
     instance = generate_instance(spec)
     report = check_concentration(
         instance.mdp,
@@ -330,7 +324,7 @@ def cmd_concentration(args) -> int:
         seed=section.get("data_seed", seed + 1),
     )
     out = _out_dir(args, config)
-    pio.dump_json(pio.concentration_to_dict(report), out / "concentration.json")
+    pio.dump_json(report, out / "concentration.json")
     print(
         f"violation_frequency = {report.violation_frequency:.4f} "
         f"(threshold {report.frequency_threshold:.4f})"
@@ -345,6 +339,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# The commands that run from a config section of the same name.
+_COMMANDS = {
+    "solve": cmd_solve,
+    "fit": cmd_fit,
+    "rates": cmd_rates,
+    "equivalence": cmd_equivalence,
+    "counterexample": cmd_counterexample,
+    "geometry": cmd_geometry,
+    "concentration": cmd_concentration,
+}
+
+
 # --------------------------------------------------------------------------
 
 
@@ -354,17 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropy-regularized inverse RL on tabular finite-horizon MDPs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "solve": cmd_solve,
-        "fit": cmd_fit,
-        "rates": cmd_rates,
-        "equivalence": cmd_equivalence,
-        "counterexample": cmd_counterexample,
-        "geometry": cmd_geometry,
-        "concentration": cmd_concentration,
-    }
     commands = {}
-    for name, handler in handlers.items():
+    for name, handler in _COMMANDS.items():
         sp = commands[name] = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
         sp.add_argument("--output", metavar="DIR", help="output directory (overrides config)")

@@ -27,7 +27,7 @@ from .mdp import (
     _path_rows,
     _path_sum,
 )
-from .soft_dp import SoftSolution, trajectory_hellinger, trajectory_kl
+from .soft_dp import trajectory_hellinger, trajectory_kl, _log_gibbs
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
@@ -481,12 +481,6 @@ class GeometryCheckReport:
         return all(check.passed for check in self.checks)
 
 
-def _log_gibbs(mdp: Mdp, solution: SoftSolution) -> np.ndarray:
-    """``log pi*`` of a soft solution, ``(Q - V) / beta + log nu``: finite wherever
-    ``Q`` is, even where ``pi*`` itself underflows."""
-    return (solution.Q - solution.V[:-1, :, None]) / solution.beta + mdp.log_ref_measure
-
-
 def check_local_geometry(
     mdp: Mdp,
     features: FeatureMap,
@@ -530,11 +524,12 @@ def check_local_geometry(
     deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
     local = delta_h0 <= dikin * (1.0 + 1e-12)
 
-    pi0, pi1 = solution0.pi_star, solution1.pi_star
-
     # The initial and kernel factors of the two trajectory laws cancel, so the
     # log density ratio of a path is its sum of per-step policy log ratios.
-    log_ratio = _log_gibbs(mdp, solution1) - _log_gibbs(mdp, solution0)
+    log_ratio = (
+        _log_gibbs(mdp, beta, solution1.Q, solution1.V)
+        - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
+    )
     rows = _path_rows(log_ratio.shape, states, actions)
     max_log_ratio = float(np.abs(_path_sum(log_ratio.ravel(), rows)).max())
 
@@ -543,32 +538,23 @@ def check_local_geometry(
     gradient_gap = float(delta @ (bundle1.grad - bundle0.grad))
     sq = delta_h0**2
 
-    checks: list[GeometryCheck]
+    # The local bounds are the global ones at deviation 1 (exp(1.0) == e).
+    S = 1.0 if local else deviation
+    checks = [
+        GeometryCheck("density_ratio", 0.0, max_log_ratio, S),
+        GeometryCheck("hessian_sandwich_min", math.exp(-S), float(gen_eigs.min()), math.inf),
+        GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), _exp(S)),
+        GeometryCheck("bregman", psi(-S) * sq, bregman, psi(S) * sq),
+        GeometryCheck("gradient_gap", chi(-S) * sq, gradient_gap, chi(S) * sq),
+    ]
     if local:
+        pi0, pi1 = solution0.pi_star, solution1.pi_star
         kl01 = trajectory_kl(mdp, pi0, pi1)
         hell = trajectory_hellinger(mdp, pi0, pi1)
-        checks = [
-            GeometryCheck("density_ratio", 0.0, max_log_ratio, 1.0),
-            GeometryCheck("hessian_sandwich_min", math.exp(-1.0), float(gen_eigs.min()), math.inf),
-            GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), math.e),
-            GeometryCheck("bregman", psi(-1.0) * sq, bregman, psi(1.0) * sq),
-            GeometryCheck("gradient_gap", chi(-1.0) * sq, gradient_gap, chi(1.0) * sq),
-            GeometryCheck("kl_vs_hellinger", hell, kl01, 3.0 * hell),
-        ]
-        mode = "local"
-    else:
-        S = deviation
-        checks = [
-            GeometryCheck("density_ratio", 0.0, max_log_ratio, S),
-            GeometryCheck("hessian_sandwich_min", math.exp(-S), float(gen_eigs.min()), math.inf),
-            GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), _exp(S)),
-            GeometryCheck("bregman", psi(-S) * sq, bregman, psi(S) * sq),
-            GeometryCheck("gradient_gap", chi(-S) * sq, gradient_gap, chi(S) * sq),
-        ]
-        mode = "global"
+        checks.append(GeometryCheck("kl_vs_hellinger", hell, kl01, 3.0 * hell))
 
     return GeometryCheckReport(
-        mode=mode,
+        mode="local" if local else "global",
         delta_h0_norm=delta_h0,
         dikin_radius=dikin,
         deviation_bound=deviation,

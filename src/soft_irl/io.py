@@ -1,5 +1,8 @@
 """JSON/CSV serialization of the public types.
 
+A type's JSON is its dataclass: :func:`to_json_text` writes its fields and
+the values it derives, so a field added to a report reaches its file with no
+edit here.  Only a dataset has a layout of its own (:func:`dataset_to_dict`).
 All writers are deterministic (sorted keys, fixed separators, trailing
 newline) so identical runs produce byte-identical files.  Readers validate
 eagerly and raise :class:`~soft_irl.errors.InputError` with the offending
@@ -19,19 +22,53 @@ import numpy as np
 from .errors import InputError
 from .experiments import (
     ConcentrationReport,
+    GeometryCheck,
     GeometryCheckReport,
-    RateConfig,
+    RateRecord,
     RateReport,
 )
 from .linear_reward import FeatureMap
 from .losses import NonconvexityReport, RiskReport
 from .mdp import Dataset, Mdp, Policy
 from .opt import IrlFitResult
-from .soft_dp import RewardTable, SoftSolution
+from .soft_dp import RewardTable
+
+
+# Values a report type derives from its fields, written next to them.
+_DERIVED = {
+    IrlFitResult: ("converged",),
+    RateRecord: ("converged",),
+    RiskReport: ("equivalence_gap",),
+    NonconvexityReport: ("quasiconvexity_violated",),
+    GeometryCheck: ("passed",),
+    GeometryCheckReport: ("all_passed",),
+    ConcentrationReport: ("passed",),
+    RateReport: ("non_converged",),
+}
+
+
+def _to_json(obj: Any) -> Any:
+    """The ``json`` form of an object the encoder cannot write as it is.
+
+    An array is its nested lists.  A dataclass is its fields, without an
+    optional field still at its ``None`` default, plus its derived values.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        out = {}
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if value is not None or field.default is not None:
+                out[field.name] = value
+        for name in _DERIVED.get(type(obj), ()):
+            out[name] = getattr(obj, name)
+        return out
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def to_json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_to_json) + "\n"
 
 
 def dump_json(obj: Any, path: str | Path) -> None:
@@ -77,17 +114,6 @@ def check_keys(obj: dict, required: set[str], optional: set[str], where: str) ->
 
 # --------------------------------------------------------------------------
 # core types
-
-
-def mdp_to_dict(mdp: Mdp) -> dict:
-    return {
-        "T": mdp.T,
-        "S": mdp.S,
-        "A": mdp.A,
-        "initial_dist": mdp.initial_dist.tolist(),
-        "kernels": mdp.kernels.tolist(),
-        "ref_measure": mdp.ref_measure.tolist(),
-    }
 
 
 def mdp_from_dict(obj: dict, where: str = "mdp") -> Mdp:
@@ -141,10 +167,6 @@ def features_from_obj(obj: Any, where: str = "features") -> FeatureMap:
     return FeatureMap(phi=arr)
 
 
-def policy_to_dict(policy: Policy) -> dict:
-    return {"probs": policy.probs.tolist(), "label": policy.label}
-
-
 def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
     check_keys(obj, {"probs"}, {"label"}, where)
     return Policy(
@@ -153,101 +175,7 @@ def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
 
 
 # --------------------------------------------------------------------------
-# result types (write-only)
-
-
-def solution_to_dict(solution: SoftSolution) -> dict:
-    return {
-        "beta": solution.beta,
-        "V": solution.V.tolist(),
-        "Q": solution.Q.tolist(),
-        "pi_star": policy_to_dict(solution.pi_star),
-        "J_star": solution.J_star,
-    }
-
-
-def fit_result_to_dict(result: IrlFitResult) -> dict:
-    out = {
-        "theta_hat": np.asarray(result.theta_hat).tolist(),
-        "final_loss": result.final_loss,
-        "iterations": result.iterations,
-        "final_decrement": result.final_decrement,
-        "gradient_norm": result.gradient_norm,
-        "hessian_at_solution": np.asarray(result.hessian_at_solution).tolist(),
-        "active_ball_constraint": result.active_ball_constraint,
-        "converged": result.converged,
-        "status": result.status,
-        "trace": [dataclasses.asdict(rec) | {"theta": list(rec.theta)} for rec in result.trace],
-    }
-    if result.separating_direction is not None:  # an infeasible fit's certificate
-        out["separating_direction"] = result.separating_direction.tolist()
-        out["separation_margin"] = result.separation_margin
-    return out
-
-
-def risk_report_to_dict(report: RiskReport) -> dict:
-    return dataclasses.asdict(report) | {
-        "theta": list(report.theta),
-        "equivalence_gap": report.equivalence_gap,
-    }
-
-
-def nonconvexity_to_dict(report: NonconvexityReport) -> dict:
-    return dataclasses.asdict(report) | {
-        "theta_a": list(report.theta_a),
-        "theta_b": list(report.theta_b),
-        "quasiconvexity_violated": report.quasiconvexity_violated,
-    }
-
-
-def geometry_report_to_dict(report: GeometryCheckReport) -> dict:
-    return {
-        "mode": report.mode,
-        "delta_h0_norm": report.delta_h0_norm,
-        "dikin_radius": report.dikin_radius,
-        "deviation_bound": report.deviation_bound,
-        "B_A_phi": report.B_A_phi,
-        "all_passed": report.all_passed,
-        "checks": [dataclasses.asdict(c) | {"passed": c.passed} for c in report.checks],
-    }
-
-
-def concentration_to_dict(report: ConcentrationReport) -> dict:
-    out = dataclasses.asdict(report)
-    out["etas"] = list(report.etas)
-    out["passed"] = report.passed
-    return out
-
-
-def rate_config_to_dict(config: RateConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["instance"] = dataclasses.asdict(config.instance)
-    out["n_grid"] = list(config.n_grid)
-    out["fit"] = dataclasses.asdict(config.fit) if config.fit is not None else None
-    return out
-
-
-def rate_report_to_dict(report: RateReport) -> dict:
-    return {
-        "config": rate_config_to_dict(report.config),
-        "theta_star": list(report.theta_star),
-        "lambda_star": report.lambda_star,
-        "d_star": report.d_star,
-        "B_phi": report.B_phi,
-        "B_A_phi": report.B_A_phi,
-        "rho_star": report.rho_star,
-        "constants_mode": report.constants_mode,
-        "burn_in_n": report.burn_in_n,
-        "slope_window": list(report.slope_window),
-        "approx_floor_kl": report.approx_floor_kl,
-        "medians": {k: list(v) for k, v in report.medians.items()},
-        "slopes": dict(report.slopes),
-        "intercepts": dict(report.intercepts),
-        "non_converged": report.non_converged,
-        "fit_statuses": dict(report.fit_statuses),
-        "d_star_beta_d_gap": report.d_star_beta_d_gap,
-        "records": [dataclasses.asdict(r) | {"converged": r.converged} for r in report.records],
-    }
+# the rate report as a table
 
 
 def rate_report_to_csv(report: RateReport, path: str | Path) -> None:

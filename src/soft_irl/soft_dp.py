@@ -203,10 +203,16 @@ def _optimal_value(mdp: Mdp, r: np.ndarray, beta: float) -> float:
     return float(mdp.initial_dist @ V[0])
 
 
+def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``log pi*`` of soft-optimal tables ``(Q, V)``, ``(Q - V) / beta + log nu``:
+    finite wherever ``Q`` is, even where ``pi*`` itself underflows."""
+    return (Q - V[:-1, :, None]) / beta + mdp.log_ref_measure
+
+
 def _gibbs_solution(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> SoftSolution:
     """The :class:`SoftSolution` of soft-optimal tables ``(Q, V)``: the Gibbs
     policy, checked as a :class:`Policy`, and ``J*``."""
-    probs = np.exp((Q - V[:-1, :, None]) / beta + mdp.log_ref_measure)
+    probs = np.exp(_log_gibbs(mdp, beta, Q, V))
     # Rows sum to one analytically; renormalize away the last few ulps so
     # downstream validators can insist on tight stochasticity.
     probs /= probs.sum(axis=-1, keepdims=True)

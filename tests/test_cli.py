@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and file round-trips."""
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -16,9 +17,11 @@ import pytest
 from soft_irl import RATE_METRICS, cli
 from soft_irl import io as pio
 from soft_irl.cli import build_parser, main
+from soft_irl.experiments import RateConfig
 from soft_irl.mdp import Mdp, Policy, sample_trajectories, uniform_policy
+from soft_irl.opt import FitConfig
 
-from test_mdp import random_mdp
+from test_mdp import random_mdp, random_policy
 
 
 TINY_INSTANCE = {"S": 3, "A": 2, "T": 3, "d": 3, "beta": 0.7, "seed": 1}
@@ -54,7 +57,7 @@ def test_solve_from_files_round_trip(tmp_path):
     mdp = random_mdp(rng, S=3, A=2, T=2)
     reward = rng.normal(size=(2, 3, 2))
     mdp_path = tmp_path / "mdp.json"
-    pio.dump_json(pio.mdp_to_dict(mdp), mdp_path)
+    pio.dump_json(mdp, mdp_path)
     reward_path = tmp_path / "reward.json"
     pio.dump_json(reward.tolist(), reward_path)
     cfg = write_config(
@@ -546,7 +549,7 @@ def test_config_values_are_checked_before_conversion(tmp_path, capsys, command, 
 def test_fit_out_of_range_data_is_input_error(tmp_path, capsys):
     rng = np.random.default_rng(4)
     paths = {name: tmp_path / f"{name}.json" for name in ("mdp", "features", "data")}
-    pio.dump_json(pio.mdp_to_dict(random_mdp(rng, S=5, A=2, T=3)), paths["mdp"])
+    pio.dump_json(random_mdp(rng, S=5, A=2, T=3), paths["mdp"])
     pio.dump_json(rng.normal(size=(3, 5, 2, 2)).tolist(), paths["features"])
     trajectories = [{"states": [0, 1, 2], "actions": [0, 1, 0]}, {"states": [4, 7, 1], "actions": [1, 0, 0]}]
     pio.dump_json({"seed": 0, "generator_label": "", "trajectories": trajectories}, paths["data"])
@@ -601,7 +604,7 @@ def _tiny_mdp():
 
 def test_validate_mdp_auto_detect(tmp_path, capsys):
     path = tmp_path / "mdp.json"
-    pio.dump_json(pio.mdp_to_dict(_tiny_mdp()), path)
+    pio.dump_json(_tiny_mdp(), path)
     assert main(["validate", str(path)]) == 0
     assert "valid mdp" in capsys.readouterr().out
 
@@ -614,13 +617,13 @@ def test_validate_dataset_and_policy(tmp_path, capsys):
     assert main(["validate", str(data_path), "--kind", "dataset"]) == 0
 
     policy_path = tmp_path / "policy.json"
-    pio.dump_json(pio.policy_to_dict(uniform_policy(mdp)), policy_path)
+    pio.dump_json(uniform_policy(mdp), policy_path)
     assert main(["validate", str(policy_path)]) == 0
     capsys.readouterr()
 
 
 def test_validate_rejects_corrupted_mdp(tmp_path):
-    obj = pio.mdp_to_dict(_tiny_mdp())
+    obj = json.loads(pio.to_json_text(_tiny_mdp()))
     obj["initial_dist"] = [0.9, 0.9]  # does not sum to one
     path = tmp_path / "bad.json"
     pio.dump_json(obj, path)
@@ -628,7 +631,7 @@ def test_validate_rejects_corrupted_mdp(tmp_path):
 
 
 def test_validate_rejects_fractional_mdp_size(tmp_path, capsys):
-    obj = pio.mdp_to_dict(_tiny_mdp())
+    obj = json.loads(pio.to_json_text(_tiny_mdp()))
     obj["T"] = 2.7  # the kernels still fit T = 2
     path = tmp_path / "mdp.json"
     pio.dump_json(obj, path)
@@ -656,7 +659,7 @@ def test_validate_rejects_non_numeric_arrays(tmp_path, capsys, kind, obj):
 
 def test_validate_kind_mismatch(tmp_path):
     path = tmp_path / "mdp.json"
-    pio.dump_json(pio.mdp_to_dict(_tiny_mdp()), path)
+    pio.dump_json(_tiny_mdp(), path)
     assert main(["validate", str(path), "--kind", "dataset"]) == 2
 
 
@@ -682,7 +685,7 @@ def test_validate_missing_file(tmp_path):
 
 def test_mdp_json_round_trip():
     mdp = _tiny_mdp()
-    clone = pio.mdp_from_dict(json.loads(pio.to_json_text(pio.mdp_to_dict(mdp))))
+    clone = pio.mdp_from_dict(json.loads(pio.to_json_text(mdp)))
     np.testing.assert_array_equal(clone.kernels, mdp.kernels)
     np.testing.assert_array_equal(clone.initial_dist, mdp.initial_dist)
     np.testing.assert_array_equal(clone.ref_measure, mdp.ref_measure)
@@ -693,13 +696,108 @@ def test_mdp_json_round_trip_at_every_horizon(tmp_path, capsys, T):
     """A T = 1 MDP has an empty kernel list, which must read back as (0, S, A, S)."""
     mdp = random_mdp(np.random.default_rng(4), S=2, A=2, T=T)
     path = tmp_path / "mdp.json"
-    pio.dump_json(pio.mdp_to_dict(mdp), path)
+    pio.dump_json(mdp, path)
     clone = pio.mdp_from_dict(pio.load_json(path))
     assert clone.kernels.shape == (T - 1, 2, 2, 2)
     np.testing.assert_array_equal(clone.kernels, mdp.kernels)
     np.testing.assert_array_equal(clone.initial_dist, mdp.initial_dist)
     assert main(["validate", str(path)]) == 0
     assert "valid mdp" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("T", [1, 3])
+def test_policy_json_round_trip_at_every_horizon(tmp_path, capsys, T):
+    policy = random_policy(np.random.default_rng(5), random_mdp(np.random.default_rng(4), S=2, A=3, T=T))
+    path = tmp_path / "policy.json"
+    pio.dump_json(policy, path)
+    clone = pio.policy_from_dict(pio.load_json(path))
+    np.testing.assert_array_equal(clone.probs, policy.probs)
+    assert clone.label == policy.label
+    assert main(["validate", str(path)]) == 0
+    assert "valid policy" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# report files
+
+
+# The values each report type derives from its fields and writes next to them.
+DERIVED = {
+    "IrlFitResult": {"converged"},
+    "RateRecord": {"converged"},
+    "RiskReport": {"equivalence_gap"},
+    "NonconvexityReport": {"quasiconvexity_violated"},
+    "GeometryCheck": {"passed"},
+    "GeometryCheckReport": {"all_passed"},
+    "ConcentrationReport": {"passed"},
+    "RateReport": {"non_converged"},
+}
+
+# One config section per command, the fit twice: converged, and infeasible
+# with its certificate set; geometry once inside the trust region and once
+# far outside it.
+REPORT_RUNS = [
+    ("solve", {"builtin": "zero-reward"}),
+    ("fit", {"instance": TINY_INSTANCE, "n": 32, "data_seed": 1}),
+    ("fit", {"instance": RATES_INSTANCE, "n": 64, "data_seed": OUTSIDE_SEED}),
+    ("rates", RATES_SECTION),
+    ("equivalence", {"instance": TINY_INSTANCE, "n": 16}),
+    ("counterexample", {}),
+    ("geometry", {"instance": TINY_INSTANCE, "pairs": 1}),
+    ("geometry", {"instance": TINY_INSTANCE, "pairs": 1, "placement": "far"}),
+    ("concentration", {"instance": TINY_INSTANCE, "n": 16, "trials": 4}),
+]
+
+
+def assert_written_as_fields(obj, data, where, seen):
+    """``data`` is the JSON of ``obj``: each dataclass as exactly its fields,
+    minus an optional one still at its ``None`` default, plus its derived values."""
+    if dataclasses.is_dataclass(obj):
+        name = type(obj).__name__
+        seen.add(name)
+        fields = {
+            f.name for f in dataclasses.fields(obj)
+            if getattr(obj, f.name) is not None or f.default is not None
+        }
+        assert set(data) == fields | DERIVED.get(name, set()), where
+        for key in fields | DERIVED.get(name, set()):
+            assert_written_as_fields(getattr(obj, key), data[key], f"{where}.{key}", seen)
+    elif isinstance(obj, dict):
+        assert set(data) == set(obj), where
+        for key, value in obj.items():
+            assert_written_as_fields(value, data[key], f"{where}.{key}", seen)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        assert len(data) == len(obj), where
+        for i, (value, item) in enumerate(zip(obj, data)):
+            assert_written_as_fields(value, item, f"{where}[{i}]", seen)
+    else:
+        assert data == obj or (data != data and obj != obj), where  # NaN reads back as NaN
+
+
+def test_each_report_file_is_its_dataclass(tmp_path, monkeypatch, capsys):
+    """Every report the CLI writes has exactly its type's fields and derived
+    values as keys, so a field added to a report reaches its file by itself."""
+    written = []
+    dump_json = pio.dump_json
+    monkeypatch.setattr(pio, "dump_json", lambda obj, path: (written.append((obj, path)), dump_json(obj, path)))
+    for k, (command, section) in enumerate(REPORT_RUNS):
+        main([command, "--config", write_config(tmp_path, {command: section}), "--output", str(tmp_path / str(k))])
+    capsys.readouterr()
+    assert len(written) == len(REPORT_RUNS)
+    seen = set()
+    for obj, path in written:
+        assert_written_as_fields(obj, json.loads(Path(path).read_text()), path.name, seen)
+    assert seen == set(DERIVED) | {
+        "SoftSolution", "Policy", "IterationRecord", "RateConfig", "InstanceSpec", "FitConfig"
+    }
+    fits = [json.loads(Path(path).read_text()) for _, path in written if path.name == "fit.json"]
+    assert ["separating_direction" in fit for fit in fits] == [False, True]
+
+
+def test_an_unset_optional_field_is_left_out():
+    """A ``RateConfig`` without a fit config writes no ``fit`` key; the CLI always sets one."""
+    assert "fit" not in json.loads(pio.to_json_text(RateConfig()))
+    assert json.loads(pio.to_json_text(RateConfig(fit=FitConfig(beta=0.5))))["fit"]["beta"] == 0.5
 
 
 def test_dataset_json_round_trip():
@@ -722,10 +820,10 @@ def test_check_keys_reports_unknown_and_missing():
 
 def test_detect_kind():
     mdp = _tiny_mdp()
-    assert pio.detect_kind(pio.mdp_to_dict(mdp)) == "mdp"
+    assert pio.detect_kind(json.loads(pio.to_json_text(mdp))) == "mdp"
     data = sample_trajectories(mdp, uniform_policy(mdp), 2, seed=0)
     assert pio.detect_kind(pio.dataset_to_dict(data)) == "dataset"
-    assert pio.detect_kind(pio.policy_to_dict(uniform_policy(mdp))) == "policy"
+    assert pio.detect_kind(json.loads(pio.to_json_text(uniform_policy(mdp)))) == "policy"
 
 
 def test_unknown_top_level_config_key_rejected(tmp_path):

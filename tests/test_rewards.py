@@ -1,6 +1,7 @@
 """Tests for linear reward models: derivatives, kernel, shaping, dimensions."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
-from soft_irl.io import concentration_to_dict, rate_report_to_dict
+from soft_irl.io import to_json_text
 from soft_irl.linear_reward import _solution_bundle
 from soft_irl.soft_dp import _weighted_second_moment
 
@@ -254,7 +255,8 @@ HESSIAN_ORACLE_RTOL = 1e-12
 def test_hessian_matches_the_weighted_gemm_oracle_property(seed, S, A, T, d, deterministic, beta):
     """The bundle Hessian, one Gram of the root-occupancy-scaled advantage
     table, equals the weighted-gemm formula within ``HESSIAN_ORACLE_RTOL``
-    of the oracle's trace and is exactly symmetric.  Deterministic dynamics
+    of the oracle's trace, is exactly symmetric, and is positive semidefinite
+    up to ``HESSIAN_ORACLE_RTOL`` of its own trace.  Deterministic dynamics
     leave states unreached (zero occupancy), and ``beta = 1e-3`` drives Gibbs
     probabilities to exactly 0.  The same holds for the second moment under a
     policy with zero-probability entries and one-hot rows, as the return
@@ -269,6 +271,7 @@ def test_hessian_matches_the_weighted_gemm_oracle_property(seed, S, A, T, d, det
         forward_occupancy(mdp, pi), feature_advantage(mdp, features, pi)
     ) / beta
     assert np.array_equal(H, H.T)
+    assert np.linalg.eigvalsh(H).min() >= -HESSIAN_ORACLE_RTOL * np.trace(H)
     assert np.abs(H - oracle).max() <= HESSIAN_ORACLE_RTOL * np.trace(oracle)
 
     policy = sparse_policy(rng, mdp)
@@ -854,14 +857,14 @@ def test_rates_and_concentration_run_above_the_cap():
     rng, mdp, features = above_the_cap_instance()
     expert = solve_model(mdp, model_at(features, rng.normal(size=3) * 0.4), 0.9).pi_star
     report = check_concentration(mdp, features, 0.9, expert, n=64, trials=8, seed=1)
-    assert concentration_to_dict(report)["constants_mode"] == "conservative"
+    assert json.loads(to_json_text(report))["constants_mode"] == "conservative"
     assert report.B_phi == pytest.approx(triangle_bound(features), rel=1e-12)
     assert report.lambda_star > 0.0 and np.isfinite(report.d_star)
     assert np.isfinite(report.bound) and len(report.etas) == 8
 
     spec = InstanceSpec(S=4, A=4, T=12, d=3, beta=0.9, seed=2)
     rates = run_rate_experiment(RateConfig(instance=spec, n_grid=(64, 128), replicates=2))
-    assert rate_report_to_dict(rates)["constants_mode"] == "conservative"
+    assert json.loads(to_json_text(rates))["constants_mode"] == "conservative"
     B_phi = triangle_bound(generate_instance(spec).features)
     assert rates.B_phi == pytest.approx(B_phi, rel=1e-12)
     assert rates.B_A_phi == 2 * spec.T * rates.B_phi
