@@ -34,10 +34,6 @@ class InvariantError(InputError):
     """A type-level invariant (normalization, positivity, ...) is violated."""
 
 
-class CapacityError(SoftIrlError):
-    """Trajectory enumeration would exceed the configured cap."""
-
-
 class EmptyDatasetError(InputError):
     """An operation that averages over trajectories received zero of them."""
 

@@ -16,27 +16,23 @@ from .mdp import (
     Mdp,
     Policy,
     empirical_feature_expectation,
-    enumerate_support,
     feature_expectation,
     sample_trajectories,
-    uniform_policy,
     _check_count,
     _check_flag,
     _check_real,
     _check_seed,
-    _path_rows,
-    _path_sum,
 )
-from .soft_dp import trajectory_hellinger, trajectory_kl, _log_gibbs
+from .soft_dp import trajectory_hellinger, trajectory_kl, _log_gibbs, _path_max
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
     derivative_bundle,
     geometry_constants,
     kernel_basis,
-    max_score_norm,
     solve_model,
     _dikin_radius,
+    _score_bound,
     _solution_bundle,
 )
 from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
@@ -53,20 +49,25 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
 
 
+def _guarded(x, exact, series):
+    """``exact(x)``, with ``series(x)`` near zero and ``+inf`` where ``exp(x)``
+    leaves the float range; a float for a scalar ``x``.  ``exact`` is only
+    called on entries away from both."""
+    x = np.asarray(x, dtype=np.float64)
+    small = np.abs(x) < 1e-4
+    huge = x >= _LOG_FLOAT_MAX
+    safe = np.where(small | huge, 1.0, x)
+    out = np.where(small, series(x), np.where(huge, np.inf, exact(safe)))
+    return float(out) if out.ndim == 0 else out
+
+
 def psi(x):
     """``(exp(x) - x - 1) / x**2`` with a series branch near zero.
 
     ``+inf`` where ``exp(x)`` leaves the float range.
     """
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-4
-    huge = x >= _LOG_FLOAT_MAX
-    safe = np.where(small | huge, 1.0, x)
     # expm1 keeps the numerator accurate where exp(x) - 1 - x would cancel
-    exact = (np.expm1(safe) - safe) / safe**2
-    series = 0.5 + x / 6.0 + x**2 / 24.0
-    out = np.where(small, series, np.where(huge, np.inf, exact))
-    return float(out) if out.ndim == 0 else out
+    return _guarded(x, lambda x: (np.expm1(x) - x) / x**2, lambda x: 0.5 + x / 6.0 + x**2 / 24.0)
 
 
 def chi(x):
@@ -74,14 +75,7 @@ def chi(x):
 
     ``+inf`` where ``exp(x)`` leaves the float range.
     """
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-4
-    huge = x >= _LOG_FLOAT_MAX
-    safe = np.where(small | huge, 1.0, x)
-    exact = np.expm1(safe) / safe
-    series = 1.0 + x / 2.0 + x**2 / 6.0
-    out = np.where(small, series, np.where(huge, np.inf, exact))
-    return float(out) if out.ndim == 0 else out
+    return _guarded(x, lambda x: np.expm1(x) / x, lambda x: 1.0 + x / 2.0 + x**2 / 6.0)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +284,6 @@ class RateReport:
     B_phi: float
     B_A_phi: float
     rho_star: float
-    constants_mode: str  # GeometryConstants.mode: "exact" or "conservative"
     burn_in_n: float
     slope_window: tuple[int, ...]
     approx_floor_kl: float
@@ -430,7 +423,6 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         B_phi=constants.B_phi,
         B_A_phi=constants.B_A_phi,
         rho_star=constants.rho_star,
-        constants_mode=constants.mode,
         burn_in_n=float(burn_in),
         slope_window=slope_window,
         approx_floor_kl=float(approx_floor),
@@ -514,10 +506,8 @@ def check_local_geometry(
     if lam0 <= 0.0:
         raise DomainError("check_local_geometry requires a positive-definite Hessian at theta0")
 
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
     alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
-    thetas = [theta0 + a * delta for a in alphas]
-    B_A_phi = max_score_norm(mdp, features, beta, thetas, states, actions)
+    B_A_phi = _score_bound(mdp, features, beta, [theta0 + a * delta for a in alphas])
 
     delta_h0 = float(np.sqrt(delta @ H0 @ delta))
     dikin = _dikin_radius(beta, lam0, B_A_phi)
@@ -525,13 +515,13 @@ def check_local_geometry(
     local = delta_h0 <= dikin * (1.0 + 1e-12)
 
     # The initial and kernel factors of the two trajectory laws cancel, so the
-    # log density ratio of a path is its sum of per-step policy log ratios.
+    # log density ratio of a path is its sum of per-step policy log ratios;
+    # its largest absolute value is the larger of two path maxima.
     log_ratio = (
         _log_gibbs(mdp, beta, solution1.Q, solution1.V)
         - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
     )
-    rows = _path_rows(log_ratio.shape, states, actions)
-    max_log_ratio = float(np.abs(_path_sum(log_ratio.ravel(), rows)).max())
+    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
 
     gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
     bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
@@ -590,12 +580,11 @@ def dikin_boundary_pair(
         raise DomainError("dikin_boundary_pair requires a non-zero direction")
     unit = direction / length
 
-    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-    rho = _dikin_radius(beta, lam0, max_score_norm(mdp, features, beta, [theta0], states, actions))
+    rho = _dikin_radius(beta, lam0, _score_bound(mdp, features, beta, [theta0]))
     for _ in range(8):
         alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
         thetas = [theta0 + a * (boundary_factor * rho) * unit for a in alphas]
-        B = max_score_norm(mdp, features, beta, thetas, states, actions)
+        B = _score_bound(mdp, features, beta, thetas)
         new_rho = _dikin_radius(beta, lam0, B)
         if abs(new_rho - rho) <= 1e-12 * rho:
             rho = new_rho
@@ -621,7 +610,6 @@ class ConcentrationReport:
     d_star: float
     lambda_star: float
     B_phi: float
-    constants_mode: str  # GeometryConstants.mode: "exact" or "conservative"
     bound: float
     violation_frequency: float
     frequency_threshold: float
@@ -699,7 +687,6 @@ def check_concentration(
         d_star=constants.d_star,
         lambda_star=lambda_star,
         B_phi=constants.B_phi,
-        constants_mode=constants.mode,
         bound=float(bound),
         violation_frequency=float(frequency),
         frequency_threshold=float(threshold),

@@ -24,14 +24,10 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     Dataset,
     Mdp,
     Policy,
-    enumerate_support,
     forward_occupancy,
-    gather_table,
-    uniform_policy,
     _check_dataset,
     _check_paths,
     _occupancy_average,
@@ -43,6 +39,7 @@ from .soft_dp import (
     SoftSolution,
     _expected_next,
     _martingale_covariance,
+    _path_max,
     _weighted_second_moment,
     feature_advantage,
     feature_values,
@@ -125,8 +122,8 @@ class GeometryConstants:
     bounds trajectory score norms, ``lambda_star`` is the smallest Hessian
     eigenvalue at the reference parameter, ``d_star`` the effective dimension
     and ``rho_star`` the trust-region (Dikin) radius
-    ``beta * sqrt(lambda_star) / B_A_phi``.  ``mode`` records whether the sup
-    constants came from exact enumeration or from conservative bounds.
+    ``beta * sqrt(lambda_star) / B_A_phi``.  The two bounds are upper ends,
+    path maxima of per-step norms, not exact maxima of the summed vectors.
     """
 
     B_phi: float
@@ -134,7 +131,6 @@ class GeometryConstants:
     lambda_star: float
     d_star: float
     rho_star: float
-    mode: str = "exact"
 
     def __post_init__(self) -> None:
         for name in ("B_phi", "B_A_phi", "lambda_star", "d_star", "rho_star"):
@@ -309,36 +305,19 @@ def effective_dimension(
     )
 
 
-def max_cumulative_feature_norm(features: FeatureMap, states, actions) -> float:
-    """Max over trajectories and start times of ``||sum_{k>=t} phi_k||``."""
-    gathered = gather_table(features.phi, states, actions)  # (N, T, d)
-    suffix = np.cumsum(gathered[:, ::-1, :], axis=1)[:, ::-1, :]
-    return float(np.sqrt((suffix**2).sum(axis=2)).max())
+def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas) -> float:
+    """Upper bound on the trajectory-score norm ``||sum_t adv_t(s_t, a_t)||``
+    over every path and the given parameters.
 
-
-def max_score_norm(
-    mdp: Mdp,
-    features: FeatureMap,
-    beta: float,
-    thetas,
-    states,
-    actions,
-) -> float:
-    """Max trajectory-score norm over the given trajectories and parameters.
-
-    The trajectories are checked and their flat table rows built once, then
-    reused for every parameter; each score is the :func:`batch_scores` path
-    sum.
+    By the triangle inequality a score norm is at most the path's sum of
+    per-step advantage norms ``||adv_t(s, a)||``; one max-plus pass takes the
+    largest such sum for every parameter at once.
     """
-    states, actions = _check_paths(features.phi.shape, states, actions)
-    rows = _path_rows(features.phi.shape, states, actions)
-    best = 0.0
+    norms = []
     for theta in thetas:
-        model = LinearRewardModel(features=features, theta=np.asarray(theta, dtype=np.float64))
-        _, adv = _gibbs_advantage(mdp, model, beta)
-        Z = _path_sum(adv.reshape(-1, features.d), rows)
-        best = max(best, float(np.linalg.norm(Z, axis=1).max()))
-    return best
+        model = LinearRewardModel(features=features, theta=theta)
+        norms.append(np.linalg.norm(_gibbs_advantage(mdp, model, beta)[1], axis=-1))
+    return float(_path_max(mdp, np.stack(norms, axis=-1)).max())
 
 
 def _dikin_radius(beta: float, lambda_min: float, B_A_phi: float) -> float:
@@ -355,32 +334,26 @@ def geometry_constants(
     theta_grid: np.ndarray | None = None,
     expert: Policy | None = None,
 ) -> GeometryConstants:
-    """Compute the geometry constants of a linear-reward instance.
+    """Compute the geometry constants of a linear-reward instance, at any size.
 
-    When ``(S*A)**T`` is within ``DEFAULT_ENUMERATION_CAP`` the sup constants
-    are exact maxima over every dynamics-consistent trajectory (``B_A_phi``
-    additionally over ``theta_grid`` plus the model's own parameter);
-    otherwise the conservative triangle bound for ``B_phi`` and ``2 T B_phi``
-    for ``B_A_phi`` are used, and ``mode`` says which.  ``lambda_star`` and
-    ``rho_star`` refer to the Hessian at ``model.theta``; ``d_star`` uses
-    ``expert`` (the model's own Gibbs policy by default).
+    The sup constants are path maxima over every dynamics-consistent
+    trajectory, one max-plus pass each: ``B_phi`` of the per-step feature
+    norms ``||phi_t(s, a)||``, ``B_A_phi`` of the per-step advantage norms
+    (see :func:`_score_bound`) over ``theta_grid`` plus the model's own
+    parameter.  ``lambda_star`` and ``rho_star`` refer to the Hessian at
+    ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
+    by default).
     """
-    exact = (mdp.S * mdp.A) ** mdp.T <= DEFAULT_ENUMERATION_CAP
-    thetas = [np.asarray(model.theta, dtype=np.float64)]
+    thetas = [model.theta]
     if theta_grid is not None:
         thetas.extend(np.atleast_2d(np.asarray(theta_grid, dtype=np.float64)))
-
-    if exact:
-        states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
-        B_phi = max_cumulative_feature_norm(features, states, actions)
-        B_A_phi = max_score_norm(mdp, features, beta, thetas, states, actions)
-    else:
-        B_phi = float(np.sqrt((features.phi**2).sum(axis=3)).max(axis=(1, 2)).sum())
-        B_A_phi = 2.0 * mdp.T * B_phi
+    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)))
+    B_A_phi = _score_bound(mdp, features, beta, thetas)
 
     solution = solve_model(mdp, model, beta)
     H = _solution_bundle(mdp, features, solution).hessian
-    lambda_star = float(np.linalg.eigvalsh(H).min())
+    # the Hessian is a Gram, so an eigenvalue below 0 is rounding
+    lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)
     if expert is None:
         expert = solution.pi_star
     if lambda_star > 1e-10:
@@ -393,5 +366,4 @@ def geometry_constants(
         lambda_star=lambda_star,
         d_star=d_star,
         rho_star=_dikin_radius(beta, lambda_star, B_A_phi),
-        mode="exact" if exact else "conservative",
     )

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DimensionError,
     DomainError,
     EmptyDatasetError,
     InputError,
     InvariantError,
 )
-
-DEFAULT_ENUMERATION_CAP = 2_000_000
 
 _DIST_ATOL = 1e-12
 
@@ -422,52 +419,6 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
         if t < mdp.T - 1:
             s = _inverse_cdf(successors[t], s * mdp.A + a, u[:, 2 * t + 2])
     return Dataset(states=states, actions=actions, seed=seed, generator_label=policy.label)
-
-
-def enumerate_support(mdp: Mdp, policy: Policy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate every positive-probability trajectory of ``policy``.
-
-    Returns ``(states, actions, probs)`` with shapes ``(N, T)``, ``(N, T)``,
-    ``(N,)``; probabilities are exact products of the model factors and sum to
-    one.  Trajectories appear in lexicographic ``(s_0, a_0, s_1, ...)`` order.
-    Raises ``CapacityError`` when ``(S*A)**T`` exceeds ``DEFAULT_ENUMERATION_CAP``.
-    """
-    _check_compatible(mdp, policy)
-    worst_case = (mdp.S * mdp.A) ** mdp.T
-    if worst_case > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"(S*A)**T = {worst_case} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
-
-    keep = mdp.initial_dist > 0.0
-    states = np.nonzero(keep)[0][:, None]
-    actions = np.empty((states.shape[0], 0), dtype=np.int64)
-    probs = mdp.initial_dist[keep]
-
-    for t in range(mdp.T):
-        # branch over actions
-        rows = policy.probs[t][states[:, -1]]  # (N, A)
-        probs = (probs[:, None] * rows).reshape(-1)
-        states = np.repeat(states, mdp.A, axis=0)
-        actions = np.concatenate(
-            [np.repeat(actions, mdp.A, axis=0), np.tile(np.arange(mdp.A), rows.shape[0])[:, None]],
-            axis=1,
-        )
-        keep = probs > 0.0
-        states, actions, probs = states[keep], actions[keep], probs[keep]
-        if t < mdp.T - 1:
-            # branch over successor states
-            rows = mdp.kernels[t][states[:, -1], actions[:, -1]]  # (N, S)
-            probs = (probs[:, None] * rows).reshape(-1)
-            actions = np.repeat(actions, mdp.S, axis=0)
-            states = np.concatenate(
-                [np.repeat(states, mdp.S, axis=0), np.tile(np.arange(mdp.S), rows.shape[0])[:, None]],
-                axis=1,
-            )
-            keep = probs > 0.0
-            states, actions, probs = states[keep], actions[keep], probs[keep]
-
-    return states, actions, probs
 
 
 def gather_table(table: np.ndarray, states, actions) -> np.ndarray:

@@ -197,20 +197,24 @@ def _separation(
 def _line_search(value_pass, loss: float, directional: float, point_at):
     """Armijo backtracking along the curve ``point_at(alpha)``.
 
-    Tries ``alpha = 1, 1/2, 1/4, ...`` above ``_LINE_SEARCH_FLOOR`` and
-    returns ``(alpha, point, point_loss, values)`` for the first point whose
-    value pass (``value_pass(point) = (loss, values)``) decreases ``loss`` by
-    at least ``_LINE_SEARCH_ACCEPT * alpha * directional``; ``None`` if no
-    step size does.
+    Tries ``alpha = 1, 1/2, 1/4, ...`` above ``_LINE_SEARCH_FLOOR``.  Returns
+    ``(found, full)``: ``found`` is ``(alpha, point, point_loss, values)`` for
+    the first point whose value pass (``value_pass(point) = (loss, values)``)
+    decreases ``loss`` by at least ``_LINE_SEARCH_ACCEPT * alpha *
+    directional``, or ``None`` if no step size does; ``full`` is the first
+    trial's ``(point, point_loss, values)``, at ``alpha = 1``.
     """
     alpha = 1.0
+    full = None
     while alpha > _LINE_SEARCH_FLOOR:
         point = point_at(alpha)
         point_loss, values = value_pass(point)
+        if full is None:
+            full = point, point_loss, values
         if point_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
-            return alpha, point, point_loss, values
+            return (alpha, point, point_loss, values), full
         alpha *= _LINE_SEARCH_FACTOR
-    return None
+    return None, full
 
 
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
@@ -224,15 +228,12 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
         # the derivative bundle from a value pass already made: no second soft pass
         return _solution_bundle(mdp, features, _gibbs_solution(mdp, beta, *values))
 
-    def bundle_at(theta: np.ndarray):
-        loss, values = value_pass(theta)
-        return loss, bundle_from(values)
-
     def newton_step(bundle):
         return _restricted_newton_step(bundle.grad - target, bundle.hessian, image)
 
     theta = np.zeros(features.d)
-    loss, bundle = bundle_at(theta)
+    loss, values = value_pass(theta)
+    bundle = bundle_from(values)
     # the identifiable subspace, fixed at the start
     image = _eigen_split(bundle.hessian, _RELATIVE_KERNEL_CUT)[1]
     trace: list[IterationRecord] = []
@@ -263,7 +264,7 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
                 status = "infeasible"
                 break
 
-        found = _line_search(
+        found, full = _line_search(
             value_pass, loss, float(grad @ step), lambda a: _project_ball(theta + a * step, radius)
         )
         if found is not None and found[2] < loss:
@@ -275,13 +276,14 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
             # like once the true descent per step drops below one ulp, so loss
             # differences can no longer judge a step.  The full Newton step
             # still refines the iterate (the decrement contracts quadratically):
-            # take it when it shrinks the decrement.
-            full = _project_ball(theta + step, radius)
-            full_loss, full_bundle = bundle_at(full)
+            # take it when it shrinks the decrement.  The search's first trial
+            # already solved that point.
+            full_point, full_loss, full_values = full
+            full_bundle = bundle_from(full_values)
             if not newton_step(full_bundle)[1] < decrement:
                 status = "stalled"
                 break
-            alpha, theta, loss, bundle = 1.0, full, full_loss, full_bundle
+            alpha, theta, loss, bundle = 1.0, full_point, full_loss, full_bundle
         else:
             status = "stalled"  # cannot make progress (flat to machine precision)
             break
@@ -346,7 +348,7 @@ def _polish_on_ball(value_pass, bundle_from, target: np.ndarray, radius: float, 
         step = _restricted_newton_step(grad, lagrangian, tangent)[0]
         found = _line_search(
             value_pass, loss, float(grad @ step), lambda a: retract(theta + a * step)
-        )
+        )[0]
         if found is None:
             break
         _, theta, loss, values = found

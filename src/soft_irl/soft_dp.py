@@ -13,7 +13,10 @@ only in the backup: log-sum-exp, max, the policy-weighted regularized ``Q``,
 or the policy-weighted ``Q`` of every feature coordinate at once.
 :func:`trajectory_hellinger` runs the same kernel on a zero reward with a
 Hellinger-remainder backup, and :func:`variance_decomposition` reads the
-return variance off one evaluation and the policy's occupancies.
+return variance off one evaluation and the policy's occupancies.  With the
+max over the support of ``P_t`` in place of the expectation ``P_t V``, the
+kernel is the max-plus pass behind ``_path_max``: the largest sum of a
+per-step table along any path the MDP can take, with no enumeration.
 """
 
 from __future__ import annotations
@@ -151,12 +154,23 @@ def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     return flat.reshape((S, A) + v_next.shape[1:])
 
 
-def _backward(kernels: np.ndarray, r: np.ndarray, backup) -> tuple[np.ndarray, np.ndarray]:
-    """The one backward-induction loop: ``Q_t = r_t + P_t V_{t+1}``, ``V_t = backup(t, Q_t)``.
+def _support_max(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+    """``max v(s')`` over the support ``P_t(s'|s, a) > 0``, for a value vector
+    or a batch of value columns: the max-plus successor operator."""
+    support = (kernel_t > 0.0).reshape(kernel_t.shape + (1,) * (v_next.ndim - 1))
+    return np.where(support, v_next, -np.inf).max(axis=2)
 
-    ``r`` has shape ``(T, S, A, ...)``; trailing axes ride along unchanged.
-    Returns ``(Q, V)`` with ``V`` of shape ``(T+1, S, ...)`` and an all-zero
-    terminal row.
+
+def _backward(
+    kernels: np.ndarray, r: np.ndarray, backup, successor=_expected_next
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one backward-induction loop: ``Q_t = r_t + successor(P_t, V_{t+1})``,
+    ``V_t = backup(t, Q_t)``.
+
+    The successor operator is the expectation ``P_t V`` unless another is
+    given.  ``r`` has shape ``(T, S, A, ...)``; trailing axes ride along
+    unchanged.  Returns ``(Q, V)`` with ``V`` of shape ``(T+1, S, ...)`` and
+    an all-zero terminal row.
     """
     T, S = r.shape[:2]
     V = np.zeros((T + 1, S) + r.shape[3:])
@@ -164,9 +178,22 @@ def _backward(kernels: np.ndarray, r: np.ndarray, backup) -> tuple[np.ndarray, n
     for t in reversed(range(T)):
         Q[t] = r[t]
         if t < T - 1:
-            Q[t] += _expected_next(kernels[t], V[t + 1])
+            Q[t] += successor(kernels[t], V[t + 1])
         V[t] = backup(t, Q[t])
     return Q, V
+
+
+def _path_max(mdp: Mdp, table: np.ndarray) -> np.ndarray:
+    """``max sum_t table[t, s_t, a_t]`` over every path the MDP can take: ``s_0``
+    in the support of ``initial_dist``, any actions, each successor in the
+    support of its kernel row (the support of the uniform policy's law).
+
+    One max-plus pass of the backward kernel; ``table`` has shape ``(T, S, A,
+    ...)`` and each trailing column gets its own maximum.  Exact up to the
+    order of the additions.
+    """
+    _, V = _backward(mdp.kernels, table, lambda t, q: q.max(axis=1), _support_max)
+    return V[0][mdp.initial_dist > 0.0].max(axis=0)
 
 
 def _backup(mdp: Mdp, beta: float):

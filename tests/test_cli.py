@@ -320,9 +320,7 @@ def test_shipped_config_runs_and_reruns_byte_identical(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", ["fit", "geometry", "concentration", "rates"])
 def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, name):
     """The successor products and Hessians run in BLAS; on the shipped configs
-    one and two OpenBLAS threads must write the same bytes.  The shipped
-    instances are within the enumeration cap, so the reports that carry
-    geometry constants say they are exact."""
+    one and two OpenBLAS threads must write the same bytes."""
     path = CONFIGS / f"{name}.json"
     (command,) = set(json.loads(path.read_text())) & set(cli._COMMANDS)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -337,8 +335,6 @@ def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, na
         )
         runs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
     assert runs[0] and runs[0] == runs[1]
-    for report in {"rates.json", "concentration.json"} & set(runs[0]):
-        assert json.loads(runs[0][report])["constants_mode"] == "exact"
 
 
 def test_importing_the_package_and_cli_leaves_scipy_unloaded():
@@ -443,6 +439,22 @@ def test_geometry_boundary_pairs_pass(tmp_path, capsys):
     assert out.count("mode=local") == 3 and "FAIL" not in out
     payload = json.loads((tmp_path / "out" / "geometry.json").read_text())
     assert len(payload["pairs"]) == 3
+
+
+def test_geometry_runs_above_the_old_enumeration_cap(tmp_path, capsys):
+    """S8 A4 T6 has ``(S*A)**T`` about 1.07e9 paths, far above the 2e6 that
+    path enumeration could hold; the max-plus constants need none of them."""
+    instance = {"S": 8, "A": 4, "T": 6, "d": 4, "beta": 0.5, "seed": 1}
+    assert (8 * 4) ** 6 > 10**9
+    section = {"instance": instance, "pairs": 3}
+    cfg = write_config(
+        tmp_path, {"output_dir": str(tmp_path / "out"), "seed": 1, "geometry": section}
+    )
+    assert main(["geometry", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("-> pass") == 3 and "FAIL" not in out
+    pairs = json.loads((tmp_path / "out" / "geometry.json").read_text())["pairs"]
+    assert len(pairs) == 3 and all(pair["all_passed"] for pair in pairs)
 
 
 def test_geometry_far_pairs_use_global_mode(tmp_path, capsys):

@@ -25,7 +25,6 @@ from soft_irl import (
     derivative_bundle,
     dikin_boundary_pair,
     empirical_feature_expectation,
-    enumerate_support,
     fit_empirical,
     generate_instance,
     psi,
@@ -38,7 +37,7 @@ from soft_irl import (
 from soft_irl.experiments import _cell_seed
 from soft_irl.linear_reward import LinearRewardModel
 
-from test_mdp import trajectory_probs
+from test_mdp import enumerate_support, trajectory_probs
 
 TINY = InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1)
 
@@ -223,7 +222,7 @@ def test_far_pair_density_ratio_is_finite_where_trajectory_probabilities_underfl
     underflows = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for inst, beta, theta0, theta1 in _far_pairs(2, far_factor=2000.0):
+        for inst, beta, theta0, theta1 in _far_pairs(2, far_factor=2500.0):
             mdp, features = inst.mdp, inst.features
             report = check_local_geometry(mdp, features, beta, theta0, theta1)
             assert report.mode == "global" and report.deviation_bound > 1000.0
@@ -260,13 +259,13 @@ def test_dikin_boundary_pair_scores_each_segment_once(monkeypatch):
     theta0, direction = pairs[2]  # this pair's radius grows after its second round
 
     segments = []
-    score_norm = experiments.max_score_norm
+    score_bound = experiments._score_bound
 
-    def recording(mdp, features, beta, thetas, states, actions):
+    def recording(mdp, features, beta, thetas):
         segments.append(np.asarray(thetas).tobytes())
-        return score_norm(mdp, features, beta, thetas, states, actions)
+        return score_bound(mdp, features, beta, thetas)
 
-    monkeypatch.setattr(experiments, "max_score_norm", recording)
+    monkeypatch.setattr(experiments, "_score_bound", recording)
     theta1 = dikin_boundary_pair(inst.mdp, inst.features, spec.beta, theta0, direction)
     assert len(segments) == len(set(segments))
     report = check_local_geometry(inst.mdp, inst.features, spec.beta, theta0, theta1)

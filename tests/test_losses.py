@@ -9,7 +9,6 @@ from soft_irl import (
     Policy,
     delta_terms,
     derivative_bundle,
-    enumerate_support,
     equivalence_report,
     feature_expectation,
     irl_empirical_loss,
@@ -28,7 +27,7 @@ from soft_irl.instances import counterexample_instance
 from soft_irl.mdp import empirical_feature_expectation
 from soft_irl.soft_dp import log_policy_density
 
-from test_mdp import random_mdp, random_policy
+from test_mdp import enumerate_support, random_mdp, random_policy
 from test_rewards import model_at, random_features
 
 # 40-digit closed-form evaluation of the two-step branching instance

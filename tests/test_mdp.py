@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soft_irl import (
-    CapacityError,
     Dataset,
     DimensionError,
     EmptyDatasetError,
@@ -17,14 +16,16 @@ from soft_irl import (
     Mdp,
     Policy,
     empirical_feature_expectation,
-    enumerate_support,
+    feature_advantage,
     feature_expectation,
     forward_occupancy,
     sample_trajectories,
+    solve_model,
     trajectory_log_prob,
     uniform_policy,
 )
 from soft_irl.experiments import InstanceSpec, generate_instance
+from soft_irl.linear_reward import LinearRewardModel
 from soft_irl.io import dataset_to_dict, to_json_text
 from soft_irl.mdp import _child_uniforms, _inverse_cdf
 from soft_irl.soft_dp import RewardTable, soft_backward
@@ -57,6 +58,68 @@ def trajectory_probs(mdp, policy, states, actions):
     for t in range(T - 1):
         factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
     return factors.prod(axis=1)
+
+
+ENUMERATION_CAP = 2_000_000  # (S*A)**T paths at most, for the oracles below
+
+
+def enumerate_support(mdp, policy):
+    """Oracle: every positive-probability trajectory of ``policy``.
+
+    Returns ``(states, actions, probs)`` with shapes ``(N, T)``, ``(N, T)``,
+    ``(N,)``; probabilities are exact products of the model factors and sum to
+    one.  Trajectories appear in lexicographic ``(s_0, a_0, s_1, ...)`` order.
+    Only for instances with at most ``ENUMERATION_CAP`` paths.
+    """
+    assert (mdp.S * mdp.A) ** mdp.T <= ENUMERATION_CAP, "too many paths to enumerate"
+    keep = mdp.initial_dist > 0.0
+    states = np.nonzero(keep)[0][:, None]
+    actions = np.empty((states.shape[0], 0), dtype=np.int64)
+    probs = mdp.initial_dist[keep]
+
+    for t in range(mdp.T):
+        # branch over actions
+        rows = policy.probs[t][states[:, -1]]  # (N, A)
+        probs = (probs[:, None] * rows).reshape(-1)
+        states = np.repeat(states, mdp.A, axis=0)
+        actions = np.concatenate(
+            [np.repeat(actions, mdp.A, axis=0), np.tile(np.arange(mdp.A), rows.shape[0])[:, None]],
+            axis=1,
+        )
+        keep = probs > 0.0
+        states, actions, probs = states[keep], actions[keep], probs[keep]
+        if t < mdp.T - 1:
+            # branch over successor states
+            rows = mdp.kernels[t][states[:, -1], actions[:, -1]]  # (N, S)
+            probs = (probs[:, None] * rows).reshape(-1)
+            actions = np.repeat(actions, mdp.S, axis=0)
+            states = np.concatenate(
+                [np.repeat(states, mdp.S, axis=0), np.tile(np.arange(mdp.S), rows.shape[0])[:, None]],
+                axis=1,
+            )
+            keep = probs > 0.0
+            states, actions, probs = states[keep], actions[keep], probs[keep]
+
+    return states, actions, probs
+
+
+def max_cumulative_feature_norm(features, states, actions):
+    """Oracle: max over the given paths and start times of ``||sum_{k>=t} phi_k||``."""
+    gathered = features.phi[np.arange(states.shape[1])[None, :], states, actions]  # (N, T, d)
+    suffix = np.cumsum(gathered[:, ::-1, :], axis=1)[:, ::-1, :]
+    return float(np.sqrt((suffix**2).sum(axis=2)).max())
+
+
+def max_score_norm(mdp, features, beta, thetas, states, actions):
+    """Oracle: max trajectory-score norm ``||sum_t adv_t(s_t, a_t)||`` over the
+    given paths and parameters."""
+    best = 0.0
+    for theta in thetas:
+        model = LinearRewardModel(features=features, theta=np.asarray(theta, dtype=np.float64))
+        adv = feature_advantage(mdp, features, solve_model(mdp, model, beta).pi_star)
+        Z = adv[np.arange(states.shape[1])[None, :], states, actions].sum(axis=1)
+        best = max(best, float(np.linalg.norm(Z, axis=1).max()))
+    return best
 
 
 def brute_occupancy(mdp, policy):
@@ -588,15 +651,6 @@ def test_enumeration_order_is_lexicographic():
     np.testing.assert_array_equal(order, np.arange(len(order)))
 
 
-def test_enumeration_cap_error_names_size():
-    mdp = Mdp(T=12, S=4, A=4,
-              initial_dist=np.full(4, 0.25),
-              kernels=np.full((11, 4, 4, 4), 0.25),
-              ref_measure=np.ones(4))
-    with pytest.raises(CapacityError, match=str((4 * 4) ** 12)):
-        enumerate_support(mdp, uniform_policy(mdp))
-
-
 def test_log_prob_all_factors_one_is_zero():
     mdp = Mdp(T=2, S=1, A=1, initial_dist=[1.0],
               kernels=np.ones((1, 1, 1, 1)), ref_measure=[1.0])
@@ -626,6 +680,60 @@ def test_gibbs_policies_share_support():
     states, actions, probs = enumerate_support(mdp, pi1)
     assert np.all(probs > 0.0)
     assert np.all(trajectory_probs(mdp, pi2, states, actions) > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3), st.booleans(), st.sampled_from([0.3, 0.9, 2.5]))
+def test_path_maxima_match_enumeration_property(rng_seed, S, A, T, d, deterministic, beta):
+    """The max-plus sup constants against enumeration of every path the MDP
+    can take, on kernels and initial distributions with zero-mass entries, on
+    deterministic kernels, and at ``T = 1``, ``S = 1`` and ``A = 1``.  The
+    density ratio, as two path maxima and as ``check_local_geometry``
+    reports it where the Hessian at ``theta0`` is definite, equals the
+    enumerated maximum to 1e-12 relative; ``B_A_phi`` (of the constants and
+    of the checked segment) and ``B_phi`` are never below the enumerated
+    maxima, and ``B_A_phi`` is at most ``2 T B_phi``."""
+    from soft_irl import FeatureMap, check_local_geometry, geometry_constants
+    from soft_irl.soft_dp import _log_gibbs, _path_max
+
+    rng = np.random.default_rng(rng_seed)
+    if deterministic:
+        mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=True)
+    else:
+        mdp = Mdp(T=T, S=S, A=A, initial_dist=sparse_distributions(rng, (S,)),
+                  kernels=sparse_distributions(rng, (T - 1, S, A, S)), ref_measure=np.ones(A))
+    features = FeatureMap(phi=rng.normal(size=(T, S, A, d)))
+    theta0, theta1 = rng.normal(size=d), 2.0 * rng.normal(size=d)
+    states, actions, _ = enumerate_support(mdp, uniform_policy(mdp))
+    steps = np.arange(T)[None, :]
+
+    tol = 1e-12
+    model0 = LinearRewardModel(features=features, theta=theta0)
+    constants = geometry_constants(mdp, features, model0, beta, theta_grid=[theta1])
+    exact_B_phi = max_cumulative_feature_norm(features, states, actions)
+    exact_B_A_phi = max_score_norm(mdp, features, beta, [theta0, theta1], states, actions)
+    assert constants.B_phi >= exact_B_phi * (1.0 - tol)
+    assert constants.B_A_phi >= exact_B_A_phi * (1.0 - tol)
+    assert constants.B_A_phi <= 2 * T * constants.B_phi * (1.0 + tol)
+
+    solutions = [solve_model(mdp, LinearRewardModel(features=features, theta=theta), beta)
+                 for theta in (theta0, theta1)]
+    log_ratio = _log_gibbs(mdp, beta, solutions[1].Q, solutions[1].V) - _log_gibbs(
+        mdp, beta, solutions[0].Q, solutions[0].V
+    )
+    exact_ratio = float(np.abs(log_ratio[steps, states, actions].sum(axis=1)).max())
+    path_ratio = max(float(_path_max(mdp, log_ratio)), float(_path_max(mdp, -log_ratio)))
+    assert path_ratio == pytest.approx(exact_ratio, rel=tol, abs=tol)
+    if constants.lambda_star > 1e-6:  # check_local_geometry needs a definite Hessian
+        report = check_local_geometry(mdp, features, beta, theta0, theta1)
+        ratio = report.checks[0]
+        assert ratio.name == "density_ratio"
+        assert ratio.value == pytest.approx(exact_ratio, rel=tol, abs=tol)
+        segment = [theta0 + a * (theta1 - theta0) for a in np.linspace(0.0, 1.0, 17)]
+        exact_segment = max_score_norm(mdp, features, beta, segment, states, actions)
+        assert report.B_A_phi >= exact_segment * (1.0 - tol)
 
 
 # ---------------------------------------------------------------------------
