@@ -23,19 +23,29 @@ from .mdp import (
     _check_real,
     _check_seed,
 )
-from .soft_dp import trajectory_hellinger, trajectory_kl, _log_gibbs, _path_max
+from .soft_dp import (
+    trajectory_hellinger,
+    trajectory_kl,
+    _batch_optimal_values,
+    _batch_trajectory_hellinger,
+    _batch_trajectory_kl,
+    _gibbs_probs,
+    _log_gibbs,
+    _path_max,
+)
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
     derivative_bundle,
-    geometry_constants,
     kernel_basis,
     solve_model,
+    _batch_rewards,
     _dikin_radius,
+    _geometry_constants,
     _score_bound,
     _solution_bundle,
 )
-from .opt import FIT_STATUSES, FitConfig, fit_empirical, fit_population
+from .opt import FIT_STATUSES, FitConfig, fit_population, _fit_batch
 
 
 # --------------------------------------------------------------------------
@@ -310,28 +320,47 @@ def _rate_cell(
     pi_star: Policy,
     approx_floor: float,
     n: int,
-    seed: int,
-) -> tuple[dict, str]:
-    mdp, features, expert = instance.mdp, instance.features, instance.expert
-    data = sample_trajectories(mdp, expert, n, seed)
-    result = fit_empirical(mdp, features, data, fit_cfg)
-    model_hat = LinearRewardModel(features=features, theta=result.theta_hat, B_theta=fit_cfg.B_theta)
-    pi_hat = solve_model(mdp, model_hat, fit_cfg.beta).pi_star
+    seeds: list[int],
+) -> list[tuple[dict, str]]:
+    """The metrics and fit status of each replicate of one sample size.
 
-    diff = result.theta_hat - theta_star
-    expert_kl = trajectory_kl(mdp, expert, pi_hat)
-    kl_star_to_hat = trajectory_kl(mdp, pi_star, pi_hat)
-    kl_hat_to_star = trajectory_kl(mdp, pi_hat, pi_star)
-    values = {
-        "expert_kl": expert_kl,
-        "excess_kl": expert_kl - approx_floor,
-        "param_err_hess": float(diff @ H_star @ diff),
-        "kl_star_to_hat": kl_star_to_hat,
-        "kl_hat_to_star": kl_hat_to_star,
-        "sym_kl_star": kl_star_to_hat + kl_hat_to_star,
-        "hellinger_star": trajectory_hellinger(mdp, pi_star, pi_hat),
-    }
-    return values, result.status
+    Each replicate's dataset is drawn, reduced to its feature average and
+    dropped, so one dataset is held at a time; the replicates are then
+    fitted as one lockstep batch and their metrics computed as one batch.
+    Every value is bit for bit that of a replicate fitted and measured alone.
+    """
+    mdp, features, expert = instance.mdp, instance.features, instance.expert
+    targets = np.stack(
+        [
+            empirical_feature_expectation(sample_trajectories(mdp, expert, n, seed), features)
+            for seed in seeds
+        ]
+    )
+    results = _fit_batch(mdp, features, targets, fit_cfg)
+    thetas = np.stack([result.theta_hat for result in results])
+    r = _batch_rewards(features.phi, thetas)
+    pi_hat = _gibbs_probs(mdp, fit_cfg.beta, *_batch_optimal_values(mdp, r, fit_cfg.beta))
+    expert_b = np.broadcast_to(expert.probs[:, None], pi_hat.shape)
+    star_b = np.broadcast_to(pi_star.probs[:, None], pi_hat.shape)
+    expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
+    kl_star_to_hat = _batch_trajectory_kl(mdp, star_b, pi_hat)
+    kl_hat_to_star = _batch_trajectory_kl(mdp, pi_hat, star_b)
+    hellinger_star = _batch_trajectory_hellinger(mdp, star_b, pi_hat)
+
+    cells = []
+    for k, result in enumerate(results):
+        diff = result.theta_hat - theta_star
+        values = {
+            "expert_kl": float(expert_kl[k]),
+            "excess_kl": float(expert_kl[k]) - approx_floor,
+            "param_err_hess": float(diff @ H_star @ diff),
+            "kl_star_to_hat": float(kl_star_to_hat[k]),
+            "kl_hat_to_star": float(kl_hat_to_star[k]),
+            "sym_kl_star": float(kl_star_to_hat[k]) + float(kl_hat_to_star[k]),
+            "hellinger_star": float(hellinger_star[k]),
+        }
+        cells.append((values, result.status))
+    return cells
 
 
 def run_rate_experiment(config: RateConfig) -> RateReport:
@@ -356,11 +385,12 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     theta_star = population.theta_hat
     H_star = population.hessian_at_solution
     model_star = LinearRewardModel(features=features, theta=theta_star, B_theta=fit_cfg.B_theta)
-    pi_star = solve_model(mdp, model_star, beta).pi_star
+    solution_star = solve_model(mdp, model_star, beta)  # the one soft solve at theta_star
+    pi_star = solution_star.pi_star
     approx_floor = trajectory_kl(mdp, expert, pi_star)
 
-    constants = geometry_constants(
-        mdp, features, model_star, beta, theta_grid=[np.zeros(features.d)], expert=expert
+    constants = _geometry_constants(
+        mdp, features, solution_star, H_star, theta_grid=[np.zeros(features.d)], expert=expert
     )
     burn_in = (
         constants.B_A_phi**2
@@ -372,11 +402,9 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     records = []
     fit_statuses = dict.fromkeys(FIT_STATUSES, 0)
     for i_n, n in enumerate(config.n_grid):
-        for rep in range(config.replicates):
-            seed = _cell_seed(config.data_seed, i_n, rep)
-            values, status = _rate_cell(
-                instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, n, seed
-            )
+        seeds = [_cell_seed(config.data_seed, i_n, rep) for rep in range(config.replicates)]
+        cells = _rate_cell(instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, n, seeds)
+        for rep, (values, status) in enumerate(cells):
             fit_statuses[status] += 1
             records.extend(
                 RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=status)
@@ -505,6 +533,15 @@ def check_local_geometry(
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
         raise DomainError("check_local_geometry requires a positive-definite Hessian at theta0")
+    try:
+        gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
+    except np.linalg.LinAlgError as err:
+        # H0's Cholesky factorization fails when its smallest eigenvalue is
+        # positive but lost in rounding
+        raise DomainError(
+            "check_local_geometry requires a positive-definite Hessian at theta0 "
+            f"(smallest eigenvalue {lam0:.3e} is numerically singular)"
+        ) from err
 
     alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
     B_A_phi = _score_bound(mdp, features, beta, [theta0 + a * delta for a in alphas])
@@ -523,7 +560,6 @@ def check_local_geometry(
     )
     max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
 
-    gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
     bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
     gradient_gap = float(delta @ (bundle1.grad - bundle0.grad))
     sq = delta_h0**2
@@ -657,7 +693,10 @@ def check_concentration(
     model_star = LinearRewardModel(
         features=features, theta=population.theta_hat, B_theta=cfg.B_theta
     )
-    constants = geometry_constants(mdp, features, model_star, beta, expert=expert)
+    constants = _geometry_constants(
+        mdp, features, solve_model(mdp, model_star, beta), population.hessian_at_solution,
+        expert=expert,
+    )
     lambda_star = constants.lambda_star
     if lambda_star <= 1e-10:
         raise DomainError("concentration bound requires a positive-definite Hessian")

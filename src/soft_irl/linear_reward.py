@@ -28,9 +28,10 @@ from .mdp import (
     Mdp,
     Policy,
     forward_occupancy,
+    _check_compatible,
     _check_dataset,
     _check_paths,
-    _occupancy_average,
+    _occupancy,
     _path_rows,
     _path_sum,
 )
@@ -40,7 +41,8 @@ from .soft_dp import (
     _expected_next,
     _martingale_covariance,
     _path_max,
-    _weighted_second_moment,
+    _policy_values,
+    _stacked_next,
     feature_advantage,
     feature_values,
     policy_evaluate,
@@ -158,12 +160,6 @@ def solve_model(mdp: Mdp, model: LinearRewardModel, beta: float) -> SoftSolution
     return soft_backward(mdp, reward_of(model), beta)
 
 
-def _gibbs_advantage(mdp: Mdp, model: LinearRewardModel, beta: float):
-    """Soft solution of the model's reward and its Gibbs policy's feature advantages."""
-    solution = solve_model(mdp, model, beta)
-    return solution, feature_advantage(mdp, model.features, solution.pi_star)
-
-
 def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> DerivativeBundle:
     """Value, gradient and Hessian of ``J*`` at ``model.theta`` from one soft solve.
 
@@ -178,13 +174,47 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
 def _solution_bundle(mdp: Mdp, features: FeatureMap, solution: SoftSolution) -> DerivativeBundle:
     """:func:`derivative_bundle` at a parameter from the soft solution of its
     reward, for callers that already hold it."""
-    adv = feature_advantage(mdp, features, solution.pi_star)
-    mu = forward_occupancy(mdp, solution.pi_star)
-    return DerivativeBundle(
-        J_star=solution.J_star,
-        grad=_occupancy_average(mu, features.phi),
-        hessian=_weighted_second_moment(mu, adv) / solution.beta,
-    )
+    _check_compatible(mdp, solution.pi_star)
+    probs = solution.pi_star.probs[:, None]
+    grad, hessian = _batch_derivatives(mdp, features.phi, solution.beta, probs)
+    return DerivativeBundle(J_star=solution.J_star, grad=grad[0], hessian=hessian[0])
+
+
+def _batch_rewards(phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``r_theta = <theta, phi>`` for each row of ``thetas``: shape ``(K, T, S, A)``.
+
+    One ``gemv`` per parameter and ``(t, s)``, the calls ``phi @ theta`` makes
+    for one parameter, so each table is bit for bit :func:`reward_of`'s (a
+    single ``gemv`` over the flattened table would not be).
+    """
+    return (phi[None] @ thetas[:, None, None, :, None])[..., 0]
+
+
+def _batch_derivatives(
+    mdp: Mdp, phi: np.ndarray, beta: float, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients ``(K, d)`` and Hessians ``(K, d, d)`` of ``J*`` at ``K``
+    parameters from their Gibbs policy tables ``probs`` of shape ``(T, K, S,
+    A)``.
+
+    The gradient is the feature expectation of the Gibbs policy; the Hessian
+    is its occupancy-weighted second moment of per-step feature advantages,
+    divided by ``beta``: the Gram ``W^T W`` of the advantage table scaled by
+    the root of the occupancy, built in the table's own memory, one ``syrk``
+    per parameter.  Every product is a stacked matmul that makes, for each
+    parameter, the BLAS call of a batch of one, so a parameter's derivatives
+    do not depend on the batch it is in.
+    """
+    T, K = probs.shape[:2]
+    d = phi.shape[-1]
+    table = np.broadcast_to(phi[:, None], (T, K) + phi.shape[1:])
+    Q, V = _policy_values(mdp, table, probs, _stacked_next)
+    Q -= V[:-1, ..., None, :]  # the feature advantages, (T, K, S, A, d)
+    mu = np.moveaxis(_occupancy(mdp, probs), 1, 0).reshape(K, 1, -1)
+    grad = (mu @ phi.reshape(-1, d))[:, 0]
+    W = np.moveaxis(Q, 1, 0).reshape(K, -1, d)  # a copy unless K = 1
+    W *= np.sqrt(mu).reshape(K, -1, 1)
+    return grad, (W.transpose(0, 2, 1) @ W) / beta
 
 
 def batch_scores(adv: np.ndarray, states, actions) -> np.ndarray:
@@ -205,7 +235,7 @@ def score(mdp: Mdp, model: LinearRewardModel, beta: float, data: Dataset) -> np.
     Dividing by ``beta`` gives the gradient of the trajectory log-likelihood
     with respect to ``theta``.
     """
-    _, adv = _gibbs_advantage(mdp, model, beta)
+    adv = feature_advantage(mdp, model.features, solve_model(mdp, model, beta).pi_star)
     _check_dataset(data, adv)
     return batch_scores(adv, data.states, data.actions)
 
@@ -305,18 +335,20 @@ def effective_dimension(
     )
 
 
-def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas) -> float:
+def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas, policies=()) -> float:
     """Upper bound on the trajectory-score norm ``||sum_t adv_t(s_t, a_t)||``
-    over every path and the given parameters.
+    over every path and the given parameters, and the parameters whose Gibbs
+    ``policies`` the caller already holds.
 
     By the triangle inequality a score norm is at most the path's sum of
     per-step advantage norms ``||adv_t(s, a)||``; one max-plus pass takes the
     largest such sum for every parameter at once.
     """
-    norms = []
+    policies = list(policies)
     for theta in thetas:
         model = LinearRewardModel(features=features, theta=theta)
-        norms.append(np.linalg.norm(_gibbs_advantage(mdp, model, beta)[1], axis=-1))
+        policies.append(solve_model(mdp, model, beta).pi_star)
+    norms = [np.linalg.norm(feature_advantage(mdp, features, pi), axis=-1) for pi in policies]
     return float(_path_max(mdp, np.stack(norms, axis=-1)).max())
 
 
@@ -344,14 +376,27 @@ def geometry_constants(
     ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
     by default).
     """
-    thetas = [model.theta]
-    if theta_grid is not None:
-        thetas.extend(np.atleast_2d(np.asarray(theta_grid, dtype=np.float64)))
-    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)))
-    B_A_phi = _score_bound(mdp, features, beta, thetas)
-
     solution = solve_model(mdp, model, beta)
     H = _solution_bundle(mdp, features, solution).hessian
+    return _geometry_constants(mdp, features, solution, H, theta_grid, expert)
+
+
+def _geometry_constants(
+    mdp: Mdp,
+    features: FeatureMap,
+    solution: SoftSolution,
+    H: np.ndarray,
+    theta_grid: np.ndarray | None = None,
+    expert: Policy | None = None,
+) -> GeometryConstants:
+    """:func:`geometry_constants` at the parameter whose soft solution and
+    Hessian are given, for callers that already hold them: no soft solve at
+    that parameter."""
+    beta = solution.beta
+    grid = () if theta_grid is None else np.atleast_2d(np.asarray(theta_grid, dtype=np.float64))
+    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)))
+    B_A_phi = _score_bound(mdp, features, beta, grid, [solution.pi_star])
+
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)
     if expert is None:

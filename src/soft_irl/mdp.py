@@ -211,12 +211,23 @@ def forward_occupancy(mdp: Mdp, policy: Policy) -> np.ndarray:
     """State-action visitation probabilities ``mu[t, s, a]`` of ``policy``,
     propagated exactly from the initial distribution: shape ``(T, S, A)``."""
     _check_compatible(mdp, policy)
-    mu = np.empty((mdp.T, mdp.S, mdp.A))
+    return _occupancy(mdp, policy.probs)
+
+
+def _occupancy(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
+    """:func:`forward_occupancy` of the policy tables ``probs``, shape ``(T,
+    ..., S, A)``: any axes between time and state are a batch of policies.
+
+    Each policy's propagation is one ``gemv`` per step, the call it makes on
+    its own, so a batch gives every policy the bits of a lone call.
+    """
+    mu = np.empty(probs.shape)
     marginal = mdp.initial_dist
     for t in range(mdp.T):
-        mu[t] = marginal[:, None] * policy.probs[t]
+        mu[t] = marginal[..., None] * probs[t]
         if t < mdp.T - 1:
-            marginal = mu[t].ravel() @ mdp.kernels[t].reshape(mdp.S * mdp.A, mdp.S)
+            rows = mu[t].reshape(-1, 1, mdp.S * mdp.A) @ mdp.kernels[t].reshape(-1, mdp.S)
+            marginal = rows.reshape(mu[t].shape[:-1])
     return mu
 
 

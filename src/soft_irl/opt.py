@@ -20,12 +20,14 @@ handled explicitly:
   ``<u, target> > h_M(u)``; once it holds the loss is unbounded below along
   ``u`` and the fit stops as ``"infeasible"`` with ``u`` as its certificate.
 
-The interior loop and the polish share one Newton step
-(:func:`_restricted_newton_step`), one Armijo search (:func:`_line_search`)
-and one way to a derivative bundle: a value-only soft pass, whose tables
-become the bundle once the point is accepted.
+One Newton loop, :func:`_fit_batch`, fits a batch of targets in lockstep (a
+single fit is a batch of one).  It and the polish share one Newton step
+(:func:`_restricted_newton_step`), one Armijo rule and one way to a
+derivative bundle: a value-only soft pass, whose tables become the bundle
+once the point is accepted.
 
-Everything is deterministic: same inputs produce bitwise-identical traces.
+Everything is deterministic: same inputs produce bitwise-identical traces,
+whatever batch a target is fitted in.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, _eigen_split, _solution_bundle
-from .soft_dp import _gibbs_solution, _optimal_value, _optimal_values
+from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _eigen_split
+from .soft_dp import _batch_optimal_values, _dots, _gibbs_probs
 
 _RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
 # Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
@@ -133,7 +135,7 @@ def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
 
 def _restricted_newton_step(
     grad: np.ndarray, hessian: np.ndarray, image: np.ndarray
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton direction confined to the span of the orthonormal columns of ``image``.
 
     Returns ``(step, decrement, ridge_used)``, with ``<grad, step> =
@@ -144,156 +146,265 @@ def _restricted_newton_step(
     stays large as long as the restricted gradient is large, so divergent
     runs are reported as not converged rather than silently reclassified as
     flat.
+
+    ``grad`` ``(..., d)`` and ``hessian`` ``(..., d, d)`` may carry a leading
+    batch axis: the products are stacked matmuls and the eigendecompositions
+    one stacked ``eigh``, so each member gets the bits of its own call.
     """
     if image.shape[1] == 0:
-        return np.zeros_like(grad), 0.0, False
+        return np.zeros_like(grad), np.zeros(grad.shape[:-1]), np.zeros(grad.shape[:-1], dtype=bool)
     w, V = np.linalg.eigh(image.T @ hessian @ image)
-    ridge_used = bool(float(w[0]) < _RIDGE_THRESHOLD)
-    if ridge_used:
-        w = w + _RIDGE
-    g_proj = V.T @ (image.T @ grad)
-    step = -image @ (V @ (g_proj / w))
-    decrement = float(np.sqrt((g_proj**2 / w).sum()))
+    ridge_used = w[..., 0] < _RIDGE_THRESHOLD
+    w = np.where(ridge_used[..., None], w + _RIDGE, w)
+    g_proj = (np.swapaxes(V, -1, -2) @ (image.T @ grad[..., None]))[..., 0]
+    step = (-image @ (V @ (g_proj / w)[..., None]))[..., 0]
+    decrement = np.sqrt((g_proj**2 / w).sum(axis=-1))
     return step, decrement, ridge_used
 
 
 def _loss_and_values(
-    mdp: Mdp, phi: np.ndarray, target: np.ndarray, beta: float, theta: np.ndarray
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """``L(theta) = J*(theta) - <theta, target>`` from one value-only soft pass,
-    with that pass's soft-optimal ``(Q, V)``.
+    mdp: Mdp, phi: np.ndarray, targets: np.ndarray, beta: float, thetas: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``L(theta_k) = J*(theta_k) - <theta_k, target_k>`` for each row of
+    ``thetas`` ``(K, d)``, from one value-only soft pass over the batch, with
+    that pass's soft-optimal tables ``Q`` ``(T, K, S, A)`` and ``V`` ``(T+1,
+    K, S)``.
 
-    The checks of the public types stay at the boundary; the one that remains
-    here keeps a non-finite trial reward from becoming a silent NaN.
+    Each row's products are the BLAS calls of a pass on its own, so its loss
+    and tables are bit for bit those of a lone pass.  The checks of the
+    public types stay at the boundary; the one that remains here keeps a
+    non-finite trial reward from becoming a silent NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        r = phi @ theta
+        r = _batch_rewards(phi, thetas)
     if not np.isfinite(r).all():
         raise InvariantError("loss: the reward at the trial parameter is not finite")
-    Q, V = _optimal_values(mdp, r, beta)
-    return float(mdp.initial_dist @ V[0]) - float(theta @ target), (Q, V)
+    Q, V = _batch_optimal_values(mdp, r, beta)
+    return _dots(mdp.initial_dist, V[0]) - _dots(thetas, targets), (Q, V)
 
 
 def _separation(
-    mdp: Mdp, phi: np.ndarray, target: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """``(u, margin)`` if ``u = theta / |theta|`` separates ``target`` from the moment set.
+    mdp: Mdp, phi: np.ndarray, targets: np.ndarray, thetas: np.ndarray
+) -> list[tuple[np.ndarray, float] | None]:
+    """For each row, ``(u, margin)`` if ``u = theta / |theta|`` separates its
+    target from the moment set, from one max-plus pass over the batch.
 
     ``margin = <u, target> - h_M(u)``, where the support function ``h_M(u)``
     is the max-plus optimal value of the reward ``<u, phi>``.  ``None`` unless
     the margin exceeds the rounding cut.
     """
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        return None
-    u = theta / norm
-    r = phi @ u
-    margin = float(u @ target) - _optimal_value(mdp, r, 0.0)
-    if margin <= _RELATIVE_SEPARATION_CUT * float(np.abs(r).max(axis=(1, 2)).sum()):
-        return None
-    return u, margin
+    out: list[tuple[np.ndarray, float] | None] = [None] * len(thetas)
+    norms = [float(np.linalg.norm(theta)) for theta in thetas]
+    rows = [k for k, norm in enumerate(norms) if norm != 0.0]
+    if not rows:
+        return out
+    U = np.stack([thetas[k] / norms[k] for k in rows])
+    r = _batch_rewards(phi, U)  # (K, T, S, A)
+    _, V = _batch_optimal_values(mdp, r, 0.0)
+    margins = _dots(U, targets[rows]) - _dots(mdp.initial_dist, V[0])
+    cuts = _RELATIVE_SEPARATION_CUT * np.abs(r).max(axis=(2, 3)).sum(axis=-1)
+    for j, k in enumerate(rows):
+        if not margins[j] <= cuts[j]:
+            out[k] = U[j], float(margins[j])
+    return out
 
 
 def _line_search(value_pass, loss: float, directional: float, point_at):
-    """Armijo backtracking along the curve ``point_at(alpha)``.
+    """Armijo backtracking along the curve ``point_at(alpha)``, for the polish.
 
     Tries ``alpha = 1, 1/2, 1/4, ...`` above ``_LINE_SEARCH_FLOOR``.  Returns
-    ``(found, full)``: ``found`` is ``(alpha, point, point_loss, values)`` for
-    the first point whose value pass (``value_pass(point) = (loss, values)``)
-    decreases ``loss`` by at least ``_LINE_SEARCH_ACCEPT * alpha *
-    directional``, or ``None`` if no step size does; ``full`` is the first
-    trial's ``(point, point_loss, values)``, at ``alpha = 1``.
+    ``(alpha, point, point_loss, values)`` for the first point whose value
+    pass (``value_pass(point) = (loss, values)``) decreases ``loss`` by at
+    least ``_LINE_SEARCH_ACCEPT * alpha * directional``, or ``None`` if no
+    step size does.
     """
     alpha = 1.0
-    full = None
     while alpha > _LINE_SEARCH_FLOOR:
         point = point_at(alpha)
         point_loss, values = value_pass(point)
-        if full is None:
-            full = point, point_loss, values
         if point_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
-            return (alpha, point, point_loss, values), full
+            return alpha, point, point_loss, values
         alpha *= _LINE_SEARCH_FACTOR
-    return None, full
+    return None
 
 
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
+    """One fit: :func:`_fit_batch` on a batch of one."""
+    return _fit_batch(mdp, features, np.asarray(target, dtype=np.float64)[None], config)[0]
+
+
+def _fit_batch(
+    mdp: Mdp, features: FeatureMap, targets: np.ndarray, config: FitConfig
+) -> list[IrlFitResult]:
+    """Fit every row of ``targets`` ``(K, d)`` in lockstep: the one Newton loop.
+
+    Each fit runs its own damped Newton iteration: at each iterate a
+    restricted Newton step, the decrement test, the separation test, then an
+    Armijo search whose accepted point's value pass becomes the next
+    derivative bundle.  The fits share the rounds: each round makes one value
+    pass over every searching fit's trial point, then one bundle and one
+    stacked Newton step over the fits that moved.  Every product makes, for
+    each fit, the BLAS call of a batch of one, so a fit's result is bit for
+    bit the same alone or in any batch.
+
+    A search ends without a step when the step size reaches the floor or,
+    without a ball, when the trial point rounds to the iterate itself (every
+    smaller step does too, and such a trial would only re-solve the
+    iterate).  Then, when the loss is flat to float resolution around a
+    well-conditioned iterate, the full Newton step is taken if it shrinks the
+    decrement; otherwise the fit stops ``"stalled"``.
+    """
     beta, phi, radius = config.beta, features.phi, config.B_theta
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
+    K, d = targets.shape
 
-    def value_pass(theta: np.ndarray):
-        return _loss_and_values(mdp, phi, target, beta, theta)
+    def derivatives(Q, V):
+        # gradients and Hessians from value passes already made: no second soft pass
+        return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q, V))
 
-    def bundle_from(values):
-        # the derivative bundle from a value pass already made: no second soft pass
-        return _solution_bundle(mdp, features, _gibbs_solution(mdp, beta, *values))
-
-    def newton_step(bundle):
-        return _restricted_newton_step(bundle.grad - target, bundle.hessian, image)
-
-    theta = np.zeros(features.d)
-    loss, values = value_pass(theta)
-    bundle = bundle_from(values)
+    # theta = 0 is every fit's start: one value pass, one bundle and one image
+    zero = np.zeros((1, d))
+    start_loss, start_values = _loss_and_values(mdp, phi, zero, beta, zero)
+    start_grad, start_hessian = derivatives(*start_values)
     # the identifiable subspace, fixed at the start
-    image = _eigen_split(bundle.hessian, _RELATIVE_KERNEL_CUT)[1]
-    trace: list[IterationRecord] = []
-    status = "max_iters"
-    separation = None
-    decrement = float("nan")
-    iterations = 0
+    image = _eigen_split(start_hessian[0], _RELATIVE_KERNEL_CUT)[1]
 
-    for it in range(config.max_iters):
-        grad = bundle.grad - target
-        step, decrement, ridge_used = newton_step(bundle)
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                loss=loss,
-                decrement=decrement,
-                step_size=0.0,
-                ridge_used=ridge_used,
-                theta=tuple(float(x) for x in theta),
+    def newton_steps(grads, hessians):
+        return _restricted_newton_step(grads, hessians, image)
+
+    theta = np.zeros((K, d))
+    loss = start_loss[0] - _dots(theta, targets)
+    bundle_grad = np.repeat(start_grad, K, axis=0)
+    hessian = np.repeat(start_hessian, K, axis=0)
+    step = np.zeros((K, d))
+    decrement = np.full(K, np.nan)
+    ridge_used = np.zeros(K, dtype=bool)
+    directional = np.zeros(K)
+    alpha = np.ones(K)
+    trial = np.zeros((K, d))
+    full: list = [None] * K  # each search's first trial: (point, loss, Q, V)
+    traces: list[list[IterationRecord]] = [[] for _ in range(K)]
+    status = ["max_iters"] * K
+    separation: list = [None] * K
+    searching: list[int] = []
+
+    def begin(fits, steps, decrements, ridges):
+        """Record an iteration at each fit's new iterate, test it, and start its search."""
+        probe = []
+        for j, k in enumerate(fits):
+            step[k], decrement[k], ridge_used[k] = steps[j], decrements[j], ridges[j]
+            traces[k].append(
+                IterationRecord(
+                    iteration=len(traces[k]),
+                    loss=float(loss[k]),
+                    decrement=float(decrement[k]),
+                    step_size=0.0,
+                    ridge_used=bool(ridge_used[k]),
+                    theta=tuple(float(x) for x in theta[k]),
+                )
             )
-        )
-        if decrement <= config.tol_decrement:
-            status = "converged"
-            break
-        if not bounded:
-            separation = _separation(mdp, phi, target, theta)
-            if separation is not None:
-                status = "infeasible"
-                break
+            if decrement[k] <= config.tol_decrement:
+                status[k] = "converged"
+            else:
+                probe.append(k)
+        if not bounded and probe:
+            for k, found in zip(probe, _separation(mdp, phi, targets[probe], theta[probe])):
+                if found is not None:
+                    status[k], separation[k] = "infeasible", found
+            probe = [k for k in probe if separation[k] is None]
+        if not probe:
+            return
+        directional[probe] = _dots(bundle_grad[probe] - targets[probe], step[probe])
+        for k in probe:
+            alpha[k] = 1.0
+            trial[k] = _project_ball(theta[k] + step[k], radius)
+            if bounded or not np.array_equal(trial[k], theta[k]):
+                searching.append(k)
+            else:
+                # a step below the ulp of theta: the flat-loss fallback would
+                # take this very point and find the same decrement
+                status[k] = "stalled"
 
-        found, full = _line_search(
-            value_pass, loss, float(grad @ step), lambda a: _project_ball(theta + a * step, radius)
-        )
-        if found is not None and found[2] < loss:
-            alpha, theta, loss, values = found
-            bundle = bundle_from(values)
-        elif not ridge_used and decrement <= 0.25:
-            # The loss is flat to float resolution around the iterate, which is
-            # exactly what the bottom of a well-conditioned quadratic bowl looks
-            # like once the true descent per step drops below one ulp, so loss
-            # differences can no longer judge a step.  The full Newton step
-            # still refines the iterate (the decrement contracts quadratically):
-            # take it when it shrinks the decrement.  The search's first trial
-            # already solved that point.
-            full_point, full_loss, full_values = full
-            full_bundle = bundle_from(full_values)
-            if not newton_step(full_bundle)[1] < decrement:
-                status = "stalled"
-                break
-            alpha, theta, loss, bundle = 1.0, full_point, full_loss, full_bundle
-        else:
-            status = "stalled"  # cannot make progress (flat to machine precision)
-            break
-        trace[-1] = replace(trace[-1], step_size=alpha)
-        iterations = it + 1
+    begin(range(K), *newton_steps(bundle_grad - targets, hessian))
 
+    while searching:
+        rows, searching[:] = list(searching), []
+        trial_loss, (Q, V) = _loss_and_values(mdp, phi, targets[rows], beta, trial[rows])
+        moved = []  # (fit, "step" or "fallback", point, loss, Q, V)
+        for j, k in enumerate(rows):
+            point = trial[k].copy()
+            if alpha[k] == 1.0:
+                full[k] = point, trial_loss[j], Q[:, j], V[:, j]
+            if trial_loss[j] <= loss[k] + _LINE_SEARCH_ACCEPT * alpha[k] * directional[k]:
+                if trial_loss[j] < loss[k]:
+                    moved.append((k, "step", point, trial_loss[j], Q[:, j], V[:, j]))
+                    continue
+            else:
+                alpha[k] *= _LINE_SEARCH_FACTOR
+                if alpha[k] > _LINE_SEARCH_FLOOR:
+                    trial[k] = _project_ball(theta[k] + alpha[k] * step[k], radius)
+                    if bounded or not np.array_equal(trial[k], theta[k]):
+                        searching.append(k)
+                        continue
+            # no step size decreased the loss
+            if not ridge_used[k] and decrement[k] <= 0.25:
+                # The loss is flat to float resolution around the iterate, which
+                # is exactly what the bottom of a well-conditioned quadratic bowl
+                # looks like once the true descent per step drops below one ulp,
+                # so loss differences can no longer judge a step.  The full
+                # Newton step still refines the iterate (the decrement contracts
+                # quadratically): take it when it shrinks the decrement.  The
+                # search's first trial already solved that point.
+                moved.append((k, "fallback") + full[k])
+            else:
+                status[k] = "stalled"  # cannot make progress (flat to machine precision)
+        if not moved:
+            continue
+
+        grads, hessians = derivatives(
+            np.stack([m[4] for m in moved], axis=1), np.stack([m[5] for m in moved], axis=1)
+        )
+        steps, decrements, ridges = newton_steps(grads - targets[[m[0] for m in moved]], hessians)
+        again = []
+        for j, (k, kind, point, point_loss, _, _) in enumerate(moved):
+            if kind == "fallback":
+                if not decrements[j] < decrement[k]:
+                    status[k] = "stalled"
+                    continue
+                alpha[k] = 1.0
+            theta[k], loss[k], bundle_grad[k], hessian[k] = point, point_loss, grads[j], hessians[j]
+            traces[k][-1] = replace(traces[k][-1], step_size=float(alpha[k]))
+            if len(traces[k]) < config.max_iters:
+                again.append(j)
+        begin([moved[j][0] for j in again], steps[again], decrements[again], ridges[again])
+
+    return [
+        _result(
+            mdp, features, targets[k], config, theta[k].copy(), float(loss[k]),
+            (bundle_grad[k].copy(), hessian[k].copy()), status[k], traces[k], separation[k],
+        )
+        for k in range(K)
+    ]
+
+
+def _result(mdp, features, target, config, theta, loss, bundle, status, trace, separation):
+    """The :class:`IrlFitResult` of a fit the lockstep loop has finished,
+    after the polish on the sphere when the ball constraint is active."""
+    beta, phi, radius = config.beta, features.phi, config.B_theta
+    decrement = trace[-1].decrement if trace else float("nan")
     active = float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
     if active:
+
+        def value_pass(point):
+            losses, values = _loss_and_values(mdp, phi, target[None], beta, point[None])
+            return float(losses[0]), values
+
+        def bundle_from(values):
+            grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
+            return grads[0], hessians[0]
+
         theta, loss, bundle = _polish_on_ball(value_pass, bundle_from, target, radius, theta)
-    grad = bundle.grad - target
+    grad = bundle[0] - target
     if status != "converged" and active:
         # on the boundary the Newton decrement is not the right certificate;
         # report the projected-gradient stationarity gap (which equals the
@@ -306,10 +417,10 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
     return IrlFitResult(
         theta_hat=theta,
         final_loss=loss,
-        iterations=iterations,
+        iterations=sum(1 for record in trace if record.step_size > 0.0),
         final_decrement=float(decrement),
         gradient_norm=float(np.linalg.norm(grad)),
-        hessian_at_solution=bundle.hessian,
+        hessian_at_solution=bundle[1],
         active_ball_constraint=bool(active),
         status=status,
         trace=tuple(trace),
@@ -325,8 +436,9 @@ def _polish_on_ball(value_pass, bundle_from, target: np.ndarray, radius: float, 
     restricted Newton step of the Lagrangian Hessian (loss curvature plus the
     constraint term) on the tangent space at the current point, and
     :func:`_line_search` runs along its retraction back onto the sphere.
-    ``value_pass`` and ``bundle_from`` are the fit's.  Returns the final
-    point, its loss and its derivative bundle.
+    ``value_pass`` and ``bundle_from`` are the fit's, on one parameter;
+    ``bundle_from`` gives ``(gradient, Hessian)``.  Returns the final point,
+    its loss and its ``(gradient, Hessian)``.
     """
     import scipy.linalg
 
@@ -337,18 +449,18 @@ def _polish_on_ball(value_pass, bundle_from, target: np.ndarray, radius: float, 
     loss, values = value_pass(theta)
     bundle = bundle_from(values)
     for _ in range(100):
-        grad = bundle.grad - target
+        grad = bundle[0] - target
         tangent = scipy.linalg.null_space(theta[None, :] / radius)
         if tangent.shape[1] == 0:
             break  # d = 1: the sphere is a point pair, nothing to refine
         if float(np.linalg.norm(tangent.T @ grad)) <= 1e-12:
             break
         multiplier = max(-float(grad @ theta) / (radius * radius), 0.0)
-        lagrangian = bundle.hessian + multiplier * np.eye(theta.shape[0])
+        lagrangian = bundle[1] + multiplier * np.eye(theta.shape[0])
         step = _restricted_newton_step(grad, lagrangian, tangent)[0]
         found = _line_search(
             value_pass, loss, float(grad @ step), lambda a: retract(theta + a * step)
-        )[0]
+        )
         if found is None:
             break
         _, theta, loss, values = found

@@ -16,7 +16,10 @@ Hellinger-remainder backup, and :func:`variance_decomposition` reads the
 return variance off one evaluation and the policy's occupancies.  With the
 max over the support of ``P_t`` in place of the expectation ``P_t V``, the
 kernel is the max-plus pass behind ``_path_max``: the largest sum of a
-per-step table along any path the MDP can take, with no enumeration.
+per-step table along any path the MDP can take, with no enumeration.  A
+batch of tables (the fitter's value passes and bundles, the rate metrics)
+runs through the same kernel with a batch axis after time and a stacked
+successor product, which gives each table the BLAS calls of its own pass.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .mdp import (
     Policy,
     forward_occupancy,
     gather_table,
+    _occupancy,
     _check_compatible,
     _check_dataset,
     _feature_table,
@@ -154,6 +158,20 @@ def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     return flat.reshape((S, A) + v_next.shape[1:])
 
 
+def _stacked_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+    """:func:`_expected_next` of a batch ``v_next`` ``(K, S, ...)``: shape ``(K, S, A, ...)``.
+
+    A stacked matmul, so BLAS gets, for each batch member, the ``gemv`` or
+    ``gemm`` that :func:`_expected_next` makes on it alone, and every member
+    gets the bits of a lone call (one ``gemm`` over the whole batch would
+    not).
+    """
+    S, A, Z = kernel_t.shape
+    K = v_next.shape[0]
+    flat = kernel_t.reshape(S * A, Z) @ v_next.reshape(K, Z, -1)
+    return flat.reshape((K, S, A) + v_next.shape[2:])
+
+
 def _support_max(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     """``max v(s')`` over the support ``P_t(s'|s, a) > 0``, for a value vector
     or a batch of value columns: the max-plus successor operator."""
@@ -168,18 +186,23 @@ def _backward(
     ``V_t = backup(t, Q_t)``.
 
     The successor operator is the expectation ``P_t V`` unless another is
-    given.  ``r`` has shape ``(T, S, A, ...)``; trailing axes ride along
-    unchanged.  Returns ``(Q, V)`` with ``V`` of shape ``(T+1, S, ...)`` and
-    an all-zero terminal row.
+    given.  ``r`` has shape ``(T, S, A, ...)``, or ``(T, K, S, A, ...)`` for a
+    batch of ``K`` tables with :func:`_stacked_next` as the successor;
+    trailing axes ride along unchanged.  Returns ``(Q, V)`` with ``V`` of
+    ``Q``'s shape less the action axis the backup removes, ``T+1`` rows in
+    time and an all-zero terminal row.
     """
-    T, S = r.shape[:2]
-    V = np.zeros((T + 1, S) + r.shape[3:])
-    Q = np.empty(r.shape)
+    T = r.shape[0]
+    Q = np.empty(r.shape)  # C order, whatever the layout of r, so each Q[t] is contiguous
+    V = None
     for t in reversed(range(T)):
         Q[t] = r[t]
         if t < T - 1:
             Q[t] += successor(kernels[t], V[t + 1])
-        V[t] = backup(t, Q[t])
+        v = backup(t, Q[t])
+        if V is None:
+            V = np.zeros((T + 1,) + v.shape)
+        V[t] = v
     return Q, V
 
 
@@ -205,7 +228,7 @@ def _backup(mdp: Mdp, beta: float):
     def log_sum_exp(t, q):
         z = q / beta + log_nu
         top = z.max(axis=-1)
-        return beta * (top + np.log(np.exp(z - top[:, None]).sum(axis=-1)))
+        return beta * (top + np.log(np.exp(z - top[..., None]).sum(axis=-1)))
 
     return log_sum_exp
 
@@ -220,34 +243,37 @@ def _optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, n
     return _backward(mdp.kernels, r, _backup(mdp, beta))
 
 
-def _optimal_value(mdp: Mdp, r: np.ndarray, beta: float) -> float:
-    """Optimal value of the reward table ``r``, as :func:`_optimal_values` computes it.
-
-    Bit-identical to ``soft_backward(...).J_star`` for ``beta > 0`` and to
-    ``hard_backward(...).J`` for ``beta = 0``.
-    """
-    _, V = _optimal_values(mdp, r, beta)
-    return float(mdp.initial_dist @ V[0])
+def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_optimal_values` of ``K`` reward tables ``r`` ``(K, T, S, A)`` at
+    once, time first: ``Q`` ``(T, K, S, A)`` and ``V`` ``(T+1, K, S)``.  Each
+    table's tables are bit for bit those of its own call."""
+    return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta), _stacked_next)
 
 
 def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``log pi*`` of soft-optimal tables ``(Q, V)``, ``(Q - V) / beta + log nu``:
     finite wherever ``Q`` is, even where ``pi*`` itself underflows."""
-    return (Q - V[:-1, :, None]) / beta + mdp.log_ref_measure
+    return (Q - V[:-1, ..., None]) / beta + mdp.log_ref_measure
+
+
+def _gibbs_probs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The Gibbs policy table of soft-optimal tables ``(Q, V)``, a plain
+    array with no :class:`Policy` check; batched tables give a batch."""
+    probs = np.exp(_log_gibbs(mdp, beta, Q, V))
+    # Rows sum to one analytically; renormalize away the last few ulps so
+    # downstream validators can insist on tight stochasticity.
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def _gibbs_solution(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> SoftSolution:
     """The :class:`SoftSolution` of soft-optimal tables ``(Q, V)``: the Gibbs
     policy, checked as a :class:`Policy`, and ``J*``."""
-    probs = np.exp(_log_gibbs(mdp, beta, Q, V))
-    # Rows sum to one analytically; renormalize away the last few ulps so
-    # downstream validators can insist on tight stochasticity.
-    probs /= probs.sum(axis=-1, keepdims=True)
     return SoftSolution(
         beta=float(beta),
         V=V,
         Q=Q,
-        pi_star=Policy(probs=probs, label=f"gibbs(beta={beta:g})"),
+        pi_star=Policy(probs=_gibbs_probs(mdp, beta, Q, V), label=f"gibbs(beta={beta:g})"),
         J_star=float(mdp.initial_dist @ V[0]),
     )
 
@@ -331,8 +357,18 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
     """
     phi = _feature_table(features, mdp)
     _check_compatible(mdp, policy)
-    probs = policy.probs
-    return _backward(mdp.kernels, phi, lambda t, q: np.matmul(probs[t][:, None, :], q)[:, 0, :])
+    return _policy_values(mdp, phi, policy.probs)
+
+
+def _policy_values(
+    mdp: Mdp, table: np.ndarray, probs: np.ndarray, successor=_expected_next
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unregularized ``(Q, V)`` of every trailing column of ``table`` under the
+    policy table ``probs``; with :func:`_stacked_next` as the successor,
+    ``table`` is ``(T, K, S, A, ...)`` and ``probs`` a batch ``(T, K, S, A)``."""
+    return _backward(
+        mdp.kernels, table, lambda t, q: np.matmul(probs[t][..., None, :], q)[..., 0, :], successor
+    )
 
 
 def feature_advantage(mdp: Mdp, features, policy: Policy) -> np.ndarray:
@@ -358,20 +394,33 @@ def trajectory_kl(mdp: Mdp, p: Policy, q: Policy) -> float:
     """
     _check_compatible(mdp, p)
     _check_compatible(mdp, q)
-    marginals = forward_occupancy(mdp, p).sum(axis=2)  # (T, S)
+    return float(_batch_trajectory_kl(mdp, p.probs[:, None], q.probs[:, None])[0])
 
-    total = 0.0
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<x_k, y_k>`` of the last axes, one BLAS ``dot`` per row, the call a
+    lone ``x_k @ y_k`` makes; a 1-D ``x`` is shared by every row of ``y``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _batch_trajectory_kl(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`trajectory_kl` of ``K`` pairs of policy tables ``(T, K, S, A)``
+    (broadcast views welcome), shape ``(K,)``; each pair's value is bit for
+    bit that of its own call."""
+    marginals = _occupancy(mdp, p).sum(axis=-1)  # (T, K, S)
+    K = marginals.shape[1]
+    total = np.zeros(K)
+    infinite = np.zeros(K, dtype=bool)
     for t in range(mdp.T):
-        pm, qm = p.probs[t], q.probs[t]
+        pm, qm = p[t], q[t]
         support = pm > 0.0
         reachable = marginals[t] > 0.0
-        if np.any(support & (qm == 0.0) & reachable[:, None]):
-            return float("inf")
+        infinite |= np.any(support & (qm == 0.0) & reachable[..., None], axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(support, pm * (np.log(pm) - np.log(qm)), 0.0)
-        action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
-        total += float(marginals[t] @ action_kl)
-    return total
+            action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
+            total += _dots(marginals[t], action_kl)
+    return np.where(infinite, np.inf, total)
 
 
 def trajectory_hellinger(mdp: Mdp, p: Policy, q: Policy) -> float:
@@ -386,15 +435,22 @@ def trajectory_hellinger(mdp: Mdp, p: Policy, q: Policy) -> float:
     """
     _check_compatible(mdp, p)
     _check_compatible(mdp, q)
-    root_p, root_q = np.sqrt(p.probs), np.sqrt(q.probs)
+    return float(_batch_trajectory_hellinger(mdp, p.probs[:, None], q.probs[:, None])[0])
+
+
+def _batch_trajectory_hellinger(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`trajectory_hellinger` of ``K`` pairs of policy tables ``(T, K,
+    S, A)`` (broadcast views welcome), shape ``(K,)``; each pair's value is
+    bit for bit that of its own call."""
+    root_p, root_q = np.sqrt(p), np.sqrt(q)
     affinity = root_p * root_q
     local = 0.5 * ((root_p - root_q) ** 2).sum(axis=-1)
 
     def remainder(t, expected_next):
         return local[t] + (affinity[t] * expected_next).sum(axis=-1)
 
-    _, D = _backward(mdp.kernels, np.zeros(p.probs.shape), remainder)
-    return float(2.0 * (mdp.initial_dist @ D[0]))
+    _, D = _backward(mdp.kernels, np.zeros(affinity.shape), remainder, _stacked_next)
+    return 2.0 * _dots(mdp.initial_dist, D[0])
 
 
 def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

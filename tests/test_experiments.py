@@ -294,6 +294,19 @@ def test_geometry_requires_definite_hessian():
         check_local_geometry(mdp, constant, TINY.beta, np.zeros(2), np.ones(2))
 
 
+def test_geometry_with_a_numerically_singular_hessian_is_a_domain_error():
+    """A Hessian at theta0 whose smallest eigenvalue is positive but lost in
+    rounding (two nearly collinear features) is a typed error, not an
+    untyped ``LinAlgError`` from the generalized eigenproblem."""
+    from soft_irl import DomainError, FeatureMap
+
+    inst = generate_instance(InstanceSpec(S=4, A=2, T=3, d=3, beta=0.5, seed=1))
+    phi = inst.features.phi.copy()
+    phi[..., 2] = phi[..., 1] * (1 + 1e-7) + 1e-7 * phi[..., 0]
+    with pytest.raises(DomainError, match="positive-definite"):
+        check_local_geometry(inst.mdp, FeatureMap(phi=phi), 0.5, np.zeros(3), 1e-3 * np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # concentration
 
@@ -450,6 +463,152 @@ def test_rate_experiment_rejects_mismatched_fit_temperature():
     )
     with pytest.raises(InputError, match="temperature"):
         run_rate_experiment(cfg)
+
+
+RATES_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "rates.json"
+
+
+def shipped_rates_spec():
+    return InstanceSpec(**json.loads(RATES_CONFIG.read_text())["rates"]["instance"])
+
+
+def per_fit_rate_report(config):
+    """The rate experiment fitted and measured one replicate at a time, through
+    the public API: the oracle of the lockstep batch."""
+    from soft_irl import (
+        RateRecord,
+        RateReport,
+        SLOPE_METRICS,
+        fit_population,
+        geometry_constants,
+        trajectory_hellinger,
+        trajectory_kl,
+    )
+
+    inst = generate_instance(config.instance)
+    mdp, features, expert = inst.mdp, inst.features, inst.expert
+    beta = config.instance.beta
+    fit_cfg = config.fit_config()
+    population = fit_population(mdp, features, expert, fit_cfg)
+    theta_star, H_star = population.theta_hat, population.hessian_at_solution
+    model_star = LinearRewardModel(features=features, theta=theta_star)
+    pi_star = solve_model(mdp, model_star, beta).pi_star
+    floor = trajectory_kl(mdp, expert, pi_star)
+    constants = geometry_constants(
+        mdp, features, model_star, beta, theta_grid=[np.zeros(features.d)], expert=expert
+    )
+    burn_in = (
+        constants.B_A_phi**2 * constants.d_star * math.log(1.0 / config.burn_in_delta)
+        / (beta**2 * constants.lambda_star)
+    )
+    records, statuses = [], dict.fromkeys(("converged", "infeasible", "max_iters", "stalled"), 0)
+    for i_n, n in enumerate(config.n_grid):
+        for rep in range(config.replicates):
+            data = sample_trajectories(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep))
+            result = fit_empirical(mdp, features, data, fit_cfg)
+            model_hat = LinearRewardModel(features=features, theta=result.theta_hat)
+            pi_hat = solve_model(mdp, model_hat, beta).pi_star
+            diff = result.theta_hat - theta_star
+            expert_kl = trajectory_kl(mdp, expert, pi_hat)
+            to_hat = trajectory_kl(mdp, pi_star, pi_hat)
+            to_star = trajectory_kl(mdp, pi_hat, pi_star)
+            values = {
+                "expert_kl": expert_kl,
+                "excess_kl": expert_kl - floor,
+                "param_err_hess": float(diff @ H_star @ diff),
+                "kl_star_to_hat": to_hat,
+                "kl_hat_to_star": to_star,
+                "sym_kl_star": to_hat + to_star,
+                "hellinger_star": trajectory_hellinger(mdp, pi_star, pi_hat),
+            }
+            statuses[result.status] += 1
+            records.extend(
+                RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=result.status)
+                for m in RATE_METRICS
+            )
+    medians = {
+        m: tuple(
+            float(np.median(vals)) if vals else float("nan")
+            for vals in (
+                [r.value for r in records if r.metric == m and r.n == n and r.converged]
+                for n in config.n_grid
+            )
+        )
+        for m in RATE_METRICS
+    }
+    window = [n for n in config.n_grid if n >= burn_in]
+    if len(window) < config.min_slope_points:
+        window = list(config.n_grid[-config.min_slope_points :])
+    slopes, intercepts = {}, {}
+    for m in SLOPE_METRICS:
+        ys = np.array([medians[m][config.n_grid.index(n)] for n in window])
+        if np.any(~np.isfinite(ys)) or np.any(ys <= 0.0):
+            slopes[m] = intercepts[m] = float("nan")
+            continue
+        slope, intercept = np.polyfit(np.log(np.asarray(window, dtype=np.float64)), np.log(ys), 1)
+        slopes[m], intercepts[m] = float(slope), float(intercept)
+    return RateReport(
+        config=config,
+        theta_star=tuple(float(x) for x in theta_star),
+        lambda_star=constants.lambda_star,
+        d_star=constants.d_star,
+        B_phi=constants.B_phi,
+        B_A_phi=constants.B_A_phi,
+        rho_star=constants.rho_star,
+        burn_in_n=float(burn_in),
+        slope_window=tuple(window),
+        approx_floor_kl=float(floor),
+        records=tuple(records),
+        medians=medians,
+        slopes=slopes,
+        intercepts=intercepts,
+        fit_statuses=statuses,
+        d_star_beta_d_gap=None,
+    )
+
+
+def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop():
+    """The lockstep batches of a reduced shipped grid (the first two sizes, 8
+    replicates, among them infeasible fits) write the ``rates.json`` bytes of
+    a loop that fits and measures each replicate alone."""
+    from soft_irl.io import to_json_text
+
+    config = RateConfig(instance=shipped_rates_spec(), n_grid=(64, 128), replicates=8, data_seed=1)
+    report = run_rate_experiment(config)
+    assert report.fit_statuses["infeasible"] > 0
+    assert to_json_text(report) == to_json_text(per_fit_rate_report(config))
+
+
+@pytest.mark.parametrize("study", ["rates", "concentration"])
+def test_each_study_solves_theta_star_once(monkeypatch, study):
+    """A rate experiment or a concentration check makes one soft solve at the
+    population solution: the fit's own value passes supply its Hessian, and
+    the geometry constants take that solve and Hessian as they are."""
+    import soft_irl.linear_reward as linear_reward
+    import soft_irl.soft_dp as soft_dp
+
+    rewards = []
+    soft_backward = soft_dp.soft_backward
+
+    def recorded(mdp, reward, beta):
+        rewards.append(reward.r)
+        return soft_backward(mdp, reward, beta)
+
+    monkeypatch.setattr(soft_dp, "soft_backward", recorded)
+    monkeypatch.setattr(linear_reward, "soft_backward", recorded)
+    spec = shipped_rates_spec()
+    inst = generate_instance(spec)
+    if study == "rates":
+        config = RateConfig(instance=spec, n_grid=(64, 128), replicates=2, data_seed=1)
+        theta_star = np.asarray(run_rate_experiment(config).theta_star)
+    else:
+        from soft_irl import fit_population
+
+        check_concentration(inst.mdp, inst.features, spec.beta, inst.expert, n=64, trials=3)
+        config = FitConfig(beta=spec.beta)
+        theta_star = fit_population(inst.mdp, inst.features, inst.expert, config).theta_hat
+    at_star = inst.features.phi @ theta_star
+    assert sum(1 for r in rewards if np.array_equal(r, at_star)) == 1
 
 
 # ---------------------------------------------------------------------------
