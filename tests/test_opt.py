@@ -572,8 +572,14 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     for k, other in zip([k for k in range(32) if k != slot], others):
         assert same_fit(batch[k], opt._fit(mdp, features, other, config))
 
-    infeasible = outside_target(rng, mdp, features, margin=0.5)
-    at_optimum = derivative_bundle(mdp, model_at(features, np.zeros(d)), beta).grad
+    # outside the moment set but inside its affine hull: steps stay in the
+    # Hessian's image, so a target off the hull (when d exceeds the set's
+    # dimension) is matched in projection and converges instead
+    at_zero = derivative_bundle(mdp, model_at(features, np.zeros(d)), beta)
+    u = at_zero.hessian @ rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    infeasible = at_zero.grad + (support_function(mdp, features, u) - u @ at_zero.grad + 0.5) * u
+    at_optimum = at_zero.grad
     mixed = opt._fit_batch(mdp, features, np.stack([infeasible, target, at_optimum]), config)
     assert same_fit(mixed[1], alone)
     assert mixed[0].status == "infeasible"
