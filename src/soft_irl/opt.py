@@ -22,9 +22,9 @@ handled explicitly:
 
 One Newton loop, :func:`_fit_batch`, fits a batch of targets in lockstep (a
 single fit is a batch of one).  It and the polish share one Newton step
-(:func:`_restricted_newton_step`), one Armijo rule and one way to a
-derivative bundle: a value-only soft pass, whose tables become the bundle
-once the point is accepted.
+(:func:`_restricted_newton_step`), one Armijo rule (:func:`_armijo`) and one
+way to a derivative bundle: a value-only soft pass, whose tables become the
+bundle once the point is accepted.
 
 Everything is deterministic: same inputs produce bitwise-identical traces,
 whatever batch a target is fitted in.
@@ -209,22 +209,33 @@ def _separation(
     return out
 
 
+def _armijo(trial_loss: float, loss: float, alpha: float, directional: float) -> float | None:
+    """The Armijo rule at step size ``alpha``: ``None`` when the trial point's
+    loss decreases ``loss`` by at least ``_LINE_SEARCH_ACCEPT * alpha *
+    directional``, else the next step size to try, ``0.0`` once halving
+    reaches ``_LINE_SEARCH_FLOOR``."""
+    if trial_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
+        return None
+    alpha *= _LINE_SEARCH_FACTOR
+    return alpha if alpha > _LINE_SEARCH_FLOOR else 0.0
+
+
 def _line_search(value_pass, loss: float, directional: float, point_at):
     """Armijo backtracking along the curve ``point_at(alpha)``, for the polish.
 
-    Tries ``alpha = 1, 1/2, 1/4, ...`` above ``_LINE_SEARCH_FLOOR``.  Returns
-    ``(alpha, point, point_loss, values)`` for the first point whose value
-    pass (``value_pass(point) = (loss, values)``) decreases ``loss`` by at
-    least ``_LINE_SEARCH_ACCEPT * alpha * directional``, or ``None`` if no
-    step size does.
+    Tries ``alpha = 1, 1/2, 1/4, ...`` by :func:`_armijo`.  Returns ``(alpha,
+    point, point_loss, values)`` for the first point its value pass
+    (``value_pass(point) = (loss, values)``) accepts, or ``None`` if no step
+    size does.
     """
     alpha = 1.0
-    while alpha > _LINE_SEARCH_FLOOR:
+    while alpha > 0.0:
         point = point_at(alpha)
         point_loss, values = value_pass(point)
-        if point_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
+        next_alpha = _armijo(point_loss, loss, alpha, directional)
+        if next_alpha is None:
             return alpha, point, point_loss, values
-        alpha *= _LINE_SEARCH_FACTOR
+        alpha = next_alpha
     return None
 
 
@@ -335,13 +346,14 @@ def _fit_batch(
             point = trial[k].copy()
             if alpha[k] == 1.0:
                 full[k] = point, trial_loss[j], Q[:, j], V[:, j]
-            if trial_loss[j] <= loss[k] + _LINE_SEARCH_ACCEPT * alpha[k] * directional[k]:
+            next_alpha = _armijo(trial_loss[j], loss[k], alpha[k], directional[k])
+            if next_alpha is None:
                 if trial_loss[j] < loss[k]:
                     moved.append((k, "step", point, trial_loss[j], Q[:, j], V[:, j]))
                     continue
             else:
-                alpha[k] *= _LINE_SEARCH_FACTOR
-                if alpha[k] > _LINE_SEARCH_FLOOR:
+                alpha[k] = next_alpha
+                if alpha[k] > 0.0:
                     trial[k] = _project_ball(theta[k] + alpha[k] * step[k], radius)
                     if bounded or not np.array_equal(trial[k], theta[k]):
                         searching.append(k)
@@ -391,7 +403,7 @@ def _result(mdp, features, target, config, theta, loss, bundle, status, trace, s
     """The :class:`IrlFitResult` of a fit the lockstep loop has finished,
     after the polish on the sphere when the ball constraint is active."""
     beta, phi, radius = config.beta, features.phi, config.B_theta
-    decrement = trace[-1].decrement if trace else float("nan")
+    decrement = trace[-1].decrement
     active = float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
     if active:
 

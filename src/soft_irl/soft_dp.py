@@ -233,20 +233,16 @@ def _backup(mdp: Mdp, beta: float):
     return log_sum_exp
 
 
-def _optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal ``(Q, V)`` of the reward table ``r`` and nothing else: no policy, no checks.
+def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal ``(Q, V)`` of ``K`` reward tables ``r`` ``(K, T, S, A)`` and
+    nothing else: no policy, no checks.  Time comes first: ``Q`` ``(T, K, S,
+    A)`` and ``V`` ``(T+1, K, S)``.
 
     The tables :func:`soft_backward` (``beta > 0``) or :func:`hard_backward`
-    (``beta = 0``) solve for, bit for bit.  For internal loops whose caller
-    has already validated ``r`` and ``beta``.
+    (``beta = 0``) solve for, as a batch of one; each table's ``(Q, V)`` is
+    bit for bit that of its own call.  For internal loops whose caller has
+    already validated ``r`` and ``beta``.
     """
-    return _backward(mdp.kernels, r, _backup(mdp, beta))
-
-
-def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_optimal_values` of ``K`` reward tables ``r`` ``(K, T, S, A)`` at
-    once, time first: ``Q`` ``(T, K, S, A)`` and ``V`` ``(T+1, K, S)``.  Each
-    table's tables are bit for bit those of its own call."""
     return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta), _stacked_next)
 
 
@@ -288,14 +284,15 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     _check_reward(mdp, reward)
     if not beta > 0.0:
         raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
-    Q, V = _optimal_values(mdp, reward.r, beta)
-    return _gibbs_solution(mdp, beta, Q, V)
+    Q, V = _batch_optimal_values(mdp, reward.r[None], beta)
+    return _gibbs_solution(mdp, beta, Q[:, 0], V[:, 0])
 
 
 def hard_backward(mdp: Mdp, reward: RewardTable) -> HardSolution:
     """Unregularized backward induction; ties resolve to the lowest action index."""
     _check_reward(mdp, reward)
-    Q, V = _optimal_values(mdp, reward.r, 0.0)
+    Q, V = _batch_optimal_values(mdp, reward.r[None], 0.0)
+    Q, V = Q[:, 0], V[:, 0]
     probs = np.zeros_like(Q)
     np.put_along_axis(probs, Q.argmax(axis=-1)[..., None], 1.0, axis=-1)
     policy = Policy(probs=probs, label="greedy")

@@ -382,34 +382,56 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
     an accepted line-search point's own, or, for a full-step fallback, the
     search's first trial at step size 1.  No point is solved twice in one
     fit, so neither an accepted point nor a fallback's full step is solved
-    again for its bundle.  The first fit takes no fallback, so its passes are
-    the start plus one per step size tried."""
+    again for its bundle.  The only other optimal-value passes are the
+    separation tests' max-plus passes.  The first fit takes no fallback, so
+    its passes are the start plus one per step size tried."""
     inst = generate_instance(RATES_SPEC)
     data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
     events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q, V)), one per batch row
-    value_pass, gibbs = opt._loss_and_values, opt._gibbs_probs
+    value_calls = []  # the rows of each value pass
+    inside = []  # the fitter step an optimal-value pass runs under
+    passes = []  # ("value" or "separation", beta) of each optimal-value pass
+    value_pass, separation = opt._loss_and_values, opt._separation
+    gibbs, backup = opt._gibbs_probs, soft_dp._backup
+
+    def under(name, run, *args):
+        inside.append(name)
+        try:
+            return run(*args)
+        finally:
+            inside.pop()
 
     def recorded_value_pass(mdp, phi, targets, beta, thetas):
-        losses, (Q, V) = value_pass(mdp, phi, targets, beta, thetas)
+        losses, (Q, V) = under("value", value_pass, mdp, phi, targets, beta, thetas)
+        value_calls.append(len(thetas))
         events.extend(
             ("value", theta.tobytes(), (Q[:, k], V[:, k])) for k, theta in enumerate(thetas)
         )
         return losses, (Q, V)
 
+    def recorded_separation(*args):
+        return under("separation", separation, *args)
+
     def recorded_gibbs(mdp, beta, Q, V):
         events.extend(("bundle", (Q[:, k], V[:, k])) for k in range(Q.shape[1]))
         return gibbs(mdp, beta, Q, V)
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the fit ran a soft solve outside its value passes")
+    def recorded_backup(mdp, beta):
+        # every optimal-value pass, soft or max-plus, takes its backup here
+        assert len(inside) == 1, "the fit ran an optimal-value pass outside its value passes"
+        passes.append((inside[0], beta))
+        return backup(mdp, beta)
 
     monkeypatch.setattr(opt, "_loss_and_values", recorded_value_pass)
+    monkeypatch.setattr(opt, "_separation", recorded_separation)
     monkeypatch.setattr(opt, "_gibbs_probs", recorded_gibbs)
-    monkeypatch.setattr(soft_dp, "soft_backward", no_solve)
-    monkeypatch.setattr(linear_reward, "soft_backward", no_solve)
+    monkeypatch.setattr(soft_dp, "_backup", recorded_backup)
     result = fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.5))
     assert result.converged and result.iterations >= 6
 
+    # one soft pass per value pass and no other; max-plus passes only in the separation test
+    assert [kind for kind, beta in passes if beta > 0.0] == ["value"] * len(value_calls)
+    assert all(kind == "separation" for kind, beta in passes if beta == 0.0)
     bundles = [i for i, event in enumerate(events) if event[0] == "bundle"]
     assert len(bundles) == result.iterations + 1  # the start and each accepted point
     for i in bundles:
@@ -419,6 +441,7 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
             for event in events[:i]
         )
     solved = [event[1] for event in events if event[0] == "value"]
+    assert len(solved) == sum(value_calls)
     assert len(set(solved)) == len(solved)
     if (n, data_seed) == (256, 2):
         tried = sum(round(-np.log2(rec.step_size)) + 1 for rec in result.trace[:-1])
