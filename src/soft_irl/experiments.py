@@ -37,7 +37,6 @@ from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
     derivative_bundle,
-    kernel_basis,
     solve_model,
     _batch_rewards,
     _dikin_radius,
@@ -144,29 +143,17 @@ def _spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _hessian_at_zero(mdp: Mdp, features: FeatureMap, beta: float) -> np.ndarray:
-    model0 = LinearRewardModel(features=features, theta=np.zeros(features.d))
-    return derivative_bundle(mdp, model0, beta).hessian
-
-
 def _identifiable_features(mdp: Mdp, spec: InstanceSpec) -> FeatureMap:
-    """Draw N(0,1) features; if requested, retry/project until the Hessian at
-    zero is positive definite (no unidentifiable parameter directions)."""
+    """Draw N(0,1) features; if requested, redraw until the Hessian at zero is
+    positive definite (no unidentifiable parameter directions)."""
     last_error = None
     for attempt in range(20):
         rng = _spawn_rng(spec.seed, 1, attempt)
-        phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, spec.d))
-        features = FeatureMap(phi=phi)
+        features = FeatureMap(phi=rng.normal(size=(mdp.T, mdp.S, mdp.A, spec.d)))
         if not spec.exclude_kernel:
             return features
-        H0 = _hessian_at_zero(mdp, features, spec.beta)
-        kernel = kernel_basis(H0)
-        if kernel.shape[1] > 0:
-            # remove the unidentifiable component and re-check
-            phi = phi - phi @ kernel @ kernel.T
-            features = FeatureMap(phi=phi)
-            H0 = _hessian_at_zero(mdp, features, spec.beta)
-        eigvals = np.linalg.eigvalsh(H0)
+        model = LinearRewardModel(features=features, theta=np.zeros(spec.d))
+        eigvals = np.linalg.eigvalsh(derivative_bundle(mdp, model, spec.beta).hessian)
         if eigvals[0] > 1e-8 * max(eigvals[-1], 1e-300):
             return features
         last_error = f"min/max Hessian eigenvalues {eigvals[0]:.3e}/{eigvals[-1]:.3e}"
@@ -307,9 +294,6 @@ class RateReport:
     @property
     def non_converged(self) -> int:
         return sum(count for status, count in self.fit_statuses.items() if status != "converged")
-
-    def median(self, metric: str, n: int) -> float:
-        return self.medians[metric][self.config.n_grid.index(n)]
 
 
 def _rate_cell(

@@ -30,10 +30,8 @@ from .mdp import (
     forward_occupancy,
     _check_compatible,
     _check_dataset,
-    _check_paths,
     _occupancy,
-    _path_rows,
-    _path_sum,
+    gather_table,
 )
 from .soft_dp import (
     RewardTable,
@@ -218,14 +216,9 @@ def _batch_derivatives(
 
 
 def batch_scores(adv: np.ndarray, states, actions) -> np.ndarray:
-    """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays.
-
-    Summed in ``t`` order without the ``(N, T, ...)`` gather, bit-identical to
-    ``gather_table(adv, states, actions).sum(axis=1)``.
-    """
-    states, actions = _check_paths(adv.shape, states, actions)
-    flat = adv.reshape((-1,) + adv.shape[3:])
-    return _path_sum(flat, _path_rows(adv.shape, states, actions))
+    """Trajectory scores ``Z[i] = sum_t adv[t, s_t, a_t]`` for index arrays:
+    the gathered per-step advantages summed over the step axis."""
+    return gather_table(adv, states, actions).sum(axis=1)
 
 
 def score(mdp: Mdp, model: LinearRewardModel, beta: float, data: Dataset) -> np.ndarray:

@@ -30,7 +30,7 @@ from .mdp import (
     _check_dataset,
     _visit_frequencies,
 )
-from .linear_reward import LinearRewardModel, reward_of, solve_model
+from .linear_reward import LinearRewardModel, solve_model
 from .soft_dp import delta_terms, log_policy_density
 
 

@@ -446,23 +446,6 @@ def _path_rows(shape: tuple[int, ...], states: np.ndarray, actions: np.ndarray) 
     return np.ascontiguousarray((np.arange(T)[:, None] * S + states.T) * A + actions.T)
 
 
-def _path_sum(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``sum_t flat[rows[t]]`` for a table flattened to ``(T*S*A, ...)``: shape ``(N, ...)``.
-
-    Adds one row-``take`` per step in ``t`` order, so the ``(N, T, ...)`` gather
-    is never held, and is bit-identical to ``gather_table(...).sum(axis=1)``.
-    Where the trailing axes hold a single value, numpy sums the step axis of
-    the gather pairwise, so that gather (no larger than ``rows``) is reduced
-    the same way instead.
-    """
-    if flat[0].size <= 1:
-        return flat.take(np.ascontiguousarray(rows.T), axis=0).sum(axis=1)
-    total = flat.take(rows[0], axis=0)
-    for row in rows[1:]:
-        total += flat.take(row, axis=0)
-    return total
-
-
 def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
     """Log-probability of each trajectory of ``data``, shape ``(n,)``.
 

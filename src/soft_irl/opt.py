@@ -107,6 +107,11 @@ class IrlFitResult:
     ``"max_iters"`` when the iteration budget ran out; ``"stalled"`` when no
     step could decrease the loss.  A fit that did not converge is returned
     rather than raised.  ``trace`` records every iterate.
+
+    The decrement is measured on the image of the Hessian at the start
+    ``theta = 0``, so ``"converged"`` certifies the target's moments on that
+    image only: a component of the target along that Hessian's kernel is not
+    matched, and ``gradient_norm`` is at least its norm.
     """
 
     theta_hat: np.ndarray
@@ -218,25 +223,6 @@ def _armijo(trial_loss: float, loss: float, alpha: float, directional: float) ->
         return None
     alpha *= _LINE_SEARCH_FACTOR
     return alpha if alpha > _LINE_SEARCH_FLOOR else 0.0
-
-
-def _line_search(value_pass, loss: float, directional: float, point_at):
-    """Armijo backtracking along the curve ``point_at(alpha)``, for the polish.
-
-    Tries ``alpha = 1, 1/2, 1/4, ...`` by :func:`_armijo`.  Returns ``(alpha,
-    point, point_loss, values)`` for the first point its value pass
-    (``value_pass(point) = (loss, values)``) accepts, or ``None`` if no step
-    size does.
-    """
-    alpha = 1.0
-    while alpha > 0.0:
-        point = point_at(alpha)
-        point_loss, values = value_pass(point)
-        next_alpha = _armijo(point_loss, loss, alpha, directional)
-        if next_alpha is None:
-            return alpha, point, point_loss, values
-        alpha = next_alpha
-    return None
 
 
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
@@ -406,16 +392,7 @@ def _result(mdp, features, target, config, theta, loss, bundle, status, trace, s
     decrement = trace[-1].decrement
     active = float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
     if active:
-
-        def value_pass(point):
-            losses, values = _loss_and_values(mdp, phi, target[None], beta, point[None])
-            return float(losses[0]), values
-
-        def bundle_from(values):
-            grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
-            return grads[0], hessians[0]
-
-        theta, loss, bundle = _polish_on_ball(value_pass, bundle_from, target, radius, theta)
+        theta, loss, bundle = _polish_on_ball(mdp, phi, beta, target, radius, theta)
     grad = bundle[0] - target
     if status != "converged" and active:
         # on the boundary the Newton decrement is not the right certificate;
@@ -441,43 +418,51 @@ def _result(mdp, features, target, config, theta, loss, bundle, status, trace, s
     )
 
 
-def _polish_on_ball(value_pass, bundle_from, target: np.ndarray, radius: float, theta: np.ndarray):
+def _polish_on_ball(
+    mdp: Mdp, phi: np.ndarray, beta: float, target: np.ndarray, radius: float, theta: np.ndarray
+):
     """Newton refinement on the sphere once the ball constraint is active.
 
     The constrained minimizer sits on the boundary.  Each step is the
     restricted Newton step of the Lagrangian Hessian (loss curvature plus the
-    constraint term) on the tangent space at the current point, and
-    :func:`_line_search` runs along its retraction back onto the sphere.
-    ``value_pass`` and ``bundle_from`` are the fit's, on one parameter;
-    ``bundle_from`` gives ``(gradient, Hessian)``.  Returns the final point,
-    its loss and its ``(gradient, Hessian)``.
+    constraint term) on the tangent space at the current point; an Armijo
+    search (:func:`_armijo`) runs along its retraction
+    ``point * radius / |point|`` back onto the sphere.  Each point is a
+    batch-of-one value pass, whose tables give the bundle once the point is
+    accepted.  Returns the final point, its loss and its ``(gradient,
+    Hessian)``.
     """
     import scipy.linalg
 
-    def retract(point: np.ndarray) -> np.ndarray:
-        return point * (radius / float(np.linalg.norm(point)))
-
-    theta = retract(theta)
-    loss, values = value_pass(theta)
-    bundle = bundle_from(values)
+    theta = theta * (radius / float(np.linalg.norm(theta)))
+    losses, values = _loss_and_values(mdp, phi, target[None], beta, theta[None])
+    loss = float(losses[0])
+    grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
     for _ in range(100):
-        grad = bundle[0] - target
+        grad = grads[0] - target
         tangent = scipy.linalg.null_space(theta[None, :] / radius)
         if tangent.shape[1] == 0:
             break  # d = 1: the sphere is a point pair, nothing to refine
         if float(np.linalg.norm(tangent.T @ grad)) <= 1e-12:
             break
         multiplier = max(-float(grad @ theta) / (radius * radius), 0.0)
-        lagrangian = bundle[1] + multiplier * np.eye(theta.shape[0])
+        lagrangian = hessians[0] + multiplier * np.eye(theta.shape[0])
         step = _restricted_newton_step(grad, lagrangian, tangent)[0]
-        found = _line_search(
-            value_pass, loss, float(grad @ step), lambda a: retract(theta + a * step)
-        )
-        if found is None:
-            break
-        _, theta, loss, values = found
-        bundle = bundle_from(values)
-    return theta, loss, bundle
+        directional = float(grad @ step)
+        alpha = 1.0
+        while alpha > 0.0:
+            point = theta + alpha * step
+            point = point * (radius / float(np.linalg.norm(point)))
+            losses, values = _loss_and_values(mdp, phi, target[None], beta, point[None])
+            next_alpha = _armijo(float(losses[0]), loss, alpha, directional)
+            if next_alpha is None:
+                break
+            alpha = next_alpha
+        if alpha == 0.0:
+            break  # no step size accepted
+        theta, loss = point, float(losses[0])
+        grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
+    return theta, loss, (grads[0], hessians[0])
 
 
 def fit_empirical(

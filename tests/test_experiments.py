@@ -128,6 +128,13 @@ def test_exclude_kernel_makes_hessian_definite():
     assert float(np.linalg.eigvalsh(H).min()) > 1e-8
 
 
+def test_a_spec_with_no_identifiable_draw_is_an_input_error():
+    """S = 2, A = 2, T = 1 moves the law along S (A - 1) = 2 directions only, so
+    every draw of d = 4 features has a Hessian kernel at zero."""
+    with pytest.raises(InputError, match="could not draw identifiable features"):
+        generate_instance(InstanceSpec(S=2, A=2, T=1, d=4))
+
+
 def test_well_specified_expert_is_the_gibbs_policy_of_its_parameter():
     inst = generate_instance(TINY)
     assert inst.theta_expert is not None
@@ -455,6 +462,14 @@ def test_rate_misspecified_excess_decays_but_raw_kl_plateaus():
     assert abs(report.slopes["expert_kl"]) <= 0.2  # plateau at the floor
     largest_n_median = report.medians["expert_kl"][-1]
     assert largest_n_median == pytest.approx(report.approx_floor_kl, rel=0.05)
+
+
+def test_deterministic_well_specified_d_star_is_beta_d():
+    """Without dynamics noise the feature-return covariance at theta* is beta H*,
+    so d* = beta d."""
+    spec = dataclasses.replace(TINY, deterministic=True)
+    report = run_rate_experiment(RateConfig(instance=spec, n_grid=(16, 32), replicates=2))
+    assert report.d_star_beta_d_gap is not None and report.d_star_beta_d_gap <= 1e-6
 
 
 def test_rate_experiment_rejects_mismatched_fit_temperature():

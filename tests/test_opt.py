@@ -224,6 +224,23 @@ def test_kernel_component_stays_at_initialization():
     np.testing.assert_allclose(basis.T @ result.theta_hat, 0.0, atol=1e-12)
 
 
+def test_converged_leaves_the_targets_kernel_component_unmatched():
+    """``converged`` certifies the decrement on the image of ``H(0)`` only: a
+    target ``grad J*(0) + 0.5 k``, with ``k`` a unit vector of ``H(0)``'s
+    kernel, stops at ``theta = 0`` with the kernel part as its gradient."""
+    rng = np.random.default_rng(2164)
+    mdp = random_mdp(rng, S=2, A=2, T=1)
+    features = random_features(rng, mdp, 4)
+    bundle = derivative_bundle(mdp, model_at(features, np.zeros(4)), 0.3)
+    kernel = kernel_basis(bundle.hessian)
+    assert kernel.shape[1] == 2
+    target = bundle.grad + 0.5 * kernel[:, 0]
+    result = opt._fit(mdp, features, target, FitConfig(beta=0.3))
+    assert result.status == "converged" and result.iterations == 0
+    assert np.array_equal(result.theta_hat, np.zeros(4))
+    assert result.gradient_norm == pytest.approx(0.5, rel=1e-12)
+
+
 def test_monotone_descent_and_determinism():
     rng = np.random.default_rng(6)
     mdp = random_mdp(rng, S=4, A=3, T=3)
@@ -278,6 +295,49 @@ def test_ball_constraint_kkt():
         probe = rng.normal(size=3)
         probe *= radius / np.linalg.norm(probe)
         assert irl_population_loss(mdp, model_at(features, probe), 0.5, expert) >= best - 1e-9
+
+
+def test_ball_polish_backtracks_and_meets_kkt(monkeypatch):
+    """A ball 0.05 times the unconstrained optimum's norm: the polish on the
+    sphere halves its step size and accepts halved steps, never reaching the
+    floor, and its end point is a KKT point of the constrained problem."""
+    instance = generate_instance(InstanceSpec(S=4, A=3, T=3, d=5, seed=0))
+    mdp, features, expert = instance.mdp, instance.features, instance.expert
+    beta = instance.spec.beta
+    unconstrained = fit_population(mdp, features, expert, FitConfig(beta=beta))
+    radius = 0.05 * float(np.linalg.norm(unconstrained.theta_hat))
+
+    polishing, searched = [], []  # searched: (alpha, next alpha or None if accepted)
+    armijo, polish = opt._armijo, opt._polish_on_ball
+
+    def recording_armijo(trial_loss, loss, alpha, directional):
+        next_alpha = armijo(trial_loss, loss, alpha, directional)
+        if polishing:
+            searched.append((alpha, next_alpha))
+        return next_alpha
+
+    def recording_polish(*args):
+        polishing.append(True)
+        try:
+            return polish(*args)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(opt, "_armijo", recording_armijo)
+    monkeypatch.setattr(opt, "_polish_on_ball", recording_polish)
+    result = fit_population(mdp, features, expert, FitConfig(beta=beta, B_theta=radius))
+
+    accepted = [alpha for alpha, next_alpha in searched if next_alpha is None]
+    assert accepted and min(accepted) < 1.0
+    assert 0.0 not in [next_alpha for _, next_alpha in searched]
+    assert result.status == "converged" and result.active_ball_constraint
+    theta = result.theta_hat
+    assert np.linalg.norm(theta) == pytest.approx(radius, abs=1e-9)
+    g = derivative_bundle(mdp, model_at(features, theta), beta).grad
+    g = g - feature_expectation(mdp, expert, features)
+    lam = -float(g @ theta) / radius**2
+    assert lam >= -1e-12
+    np.testing.assert_allclose(g + lam * theta, 0.0, atol=1e-8)
 
 
 def test_max_iters_flags_nonconvergence():
