@@ -24,11 +24,10 @@ from .mdp import (
     _check_seed,
 )
 from .soft_dp import (
-    trajectory_hellinger,
     trajectory_kl,
-    _batch_optimal_values,
     _batch_trajectory_hellinger,
     _batch_trajectory_kl,
+    _dots,
     _gibbs_probs,
     _log_gibbs,
     _path_max,
@@ -38,11 +37,11 @@ from .linear_reward import (
     LinearRewardModel,
     derivative_bundle,
     solve_model,
-    _batch_rewards,
+    _batch_derivatives,
+    _batch_soft_values,
     _dikin_radius,
     _geometry_constants,
     _score_bound,
-    _solution_bundle,
 )
 from .opt import FIT_STATUSES, FitConfig, fit_population, _fit_batch
 
@@ -322,8 +321,8 @@ def _rate_cell(
     )
     results = _fit_batch(mdp, features, targets, fit_cfg)
     thetas = np.stack([result.theta_hat for result in results])
-    r = _batch_rewards(features.phi, thetas)
-    pi_hat = _gibbs_probs(mdp, fit_cfg.beta, *_batch_optimal_values(mdp, r, fit_cfg.beta))
+    Q, V = _batch_soft_values(mdp, features.phi, fit_cfg.beta, thetas)
+    pi_hat = _gibbs_probs(mdp, fit_cfg.beta, Q, V)
     expert_b = np.broadcast_to(expert.probs[:, None], pi_hat.shape)
     star_b = np.broadcast_to(pi_star.probs[:, None], pi_hat.shape)
     expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
@@ -503,17 +502,13 @@ def check_local_geometry(
     """
     import scipy.linalg
 
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    theta1 = np.asarray(theta1, dtype=np.float64)
+    theta0 = LinearRewardModel(features=features, theta=theta0).theta
+    theta1 = LinearRewardModel(features=features, theta=theta1).theta
     delta = theta1 - theta0
 
-    model0 = LinearRewardModel(features=features, theta=theta0)
-    model1 = LinearRewardModel(features=features, theta=theta1)
-    solution0 = solve_model(mdp, model0, beta)
-    solution1 = solve_model(mdp, model1, beta)
-    bundle0 = _solution_bundle(mdp, features, solution0)
-    bundle1 = _solution_bundle(mdp, features, solution1)
-    H0, H1 = bundle0.hessian, bundle1.hessian
+    Q, V = _batch_soft_values(mdp, features.phi, beta, np.stack([theta0, theta1]))
+    probs = _gibbs_probs(mdp, beta, Q, V)
+    grads, (H0, H1) = _batch_derivatives(mdp, features.phi, beta, probs)
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
         raise DomainError("check_local_geometry requires a positive-definite Hessian at theta0")
@@ -528,7 +523,7 @@ def check_local_geometry(
         ) from err
 
     alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
-    B_A_phi = _score_bound(mdp, features, beta, [theta0 + a * delta for a in alphas])
+    B_A_phi = _score_bound(mdp, features, beta, theta0 + alphas[:, None] * delta)
 
     delta_h0 = float(np.sqrt(delta @ H0 @ delta))
     dikin = _dikin_radius(beta, lam0, B_A_phi)
@@ -538,14 +533,13 @@ def check_local_geometry(
     # The initial and kernel factors of the two trajectory laws cancel, so the
     # log density ratio of a path is its sum of per-step policy log ratios;
     # its largest absolute value is the larger of two path maxima.
-    log_ratio = (
-        _log_gibbs(mdp, beta, solution1.Q, solution1.V)
-        - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
-    )
+    log_pi = _log_gibbs(mdp, beta, Q, V)
+    log_ratio = log_pi[:, 1] - log_pi[:, 0]
     max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
 
-    bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
-    gradient_gap = float(delta @ (bundle1.grad - bundle0.grad))
+    J0, J1 = _dots(mdp.initial_dist, V[0])
+    bregman = float(J1 - J0 - float(delta @ grads[0]))
+    gradient_gap = float(delta @ (grads[1] - grads[0]))
     sq = delta_h0**2
 
     # The local bounds are the global ones at deviation 1 (exp(1.0) == e).
@@ -558,9 +552,8 @@ def check_local_geometry(
         GeometryCheck("gradient_gap", chi(-S) * sq, gradient_gap, chi(S) * sq),
     ]
     if local:
-        pi0, pi1 = solution0.pi_star, solution1.pi_star
-        kl01 = trajectory_kl(mdp, pi0, pi1)
-        hell = trajectory_hellinger(mdp, pi0, pi1)
+        kl01 = float(_batch_trajectory_kl(mdp, probs[:, :1], probs[:, 1:])[0])
+        hell = float(_batch_trajectory_hellinger(mdp, probs[:, :1], probs[:, 1:])[0])
         checks.append(GeometryCheck("kl_vs_hellinger", hell, kl01, 3.0 * hell))
 
     return GeometryCheckReport(
@@ -589,9 +582,11 @@ def dikin_boundary_pair(
     result is guaranteed to sit inside (or exactly on) the trust region that
     :func:`check_local_geometry` will recompute for the same pair.
     """
-    theta0 = np.asarray(theta0, dtype=np.float64)
+    boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
+    theta0 = LinearRewardModel(features=features, theta=theta0).theta
     direction = np.asarray(direction, dtype=np.float64)
-    H0 = derivative_bundle(mdp, LinearRewardModel(features=features, theta=theta0), beta).hessian
+    probs = _gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, theta0[None]))
+    H0 = _batch_derivatives(mdp, features.phi, beta, probs)[1][0]
     lam0 = float(np.linalg.eigvalsh(H0).min())
     if lam0 <= 0.0:
         raise DomainError("dikin_boundary_pair requires a positive-definite Hessian at theta0")
@@ -600,10 +595,10 @@ def dikin_boundary_pair(
         raise DomainError("dikin_boundary_pair requires a non-zero direction")
     unit = direction / length
 
-    rho = _dikin_radius(beta, lam0, _score_bound(mdp, features, beta, [theta0]))
+    rho = _dikin_radius(beta, lam0, _score_bound(mdp, features, beta, theta0[None]))
     for _ in range(8):
         alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
-        thetas = [theta0 + a * (boundary_factor * rho) * unit for a in alphas]
+        thetas = theta0 + alphas[:, None] * (boundary_factor * rho) * unit
         B = _score_bound(mdp, features, beta, thetas)
         new_rho = _dikin_radius(beta, lam0, B)
         if abs(new_rho - rho) <= 1e-12 * rho:

@@ -36,7 +36,9 @@ from .mdp import (
 from .soft_dp import (
     RewardTable,
     SoftSolution,
+    _batch_optimal_values,
     _expected_next,
+    _gibbs_probs,
     _martingale_covariance,
     _path_max,
     _policy_values,
@@ -92,7 +94,7 @@ class LinearRewardModel:
         object.__setattr__(self, "theta", theta)
         if not self.B_theta > 0.0:
             raise InvariantError("B_theta must be positive")
-        if float(np.linalg.norm(theta)) > self.B_theta * (1.0 + 1e-12):
+        if math.hypot(*theta) > self.B_theta * (1.0 + 1e-12):  # finite for any finite theta
             raise InvariantError("theta lies outside the parameter ball")
 
     def with_theta(self, theta: np.ndarray) -> "LinearRewardModel":
@@ -188,6 +190,26 @@ def _batch_rewards(phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phi[None] @ thetas[:, None, None, :, None])[..., 0]
 
 
+def _batch_soft_values(mdp: Mdp, phi: np.ndarray, beta: float, thetas: np.ndarray) -> tuple:
+    """Soft-optimal ``Q`` ``(T, K, S, A)`` and ``V`` ``(T+1, K, S)`` at each row
+    of ``thetas`` ``(K, d)`` from one value pass, each bit for bit that of
+    :func:`solve_model`; a reward that overflows is an ``InvariantError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _batch_rewards(phi, thetas)
+    if not np.isfinite(r).all():
+        raise InvariantError("the reward at a parameter is not finite")
+    return _batch_optimal_values(mdp, r, beta)
+
+
+def _batch_feature_advantages(mdp: Mdp, phi: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The feature advantages ``(T, K, S, A, d)`` under ``K`` policy tables
+    ``probs`` ``(T, K, S, A)``, each bit for bit :func:`feature_advantage`'s."""
+    table = np.broadcast_to(phi[:, None], probs.shape[:2] + phi.shape[1:])
+    Q, V = _policy_values(mdp, table, probs, _stacked_next)
+    Q -= V[:-1, ..., None, :]
+    return Q
+
+
 def _batch_derivatives(
     mdp: Mdp, phi: np.ndarray, beta: float, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,14 +225,10 @@ def _batch_derivatives(
     parameter, the BLAS call of a batch of one, so a parameter's derivatives
     do not depend on the batch it is in.
     """
-    T, K = probs.shape[:2]
-    d = phi.shape[-1]
-    table = np.broadcast_to(phi[:, None], (T, K) + phi.shape[1:])
-    Q, V = _policy_values(mdp, table, probs, _stacked_next)
-    Q -= V[:-1, ..., None, :]  # the feature advantages, (T, K, S, A, d)
+    K, d = probs.shape[1], phi.shape[-1]
     mu = np.moveaxis(_occupancy(mdp, probs), 1, 0).reshape(K, 1, -1)
     grad = (mu @ phi.reshape(-1, d))[:, 0]
-    W = np.moveaxis(Q, 1, 0).reshape(K, -1, d)  # a copy unless K = 1
+    W = np.moveaxis(_batch_feature_advantages(mdp, phi, probs), 1, 0).reshape(K, -1, d)
     W *= np.sqrt(mu).reshape(K, -1, 1)
     return grad, (W.transpose(0, 2, 1) @ W) / beta
 
@@ -330,19 +348,18 @@ def effective_dimension(
 
 def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas, policies=()) -> float:
     """Upper bound on the trajectory-score norm ``||sum_t adv_t(s_t, a_t)||``
-    over every path and the given parameters, and the parameters whose Gibbs
-    ``policies`` the caller already holds.
+    over every path and the rows of ``thetas`` ``(K, d)``, and the parameters
+    whose Gibbs ``policies`` the caller already holds.
 
     By the triangle inequality a score norm is at most the path's sum of
-    per-step advantage norms ``||adv_t(s, a)||``; one max-plus pass takes the
-    largest such sum for every parameter at once.
+    per-step advantage norms ``||adv_t(s, a)||``; one value pass, one feature
+    pass and one max-plus pass take the largest such sum for all at once.
     """
-    policies = list(policies)
-    for theta in thetas:
-        model = LinearRewardModel(features=features, theta=theta)
-        policies.append(solve_model(mdp, model, beta).pi_star)
-    norms = [np.linalg.norm(feature_advantage(mdp, features, pi), axis=-1) for pi in policies]
-    return float(_path_max(mdp, np.stack(norms, axis=-1)).max())
+    tables = [pi.probs[:, None] for pi in policies]
+    if len(thetas):
+        tables.append(_gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, thetas)))
+    adv = _batch_feature_advantages(mdp, features.phi, np.concatenate(tables, axis=1))
+    return float(_path_max(mdp, np.moveaxis(np.linalg.norm(adv, axis=-1), 1, -1)).max())
 
 
 def _dikin_radius(beta: float, lambda_min: float, B_A_phi: float) -> float:
@@ -369,6 +386,8 @@ def geometry_constants(
     ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
     by default).
     """
+    for theta in () if theta_grid is None else np.atleast_2d(theta_grid):
+        LinearRewardModel(features=features, theta=theta)  # the public check of each grid point
     solution = solve_model(mdp, model, beta)
     H = _solution_bundle(mdp, features, solution).hessian
     return _geometry_constants(mdp, features, solution, H, theta_grid, expert)

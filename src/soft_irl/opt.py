@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvariantError
 from .mdp import (
     Dataset,
     Mdp,
@@ -46,7 +45,7 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _eigen_split
+from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _batch_soft_values, _eigen_split
 from .soft_dp import _batch_optimal_values, _dots, _gibbs_probs
 
 _RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
@@ -177,14 +176,10 @@ def _loss_and_values(
 
     Each row's products are the BLAS calls of a pass on its own, so its loss
     and tables are bit for bit those of a lone pass.  The checks of the
-    public types stay at the boundary; the one that remains here keeps a
+    public types stay at the boundary; :func:`_batch_soft_values` keeps a
     non-finite trial reward from becoming a silent NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _batch_rewards(phi, thetas)
-    if not np.isfinite(r).all():
-        raise InvariantError("loss: the reward at the trial parameter is not finite")
-    Q, V = _batch_optimal_values(mdp, r, beta)
+    Q, V = _batch_soft_values(mdp, phi, beta, thetas)
     return _dots(mdp.initial_dist, V[0]) - _dots(thetas, targets), (Q, V)
 
 

@@ -8,13 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from soft_irl import (
     Dataset,
+    DimensionError,
+    DomainError,
     FitConfig,
     GeometryCheck,
+    GeometryCheckReport,
     InputError,
+    InvariantError,
     InstanceSpec,
     Policy,
     RATE_METRICS,
@@ -25,17 +32,21 @@ from soft_irl import (
     derivative_bundle,
     dikin_boundary_pair,
     empirical_feature_expectation,
+    feature_advantage,
     fit_empirical,
     generate_instance,
     psi,
     run_rate_experiment,
     sample_trajectories,
     solve_model,
+    trajectory_hellinger,
+    trajectory_kl,
     trajectory_log_prob,
     uniform_policy,
 )
-from soft_irl.experiments import _cell_seed
-from soft_irl.linear_reward import LinearRewardModel
+from soft_irl.experiments import _SEGMENT_POINTS, _cell_seed, _exp
+from soft_irl.linear_reward import LinearRewardModel, _dikin_radius, _score_bound
+from soft_irl.soft_dp import _log_gibbs, _path_max
 
 from test_mdp import enumerate_support, trajectory_probs
 
@@ -312,6 +323,232 @@ def test_geometry_with_a_numerically_singular_hessian_is_a_domain_error():
     phi[..., 2] = phi[..., 1] * (1 + 1e-7) + 1e-7 * phi[..., 0]
     with pytest.raises(DomainError, match="positive-definite"):
         check_local_geometry(inst.mdp, FeatureMap(phi=phi), 0.5, np.zeros(3), 1e-3 * np.ones(3))
+
+
+def test_check_local_geometry_checks_both_parameter_shapes_before_any_work(monkeypatch):
+    """A parameter of the wrong shape is a ``DimensionError`` at entry, not
+    numpy's broadcast ``ValueError`` from ``theta1 - theta0``, and no value
+    pass is made."""
+    from soft_irl import experiments
+
+    inst = generate_instance(TINY)
+    passes = []
+    monkeypatch.setattr(experiments, "_batch_soft_values", lambda *args: passes.append(args))
+    d = TINY.d
+    for shape0, shape1 in ((d + 1, d - 1), (d, d - 1), (d + 1, d)):
+        with pytest.raises(DimensionError, match="theta"):
+            check_local_geometry(
+                inst.mdp, inst.features, TINY.beta, np.zeros(shape0), np.ones(shape1)
+            )
+    assert passes == []
+
+
+@pytest.mark.parametrize(
+    "factor, error",
+    [(math.nan, DomainError), (math.inf, DomainError), (0.0, DomainError), (-1.0, DomainError),
+     (True, InputError)],
+)
+def test_dikin_boundary_pair_rejects_a_bad_boundary_factor(factor, error):
+    """A boundary factor must be a positive finite number: a bool is an
+    ``InputError`` (not 1.0), and NaN, infinity, zero or a negative factor (which
+    would flip the direction) a ``DomainError``, each before any warning."""
+    inst = generate_instance(TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="boundary_factor") as info:
+            dikin_boundary_pair(
+                inst.mdp, inst.features, TINY.beta, np.zeros(TINY.d), np.ones(TINY.d),
+                boundary_factor=factor,
+            )
+    assert type(info.value) is error
+
+
+def test_a_parameter_whose_reward_overflows_is_an_invariant_error():
+    """A parameter so large that its reward overflows is an ``InvariantError``
+    on the batch path too, never a silent NaN: without the finite check of the
+    shared value pass, ``check_local_geometry`` at ``theta1 = 1e308 * 1`` fails
+    with scipy's untyped ``ValueError: array must not contain infs or NaNs``."""
+    inst = generate_instance(TINY)
+    huge = np.full(TINY.d, 1e308)
+    with pytest.raises(InvariantError):
+        check_local_geometry(inst.mdp, inst.features, TINY.beta, np.zeros(TINY.d), huge)
+    with pytest.raises(InvariantError):
+        dikin_boundary_pair(inst.mdp, inst.features, TINY.beta, huge, np.ones(TINY.d))
+
+
+def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
+    """A grid point of the wrong shape is a ``DimensionError`` and a
+    non-finite one an ``InvariantError``, both before any soft solve, as the
+    per-point models of the batched score bound no longer make them."""
+    import soft_irl.linear_reward as linear_reward
+    from soft_irl import geometry_constants
+
+    inst = generate_instance(TINY)
+    model = LinearRewardModel(features=inst.features, theta=np.zeros(TINY.d))
+    monkeypatch.setattr(linear_reward, "soft_backward", None)  # any solve would fail untyped
+    for grid, error in (
+        (np.zeros(TINY.d + 1), DimensionError),
+        (np.zeros((2, TINY.d - 1)), DimensionError),
+        ([np.full(TINY.d, np.nan)], InvariantError),
+    ):
+        with pytest.raises(error, match="theta"):
+            geometry_constants(inst.mdp, inst.features, model, TINY.beta, theta_grid=grid)
+
+
+def per_parameter_score_bound(mdp, features, beta, thetas, policies=()):
+    """The score bound solved one parameter at a time through the public API:
+    the oracle of the batched ``_score_bound``."""
+    policies = list(policies)
+    for theta in thetas:
+        model = LinearRewardModel(features=features, theta=theta)
+        policies.append(solve_model(mdp, model, beta).pi_star)
+    norms = [np.linalg.norm(feature_advantage(mdp, features, pi), axis=-1) for pi in policies]
+    return float(_path_max(mdp, np.stack(norms, axis=-1)).max())
+
+
+def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
+    """``check_local_geometry`` with each parameter solved and differentiated
+    on its own through the public API: the oracle of the batch of two."""
+    delta = theta1 - theta0
+    models = [LinearRewardModel(features=features, theta=t) for t in (theta0, theta1)]
+    solution0, solution1 = (solve_model(mdp, model, beta) for model in models)
+    bundle0, bundle1 = (derivative_bundle(mdp, model, beta) for model in models)
+    H0, H1 = bundle0.hessian, bundle1.hessian
+    lam0 = float(np.linalg.eigvalsh(H0).min())
+    if lam0 <= 0.0:
+        raise DomainError("positive-definite")
+    try:
+        gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
+    except np.linalg.LinAlgError as err:
+        raise DomainError("numerically singular") from err
+    alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
+    B_A_phi = per_parameter_score_bound(mdp, features, beta, [theta0 + a * delta for a in alphas])
+    delta_h0 = float(np.sqrt(delta @ H0 @ delta))
+    dikin = _dikin_radius(beta, lam0, B_A_phi)
+    deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
+    local = delta_h0 <= dikin * (1.0 + 1e-12)
+    log_ratio = (
+        _log_gibbs(mdp, beta, solution1.Q, solution1.V)
+        - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
+    )
+    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
+    bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
+    gradient_gap = float(delta @ (bundle1.grad - bundle0.grad))
+    sq = delta_h0**2
+    S = 1.0 if local else deviation
+    checks = [
+        GeometryCheck("density_ratio", 0.0, max_log_ratio, S),
+        GeometryCheck("hessian_sandwich_min", math.exp(-S), float(gen_eigs.min()), math.inf),
+        GeometryCheck("hessian_sandwich_max", 0.0, float(gen_eigs.max()), _exp(S)),
+        GeometryCheck("bregman", psi(-S) * sq, bregman, psi(S) * sq),
+        GeometryCheck("gradient_gap", chi(-S) * sq, gradient_gap, chi(S) * sq),
+    ]
+    if local:
+        pi0, pi1 = solution0.pi_star, solution1.pi_star
+        hell = trajectory_hellinger(mdp, pi0, pi1)
+        kl01 = trajectory_kl(mdp, pi0, pi1)
+        checks.append(GeometryCheck("kl_vs_hellinger", hell, kl01, 3.0 * hell))
+    return GeometryCheckReport(
+        mode="local" if local else "global",
+        delta_h0_norm=delta_h0,
+        dikin_radius=dikin,
+        deviation_bound=deviation,
+        B_A_phi=B_A_phi,
+        checks=tuple(checks),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.sampled_from([1.0, 10.0]),
+)
+def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
+    seed, S, A, T, d, deterministic, factor
+):
+    """``_score_bound`` on a random segment, with and without a held policy,
+    and every field of ``check_local_geometry``'s report on a boundary or far
+    pair equal, with no tolerance, the same quantities computed one parameter
+    at a time through ``solve_model``, ``feature_advantage``,
+    ``derivative_bundle``, ``trajectory_kl`` and ``trajectory_hellinger``."""
+    spec = InstanceSpec(S=S, A=A, T=T, d=d, beta=0.6, seed=seed, deterministic=deterministic)
+    try:
+        inst = generate_instance(spec)
+    except InputError:
+        assume(False)  # no identifiable feature draw for this spec
+    mdp, features, beta = inst.mdp, inst.features, spec.beta
+    rng = np.random.default_rng(seed)
+    segment = rng.normal(size=(int(rng.integers(1, 5)), d))
+    held_model = LinearRewardModel(features=features, theta=rng.normal(size=d))
+    held = [solve_model(mdp, held_model, beta).pi_star]
+    for policies in ((), held):
+        batched = _score_bound(mdp, features, beta, segment, policies)
+        assert batched == per_parameter_score_bound(mdp, features, beta, segment, policies)
+
+    theta0, direction = 0.5 * rng.normal(size=d), rng.normal(size=d)
+    try:
+        theta1 = dikin_boundary_pair(mdp, features, beta, theta0, direction, factor)
+    except DomainError:
+        assume(False)  # a Hessian at theta0 singular to rounding has no Dikin boundary
+
+    def outcome(check):
+        try:
+            return check(mdp, features, beta, theta0, theta1)
+        except DomainError:
+            return "refused"
+
+    assert outcome(check_local_geometry) == outcome(per_parameter_geometry_report)
+
+
+def test_the_geometry_study_solves_no_parameter_through_the_public_api(monkeypatch):
+    """``_score_bound``, ``check_local_geometry`` and ``dikin_boundary_pair``
+    make no public soft solve: each ``_score_bound`` call makes exactly one
+    value pass, and each of the other two one more for its own parameters."""
+    import soft_irl.linear_reward as linear_reward
+    import soft_irl.soft_dp as soft_dp
+    from soft_irl import experiments
+
+    spec = shipped_rates_spec()
+    inst = generate_instance(spec)
+    mdp, features, beta = inst.mdp, inst.features, spec.beta
+    rng = np.random.default_rng(2605)
+    theta0, direction = 0.5 * rng.normal(size=spec.d), rng.normal(size=spec.d)
+    calls = []
+
+    def recorded(name, function):
+        def call(*args):
+            calls.append((name, args[2]))  # the temperature is each call's third argument
+            return function(*args)
+
+        return call
+
+    solve = recorded("solve", soft_dp.soft_backward)
+    value_pass = recorded("pass", soft_dp._batch_optimal_values)
+    for module in (soft_dp, linear_reward):
+        monkeypatch.setattr(module, "soft_backward", solve)
+        monkeypatch.setattr(module, "_batch_optimal_values", value_pass)
+    monkeypatch.setattr(
+        experiments, "_score_bound", recorded("score_bound", experiments._score_bound)
+    )
+
+    theta1 = dikin_boundary_pair(mdp, features, beta, theta0, direction)
+    rounds = calls.count(("score_bound", beta))
+    assert rounds >= 2
+    assert calls == [("pass", beta)] + [("score_bound", beta), ("pass", beta)] * rounds
+
+    calls.clear()
+    segment = theta0 + np.linspace(0.0, 1.0, _SEGMENT_POINTS)[:, None] * (theta1 - theta0)
+    _score_bound(mdp, features, beta, segment)
+    assert calls == [("pass", beta)]
+
+    calls.clear()
+    check_local_geometry(mdp, features, beta, theta0, theta1)
+    assert calls == [("pass", beta), ("score_bound", beta), ("pass", beta)]
 
 
 # ---------------------------------------------------------------------------

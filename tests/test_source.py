@@ -7,7 +7,8 @@ import pytest
 
 import soft_irl
 
-MODULES = sorted(p for p in Path(soft_irl.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(soft_irl.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +34,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants (``_name``, not
+    dunders) of ``sources``, file name to text, that no expression in any of
+    them reads, as a name or as a module attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{file}: {name} (line {node.lineno})"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return dead
+
+
+def test_dead_private_names_are_found():
+    a = (
+        "def _used():\n    return _CONST\n"
+        "def _dead():\n    pass\n"
+        "_CONST = 1\n_A, _B = 2, 3\n__all__ = []\n"
+    )
+    b = "from a import _used\nimport a\n_used(a._B)\n"
+    expected = ["a.py: _dead (line 3)", "a.py: _A (line 6)"]
+    assert dead_private_names({"a.py": a, "b.py": b}) == expected
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.name: p.read_text() for p in SOURCES}) == []
