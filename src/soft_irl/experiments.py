@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DimensionError, DomainError, InputError, InvariantError
 from .mdp import (
     Mdp,
     Policy,
@@ -585,6 +585,13 @@ def dikin_boundary_pair(
     boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
     theta0 = LinearRewardModel(features=features, theta=theta0).theta
     direction = np.asarray(direction, dtype=np.float64)
+    if direction.shape != theta0.shape:
+        raise DimensionError("direction", theta0.shape, direction.shape)
+    if not np.all(np.isfinite(direction)):
+        raise InvariantError("direction: entries must be finite")
+    # scaled by a power of two to entries below 1 in magnitude, so that its
+    # H0-norm cannot overflow; the scaling is exact and leaves the unit vector's bits
+    direction = np.ldexp(direction, -math.frexp(float(np.abs(direction).max()))[1])
     probs = _gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, theta0[None]))
     H0 = _batch_derivatives(mdp, features.phi, beta, probs)[1][0]
     lam0 = float(np.linalg.eigvalsh(H0).min())

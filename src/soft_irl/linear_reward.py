@@ -386,7 +386,11 @@ def geometry_constants(
     ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
     by default).
     """
-    for theta in () if theta_grid is None else np.atleast_2d(theta_grid):
+    try:
+        grid = () if theta_grid is None else np.atleast_2d(theta_grid)
+    except ValueError:  # numpy's "inhomogeneous shape": rows of different lengths
+        raise DimensionError("theta_grid", "(K, d)", "rows of different shapes") from None
+    for theta in grid:
         LinearRewardModel(features=features, theta=theta)  # the public check of each grid point
     solution = solve_model(mdp, model, beta)
     H = _solution_bundle(mdp, features, solution).hessian

@@ -11,8 +11,11 @@ handled explicitly:
   initialization; a small ridge guards the retained spectrum when curvature
   later collapses along the run.
 * An optional norm ball constrains the parameter.  Trial points are projected
-  onto the ball inside the line search, and an active constraint at
-  termination triggers a Newton polish on the sphere.
+  onto the ball inside the line search.  At an iterate on the sphere whose
+  Lagrange multiplier is positive, the step is the Newton step of the
+  Lagrangian on the sphere's tangent space, and the projection of a trial
+  point is its retraction onto the sphere (Riemannian Newton; Absil, Mahony
+  & Sepulchre 2008, ch. 6).
 * Without the ball, a target outside the moment set ``M`` of feature
   expectations has no minimizer, and the iterates run off to infinity.  The
   support function of ``M`` is a max-plus (hard) DP, so each iterate's
@@ -21,10 +24,10 @@ handled explicitly:
   ``u`` and the fit stops as ``"infeasible"`` with ``u`` as its certificate.
 
 One Newton loop, :func:`_fit_batch`, fits a batch of targets in lockstep (a
-single fit is a batch of one).  It and the polish share one Newton step
-(:func:`_restricted_newton_step`), one Armijo rule (:func:`_armijo`) and one
-way to a derivative bundle: a value-only soft pass, whose tables become the
-bundle once the point is accepted.
+single fit is a batch of one), inside the ball and on its sphere alike, with
+one Newton step (:func:`_restricted_newton_step`), one Armijo rule
+(:func:`_armijo`) and one way to a derivative bundle: a value-only soft pass,
+whose tables become the bundle once the point is accepted.
 
 Everything is deterministic: same inputs produce bitwise-identical traces,
 whatever batch a target is fitted in.
@@ -99,13 +102,18 @@ class IrlFitResult:
     """Solution report of a fit.
 
     ``status`` is one of ``FIT_STATUSES``: ``"converged"`` when the Newton
-    decrement (or, on an active ball, the projected-gradient gap) reached the
-    tolerance; ``"infeasible"`` when the target lies outside the moment set,
-    with ``separating_direction`` ``u`` and ``separation_margin`` ``m > 0``
-    such that ``L(theta + s u) <= L(theta) - s m`` for every ``s >= 0``;
-    ``"max_iters"`` when the iteration budget ran out; ``"stalled"`` when no
-    step could decrease the loss.  A fit that did not converge is returned
-    rather than raised.  ``trace`` records every iterate.
+    decrement reached the tolerance; ``"infeasible"`` when the target lies
+    outside the moment set, with ``separating_direction`` ``u`` and
+    ``separation_margin`` ``m > 0`` such that ``L(theta + s u) <= L(theta) -
+    s m`` for every ``s >= 0``; ``"max_iters"`` when the iteration budget ran
+    out; ``"stalled"`` when no step could decrease the loss.  A fit that did
+    not converge is returned rather than raised.  ``trace`` records every
+    iterate.
+
+    On an active ball the iterates that reach the sphere step along it: there
+    ``final_decrement`` is the Newton decrement of the Lagrangian on the
+    sphere's tangent space, and ``trace`` and ``iterations`` include those
+    steps.
 
     The decrement is measured on the image of the Hessian at the start
     ``theta = 0``, so ``"converged"`` certifies the target's moments on that
@@ -128,6 +136,11 @@ class IrlFitResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+def _on_sphere(theta: np.ndarray, radius: float) -> bool:
+    """Whether ``theta`` sits on the sphere of the ball, up to rounding."""
+    return float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
 
 
 def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
@@ -233,11 +246,14 @@ def _fit_batch(
     Each fit runs its own damped Newton iteration: at each iterate a
     restricted Newton step, the decrement test, the separation test, then an
     Armijo search whose accepted point's value pass becomes the next
-    derivative bundle.  The fits share the rounds: each round makes one value
-    pass over every searching fit's trial point, then one bundle and one
-    stacked Newton step over the fits that moved.  Every product makes, for
-    each fit, the BLAS call of a batch of one, so a fit's result is bit for
-    bit the same alone or in any batch.
+    derivative bundle.  At an iterate on the ball's sphere whose multiplier
+    ``lambda = -<grad, theta> / B**2`` is positive, the step is the Newton
+    step of the Lagrangian Hessian ``H + lambda I`` on the tangent space
+    within the image, so its decrement is the Lagrangian's.  The fits share
+    the rounds: each round makes one value pass over every searching fit's
+    trial point, then one bundle and one stacked Newton step over the fits
+    that moved.  Every product makes, for each fit, the BLAS call of a batch
+    of one, so a fit's result is bit for bit the same alone or in any batch.
 
     A search ends without a step when the step size reaches the floor or,
     without a ball, when the trial point rounds to the iterate itself (every
@@ -261,8 +277,19 @@ def _fit_batch(
     # the identifiable subspace, fixed at the start
     image = _eigen_split(start_hessian[0], _RELATIVE_KERNEL_CUT)[1]
 
-    def newton_steps(grads, hessians):
-        return _restricted_newton_step(grads, hessians, image)
+    def newton_steps(points, grads, hessians):
+        steps, decrements, ridges = _restricted_newton_step(grads, hessians, image)
+        for j in range(len(points)) if bounded else ():
+            multiplier = -float(grads[j] @ points[j]) / (radius * radius)
+            if multiplier > 0.0 and _on_sphere(points[j], radius):
+                # the directions of the image orthogonal to the point; with
+                # the image only, theta_hat keeps no kernel component
+                tangent = image @ np.linalg.svd((image.T @ points[j])[:, None])[0][:, 1:]
+                lagrangian = hessians[j] + multiplier * np.eye(d)
+                steps[j], decrements[j], ridges[j] = _restricted_newton_step(
+                    grads[j], lagrangian, tangent
+                )
+        return steps, decrements, ridges
 
     theta = np.zeros((K, d))
     loss = start_loss[0] - _dots(theta, targets)
@@ -317,7 +344,7 @@ def _fit_batch(
                 # take this very point and find the same decrement
                 status[k] = "stalled"
 
-    begin(range(K), *newton_steps(bundle_grad - targets, hessian))
+    begin(range(K), *newton_steps(theta, bundle_grad - targets, hessian))
 
     while searching:
         rows, searching[:] = list(searching), []
@@ -357,7 +384,9 @@ def _fit_batch(
         grads, hessians = derivatives(
             np.stack([m[4] for m in moved], axis=1), np.stack([m[5] for m in moved], axis=1)
         )
-        steps, decrements, ridges = newton_steps(grads - targets[[m[0] for m in moved]], hessians)
+        steps, decrements, ridges = newton_steps(
+            [m[2] for m in moved], grads - targets[[m[0] for m in moved]], hessians
+        )
         again = []
         for j, (k, kind, point, point_loss, _, _) in enumerate(moved):
             if kind == "fallback":
@@ -373,91 +402,28 @@ def _fit_batch(
 
     return [
         _result(
-            mdp, features, targets[k], config, theta[k].copy(), float(loss[k]),
+            targets[k], radius, theta[k].copy(), float(loss[k]),
             (bundle_grad[k].copy(), hessian[k].copy()), status[k], traces[k], separation[k],
         )
         for k in range(K)
     ]
 
 
-def _result(mdp, features, target, config, theta, loss, bundle, status, trace, separation):
-    """The :class:`IrlFitResult` of a fit the lockstep loop has finished,
-    after the polish on the sphere when the ball constraint is active."""
-    beta, phi, radius = config.beta, features.phi, config.B_theta
-    decrement = trace[-1].decrement
-    active = float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
-    if active:
-        theta, loss, bundle = _polish_on_ball(mdp, phi, beta, target, radius, theta)
-    grad = bundle[0] - target
-    if status != "converged" and active:
-        # on the boundary the Newton decrement is not the right certificate;
-        # report the projected-gradient stationarity gap (which equals the
-        # Lagrangian gradient norm at a KKT point) instead
-        step_vec = _project_ball(theta - grad, radius) - theta
-        decrement = float(np.linalg.norm(step_vec))
-        if decrement <= max(config.tol_decrement, 1e-8):
-            status = "converged"
-
+def _result(target, radius, theta, loss, bundle, status, trace, separation):
+    """The :class:`IrlFitResult` of a fit the lockstep loop has finished."""
     return IrlFitResult(
         theta_hat=theta,
         final_loss=loss,
         iterations=sum(1 for record in trace if record.step_size > 0.0),
-        final_decrement=float(decrement),
-        gradient_norm=float(np.linalg.norm(grad)),
+        final_decrement=trace[-1].decrement,
+        gradient_norm=float(np.linalg.norm(bundle[0] - target)),
         hessian_at_solution=bundle[1],
-        active_ball_constraint=bool(active),
+        active_ball_constraint=_on_sphere(theta, radius),
         status=status,
         trace=tuple(trace),
         separating_direction=None if separation is None else separation[0],
         separation_margin=None if separation is None else separation[1],
     )
-
-
-def _polish_on_ball(
-    mdp: Mdp, phi: np.ndarray, beta: float, target: np.ndarray, radius: float, theta: np.ndarray
-):
-    """Newton refinement on the sphere once the ball constraint is active.
-
-    The constrained minimizer sits on the boundary.  Each step is the
-    restricted Newton step of the Lagrangian Hessian (loss curvature plus the
-    constraint term) on the tangent space at the current point; an Armijo
-    search (:func:`_armijo`) runs along its retraction
-    ``point * radius / |point|`` back onto the sphere.  Each point is a
-    batch-of-one value pass, whose tables give the bundle once the point is
-    accepted.  Returns the final point, its loss and its ``(gradient,
-    Hessian)``.
-    """
-    import scipy.linalg
-
-    theta = theta * (radius / float(np.linalg.norm(theta)))
-    losses, values = _loss_and_values(mdp, phi, target[None], beta, theta[None])
-    loss = float(losses[0])
-    grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
-    for _ in range(100):
-        grad = grads[0] - target
-        tangent = scipy.linalg.null_space(theta[None, :] / radius)
-        if tangent.shape[1] == 0:
-            break  # d = 1: the sphere is a point pair, nothing to refine
-        if float(np.linalg.norm(tangent.T @ grad)) <= 1e-12:
-            break
-        multiplier = max(-float(grad @ theta) / (radius * radius), 0.0)
-        lagrangian = hessians[0] + multiplier * np.eye(theta.shape[0])
-        step = _restricted_newton_step(grad, lagrangian, tangent)[0]
-        directional = float(grad @ step)
-        alpha = 1.0
-        while alpha > 0.0:
-            point = theta + alpha * step
-            point = point * (radius / float(np.linalg.norm(point)))
-            losses, values = _loss_and_values(mdp, phi, target[None], beta, point[None])
-            next_alpha = _armijo(float(losses[0]), loss, alpha, directional)
-            if next_alpha is None:
-                break
-            alpha = next_alpha
-        if alpha == 0.0:
-            break  # no step size accepted
-        theta, loss = point, float(losses[0])
-        grads, hessians = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, *values))
-    return theta, loss, (grads[0], hessians[0])
 
 
 def fit_empirical(

@@ -352,6 +352,27 @@ def test_importing_the_package_and_cli_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_fit_that_ends_on_the_ball_leaves_scipy_unloaded():
+    """The fitter needs no scipy, on the ball's sphere either: a fresh
+    interpreter runs a ball-constrained ``fit_population`` that ends on the
+    sphere and lists no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from soft_irl import *; "
+        "inst = generate_instance(InstanceSpec(S=4, A=3, T=3, d=5, seed=0)); "
+        "fit = fit_population(inst.mdp, inst.features, inst.expert, "
+        "FitConfig(beta=inst.spec.beta, B_theta=0.1)); "
+        "print(fit.converged, fit.active_ball_constraint, "
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "True True []"
+
+
 # ---------------------------------------------------------------------------
 # equivalence / counterexample
 

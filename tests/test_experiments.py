@@ -303,6 +303,28 @@ def test_dikin_boundary_pair_rejects_a_zero_direction():
             dikin_boundary_pair(inst.mdp, inst.features, TINY.beta, np.zeros(TINY.d), np.zeros(TINY.d))
 
 
+def test_dikin_boundary_pair_checks_its_direction():
+    """A direction of the wrong shape is a ``DimensionError`` and a NaN one an
+    ``InvariantError``, each at entry; a huge finite direction, whose
+    H0-norm would overflow, gives the boundary point of its unit vector.
+    None of them warns."""
+    inst = generate_instance(TINY)
+    theta0 = np.zeros(TINY.d)
+
+    def pair(direction):
+        return dikin_boundary_pair(inst.mdp, inst.features, TINY.beta, theta0, direction)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="direction"):
+            pair(np.ones(TINY.d - 1))
+        with pytest.raises(InvariantError, match="direction"):
+            pair(np.full(TINY.d, np.nan))
+        theta1 = pair(np.full(TINY.d, 1e308))
+    np.testing.assert_allclose(theta1, pair(np.ones(TINY.d)), rtol=1e-12)
+    assert np.linalg.norm(theta1) > 0.0
+
+
 def test_geometry_requires_definite_hessian():
     from soft_irl import DomainError, FeatureMap, Mdp
 
@@ -377,9 +399,10 @@ def test_a_parameter_whose_reward_overflows_is_an_invariant_error():
 
 
 def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
-    """A grid point of the wrong shape is a ``DimensionError`` and a
-    non-finite one an ``InvariantError``, both before any soft solve, as the
-    per-point models of the batched score bound no longer make them."""
+    """A grid point of the wrong shape (or a ragged grid) is a
+    ``DimensionError`` and a non-finite one an ``InvariantError``, each
+    before any soft solve, as the per-point models of the batched score
+    bound no longer make them."""
     import soft_irl.linear_reward as linear_reward
     from soft_irl import geometry_constants
 
@@ -390,6 +413,7 @@ def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
         (np.zeros(TINY.d + 1), DimensionError),
         (np.zeros((2, TINY.d - 1)), DimensionError),
         ([np.full(TINY.d, np.nan)], InvariantError),
+        ([np.zeros(TINY.d), np.zeros(TINY.d + 1)], DimensionError),
     ):
         with pytest.raises(error, match="theta"):
             geometry_constants(inst.mdp, inst.features, model, TINY.beta, theta_grid=grid)

@@ -297,47 +297,94 @@ def test_ball_constraint_kkt():
         assert irl_population_loss(mdp, model_at(features, probe), 0.5, expert) >= best - 1e-9
 
 
-def test_ball_polish_backtracks_and_meets_kkt(monkeypatch):
-    """A ball 0.05 times the unconstrained optimum's norm: the polish on the
-    sphere halves its step size and accepts halved steps, never reaching the
-    floor, and its end point is a KKT point of the constrained problem."""
-    instance = generate_instance(InstanceSpec(S=4, A=3, T=3, d=5, seed=0))
+def fit_on_a_small_ball(monkeypatch, spec, **config):
+    """``fit_population`` on ``generate_instance(spec)`` with ``B_theta`` 0.05
+    times the unconstrained optimum's norm.  Returns the instance, the radius,
+    the result, the fit's value passes and its Armijo searches, one list of
+    ``(alpha, next alpha or None if accepted)`` per search."""
+    instance = generate_instance(spec)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = instance.spec.beta
     unconstrained = fit_population(mdp, features, expert, FitConfig(beta=beta))
     radius = 0.05 * float(np.linalg.norm(unconstrained.theta_hat))
 
-    polishing, searched = [], []  # searched: (alpha, next alpha or None if accepted)
-    armijo, polish = opt._armijo, opt._polish_on_ball
+    passes, searches = [], []
+    armijo, loss_and_values = opt._armijo, opt._loss_and_values
 
     def recording_armijo(trial_loss, loss, alpha, directional):
         next_alpha = armijo(trial_loss, loss, alpha, directional)
-        if polishing:
-            searched.append((alpha, next_alpha))
+        if alpha == 1.0:
+            searches.append([])
+        searches[-1].append((alpha, next_alpha))
         return next_alpha
 
-    def recording_polish(*args):
-        polishing.append(True)
-        try:
-            return polish(*args)
-        finally:
-            polishing.pop()
+    def counting_loss_and_values(*args):
+        passes.append(None)
+        return loss_and_values(*args)
 
     monkeypatch.setattr(opt, "_armijo", recording_armijo)
-    monkeypatch.setattr(opt, "_polish_on_ball", recording_polish)
-    result = fit_population(mdp, features, expert, FitConfig(beta=beta, B_theta=radius))
+    monkeypatch.setattr(opt, "_loss_and_values", counting_loss_and_values)
+    result = fit_population(mdp, features, expert, FitConfig(beta=beta, B_theta=radius, **config))
+    monkeypatch.undo()
+    return instance, radius, result, len(passes), searches
 
-    accepted = [alpha for alpha, next_alpha in searched if next_alpha is None]
-    assert accepted and min(accepted) < 1.0
-    assert 0.0 not in [next_alpha for _, next_alpha in searched]
+
+def assert_kkt_on_the_sphere(instance, radius, result):
+    mdp, features, beta = instance.mdp, instance.features, instance.spec.beta
     assert result.status == "converged" and result.active_ball_constraint
     theta = result.theta_hat
     assert np.linalg.norm(theta) == pytest.approx(radius, abs=1e-9)
     g = derivative_bundle(mdp, model_at(features, theta), beta).grad
-    g = g - feature_expectation(mdp, expert, features)
+    g = g - feature_expectation(mdp, instance.expert, features)
     lam = -float(g @ theta) / radius**2
     assert lam >= -1e-12
     np.testing.assert_allclose(g + lam * theta, 0.0, atol=1e-8)
+
+
+def test_ball_sphere_steps_backtrack_and_meet_kkt(monkeypatch):
+    """A ball 0.05 times the unconstrained optimum's norm: the Newton steps
+    of the loop at iterates on the sphere halve their step size and accept
+    halved steps, never reaching the floor, and the end point is a KKT point
+    of the constrained problem.  Each search is the one at its trace record,
+    as a ball fit searches at every iterate but a converged last one."""
+    backtracks = InstanceSpec(S=5, A=3, T=4, d=6, seed=4)
+    found = InstanceSpec(S=4, A=3, T=3, d=5, seed=0)
+    for spec in (backtracks, found):
+        instance, radius, result, passes, searches = fit_on_a_small_ball(monkeypatch, spec)
+        assert len(searches) == len(result.trace) - 1
+        on_sphere = [
+            search
+            for search, record in zip(searches, result.trace)
+            if opt._on_sphere(np.array(record.theta), radius)
+        ]
+        assert on_sphere
+        assert 0.0 not in [next_alpha for search in on_sphere for _, next_alpha in search]
+        assert_kkt_on_the_sphere(instance, radius, result)
+        if spec is backtracks:
+            accepted = [alpha for search in on_sphere for alpha, next in search if next is None]
+            assert min(accepted) < 1.0
+        else:
+            assert passes <= 10  # a polish after the loop made 1929
+
+
+def test_sphere_steps_run_in_the_lockstep_loop(monkeypatch):
+    """On the sphere the fit takes its steps in the one loop: each sphere
+    iterate is a trace record, ``iterations`` counts its step, the last
+    record is ``theta_hat`` with the final decrement, and ``max_iters``
+    stops the fit with no value pass after its last search."""
+    spec = InstanceSpec(S=4, A=3, T=3, d=5, seed=0)
+    instance, radius, result, _, _ = fit_on_a_small_ball(monkeypatch, spec)
+    assert_kkt_on_the_sphere(instance, radius, result)
+    sphere = [record for record in result.trace if opt._on_sphere(np.array(record.theta), radius)]
+    assert len([record for record in sphere if record.step_size > 0.0]) >= 2
+    assert result.iterations == len([record for record in result.trace if record.step_size > 0.0])
+    assert np.array_equal(result.trace[-1].theta, result.theta_hat)
+    assert result.trace[-1].decrement == result.final_decrement <= 1e-10
+
+    _, _, budget, passes, searches = fit_on_a_small_ball(monkeypatch, spec, max_iters=2)
+    assert budget.status == "max_iters" and budget.iterations == 2 and len(budget.trace) == 2
+    assert opt._on_sphere(budget.theta_hat, radius)
+    assert passes == 1 + sum(len(search) for search in searches)  # the start, then each trial
 
 
 def test_max_iters_flags_nonconvergence():
@@ -636,7 +683,9 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     bit-identical when it is fitted alone, in a batch of 32, and in a batch
     whose other members stop early: a target outside the moment set (which
     stops infeasible) and the feature expectation at ``theta = 0`` (which
-    converges at its first iterate)."""
+    converges at its first iterate).  So are the fits of a batch that shares
+    a ball half as wide as the target's unconstrained optimum, which holds
+    the target's fit on the sphere."""
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T)
     features = random_features(rng, mdp, d)
@@ -654,6 +703,13 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     assert same_fit(batch[slot], alone)
     for k, other in zip([k for k in range(32) if k != slot], others):
         assert same_fit(batch[k], opt._fit(mdp, features, other, config))
+
+    ball = FitConfig(beta=beta, B_theta=0.5 * float(np.linalg.norm(alone.theta_hat)))
+    members = np.insert(others, slot, target, axis=0)
+    on_ball = opt._fit_batch(mdp, features, members, ball)
+    assert on_ball[slot].active_ball_constraint
+    for fit, member in zip(on_ball, members):
+        assert same_fit(fit, opt._fit(mdp, features, member, ball))
 
     # outside the moment set but inside its affine hull: steps stay in the
     # Hessian's image, so a target off the hull (when d exceeds the set's
