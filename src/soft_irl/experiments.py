@@ -230,8 +230,8 @@ class RateConfig:
         if not isinstance(self.n_grid, (list, tuple)) or len(self.n_grid) < 2:
             raise InputError(f"n_grid must list at least two sample sizes, got {self.n_grid!r}")
         n_grid = tuple(_check_count(n, "each n_grid entry") for n in self.n_grid)
-        if sorted(n_grid) != list(n_grid):
-            raise InputError("n_grid must be increasing")
+        if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+            raise InputError(f"n_grid must be strictly increasing, got {n_grid!r}")
         _check_count(self.replicates, "replicates")
         _check_seed(self.data_seed)
         _check_real(self.burn_in_delta, "burn_in_delta", 0.0, 1.0)
@@ -502,6 +502,7 @@ def check_local_geometry(
     """
     import scipy.linalg
 
+    beta = _check_real(beta, "beta", 0.0)
     theta0 = LinearRewardModel(features=features, theta=theta0).theta
     theta1 = LinearRewardModel(features=features, theta=theta1).theta
     delta = theta1 - theta0
@@ -582,6 +583,7 @@ def dikin_boundary_pair(
     result is guaranteed to sit inside (or exactly on) the trust region that
     :func:`check_local_geometry` will recompute for the same pair.
     """
+    beta = _check_real(beta, "beta", 0.0)
     boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
     theta0 = LinearRewardModel(features=features, theta=theta0).theta
     direction = np.asarray(direction, dtype=np.float64)
@@ -662,9 +664,9 @@ def check_concentration(
     solution; the bound is ``sqrt(2 d* log(1/delta) / n) +
     4 B_phi log(1/delta) / (sqrt(lambda*) n)`` and should fail with frequency
     at most ``delta`` (plus binomial noise).  ``n`` and ``trials`` must be
-    positive integers, ``delta`` a number in ``(0, 1)`` and ``seed`` a
-    non-negative integer; anything else raises an ``InputError`` before any
-    work.
+    positive integers, ``delta`` a number in ``(0, 1)``, ``seed`` a
+    non-negative integer and ``fit_config``'s temperature ``beta``; anything
+    else raises an ``InputError`` before any work.
     """
     import scipy.linalg
 
@@ -673,6 +675,8 @@ def check_concentration(
     _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
+    if cfg.beta != beta:
+        raise InputError("fit config temperature must match beta")
     population = fit_population(mdp, features, expert, cfg)
     if not population.converged:
         raise DomainError("population fit did not converge")

@@ -25,9 +25,10 @@ handled explicitly:
 
 One Newton loop, :func:`_fit_batch`, fits a batch of targets in lockstep (a
 single fit is a batch of one), inside the ball and on its sphere alike, with
-one Newton step (:func:`_restricted_newton_step`), one Armijo rule
-(:func:`_armijo`) and one way to a derivative bundle: a value-only soft pass,
-whose tables become the bundle once the point is accepted.
+one Newton step (:func:`_restricted_newton_step`), one acceptance rule (the
+full step where rounding hides its predicted decrease, else :func:`_armijo`)
+and one way to a derivative bundle: a value-only soft pass, whose tables
+become the bundle once the point is accepted.
 
 Everything is deterministic: same inputs produce bitwise-identical traces,
 whatever batch a target is fitted in.
@@ -64,6 +65,9 @@ _RIDGE_THRESHOLD = 1e-10
 _LINE_SEARCH_FACTOR = 0.5
 _LINE_SEARCH_FLOOR = 2.0**-60
 _LINE_SEARCH_ACCEPT = 1e-4
+# A predicted decrease up to 64 ulps of the loss's terms is below what comparing
+# two losses can resolve: the full step is then taken without a search.
+_LOSS_RESOLUTION = 64.0 * float(np.finfo(np.float64).eps)
 
 FIT_STATUSES = ("converged", "infeasible", "max_iters", "stalled")
 
@@ -106,9 +110,11 @@ class IrlFitResult:
     outside the moment set, with ``separating_direction`` ``u`` and
     ``separation_margin`` ``m > 0`` such that ``L(theta + s u) <= L(theta) -
     s m`` for every ``s >= 0``; ``"max_iters"`` when the iteration budget ran
-    out; ``"stalled"`` when no step could decrease the loss.  A fit that did
-    not converge is returned rather than raised.  ``trace`` records every
-    iterate.
+    out; ``"stalled"`` when no step was accepted: the Armijo search found no
+    decrease, or a full step the loss cannot judge did not shrink the
+    decrement.  A fit that did not converge is returned rather than raised.
+    ``trace`` records every iterate; across a step the loss cannot judge, its
+    loss may rise by rounding.
 
     On an active ball the iterates that reach the sphere step along it: there
     ``final_decrement`` is the Newton decrement of the Lagrangian on the
@@ -255,12 +261,14 @@ def _fit_batch(
     that moved.  Every product makes, for each fit, the BLAS call of a batch
     of one, so a fit's result is bit for bit the same alone or in any batch.
 
-    A search ends without a step when the step size reaches the floor or,
-    without a ball, when the trial point rounds to the iterate itself (every
-    smaller step does too, and such a trial would only re-solve the
-    iterate).  Then, when the loss is flat to float resolution around a
-    well-conditioned iterate, the full Newton step is taken if it shrinks the
-    decrement; otherwise the fit stops ``"stalled"``.
+    Where the predicted decrease ``-<grad, step>`` is at most
+    ``_LOSS_RESOLUTION`` times the loss's terms ``|J*(theta)| + |<theta,
+    target>|`` (not the loss, a difference that can cancel), no loss can
+    judge a step: the full step is taken with no search and kept only if it
+    shrinks the decrement, else the fit stops ``"stalled"``.  Elsewhere the
+    Armijo search judges the step, and the fit stops ``"stalled"`` when the
+    search reaches the floor or, without a ball, a trial rounds to the
+    iterate (as every smaller step would).
     """
     beta, phi, radius = config.beta, features.phi, config.B_theta
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
@@ -301,7 +309,7 @@ def _fit_batch(
     directional = np.zeros(K)
     alpha = np.ones(K)
     trial = np.zeros((K, d))
-    full: list = [None] * K  # each search's first trial: (point, loss, Q, V)
+    unjudged = np.zeros(K, dtype=bool)
     traces: list[list[IterationRecord]] = [[] for _ in range(K)]
     status = ["max_iters"] * K
     separation: list = [None] * K
@@ -334,14 +342,17 @@ def _fit_batch(
         if not probe:
             return
         directional[probe] = _dots(bundle_grad[probe] - targets[probe], step[probe])
+        inner = _dots(theta[probe], targets[probe])  # the loss is J*(theta) - inner
+        resolution = _LOSS_RESOLUTION * (np.abs(loss[probe] + inner) + np.abs(inner))
+        unjudged[probe] = -directional[probe] <= resolution
         for k in probe:
             alpha[k] = 1.0
             trial[k] = _project_ball(theta[k] + step[k], radius)
             if bounded or not np.array_equal(trial[k], theta[k]):
                 searching.append(k)
             else:
-                # a step below the ulp of theta: the flat-loss fallback would
-                # take this very point and find the same decrement
+                # a step below the ulp of theta: every trial is the iterate
+                # itself, which neither rule can accept
                 status[k] = "stalled"
 
     begin(range(K), *newton_steps(theta, bundle_grad - targets, hessian))
@@ -349,51 +360,37 @@ def _fit_batch(
     while searching:
         rows, searching[:] = list(searching), []
         trial_loss, (Q, V) = _loss_and_values(mdp, phi, targets[rows], beta, trial[rows])
-        moved = []  # (fit, "step" or "fallback", point, loss, Q, V)
+        moved = []  # (fit, point, loss, Q, V)
         for j, k in enumerate(rows):
-            point = trial[k].copy()
-            if alpha[k] == 1.0:
-                full[k] = point, trial_loss[j], Q[:, j], V[:, j]
-            next_alpha = _armijo(trial_loss[j], loss[k], alpha[k], directional[k])
+            # an unjudged step is taken without comparing losses
+            next_alpha = (
+                None if unjudged[k] else _armijo(trial_loss[j], loss[k], alpha[k], directional[k])
+            )
             if next_alpha is None:
-                if trial_loss[j] < loss[k]:
-                    moved.append((k, "step", point, trial_loss[j], Q[:, j], V[:, j]))
+                if unjudged[k] or trial_loss[j] < loss[k]:
+                    moved.append((k, trial[k].copy(), trial_loss[j], Q[:, j], V[:, j]))
                     continue
-            else:
+            elif next_alpha > 0.0:
                 alpha[k] = next_alpha
-                if alpha[k] > 0.0:
-                    trial[k] = _project_ball(theta[k] + alpha[k] * step[k], radius)
-                    if bounded or not np.array_equal(trial[k], theta[k]):
-                        searching.append(k)
-                        continue
-            # no step size decreased the loss
-            if not ridge_used[k] and decrement[k] <= 0.25:
-                # The loss is flat to float resolution around the iterate, which
-                # is exactly what the bottom of a well-conditioned quadratic bowl
-                # looks like once the true descent per step drops below one ulp,
-                # so loss differences can no longer judge a step.  The full
-                # Newton step still refines the iterate (the decrement contracts
-                # quadratically): take it when it shrinks the decrement.  The
-                # search's first trial already solved that point.
-                moved.append((k, "fallback") + full[k])
-            else:
-                status[k] = "stalled"  # cannot make progress (flat to machine precision)
+                trial[k] = _project_ball(theta[k] + alpha[k] * step[k], radius)
+                if bounded or not np.array_equal(trial[k], theta[k]):
+                    searching.append(k)
+                    continue
+            status[k] = "stalled"  # no step size decreased the loss
         if not moved:
             continue
 
         grads, hessians = derivatives(
-            np.stack([m[4] for m in moved], axis=1), np.stack([m[5] for m in moved], axis=1)
+            np.stack([m[3] for m in moved], axis=1), np.stack([m[4] for m in moved], axis=1)
         )
         steps, decrements, ridges = newton_steps(
-            [m[2] for m in moved], grads - targets[[m[0] for m in moved]], hessians
+            [m[1] for m in moved], grads - targets[[m[0] for m in moved]], hessians
         )
         again = []
-        for j, (k, kind, point, point_loss, _, _) in enumerate(moved):
-            if kind == "fallback":
-                if not decrements[j] < decrement[k]:
-                    status[k] = "stalled"
-                    continue
-                alpha[k] = 1.0
+        for j, (k, point, point_loss, _, _) in enumerate(moved):
+            if unjudged[k] and not decrements[j] < decrement[k]:
+                status[k] = "stalled"  # the full step did not refine the iterate
+                continue
             theta[k], loss[k], bundle_grad[k], hessian[k] = point, point_loss, grads[j], hessians[j]
             traces[k][-1] = replace(traces[k][-1], step_size=float(alpha[k]))
             if len(traces[k]) < config.max_iters:

@@ -365,6 +365,27 @@ def test_check_local_geometry_checks_both_parameter_shapes_before_any_work(monke
     assert passes == []
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf])
+def test_geometry_entry_points_check_beta_before_any_solve(monkeypatch, beta):
+    """A temperature that is not a positive finite number is a
+    ``DomainError`` at entry of both geometry functions, with no value pass
+    and no warning: a zero one used to divide by zero into a NaN, and a NaN
+    one to end in numpy's untyped ``LinAlgError``."""
+    from soft_irl import experiments
+
+    inst = generate_instance(TINY)
+    passes = []
+    monkeypatch.setattr(experiments, "_batch_soft_values", lambda *args: passes.append(args))
+    theta0, theta1 = np.zeros(TINY.d), np.full(TINY.d, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="beta"):
+            check_local_geometry(inst.mdp, inst.features, beta, theta0, theta1)
+        with pytest.raises(DomainError, match="beta"):
+            dikin_boundary_pair(inst.mdp, inst.features, beta, theta0, theta1)
+    assert passes == []
+
+
 @pytest.mark.parametrize(
     "factor, error",
     [(math.nan, DomainError), (math.inf, DomainError), (0.0, DomainError), (-1.0, DomainError),
@@ -654,8 +675,35 @@ def test_concentration_rejects_bad_counts_before_any_work(monkeypatch, name, kwa
         check_concentration(inst.mdp, inst.features, TINY.beta, inst.expert, **kwargs)
 
 
+def test_concentration_rejects_a_fit_config_of_another_temperature(monkeypatch):
+    """The population fit and the geometry constants share one temperature: a
+    ``fit_config`` at another ``beta`` is an ``InputError`` before any work,
+    as in the rate experiment, instead of a report that mixes the two."""
+    import soft_irl.experiments as experiments
+
+    def no_fit(*args, **kw):
+        raise AssertionError("the population fit ran before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "fit_population", no_fit)
+    inst = generate_instance(TINY)
+    with pytest.raises(InputError, match="temperature"):
+        check_concentration(
+            inst.mdp, inst.features, TINY.beta, inst.expert, n=8,
+            fit_config=FitConfig(beta=4 * TINY.beta),
+        )
+
+
 # ---------------------------------------------------------------------------
 # rate experiment
+
+
+@pytest.mark.parametrize("n_grid", [(64, 64, 128), (128, 64), (64, 128, 128)])
+def test_rate_config_requires_a_strictly_increasing_n_grid(n_grid):
+    """A repeated sample size would write duplicate ``(metric, n, replicate)``
+    records and pool both cells into one median reported twice."""
+    with pytest.raises(InputError, match="strictly increasing"):
+        RateConfig(instance=TINY, n_grid=n_grid)
+    assert RateConfig(instance=TINY, n_grid=(64, 65, 128)).n_grid == (64, 65, 128)
 
 
 def test_rate_experiment_reproducible():

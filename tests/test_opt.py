@@ -26,7 +26,7 @@ from soft_irl import (
     trajectory_kl,
     uniform_policy,
 )
-from soft_irl import linear_reward, opt, soft_dp
+from soft_irl import experiments, linear_reward, opt, soft_dp
 from soft_irl.errors import SoftIrlError
 from soft_irl.soft_dp import RewardTable
 
@@ -297,25 +297,20 @@ def test_ball_constraint_kkt():
         assert irl_population_loss(mdp, model_at(features, probe), 0.5, expert) >= best - 1e-9
 
 
-def fit_on_a_small_ball(monkeypatch, spec, **config):
-    """``fit_population`` on ``generate_instance(spec)`` with ``B_theta`` 0.05
-    times the unconstrained optimum's norm.  Returns the instance, the radius,
-    the result, the fit's value passes and its Armijo searches, one list of
-    ``(alpha, next alpha or None if accepted)`` per search."""
-    instance = generate_instance(spec)
-    mdp, features, expert = instance.mdp, instance.features, instance.expert
-    beta = instance.spec.beta
-    unconstrained = fit_population(mdp, features, expert, FitConfig(beta=beta))
-    radius = 0.05 * float(np.linalg.norm(unconstrained.theta_hat))
-
-    passes, searches = [], []
+def recorded_fit(monkeypatch, fit, *args):
+    """``fit(*args)`` with its value passes counted and its Armijo searches
+    recorded.  Returns the result, the number of value passes and, per trace
+    record, its search as ``(directional derivative, [(alpha, next alpha or
+    None if accepted), ...])``: ``(None, [])`` where the record took its step
+    without a search, or took none."""
+    passes, searches = [], []  # searches: (the iterate's loss, directional, [...])
     armijo, loss_and_values = opt._armijo, opt._loss_and_values
 
     def recording_armijo(trial_loss, loss, alpha, directional):
         next_alpha = armijo(trial_loss, loss, alpha, directional)
         if alpha == 1.0:
-            searches.append([])
-        searches[-1].append((alpha, next_alpha))
+            searches.append((loss, directional, []))
+        searches[-1][2].append((alpha, next_alpha))
         return next_alpha
 
     def counting_loss_and_values(*args):
@@ -324,9 +319,32 @@ def fit_on_a_small_ball(monkeypatch, spec, **config):
 
     monkeypatch.setattr(opt, "_armijo", recording_armijo)
     monkeypatch.setattr(opt, "_loss_and_values", counting_loss_and_values)
-    result = fit_population(mdp, features, expert, FitConfig(beta=beta, B_theta=radius, **config))
+    result = fit(*args)
     monkeypatch.undo()
-    return instance, radius, result, len(passes), searches
+    # the searches run in trace order, each at the iterate whose loss it compares against
+    per_record = []
+    for record in result.trace:
+        matched = bool(searches) and searches[0][0] == record.loss
+        per_record.append(searches.pop(0)[1:] if matched else (None, []))
+    assert not searches
+    return result, len(passes), per_record
+
+
+def fit_on_a_small_ball(monkeypatch, spec, scale=0.05, **config):
+    """:func:`recorded_fit` of ``fit_population`` on ``generate_instance(spec)``
+    with ``B_theta`` ``scale`` times the unconstrained optimum's norm.
+    Returns the instance, the radius, the result, the fit's value passes and
+    its searches, one per trace record."""
+    instance = generate_instance(spec)
+    mdp, features, expert = instance.mdp, instance.features, instance.expert
+    beta = instance.spec.beta
+    unconstrained = fit_population(mdp, features, expert, FitConfig(beta=beta))
+    radius = scale * float(np.linalg.norm(unconstrained.theta_hat))
+    config = FitConfig(beta=beta, B_theta=radius, **config)
+    result, passes, searches = recorded_fit(
+        monkeypatch, fit_population, mdp, features, expert, config
+    )
+    return instance, radius, result, passes, [search for _, search in searches]
 
 
 def assert_kkt_on_the_sphere(instance, radius, result):
@@ -342,29 +360,35 @@ def assert_kkt_on_the_sphere(instance, radius, result):
 
 
 def test_ball_sphere_steps_backtrack_and_meet_kkt(monkeypatch):
-    """A ball 0.05 times the unconstrained optimum's norm: the Newton steps
-    of the loop at iterates on the sphere halve their step size and accept
-    halved steps, never reaching the floor, and the end point is a KKT point
-    of the constrained problem.  Each search is the one at its trace record,
-    as a ball fit searches at every iterate but a converged last one."""
+    """Ball fits end at KKT points of the constrained problem, and no search
+    reaches the floor.  Near the end on the sphere the predicted decrease is
+    below the loss's rounding, so there the fit takes full steps without a
+    search; a halved step is accepted where the loss can judge it."""
     backtracks = InstanceSpec(S=5, A=3, T=4, d=6, seed=4)
     found = InstanceSpec(S=4, A=3, T=3, d=5, seed=0)
-    for spec in (backtracks, found):
-        instance, radius, result, passes, searches = fit_on_a_small_ball(monkeypatch, spec)
-        assert len(searches) == len(result.trace) - 1
-        on_sphere = [
-            search
-            for search, record in zip(searches, result.trace)
-            if opt._on_sphere(np.array(record.theta), radius)
-        ]
-        assert on_sphere
-        assert 0.0 not in [next_alpha for search in on_sphere for _, next_alpha in search]
+    halves = InstanceSpec(S=4, A=3, T=3, d=5, seed=3)
+    for spec, scale in ((backtracks, 0.05), (found, 0.05), (halves, 0.5)):
+        instance, radius, result, passes, searches = fit_on_a_small_ball(monkeypatch, spec, scale)
         assert_kkt_on_the_sphere(instance, radius, result)
+        assert 0.0 not in [next_alpha for search in searches for _, next_alpha in search]
+        on_sphere = [opt._on_sphere(np.array(record.theta), radius) for record in result.trace]
         if spec is backtracks:
-            accepted = [alpha for search in on_sphere for alpha, next in search if next is None]
-            assert min(accepted) < 1.0
-        else:
+            unjudged = [
+                sphere
+                for record, search, sphere in zip(result.trace, searches, on_sphere)
+                if record.step_size > 0.0 and not search
+            ]
+            assert unjudged and all(unjudged)
+            sphere = [r.step_size for r, on in zip(result.trace[:-1], on_sphere) if on]
+            assert sphere and set(sphere) == {1.0}  # no sphere iterate halves
+            assert passes <= 6  # halvings on rounding noise made 30
+        elif spec is found:
             assert passes <= 10  # a polish after the loop made 1929
+        else:
+            # the loss resolves this search: it halves twice, and its point is on the sphere
+            assert searches[2] == [(1.0, 0.5), (0.5, 0.25), (0.25, None)]
+            assert result.trace[2].step_size == 0.25
+            assert not on_sphere[2] and on_sphere[3]
 
 
 def test_sphere_steps_run_in_the_lockstep_loop(monkeypatch):
@@ -477,6 +501,33 @@ def test_hessian_at_solution_is_the_bundle_at_theta_hat(n, data_seed):
     ))
 
 
+def test_a_step_is_unjudged_exactly_where_the_loss_cannot_resolve_it(monkeypatch):
+    """Every step of the n = 64 cell of ``configs/rates.json``: a step taken
+    without a loss comparison is a full step at an iterate whose predicted
+    decrease is within the rounding of the loss's terms, and it shrinks the
+    decrement; every Armijo search runs at an iterate the loss resolves."""
+    inst = generate_instance(RATES_SPEC)
+    unjudged = judged = 0
+    for rep in range(32):
+        data = sample_trajectories(inst.mdp, inst.expert, 64, experiments._cell_seed(1, 0, rep))
+        target = empirical_feature_expectation(data, inst.features)
+        result, _, searches = recorded_fit(
+            monkeypatch, opt._fit, inst.mdp, inst.features, target, FitConfig(beta=0.5)
+        )
+        for i, (record, (directional, search)) in enumerate(zip(result.trace, searches)):
+            inner = float(np.array(record.theta) @ target)
+            resolution = opt._LOSS_RESOLUTION * (abs(record.loss + inner) + abs(inner))
+            if search:
+                assert -directional > resolution
+                judged += 1
+            elif record.step_size > 0.0:
+                assert record.step_size == 1.0
+                assert record.decrement**2 <= resolution
+                assert result.trace[i + 1].decrement < record.decrement
+                unjudged += 1
+    assert unjudged >= 10 and judged >= 100
+
+
 # The last case is the rates fit (n = 512, replicate 16 of configs/rates.json)
 # whose line search once shrank its step below the ulp of theta and solved the
 # iterate again; its search now ends there instead.
@@ -486,12 +537,11 @@ def test_hessian_at_solution_is_the_bundle_at_theta_hat(n, data_seed):
 def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch, n, data_seed):
     """Every soft pass of a fit is a value pass, and every derivative bundle is
     built from the tables of a value pass made before it: the start point's,
-    an accepted line-search point's own, or, for a full-step fallback, the
-    search's first trial at step size 1.  No point is solved twice in one
-    fit, so neither an accepted point nor a fallback's full step is solved
-    again for its bundle.  The only other optimal-value passes are the
-    separation tests' max-plus passes.  The first fit takes no fallback, so
-    its passes are the start plus one per step size tried."""
+    or an accepted point's own, whether a search accepted it or a full step
+    was taken without one.  No point is solved twice in one fit, so no
+    accepted point is solved again for its bundle.  The only other
+    optimal-value passes are the separation tests' max-plus passes.  In the
+    first case the passes are the start plus one per step size tried."""
     inst = generate_instance(RATES_SPEC)
     data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
     events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q, V)), one per batch row
