@@ -15,13 +15,14 @@ from .errors import DimensionError, DomainError, InputError, InvariantError
 from .mdp import (
     Mdp,
     Policy,
-    empirical_feature_expectation,
     feature_expectation,
-    sample_trajectories,
     _check_count,
     _check_flag,
     _check_real,
+    _check_sample_size,
     _check_seed,
+    _occupancy_average,
+    _sample_counts,
 )
 from .soft_dp import (
     trajectory_kl,
@@ -229,7 +230,7 @@ class RateConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n_grid, (list, tuple)) or len(self.n_grid) < 2:
             raise InputError(f"n_grid must list at least two sample sizes, got {self.n_grid!r}")
-        n_grid = tuple(_check_count(n, "each n_grid entry") for n in self.n_grid)
+        n_grid = tuple(_check_sample_size(n, "each n_grid entry") for n in self.n_grid)
         if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise InputError(f"n_grid must be strictly increasing, got {n_grid!r}")
         _check_count(self.replicates, "replicates")
@@ -307,17 +308,14 @@ def _rate_cell(
 ) -> list[tuple[dict, str]]:
     """The metrics and fit status of each replicate of one sample size.
 
-    Each replicate's dataset is drawn, reduced to its feature average and
-    dropped, so one dataset is held at a time; the replicates are then
+    Each replicate's visit counts are drawn from their exact law and reduced
+    to its feature average, so no trajectory is held; the replicates are then
     fitted as one lockstep batch and their metrics computed as one batch.
     Every value is bit for bit that of a replicate fitted and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     targets = np.stack(
-        [
-            empirical_feature_expectation(sample_trajectories(mdp, expert, n, seed), features)
-            for seed in seeds
-        ]
+        [_occupancy_average(_sample_counts(mdp, expert, n, s) / n, features.phi) for s in seeds]
     )
     results = _fit_batch(mdp, features, targets, fit_cfg)
     thetas = np.stack([result.theta_hat for result in results])
@@ -663,14 +661,18 @@ def check_concentration(
     expectation, measured in the inverse-Hessian norm at the population
     solution; the bound is ``sqrt(2 d* log(1/delta) / n) +
     4 B_phi log(1/delta) / (sqrt(lambda*) n)`` and should fail with frequency
-    at most ``delta`` (plus binomial noise).  ``n`` and ``trials`` must be
-    positive integers, ``delta`` a number in ``(0, 1)``, ``seed`` a
-    non-negative integer and ``fit_config``'s temperature ``beta``; anything
-    else raises an ``InputError`` before any work.
+    at most ``delta`` (plus binomial noise).  Each trial draws the visit
+    counts of ``n`` expert trajectories from their exact law by multinomial
+    splitting, from its own seed, and holds no trajectory; so a trial costs
+    the same at any ``n``.  ``n`` and ``trials`` must be positive integers,
+    ``n`` below ``2**63`` (a ``DomainError`` otherwise), ``delta`` a number
+    in ``(0, 1)``, ``seed`` a non-negative integer and ``fit_config``'s
+    temperature ``beta``; anything else raises an ``InputError`` before any
+    work.
     """
     import scipy.linalg
 
-    _check_count(n, "n")
+    _check_sample_size(n, "n")
     _check_count(trials, "trials")
     _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
@@ -700,8 +702,8 @@ def check_concentration(
 
     etas = np.empty(trials)
     for trial in range(trials):
-        data = sample_trajectories(mdp, expert, n, _cell_seed(seed, trial))
-        diff = empirical_feature_expectation(data, features) - target
+        counts = _sample_counts(mdp, expert, n, _cell_seed(seed, trial))
+        diff = _occupancy_average(counts / n, features.phi) - target
         etas[trial] = float(
             np.linalg.norm(scipy.linalg.solve_triangular(chol, diff, lower=True))
         )

@@ -240,6 +240,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MAX_STREAMS = 2**32  # the trajectory index is a single uint32 spawn word
+_MAX_COUNT = 2**63  # numpy draws multinomial counts as int64
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -361,6 +362,14 @@ def _check_count(value, name: str) -> int:
     return int(value)
 
 
+def _check_sample_size(value, name: str) -> int:
+    """``value`` as an int: a count of trajectories that int64 visit counts can hold."""
+    n = _check_count(value, name)
+    if n >= _MAX_COUNT:
+        raise DomainError(f"{name} must be below 2**63 (visit counts are int64), got {n}")
+    return n
+
+
 def _check_flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise InputError(f"{name} must be true or false, got {value!r}")
@@ -430,6 +439,47 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
         if t < mdp.T - 1:
             s = _inverse_cdf(successors[t], s * mdp.A + a, u[:, 2 * t + 2])
     return Dataset(states=states, actions=actions, seed=seed, generator_label=policy.label)
+
+
+def _sample_counts(mdp: Mdp, policy: Policy, n: int, seed: int) -> np.ndarray:
+    """Visit counts ``N[t, s, a]`` of ``n`` i.i.d. trajectories of ``policy``,
+    drawn from their exact law by multinomial splitting: shape ``(T, S, A)``.
+
+    One ``Generator(PCG64(seed))`` draws, in this order, ``N_0 ~ Mult(n,
+    initial_dist)``; then per step ``N_t(s, .) ~ Mult(N_t(s), probs[t, s])``,
+    one call over ``s``; and, before the last step, the successors of each
+    ``N_t(s, a)`` from ``Mult(N_t(s, a), kernels[t, s, a])``, one call over
+    ``(s, a)``, summed into ``N_{t+1}``.  The cost does not grow with ``n``.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts = np.empty((mdp.T, mdp.S, mdp.A), dtype=np.int64)
+    visits = _split(rng, n, mdp.initial_dist)
+    for t in range(mdp.T):
+        counts[t] = _split(rng, visits, policy.probs[t])
+        if t < mdp.T - 1:
+            visits = _split(rng, counts[t], mdp.kernels[t]).sum(axis=(0, 1))
+    return counts
+
+
+def _split(rng: np.random.Generator, counts, table: np.ndarray) -> np.ndarray:
+    """``rng.multinomial(counts, table)``, with no count on an entry of
+    probability zero.
+
+    numpy gives the last column whatever its chain of binomials leaves over.
+    Where that column is zero, the rounding of its running remainder can leave
+    counts there (at ``n = 2**60``, in about 2 of 5 such rows); they go to the
+    row's last positive entry, the entry ``sample_trajectories`` stops at.
+    """
+    draw = rng.multinomial(counts, table)
+    if table.all():
+        return draw
+    stray = np.where(table == 0.0, draw, 0)
+    if stray.any():
+        last = (table.shape[-1] - 1 - np.argmax(table[..., ::-1] > 0.0, axis=-1))[..., None]
+        kept = np.take_along_axis(draw, last, axis=-1) + stray.sum(axis=-1, keepdims=True)
+        draw -= stray
+        np.put_along_axis(draw, last, kept, axis=-1)
+    return draw
 
 
 def gather_table(table: np.ndarray, states, actions) -> np.ndarray:

@@ -263,25 +263,26 @@ def test_rates_writes_json_csv_and_plots(tmp_path, capsys):
 
 
 def test_rates_reports_fit_statuses(tmp_path, capsys):
-    """Two of these 16 cells (n = 64, replicates 1 and 7) sample a target
-    outside the moment set; both count as infeasible and as non-converged."""
+    """Four of these 16 cells (n = 16, replicate 0; n = 32, replicates 4, 5
+    and 7) sample a target outside the moment set; each counts as infeasible
+    and as non-converged."""
     payload = {
         "output_dir": str(tmp_path / "out"),
-        "rates": {"instance": RATES_INSTANCE, "n_grid": [64, 128], "replicates": 8, "data_seed": 1},
+        "rates": {"instance": RATES_INSTANCE, "n_grid": [16, 32], "replicates": 8, "data_seed": 1},
     }
     assert main(["rates", "--config", write_config(tmp_path, payload)]) == 0
     out = capsys.readouterr().out
-    for line in ("non_converged = 2", "fits[converged] = 14", "fits[infeasible] = 2",
+    for line in ("non_converged = 4", "fits[converged] = 12", "fits[infeasible] = 4",
                  "fits[max_iters] = 0", "fits[stalled] = 0"):
         assert line in out.splitlines()
     report = json.loads((tmp_path / "out" / "rates.json").read_text())
-    assert report["non_converged"] == 2
-    assert report["fit_statuses"] == {"converged": 14, "infeasible": 2, "max_iters": 0, "stalled": 0}
+    assert report["non_converged"] == 4
+    assert report["fit_statuses"] == {"converged": 12, "infeasible": 4, "max_iters": 0, "stalled": 0}
     infeasible = {(r["n"], r["replicate"]) for r in report["records"] if r["status"] == "infeasible"}
-    assert infeasible == {(64, 1), (64, 7)}
+    assert infeasible == {(16, 0), (32, 4), (32, 5), (32, 7)}
     assert all(r["converged"] == (r["status"] == "converged") for r in report["records"])
     rows = (tmp_path / "out" / "rates.csv").read_text().strip().splitlines()[1:]
-    assert sum(1 for row in rows if row.endswith(",infeasible")) == 2 * len(RATE_METRICS)
+    assert sum(1 for row in rows if row.endswith(",infeasible")) == 4 * len(RATE_METRICS)
 
 
 def test_rates_rerun_is_byte_identical(tmp_path, capsys):

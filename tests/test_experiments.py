@@ -45,6 +45,7 @@ from soft_irl import (
     uniform_policy,
 )
 from soft_irl.experiments import _SEGMENT_POINTS, _cell_seed, _exp
+from soft_irl.mdp import _sample_counts
 from soft_irl.linear_reward import LinearRewardModel, _dikin_radius, _score_bound
 from soft_irl.soft_dp import _log_gibbs, _path_max
 
@@ -706,6 +707,60 @@ def test_rate_config_requires_a_strictly_increasing_n_grid(n_grid):
     assert RateConfig(instance=TINY, n_grid=(64, 65, 128)).n_grid == (64, 65, 128)
 
 
+def test_rate_config_rejects_an_n_that_counts_cannot_hold():
+    """Visit counts are int64, so an ``n`` of ``2**63`` or more is a
+    ``DomainError`` when the config is built, before any draw or solve."""
+    for n_grid in ((64, 2**63), (64, 2**70)):
+        with pytest.raises(DomainError, match="2\\*\\*63"):
+            RateConfig(instance=TINY, n_grid=n_grid)
+    assert RateConfig(instance=TINY, n_grid=(64, 2**63 - 1)).n_grid == (64, 2**63 - 1)
+
+
+def test_concentration_rejects_an_n_that_counts_cannot_hold(monkeypatch):
+    import soft_irl.experiments as experiments
+
+    def no_work(*args, **kw):
+        raise AssertionError("a fit or a draw ran before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "fit_population", no_work)
+    monkeypatch.setattr(experiments, "_sample_counts", no_work)
+    inst = generate_instance(TINY)
+    for n in (2**63, 2**70):
+        with pytest.raises(DomainError, match="2\\*\\*63"):
+            check_concentration(inst.mdp, inst.features, TINY.beta, inst.expert, n=n)
+
+
+def test_a_rate_cell_at_n_2_to_the_40_runs_and_fits():
+    """Counts cost the same at any ``n``: a cell far past the old limit of one
+    uint32 stream per trajectory is drawn and fitted."""
+    config = RateConfig(instance=TINY, n_grid=(2**39, 2**40), replicates=2, data_seed=2)
+    report = run_rate_experiment(config)
+    assert report.fit_statuses["converged"] == 4
+    errors = [r.value for r in report.records if r.metric == "param_err_hess"]
+    assert all(0.0 <= value < 1e-9 for value in errors)
+
+
+def test_the_count_studies_draw_no_trajectory(monkeypatch):
+    """The rate experiment and the concentration check draw visit counts: with
+    the trajectory sampler and its uniform stream made to raise, both finish."""
+    import soft_irl
+    import soft_irl.mdp as mdp_module
+
+    def no_trajectories(*args, **kw):
+        raise AssertionError("trajectories were sampled")
+
+    monkeypatch.setattr(mdp_module, "sample_trajectories", no_trajectories)
+    monkeypatch.setattr(mdp_module, "_child_uniforms", no_trajectories)
+    monkeypatch.setattr(soft_irl, "sample_trajectories", no_trajectories)
+    report = run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128), replicates=2))
+    assert len(report.records) == len(RATE_METRICS) * 2 * 2
+    inst = generate_instance(TINY)
+    concentration = check_concentration(
+        inst.mdp, inst.features, TINY.beta, inst.expert, n=64, trials=4
+    )
+    assert len(concentration.etas) == 4
+
+
 def test_rate_experiment_reproducible():
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=3, data_seed=2)
     a = run_rate_experiment(cfg)
@@ -796,6 +851,15 @@ def shipped_rates_spec():
     return InstanceSpec(**json.loads(RATES_CONFIG.read_text())["rates"]["instance"])
 
 
+def dataset_with_counts(counts):
+    """A dataset whose visit counts are ``counts``, shape ``(T, S, A)``: row
+    ``i`` takes the ``i``-th visit of each step, in ``(s, a)`` order.  The
+    empirical loss sees a dataset only through these counts."""
+    T, S, A = counts.shape
+    visits = np.stack([np.repeat(np.arange(S * A), counts[t].ravel()) for t in range(T)], axis=1)
+    return Dataset(states=visits // A, actions=visits % A, seed=0)
+
+
 def per_fit_rate_report(config):
     """The rate experiment fitted and measured one replicate at a time, through
     the public API: the oracle of the lockstep batch."""
@@ -828,8 +892,8 @@ def per_fit_rate_report(config):
     records, statuses = [], dict.fromkeys(("converged", "infeasible", "max_iters", "stalled"), 0)
     for i_n, n in enumerate(config.n_grid):
         for rep in range(config.replicates):
-            data = sample_trajectories(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep))
-            result = fit_empirical(mdp, features, data, fit_cfg)
+            counts = _sample_counts(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep))
+            result = fit_empirical(mdp, features, dataset_with_counts(counts), fit_cfg)
             model_hat = LinearRewardModel(features=features, theta=result.theta_hat)
             pi_hat = solve_model(mdp, model_hat, beta).pi_star
             diff = result.theta_hat - theta_star
@@ -892,14 +956,14 @@ def per_fit_rate_report(config):
 
 
 def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop():
-    """The lockstep batches of a reduced shipped grid (the first two sizes, 8
-    replicates, among them infeasible fits) write the ``rates.json`` bytes of
-    a loop that fits and measures each replicate alone."""
+    """The lockstep batches of the shipped instance at two small sizes (8
+    replicates, 4 of them infeasible fits) write the ``rates.json`` bytes of a
+    loop that fits and measures each replicate alone."""
     from soft_irl.io import to_json_text
 
-    config = RateConfig(instance=shipped_rates_spec(), n_grid=(64, 128), replicates=8, data_seed=1)
+    config = RateConfig(instance=shipped_rates_spec(), n_grid=(16, 32), replicates=8, data_seed=1)
     report = run_rate_experiment(config)
-    assert report.fit_statuses["infeasible"] > 0
+    assert report.fit_statuses["infeasible"] == 4
     assert to_json_text(report) == to_json_text(per_fit_rate_report(config))
 
 
@@ -972,38 +1036,50 @@ def occupancy_lp_margin(mdp, phi, target):
     return -result.fun if result.status == 0 else -np.inf
 
 
-def test_infeasible_fits_are_exactly_the_targets_outside_the_moment_set():
-    """On every target of the shipped rates experiment, a fit stops as
-    infeasible exactly when the LP puts the target outside the moment set."""
-    config_path = Path(__file__).resolve().parents[1] / "configs" / "rates.json"
-    section = json.loads(config_path.read_text())["rates"]
-    spec = InstanceSpec(**section["instance"])
-    config = RateConfig(
-        instance=spec,
-        n_grid=tuple(section["n_grid"]),
-        replicates=section["replicates"],
-        data_seed=section["data_seed"],
-    )
+def assert_infeasible_exactly_outside(config):
+    """Check that a fit of ``config``'s experiment stops as infeasible exactly
+    when the LP puts its target outside the moment set; return their number."""
     report = run_rate_experiment(config)
     status = {(r.n, r.replicate): r.status for r in report.records}
     assert sum(report.fit_statuses.values()) == len(status)
     for name, count in report.fit_statuses.items():
         assert count == sum(1 for s in status.values() if s == name)
 
-    inst = generate_instance(spec)
+    inst = generate_instance(config.instance)
     outside = set()
     for i_n, n in enumerate(config.n_grid):
         for rep in range(config.replicates):
             seed = _cell_seed(config.data_seed, i_n, rep)
-            target = empirical_feature_expectation(
-                sample_trajectories(inst.mdp, inst.expert, n, seed), inst.features
-            )
+            counts = _sample_counts(inst.mdp, inst.expert, n, seed)
+            target = empirical_feature_expectation(dataset_with_counts(counts), inst.features)
             eps = occupancy_lp_margin(inst.mdp, inst.features.phi, target)
             assert abs(eps) > 1e-6  # the LP verdict is clear of its own tolerances
             if eps < 0.0:
                 outside.add((n, rep))
     assert outside == {cell for cell, s in status.items() if s == "infeasible"}
-    assert len(outside) == 5 == report.non_converged
+    assert len(outside) == report.non_converged
+    return len(outside)
+
+
+def test_infeasible_fits_are_exactly_the_targets_outside_the_moment_set():
+    """On every target of the shipped rates experiment, a fit stops as
+    infeasible exactly when the LP puts the target outside the moment set
+    (here: never)."""
+    section = json.loads(RATES_CONFIG.read_text())["rates"]
+    config = RateConfig(
+        instance=InstanceSpec(**section["instance"]),
+        n_grid=tuple(section["n_grid"]),
+        replicates=section["replicates"],
+        data_seed=section["data_seed"],
+    )
+    assert assert_infeasible_exactly_outside(config) == 0
+
+
+def test_infeasible_fits_at_small_n_are_exactly_the_targets_outside_the_moment_set():
+    """At n = 16 and 32 on the shipped instance about a fifth of the targets
+    lie outside the moment set; exactly those fits stop as infeasible."""
+    config = RateConfig(instance=shipped_rates_spec(), n_grid=(16, 32), replicates=32, data_seed=1)
+    assert assert_infeasible_exactly_outside(config) == 21
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -27,7 +27,7 @@ from soft_irl import (
 from soft_irl.experiments import InstanceSpec, generate_instance
 from soft_irl.linear_reward import LinearRewardModel
 from soft_irl.io import dataset_to_dict, to_json_text
-from soft_irl.mdp import _child_uniforms, _inverse_cdf
+from soft_irl.mdp import _child_uniforms, _inverse_cdf, _sample_counts, _split
 from soft_irl.soft_dp import RewardTable, soft_backward
 
 
@@ -590,6 +590,158 @@ def test_sampling_frequencies_match_occupancy():
         np.add.at(counts, (states[:, t], actions[:, t]), 1.0)
         se = np.sqrt(mu[t] * (1.0 - mu[t]) / n)
         assert np.all(np.abs(counts / n - mu[t]) <= 4.0 * se + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# visit counts drawn by multinomial splitting
+
+
+def exact_count_law(mdp, policy, n):
+    """Oracle: the law of the ``(T, S, A)`` visit-count table of ``n`` i.i.d.
+    trajectories, as a dict from the flattened table to its probability; the
+    ``n``-fold convolution of the enumerated path law."""
+    states, actions, probs = enumerate_support(mdp, policy)
+    cells = (np.arange(mdp.T) * mdp.S + states) * mdp.A + actions
+    law = {(0,) * (mdp.T * mdp.S * mdp.A): 1.0}
+    for _ in range(n):
+        step = {}
+        for table, p in law.items():
+            for path, q in zip(cells.tolist(), probs):
+                counts = list(table)
+                for cell in path:
+                    counts[cell] += 1
+                key = tuple(counts)
+                step[key] = step.get(key, 0.0) + p * q
+        law = step
+    return law
+
+
+CHI2_LEVEL = 1e-3  # fixed before the first run
+
+
+@pytest.mark.parametrize("S, A, T, n", [(2, 2, 2, 4), (2, 2, 3, 2)])
+def test_count_table_follows_its_exact_law(S, A, T, n):
+    """Chi-square of 10 000 drawn count tables against the enumerated law;
+    tables expected fewer than 5 times are pooled into one bin."""
+    import scipy.stats
+
+    rng = np.random.default_rng(100 * S + 10 * T + n)
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    policy = random_policy(rng, mdp)
+    law = exact_count_law(mdp, policy, n)
+    draws = 10_000
+    observed = {}
+    for seed in range(draws):
+        key = tuple(_sample_counts(mdp, policy, n, seed).ravel().tolist())
+        assert key in law, "a count table outside the support"
+        observed[key] = observed.get(key, 0) + 1
+    keys = sorted(law, key=law.get, reverse=True)
+    expected = np.array([draws * law[k] for k in keys])
+    counts = np.array([observed.get(k, 0) for k in keys])
+    big = expected >= 5.0
+    expected = np.r_[expected[big], expected[~big].sum()]
+    counts = np.r_[counts[big], counts[~big].sum()]
+    assert big.sum() >= 10 and expected[-1] >= 5.0
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert scipy.stats.chi2.sf(statistic, len(expected) - 1) >= CHI2_LEVEL
+
+
+COUNT_Z = 4.0  # fixed before the first run
+
+
+def test_count_feature_averages_have_the_exact_mean_and_covariance():
+    """Over 4000 replicates at n = 64, the mean of the feature average and
+    ``n`` times its covariance match the exact ``phi*`` and ``Sigma_E``, each
+    entry within ``COUNT_Z`` standard errors of its replicate average."""
+    from soft_irl import FeatureMap, effective_dimension
+
+    rng = np.random.default_rng(31)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    policy = random_policy(rng, mdp)
+    features = FeatureMap(phi=rng.normal(size=(mdp.T, mdp.S, mdp.A, 3)))
+    phi_star = feature_expectation(mdp, policy, features)
+    sigma = effective_dimension(mdp, features, policy, np.eye(3)).Sigma_E
+    n, reps = 64, 4000
+    flat = features.phi.reshape(-1, 3)
+    averages = np.array(
+        [_sample_counts(mdp, policy, n, seed).ravel() @ flat / n for seed in range(reps)]
+    )
+    se = averages.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(averages.mean(axis=0) - phi_star) <= COUNT_Z * se)
+    centred = averages - phi_star
+    products = n * centred[:, :, None] * centred[:, None, :]
+    se = products.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(products.mean(axis=0) - sigma) <= COUNT_Z * se)
+
+
+def sparse_rows(rng, shape, deterministic):
+    """Distributions over the last axis: one-hot rows, or rows with a random
+    set of exact zeros, some entries near 1e-300 and the rest of order one."""
+    if deterministic:
+        return np.eye(shape[-1])[rng.integers(shape[-1], size=shape[:-1])]
+    scale = rng.choice([0.0, 1e-300, 1.0], p=[0.3, 0.2, 0.5], size=shape)
+    weights = rng.random(shape) * scale
+    empty = weights.sum(axis=-1) == 0.0
+    weights[empty, rng.integers(shape[-1], size=int(empty.sum()))] = 1.0
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=1, max_value=63),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_counts_never_land_on_an_entry_of_probability_zero_property(
+    rng_seed, S, A, T, deterministic, log_n, seed
+):
+    """On deterministic and low-coverage instances, with rows whose last
+    entries are exact zeros and ``n = 2**log_n - 1`` up to ``2**63 - 1``, every
+    step holds ``n`` visits and each lies on a reachable entry of positive
+    probability.  At ``n = 2**62``, numpy's multinomial alone leaves counts on
+    such zeros in about one S3 A3 T3 instance of five."""
+    n = 2**log_n - 1
+    rng = np.random.default_rng(rng_seed)
+    mdp = Mdp(
+        T=T, S=S, A=A,
+        initial_dist=sparse_rows(rng, (S,), deterministic),
+        kernels=sparse_rows(rng, (T - 1, S, A, S), deterministic),
+        ref_measure=np.ones(A),
+    )
+    policy = Policy(probs=sparse_rows(rng, (T, S, A), deterministic))
+    counts = _sample_counts(mdp, policy, n, seed)
+    assert np.all(counts >= 0) and np.all(counts.sum(axis=(1, 2)) == n)
+    reach = mdp.initial_dist > 0.0
+    for t in range(T):
+        allowed = reach[:, None] & (policy.probs[t] > 0.0)
+        assert not np.any(counts[t][~allowed])
+        if t < T - 1:
+            reach = np.any(allowed[:, :, None] & (mdp.kernels[t] > 0.0), axis=(0, 1))
+
+
+def test_counts_left_on_a_zero_last_column_move_to_the_last_positive_entry():
+    """numpy's multinomial gives its last column what its binomials leave over;
+    at n = 2**62 the rounding of the running remainder leaves counts on a zero
+    last column.  The sampler moves them to the row's last positive entry."""
+    table = np.concatenate(
+        [np.random.default_rng(3).dirichlet(np.ones(3), size=200), np.zeros((200, 2))], axis=1
+    )
+    raw = np.random.Generator(np.random.PCG64(0)).multinomial(2**62, table)
+    assert raw[:, 3:].any()
+    kept = _split(np.random.Generator(np.random.PCG64(0)), 2**62, table)
+    assert not kept[:, 3:].any()
+    np.testing.assert_array_equal(kept[:, :2], raw[:, :2])
+    np.testing.assert_array_equal(kept[:, 2], raw[:, 2:].sum(axis=1))
+
+
+def test_a_replicates_counts_depend_only_on_its_seed():
+    rng = np.random.default_rng(12)
+    mdp = random_mdp(rng)
+    policy = random_policy(rng, mdp)
+    seeds = [0, 1, 2**40 + 7, 2**64 - 1]
+    first = [_sample_counts(mdp, policy, 1000, seed) for seed in seeds]
+    again = [_sample_counts(mdp, policy, 1000, seed) for seed in reversed(seeds)][::-1]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert len({a.tobytes() for a in first}) == len(seeds)
 
 
 # ---------------------------------------------------------------------------
