@@ -296,31 +296,37 @@ class RateReport:
         return sum(count for status, count in self.fit_statuses.items() if status != "converged")
 
 
-def _rate_cell(
+def _rate_grid(
     instance: Instance,
-    fit_cfg: FitConfig,
+    config: RateConfig,
     theta_star: np.ndarray,
     H_star: np.ndarray,
     pi_star: Policy,
     approx_floor: float,
-    n: int,
-    seeds: list[int],
 ) -> list[tuple[dict, str]]:
-    """The metrics and fit status of each replicate of one sample size.
+    """The metrics and fit status of each replicate of each sample size of
+    the grid, in (n, replicate) order.
 
-    Each replicate's visit counts are drawn from their exact law and reduced
-    to its feature average, so no trajectory is held; the replicates are then
-    fitted as one lockstep batch and their metrics computed as one batch.
-    Every value is bit for bit that of a replicate fitted and measured alone.
+    Each replicate's visit counts are drawn from their exact law, from its
+    cell seed, and reduced to its feature average, so no trajectory is held;
+    the whole grid is then fitted as one lockstep batch and its metrics
+    computed as one batch.  Every value is bit for bit that of a replicate
+    fitted and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
-    targets = np.stack(
-        [_occupancy_average(_sample_counts(mdp, expert, n, s) / n, features.phi) for s in seeds]
-    )
-    results = _fit_batch(mdp, features, targets, fit_cfg)
+    beta = config.instance.beta
+    targets = np.stack([
+        _occupancy_average(
+            _sample_counts(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep)) / n,
+            features.phi,
+        )
+        for i_n, n in enumerate(config.n_grid)
+        for rep in range(config.replicates)
+    ])
+    results = _fit_batch(mdp, features, targets, config.fit_config())
     thetas = np.stack([result.theta_hat for result in results])
-    Q, V = _batch_soft_values(mdp, features.phi, fit_cfg.beta, thetas)
-    pi_hat = _gibbs_probs(mdp, fit_cfg.beta, Q, V)
+    Q, V = _batch_soft_values(mdp, features.phi, beta, thetas)
+    pi_hat = _gibbs_probs(mdp, beta, Q, V)
     expert_b = np.broadcast_to(expert.probs[:, None], pi_hat.shape)
     star_b = np.broadcast_to(pi_star.probs[:, None], pi_hat.shape)
     expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
@@ -347,9 +353,11 @@ def _rate_cell(
 def run_rate_experiment(config: RateConfig) -> RateReport:
     """Measure how fast empirical fits approach the population solution.
 
-    For each sample size in the grid and each replicate, draws a dataset from
-    the expert, fits the reward, and records divergence metrics between the
-    fitted Gibbs policy and both the expert and the population solution.
+    For each sample size in the grid and each replicate, draws the visit
+    counts of ``n`` expert trajectories, fits the reward to their feature
+    average, and records divergence metrics between the fitted Gibbs policy
+    and both the expert and the population solution.  The grid's fits run as
+    one lockstep batch.
     Log-log slopes are fitted on per-``n`` medians over the post-burn-in part
     of the grid.
     """
@@ -382,15 +390,15 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
 
     records = []
     fit_statuses = dict.fromkeys(FIT_STATUSES, 0)
-    for i_n, n in enumerate(config.n_grid):
-        seeds = [_cell_seed(config.data_seed, i_n, rep) for rep in range(config.replicates)]
-        cells = _rate_cell(instance, fit_cfg, theta_star, H_star, pi_star, approx_floor, n, seeds)
-        for rep, (values, status) in enumerate(cells):
-            fit_statuses[status] += 1
-            records.extend(
-                RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=status)
-                for m in RATE_METRICS
-            )
+    cells = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
+    for k, (values, status) in enumerate(cells):
+        i_n, rep = divmod(k, config.replicates)
+        n = config.n_grid[i_n]
+        fit_statuses[status] += 1
+        records.extend(
+            RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=status)
+            for m in RATE_METRICS
+        )
 
     def _median(metric: str, n: int) -> float:
         # Non-converged fits stay in the records as flagged rows but are left

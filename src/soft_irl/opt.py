@@ -36,7 +36,7 @@ whatever batch a target is fitted in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,11 +149,9 @@ def _on_sphere(theta: np.ndarray, radius: float) -> bool:
     return float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
 
 
-def _project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(theta))
-    if norm <= radius:
-        return theta
-    return theta * (radius / norm)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``x``, with the bits of ``np.linalg.norm``."""
+    return np.sqrt(_dots(x, x))
 
 
 def _restricted_newton_step(
@@ -204,39 +202,41 @@ def _loss_and_values(
 
 def _separation(
     mdp: Mdp, phi: np.ndarray, targets: np.ndarray, thetas: np.ndarray
-) -> list[tuple[np.ndarray, float] | None]:
-    """For each row, ``(u, margin)`` if ``u = theta / |theta|`` separates its
-    target from the moment set, from one max-plus pass over the batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row, whether ``u = theta / |theta|`` separates its target from
+    the moment set, from one max-plus pass over the rows with ``theta != 0``.
 
-    ``margin = <u, target> - h_M(u)``, where the support function ``h_M(u)``
-    is the max-plus optimal value of the reward ``<u, phi>``.  ``None`` unless
-    the margin exceeds the rounding cut.
+    Returns ``(found, U, margins)``: the rows ``u`` and ``margin = <u,
+    target> - h_M(u)``, where the support function ``h_M(u)`` is the max-plus
+    optimal value of the reward ``<u, phi>``, and whether the margin exceeds
+    the rounding cut (never where ``theta = 0``).
     """
-    out: list[tuple[np.ndarray, float] | None] = [None] * len(thetas)
-    norms = [float(np.linalg.norm(theta)) for theta in thetas]
-    rows = [k for k, norm in enumerate(norms) if norm != 0.0]
-    if not rows:
-        return out
-    U = np.stack([thetas[k] / norms[k] for k in rows])
-    r = _batch_rewards(phi, U)  # (K, T, S, A)
+    found = np.zeros(len(thetas), dtype=bool)
+    U, margins = np.zeros_like(thetas), np.zeros(len(thetas))
+    norms = _norms(thetas)
+    rows = np.flatnonzero(norms != 0.0)
+    if rows.size == 0:
+        return found, U, margins
+    U[rows] = u = thetas[rows] / norms[rows, None]
+    r = _batch_rewards(phi, u)  # (K, T, S, A)
     _, V = _batch_optimal_values(mdp, r, 0.0)
-    margins = _dots(U, targets[rows]) - _dots(mdp.initial_dist, V[0])
+    margins[rows] = _dots(u, targets[rows]) - _dots(mdp.initial_dist, V[0])
     cuts = _RELATIVE_SEPARATION_CUT * np.abs(r).max(axis=(2, 3)).sum(axis=-1)
-    for j, k in enumerate(rows):
-        if not margins[j] <= cuts[j]:
-            out[k] = U[j], float(margins[j])
-    return out
+    found[rows] = ~(margins[rows] <= cuts)
+    return found, U, margins
 
 
-def _armijo(trial_loss: float, loss: float, alpha: float, directional: float) -> float | None:
-    """The Armijo rule at step size ``alpha``: ``None`` when the trial point's
-    loss decreases ``loss`` by at least ``_LINE_SEARCH_ACCEPT * alpha *
-    directional``, else the next step size to try, ``0.0`` once halving
-    reaches ``_LINE_SEARCH_FLOOR``."""
-    if trial_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional:
-        return None
-    alpha *= _LINE_SEARCH_FACTOR
-    return alpha if alpha > _LINE_SEARCH_FLOOR else 0.0
+def _armijo(
+    trial_loss: np.ndarray, loss: np.ndarray, alpha: np.ndarray, directional: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Armijo rule at step sizes ``alpha``, row by row: ``(accepted,
+    next_alpha)``.  A row is accepted when its trial point's loss decreases
+    ``loss`` by at least ``_LINE_SEARCH_ACCEPT * alpha * directional``;
+    ``next_alpha`` is the step size to try next, ``0.0`` once halving reaches
+    ``_LINE_SEARCH_FLOOR``."""
+    accepted = trial_loss <= loss + _LINE_SEARCH_ACCEPT * alpha * directional
+    halved = alpha * _LINE_SEARCH_FACTOR
+    return accepted, np.where(halved > _LINE_SEARCH_FLOOR, halved, 0.0)
 
 
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
@@ -259,7 +259,8 @@ def _fit_batch(
     the rounds: each round makes one value pass over every searching fit's
     trial point, then one bundle and one stacked Newton step over the fits
     that moved.  Every product makes, for each fit, the BLAS call of a batch
-    of one, so a fit's result is bit for bit the same alone or in any batch.
+    of one, and the bookkeeping between them is elementwise array work, so
+    a fit's result is bit for bit the same alone or in any batch.
 
     Where the predicted decrease ``-<grad, step>`` is at most
     ``_LOSS_RESOLUTION`` times the loss's terms ``|J*(theta)| + |<theta,
@@ -310,100 +311,110 @@ def _fit_batch(
     alpha = np.ones(K)
     trial = np.zeros((K, d))
     unjudged = np.zeros(K, dtype=bool)
-    traces: list[list[IterationRecord]] = [[] for _ in range(K)]
-    status = ["max_iters"] * K
-    separation: list = [None] * K
-    searching: list[int] = []
+    status = np.full(K, "max_iters", dtype=object)
+    direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
+    iterates = np.zeros(K, dtype=np.int64)
+    # per iterate: [loss, decrement, step size (0.0 until a step is accepted), ridge, theta]
+    history: list[list[list]] = [[] for _ in range(K)]
 
-    def begin(fits, steps, decrements, ridges):
-        """Record an iteration at each fit's new iterate, test it, and start its search."""
-        probe = []
-        for j, k in enumerate(fits):
-            step[k], decrement[k], ridge_used[k] = steps[j], decrements[j], ridges[j]
-            traces[k].append(
-                IterationRecord(
-                    iteration=len(traces[k]),
-                    loss=float(loss[k]),
-                    decrement=float(decrement[k]),
-                    step_size=0.0,
-                    ridge_used=bool(ridge_used[k]),
-                    theta=tuple(float(x) for x in theta[k]),
-                )
-            )
-            if decrement[k] <= config.tol_decrement:
-                status[k] = "converged"
-            else:
-                probe.append(k)
-        if not bounded and probe:
-            for k, found in zip(probe, _separation(mdp, phi, targets[probe], theta[probe])):
-                if found is not None:
-                    status[k], separation[k] = "infeasible", found
-            probe = [k for k in probe if separation[k] is None]
-        if not probe:
-            return
-        directional[probe] = _dots(bundle_grad[probe] - targets[probe], step[probe])
-        inner = _dots(theta[probe], targets[probe])  # the loss is J*(theta) - inner
-        resolution = _LOSS_RESOLUTION * (np.abs(loss[probe] + inner) + np.abs(inner))
-        unjudged[probe] = -directional[probe] <= resolution
-        for k in probe:
-            alpha[k] = 1.0
-            trial[k] = _project_ball(theta[k] + step[k], radius)
-            if bounded or not np.array_equal(trial[k], theta[k]):
-                searching.append(k)
-            else:
-                # a step below the ulp of theta: every trial is the iterate
-                # itself, which neither rule can accept
-                status[k] = "stalled"
+    def record(fits, steps, decrements, ridges):
+        """Set each fit's Newton step at its new iterate and record the iterate."""
+        step[fits], decrement[fits], ridge_used[fits] = steps, decrements, ridges
+        iterates[fits] += 1
+        rows = zip(
+            loss[fits].tolist(),
+            decrement[fits].tolist(),
+            ridge_used[fits].tolist(),
+            map(tuple, theta[fits].tolist()),
+        )
+        for k, (row_loss, row_decrement, ridge, point) in zip(fits.tolist(), rows):
+            history[k].append([row_loss, row_decrement, 0.0, ridge, point])
 
-    begin(range(K), *newton_steps(theta, bundle_grad - targets, hessian))
+    def trials(fits):
+        """Set each fit's trial point at its step size; return the fits whose trial moves."""
+        points = theta[fits] + alpha[fits, None] * step[fits]
+        if bounded:  # onto the ball
+            norms = _norms(points)
+            outside = norms > radius
+            points[outside] *= (radius / norms[outside])[:, None]
+        trial[fits] = points
+        # without the ball, a step below the ulp of theta: every trial is the
+        # iterate itself, which neither rule can accept
+        moves = bounded | ~(points == theta[fits]).all(axis=1)
+        status[fits[~moves]] = "stalled"
+        return fits[moves]
 
-    while searching:
-        rows, searching[:] = list(searching), []
+    def search(fits):
+        """Test each fit at its iterate and start the search of those that go on."""
+        done = decrement[fits] <= config.tol_decrement
+        status[fits[done]] = "converged"
+        fits = fits[~done]
+        if not bounded and fits.size:
+            found, U, margins = _separation(mdp, phi, targets[fits], theta[fits])
+            status[fits[found]] = "infeasible"
+            direction[fits[found]], margin[fits[found]] = U[found], margins[found]
+            fits = fits[~found]
+        directional[fits] = _dots(bundle_grad[fits] - targets[fits], step[fits])
+        inner = _dots(theta[fits], targets[fits])  # the loss is J*(theta) - inner
+        resolution = _LOSS_RESOLUTION * (np.abs(loss[fits] + inner) + np.abs(inner))
+        unjudged[fits] = -directional[fits] <= resolution
+        alpha[fits] = 1.0
+        return trials(fits)
+
+    all_fits = np.arange(K)
+    record(all_fits, *newton_steps(theta, bundle_grad - targets, hessian))
+    searching = search(all_fits)
+
+    while searching.size:
+        rows = searching
         trial_loss, (Q, V) = _loss_and_values(mdp, phi, targets[rows], beta, trial[rows])
-        moved = []  # (fit, point, loss, Q, V)
-        for j, k in enumerate(rows):
-            # an unjudged step is taken without comparing losses
-            next_alpha = (
-                None if unjudged[k] else _armijo(trial_loss[j], loss[k], alpha[k], directional[k])
+        # an unjudged step is taken without comparing losses
+        accepted, next_alpha = unjudged[rows], np.zeros(len(rows))
+        judged = np.flatnonzero(~accepted)
+        if judged.size:
+            fits = rows[judged]
+            accepted[judged], next_alpha[judged] = _armijo(
+                trial_loss[judged], loss[fits], alpha[fits], directional[fits]
             )
-            if next_alpha is None:
-                if unjudged[k] or trial_loss[j] < loss[k]:
-                    moved.append((k, trial[k].copy(), trial_loss[j], Q[:, j], V[:, j]))
-                    continue
-            elif next_alpha > 0.0:
-                alpha[k] = next_alpha
-                trial[k] = _project_ball(theta[k] + alpha[k] * step[k], radius)
-                if bounded or not np.array_equal(trial[k], theta[k]):
-                    searching.append(k)
-                    continue
-            status[k] = "stalled"  # no step size decreased the loss
-        if not moved:
+        moved = accepted & (unjudged[rows] | (trial_loss < loss[rows]))
+        halved = ~accepted & (next_alpha > 0.0)
+        status[rows[~moved & ~halved]] = "stalled"  # no step size decreased the loss
+        alpha[rows[halved]] = next_alpha[halved]
+        searching = trials(rows[halved])
+        if not moved.any():
             continue
 
-        grads, hessians = derivatives(
-            np.stack([m[3] for m in moved], axis=1), np.stack([m[4] for m in moved], axis=1)
-        )
-        steps, decrements, ridges = newton_steps(
-            [m[1] for m in moved], grads - targets[[m[0] for m in moved]], hessians
-        )
-        again = []
-        for j, (k, point, point_loss, _, _) in enumerate(moved):
-            if unjudged[k] and not decrements[j] < decrement[k]:
-                status[k] = "stalled"  # the full step did not refine the iterate
-                continue
-            theta[k], loss[k], bundle_grad[k], hessian[k] = point, point_loss, grads[j], hessians[j]
-            traces[k][-1] = replace(traces[k][-1], step_size=float(alpha[k]))
-            if len(traces[k]) < config.max_iters:
-                again.append(j)
-        begin([moved[j][0] for j in again], steps[again], decrements[again], ridges[again])
+        j = np.flatnonzero(moved)
+        fits = rows[j]
+        # C-contiguous, as a lone fit's tables are
+        grads, hessians = derivatives(Q.take(j, axis=1), V.take(j, axis=1))
+        steps, decrements, ridges = newton_steps(trial[fits], grads - targets[fits], hessians)
+        refined = ~unjudged[fits] | (decrements < decrement[fits])
+        status[fits[~refined]] = "stalled"  # the full step did not refine the iterate
+        fits, j, grads, hessians = fits[refined], j[refined], grads[refined], hessians[refined]
+        steps, decrements, ridges = steps[refined], decrements[refined], ridges[refined]
+        theta[fits], loss[fits] = trial[fits], trial_loss[j]
+        bundle_grad[fits], hessian[fits] = grads, hessians
+        for k, size in zip(fits.tolist(), alpha[fits].tolist()):
+            history[k][-1][2] = size  # the step accepted from the fit's last iterate
+        again = iterates[fits] < config.max_iters
+        record(fits[again], steps[again], decrements[again], ridges[again])
+        searching = np.concatenate([searching, search(fits[again])])
 
     return [
         _result(
             targets[k], radius, theta[k].copy(), float(loss[k]),
-            (bundle_grad[k].copy(), hessian[k].copy()), status[k], traces[k], separation[k],
+            (bundle_grad[k].copy(), hessian[k].copy()), status[k],
+            _trace(history[k]),
+            (direction[k].copy(), float(margin[k])) if status[k] == "infeasible" else None,
         )
         for k in range(K)
     ]
+
+
+def _trace(history: list[list]) -> tuple[IterationRecord, ...]:
+    """A fit's records, from its history rows in ``IterationRecord``'s field order."""
+    return tuple(IterationRecord(i, *row) for i, row in enumerate(history))
 
 
 def _result(target, radius, theta, loss, bundle, status, trace, separation):
@@ -417,7 +428,7 @@ def _result(target, radius, theta, loss, bundle, status, trace, separation):
         hessian_at_solution=bundle[1],
         active_ball_constraint=_on_sphere(theta, radius),
         status=status,
-        trace=tuple(trace),
+        trace=trace,
         separating_direction=None if separation is None else separation[0],
         separation_margin=None if separation is None else separation[1],
     )

@@ -967,6 +967,24 @@ def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop():
     assert to_json_text(report) == to_json_text(per_fit_rate_report(config))
 
 
+def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
+    """A rate experiment makes two calls of the Newton loop: the population
+    fit, a batch of one, and one batch of every replicate of every ``n``."""
+    from soft_irl import experiments, opt
+
+    batches = []
+    fit_batch = opt._fit_batch
+
+    def recorded(mdp, features, targets, config):
+        batches.append(len(targets))
+        return fit_batch(mdp, features, targets, config)
+
+    monkeypatch.setattr(opt, "_fit_batch", recorded)
+    monkeypatch.setattr(experiments, "_fit_batch", recorded)
+    run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128, 256), replicates=3))
+    assert batches == [1, 9]
+
+
 @pytest.mark.parametrize("study", ["rates", "concentration"])
 def test_each_study_solves_theta_star_once(monkeypatch, study):
     """A rate experiment or a concentration check makes one soft solve at the

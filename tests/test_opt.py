@@ -298,20 +298,23 @@ def test_ball_constraint_kkt():
 
 
 def recorded_fit(monkeypatch, fit, *args):
-    """``fit(*args)`` with its value passes counted and its Armijo searches
-    recorded.  Returns the result, the number of value passes and, per trace
-    record, its search as ``(directional derivative, [(alpha, next alpha or
-    None if accepted), ...])``: ``(None, [])`` where the record took its step
-    without a search, or took none."""
+    """``fit(*args)``, a fit of one target, with its value passes counted and
+    its Armijo searches recorded.  Returns the result, the number of value
+    passes and, per trace record, its search as ``(directional derivative,
+    [(alpha, next alpha or None if accepted), ...])``: ``(None, [])`` where
+    the record took its step without a search, or took none."""
     passes, searches = [], []  # searches: (the iterate's loss, directional, [...])
     armijo, loss_and_values = opt._armijo, opt._loss_and_values
 
     def recording_armijo(trial_loss, loss, alpha, directional):
-        next_alpha = armijo(trial_loss, loss, alpha, directional)
-        if alpha == 1.0:
-            searches.append((loss, directional, []))
-        searches[-1][2].append((alpha, next_alpha))
-        return next_alpha
+        accepted, next_alpha = armijo(trial_loss, loss, alpha, directional)
+        # row by row; a batch of one has at most one row
+        rows = zip(*(a.tolist() for a in (loss, directional, alpha, accepted, next_alpha)))
+        for row_loss, row_directional, row_alpha, row_accepted, row_next in rows:
+            if row_alpha == 1.0:
+                searches.append((row_loss, row_directional, []))
+            searches[-1][2].append((row_alpha, None if row_accepted else row_next))
+        return accepted, next_alpha
 
     def counting_loss_and_values(*args):
         passes.append(None)
@@ -731,15 +734,15 @@ def same_fit(a, b):
 def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T, d, beta, slot):
     """A target's ``theta_hat``, status, trace, Hessian and certificate are
     bit-identical when it is fitted alone, in a batch of 32, and in a batch
-    whose other members stop early: a target outside the moment set (which
-    stops infeasible) and the feature expectation at ``theta = 0`` (which
-    converges at its first iterate).  So are the fits of a batch that shares
-    a ball half as wide as the target's unconstrained optimum, which holds
-    the target's fit on the sphere."""
+    whose other members stop in every other way.  So are the fits of a batch
+    that shares a ball half as wide as the target's unconstrained optimum,
+    which holds the target's fit on the sphere and the expectation at
+    ``theta = 0`` off it."""
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T)
     features = random_features(rng, mdp, d)
     config = FitConfig(beta=beta)
+    at_zero = derivative_bundle(mdp, model_at(features, np.zeros(d)), beta)
 
     def inside():
         expectation = feature_expectation(mdp, random_policy(rng, mdp), features)
@@ -755,25 +758,36 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
         assert same_fit(batch[k], opt._fit(mdp, features, other, config))
 
     ball = FitConfig(beta=beta, B_theta=0.5 * float(np.linalg.norm(alone.theta_hat)))
-    members = np.insert(others, slot, target, axis=0)
+    members = np.vstack([np.insert(others, slot, target, axis=0), at_zero.grad])
     on_ball = opt._fit_batch(mdp, features, members, ball)
     assert on_ball[slot].active_ball_constraint
+    assert not on_ball[-1].active_ball_constraint and on_ball[-1].iterations == 0
     for fit, member in zip(on_ball, members):
         assert same_fit(fit, opt._fit(mdp, features, member, ball))
 
-    # outside the moment set but inside its affine hull: steps stay in the
-    # Hessian's image, so a target off the hull (when d exceeds the set's
-    # dimension) is matched in projection and converges instead
-    at_zero = derivative_bundle(mdp, model_at(features, np.zeros(d)), beta)
-    u = at_zero.hessian @ rng.normal(size=d)
+    # With a shaping feature added, so that the moment set has an affine hull
+    # to be off: a member outside the set within its hull (infeasible by
+    # separation), the target, the expectation at theta = 0 (converged at its
+    # first iterate) and the target moved off the hull along the shaping
+    # coordinate (steps stay in the Hessian's image, so it is matched in
+    # projection); with max_iters = 2, the target runs out of iterations
+    # where it needs more.
+    shaped = FeatureMap(np.concatenate([features.phi, shaping_feature(rng, mdp)[..., None]], -1))
+    at_zero = derivative_bundle(mdp, model_at(shaped, np.zeros(d + 1)), beta)
+    u = at_zero.hessian @ rng.normal(size=d + 1)
     u /= np.linalg.norm(u)
-    infeasible = at_zero.grad + (support_function(mdp, features, u) - u @ at_zero.grad + 0.5) * u
-    at_optimum = at_zero.grad
-    mixed = opt._fit_batch(mdp, features, np.stack([infeasible, target, at_optimum]), config)
-    assert same_fit(mixed[1], alone)
+    infeasible = at_zero.grad + (support_function(mdp, shaped, u) - u @ at_zero.grad + 0.5) * u
+    on_hull = np.append(target, at_zero.grad[d])
+    off_hull = on_hull + 0.5 * np.eye(d + 1)[d]
+    members = np.stack([infeasible, on_hull, at_zero.grad, off_hull])
+    limited = FitConfig(beta=beta, max_iters=2)
+    mixed, short = (opt._fit_batch(mdp, shaped, members, c) for c in (config, limited))
+    for fit, short_fit, member in zip(mixed, short, members):
+        assert same_fit(fit, opt._fit(mdp, shaped, member, config))
+        assert same_fit(short_fit, opt._fit(mdp, shaped, member, limited))
     assert mixed[0].status == "infeasible"
     assert mixed[2].status == "converged" and mixed[2].iterations == 0
-    assert same_fit(mixed[0], opt._fit(mdp, features, infeasible, config))
+    assert (short[1].status == "max_iters") == (len(mixed[1].trace) > 2)
 
 
 @settings(max_examples=30, deadline=None)
