@@ -158,7 +158,7 @@ def cmd_fit(args) -> int:
     else:
         if expert is None:
             raise InputError("config.fit: sampling demonstrations requires 'instance'")
-        n, data_seed = section.get("n", 1024), section.get("data_seed", seed)
+        n, data_seed = section.get("n", 1024), section.get("data_seed", seed + 1)
         data = sample_trajectories(mdp, expert, n, data_seed)
 
     result = fit_empirical(mdp, features, data, fit_cfg)

@@ -303,15 +303,16 @@ def _rate_grid(
     H_star: np.ndarray,
     pi_star: Policy,
     approx_floor: float,
-) -> list[tuple[dict, str]]:
-    """The metrics and fit status of each replicate of each sample size of
-    the grid, in (n, replicate) order.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each metric of :data:`RATE_METRICS`, and the fit status, of every
+    replicate of every sample size of the grid, as arrays of shape
+    ``(len(n_grid), replicates)``.
 
     Each replicate's visit counts are drawn from their exact law, from its
     cell seed, and reduced to its feature average, so no trajectory is held;
-    the whole grid is then fitted as one lockstep batch and its metrics
-    computed as one batch.  Every value is bit for bit that of a replicate
-    fitted and measured alone.
+    the whole grid is then fitted as one lockstep batch, and each metric is
+    one array expression over the batch.  Every value is bit for bit that of
+    a replicate fitted and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
@@ -332,22 +333,19 @@ def _rate_grid(
     expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
     kl_star_to_hat = _batch_trajectory_kl(mdp, star_b, pi_hat)
     kl_hat_to_star = _batch_trajectory_kl(mdp, pi_hat, star_b)
-    hellinger_star = _batch_trajectory_hellinger(mdp, star_b, pi_hat)
-
-    cells = []
-    for k, result in enumerate(results):
-        diff = result.theta_hat - theta_star
-        values = {
-            "expert_kl": float(expert_kl[k]),
-            "excess_kl": float(expert_kl[k]) - approx_floor,
-            "param_err_hess": float(diff @ H_star @ diff),
-            "kl_star_to_hat": float(kl_star_to_hat[k]),
-            "kl_hat_to_star": float(kl_hat_to_star[k]),
-            "sym_kl_star": float(kl_star_to_hat[k]) + float(kl_hat_to_star[k]),
-            "hellinger_star": float(hellinger_star[k]),
-        }
-        cells.append((values, result.status))
-    return cells
+    diff = thetas - theta_star
+    values = {
+        "expert_kl": expert_kl,
+        "excess_kl": expert_kl - approx_floor,
+        "param_err_hess": _dots((diff[:, None] @ H_star)[:, 0], diff),
+        "kl_star_to_hat": kl_star_to_hat,
+        "kl_hat_to_star": kl_hat_to_star,
+        "sym_kl_star": kl_star_to_hat + kl_hat_to_star,
+        "hellinger_star": _batch_trajectory_hellinger(mdp, star_b, pi_hat),
+    }
+    shape = (len(config.n_grid), config.replicates)
+    status = np.array([result.status for result in results]).reshape(shape)
+    return {metric: values[metric].reshape(shape) for metric in RATE_METRICS}, status
 
 
 def run_rate_experiment(config: RateConfig) -> RateReport:
@@ -357,9 +355,11 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     counts of ``n`` expert trajectories, fits the reward to their feature
     average, and records divergence metrics between the fitted Gibbs policy
     and both the expert and the population solution.  The grid's fits run as
-    one lockstep batch.
-    Log-log slopes are fitted on per-``n`` medians over the post-burn-in part
-    of the grid.
+    one lockstep batch, and its metrics and statuses stay ``(n, replicate)``
+    arrays: the status counts and the per-``n`` medians of converged fits
+    are read off them, and the records are built from them in (n,
+    replicate, metric) order.  Log-log slopes are fitted on the medians over
+    the post-burn-in part of the grid.
     """
     instance = generate_instance(config.instance)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
@@ -388,26 +388,23 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         / (beta**2 * constants.lambda_star)
     )
 
-    records = []
-    fit_statuses = dict.fromkeys(FIT_STATUSES, 0)
-    cells = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
-    for k, (values, status) in enumerate(cells):
-        i_n, rep = divmod(k, config.replicates)
-        n = config.n_grid[i_n]
-        fit_statuses[status] += 1
-        records.extend(
-            RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=status)
-            for m in RATE_METRICS
-        )
-
-    def _median(metric: str, n: int) -> float:
-        # Non-converged fits stay in the records as flagged rows but are left
-        # out of the medians that the slopes are computed on.
-        values = [r.value for r in records if r.metric == metric and r.n == n and r.converged]
-        return float(np.median(values)) if values else float("nan")
-
+    values, status = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
+    fit_statuses = {name: int((status == name).sum()) for name in FIT_STATUSES}
+    records = [
+        RateRecord(metric=m, n=n, replicate=rep, value=float(values[m][i_n, rep]), status=str(s))
+        for i_n, n in enumerate(config.n_grid)
+        for rep, s in enumerate(status[i_n])
+        for m in RATE_METRICS
+    ]
+    # Non-converged fits stay in the records as flagged rows but are left out
+    # of the medians that the slopes are computed on.
+    converged = status == "converged"
     medians = {
-        metric: tuple(_median(metric, n) for n in config.n_grid) for metric in RATE_METRICS
+        metric: tuple(
+            float(np.median(row[keep])) if keep.any() else float("nan")
+            for row, keep in zip(values[metric], converged)
+        )
+        for metric in RATE_METRICS
     }
 
     window = [n for n in config.n_grid if n >= burn_in]
@@ -542,7 +539,7 @@ def check_local_geometry(
     # its largest absolute value is the larger of two path maxima.
     log_pi = _log_gibbs(mdp, beta, Q, V)
     log_ratio = log_pi[:, 1] - log_pi[:, 0]
-    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
+    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=1)).max())
 
     J0, J1 = _dots(mdp.initial_dist, V[0])
     bregman = float(J1 - J0 - float(delta @ grads[0]))

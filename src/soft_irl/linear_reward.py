@@ -42,7 +42,6 @@ from .soft_dp import (
     _martingale_covariance,
     _path_max,
     _policy_values,
-    _stacked_next,
     feature_advantage,
     feature_values,
     policy_evaluate,
@@ -205,7 +204,7 @@ def _batch_feature_advantages(mdp: Mdp, phi: np.ndarray, probs: np.ndarray) -> n
     """The feature advantages ``(T, K, S, A, d)`` under ``K`` policy tables
     ``probs`` ``(T, K, S, A)``, each bit for bit :func:`feature_advantage`'s."""
     table = np.broadcast_to(phi[:, None], probs.shape[:2] + phi.shape[1:])
-    Q, V = _policy_values(mdp, table, probs, _stacked_next)
+    Q, V = _policy_values(mdp, table, probs)
     Q -= V[:-1, ..., None, :]
     return Q
 
@@ -278,7 +277,7 @@ def third_derivative(
     _, M2 = feature_values(mdp, np.stack([x[..., j] * x[..., k] for j, k in pairs], axis=-1), pi)
     next_M2 = np.zeros(x.shape)
     for t in range(mdp.T - 1):
-        next_M2[t] = _expected_next(mdp.kernels[t], M2[t + 1])
+        next_M2[t] = _expected_next(mdp.kernels[t], M2[t + 1][None])[0]
     local = x[..., 0] * x[..., 1] * x[..., 2] + (x * next_M2).sum(axis=-1)
     _, M3 = feature_values(mdp, local[..., None], pi)
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
@@ -359,7 +358,7 @@ def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas, policies=(
     if len(thetas):
         tables.append(_gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, thetas)))
     adv = _batch_feature_advantages(mdp, features.phi, np.concatenate(tables, axis=1))
-    return float(_path_max(mdp, np.moveaxis(np.linalg.norm(adv, axis=-1), 1, -1)).max())
+    return float(_path_max(mdp, np.linalg.norm(adv, axis=-1)).max())
 
 
 def _dikin_radius(beta: float, lambda_min: float, B_A_phi: float) -> float:
@@ -410,7 +409,7 @@ def _geometry_constants(
     that parameter."""
     beta = solution.beta
     grid = () if theta_grid is None else np.atleast_2d(np.asarray(theta_grid, dtype=np.float64))
-    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)))
+    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)[:, None])[0])
     B_A_phi = _score_bound(mdp, features, beta, grid, [solution.pi_star])
 
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding

@@ -16,10 +16,13 @@ Hellinger-remainder backup, and :func:`variance_decomposition` reads the
 return variance off one evaluation and the policy's occupancies.  With the
 max over the support of ``P_t`` in place of the expectation ``P_t V``, the
 kernel is the max-plus pass behind ``_path_max``: the largest sum of a
-per-step table along any path the MDP can take, with no enumeration.  A
-batch of tables (the fitter's value passes and bundles, the rate metrics)
-runs through the same kernel with a batch axis after time and a stacked
-successor product, which gives each table the BLAS calls of its own pass.
+per-step table along any path the MDP can take, with no enumeration.
+
+The kernel has one layout: a batch of ``K`` tables ``(T, K, S, A, ...)``,
+with the batch axis after time and one stacked successor product per step,
+which gives each table the BLAS calls of its own pass.  The fitter's value
+passes and bundles and the rate metrics run large batches; the public
+single-table functions are batches of one.
 """
 
 from __future__ import annotations
@@ -148,23 +151,13 @@ def _check_reward(mdp: Mdp, reward: RewardTable) -> None:
 
 
 def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """``(P_t v)(s, a, ...)`` for a value vector or a batch of value columns.
+    """``(P_t v)(s, a, ...)`` of a batch ``v_next`` ``(K, S, ...)``: shape ``(K, S, A, ...)``.
 
-    One matmul of the ``(S*A, S)`` kernel with ``v`` flattened to ``(S, -1)``,
-    so the product runs in BLAS whatever the trailing shape of ``v``.
-    """
-    S, A, Z = kernel_t.shape
-    flat = kernel_t.reshape(S * A, Z) @ v_next.reshape(Z, -1)
-    return flat.reshape((S, A) + v_next.shape[1:])
-
-
-def _stacked_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """:func:`_expected_next` of a batch ``v_next`` ``(K, S, ...)``: shape ``(K, S, A, ...)``.
-
-    A stacked matmul, so BLAS gets, for each batch member, the ``gemv`` or
-    ``gemm`` that :func:`_expected_next` makes on it alone, and every member
-    gets the bits of a lone call (one ``gemm`` over the whole batch would
-    not).
+    A stacked matmul of the ``(S*A, S)`` kernel with each member flattened to
+    ``(S, -1)``, so the product runs in BLAS whatever the trailing shape, and
+    BLAS gets, for each member, the ``gemv`` or ``gemm`` of a batch of one:
+    every member gets the bits of a lone call (one ``gemm`` over the whole
+    batch would not).
     """
     S, A, Z = kernel_t.shape
     K = v_next.shape[0]
@@ -172,11 +165,13 @@ def _stacked_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     return flat.reshape((K, S, A) + v_next.shape[2:])
 
 
-def _support_max(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """``max v(s')`` over the support ``P_t(s'|s, a) > 0``, for a value vector
-    or a batch of value columns: the max-plus successor operator."""
-    support = (kernel_t > 0.0).reshape(kernel_t.shape + (1,) * (v_next.ndim - 1))
-    return np.where(support, v_next, -np.inf).max(axis=2)
+def _support_max(support_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+    """``max v(s')`` over the support ``P_t(s'|s, a) > 0`` of a batch of value
+    vectors ``v_next`` ``(K, S)``, shape ``(K, S, A)``: the max-plus successor
+    operator.  ``support_t`` is the support ``(S', S, A)`` with the successor
+    first, so the max is an elementwise one of ``S'`` contiguous slices, not
+    one over a short last axis."""
+    return np.where(support_t[:, None], v_next.T[:, :, None, None], -np.inf).max(axis=0)
 
 
 def _backward(
@@ -185,12 +180,12 @@ def _backward(
     """The one backward-induction loop: ``Q_t = r_t + successor(P_t, V_{t+1})``,
     ``V_t = backup(t, Q_t)``.
 
-    The successor operator is the expectation ``P_t V`` unless another is
-    given.  ``r`` has shape ``(T, S, A, ...)``, or ``(T, K, S, A, ...)`` for a
-    batch of ``K`` tables with :func:`_stacked_next` as the successor;
-    trailing axes ride along unchanged.  Returns ``(Q, V)`` with ``V`` of
-    ``Q``'s shape less the action axis the backup removes, ``T+1`` rows in
-    time and an all-zero terminal row.
+    ``r`` is a batch of ``K`` tables ``(T, K, S, A, ...)``; trailing axes ride
+    along unchanged.  The successor operator is the expectation
+    :func:`_expected_next` of the kernels unless another is given, with the
+    per-step tables it reads as ``kernels``.  Returns ``(Q, V)`` with
+    ``V`` of ``Q``'s shape less the action axis the backup removes, ``T+1``
+    rows in time and an all-zero terminal row.
     """
     T = r.shape[0]
     Q = np.empty(r.shape)  # C order, whatever the layout of r, so each Q[t] is contiguous
@@ -207,16 +202,18 @@ def _backward(
 
 
 def _path_max(mdp: Mdp, table: np.ndarray) -> np.ndarray:
-    """``max sum_t table[t, s_t, a_t]`` over every path the MDP can take: ``s_0``
+    """``max sum_t table[t, k, s_t, a_t]`` over every path the MDP can take,
+    for each member ``k`` of a batch ``(T, K, S, A)``, shape ``(K,)``: ``s_0``
     in the support of ``initial_dist``, any actions, each successor in the
     support of its kernel row (the support of the uniform policy's law).
 
-    One max-plus pass of the backward kernel; ``table`` has shape ``(T, S, A,
-    ...)`` and each trailing column gets its own maximum.  Exact up to the
-    order of the additions.
+    One max-plus pass of the backward kernel over the kernels' supports, laid
+    out successor first for :func:`_support_max`.  Exact up to the order of
+    the additions.
     """
-    _, V = _backward(mdp.kernels, table, lambda t, q: q.max(axis=1), _support_max)
-    return V[0][mdp.initial_dist > 0.0].max(axis=0)
+    support = (mdp.kernels > 0.0).transpose(0, 3, 1, 2).copy()
+    _, V = _backward(support, table, lambda t, q: q.max(axis=-1), _support_max)
+    return V[0][:, mdp.initial_dist > 0.0].max(axis=1)
 
 
 def _backup(mdp: Mdp, beta: float):
@@ -243,7 +240,7 @@ def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndar
     bit for bit that of its own call.  For internal loops whose caller has
     already validated ``r`` and ``beta``.
     """
-    return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta), _stacked_next)
+    return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta))
 
 
 def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -329,13 +326,14 @@ def policy_evaluate(
     _check_compatible(mdp, policy)
     if beta < 0.0:
         raise DomainError("policy_evaluate requires beta >= 0")
-    probs = policy.probs
-    penalty = _regularizer(mdp, policy, beta)
+    probs = policy.probs[:, None]
+    penalty = _regularizer(mdp, policy, beta)[:, None]
 
     def expected_regularized(t, q):
         return (probs[t] * np.where(probs[t] > 0.0, q - penalty[t], 0.0)).sum(axis=-1)
 
-    Q, V = _backward(mdp.kernels, reward.r, expected_regularized)
+    Q, V = _backward(mdp.kernels, reward.r[:, None], expected_regularized)
+    Q, V, penalty = Q[:, 0], V[:, 0], penalty[:, 0]
     return PolicyEvaluation(
         beta=float(beta),
         V=V,
@@ -354,17 +352,16 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
     """
     phi = _feature_table(features, mdp)
     _check_compatible(mdp, policy)
-    return _policy_values(mdp, phi, policy.probs)
+    Q, V = _policy_values(mdp, phi[:, None], policy.probs[:, None])
+    return Q[:, 0], V[:, 0]
 
 
-def _policy_values(
-    mdp: Mdp, table: np.ndarray, probs: np.ndarray, successor=_expected_next
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unregularized ``(Q, V)`` of every trailing column of ``table`` under the
-    policy table ``probs``; with :func:`_stacked_next` as the successor,
-    ``table`` is ``(T, K, S, A, ...)`` and ``probs`` a batch ``(T, K, S, A)``."""
+def _policy_values(mdp: Mdp, table: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unregularized ``(Q, V)`` of every trailing column of a batch of tables
+    ``(T, K, S, A, ...)`` under the batch of policy tables ``probs`` ``(T, K,
+    S, A)``."""
     return _backward(
-        mdp.kernels, table, lambda t, q: np.matmul(probs[t][..., None, :], q)[..., 0, :], successor
+        mdp.kernels, table, lambda t, q: np.matmul(probs[t][..., None, :], q)[..., 0, :]
     )
 
 
@@ -446,7 +443,7 @@ def _batch_trajectory_hellinger(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.nd
     def remainder(t, expected_next):
         return local[t] + (affinity[t] * expected_next).sum(axis=-1)
 
-    _, D = _backward(mdp.kernels, np.zeros(affinity.shape), remainder, _stacked_next)
+    _, D = _backward(mdp.kernels, np.zeros(affinity.shape), remainder)
     return 2.0 * _dots(mdp.initial_dist, D[0])
 
 
@@ -460,7 +457,7 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
     out = np.empty((n, T))
     out[:, 0] = V[0][states[:, 0]] - float(mdp.initial_dist @ V[0])
     for k in range(1, T):
-        expected = _expected_next(mdp.kernels[k - 1], V[k])  # (S, A)
+        expected = _expected_next(mdp.kernels[k - 1], V[k][None])[0]  # (S, A)
         out[:, k] = V[k][states[:, k]] - expected[states[:, k - 1], actions[:, k - 1]]
     return out
 
@@ -517,7 +514,7 @@ def _martingale_covariance(
     mean0 = mdp.initial_dist @ V[0]
     dynamics = _weighted_second_moment(mdp.initial_dist, V[0].copy()) - np.outer(mean0, mean0)
     for k in range(1, mdp.T):
-        cond_mean = _expected_next(mdp.kernels[k - 1], V[k])
+        cond_mean = _expected_next(mdp.kernels[k - 1], V[k][None])[0]
         dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k].copy())
         dynamics -= _weighted_second_moment(mu[k - 1], cond_mean)
     return _weighted_second_moment(mu, adv), dynamics

@@ -111,6 +111,22 @@ def test_fit_from_instance(tmp_path, capsys):
     assert payload["iterations"] == len(payload["trace"]) - 1 or payload["iterations"] <= len(payload["trace"])
 
 
+def test_fit_draws_its_default_data_with_seed_plus_one(tmp_path, capsys):
+    """Without ``data_seed``, ``fit`` samples with ``seed + 1``, as
+    ``equivalence``, ``rates`` and ``concentration`` do: with ``seed`` itself,
+    trajectory i would replay the instance's child stream i (the dynamics and
+    the expert's parameter)."""
+    section = {"instance": {k: v for k, v in TINY_INSTANCE.items() if k != "seed"}, "n": 64}
+    written = []
+    for fit in (section, dict(section, data_seed=4), dict(section, data_seed=3)):
+        out = tmp_path / str(len(written))
+        cfg = write_config(tmp_path, {"seed": 3, "output_dir": str(out), "fit": fit})
+        assert main(["fit", "--config", cfg]) == 0
+        written.append((out / "fit.json").read_bytes())
+    assert written[0] == written[1]
+    assert written[0] != written[2]
+
+
 # the configs/rates.json instance; replicate 1 of its n = 64 cell samples a
 # target outside the moment set
 RATES_INSTANCE = {"S": 5, "A": 3, "T": 4, "d": 6, "beta": 0.5, "seed": 5}

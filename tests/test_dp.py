@@ -38,13 +38,14 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
-from soft_irl.soft_dp import _expected_next
+from soft_irl.soft_dp import _backward, _expected_next, _path_max, _policy_values, _regularizer
 
 from test_mdp import (
     ENUMERATION_CAP,
     enumerate_support,
     random_mdp,
     random_policy,
+    sparse_distributions,
     trajectory_probs,
 )
 
@@ -614,13 +615,21 @@ SUCCESSOR_SIZES = [(5, 3, 4, 6), (50, 10, 20, 50)]
 @pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES)
 @pytest.mark.parametrize("tail", [(), "d", (3,), (2, 3)])
 def test_expected_next_matches_einsum(S, A, T, d, tail):
+    """The stacked product of a batch of K = 1 and of K = 3 value tables
+    matches the einsum form for each member, and each member of the batch of
+    three is bit for bit its own batch of one."""
     rng = np.random.default_rng(S + len(tail))
     mdp = random_mdp(rng, S=S, A=A, T=T)
     tail = (d,) if tail == "d" else tail
     for t in range(T - 1):
-        v = rng.random((S,) + tail)
         kernel = mdp.kernels[t]
-        assert_matches_einsum(_expected_next(kernel, v), einsum_expected_next(kernel, v))
+        for K in (1, 3):
+            v = rng.random((K, S) + tail)
+            batch = _expected_next(kernel, v)
+            assert batch.shape == (K, S, A) + tail
+            for k in range(K):
+                assert_matches_einsum(batch[k], einsum_expected_next(kernel, v[k]))
+                assert np.array_equal(batch[k], _expected_next(kernel, v[k : k + 1])[0])
 
 
 @pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES + [(4, 3, 1, 5)])
@@ -680,3 +689,64 @@ def test_one_step_mdp_runs_every_successor_path():
     at_fit = derivative_bundle(mdp, LinearRewardModel(features=features, theta=fit.theta_hat), beta)
     assert np.array_equal(fit.hessian_at_solution, at_fit.hessian)
     assert trajectory_kl(mdp, policy, pi) > 0.0 and trajectory_kl(mdp, pi, pi) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batches of one: each single-table function is one member of the batched kernel
+
+
+def sparse_instance(rng, S, A, T, deterministic):
+    """An MDP with zero-mass initial and kernel entries (or one-hot ones) and
+    a non-uniform reference measure."""
+    if deterministic:
+        return random_mdp(rng, S=S, A=A, T=T, deterministic=True)
+    return Mdp(T=T, S=S, A=A, initial_dist=sparse_distributions(rng, (S,)),
+               kernels=sparse_distributions(rng, (T - 1, S, A, S)),
+               ref_measure=0.5 + rng.random(A))
+
+
+BATCH_SIZES = (st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5),
+               st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+               st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(*BATCH_SIZES)
+def test_path_max_of_a_stack_is_each_tables_own_property(rng_seed, S, A, T, deterministic):
+    rng = np.random.default_rng(rng_seed)
+    mdp = sparse_instance(rng, S, A, T, deterministic)
+    tables = rng.normal(size=(3, T, S, A))
+    batch = _path_max(mdp, np.stack(list(tables), axis=1))
+    assert batch.shape == (3,)
+    for k, table in enumerate(tables):
+        assert np.array_equal(batch[k : k + 1], _path_max(mdp, table[:, None]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*BATCH_SIZES, st.integers(min_value=1, max_value=4), st.sampled_from([0.0, 0.4, 1.7]))
+def test_policy_values_of_a_policy_are_its_member_of_a_batch_property(
+    rng_seed, S, A, T, deterministic, d, beta
+):
+    """``feature_values`` and ``policy_evaluate`` of each of three policies
+    (with zero-mass actions) equal its member of the batch of three, bit for
+    bit; the batched evaluation runs the kernel with ``policy_evaluate``'s
+    regularized backup."""
+    rng = np.random.default_rng(rng_seed)
+    mdp = sparse_instance(rng, S, A, T, deterministic)
+    policies = [Policy(probs=sparse_distributions(rng, (T, S, A)), label="sparse") for _ in range(3)]
+    phis = rng.normal(size=(3, T, S, A, d))
+    rewards = rng.normal(size=(3, T, S, A))
+    probs = np.stack([pi.probs for pi in policies], axis=1)
+    penalty = np.stack([_regularizer(mdp, pi, beta) for pi in policies], axis=1)
+
+    def expected_regularized(t, q):
+        return (probs[t] * np.where(probs[t] > 0.0, q - penalty[t], 0.0)).sum(axis=-1)
+
+    Q_phi, V_phi = _policy_values(mdp, np.stack(list(phis), axis=1), probs)
+    Q_r, V_r = _backward(mdp.kernels, np.stack(list(rewards), axis=1), expected_regularized)
+    for k, pi in enumerate(policies):
+        Q, V = feature_values(mdp, phis[k], pi)
+        assert np.array_equal(Q, Q_phi[:, k]) and np.array_equal(V, V_phi[:, k])
+        evaluation = policy_evaluate(mdp, RewardTable(r=rewards[k]), pi, beta)
+        assert np.array_equal(evaluation.Q, Q_r[:, k]) and np.array_equal(evaluation.V, V_r[:, k])
+        assert evaluation.J == float(mdp.initial_dist @ V_r[0, k])

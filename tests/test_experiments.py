@@ -449,7 +449,7 @@ def per_parameter_score_bound(mdp, features, beta, thetas, policies=()):
         model = LinearRewardModel(features=features, theta=theta)
         policies.append(solve_model(mdp, model, beta).pi_star)
     norms = [np.linalg.norm(feature_advantage(mdp, features, pi), axis=-1) for pi in policies]
-    return float(_path_max(mdp, np.stack(norms, axis=-1)).max())
+    return float(_path_max(mdp, np.stack(norms, axis=1)).max())
 
 
 def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
@@ -477,7 +477,7 @@ def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
         _log_gibbs(mdp, beta, solution1.Q, solution1.V)
         - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
     )
-    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=-1)).max())
+    max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=1)).max())
     bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)
     gradient_gap = float(delta @ (bundle1.grad - bundle0.grad))
     sq = delta_h0**2

@@ -876,7 +876,8 @@ def test_path_maxima_match_enumeration_property(rng_seed, S, A, T, d, determinis
         mdp, beta, solutions[0].Q, solutions[0].V
     )
     exact_ratio = float(np.abs(log_ratio[steps, states, actions].sum(axis=1)).max())
-    path_ratio = max(float(_path_max(mdp, log_ratio)), float(_path_max(mdp, -log_ratio)))
+    path_ratio = max(float(_path_max(mdp, log_ratio[:, None])[0]),
+                     float(_path_max(mdp, -log_ratio[:, None])[0]))
     assert path_ratio == pytest.approx(exact_ratio, rel=tol, abs=tol)
     if constants.lambda_star > 1e-6:  # check_local_geometry needs a definite Hessian
         report = check_local_geometry(mdp, features, beta, theta0, theta1)

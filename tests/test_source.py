@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,15 @@ def test_dead_private_names_are_found():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_all_lists_the_package_names():
+    """``__all__`` is sorted and names exactly the public, non-module names
+    that ``soft_irl/__init__.py`` binds."""
+    bound = {
+        name
+        for name, value in vars(soft_irl).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert soft_irl.__all__ == sorted(soft_irl.__all__)
+    assert sorted(soft_irl.__all__) == sorted(bound)
