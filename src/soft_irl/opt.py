@@ -28,7 +28,15 @@ single fit is a batch of one), inside the ball and on its sphere alike, with
 one Newton step (:func:`_restricted_newton_step`), one acceptance rule (the
 full step where rounding hides its predicted decrease, else :func:`_armijo`)
 and one way to a derivative bundle: a value-only soft pass, whose tables
-become the bundle once the point is accepted.
+become the bundle once the point is accepted.  Without a ball, far from the
+minimizer (a Newton decrement of at least ``_EXTENSION_GATE``), a full step
+that :func:`_armijo` accepts is extended: step sizes 2, 4, ... up to
+``_EXTENSION_CAP`` are tried, one value pass each, and the last trial whose
+loss is below the previous trial's and that passes :func:`_armijo` at its own
+size is taken.  The Gibbs policy sharpens away from the start, so the
+curvature falls along the Newton direction and a full step undershoots there;
+an extension trial is a value pass, far cheaper than the derivative bundle of
+an extra iteration.
 
 Everything is deterministic: same inputs produce bitwise-identical traces,
 whatever batch a target is fitted in.
@@ -65,6 +73,10 @@ _RIDGE_THRESHOLD = 1e-10
 _LINE_SEARCH_FACTOR = 0.5
 _LINE_SEARCH_FLOOR = 2.0**-60
 _LINE_SEARCH_ACCEPT = 1e-4
+# Step extension (see _fit_batch): the smallest decrement at which a judged
+# full step is extended, and the largest step size tried.
+_EXTENSION_GATE = 0.5
+_EXTENSION_CAP = 8.0
 # A predicted decrease up to 64 ulps of the loss's terms is below what comparing
 # two losses can resolve: the full step is then taken without a search.
 _LOSS_RESOLUTION = 64.0 * float(np.finfo(np.float64).eps)
@@ -91,7 +103,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted Newton iteration (values at the iterate before the step)."""
+    """One accepted Newton iteration (values at the iterate before the step).
+
+    ``step_size`` is the multiple of the Newton step taken: ``2**-k`` after a
+    search halved it, 2, 4 or 8 where the step was extended, and ``0.0`` on
+    the last record, from which no step was taken."""
 
     iteration: int
     loss: float
@@ -119,7 +135,8 @@ class IrlFitResult:
     On an active ball the iterates that reach the sphere step along it: there
     ``final_decrement`` is the Newton decrement of the Lagrangian on the
     sphere's tangent space, and ``trace`` and ``iterations`` include those
-    steps.
+    steps.  Without a ball, a step far from the minimizer can be a multiple
+    of the Newton step above 1 (``IterationRecord.step_size`` 2, 4 or 8).
 
     The decrement is measured on the image of the Hessian at the start
     ``theta = 0``, so ``"converged"`` certifies the target's moments on that
@@ -269,7 +286,13 @@ def _fit_batch(
     shrinks the decrement, else the fit stops ``"stalled"``.  Elsewhere the
     Armijo search judges the step, and the fit stops ``"stalled"`` when the
     search reaches the floor or, without a ball, a trial rounds to the
-    iterate (as every smaller step would).
+    iterate (as every smaller step would).  Without a ball, where Armijo
+    accepts the full step and it lowers the loss at an iterate whose
+    decrement is at least ``_EXTENSION_GATE``, the search goes on to step
+    sizes 2, 4, ... up to ``_EXTENSION_CAP``.  It keeps each trial whose loss
+    is below the previous trial's and that passes Armijo at its own size, and
+    stops at the first that does not.  The step is the last kept trial, whose
+    stored value-pass tables become the next bundle.
     """
     beta, phi, radius = config.beta, features.phi, config.B_theta
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
@@ -311,6 +334,10 @@ def _fit_batch(
     alpha = np.ones(K)
     trial = np.zeros((K, d))
     unjudged = np.zeros(K, dtype=bool)
+    # a fit trying step sizes above 1, with its last kept trial: point, loss and tables
+    extending = np.zeros(K, dtype=bool)
+    kept_point, kept_loss = np.zeros((K, d)), np.zeros(K)
+    kept_Q, kept_V = (np.zeros((len(table), K) + table.shape[2:]) for table in start_values)
     status = np.full(K, "max_iters", dtype=object)
     direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
     iterates = np.zeros(K, dtype=np.int64)
@@ -376,18 +403,40 @@ def _fit_batch(
             accepted[judged], next_alpha[judged] = _armijo(
                 trial_loss[judged], loss[fits], alpha[fits], directional[fits]
             )
-        moved = accepted & (unjudged[rows] | (trial_loss < loss[rows]))
-        halved = ~accepted & (next_alpha > 0.0)
-        status[rows[~moved & ~halved]] = "stalled"  # no step size decreased the loss
+        # a trial lowers the iterate's loss, or an extension trial its kept trial's
+        extended = extending[rows]
+        previous = np.where(extended, kept_loss[rows], loss[rows])
+        better = accepted & (unjudged[rows] | (trial_loss < previous))
+        # without a ball, far from the minimizer, a judged step of size 1 or
+        # more that is kept goes on to twice its size, up to the cap
+        sizes = alpha[rows]
+        extend = better & ~unjudged[rows] & (1.0 <= sizes) & (sizes < _EXTENSION_CAP)
+        extend &= (decrement[rows] >= _EXTENSION_GATE) & (not bounded)
+        fallback = extended & ~better  # the step is the last kept trial
+        halved = ~extended & ~accepted & (next_alpha > 0.0)
+        status[rows[~extended & ~better & ~halved]] = "stalled"  # no step size decreased the loss
         alpha[rows[halved]] = next_alpha[halved]
-        searching = trials(rows[halved])
+        moved = (better & ~extend) | fallback
+
+        # keep each extended trial, with its tables, and try twice its size
+        fits = rows[extend]
+        kept_Q[:, fits], kept_V[:, fits] = Q[:, extend], V[:, extend]
+        kept_point[fits], kept_loss[fits], extending[fits] = trial[fits], trial_loss[extend], True
+        alpha[fits] *= 2.0
+        searching = np.concatenate([trials(rows[halved]), trials(fits)])
         if not moved.any():
             continue
 
         j = np.flatnonzero(moved)
         fits = rows[j]
         # C-contiguous, as a lone fit's tables are
-        grads, hessians = derivatives(Q.take(j, axis=1), V.take(j, axis=1))
+        Q, V = Q.take(j, axis=1), V.take(j, axis=1)
+        # an extension that stopped steps to its last kept trial, whose tables it stored
+        back = rows[fallback]
+        Q[:, fallback[j]], V[:, fallback[j]] = kept_Q[:, back], kept_V[:, back]
+        trial[back], trial_loss[fallback], alpha[back] = kept_point[back], kept_loss[back], alpha[back] / 2
+        extending[fits] = False
+        grads, hessians = derivatives(Q, V)
         steps, decrements, ridges = newton_steps(trial[fits], grads - targets[fits], hessians)
         refined = ~unjudged[fits] | (decrements < decrement[fits])
         status[fits[~refined]] = "stalled"  # the full step did not refine the iterate

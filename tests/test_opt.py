@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soft_irl import (
@@ -301,19 +301,23 @@ def recorded_fit(monkeypatch, fit, *args):
     """``fit(*args)``, a fit of one target, with its value passes counted and
     its Armijo searches recorded.  Returns the result, the number of value
     passes and, per trace record, its search as ``(directional derivative,
-    [(alpha, next alpha or None if accepted), ...])``: ``(None, [])`` where
-    the record took its step without a search, or took none."""
+    [(alpha, next alpha or None if Armijo accepts, trial loss), ...])``:
+    ``(None, [])`` where the record took its step without a search, or took
+    none.  A search lists every trial the rule judged, in order: the halved
+    ones below 1 and the extension trials above it."""
     passes, searches = [], []  # searches: (the iterate's loss, directional, [...])
     armijo, loss_and_values = opt._armijo, opt._loss_and_values
 
     def recording_armijo(trial_loss, loss, alpha, directional):
         accepted, next_alpha = armijo(trial_loss, loss, alpha, directional)
         # row by row; a batch of one has at most one row
-        rows = zip(*(a.tolist() for a in (loss, directional, alpha, accepted, next_alpha)))
-        for row_loss, row_directional, row_alpha, row_accepted, row_next in rows:
+        columns = (trial_loss, loss, directional, alpha, accepted, next_alpha)
+        for row_trial, row_loss, row_directional, row_alpha, row_accepted, row_next in zip(
+            *(a.tolist() for a in columns)
+        ):
             if row_alpha == 1.0:
                 searches.append((row_loss, row_directional, []))
-            searches[-1][2].append((row_alpha, None if row_accepted else row_next))
+            searches[-1][2].append((row_alpha, None if row_accepted else row_next, row_trial))
         return accepted, next_alpha
 
     def counting_loss_and_values(*args):
@@ -337,7 +341,8 @@ def fit_on_a_small_ball(monkeypatch, spec, scale=0.05, **config):
     """:func:`recorded_fit` of ``fit_population`` on ``generate_instance(spec)``
     with ``B_theta`` ``scale`` times the unconstrained optimum's norm.
     Returns the instance, the radius, the result, the fit's value passes and
-    its searches, one per trace record."""
+    its searches, one per trace record, as ``[(alpha, next alpha or None),
+    ...]``."""
     instance = generate_instance(spec)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = instance.spec.beta
@@ -347,7 +352,9 @@ def fit_on_a_small_ball(monkeypatch, spec, scale=0.05, **config):
     result, passes, searches = recorded_fit(
         monkeypatch, fit_population, mdp, features, expert, config
     )
-    return instance, radius, result, passes, [search for _, search in searches]
+    return instance, radius, result, passes, [
+        [(alpha, next_alpha) for alpha, next_alpha, _ in search] for _, search in searches
+    ]
 
 
 def assert_kkt_on_the_sphere(instance, radius, result):
@@ -531,6 +538,35 @@ def test_a_step_is_unjudged_exactly_where_the_loss_cannot_resolve_it(monkeypatch
     assert unjudged >= 10 and judged >= 100
 
 
+def test_an_unjudged_step_is_not_extended(monkeypatch):
+    """A step the loss cannot judge is a full step, however far from the
+    minimizer.  Shifting feature 0 by 1e15 (and the target with it) leaves
+    the loss and its derivatives as they were in exact arithmetic, but makes
+    the loss's terms about 4e15 |theta_0|.  After the first step the loss
+    cannot resolve decrements of order 1, so some steps at or above the
+    extension gate are taken with no search, and each of those is of size 1."""
+    shift = np.array([1e15, 0.0])
+    far = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, S=3, A=2, T=2)
+        features = random_features(rng, mdp, 2)
+        target = derivative_bundle(mdp, model_at(features, 4.0 * rng.normal(size=2)), 0.7).grad
+        target = target + mdp.T * shift
+        result, _, searches = recorded_fit(
+            monkeypatch, opt._fit, mdp, FeatureMap(features.phi + shift), target, FitConfig(beta=0.7)
+        )
+        for record, (_, search) in zip(result.trace, searches):
+            if search or record.step_size == 0.0:
+                continue
+            inner = float(np.array(record.theta) @ target)
+            resolution = opt._LOSS_RESOLUTION * (abs(record.loss + inner) + abs(inner))
+            assert record.decrement**2 <= resolution
+            assert record.step_size == 1.0
+            far += record.decrement >= opt._EXTENSION_GATE
+    assert far >= 1
+
+
 # The last case is the rates fit (n = 512, replicate 16 of configs/rates.json)
 # whose line search once shrank its step below the ulp of theta and solved the
 # iterate again; its search now ends there instead.
@@ -544,7 +580,8 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
     was taken without one.  No point is solved twice in one fit, so no
     accepted point is solved again for its bundle.  The only other
     optimal-value passes are the separation tests' max-plus passes.  In the
-    first case the passes are the start plus one per step size tried."""
+    first case the passes are the start plus one per step size tried, the
+    extension trials above 1 among them."""
     inst = generate_instance(RATES_SPEC)
     data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
     events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q, V)), one per batch row
@@ -600,12 +637,27 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
             and all(np.array_equal(a, b) for a, b in zip(events[i][1], event[2]))
             for event in events[:i]
         )
+    # each bundle is the value pass of its own iterate: an extended step's is
+    # its kept trial's, not the rejected trial's after it
+    for i, record in zip(bundles, result.trace):
+        point = np.array(record.theta).tobytes()
+        value = next(event for event in events[:i] if event[0] == "value" and event[1] == point)
+        assert all(np.array_equal(a, b) for a, b in zip(events[i][1], value[2]))
     solved = [event[1] for event in events if event[0] == "value"]
     assert len(solved) == sum(value_calls)
     assert len(set(solved)) == len(solved)
     if (n, data_seed) == (256, 2):
-        tried = sum(round(-np.log2(rec.step_size)) + 1 for rec in result.trace[:-1])
+        # per step, the sizes tried: 1, 1/2, ... down to a halved step, or 1,
+        # 2, ... up to an extended one and, below the cap, the rejected trial
+        # of twice its size wherever the decrement let the extension run (an
+        # unjudged step, its decrement far below the gate, is one trial)
+        tried = 0
+        for rec in result.trace[:-1]:
+            extension = rec.step_size >= 1.0 and rec.decrement >= opt._EXTENSION_GATE
+            rejected = extension and rec.step_size < opt._EXTENSION_CAP
+            tried += abs(round(np.log2(rec.step_size))) + 1 + rejected
         assert len(events) - len(bundles) == 1 + tried
+        assert result.trace[0].step_size == 2.0  # the first step extends once
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
@@ -670,6 +722,9 @@ def test_ball_constrained_fit_skips_the_certificate():
     st.integers(min_value=1, max_value=3),
     st.sampled_from([0.1, 1.0, 10.0]),
 )
+# an extension without a gate or cap ran this fit to |theta| ~ 1e7 before the
+# certificate fired, and the inequality failed by rounding
+@example(seed=156, S=3, A=2, T=1, d=3, offset=10.0)
 def test_certificate_soundness_property(seed, S, A, T, d, offset):
     """The certificate never fires on a full-support policy's feature
     expectation (a point inside the moment set); when it fires on a shifted
@@ -737,7 +792,8 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     whose other members stop in every other way.  So are the fits of a batch
     that shares a ball half as wide as the target's unconstrained optimum,
     which holds the target's fit on the sphere and the expectation at
-    ``theta = 0`` off it."""
+    ``theta = 0`` off it, and of a batch with members whose steps extend
+    past the full Newton step."""
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T)
     features = random_features(rng, mdp, d)
@@ -788,6 +844,94 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     assert mixed[0].status == "infeasible"
     assert mixed[2].status == "converged" and mixed[2].iterations == 0
     assert (short[1].status == "max_iters") == (len(mixed[1].trace) > 2)
+
+    # Members whose steps extend, added to the first batch: the expectation of
+    # a sharp Gibbs policy, far inside the moment set, and a target far outside
+    # it, whose first step extends before the separation test stops it.
+    far = derivative_bundle(mdp, model_at(features, 16.0 * beta * rng.normal(size=d)), beta).grad
+    outside = outside_target(rng, mdp, features, 10.0)
+    members = np.vstack([np.insert(others, slot, target, axis=0), far, outside])
+    extended = opt._fit_batch(mdp, features, members, config)
+    for fit, member_fit in zip(extended, batch):
+        assert same_fit(fit, member_fit)
+    for fit, member in zip(extended[-2:], members[-2:]):
+        assert same_fit(fit, opt._fit(mdp, features, member, config))
+    assert extended[-1].status == "infeasible" and extended[-1].trace[0].step_size > 1.0
+
+
+def assert_extension_rule(result, searches, bounded):
+    """Check each step of a fit recorded by :func:`recorded_fit` against the
+    extension rule, from the recorded trial losses alone.
+
+    A search tries step sizes above 1 exactly when its full step was judged,
+    passed Armijo and lowered the loss, at an iterate whose decrement is at
+    least the gate, in a fit without a ball.  Those sizes double from 2 to at
+    most the cap.  A trial is kept only when its loss is below the previous
+    trial's and it passes Armijo at its own size; the search stops at the
+    first trial that is not kept, and the step is the last kept trial, whose
+    loss is the next iterate's."""
+    extended = 0
+    for i, (record, (directional, search)) in enumerate(zip(result.trace, searches)):
+        if not search:  # no search: the step, if any, is a full step taken unjudged
+            assert record.step_size in (0.0, 1.0)
+            continue
+        for alpha, next_alpha, trial_loss in search:
+            armijo = trial_loss <= record.loss + opt._LINE_SEARCH_ACCEPT * alpha * directional
+            assert (next_alpha is None) == armijo
+        (first, first_next, first_loss), extension = search[0], search[1:]
+        assert first == 1.0
+        full_kept = first_next is None and first_loss < record.loss
+        gate = record.decrement >= opt._EXTENSION_GATE and not bounded
+        if not (full_kept and gate):
+            assert all(alpha < 1.0 for alpha, _, _ in extension)
+            continue
+        assert [alpha for alpha, _, _ in extension] == [2.0 ** (k + 1) for k in range(len(extension))]
+        size, previous = 1.0, first_loss
+        for k, (alpha, next_alpha, trial_loss) in enumerate(extension):
+            if next_alpha is not None or not trial_loss < previous:
+                assert k == len(extension) - 1  # the first trial not kept ends the search
+                break
+            size, previous = alpha, trial_loss
+        else:
+            assert size == opt._EXTENSION_CAP
+        assert record.step_size == size
+        if i + 1 < len(result.trace):
+            assert result.trace[i + 1].loss == previous
+        extended += size > 1.0
+    return extended
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.3, 0.7, 2.0]),
+    st.sampled_from([1.0, 4.0, 16.0]),
+)
+def test_a_step_extends_only_while_each_doubled_trial_is_kept_property(
+    seed, S, A, T, d, beta, scale
+):
+    """Every step of three fits follows the extension rule
+    (:func:`assert_extension_rule`): the expectation of a Gibbs policy at
+    ``scale * beta`` times a normal draw, a target outside the moment set
+    (whose first step extends), and the first target fitted in a ball of
+    radius 1, where no step extends."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T)
+    features = random_features(rng, mdp, d)
+    inside = derivative_bundle(mdp, model_at(features, scale * beta * rng.normal(size=d)), beta).grad
+    outside = outside_target(rng, mdp, features, 10.0)
+    for target, radius in ((inside, float("inf")), (outside, float("inf")), (inside, 1.0)):
+        with pytest.MonkeyPatch.context() as patch:
+            result, _, searches = recorded_fit(
+                patch, opt._fit, mdp, features, target, FitConfig(beta=beta, B_theta=radius)
+            )
+        extended = assert_extension_rule(result, searches, radius != float("inf"))
+        if target is outside:
+            assert result.status == "infeasible" and extended >= 1
 
 
 @settings(max_examples=30, deadline=None)

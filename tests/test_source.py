@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
@@ -92,3 +93,11 @@ def test_all_lists_the_package_names():
     }
     assert soft_irl.__all__ == sorted(soft_irl.__all__)
     assert sorted(soft_irl.__all__) == sorted(bound)
+
+
+def test_fit_config_has_no_new_fields():
+    """``FitConfig`` holds the problem's settings only; the solver's
+    constants (ridge, line search, step extension) stay
+    module constants of ``opt``."""
+    names = [field.name for field in dataclasses.fields(soft_irl.FitConfig)]
+    assert names == ["beta", "B_theta", "tol_decrement", "max_iters"]
