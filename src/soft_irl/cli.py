@@ -32,6 +32,7 @@ from .errors import InputError, SoftIrlError
 from .experiments import (
     InstanceSpec,
     RateConfig,
+    _spawn_rng,
     check_concentration,
     check_local_geometry,
     dikin_boundary_pair,
@@ -280,7 +281,7 @@ def cmd_geometry(args) -> int:
     factor = far_factor if placement == "far" else 1.0
     instance = generate_instance(spec)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(7,))))
+    rng = _spawn_rng(seed, 7)
     reports = []
     failures = 0
     for k in range(pairs):

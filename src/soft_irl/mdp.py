@@ -197,6 +197,8 @@ def _check_paths(shape: tuple[int, ...], states, actions, what: str = "path"):
     if actions.shape != states.shape:
         raise DimensionError(f"{what} actions", states.shape, actions.shape)
     for index, name, axis, size in ((states, "state", "S", S), (actions, "action", "A", A)):
+        if index.dtype.kind not in "iu":
+            raise InvariantError(f"{what} {name} indices must be integers, got dtype {index.dtype}")
         if index.min(initial=0) < 0 or index.max(initial=0) >= size:
             raise InvariantError(f"{what} {name} index out of range ({axis}={size})")
     return states, actions
@@ -231,115 +233,10 @@ def _occupancy(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     return mu
 
 
-# Constants of numpy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx,
-# numpy/random/src/pcg64): the stream below reproduces theirs bit for bit.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_MAX_STREAMS = 2**32  # the trajectory index is a single uint32 spawn word
+# One uniform per draw, 2T per trajectory: at 2**32 trajectories the uniforms
+# alone would take 64*T GiB.
+_MAX_TRAJECTORIES = 2**32
 _MAX_COUNT = 2**63  # numpy draws multinomial counts as int64
-
-
-def _seed_words(seed: int) -> list[int]:
-    """``seed`` as little-endian uint32 words, zero-padded to the pool size."""
-    words = []
-    while seed > 0:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    return words + [0] * (_POOL_SIZE - len(words))
-
-
-def _hash_constants(init: int, mult: int):
-    """The ``(xor, multiplier)`` pairs of SeedSequence's successive hashes."""
-    h = init
-    while True:
-        nxt = (h * mult) & _MASK32
-        yield np.uint32(h), np.uint32(nxt)
-        h = nxt
-
-
-def _hash(value: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _spawned_pools(seed: int, n: int) -> list[np.ndarray]:
-    """Entropy pools of ``SeedSequence(seed, spawn_key=(i,))``: four uint32 rows."""
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _seed_words(seed)]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i], constants) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hash(pool[i_src], constants))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], _hash(word, constants))
-    return pool
-
-
-def _generate_state64(pool: list[np.ndarray]) -> list[np.ndarray]:
-    """``generate_state(4, np.uint64)`` of each pool column: four uint64 rows."""
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hash(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
-
-
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit product ``a * b``, from 32-bit limbs."""
-    m32 = np.uint64(_MASK32)
-    a0, a1 = a & m32, a >> np.uint64(32)
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & m32) + (p10 & m32)
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One 128-bit LCG step ``state * MULT + inc`` on ``(hi, lo)`` uint64 halves."""
-    new_hi = hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + _mulhi64(lo, _PCG_MULT_LO)
-    new_lo = lo * np.uint64(_PCG_MULT_LO)
-    out_lo = new_lo + inc_lo
-    carry = (out_lo < new_lo).astype(np.uint64)
-    return new_hi + inc_hi + carry, out_lo
-
-
-def _child_uniforms(seed: int, n: int, draws: int) -> np.ndarray:
-    """Uniforms for ``n`` trajectories, one child generator per trajectory.
-
-    Row ``i`` equals ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))
-    .random(draws)`` bit for bit, so sampling can be split across workers at
-    any granularity without changing the result.  All ``n`` streams advance
-    together as uint64 array arithmetic.
-    """
-    w0, w1, w2, w3 = _generate_state64(_spawned_pools(seed, n))
-    # PCG64 seeding: inc = (w2:w3) << 1 | 1, state = 0; step, add (w0:w1), step.
-    # The first step from state 0 leaves just inc.
-    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
-    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
-    lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < w1).astype(np.uint64)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-
-    out = np.empty((n, draws))
-    for k in range(draws):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then the top 53 bits as a double in [0, 1)
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[:, k] = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return out
 
 
 def _is_integer(value) -> bool:
@@ -405,10 +302,12 @@ def _inverse_cdf(table: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
 def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
     """Draw ``n`` i.i.d. trajectories from ``policy`` in ``mdp``.
 
-    Bit-reproducible: trajectory ``i`` consumes the uniforms of its own child
-    generator in the fixed order ``s_0, a_0, s_1, a_1, ...``; results do not
-    depend on how the work is batched.  ``seed`` must be a non-negative
-    integer and ``1 <= n < 2**32``; anything else raises an ``InputError``.
+    Bit-reproducible: the uniforms are ``Generator(PCG64(seed)).random((n,
+    2 * T))``, and trajectory ``i`` consumes row ``i`` in the fixed order
+    ``s_0, a_0, s_1, a_1, ...``.  The stream fills rows in order, so the first
+    ``m`` trajectories of ``n`` are the ``m``-trajectory dataset.  ``seed``
+    must be a non-negative integer and ``1 <= n < 2**32``; anything else
+    raises an ``InputError``.
 
     A draw is an inverse-CDF lookup.  Per call, the running totals of each row
     of ``initial_dist``, of ``policy.probs[t]`` and of ``kernels[t]`` (as
@@ -424,9 +323,9 @@ def sample_trajectories(mdp: Mdp, policy: Policy, n: int, seed: int) -> Dataset:
     n = int(n)
     if n < 1:
         raise EmptyDatasetError("cannot sample an empty dataset (n must be >= 1)")
-    if n >= _MAX_STREAMS:
-        raise DomainError(f"n must be below 2**32 (one uint32 stream index per trajectory), got {n}")
-    u = _child_uniforms(seed, n, 2 * mdp.T)
+    if n >= _MAX_TRAJECTORIES:
+        raise DomainError(f"n must be below 2**32 (the uniforms would not fit in memory), got {n}")
+    u = np.random.Generator(np.random.PCG64(seed)).random((n, 2 * mdp.T))
 
     states = np.empty((n, mdp.T), dtype=np.int64)
     actions = np.empty((n, mdp.T), dtype=np.int64)
@@ -531,12 +430,15 @@ def _occupancy_average(mu: np.ndarray, table: np.ndarray) -> np.ndarray:
     return mu.reshape(-1) @ table.reshape(mu.size, -1)
 
 
-def _feature_table(features, mdp: Mdp) -> np.ndarray:
+def _feature_table(features, mdp: Mdp | None = None) -> np.ndarray:
     """``features``, a feature-map object exposing ``.phi`` or a raw array, as
-    a float ``(T, S, A, d)`` table on ``mdp``'s axes."""
+    a finite float ``(T, S, A, d)`` table, on ``mdp``'s axes when given."""
     phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
-    if phi.ndim != 4 or phi.shape[:3] != (mdp.T, mdp.S, mdp.A):
-        raise DimensionError("features", (mdp.T, mdp.S, mdp.A, "d"), phi.shape)
+    axes = ("T", "S", "A") if mdp is None else (mdp.T, mdp.S, mdp.A)
+    if phi.ndim != 4 or (mdp is not None and phi.shape[:3] != axes):
+        raise DimensionError("features", (*axes, "d"), phi.shape)
+    if not np.all(np.isfinite(phi)):
+        raise InvariantError("features: entries must be finite")
     return phi
 
 
@@ -547,9 +449,7 @@ def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:
     ``features`` may be a feature-map object exposing ``.phi`` or a raw array
     of shape ``(T, S, A, d)``.
     """
-    phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
-    if phi.ndim != 4:
-        raise DimensionError("features", "(T, S, A, d)", phi.shape)
+    phi = _feature_table(features)
     return _occupancy_average(_visit_frequencies(data, phi), phi)
 
 

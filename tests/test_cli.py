@@ -97,7 +97,7 @@ def test_fit_from_instance(tmp_path, capsys):
         tmp_path,
         {
             "output_dir": str(tmp_path / "out"),
-            "fit": {"instance": TINY_INSTANCE, "n": 128, "data_seed": 3},
+            "fit": {"instance": TINY_INSTANCE, "n": 128, "data_seed": 0},
         },
     )
     assert main(["fit", "--config", cfg]) == 0
@@ -113,9 +113,7 @@ def test_fit_from_instance(tmp_path, capsys):
 
 def test_fit_draws_its_default_data_with_seed_plus_one(tmp_path, capsys):
     """Without ``data_seed``, ``fit`` samples with ``seed + 1``, as
-    ``equivalence``, ``rates`` and ``concentration`` do: with ``seed`` itself,
-    trajectory i would replay the instance's child stream i (the dynamics and
-    the expert's parameter)."""
+    ``equivalence``, ``rates`` and ``concentration`` do."""
     section = {"instance": {k: v for k, v in TINY_INSTANCE.items() if k != "seed"}, "n": 64}
     written = []
     for fit in (section, dict(section, data_seed=4), dict(section, data_seed=3)):
@@ -127,10 +125,10 @@ def test_fit_draws_its_default_data_with_seed_plus_one(tmp_path, capsys):
     assert written[0] != written[2]
 
 
-# the configs/rates.json instance; replicate 1 of its n = 64 cell samples a
-# target outside the moment set
+# the configs/rates.json instance; 20 is the smallest data seed whose n = 64
+# sample has a target outside the moment set
 RATES_INSTANCE = {"S": 5, "A": 3, "T": 4, "d": 6, "beta": 0.5, "seed": 5}
-OUTSIDE_SEED = 10679137941945874026
+OUTSIDE_SEED = 20
 
 
 def test_fit_reports_an_infeasible_target(tmp_path, capsys):

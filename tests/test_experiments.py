@@ -731,8 +731,8 @@ def test_concentration_rejects_an_n_that_counts_cannot_hold(monkeypatch):
 
 
 def test_a_rate_cell_at_n_2_to_the_40_runs_and_fits():
-    """Counts cost the same at any ``n``: a cell far past the old limit of one
-    uint32 stream per trajectory is drawn and fitted."""
+    """Counts cost the same at any ``n``: a cell far past the trajectory
+    sampler's limit of ``2**32`` is drawn and fitted."""
     config = RateConfig(instance=TINY, n_grid=(2**39, 2**40), replicates=2, data_seed=2)
     report = run_rate_experiment(config)
     assert report.fit_statuses["converged"] == 4
@@ -742,7 +742,7 @@ def test_a_rate_cell_at_n_2_to_the_40_runs_and_fits():
 
 def test_the_count_studies_draw_no_trajectory(monkeypatch):
     """The rate experiment and the concentration check draw visit counts: with
-    the trajectory sampler and its uniform stream made to raise, both finish."""
+    the trajectory sampler made to raise, both finish."""
     import soft_irl
     import soft_irl.mdp as mdp_module
 
@@ -750,7 +750,6 @@ def test_the_count_studies_draw_no_trajectory(monkeypatch):
         raise AssertionError("trajectories were sampled")
 
     monkeypatch.setattr(mdp_module, "sample_trajectories", no_trajectories)
-    monkeypatch.setattr(mdp_module, "_child_uniforms", no_trajectories)
     monkeypatch.setattr(soft_irl, "sample_trajectories", no_trajectories)
     report = run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128), replicates=2))
     assert len(report.records) == len(RATE_METRICS) * 2 * 2

@@ -18,6 +18,7 @@ from soft_irl import (
     empirical_feature_expectation,
     feature_advantage,
     feature_expectation,
+    feature_values,
     forward_occupancy,
     sample_trajectories,
     solve_model,
@@ -27,7 +28,7 @@ from soft_irl import (
 from soft_irl.experiments import InstanceSpec, generate_instance
 from soft_irl.linear_reward import LinearRewardModel
 from soft_irl.io import dataset_to_dict, to_json_text
-from soft_irl.mdp import _child_uniforms, _inverse_cdf, _sample_counts, _split
+from soft_irl.mdp import _inverse_cdf, _sample_counts, _split
 from soft_irl.soft_dp import RewardTable, soft_backward
 
 
@@ -392,15 +393,21 @@ def test_sampling_same_seed_identical_serialization():
     assert to_json_text(dataset_to_dict(a)) != to_json_text(dataset_to_dict(c))
 
 
+STREAM_SEEDS = (0, 1, 7, 2**32 + 5, 14449357594836781232, 2**64 - 1, 2**100 + 3, 2**200 + 11)
+
+
 def test_sampling_prefix_stability():
-    """The first k trajectories do not depend on n (per-trajectory streams)."""
+    """The first k trajectories do not depend on n: the stream fills one row
+    of uniforms per trajectory, in order."""
     rng = np.random.default_rng(8)
     mdp = random_mdp(rng)
     policy = random_policy(rng, mdp)
-    small = sample_trajectories(mdp, policy, 10, seed=9)
-    large = sample_trajectories(mdp, policy, 50, seed=9)
-    np.testing.assert_array_equal(small.states, large.states[:10])
-    np.testing.assert_array_equal(small.actions, large.actions[:10])
+    for seed in STREAM_SEEDS:
+        large = sample_trajectories(mdp, policy, 50, seed)
+        for k in (1, 10):
+            small = sample_trajectories(mdp, policy, k, seed)
+            np.testing.assert_array_equal(small.states, large.states[:k])
+            np.testing.assert_array_equal(small.actions, large.actions[:k])
 
 
 def test_sampling_rejects_empty():
@@ -423,40 +430,20 @@ def test_sampling_rejects_bad_seeds_and_sizes():
     assert len(sample_trajectories(mdp, policy, np.int64(3), seed=np.uint64(2**64 - 1))) == 3
 
 
-def _seed_sequence_uniforms(seed, n, draws):
-    """Reference stream: one numpy child generator per trajectory."""
-    out = np.empty((n, draws))
-    for i in range(n):
-        ss = np.random.SeedSequence(seed, spawn_key=(i,))
-        out[i] = np.random.Generator(np.random.PCG64(ss)).random(draws)
-    return out
-
-
-STREAM_SEEDS = (0, 1, 7, 2**32 + 5, 14449357594836781232, 2**64 - 1, 2**100 + 3, 2**200 + 11)
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_child_uniforms_match_seed_sequence_generators(seed):
-    for n, draws in [(1, 1), (5, 3), (1000, 8), (300, 40), (70, 2), (3, 101)]:
-        np.testing.assert_array_equal(
-            _child_uniforms(seed, n, draws), _seed_sequence_uniforms(seed, n, draws)
-        )
-
-
 # (seed, n, row, states, actions) sampled from the expert of the rates instance
-# by the per-trajectory SeedSequence implementation; any change to the stream
-# must show up here.
+# from the stream ``Generator(PCG64(seed)).random((n, 2T))``; any change to the
+# stream must show up here.
 PINNED_ROWS = [
-    (1, 1024, 0, [1, 2, 1, 0], [0, 0, 1, 1]),
-    (1, 1024, 1, [1, 1, 2, 4], [0, 0, 0, 2]),
-    (1, 1024, 2, [1, 2, 2, 1], [0, 0, 0, 2]),
-    (1, 1024, 1023, [1, 1, 2, 1], [0, 0, 0, 2]),
-    (0, 300, 0, [4, 3, 4, 0], [0, 0, 1, 1]),
-    (0, 300, 299, [4, 0, 2, 0], [0, 2, 0, 2]),
-    (2**64 - 1, 300, 150, [4, 1, 1, 4], [0, 0, 1, 2]),
-    (2**64 - 1, 300, 299, [3, 2, 3, 1], [2, 0, 1, 2]),
-    (2**200 + 11, 300, 0, [1, 2, 3, 1], [0, 0, 0, 2]),
-    (2**200 + 11, 300, 299, [1, 1, 2, 4], [0, 0, 2, 2]),
+    (1, 1024, 0, [1, 0, 2, 4], [2, 2, 0, 2]),
+    (1, 1024, 1, [1, 2, 1, 1], [0, 0, 1, 2]),
+    (1, 1024, 2, [0, 1, 2, 3], [1, 0, 0, 2]),
+    (1, 1024, 1023, [1, 1, 1, 2], [0, 0, 1, 1]),
+    (0, 300, 0, [1, 0, 4, 2], [0, 0, 1, 1]),
+    (0, 300, 299, [1, 1, 3, 1], [2, 0, 0, 2]),
+    (2**64 - 1, 300, 150, [3, 4, 2, 1], [2, 1, 0, 2]),
+    (2**64 - 1, 300, 299, [3, 0, 1, 4], [2, 2, 1, 2]),
+    (2**200 + 11, 300, 0, [1, 2, 0, 0], [0, 0, 1, 0]),
+    (2**200 + 11, 300, 299, [4, 2, 1, 1], [0, 0, 1, 2]),
 ]
 
 
@@ -472,14 +459,14 @@ def test_sampling_reproduces_pinned_rows():
 # from the expert of the S50 A10 T20 instance below.  These pin the sampler on
 # 50-wide kernel rows and 10-wide policy rows over twenty steps.
 WIDE_PINNED_ROWS = [
-    (0, [32, 31, 5, 9, 18, 19, 39, 14, 38, 32, 43, 46, 34, 21, 43, 43, 39, 37, 37, 49],
-     [0, 5, 8, 7, 4, 1, 5, 9, 8, 6, 2, 1, 7, 9, 7, 2, 7, 5, 6, 8]),
-    (1, [21, 9, 25, 48, 12, 25, 39, 14, 11, 25, 32, 6, 4, 39, 8, 37, 3, 4, 3, 42],
-     [7, 3, 4, 5, 2, 2, 5, 9, 4, 2, 4, 0, 5, 8, 0, 1, 8, 0, 0, 1]),
-    (2047, [1, 40, 43, 31, 39, 12, 13, 22, 49, 26, 37, 10, 46, 44, 17, 27, 6, 18, 42, 30],
-     [3, 1, 0, 9, 8, 3, 3, 7, 5, 4, 6, 2, 9, 6, 0, 5, 1, 7, 1, 8]),
-    (4095, [8, 36, 30, 0, 25, 5, 0, 32, 42, 40, 30, 32, 32, 31, 44, 8, 34, 47, 28, 31],
-     [3, 2, 2, 2, 3, 7, 9, 5, 1, 4, 0, 6, 7, 4, 7, 6, 6, 4, 1, 2]),
+    (0, [25, 11, 14, 37, 21, 37, 13, 16, 6, 9, 40, 27, 46, 25, 10, 21, 35, 29, 5, 21],
+     [0, 5, 4, 6, 3, 1, 3, 0, 7, 3, 3, 9, 9, 6, 9, 5, 7, 4, 4, 7]),
+    (1, [30, 21, 43, 29, 7, 30, 10, 12, 39, 43, 10, 37, 42, 11, 41, 11, 46, 26, 36, 40],
+     [3, 0, 0, 9, 9, 4, 4, 9, 6, 1, 8, 7, 3, 7, 5, 1, 2, 5, 2, 9]),
+    (2047, [21, 15, 4, 40, 29, 36, 5, 29, 33, 4, 2, 32, 40, 49, 1, 46, 25, 24, 45, 11],
+     [7, 3, 9, 6, 3, 6, 7, 9, 9, 0, 1, 6, 9, 5, 6, 1, 1, 1, 5, 7]),
+    (4095, [30, 36, 3, 46, 20, 22, 13, 11, 20, 1, 38, 30, 31, 9, 28, 17, 1, 42, 2, 26],
+     [3, 2, 9, 8, 4, 1, 3, 1, 0, 5, 5, 7, 8, 5, 0, 3, 7, 2, 2, 6]),
 ]
 
 
@@ -494,14 +481,15 @@ def test_sampling_reproduces_wide_pinned_rows():
 def reference_samples(mdp, policy, n, seed):
     """``(states, actions)`` by the per-draw formula: gather each draw's row,
     take its running totals, count those at or below the uniform and clamp to
-    the last index; the uniforms are ``_child_uniforms``'.
+    the last index; row ``i`` of ``Generator(PCG64(seed)).random((n, 2T))``
+    holds trajectory ``i``'s uniforms.
 
     ``sample_trajectories`` sums each table row once per call and caps draws at
     the row's last positive entry.  The two differ only where this formula is
     wrong: a uniform at or above a row's rounded total, with zero mass after
     it, here draws a zero-mass entry (``test_draw_from_a_row_short_of_one``).
     """
-    u = _child_uniforms(seed, n, 2 * mdp.T)
+    u = np.random.Generator(np.random.PCG64(seed)).random((n, 2 * mdp.T))
 
     def draw(rows, uniforms):
         cum = np.cumsum(rows, axis=1)
@@ -1031,6 +1019,30 @@ def test_feature_expectation_rejects_features_off_the_mdp_axes(shape):
     mdp = random_mdp(np.random.default_rng(24), S=3, A=2, T=3)
     with pytest.raises(DimensionError, match="features"):
         feature_expectation(mdp, uniform_policy(mdp), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "reader", ["feature_expectation", "empirical_feature_expectation", "feature_values", "feature_advantage"]
+)
+def test_raw_features_must_be_finite(reader, bad):
+    """A NaN or infinite entry of a raw feature array is an ``InvariantError``,
+    not a NaN in the result."""
+    rng = np.random.default_rng(24)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    policy = uniform_policy(mdp)
+    phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2))
+    phi[1, 2, 0, 1] = bad
+    read = {
+        "feature_expectation": lambda: feature_expectation(mdp, policy, phi),
+        "empirical_feature_expectation": lambda: empirical_feature_expectation(
+            sample_trajectories(mdp, policy, 8, seed=0), phi
+        ),
+        "feature_values": lambda: feature_values(mdp, phi, policy),
+        "feature_advantage": lambda: feature_advantage(mdp, phi, policy),
+    }[reader]
+    with pytest.raises(InvariantError, match="features: entries must be finite"):
+        read()
 
 
 def test_population_feature_expectation_matches_occupancy_contraction():

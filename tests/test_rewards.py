@@ -455,6 +455,19 @@ def test_path_readers_reject_indices_off_the_table():
     assert batch_scores(table, zeros, zeros).tolist() == [[0.0 + 8.0 + 16.0]]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_path_readers_reject_non_integer_indices(dtype):
+    """Float or bool path indices are an ``InvariantError``, as they are in a
+    ``Dataset``, not numpy's untyped ``IndexError``."""
+    table = np.arange(24.0).reshape(3, 4, 2, 1)
+    zeros = np.zeros((1, 3), dtype=np.int64)
+    for states, actions in ((zeros.astype(dtype), zeros), (zeros, zeros.astype(dtype))):
+        with pytest.raises(InvariantError, match="indices must be integers"):
+            batch_scores(table, states, actions)
+        with pytest.raises(InvariantError, match="indices must be integers"):
+            gather_table(table, states, actions)
+
+
 # ---------------------------------------------------------------------------
 # third derivative
 
