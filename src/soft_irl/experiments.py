@@ -244,19 +244,6 @@ class RateConfig:
         return self.fit if self.fit is not None else FitConfig(beta=self.instance.beta)
 
 
-@dataclass(frozen=True)
-class RateRecord:
-    metric: str
-    n: int
-    replicate: int
-    value: float
-    status: str  # the fit's status, one of opt.FIT_STATUSES
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-
 RATE_METRICS = (
     "expert_kl",
     "excess_kl",
@@ -272,7 +259,12 @@ SLOPE_METRICS = ("expert_kl", "excess_kl", "param_err_hess", "sym_kl_star", "hel
 
 @dataclass(frozen=True)
 class RateReport:
-    """Everything produced by :func:`run_rate_experiment`."""
+    """Everything produced by :func:`run_rate_experiment`.
+
+    ``values[metric][i][rep]`` is the metric of replicate ``rep`` at
+    ``config.n_grid[i]``, and ``statuses[i][rep]`` that fit's status, one of
+    ``opt.FIT_STATUSES``.
+    """
 
     config: RateConfig
     theta_star: tuple[float, ...]
@@ -284,12 +276,18 @@ class RateReport:
     burn_in_n: float
     slope_window: tuple[int, ...]
     approx_floor_kl: float
-    records: tuple[RateRecord, ...]
+    values: dict  # metric -> (len(n_grid), replicates) nested tuple of floats
+    statuses: tuple[tuple[str, ...], ...]  # (len(n_grid), replicates)
     medians: dict
     slopes: dict
     intercepts: dict
-    fit_statuses: dict  # number of fits per status, in opt.FIT_STATUSES order
     d_star_beta_d_gap: float | None
+
+    @property
+    def fit_statuses(self) -> dict:
+        """The number of fits per status, in ``opt.FIT_STATUSES`` order."""
+        flat = [status for row in self.statuses for status in row]
+        return {name: flat.count(name) for name in FIT_STATUSES}
 
     @property
     def non_converged(self) -> int:
@@ -356,10 +354,9 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     average, and records divergence metrics between the fitted Gibbs policy
     and both the expert and the population solution.  The grid's fits run as
     one lockstep batch, and its metrics and statuses stay ``(n, replicate)``
-    arrays: the status counts and the per-``n`` medians of converged fits
-    are read off them, and the records are built from them in (n,
-    replicate, metric) order.  Log-log slopes are fitted on the medians over
-    the post-burn-in part of the grid.
+    arrays, which the report holds as nested tuples; the status counts and
+    the per-``n`` medians of converged fits are read off them.  Log-log
+    slopes are fitted on the medians over the post-burn-in part of the grid.
     """
     instance = generate_instance(config.instance)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
@@ -389,14 +386,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     )
 
     values, status = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
-    fit_statuses = {name: int((status == name).sum()) for name in FIT_STATUSES}
-    records = [
-        RateRecord(metric=m, n=n, replicate=rep, value=float(values[m][i_n, rep]), status=str(s))
-        for i_n, n in enumerate(config.n_grid)
-        for rep, s in enumerate(status[i_n])
-        for m in RATE_METRICS
-    ]
-    # Non-converged fits stay in the records as flagged rows but are left out
+    # Non-converged fits stay in the grid with their status but are left out
     # of the medians that the slopes are computed on.
     converged = status == "converged"
     medians = {
@@ -440,11 +430,11 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         burn_in_n=float(burn_in),
         slope_window=slope_window,
         approx_floor_kl=float(approx_floor),
-        records=tuple(records),
+        values={metric: tuple(map(tuple, grid.tolist())) for metric, grid in values.items()},
+        statuses=tuple(map(tuple, status.tolist())),
         medians=medians,
         slopes=slopes,
         intercepts=intercepts,
-        fit_statuses=fit_statuses,
         d_star_beta_d_gap=d_star_gap,
     )
 

@@ -24,7 +24,6 @@ from .experiments import (
     ConcentrationReport,
     GeometryCheck,
     GeometryCheckReport,
-    RateRecord,
     RateReport,
 )
 from .linear_reward import FeatureMap
@@ -37,13 +36,12 @@ from .soft_dp import RewardTable
 # Values a report type derives from its fields, written next to them.
 _DERIVED = {
     IrlFitResult: ("converged",),
-    RateRecord: ("converged",),
     RiskReport: ("equivalence_gap",),
     NonconvexityReport: ("quasiconvexity_violated",),
     GeometryCheck: ("passed",),
     GeometryCheckReport: ("all_passed",),
     ConcentrationReport: ("passed",),
-    RateReport: ("non_converged",),
+    RateReport: ("fit_statuses", "non_converged"),
 }
 
 
@@ -179,14 +177,17 @@ def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
 
 
 def rate_report_to_csv(report: RateReport, path: str | Path) -> None:
-    """One row per (metric, n, replicate); the fitted slope is repeated per metric."""
+    """One row per (metric, n, replicate), in (n, replicate, metric) order;
+    the fitted slope is repeated per metric."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["metric", "n", "replicate", "value", "converged", "slope", "status"])
-        for rec in report.records:
-            slope = report.slopes.get(rec.metric, "")
-            value = repr(rec.value)
-            writer.writerow([rec.metric, rec.n, rec.replicate, value, rec.converged, slope, rec.status])
+        for i, n in enumerate(report.config.n_grid):
+            for rep, status in enumerate(report.statuses[i]):
+                converged = status == "converged"
+                for metric, grid in report.values.items():
+                    value, slope = repr(grid[i][rep]), report.slopes.get(metric, "")
+                    writer.writerow([metric, n, rep, value, converged, slope, status])
 
 
 # --------------------------------------------------------------------------

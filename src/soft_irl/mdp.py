@@ -135,11 +135,17 @@ def uniform_policy(mdp: Mdp, label: str = "uniform") -> Policy:
     return Policy(probs=probs, label=label)
 
 
-def _as_index_array(x, field_name: str) -> np.ndarray:
+def _as_array(x, field_name: str, dtype=None) -> np.ndarray:
+    """``np.asarray(x, dtype)``, or an ``InvariantError`` naming ``field_name``
+    where ``x`` is not one array (ragged nested sequences)."""
     try:
-        arr = np.asarray(x)
-    except ValueError as exc:  # ragged nested sequences
-        raise InvariantError(f"{field_name}: all trajectories must share one horizon") from exc
+        return np.asarray(x, dtype=dtype)
+    except ValueError as exc:
+        raise InvariantError(f"{field_name}: cannot be read as one array ({exc})") from exc
+
+
+def _as_index_array(x, field_name: str) -> np.ndarray:
+    arr = _as_array(x, field_name)
     if arr.ndim != 2:
         raise DimensionError(field_name, "(n, T)", arr.shape)
     if arr.shape[0] == 0:
@@ -190,7 +196,7 @@ def _check_compatible(mdp: Mdp, policy: Policy) -> None:
 def _check_paths(shape: tuple[int, ...], states, actions, what: str = "path"):
     """``states`` and ``actions`` as ``(n, T)`` arrays, or an error unless
     their horizon and indices fit the ``(T, S, A)`` axes of ``shape``."""
-    states, actions = np.asarray(states), np.asarray(actions)
+    states, actions = _as_array(states, f"{what} states"), _as_array(actions, f"{what} actions")
     T, S, A = shape[:3]
     if states.shape[1:] != (T,):
         raise DimensionError(what, f"horizon {T}", f"shape {states.shape}")
@@ -433,7 +439,7 @@ def _occupancy_average(mu: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _feature_table(features, mdp: Mdp | None = None) -> np.ndarray:
     """``features``, a feature-map object exposing ``.phi`` or a raw array, as
     a finite float ``(T, S, A, d)`` table, on ``mdp``'s axes when given."""
-    phi = np.asarray(getattr(features, "phi", features), dtype=np.float64)
+    phi = _as_array(getattr(features, "phi", features), "features", np.float64)
     axes = ("T", "S", "A") if mdp is None else (mdp.T, mdp.S, mdp.A)
     if phi.ndim != 4 or (mdp is not None and phi.shape[:3] != axes):
         raise DimensionError("features", (*axes, "d"), phi.shape)

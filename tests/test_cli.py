@@ -271,7 +271,17 @@ def test_rates_writes_json_csv_and_plots(tmp_path, capsys):
     csv_text = (tmp_path / "out" / "rates.csv").read_text()
     header, *rows = csv_text.strip().splitlines()
     assert header == "metric,n,replicate,value,converged,slope,status"
-    assert len(rows) == len(report["records"])
+    # one row per cell of the JSON grid, in (n, replicate, metric) order
+    expected = [
+        ",".join([
+            metric, str(n), str(rep), repr(report["values"][metric][i][rep]),
+            str(status == "converged"), str(report["slopes"].get(metric, "")), status,
+        ])
+        for i, n in enumerate(report["config"]["n_grid"])
+        for rep, status in enumerate(report["statuses"][i])
+        for metric in RATE_METRICS
+    ]
+    assert rows == expected
     svg = (tmp_path / "out" / "rates_param_err_hess.svg").read_text()
     assert svg.startswith("<svg") and "slope" in svg
 
@@ -292,10 +302,15 @@ def test_rates_reports_fit_statuses(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "rates.json").read_text())
     assert report["non_converged"] == 4
     assert report["fit_statuses"] == {"converged": 12, "infeasible": 4, "max_iters": 0, "stalled": 0}
-    infeasible = {(r["n"], r["replicate"]) for r in report["records"] if r["status"] == "infeasible"}
+    infeasible = {
+        (n, rep)
+        for n, row in zip(report["config"]["n_grid"], report["statuses"])
+        for rep, status in enumerate(row)
+        if status == "infeasible"
+    }
     assert infeasible == {(16, 0), (32, 4), (32, 5), (32, 7)}
-    assert all(r["converged"] == (r["status"] == "converged") for r in report["records"])
     rows = (tmp_path / "out" / "rates.csv").read_text().strip().splitlines()[1:]
+    assert all(row.split(",")[4] == str(row.endswith(",converged")) for row in rows)
     assert sum(1 for row in rows if row.endswith(",infeasible")) == 4 * len(RATE_METRICS)
 
 
@@ -306,10 +321,12 @@ def test_rates_rerun_is_byte_identical(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, payload)
     assert main(["rates", "--config", cfg]) == 0
-    a = (tmp_path / "a" / "rates.json").read_bytes()
     assert main(["rates", "--config", cfg, "--output", str(tmp_path / "b")]) == 0
-    b = (tmp_path / "b" / "rates.json").read_bytes()
-    assert a == b
+    a, b = (
+        {file.name: file.read_bytes() for file in sorted((tmp_path / run).iterdir())}
+        for run in ("a", "b")
+    )
+    assert set(a) == {"rates.json", "rates.csv"} and a == b
     capsys.readouterr()
 
 
@@ -772,13 +789,12 @@ def test_policy_json_round_trip_at_every_horizon(tmp_path, capsys, T):
 # The values each report type derives from its fields and writes next to them.
 DERIVED = {
     "IrlFitResult": {"converged"},
-    "RateRecord": {"converged"},
     "RiskReport": {"equivalence_gap"},
     "NonconvexityReport": {"quasiconvexity_violated"},
     "GeometryCheck": {"passed"},
     "GeometryCheckReport": {"all_passed"},
     "ConcentrationReport": {"passed"},
-    "RateReport": {"non_converged"},
+    "RateReport": {"fit_statuses", "non_converged"},
 }
 
 # One config section per command, the fit twice: converged, and infeasible

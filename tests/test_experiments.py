@@ -698,6 +698,15 @@ def test_concentration_rejects_a_fit_config_of_another_temperature(monkeypatch):
 # rate experiment
 
 
+def assert_grid_shape(report, n_sizes, replicates):
+    """``report`` holds every metric of :data:`RATE_METRICS`, and the fit
+    statuses, as ``(n_sizes, replicates)`` nested tuples."""
+    assert tuple(report.values) == RATE_METRICS
+    for grid in (*report.values.values(), report.statuses):
+        assert isinstance(grid, tuple) and len(grid) == n_sizes
+        assert all(isinstance(row, tuple) and len(row) == replicates for row in grid)
+
+
 @pytest.mark.parametrize("n_grid", [(64, 64, 128), (128, 64), (64, 128, 128)])
 def test_rate_config_requires_a_strictly_increasing_n_grid(n_grid):
     """A repeated sample size would write duplicate ``(metric, n, replicate)``
@@ -736,7 +745,7 @@ def test_a_rate_cell_at_n_2_to_the_40_runs_and_fits():
     config = RateConfig(instance=TINY, n_grid=(2**39, 2**40), replicates=2, data_seed=2)
     report = run_rate_experiment(config)
     assert report.fit_statuses["converged"] == 4
-    errors = [r.value for r in report.records if r.metric == "param_err_hess"]
+    errors = [value for row in report.values["param_err_hess"] for value in row]
     assert all(0.0 <= value < 1e-9 for value in errors)
 
 
@@ -752,7 +761,7 @@ def test_the_count_studies_draw_no_trajectory(monkeypatch):
     monkeypatch.setattr(mdp_module, "sample_trajectories", no_trajectories)
     monkeypatch.setattr(soft_irl, "sample_trajectories", no_trajectories)
     report = run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128), replicates=2))
-    assert len(report.records) == len(RATE_METRICS) * 2 * 2
+    assert_grid_shape(report, 2, 2)
     inst = generate_instance(TINY)
     concentration = check_concentration(
         inst.mdp, inst.features, TINY.beta, inst.expert, n=64, trials=4
@@ -764,7 +773,8 @@ def test_rate_experiment_reproducible():
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=3, data_seed=2)
     a = run_rate_experiment(cfg)
     b = run_rate_experiment(cfg)
-    assert a.records == b.records
+    assert a.values == b.values
+    assert a.statuses == b.statuses
     assert a.slopes == b.slopes
     assert a.medians == b.medians
     assert a.theta_star == b.theta_star
@@ -783,7 +793,7 @@ def test_rate_experiment_needs_no_trajectory_probabilities(monkeypatch):
     assert not hasattr(experiments, "trajectory_log_prob")
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=2, data_seed=2)
     report = run_rate_experiment(cfg)
-    assert len(report.records) == len(RATE_METRICS) * 2 * 2
+    assert_grid_shape(report, 2, 2)
     assert all(np.isfinite(v) and v > 0.0 for v in report.medians["hellinger_star"])
 
     inst, theta0, theta1 = _instance_pair(3, boundary_factor=1.0)
@@ -794,11 +804,13 @@ def test_rate_experiment_needs_no_trajectory_probabilities(monkeypatch):
 def test_rate_records_are_complete_and_nonnegative():
     cfg = RateConfig(instance=TINY, n_grid=(64, 128), replicates=3, data_seed=2)
     report = run_rate_experiment(cfg)
-    assert len(report.records) == len(RATE_METRICS) * 2 * 3
-    for record in report.records:
-        assert record.metric in RATE_METRICS
-        if record.converged:
-            assert record.value >= -1e-12
+    assert_grid_shape(report, 2, 3)
+    for metric, grid in report.values.items():
+        assert metric in RATE_METRICS
+        for value_row, status_row in zip(grid, report.statuses):
+            for value, status in zip(value_row, status_row):
+                if status == "converged":
+                    assert value >= -1e-12
     assert report.lambda_star > 1e-8
     assert report.d_star > 0.0
     assert set(report.slope_window).issubset(set(cfg.n_grid))
@@ -863,7 +875,6 @@ def per_fit_rate_report(config):
     """The rate experiment fitted and measured one replicate at a time, through
     the public API: the oracle of the lockstep batch."""
     from soft_irl import (
-        RateRecord,
         RateReport,
         SLOPE_METRICS,
         fit_population,
@@ -888,8 +899,9 @@ def per_fit_rate_report(config):
         constants.B_A_phi**2 * constants.d_star * math.log(1.0 / config.burn_in_delta)
         / (beta**2 * constants.lambda_star)
     )
-    records, statuses = [], dict.fromkeys(("converged", "infeasible", "max_iters", "stalled"), 0)
+    values, statuses = {m: [] for m in RATE_METRICS}, []
     for i_n, n in enumerate(config.n_grid):
+        cells, row = [], []
         for rep in range(config.replicates):
             counts = _sample_counts(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep))
             result = fit_empirical(mdp, features, dataset_with_counts(counts), fit_cfg)
@@ -899,7 +911,7 @@ def per_fit_rate_report(config):
             expert_kl = trajectory_kl(mdp, expert, pi_hat)
             to_hat = trajectory_kl(mdp, pi_star, pi_hat)
             to_star = trajectory_kl(mdp, pi_hat, pi_star)
-            values = {
+            cells.append({
                 "expert_kl": expert_kl,
                 "excess_kl": expert_kl - floor,
                 "param_err_hess": float(diff @ H_star @ diff),
@@ -907,18 +919,17 @@ def per_fit_rate_report(config):
                 "kl_hat_to_star": to_star,
                 "sym_kl_star": to_hat + to_star,
                 "hellinger_star": trajectory_hellinger(mdp, pi_star, pi_hat),
-            }
-            statuses[result.status] += 1
-            records.extend(
-                RateRecord(metric=m, n=n, replicate=rep, value=values[m], status=result.status)
-                for m in RATE_METRICS
-            )
+            })
+            row.append(result.status)
+        statuses.append(tuple(row))
+        for m in RATE_METRICS:
+            values[m].append(tuple(cell[m] for cell in cells))
     medians = {
         m: tuple(
             float(np.median(vals)) if vals else float("nan")
             for vals in (
-                [r.value for r in records if r.metric == m and r.n == n and r.converged]
-                for n in config.n_grid
+                [v for v, s in zip(values[m][i_n], statuses[i_n]) if s == "converged"]
+                for i_n in range(len(config.n_grid))
             )
         )
         for m in RATE_METRICS
@@ -945,25 +956,29 @@ def per_fit_rate_report(config):
         burn_in_n=float(burn_in),
         slope_window=tuple(window),
         approx_floor_kl=float(floor),
-        records=tuple(records),
+        values={m: tuple(grid) for m, grid in values.items()},
+        statuses=tuple(statuses),
         medians=medians,
         slopes=slopes,
         intercepts=intercepts,
-        fit_statuses=statuses,
         d_star_beta_d_gap=None,
     )
 
 
-def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop():
+def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop(tmp_path):
     """The lockstep batches of the shipped instance at two small sizes (8
-    replicates, 4 of them infeasible fits) write the ``rates.json`` bytes of a
-    loop that fits and measures each replicate alone."""
-    from soft_irl.io import to_json_text
+    replicates, 4 of them infeasible fits) write the ``rates.json`` and
+    ``rates.csv`` bytes of a loop that fits and measures each replicate alone."""
+    from soft_irl.io import rate_report_to_csv, to_json_text
 
     config = RateConfig(instance=shipped_rates_spec(), n_grid=(16, 32), replicates=8, data_seed=1)
     report = run_rate_experiment(config)
+    oracle = per_fit_rate_report(config)
     assert report.fit_statuses["infeasible"] == 4
-    assert to_json_text(report) == to_json_text(per_fit_rate_report(config))
+    assert to_json_text(report) == to_json_text(oracle)
+    rate_report_to_csv(report, tmp_path / "batch.csv")
+    rate_report_to_csv(oracle, tmp_path / "per_fit.csv")
+    assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "per_fit.csv").read_bytes()
 
 
 def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
@@ -1057,7 +1072,11 @@ def assert_infeasible_exactly_outside(config):
     """Check that a fit of ``config``'s experiment stops as infeasible exactly
     when the LP puts its target outside the moment set; return their number."""
     report = run_rate_experiment(config)
-    status = {(r.n, r.replicate): r.status for r in report.records}
+    status = {
+        (n, rep): s
+        for n, row in zip(config.n_grid, report.statuses)
+        for rep, s in enumerate(row)
+    }
     assert sum(report.fit_statuses.values()) == len(status)
     for name, count in report.fit_statuses.items():
         assert count == sum(1 for s in status.values() if s == name)

@@ -1021,18 +1021,25 @@ def test_feature_expectation_rejects_features_off_the_mdp_axes(shape):
         feature_expectation(mdp, uniform_policy(mdp), np.zeros(shape))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged"])
 @pytest.mark.parametrize(
     "reader", ["feature_expectation", "empirical_feature_expectation", "feature_values", "feature_advantage"]
 )
 def test_raw_features_must_be_finite(reader, bad):
     """A NaN or infinite entry of a raw feature array is an ``InvariantError``,
-    not a NaN in the result."""
+    not a NaN in the result; so is a ragged raw feature list, not numpy's
+    ``ValueError``."""
     rng = np.random.default_rng(24)
     mdp = random_mdp(rng, S=3, A=2, T=3)
     policy = uniform_policy(mdp)
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2))
-    phi[1, 2, 0, 1] = bad
+    if bad == "ragged":
+        phi = phi.tolist()
+        phi[1][2][0] = [0.0]
+        message = "features: cannot be read as one array"
+    else:
+        phi[1, 2, 0, 1] = bad
+        message = "features: entries must be finite"
     read = {
         "feature_expectation": lambda: feature_expectation(mdp, policy, phi),
         "empirical_feature_expectation": lambda: empirical_feature_expectation(
@@ -1041,7 +1048,7 @@ def test_raw_features_must_be_finite(reader, bad):
         "feature_values": lambda: feature_values(mdp, phi, policy),
         "feature_advantage": lambda: feature_advantage(mdp, phi, policy),
     }[reader]
-    with pytest.raises(InvariantError, match="features: entries must be finite"):
+    with pytest.raises(InvariantError, match=message):
         read()
 
 

@@ -442,9 +442,14 @@ def test_path_readers_reject_indices_off_the_table():
     """A path index outside ``[0, S)`` or ``[0, A)`` is an ``InvariantError``
     wherever paths are read through a table, instead of a read of another
     step's cell (index S at step t is row 0 of step t + 1) or a wrap-around
-    (index -1)."""
+    (index -1).  So is a ragged index list, which is not one array."""
     table = np.arange(24.0).reshape(3, 4, 2, 1)
     zeros = np.zeros((1, 3), dtype=np.int64)
+    ragged, square = [[0, 1, 0], [0]], [[0, 0, 0], [0, 0, 0]]
+    for states, actions, field in ((ragged, square, "path states"), (square, ragged, "path actions")):
+        for read in (batch_scores, gather_table):
+            with pytest.raises(InvariantError, match=f"{field}: cannot be read as one array"):
+                read(table, states, actions)
     with pytest.raises(InvariantError, match=r"state index out of range \(S=4\)"):
         batch_scores(table, np.array([[4, 0, 0]]), zeros)
     for states, actions in (([[-1, 0, 0]], zeros), (zeros, [[0, 2, 0]]), (zeros, [[0, 0, -1]])):
@@ -857,4 +862,4 @@ def test_rates_and_concentration_run_above_the_cap():
     assert 0.0 < rates.B_A_phi <= 2 * spec.T * rates.B_phi
     assert rates.rho_star == 0.9 * np.sqrt(rates.lambda_star) / rates.B_A_phi
     assert sum(rates.fit_statuses.values()) == 4
-    assert all(np.isfinite(record.value) for record in rates.records)
+    assert all(np.isfinite(value) for grid in rates.values.values() for row in grid for value in row)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import types
 from pathlib import Path
 
@@ -101,3 +102,15 @@ def test_fit_config_has_no_new_fields():
     module constants of ``opt``."""
     names = [field.name for field in dataclasses.fields(soft_irl.FitConfig)]
     assert names == ["beta", "B_theta", "tol_decrement", "max_iters"]
+
+
+def test_derived_values_are_properties_and_not_fields():
+    """Each name in ``io._DERIVED`` is a property of its type and none of
+    its dataclass fields, so the JSON hook writes every key once."""
+    from soft_irl import io
+
+    for cls, names in io._DERIVED.items():
+        fields = {field.name for field in dataclasses.fields(cls)}
+        for name in names:
+            assert isinstance(inspect.getattr_static(cls, name, None), property), (cls, name)
+            assert name not in fields, (cls, name)
