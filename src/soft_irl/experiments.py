@@ -36,7 +36,7 @@ from .soft_dp import (
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
-    derivative_bundle,
+    kernel_basis,
     solve_model,
     _batch_derivatives,
     _batch_soft_values,
@@ -97,10 +97,10 @@ class InstanceSpec:
 
     ``deterministic`` makes the initial state and every kernel row one-hot
     (random permutation maps), which kills all dynamics noise.
-    ``exclude_kernel`` post-conditions the feature map on an identifiable
-    parameterization (positive-definite Hessian at zero).  The expert is
-    either the Gibbs policy of a random parameter (``well_specified``) or a
-    random softmax policy unrelated to the feature map (``random_softmax``).
+    ``exclude_kernel`` redraws the feature map until its
+    :func:`linear_reward.kernel_basis` is empty.  The expert is either the
+    Gibbs policy of a random parameter (``well_specified``) or a random
+    softmax policy unrelated to the feature map (``random_softmax``).
     """
 
     S: int = 5
@@ -144,22 +144,16 @@ def _spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _identifiable_features(mdp: Mdp, spec: InstanceSpec) -> FeatureMap:
-    """Draw N(0,1) features; if requested, redraw until the Hessian at zero is
-    positive definite (no unidentifiable parameter directions)."""
-    last_error = None
+    """Draw N(0,1) features; if requested, redraw until the Hessian's kernel
+    is empty (no unidentifiable parameter directions)."""
     for attempt in range(20):
         rng = _spawn_rng(spec.seed, 1, attempt)
         features = FeatureMap(phi=rng.normal(size=(mdp.T, mdp.S, mdp.A, spec.d)))
-        if not spec.exclude_kernel:
+        if not spec.exclude_kernel or not (dimension := kernel_basis(mdp, features).shape[1]):
             return features
-        model = LinearRewardModel(features=features, theta=np.zeros(spec.d))
-        eigvals = np.linalg.eigvalsh(derivative_bundle(mdp, model, spec.beta).hessian)
-        if eigvals[0] > 1e-8 * max(eigvals[-1], 1e-300):
-            return features
-        last_error = f"min/max Hessian eigenvalues {eigvals[0]:.3e}/{eigvals[-1]:.3e}"
     raise InputError(
-        f"could not draw identifiable features for spec {spec} ({last_error}); "
-        "reduce d or disable exclude_kernel"
+        f"could not draw identifiable features for spec {spec} (a Hessian kernel of "
+        f"dimension {dimension}); reduce d or disable exclude_kernel"
     )
 
 
@@ -685,7 +679,7 @@ def check_concentration(
         expert=expert,
     )
     lambda_star = constants.lambda_star
-    if lambda_star <= 1e-10:
+    if math.isnan(constants.d_star):
         raise DomainError("concentration bound requires a positive-definite Hessian")
 
     target = feature_expectation(mdp, expert, features)

@@ -28,6 +28,8 @@ from .mdp import (
     Mdp,
     Policy,
     forward_occupancy,
+    _as_array,
+    _as_float_array,
     _check_compatible,
     _check_dataset,
     _occupancy,
@@ -56,14 +58,10 @@ class FeatureMap:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = _as_array(self.phi, "phi", np.float64)
         if phi.ndim != 4:
             raise DimensionError("phi", "(T, S, A, d)", phi.shape)
-        if not np.all(np.isfinite(phi)):
-            raise InvariantError("phi: feature entries must be finite")
-        phi = np.ascontiguousarray(phi)
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _as_float_array(phi, "phi"))
 
     @property
     def T(self) -> int:
@@ -83,13 +81,7 @@ class LinearRewardModel:
     B_theta: float = float("inf")
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.shape != (self.features.d,):
-            raise DimensionError("theta", (self.features.d,), theta.shape)
-        if not np.all(np.isfinite(theta)):
-            raise InvariantError("theta: entries must be finite")
-        theta = np.ascontiguousarray(theta)
-        theta.flags.writeable = False
+        theta = _as_float_array(self.theta, "theta", (self.features.d,))
         object.__setattr__(self, "theta", theta)
         if not self.B_theta > 0.0:
             raise InvariantError("B_theta must be positive")
@@ -283,27 +275,32 @@ def third_derivative(
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
 
 
-def _eigen_split(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) ``(kernel, image)`` of a PSD matrix.
+def _identifiable_split(mdp: Mdp, phi: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases (columns) ``(kernel, image)`` of a Hessian ``H`` of ``J*`` in the
+    units of the features ``phi``: their deviations over the entries that the
+    uniform (so every Gibbs) policy reaches; a feature of one value there is in
+    the kernel.  Over the units, ``H`` is the same however the features are
+    scaled, and its eigenvalues up to 1e-10 of the largest are the kernel's (an
+    orthonormal basis); the rest, over the units and off the kernel, span the
+    image.  A deviation, unlike a range, does not grow with the table size."""
+    rows = phi[_occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0]  # a copy
+    spread = np.ptp(rows, axis=0) > 0.0  # exact, where a constant's deviation can round above 0
+    rows -= rows.mean(axis=0)  # the deviations, in the copy's own memory
+    rows *= rows
+    unit = np.where(spread, np.sqrt(rows.mean(axis=0)), 1.0)
+    w, V = np.linalg.eigh(np.where(spread & spread[:, None], H, 0.0) / np.outer(unit, unit))
+    in_kernel = w <= 1e-10 * max(w[-1], 0.0)
+    kernel = np.linalg.qr(V[:, in_kernel] / unit[:, None])[0]
+    image = V[:, ~in_kernel] / unit[:, None]
+    return kernel, image - kernel @ (kernel.T @ image)
 
-    An eigenvalue of the symmetric part is assigned to the kernel when it
-    does not exceed ``tol`` times the largest one (relative threshold), and
-    every eigenvalue is when the largest is not positive.
-    """
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (H + H.T))
-    top = float(eigvals[-1])
-    kernel = eigvals <= tol * top if top > 0.0 else np.ones(eigvals.shape, dtype=bool)
-    return eigvecs[:, kernel], eigvecs[:, ~kernel]
 
-
-def kernel_basis(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a PSD matrix.
-
-    An eigenvalue is assigned to the kernel when it does not exceed ``tol``
-    times the largest eigenvalue (relative threshold).  Shape ``(d, k)``;
-    ``k = 0`` when the matrix is numerically positive definite.
-    """
-    return _eigen_split(np.asarray(H, dtype=np.float64), tol)[0]
+def kernel_basis(mdp: Mdp, features: FeatureMap) -> np.ndarray:
+    """Orthonormal basis ``(d, k)`` of the Hessian's kernel, the directions that
+    do not move the trajectory law: the same at every parameter and temperature,
+    so read at ``theta = 0``, in feature units (:func:`_identifiable_split`)."""
+    model = LinearRewardModel(features=features, theta=np.zeros(features.d))
+    return _identifiable_split(mdp, features.phi, derivative_bundle(mdp, model, 1.0).hessian)[0]
 
 
 def shaping_projector(
@@ -416,10 +413,10 @@ def _geometry_constants(
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)
     if expert is None:
         expert = solution.pi_star
-    if lambda_star > 1e-10:
-        d_star = effective_dimension(mdp, features, expert, H).d_star
-    else:
+    if _identifiable_split(mdp, features.phi, H)[0].shape[1]:
         d_star = float("nan")  # undefined for a singular Hessian
+    else:
+        d_star = effective_dimension(mdp, features, expert, H).d_star
     return GeometryConstants(
         B_phi=B_phi,
         B_A_phi=B_A_phi,

@@ -30,7 +30,7 @@ _DIST_ATOL = 1e-12
 
 
 def _as_float_array(x, field_name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_array(x, field_name, np.float64)
     if shape is not None and arr.shape != shape:
         raise DimensionError(field_name, shape, arr.shape)
     if not np.all(np.isfinite(arr)):
@@ -137,10 +137,11 @@ def uniform_policy(mdp: Mdp, label: str = "uniform") -> Policy:
 
 def _as_array(x, field_name: str, dtype=None) -> np.ndarray:
     """``np.asarray(x, dtype)``, or an ``InvariantError`` naming ``field_name``
-    where ``x`` is not one array (ragged nested sequences)."""
+    where ``x`` is not one array (ragged nested sequences) or not of ``dtype``
+    (a mapping where numbers are due)."""
     try:
         return np.asarray(x, dtype=dtype)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvariantError(f"{field_name}: cannot be read as one array ({exc})") from exc
 
 

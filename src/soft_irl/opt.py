@@ -6,10 +6,10 @@ search converges in a handful of steps.  Three practical complications are
 handled explicitly:
 
 * The Hessian may be singular along directions that do not move the
-  trajectory law (shaping directions).  Steps are restricted to the numerical
-  image of the initial Hessian, so such coordinates simply stay at their
-  initialization; a small ridge guards the retained spectrum when curvature
-  later collapses along the run.
+  trajectory law (shaping directions).  Steps are restricted to the image of
+  the initial Hessian, decided in the features' own units, so such
+  coordinates stay at their initialization; a small ridge guards the retained
+  spectrum, in the same units, when curvature later collapses along the run.
 * An optional norm ball constrains the parameter.  Trial points are projected
   onto the ball inside the line search.  At an iterate on the sphere whose
   Lagrange multiplier is positive, the step is the Newton step of the
@@ -57,10 +57,9 @@ from .mdp import (
     _check_count,
     _check_real,
 )
-from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _batch_soft_values, _eigen_split
+from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _batch_soft_values, _identifiable_split
 from .soft_dp import _batch_optimal_values, _dots, _gibbs_probs
 
-_RELATIVE_KERNEL_CUT = 1e-10  # eigenvalues below this fraction of the top one are "kernel"
 # Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
 # both <u, target> and h_M(u)) are taken for rounding, not for a certificate.
 _RELATIVE_SEPARATION_CUT = 1e-9
@@ -139,9 +138,10 @@ class IrlFitResult:
     of the Newton step above 1 (``IterationRecord.step_size`` 2, 4 or 8).
 
     The decrement is measured on the image of the Hessian at the start
-    ``theta = 0``, so ``"converged"`` certifies the target's moments on that
-    image only: a component of the target along that Hessian's kernel is not
-    matched, and ``gradient_norm`` is at least its norm.
+    ``theta = 0``, off the kernel of :func:`linear_reward.kernel_basis`, so
+    ``"converged"`` certifies the target's moments on that image only: a
+    component of the target along the kernel is not matched, and
+    ``gradient_norm`` is at least its norm.
     """
 
     theta_hat: np.ndarray
@@ -174,11 +174,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _restricted_newton_step(
     grad: np.ndarray, hessian: np.ndarray, image: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton direction confined to the span of the orthonormal columns of ``image``.
+    """Newton direction confined to the span of the columns of ``image``.
 
     Returns ``(step, decrement, ridge_used)``, with ``<grad, step> =
     -decrement**2``, so the step is a descent direction.  The ridge kicks in
-    whenever the curvature restricted to the image drops below
+    whenever the restricted curvature (in the fitter's feature units) drops below
     ``_RIDGE_THRESHOLD`` — for example when the iterates run off toward a
     face of the feasible moment set — which keeps the decrement honest: it
     stays large as long as the restricted gradient is large, so divergent
@@ -307,7 +307,7 @@ def _fit_batch(
     start_loss, start_values = _loss_and_values(mdp, phi, zero, beta, zero)
     start_grad, start_hessian = derivatives(*start_values)
     # the identifiable subspace, fixed at the start
-    image = _eigen_split(start_hessian[0], _RELATIVE_KERNEL_CUT)[1]
+    image = _identifiable_split(mdp, phi, start_hessian[0])[1]
 
     def newton_steps(points, grads, hessians):
         steps, decrements, ridges = _restricted_newton_step(grads, hessians, image)

@@ -37,6 +37,7 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.cli import main
+from soft_irl.linear_reward import _identifiable_split
 
 from test_dp import variance_by_enumeration
 from test_mdp import enumerate_support, random_mdp, random_policy
@@ -186,19 +187,20 @@ def test_criterion_5_identifiability():
         direction[d - 1] = 1.0
 
         thetas = [0.5 * rng.normal(size=d) for _ in range(2)]
-        bases = []
+        bases = [kernel_basis(mdp, features)]  # the kernel at theta = 0
         for theta in thetas:
             H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
             if np.linalg.norm(H @ direction) > 1e-8 * max(np.linalg.norm(H), 1.0):
                 failures.append(f"instance {k}: shaping direction not in ker H")
-            bases.append(kernel_basis(H))
-        b0, b1 = bases
-        if b0.shape != b1.shape:
-            failures.append(f"instance {k}: kernel dimension changed with theta")
-        else:
-            gap = np.linalg.norm(b0 @ b0.T - b1 @ b1.T)
-            if gap > 1e-6:
-                failures.append(f"instance {k}: kernel subspace moved by {gap:.2e}")
+            bases.append(_identifiable_split(mdp, phi, H)[0])
+        b0 = bases[0]
+        for b1 in bases[1:]:
+            if b0.shape != b1.shape:
+                failures.append(f"instance {k}: kernel dimension changed with theta")
+            else:
+                gap = np.linalg.norm(b0 @ b0.T - b1 @ b1.T)
+                if gap > 1e-6:
+                    failures.append(f"instance {k}: kernel subspace moved by {gap:.2e}")
 
         pi0 = solve_model(mdp, model_at(features, thetas[0]), beta).pi_star
         pi1 = solve_model(mdp, model_at(features, thetas[0] + 2.0 * direction), beta).pi_star

@@ -981,6 +981,26 @@ def test_rate_experiment_writes_the_bytes_of_a_per_fit_loop(tmp_path):
     assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "per_fit.csv").read_bytes()
 
 
+def test_rates_csv_marks_only_converged_fits_as_converged(tmp_path):
+    """The CSV's ``converged`` column is ``True`` for a ``converged`` fit and
+    ``False`` for each of the other statuses, ``max_iters`` and ``stalled``
+    included: no shipped config has those, so the statuses are set here."""
+    import csv
+
+    from soft_irl.io import rate_report_to_csv
+
+    report = run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128), replicates=2))
+    statuses = (("converged", "max_iters"), ("stalled", "infeasible"))
+    rate_report_to_csv(dataclasses.replace(report, statuses=statuses), tmp_path / "rates.csv")
+    with open(tmp_path / "rates.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4 * len(report.values)
+    for row in rows:
+        status = statuses[(64, 128).index(int(row["n"]))][int(row["replicate"])]
+        assert row["status"] == status
+        assert row["converged"] == str(status == "converged")
+
+
 def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     """A rate experiment makes two calls of the Newton loop: the population
     fit, a batch of one, and one batch of every replicate of every ``n``."""

@@ -144,9 +144,11 @@ def brute_occupancy(mdp, policy):
 
 
 def test_mdp_rejects_bad_initial_dist():
-    with pytest.raises(InvariantError, match="initial_dist"):
-        Mdp(T=2, S=2, A=2, initial_dist=[0.7, 0.7],
-            kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
+    """Not a distribution, or not one float array (a mapping, a ragged list)."""
+    for initial in ([0.7, 0.7], {"a": 1}, [[1.0], [0.0, 0.0]]):
+        with pytest.raises(InvariantError, match="initial_dist"):
+            Mdp(T=2, S=2, A=2, initial_dist=initial,
+                kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
 
 
 def test_mdp_rejects_negative_kernel_row():
@@ -1021,14 +1023,14 @@ def test_feature_expectation_rejects_features_off_the_mdp_axes(shape):
         feature_expectation(mdp, uniform_policy(mdp), np.zeros(shape))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged", "mapping"])
 @pytest.mark.parametrize(
     "reader", ["feature_expectation", "empirical_feature_expectation", "feature_values", "feature_advantage"]
 )
 def test_raw_features_must_be_finite(reader, bad):
     """A NaN or infinite entry of a raw feature array is an ``InvariantError``,
     not a NaN in the result; so is a ragged raw feature list, not numpy's
-    ``ValueError``."""
+    ``ValueError``, and a mapping, not numpy's ``TypeError``."""
     rng = np.random.default_rng(24)
     mdp = random_mdp(rng, S=3, A=2, T=3)
     policy = uniform_policy(mdp)
@@ -1036,6 +1038,9 @@ def test_raw_features_must_be_finite(reader, bad):
     if bad == "ragged":
         phi = phi.tolist()
         phi[1][2][0] = [0.0]
+        message = "features: cannot be read as one array"
+    elif bad == "mapping":
+        phi = {"a": 1}
         message = "features: cannot be read as one array"
     else:
         phi[1, 2, 0, 1] = bad

@@ -40,7 +40,7 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
-from soft_irl.linear_reward import _solution_bundle
+from soft_irl.linear_reward import _identifiable_split, _solution_bundle
 from soft_irl.soft_dp import _weighted_second_moment
 
 from test_dp import sparse_policy
@@ -132,6 +132,23 @@ def test_model_enforces_ball_radius():
     LinearRewardModel(features=features, theta=np.array([3.0, 4.0]), B_theta=5.0)
     with pytest.raises(Exception):
         LinearRewardModel(features=features, theta=np.array([3.0, 4.01]), B_theta=5.0)
+
+
+def test_feature_map_and_model_reject_unreadable_arrays():
+    """Features or a parameter that numpy cannot read as one float array (a
+    mapping, a ragged list) are an ``InvariantError`` naming the field, not
+    numpy's ``TypeError`` or ``ValueError``."""
+    rng = np.random.default_rng(3)
+    mdp = random_mdp(rng)
+    ragged = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2)).tolist()
+    ragged[1][2][0] = [0.0]
+    for phi in ({"a": 1}, ragged):
+        with pytest.raises(InvariantError, match="phi: cannot be read as one array"):
+            FeatureMap(phi=phi)
+    features = random_features(rng, mdp, 2)
+    for theta in ({"a": 1}, [[0.0], [0.0, 1.0]]):
+        with pytest.raises(InvariantError, match="theta: cannot be read as one array"):
+            LinearRewardModel(features=features, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +604,7 @@ def test_kernel_contains_constant_direction():
     phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 3))
     phi[:, :, :, 0] = 1.0  # constant column
     features = FeatureMap(phi=phi)
-    H = derivative_bundle(mdp, model_at(features, np.zeros(3)), 1.0).hessian
-    basis = kernel_basis(H)
+    basis = kernel_basis(mdp, features)
     assert basis.shape[1] >= 1
     e0 = np.eye(3)[0]
     proj = basis @ (basis.T @ e0)
@@ -599,8 +615,7 @@ def test_kernel_empty_for_generic_features():
     rng = np.random.default_rng(20)
     mdp = random_mdp(rng, S=4, A=3, T=3)
     features = random_features(rng, mdp, 3)
-    H = derivative_bundle(mdp, model_at(features, np.zeros(3)), 1.0).hessian
-    assert kernel_basis(H).shape[1] == 0
+    assert kernel_basis(mdp, features).shape[1] == 0
 
 
 def test_shaping_direction_lies_in_kernel():
@@ -612,11 +627,45 @@ def test_shaping_direction_lies_in_kernel():
 
     theta = rng.normal(size=4)
     H = derivative_bundle(mdp, model_at(features, theta), 0.8).hessian
-    basis = kernel_basis(H)
+    basis = _identifiable_split(mdp, phi, H)[0]
     assert basis.shape[1] >= 1
     # the pure-shaping parameter direction is reproduced by the kernel projector
     e3 = np.eye(4)[3]
     np.testing.assert_allclose(basis @ (basis.T @ e3), e3, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    S=st.integers(2, 5),
+    A=st.integers(2, 3),
+    T=st.integers(1, 4),
+    d=st.integers(2, 6),
+    deterministic=st.booleans(),
+    shaping=st.booleans(),
+)
+def test_kernel_basis_is_the_null_space_of_the_reachable_advantage_table(
+    seed, S, A, T, d, deterministic, shaping
+):
+    """A direction leaves the trajectory law unchanged exactly when the
+    per-step advantages of its reward vanish wherever the uniform policy
+    goes.  So ``kernel_basis`` spans the null space of the advantage table at
+    ``theta = 0`` on those entries, here from an SVD.  Entries no policy
+    reaches hold a 1e9 sentinel, which must not set a feature's unit."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=deterministic)
+    phi = rng.normal(size=(T, S, A, d))
+    if shaping:
+        phi[..., -1] = shaping_feature(rng, mdp)
+    uniform = uniform_policy(mdp)
+    reached = forward_occupancy(mdp, uniform) > 0.0
+    phi[~reached] = 1e9
+    _, singular, Vt = np.linalg.svd(feature_advantage(mdp, phi, uniform)[reached])
+    null = Vt[int((singular > 1e-8 * singular[0]).sum()) :].T
+    basis = kernel_basis(mdp, FeatureMap(phi=phi))
+    assert basis.shape == null.shape
+    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(basis @ basis.T, null @ null.T, atol=1e-8)
 
 
 def test_kernel_is_theta_independent():
@@ -627,8 +676,10 @@ def test_kernel_is_theta_independent():
     phi[:, :, :, 3] = shaping_feature(rng, mdp)
     features = FeatureMap(phi=phi)
 
-    b1 = kernel_basis(derivative_bundle(mdp, model_at(features, rng.normal(size=4)), 0.8).hessian)
-    b2 = kernel_basis(derivative_bundle(mdp, model_at(features, rng.normal(size=4)), 0.8).hessian)
+    b1, b2 = (
+        _identifiable_split(mdp, phi, derivative_bundle(mdp, model_at(features, theta), 0.8).hessian)[0]
+        for theta in rng.normal(size=(2, 4))
+    )
     assert b1.shape == b2.shape and b1.shape[1] >= 2
     angles = np.linalg.svd(b1.T @ b2, compute_uv=False)
     np.testing.assert_allclose(angles, 1.0, atol=1e-6)
@@ -644,7 +695,7 @@ def test_trajectory_law_invariant_along_kernel():
     beta = 1.2
 
     H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
-    basis = kernel_basis(H)
+    basis = _identifiable_split(mdp, phi, H)[0]
     pi0 = solve_model(mdp, model_at(features, theta), beta).pi_star
     for k in range(basis.shape[1]):
         pi1 = solve_model(mdp, model_at(features, theta + 2.0 * basis[:, k]), beta).pi_star
@@ -660,8 +711,7 @@ def test_gradient_is_constant_along_kernel():
     features = FeatureMap(phi=phi)
     beta = 0.9
 
-    H = derivative_bundle(mdp, model_at(features, np.zeros(4)), beta).hessian
-    basis = kernel_basis(H)
+    basis = kernel_basis(mdp, features)
     assert basis.shape[1] >= 1
     xi = basis[:, 0]
     g1 = derivative_bundle(mdp, model_at(features, rng.normal(size=4)), beta).grad

@@ -104,6 +104,13 @@ def test_fit_config_has_no_new_fields():
     assert names == ["beta", "B_theta", "tol_decrement", "max_iters"]
 
 
+def test_kernel_basis_takes_no_tolerance():
+    """``kernel_basis`` decides the kernel in the features' own units, with
+    the one cut of ``linear_reward._identifiable_split``; no caller can pass
+    a tolerance of its own, in raw Hessian units."""
+    assert list(inspect.signature(soft_irl.kernel_basis).parameters) == ["mdp", "features"]
+
+
 def test_derived_values_are_properties_and_not_fields():
     """Each name in ``io._DERIVED`` is a property of its type and none of
     its dataclass fields, so the JSON hook writes every key once."""
