@@ -224,7 +224,7 @@ def cmd_equivalence(args) -> int:
     )
     instance = generate_instance(spec)
     if "theta" in section:
-        theta = pio.number_array(section["theta"], "config.equivalence.theta")
+        theta = section["theta"]
     elif instance.theta_expert is not None:
         theta = instance.theta_expert
     else:
@@ -248,9 +248,7 @@ def cmd_counterexample(args) -> int:
     config = _load_run_config(args.config)
     section = config.sections.get("counterexample", {})
     pio.check_keys(section, set(), {"theta_a", "theta_b"}, "config.counterexample")
-    report = nonconvexity_probe(
-        **{k: tuple(pio.number_array(v, f"config.counterexample.{k}")) for k, v in section.items()}
-    )
+    report = nonconvexity_probe(**section)
     out = _out_dir(args, config)
     pio.dump_json(report, out / "counterexample.json")
     print(f"loss(theta_a)  = {report.loss_a:.4f}")
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("path", help="JSON file to check")
     vp.add_argument(
         "--kind",
-        choices=["mdp", "dataset", "policy", "reward", "features"],
+        choices=list(pio.FILE_KINDS),
         help="expected kind (auto-detected when omitted)",
     )
     vp.set_defaults(handler=cmd_validate)

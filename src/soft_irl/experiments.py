@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InputError, InvariantError
+from .errors import DomainError, InputError
 from .mdp import (
     Mdp,
     Policy,
     feature_expectation,
+    _as_float_array,
+    _as_numbers,
     _check_count,
     _check_flag,
     _check_real,
@@ -59,21 +61,26 @@ def _exp(x: float) -> float:
 
 
 def _guarded(x, exact, series):
-    """``exact(x)``, with ``series(x)`` near zero and ``+inf`` where ``exp(x)``
-    leaves the float range; a float for a scalar ``x``.  ``exact`` is only
-    called on entries away from both."""
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-4
-    huge = x >= _LOG_FLOAT_MAX
-    safe = np.where(small | huge, 1.0, x)
-    out = np.where(small, series(x), np.where(huge, np.inf, exact(safe)))
+    """``exact(x)``, with ``series(x)`` near zero, ``-1 / x`` below ``-2**53``
+    (both functions' value to double precision, ``0`` at ``-inf``) and ``+inf``
+    where ``exp(x)`` leaves the float range, each on its own entries only; a
+    float for a scalar ``x``.  A NaN is a ``DomainError``."""
+    x = _as_numbers(x, "x")
+    if np.isnan(x).any():
+        raise DomainError("x: entries must not be NaN")
+    small, far = np.abs(x) < 1e-4, x < -(2.0**53)
+    rest = ~small & ~far & (x < _LOG_FLOAT_MAX)
+    out = np.full(x.shape, np.inf)
+    out[small] = series(x[small])
+    out[far] = -1.0 / x[far]
+    out[rest] = exact(x[rest])
     return float(out) if out.ndim == 0 else out
 
 
 def psi(x):
     """``(exp(x) - x - 1) / x**2`` with a series branch near zero.
 
-    ``+inf`` where ``exp(x)`` leaves the float range.
+    ``0`` at ``-inf``, ``+inf`` where ``exp(x)`` leaves the float range.
     """
     # expm1 keeps the numerator accurate where exp(x) - 1 - x would cancel
     return _guarded(x, lambda x: (np.expm1(x) - x) / x**2, lambda x: 0.5 + x / 6.0 + x**2 / 24.0)
@@ -82,7 +89,7 @@ def psi(x):
 def chi(x):
     """``(exp(x) - 1) / x`` with a series branch near zero.
 
-    ``+inf`` where ``exp(x)`` leaves the float range.
+    ``0`` at ``-inf``, ``+inf`` where ``exp(x)`` leaves the float range.
     """
     return _guarded(x, lambda x: np.expm1(x) / x, lambda x: 1.0 + x / 2.0 + x**2 / 6.0)
 
@@ -573,11 +580,7 @@ def dikin_boundary_pair(
     beta = _check_real(beta, "beta", 0.0)
     boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
     theta0 = LinearRewardModel(features=features, theta=theta0).theta
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != theta0.shape:
-        raise DimensionError("direction", theta0.shape, direction.shape)
-    if not np.all(np.isfinite(direction)):
-        raise InvariantError("direction: entries must be finite")
+    direction = _as_float_array(direction, "direction", theta0.shape)
     # scaled by a power of two to entries below 1 in magnitude, so that its
     # H0-norm cannot overflow; the scaling is exact and leaves the unit vector's bits
     direction = np.ldexp(direction, -math.frexp(float(np.abs(direction).max()))[1])

@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .linear_reward import FeatureMap
 from .losses import NonconvexityReport, RiskReport
-from .mdp import Dataset, Mdp, Policy
+from .mdp import Dataset, Mdp, Policy, _as_float_array, _as_numbers
 from .opt import IrlFitResult
 from .soft_dp import RewardTable
 
@@ -87,17 +87,6 @@ def load_json(path: str | Path) -> Any:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def number_array(obj: Any, where: str) -> np.ndarray:
-    """``obj`` as a float64 array: an ``InputError`` unless it nests numbers only."""
-    try:
-        arr = np.asarray(obj)
-    except ValueError as exc:  # ragged nesting
-        raise InputError(f"{where}: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
-        raise InputError(f"{where}: expected a nested array of numbers")
-    return arr.astype(np.float64)
-
-
 def check_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
     """Reject missing required keys and any unknown key."""
     if not isinstance(obj, dict):
@@ -120,9 +109,9 @@ def mdp_from_dict(obj: dict, where: str = "mdp") -> Mdp:
         T=obj["T"],
         S=obj["S"],
         A=obj["A"],
-        initial_dist=number_array(obj["initial_dist"], f"{where}.initial_dist"),
-        kernels=number_array(obj["kernels"], f"{where}.kernels"),
-        ref_measure=number_array(obj["ref_measure"], f"{where}.ref_measure"),
+        initial_dist=_as_numbers(obj["initial_dist"], f"{where}.initial_dist"),
+        kernels=_as_numbers(obj["kernels"], f"{where}.kernels"),
+        ref_measure=_as_numbers(obj["ref_measure"], f"{where}.ref_measure"),
     )
 
 
@@ -152,23 +141,17 @@ def dataset_from_dict(obj: dict, where: str = "dataset") -> Dataset:
 
 
 def reward_from_obj(obj: Any, where: str = "reward") -> RewardTable:
-    arr = number_array(obj, where)
-    if arr.ndim != 3:
-        raise InputError(f"{where}: expected a [t][s][a] nested array, got ndim={arr.ndim}")
-    return RewardTable(r=arr)
+    return RewardTable(r=_as_float_array(obj, where, ("T", "S", "A")))
 
 
 def features_from_obj(obj: Any, where: str = "features") -> FeatureMap:
-    arr = number_array(obj, where)
-    if arr.ndim != 4:
-        raise InputError(f"{where}: expected a [t][s][a][d] nested array, got ndim={arr.ndim}")
-    return FeatureMap(phi=arr)
+    return FeatureMap(phi=_as_float_array(obj, where, ("T", "S", "A", "d")))
 
 
 def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
     check_keys(obj, {"probs"}, {"label"}, where)
     return Policy(
-        probs=number_array(obj["probs"], f"{where}.probs"), label=str(obj.get("label", ""))
+        probs=_as_numbers(obj["probs"], f"{where}.probs"), label=str(obj.get("label", ""))
     )
 
 
@@ -203,29 +186,29 @@ def detect_kind(obj: Any) -> str:
         if "probs" in obj:
             return "policy"
         raise InputError("cannot detect input kind from object keys")
-    arr = number_array(obj, "input")
-    if arr.ndim == 3:
+    rank = _as_numbers(obj, "input").ndim
+    if rank == 3:
         return "reward"
-    if arr.ndim == 4:
+    if rank == 4:
         return "features"
     raise InputError("cannot detect input kind (not an object, [t][s][a] or [t][s][a][d] array)")
+
+
+# The reader of each kind of input file.
+FILE_KINDS = {
+    "mdp": mdp_from_dict,
+    "dataset": dataset_from_dict,
+    "policy": policy_from_dict,
+    "reward": reward_from_obj,
+    "features": features_from_obj,
+}
 
 
 def validate_file(path: str | Path, kind: str | None = None) -> str:
     """Check ``path`` against the invariants of its (detected) kind."""
     obj = load_json(path)
     kind = kind or detect_kind(obj)
-    where = str(path)
-    if kind == "mdp":
-        mdp_from_dict(obj, where)
-    elif kind == "dataset":
-        dataset_from_dict(obj, where)
-    elif kind == "policy":
-        policy_from_dict(obj, where)
-    elif kind == "reward":
-        reward_from_obj(obj, where)
-    elif kind == "features":
-        features_from_obj(obj, where)
-    else:
+    if kind not in FILE_KINDS:
         raise InputError(f"unknown kind {kind!r}")
+    FILE_KINDS[kind](obj, str(path))
     return kind

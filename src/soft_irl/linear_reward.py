@@ -28,10 +28,10 @@ from .mdp import (
     Mdp,
     Policy,
     forward_occupancy,
-    _as_array,
     _as_float_array,
     _check_compatible,
     _check_dataset,
+    _freeze,
     _occupancy,
     gather_table,
 )
@@ -53,15 +53,13 @@ from .soft_dp import (
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Per-step feature vectors ``phi[t, s, a] in R^d``."""
+    """Per-step feature vectors ``phi[t, s, a] in R^d``, finite; ``phi`` is
+    stored as :class:`~soft_irl.mdp.Mdp` stores its arrays."""
 
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = _as_array(self.phi, "phi", np.float64)
-        if phi.ndim != 4:
-            raise DimensionError("phi", "(T, S, A, d)", phi.shape)
-        object.__setattr__(self, "phi", _as_float_array(phi, "phi"))
+        _freeze(self, "phi", ("T", "S", "A", "d"))
 
     @property
     def T(self) -> int:
@@ -74,18 +72,18 @@ class FeatureMap:
 
 @dataclass(frozen=True, eq=False)
 class LinearRewardModel:
-    """A feature map together with a parameter vector inside a norm ball."""
+    """A feature map together with a parameter vector inside a norm ball;
+    ``theta`` is stored as :class:`~soft_irl.mdp.Mdp` stores its arrays."""
 
     features: FeatureMap
     theta: np.ndarray
     B_theta: float = float("inf")
 
     def __post_init__(self) -> None:
-        theta = _as_float_array(self.theta, "theta", (self.features.d,))
-        object.__setattr__(self, "theta", theta)
+        _freeze(self, "theta", (self.features.d,))
         if not self.B_theta > 0.0:
             raise InvariantError("B_theta must be positive")
-        if math.hypot(*theta) > self.B_theta * (1.0 + 1e-12):  # finite for any finite theta
+        if math.hypot(*self.theta) > self.B_theta * (1.0 + 1e-12):  # finite for any finite theta
             raise InvariantError("theta lies outside the parameter ball")
 
     def with_theta(self, theta: np.ndarray) -> "LinearRewardModel":
@@ -262,8 +260,10 @@ def third_derivative(
     direction pairs, one for the third moment with local term
     ``x^xi x^zeta x^omega + sum_j x^j P_t E[R^k_{t+1} R^l_{t+1} | s_{t+1}]``.
     """
+    named = {"xi": xi, "zeta": zeta, "omega": omega}
+    d = model.features.d
+    directions = np.stack([_as_float_array(u, name, (d,)) for name, u in named.items()], axis=1)
     pi = solve_model(mdp, model, beta).pi_star
-    directions = np.stack([xi, zeta, omega], axis=1)
     x = feature_advantage(mdp, model.features.phi @ directions, pi)  # (T, S, A, 3)
     pairs = ((1, 2), (0, 2), (0, 1))  # the other two directions of each one
     _, M2 = feature_values(mdp, np.stack([x[..., j] * x[..., k] for j, k in pairs], axis=-1), pi)
@@ -329,6 +329,7 @@ def effective_dimension(
     part, both computed from occupancies.  Exact at every size, with no
     enumeration or sampling.
     """
+    H_star = _as_float_array(H_star, "H_star", (features.d, features.d))
     mu = forward_occupancy(mdp, expert)
     Qfeat, Vfeat = feature_values(mdp, features, expert)
     adv = Qfeat - Vfeat[:-1, :, None, :]

@@ -27,6 +27,7 @@ from .mdp import (
     empirical_feature_expectation,
     feature_expectation,
     forward_occupancy,
+    _as_float_array,
     _check_dataset,
     _visit_frequencies,
 )
@@ -163,17 +164,18 @@ def nonconvexity_probe(
 
     mdp, features, data = counterexample_instance()
 
-    def loss_at(theta: np.ndarray) -> float:
+    def loss_at(theta) -> float:
         model = LinearRewardModel(features=features, theta=theta)
         pi_star = solve_model(mdp, model, beta).pi_star
         return mle_loss(mdp, pi_star, data)
 
-    ta = np.asarray(theta_a, dtype=np.float64)
-    tb = np.asarray(theta_b, dtype=np.float64)
+    # as tuples, so that the models read copies and the caller's arrays keep their flags
+    ta = tuple(_as_float_array(theta_a, "theta_a", (features.d,)).tolist())
+    tb = tuple(_as_float_array(theta_b, "theta_b", (features.d,)).tolist())
     return NonconvexityReport(
-        theta_a=tuple(float(x) for x in ta),
-        theta_b=tuple(float(x) for x in tb),
+        theta_a=ta,
+        theta_b=tb,
         loss_a=loss_at(ta),
         loss_b=loss_at(tb),
-        loss_mid=loss_at(0.5 * (ta + tb)),
+        loss_mid=loss_at(0.5 * np.add(ta, tb)),
     )

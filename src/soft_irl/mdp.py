@@ -29,15 +29,35 @@ from .errors import (
 _DIST_ATOL = 1e-12
 
 
-def _as_float_array(x, field_name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    arr = _as_array(x, field_name, np.float64)
-    if shape is not None and arr.shape != shape:
+def _as_numbers(x, field_name: str) -> np.ndarray:
+    """``x`` as a float64 array of integers or floats: an ``InvariantError``
+    naming ``field_name`` for a mapping, a ragged list, strings or flags."""
+    arr = _as_array(x, field_name)
+    if arr.dtype.kind not in "iuf":
+        raise InvariantError(f"{field_name}: expected a nested array of numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _as_float_array(x, field_name: str, shape: tuple) -> np.ndarray:
+    """The one reader of a float array from outside: ``x`` read as numbers, of
+    ``shape`` (each axis a size, or a name such as ``"d"`` for any size) and
+    finite, or a ``SoftIrlError`` naming ``field_name``.  It is the caller's
+    own array, flags untouched, when it needs no conversion."""
+    arr = _as_numbers(x, field_name)
+    sizes = tuple(n if isinstance(m, str) else m for n, m in zip(arr.shape, shape))
+    if arr.ndim != len(shape) or arr.shape != sizes:
         raise DimensionError(field_name, shape, arr.shape)
     if not np.all(np.isfinite(arr)):
         raise InvariantError(f"{field_name}: entries must be finite")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
     return arr
+
+
+def _freeze(obj, field_name: str, shape: tuple) -> None:
+    """Store the field of a frozen dataclass read by :func:`_as_float_array`,
+    C-contiguous and read-only (the caller's array, when not converted)."""
+    arr = np.ascontiguousarray(_as_float_array(getattr(obj, field_name), field_name, shape))
+    arr.flags.writeable = False
+    object.__setattr__(obj, field_name, arr)
 
 
 def _check_distribution(arr: np.ndarray, field_name: str, axis: int = -1) -> None:
@@ -65,6 +85,9 @@ class Mdp:
         the distribution of the state at step ``t+1``.
     ref_measure:
         Strictly positive per-action reference weights, shape ``(A,)``.
+
+    Each array is stored C-contiguous and read-only: the caller's own float64
+    array, which becomes read-only, when it needs no conversion.
     """
 
     T: int
@@ -77,21 +100,12 @@ class Mdp:
     def __post_init__(self) -> None:
         for name in ("T", "S", "A"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        object.__setattr__(
-            self, "initial_dist", _as_float_array(self.initial_dist, "initial_dist", (self.S,))
-        )
-        kernels = self.kernels
-        if self.T == 1 and np.size(kernels) == 0:
+        if self.T == 1 and _as_numbers(self.kernels, "kernels").size == 0:
             # a T = 1 MDP has no kernels; an empty JSON list keeps no shape
-            kernels = np.empty((0, self.S, self.A, self.S))
-        object.__setattr__(
-            self,
-            "kernels",
-            _as_float_array(kernels, "kernels", (self.T - 1, self.S, self.A, self.S)),
-        )
-        object.__setattr__(
-            self, "ref_measure", _as_float_array(self.ref_measure, "ref_measure", (self.A,))
-        )
+            object.__setattr__(self, "kernels", np.empty((0, self.S, self.A, self.S)))
+        _freeze(self, "initial_dist", (self.S,))
+        _freeze(self, "kernels", (self.T - 1, self.S, self.A, self.S))
+        _freeze(self, "ref_measure", (self.A,))
         _check_distribution(self.initial_dist, "initial_dist")
         if self.T > 1:
             _check_distribution(self.kernels, "kernels")
@@ -105,16 +119,14 @@ class Mdp:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """A Markovian, time-inhomogeneous policy: ``probs[t, s]`` is a distribution."""
+    """A Markovian, time-inhomogeneous policy: ``probs[t, s]`` is a
+    distribution; ``probs`` is stored as :class:`Mdp` stores its arrays."""
 
     probs: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 3:
-            raise DimensionError("probs", "(T, S, A)", probs.shape)
-        object.__setattr__(self, "probs", _as_float_array(probs, "probs"))
+        _freeze(self, "probs", ("T", "S", "A"))
         _check_distribution(self.probs, "probs")
 
     @property
@@ -135,14 +147,16 @@ def uniform_policy(mdp: Mdp, label: str = "uniform") -> Policy:
     return Policy(probs=probs, label=label)
 
 
-def _as_array(x, field_name: str, dtype=None) -> np.ndarray:
-    """``np.asarray(x, dtype)``, or an ``InvariantError`` naming ``field_name``
-    where ``x`` is not one array (ragged nested sequences) or not of ``dtype``
-    (a mapping where numbers are due)."""
+def _as_array(x, field_name: str) -> np.ndarray:
+    """``np.asarray(x)``, or an ``InvariantError`` naming ``field_name`` where
+    ``x`` is not one array of scalars (a mapping, ragged nested sequences)."""
     try:
-        return np.asarray(x, dtype=dtype)
+        arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise InvariantError(f"{field_name}: cannot be read as one array ({exc})") from exc
+    if arr.dtype.kind == "O":
+        raise InvariantError(f"{field_name}: cannot be read as one array of scalars")
+    return arr
 
 
 def _as_index_array(x, field_name: str) -> np.ndarray:
@@ -440,13 +454,8 @@ def _occupancy_average(mu: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _feature_table(features, mdp: Mdp | None = None) -> np.ndarray:
     """``features``, a feature-map object exposing ``.phi`` or a raw array, as
     a finite float ``(T, S, A, d)`` table, on ``mdp``'s axes when given."""
-    phi = _as_array(getattr(features, "phi", features), "features", np.float64)
     axes = ("T", "S", "A") if mdp is None else (mdp.T, mdp.S, mdp.A)
-    if phi.ndim != 4 or (mdp is not None and phi.shape[:3] != axes):
-        raise DimensionError("features", (*axes, "d"), phi.shape)
-    if not np.all(np.isfinite(phi)):
-        raise InvariantError("features: entries must be finite")
-    return phi
+    return _as_float_array(getattr(features, "phi", features), "features", (*axes, "d"))
 
 
 def empirical_feature_expectation(data: Dataset, features) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DimensionError, InvariantError
+from .errors import DomainError, DimensionError
 from .mdp import (
     Dataset,
     Mdp,
@@ -41,25 +41,21 @@ from .mdp import (
     _occupancy,
     _check_compatible,
     _check_dataset,
+    _as_float_array,
     _feature_table,
+    _freeze,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class RewardTable:
-    """Time-dependent tabular reward ``r[t, s, a]``."""
+    """Time-dependent tabular reward ``r[t, s, a]``, finite; ``r`` is stored
+    as :class:`~soft_irl.mdp.Mdp` stores its arrays."""
 
     r: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=np.float64)
-        if r.ndim != 3:
-            raise DimensionError("r", "(T, S, A)", r.shape)
-        if not np.all(np.isfinite(r)):
-            raise InvariantError("r: reward entries must be finite")
-        r = np.ascontiguousarray(r)
-        r.flags.writeable = False
-        object.__setattr__(self, "r", r)
+        _freeze(self, "r", ("T", "S", "A"))
 
     @property
     def T(self) -> int:
@@ -453,6 +449,7 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
     ``V`` is a ``(T+1, S)`` value array; the step-0 term measures the initial
     draw against the initial distribution.  Returns shape ``(N, T)``.
     """
+    V = _as_float_array(V, "V", (mdp.T + 1, mdp.S))
     n, T = states.shape
     out = np.empty((n, T))
     out[:, 0] = V[0][states[:, 0]] - float(mdp.initial_dist @ V[0])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soft_irl import RATE_METRICS, cli
+from soft_irl import RATE_METRICS, DimensionError, cli
 from soft_irl import io as pio
 from soft_irl.cli import build_parser, main
 from soft_irl.experiments import RateConfig
@@ -720,6 +720,25 @@ def test_validate_rejects_non_numeric_arrays(tmp_path, capsys, kind, obj):
     pio.dump_json(obj, path)
     assert main(["validate", str(path)] + (["--kind", kind] if kind else [])) == 2
     assert "expected a nested array of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, obj", [("reward", [[1.0]]), ("features", [[[1.0]]])])
+def test_validate_reports_the_rank_of_a_table_file(tmp_path, capsys, kind, obj):
+    """A reward or feature file of the wrong rank is a ``DimensionError`` that
+    names the file and the named axes of its shape, exit code 2."""
+    path = tmp_path / "table.json"
+    pio.dump_json(obj, path)
+    assert main(["validate", str(path), "--kind", kind]) == 2
+    assert f"{path}: expected shape ('T', 'S', 'A'" in capsys.readouterr().err
+    with pytest.raises(DimensionError):
+        pio.FILE_KINDS[kind](obj, str(path))
+
+
+def test_validate_takes_its_kinds_from_the_readers_table():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    kind = next(a for a in commands["validate"]._actions if a.dest == "kind")
+    assert list(kind.choices) == list(pio.FILE_KINDS)
 
 
 def test_validate_kind_mismatch(tmp_path):

@@ -91,6 +91,33 @@ def test_psi_chi_are_infinite_past_the_float_range():
     assert c[1] == pytest.approx(math.exp(709.0) / 709.0, rel=1e-12)
 
 
+def test_psi_chi_over_the_whole_float_range():
+    """Over ``+-1e-300`` to ``+-1.7e308`` and ``+-inf``, no branch warns, both
+    functions are non-negative and non-decreasing, with ``0`` at ``-inf`` and
+    ``+inf`` at ``+inf``, and they match their series near 0.  A NaN, a
+    string and a ragged list are typed errors naming ``x``."""
+    grid = np.geomspace(1e-300, 1.7e308, 613)
+    x = np.concatenate([[-np.inf], -grid[::-1], grid, [np.inf]])
+    near = np.abs(x) <= 1e-3
+    series = {
+        psi: 0.5 + x[near] / 6.0 + x[near] ** 2 / 24.0 + x[near] ** 3 / 120.0,
+        chi: 1.0 + x[near] / 2.0 + x[near] ** 2 / 6.0 + x[near] ** 3 / 24.0,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (psi, chi):
+            y = f(x)
+            assert np.all(y >= 0.0) and np.all(y[1:] >= y[:-1])
+            assert f(-np.inf) == 0.0 and f(np.inf) == math.inf
+            # psi's direct branch cancels to about 2 eps / |x|: 4.4e-12 at the switch
+            np.testing.assert_allclose(y[near], series[f], rtol=1e-11)
+            with pytest.raises(DomainError, match="x"):
+                f(np.nan)
+            for bad in ("x", [1.0, [2.0]]):
+                with pytest.raises(InvariantError, match="x"):
+                    f(bad)
+
+
 def test_chi_lower_bound_on_grid():
     S = np.linspace(0.0, 50.0, 501)
     assert np.all(chi(-S) >= 1.0 / (1.0 + S) - 1e-15)
@@ -305,23 +332,27 @@ def test_dikin_boundary_pair_rejects_a_zero_direction():
 
 
 def test_dikin_boundary_pair_checks_its_direction():
-    """A direction of the wrong shape is a ``DimensionError`` and a NaN one an
-    ``InvariantError``, each at entry; a huge finite direction, whose
-    H0-norm would overflow, gives the boundary point of its unit vector.
-    None of them warns."""
+    """A direction of the wrong shape is a ``DimensionError``, and a NaN one,
+    a mapping, a ragged list, strings or flags an ``InvariantError``, each at
+    entry; a huge finite direction, whose H0-norm would overflow, gives the
+    boundary point of its unit vector, and leaves the caller's array
+    writeable.  None of them warns."""
     inst = generate_instance(TINY)
     theta0 = np.zeros(TINY.d)
 
     def pair(direction):
         return dikin_boundary_pair(inst.mdp, inst.features, TINY.beta, theta0, direction)
 
+    huge = np.full(TINY.d, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DimensionError, match="direction"):
             pair(np.ones(TINY.d - 1))
-        with pytest.raises(InvariantError, match="direction"):
-            pair(np.full(TINY.d, np.nan))
-        theta1 = pair(np.full(TINY.d, 1e308))
+        for bad in (np.full(TINY.d, np.nan), {"a": 1}, [[1.0], 1.0, 1.0], ["1"] * TINY.d, [True] * TINY.d):
+            with pytest.raises(InvariantError, match="direction"):
+                pair(bad)
+        theta1 = pair(huge)
+    assert huge.flags.writeable
     np.testing.assert_allclose(theta1, pair(np.ones(TINY.d)), rtol=1e-12)
     assert np.linalg.norm(theta1) > 0.0
 

@@ -1,6 +1,7 @@
 """Tests for MDP containers, occupancy propagation, sampling, and enumeration."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,135 @@ def test_mdp_rejects_wrong_kernel_shape():
     with pytest.raises(DimensionError):
         Mdp(T=3, S=2, A=2, initial_dist=[1.0, 0.0],
             kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
+
+
+def boundary_inputs():
+    """The public array inputs that no test of their own covers, as two
+    dicts, the fields of the frozen types and the inputs of functions: by
+    name, the field, a valid value, whether some axis of its shape has a fixed
+    size, and a call that reads a value in its place."""
+    from soft_irl import (
+        delta_terms,
+        derivative_bundle,
+        effective_dimension,
+        nonconvexity_probe,
+        policy_evaluate,
+        third_derivative,
+    )
+
+    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    mdp, features, expert, beta = inst.mdp, inst.features, inst.expert, 0.7
+    model = LinearRewardModel(features=features, theta=np.zeros(features.d))
+    reward = RewardTable(r=np.ones((mdp.T, mdp.S, mdp.A)))
+    data = sample_trajectories(mdp, expert, 4, seed=0)
+    u = np.ones(features.d)
+    fields = {name: getattr(mdp, name) for name in ("T", "S", "A", "initial_dist", "kernels", "ref_measure")}
+    types = {
+        f"Mdp.{name}": (name, fields[name], True, lambda x, name=name: Mdp(**dict(fields, **{name: x})))
+        for name in ("initial_dist", "kernels", "ref_measure")
+    }
+    types["Policy.probs"] = ("probs", expert.probs, False, lambda x: Policy(probs=x))
+    types["RewardTable.r"] = ("r", reward.r, False, lambda x: RewardTable(r=x))
+    functions = {
+        "feature_expectation.features": (
+            "features", features.phi, True, lambda x: feature_expectation(mdp, expert, x)
+        ),
+        "third_derivative.xi": ("xi", u, True, lambda x: third_derivative(mdp, model, beta, x, u, u)),
+        "third_derivative.zeta": ("zeta", u, True, lambda x: third_derivative(mdp, model, beta, u, x, u)),
+        "third_derivative.omega": ("omega", u, True, lambda x: third_derivative(mdp, model, beta, u, u, x)),
+        "effective_dimension.H_star": (
+            "H_star",
+            derivative_bundle(mdp, model, beta).hessian,
+            True,
+            lambda x: effective_dimension(mdp, features, expert, x),
+        ),
+        "delta_terms.V": (
+            "V",
+            policy_evaluate(mdp, reward, expert, beta).V,
+            True,
+            lambda x: delta_terms(mdp, x, data.states, data.actions),
+        ),
+        "nonconvexity_probe.theta_a": ("theta_a", np.array([2.0, 4.0]), True, lambda x: nonconvexity_probe(theta_a=x)),
+        "nonconvexity_probe.theta_b": ("theta_b", np.array([-4.0, 2.0]), True, lambda x: nonconvexity_probe(theta_b=x)),
+    }
+    return types, functions
+
+
+def malformed(good: np.ndarray, case: str):
+    """``good`` made into a value no array reader may accept."""
+    if case == "mapping":
+        return {"a": 1}
+    if case == "ragged":  # the first entry one level deeper than the rest
+        ragged = good.tolist()
+        ragged[0] = [ragged[0]]
+        return ragged
+    if case == "strings":  # numbers numpy would parse
+        return good.astype(str).tolist()
+    if case == "flags":
+        return good != 0.0
+    if case == "nan":
+        bad = good.copy()
+        bad.flat[0] = np.nan
+        return bad
+    if case == "rank":
+        return good[None]
+    return np.pad(good, [(0, 1)] * good.ndim)  # "size": every axis one longer
+
+
+TYPE_FIELDS, FUNCTION_INPUTS = boundary_inputs()
+BOUNDARY_INPUTS = TYPE_FIELDS | FUNCTION_INPUTS
+MALFORMED_CASES = [
+    (name, case)
+    for name, (_, _, sized, _) in BOUNDARY_INPUTS.items()
+    for case in ("mapping", "ragged", "strings", "flags", "nan", "rank", "size")
+    if sized or case != "size"  # where every axis is named, any size is valid
+]
+
+
+@pytest.mark.parametrize("name, case", MALFORMED_CASES, ids=[f"{n}-{c}" for n, c in MALFORMED_CASES])
+def test_array_inputs_reject_malformed_data(name, case):
+    """Every public array input read through ``mdp._as_float_array`` turns
+    malformed data into a ``SoftIrlError`` whose message starts with its
+    field, with no bare numpy error, no warning and no NaN in a result."""
+    from soft_irl import SoftIrlError
+
+    field, good, _, call = BOUNDARY_INPUTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SoftIrlError, match=f"^{field}: "):
+            call(malformed(good, case))
+
+
+@pytest.mark.parametrize("name", list(FUNCTION_INPUTS))
+def test_functions_leave_the_callers_array_writeable(name):
+    """A function reads an array input without changing the caller's flags."""
+    _, good, _, call = FUNCTION_INPUTS[name]
+    mine = good.copy()
+    call(mine)
+    assert mine.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(TYPE_FIELDS) + ["FeatureMap.phi", "LinearRewardModel.theta"])
+def test_frozen_types_store_their_arrays_contiguous_and_read_only(name):
+    """Each frozen type stores a float64 field C-contiguous and read-only: the
+    caller's own array when it needs no conversion (which the store makes
+    read-only), else a converted copy, leaving the caller's array as it was."""
+    features = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1)).features
+    fields = {name: (field, good, build) for name, (field, good, _, build) in TYPE_FIELDS.items()}
+    fields["FeatureMap.phi"] = ("phi", features.phi, lambda x: type(features)(phi=x))
+    fields["LinearRewardModel.theta"] = (
+        "theta", np.zeros(3), lambda x: LinearRewardModel(features=features, theta=x)
+    )
+    field, good, build = fields[name]
+    mine = good.copy()
+    assert getattr(build(mine), field) is mine and not mine.flags.writeable
+    strided = np.repeat(good, 2, axis=-1)[..., ::2]
+    for other in (strided, good.tolist()):
+        stored = getattr(build(other), field)
+        assert stored is not other and stored.dtype == np.float64
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, good)
+        assert not isinstance(other, np.ndarray) or other.flags.writeable
 
 
 def test_distribution_check_bound_and_message():
@@ -1023,14 +1153,15 @@ def test_feature_expectation_rejects_features_off_the_mdp_axes(shape):
         feature_expectation(mdp, uniform_policy(mdp), np.zeros(shape))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged", "mapping"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged", "mapping", "strings", "flags"])
 @pytest.mark.parametrize(
     "reader", ["feature_expectation", "empirical_feature_expectation", "feature_values", "feature_advantage"]
 )
 def test_raw_features_must_be_finite(reader, bad):
     """A NaN or infinite entry of a raw feature array is an ``InvariantError``,
     not a NaN in the result; so is a ragged raw feature list, not numpy's
-    ``ValueError``, and a mapping, not numpy's ``TypeError``."""
+    ``ValueError``, a mapping, not numpy's ``TypeError``, and strings or
+    flags, which a feature file may not hold either."""
     rng = np.random.default_rng(24)
     mdp = random_mdp(rng, S=3, A=2, T=3)
     policy = uniform_policy(mdp)
@@ -1042,6 +1173,9 @@ def test_raw_features_must_be_finite(reader, bad):
     elif bad == "mapping":
         phi = {"a": 1}
         message = "features: cannot be read as one array"
+    elif bad in ("strings", "flags"):
+        phi = phi.astype(str).tolist() if bad == "strings" else phi > 0.0
+        message = "features: expected a nested array of numbers"
     else:
         phi[1, 2, 0, 1] = bad
         message = "features: entries must be finite"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from soft_irl import (
     Dataset,
+    DimensionError,
     FeatureMap,
     InstanceSpec,
     InvariantError,
@@ -137,18 +138,37 @@ def test_model_enforces_ball_radius():
 def test_feature_map_and_model_reject_unreadable_arrays():
     """Features or a parameter that numpy cannot read as one float array (a
     mapping, a ragged list) are an ``InvariantError`` naming the field, not
-    numpy's ``TypeError`` or ``ValueError``."""
+    numpy's ``TypeError`` or ``ValueError``; so are strings and flags, which
+    numpy would parse, a NaN entry, and a wrong rank or length, a
+    ``DimensionError``."""
     rng = np.random.default_rng(3)
     mdp = random_mdp(rng)
-    ragged = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2)).tolist()
+    phi = rng.normal(size=(mdp.T, mdp.S, mdp.A, 2))
+    ragged = phi.tolist()
     ragged[1][2][0] = [0.0]
-    for phi in ({"a": 1}, ragged):
-        with pytest.raises(InvariantError, match="phi: cannot be read as one array"):
-            FeatureMap(phi=phi)
+    nan = phi.copy()
+    nan[1, 2, 0, 1] = np.nan
+    for bad, error, message in (
+        ({"a": 1}, InvariantError, "cannot be read as one array"),
+        (ragged, InvariantError, "cannot be read as one array"),
+        (phi.astype(str).tolist(), InvariantError, "expected a nested array of numbers"),
+        (phi > 0.0, InvariantError, "expected a nested array of numbers"),
+        (nan, InvariantError, "entries must be finite"),
+        (phi[0], DimensionError, r"expected shape \('T', 'S', 'A', 'd'\)"),
+    ):
+        with pytest.raises(error, match=f"phi: {message}"):
+            FeatureMap(phi=bad)
     features = random_features(rng, mdp, 2)
-    for theta in ({"a": 1}, [[0.0], [0.0, 1.0]]):
-        with pytest.raises(InvariantError, match="theta: cannot be read as one array"):
-            LinearRewardModel(features=features, theta=theta)
+    for bad, error, message in (
+        ({"a": 1}, InvariantError, "cannot be read as one array"),
+        ([[0.0], [0.0, 1.0]], InvariantError, "cannot be read as one array"),
+        (["1.5", "2"], InvariantError, "expected a nested array of numbers"),
+        ([True, False], InvariantError, "expected a nested array of numbers"),
+        ([np.nan, 0.0], InvariantError, "entries must be finite"),
+        ([0.0, 0.0, 0.0], DimensionError, r"expected shape \(2,\)"),
+    ):
+        with pytest.raises(error, match=f"theta: {message}"):
+            LinearRewardModel(features=features, theta=bad)
 
 
 # ---------------------------------------------------------------------------

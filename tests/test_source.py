@@ -121,3 +121,84 @@ def test_derived_values_are_properties_and_not_fields():
         for name in names:
             assert isinstance(inspect.getattr_static(cls, name, None), property), (cls, name)
             assert name not in fields, (cls, name)
+
+
+# The functions that may convert a parameter themselves, with the reason: the
+# reader's own wrapper of np.asarray, and internal helpers whose callers are
+# all inside the package.
+ARRAY_READER_ALLOWED = {
+    "mdp._as_array": "the one place np.asarray meets outside data; every reader wraps it",
+    "opt._fit": "target is a feature expectation the package computed itself",
+    "linear_reward._geometry_constants": (
+        "theta_grid is read row by row by geometry_constants, its public caller"
+    ),
+}
+
+
+def own_array_conversions(sources: dict[str, str]) -> list[str]:
+    """Calls of ``np.asarray``, ``np.array`` or ``np.ascontiguousarray`` on a
+    parameter of the calling function (or on ``self.<field>`` in a
+    ``__post_init__``), as ``module.function (line)``, in ``sources``, module
+    name to text."""
+    found = []
+    for module, text in sources.items():
+        stack = [(node, module) for node in ast.parse(text).body]
+        while stack:
+            node, prefix = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                stack += [(child, f"{prefix}.{node.name}") for child in node.body]
+                continue
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{prefix}.{node.name}"
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for call in ast.walk(node):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "np"
+                    and call.func.attr in ("asarray", "array", "ascontiguousarray")
+                    and call.args
+                ):
+                    continue
+                arg = call.args[0]
+                own = isinstance(arg, ast.Name) and arg.id in params
+                field = (
+                    node.name == "__post_init__"
+                    and isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "self"
+                )
+                if own or field:
+                    found.append(f"{name} (line {call.lineno})")
+    return sorted(found)
+
+
+def test_own_array_conversions_are_found():
+    source = (
+        "import numpy as np\n"
+        "def f(x, y):\n    z = np.asarray(y)\n    return np.array(z), np.asarray([x])\n"
+        "class C:\n    def __post_init__(self):\n        np.ascontiguousarray(self.r)\n"
+        "def g(*, w):\n    return np.array(w)\n"
+    )
+    assert own_array_conversions({"m": source}) == [
+        "m.C.__post_init__ (line 7)",
+        "m.f (line 3)",
+        "m.g (line 9)",
+    ]
+
+
+def test_only_the_mdp_reader_converts_an_outside_array():
+    """No function converts an array it was given with ``np.asarray`` and
+    its kin: public inputs go through ``mdp._as_float_array`` (or, for
+    indices, ``mdp._as_index_array``), so each gets the same typed checks."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    found = [
+        hit for hit in own_array_conversions(sources)
+        if hit.split(" ")[0] not in ARRAY_READER_ALLOWED
+    ]
+    assert found == []
+    for name in ARRAY_READER_ALLOWED:  # an entry that no longer converts is stale
+        assert any(hit.startswith(f"{name} ") for hit in own_array_conversions(sources)), name
