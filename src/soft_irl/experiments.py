@@ -377,7 +377,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     approx_floor = trajectory_kl(mdp, expert, pi_star)
 
     constants = _geometry_constants(
-        mdp, features, solution_star, H_star, theta_grid=[np.zeros(features.d)], expert=expert
+        mdp, features, solution_star, H_star, theta_grid=np.zeros((1, features.d)), expert=expert
     )
     burn_in = (
         constants.B_A_phi**2

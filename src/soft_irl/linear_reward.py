@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError
+from .errors import DimensionError, DomainError, InvariantError
 from .mdp import (
     Dataset,
     Mdp,
     Policy,
     forward_occupancy,
     _as_float_array,
+    _as_paths,
     _check_compatible,
-    _check_dataset,
+    _check_real,
     _freeze,
     _occupancy,
     gather_table,
@@ -73,7 +74,8 @@ class FeatureMap:
 @dataclass(frozen=True, eq=False)
 class LinearRewardModel:
     """A feature map together with a parameter vector inside a norm ball;
-    ``theta`` is stored as :class:`~soft_irl.mdp.Mdp` stores its arrays."""
+    ``theta`` is stored as :class:`~soft_irl.mdp.Mdp` stores its arrays.
+    ``B_theta`` is a number above 0 (not a flag), ``inf`` for no ball."""
 
     features: FeatureMap
     theta: np.ndarray
@@ -81,8 +83,8 @@ class LinearRewardModel:
 
     def __post_init__(self) -> None:
         _freeze(self, "theta", (self.features.d,))
-        if not self.B_theta > 0.0:
-            raise InvariantError("B_theta must be positive")
+        if self.B_theta != float("inf"):
+            _check_real(self.B_theta, "LinearRewardModel.B_theta", 0.0)
         if math.hypot(*self.theta) > self.B_theta * (1.0 + 1e-12):  # finite for any finite theta
             raise InvariantError("theta lies outside the parameter ball")
 
@@ -236,7 +238,7 @@ def score(mdp: Mdp, model: LinearRewardModel, beta: float, data: Dataset) -> np.
     with respect to ``theta``.
     """
     adv = feature_advantage(mdp, model.features, solve_model(mdp, model, beta).pi_star)
-    _check_dataset(data, adv)
+    _as_paths(data.states, data.actions, "dataset", adv.shape)
     return batch_scores(adv, data.states, data.actions)
 
 
@@ -327,7 +329,7 @@ def effective_dimension(
     the per-step feature advantages and dynamics-noise terms, so ``Sigma_E``
     is exactly their summed second moments: an action part and a dynamics
     part, both computed from occupancies.  Exact at every size, with no
-    enumeration or sampling.
+    enumeration or sampling.  A singular ``H_star`` is a ``DomainError``.
     """
     H_star = _as_float_array(H_star, "H_star", (features.d, features.d))
     mu = forward_occupancy(mdp, expert)
@@ -335,8 +337,12 @@ def effective_dimension(
     adv = Qfeat - Vfeat[:-1, :, None, :]
     action_part, dynamics_part = _martingale_covariance(mdp, mu, adv, Vfeat)
     Sigma_E = action_part + dynamics_part
+    try:
+        d_star = float(np.trace(np.linalg.solve(H_star, Sigma_E)))
+    except np.linalg.LinAlgError as err:
+        raise DomainError(f"H_star: d_star needs an invertible matrix ({err})") from None
     return EffectiveDimension(
-        d_star=float(np.trace(np.linalg.solve(H_star, Sigma_E))),
+        d_star=d_star,
         Sigma_E=Sigma_E,
         action_part=action_part,
         dynamics_part=dynamics_part,
@@ -387,11 +393,11 @@ def geometry_constants(
         grid = () if theta_grid is None else np.atleast_2d(theta_grid)
     except ValueError:  # numpy's "inhomogeneous shape": rows of different lengths
         raise DimensionError("theta_grid", "(K, d)", "rows of different shapes") from None
-    for theta in grid:
-        LinearRewardModel(features=features, theta=theta)  # the public check of each grid point
+    thetas = [LinearRewardModel(features=features, theta=t).theta for t in grid]  # each checked
     solution = solve_model(mdp, model, beta)
     H = _solution_bundle(mdp, features, solution).hessian
-    return _geometry_constants(mdp, features, solution, H, theta_grid, expert)
+    grid = np.reshape(thetas, (-1, features.d))
+    return _geometry_constants(mdp, features, solution, H, grid, expert)
 
 
 def _geometry_constants(
@@ -399,16 +405,15 @@ def _geometry_constants(
     features: FeatureMap,
     solution: SoftSolution,
     H: np.ndarray,
-    theta_grid: np.ndarray | None = None,
+    theta_grid: np.ndarray = (),
     expert: Policy | None = None,
 ) -> GeometryConstants:
     """:func:`geometry_constants` at the parameter whose soft solution and
     Hessian are given, for callers that already hold them: no soft solve at
-    that parameter."""
+    that parameter.  ``theta_grid`` is a checked ``(K, d)`` float array."""
     beta = solution.beta
-    grid = () if theta_grid is None else np.atleast_2d(np.asarray(theta_grid, dtype=np.float64))
     B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)[:, None])[0])
-    B_A_phi = _score_bound(mdp, features, beta, grid, [solution.pi_star])
+    B_A_phi = _score_bound(mdp, features, beta, theta_grid, [solution.pi_star])
 
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)

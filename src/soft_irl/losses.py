@@ -28,7 +28,7 @@ from .mdp import (
     feature_expectation,
     forward_occupancy,
     _as_float_array,
-    _check_dataset,
+    _as_paths,
     _visit_frequencies,
 )
 from .linear_reward import LinearRewardModel, solve_model
@@ -120,7 +120,7 @@ def soft_optimal_residuals(
 ) -> np.ndarray:
     """Summed dynamics-noise terms of the soft-optimal value, per trajectory."""
     solution = solve_model(mdp, model, beta)
-    _check_dataset(data, solution.Q)
+    _as_paths(data.states, data.actions, "dataset", solution.Q.shape)
     return delta_terms(mdp, solution.V, data.states, data.actions).sum(axis=1)
 
 

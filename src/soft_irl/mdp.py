@@ -159,23 +159,6 @@ def _as_array(x, field_name: str) -> np.ndarray:
     return arr
 
 
-def _as_index_array(x, field_name: str) -> np.ndarray:
-    arr = _as_array(x, field_name)
-    if arr.ndim != 2:
-        raise DimensionError(field_name, "(n, T)", arr.shape)
-    if arr.shape[0] == 0:
-        raise EmptyDatasetError("a dataset must contain at least one trajectory")
-    if arr.shape[1] == 0:
-        raise InvariantError("a trajectory must contain at least one step")
-    if arr.dtype.kind not in "iu":
-        raise InvariantError(f"{field_name}: entries must be integers, got dtype {arr.dtype}")
-    arr = np.array(arr, dtype=np.int64)
-    if np.any(arr < 0):
-        raise InvariantError("trajectory indices must be non-negative")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """``n`` trajectories as read-only ``(n, T)`` int64 ``states`` and
@@ -187,12 +170,11 @@ class Dataset:
     generator_label: str = ""
 
     def __post_init__(self) -> None:
-        states = _as_index_array(self.states, "states")
-        actions = _as_index_array(self.actions, "actions")
-        if actions.shape != states.shape:
-            raise DimensionError("actions", states.shape, actions.shape)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
+        paths = _as_paths(self.states, self.actions, "dataset")
+        for name, index in zip(("states", "actions"), paths):
+            index = np.array(index, dtype=np.int64)
+            index.flags.writeable = False
+            object.__setattr__(self, name, index)
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def __len__(self) -> int:
@@ -208,26 +190,32 @@ def _check_compatible(mdp: Mdp, policy: Policy) -> None:
         raise DimensionError("policy.probs", (mdp.T, mdp.S, mdp.A), policy.probs.shape)
 
 
-def _check_paths(shape: tuple[int, ...], states, actions, what: str = "path"):
-    """``states`` and ``actions`` as ``(n, T)`` arrays, or an error unless
-    their horizon and indices fit the ``(T, S, A)`` axes of ``shape``."""
+def _as_paths(states, actions, what: str, axes: tuple | None = None):
+    """The one reader of paths from outside: ``states`` and ``actions`` as
+    integer ``(n, T)`` arrays, ``n, T >= 1``, with no negative index and, given
+    the ``(T, S, A, ...)`` ``axes`` of a table, its horizon and indices below
+    its ``S`` and ``A``; else a ``SoftIrlError`` naming ``what``.  No copy."""
     states, actions = _as_array(states, f"{what} states"), _as_array(actions, f"{what} actions")
-    T, S, A = shape[:3]
-    if states.shape[1:] != (T,):
-        raise DimensionError(what, f"horizon {T}", f"shape {states.shape}")
+    if states.ndim != 2:
+        raise DimensionError(f"{what} states", "(n, T)", states.shape)
     if actions.shape != states.shape:
         raise DimensionError(f"{what} actions", states.shape, actions.shape)
+    if states.shape[0] == 0:
+        raise EmptyDatasetError(f"{what}: needs at least one trajectory")
+    if states.shape[1] == 0:
+        raise InvariantError(f"{what}: a trajectory needs at least one step")
+    # with no table, an index need only fit the int64 that a Dataset stores
+    T, S, A = axes[:3] if axes is not None else (states.shape[1], 2**63, 2**63)
+    if states.shape[1] != T:
+        raise DimensionError(what, f"horizon {T}", f"shape {states.shape}")
     for index, name, axis, size in ((states, "state", "S", S), (actions, "action", "A", A)):
         if index.dtype.kind not in "iu":
             raise InvariantError(f"{what} {name} indices must be integers, got dtype {index.dtype}")
-        if index.min(initial=0) < 0 or index.max(initial=0) >= size:
+        if index.min() < 0:
+            raise InvariantError(f"{what} {name} index out of range (negative)")
+        if index.max() >= size:
             raise InvariantError(f"{what} {name} index out of range ({axis}={size})")
     return states, actions
-
-
-def _check_dataset(data: Dataset, table: np.ndarray) -> None:
-    """Reject ``data`` unless its horizon and indices fit ``table``'s ``(T, S, A)`` axes."""
-    _check_paths(table.shape, data.states, data.actions, "dataset")
 
 
 def forward_occupancy(mdp: Mdp, policy: Policy) -> np.ndarray:
@@ -294,12 +282,15 @@ def _check_flag(value, name: str) -> bool:
     return value
 
 
-def _check_real(value, name: str, low: float = -np.inf, high: float = np.inf) -> float:
-    """``value`` as a float: an ``InputError`` unless it is a number in ``(low, high)``."""
+def _check_real(value, name: str, low=-np.inf, high=np.inf, include_low=False) -> float:
+    """The one reader of a scalar from outside: ``value`` as a float, or an
+    ``InputError`` naming ``name`` unless it is a number (not a flag) in
+    ``(low, high)``, or in ``[low, high)`` with ``include_low``."""
     numeric = _is_integer(value) or isinstance(value, (float, np.floating))
-    if not (numeric and low < value < high):
+    if not (numeric and (low <= value if include_low else low < value) and value < high):
         error = DomainError if numeric else InputError
-        raise error(f"{name} must be a number in ({low:g}, {high:g}), got {value!r}")
+        opening = "[" if include_low else "("
+        raise error(f"{name} must be a number in {opening}{low:g}, {high:g}), got {value!r}")
     return float(value)
 
 
@@ -403,10 +394,14 @@ def _split(rng: np.random.Generator, counts, table: np.ndarray) -> np.ndarray:
 
 
 def gather_table(table: np.ndarray, states, actions) -> np.ndarray:
-    """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T, ...)``."""
-    states, actions = _check_paths(table.shape, states, actions)
-    T = states.shape[1]
-    return table[np.arange(T)[None, :], states, actions]
+    """Read ``table[t, states[i, t], actions[i, t]]`` for a batch: shape ``(N, T, ...)``.
+    ``table``, of rank 3 or more, is read as numbers that may be infinite (an advantage
+    is ``+inf`` off a policy's support), and the paths by :func:`_as_paths` on its axes."""
+    table = _as_numbers(table, "table")
+    if table.ndim < 3:
+        raise DimensionError("table", "(T, S, A, ...)", table.shape)
+    states, actions = _as_paths(states, actions, "path", table.shape)
+    return table[np.arange(table.shape[0])[None, :], states, actions]
 
 
 def _path_rows(shape: tuple[int, ...], states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -422,7 +417,7 @@ def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
     A row is ``-inf`` as soon as any of its factors vanishes.
     """
     _check_compatible(mdp, policy)
-    _check_dataset(data, policy.probs)
+    _as_paths(data.states, data.actions, "dataset", policy.probs.shape)
     states, actions = data.states, data.actions
     factors = np.empty((len(data), 2 * mdp.T))
     factors[:, 0] = mdp.initial_dist[states[:, 0]]
@@ -440,7 +435,7 @@ def _visit_frequencies(data: Dataset, table: np.ndarray) -> np.ndarray:
     The dataset is checked first: an out-of-range index would otherwise be
     counted, silently, in a cell of another step.
     """
-    _check_dataset(data, table)
+    _as_paths(data.states, data.actions, "dataset", table.shape)
     T, S, A = table.shape[:3]
     rows = _path_rows(table.shape, data.states, data.actions)
     return (np.bincount(rows.ravel(), minlength=T * S * A) / len(data)).reshape(T, S, A)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DimensionError
+from .errors import DimensionError
 from .mdp import (
     Dataset,
     Mdp,
@@ -40,8 +40,9 @@ from .mdp import (
     gather_table,
     _occupancy,
     _check_compatible,
-    _check_dataset,
+    _check_real,
     _as_float_array,
+    _as_paths,
     _feature_table,
     _freeze,
 )
@@ -271,12 +272,11 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     """Solve the entropy-regularized control problem by backward induction.
 
     Backups are log-sum-exp with max subtraction, stable down to very small
-    temperatures (``beta ~ 1e-3``).  Requires ``beta > 0``; for ``beta = 0``
-    use :func:`hard_backward`.
+    temperatures (``beta ~ 1e-3``).  ``beta`` must be a finite number above 0,
+    not a flag (a ``SoftIrlError`` otherwise); for ``beta = 0`` use :func:`hard_backward`.
     """
     _check_reward(mdp, reward)
-    if not beta > 0.0:
-        raise DomainError("soft_backward requires beta > 0; use hard_backward for beta = 0")
+    beta = _check_real(beta, "beta (hard_backward solves beta = 0)", 0.0)
     Q, V = _batch_optimal_values(mdp, reward.r[None], beta)
     return _gibbs_solution(mdp, beta, Q[:, 0], V[:, 0])
 
@@ -314,14 +314,14 @@ def policy_evaluate(
 ) -> PolicyEvaluation:
     """Evaluate a fixed policy under the entropy-regularized objective.
 
-    Works for any ``beta >= 0``.  Zero-probability actions contribute nothing
+    Works for any finite ``beta >= 0`` (not a flag; anything else is a
+    ``SoftIrlError`` naming it).  Zero-probability actions contribute nothing
     to the value (the usual ``0 log 0 = 0`` convention); their advantage
     entries are ``+inf`` when ``beta > 0`` and ``Q - V`` when ``beta = 0``.
     """
     _check_reward(mdp, reward)
     _check_compatible(mdp, policy)
-    if beta < 0.0:
-        raise DomainError("policy_evaluate requires beta >= 0")
+    beta = _check_real(beta, "beta", 0.0, include_low=True)
     probs = policy.probs[:, None]
     penalty = _regularizer(mdp, policy, beta)[:, None]
 
@@ -447,9 +447,11 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
     """Dynamics-noise terms ``V_{t+1}(s_{t+1}) - (P_t V_{t+1})(s_t, a_t)``.
 
     ``V`` is a ``(T+1, S)`` value array; the step-0 term measures the initial
-    draw against the initial distribution.  Returns shape ``(N, T)``.
+    draw against the initial distribution.  ``states`` and ``actions`` are
+    ``(N, T)`` paths, read on the MDP's axes.  Returns shape ``(N, T)``.
     """
     V = _as_float_array(V, "V", (mdp.T + 1, mdp.S))
+    states, actions = _as_paths(states, actions, "path", (mdp.T, mdp.S, mdp.A))
     n, T = states.shape
     out = np.empty((n, T))
     out[:, 0] = V[0][states[:, 0]] - float(mdp.initial_dist @ V[0])
@@ -470,7 +472,7 @@ def return_decomposition(
     trajectories in the policy's support.
     """
     evaluation = policy_evaluate(mdp, reward, policy, beta)
-    _check_dataset(data, evaluation.Q)
+    _as_paths(data.states, data.actions, "dataset", evaluation.Q.shape)
     regularized = reward.r - _regularizer(mdp, policy, beta)
     return ReturnDecomposition(
         G=gather_table(regularized, data.states, data.actions).sum(axis=1),

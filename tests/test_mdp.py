@@ -300,6 +300,84 @@ def test_frozen_types_store_their_arrays_contiguous_and_read_only(name):
         assert not isinstance(other, np.ndarray) or other.flags.writeable
 
 
+def scalar_inputs():
+    """Every public entry point that takes the temperature, and
+    ``LinearRewardModel.B_theta``: by name, the field its message names, the
+    edge cases it accepts, and a call that reads a value in its place."""
+    from soft_irl import (
+        derivative_bundle,
+        equivalence_report,
+        geometry_constants,
+        irl_empirical_loss,
+        irl_population_loss,
+        nonconvexity_probe,
+        policy_evaluate,
+        return_decomposition,
+        score,
+        shaping_projector,
+        soft_optimal_residuals,
+        third_derivative,
+        variance_decomposition,
+    )
+
+    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    mdp, features, expert = inst.mdp, inst.features, inst.expert
+    model = LinearRewardModel(features=features, theta=np.zeros(features.d))
+    reward = RewardTable(r=np.ones((mdp.T, mdp.S, mdp.A)))
+    data = sample_trajectories(mdp, expert, 4, seed=0)
+    u = np.ones(features.d)
+    solved = {  # through soft_backward, so beta > 0
+        "soft_backward": lambda b: soft_backward(mdp, reward, b),
+        "solve_model": lambda b: solve_model(mdp, model, b),
+        "derivative_bundle": lambda b: derivative_bundle(mdp, model, b),
+        "score": lambda b: score(mdp, model, b, data),
+        "third_derivative": lambda b: third_derivative(mdp, model, b, u, u, u),
+        "geometry_constants": lambda b: geometry_constants(mdp, features, model, b),
+        "irl_empirical_loss": lambda b: irl_empirical_loss(mdp, model, b, data),
+        "irl_population_loss": lambda b: irl_population_loss(mdp, model, b, expert),
+        "soft_optimal_residuals": lambda b: soft_optimal_residuals(mdp, model, b, data),
+        "equivalence_report": lambda b: equivalence_report(mdp, model, b, data, expert),
+        "nonconvexity_probe": lambda b: nonconvexity_probe(beta=b),
+    }
+    evaluated = {  # through policy_evaluate, so beta >= 0
+        "policy_evaluate": lambda b: policy_evaluate(mdp, reward, expert, b),
+        "shaping_projector": lambda b: shaping_projector(mdp, reward, expert, b),
+        "variance_decomposition": lambda b: variance_decomposition(mdp, reward, expert, b),
+        "return_decomposition": lambda b: return_decomposition(mdp, reward, expert, b, data),
+    }
+    inputs = {name: ("beta", (), call) for name, call in solved.items()}
+    inputs |= {name: ("beta", ("zero",), call) for name, call in evaluated.items()}
+    inputs["LinearRewardModel.B_theta"] = (
+        "B_theta", ("inf",), lambda b: LinearRewardModel(features=features, theta=u, B_theta=b)
+    )
+    return inputs
+
+
+SCALAR_INPUTS = scalar_inputs()
+SCALAR_CASES = {"string": "1", "true": True, "false": False, "nan": np.nan, "inf": np.inf,
+                "negative": -1.0, "zero": 0.0}
+
+
+@pytest.mark.parametrize("case", list(SCALAR_CASES))
+@pytest.mark.parametrize("name", list(SCALAR_INPUTS))
+def test_scalar_inputs_reject_malformed_values(name, case):
+    """The temperature and ``B_theta`` are read by ``mdp._check_real``: a
+    string, a flag, a NaN, an infinity or a number below the domain is a
+    ``SoftIrlError`` naming the field, with no bare error and no warning.
+    ``beta = 0`` is valid exactly where a policy is evaluated, and
+    ``B_theta = inf`` is no ball."""
+    from soft_irl import SoftIrlError
+
+    field, valid, call = SCALAR_INPUTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case in valid:
+            call(SCALAR_CASES[case])
+            return
+        with pytest.raises(SoftIrlError, match=field):
+            call(SCALAR_CASES[case])
+
+
 def test_distribution_check_bound_and_message():
     """Rows pass within 1e-12 of summing to 1 and fail beyond it, a NaN row
     fails, the message names the worst error, and an empty table passes."""

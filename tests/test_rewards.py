@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from soft_irl import (
     Dataset,
     DimensionError,
+    DomainError,
     FeatureMap,
     InstanceSpec,
     InvariantError,
@@ -479,7 +480,12 @@ def test_path_readers_reject_indices_off_the_table():
     """A path index outside ``[0, S)`` or ``[0, A)`` is an ``InvariantError``
     wherever paths are read through a table, instead of a read of another
     step's cell (index S at step t is row 0 of step t + 1) or a wrap-around
-    (index -1).  So is a ragged index list, which is not one array."""
+    (index -1).  So is a ragged index list, which is not one array, and so
+    are paths of another horizon in ``delta_terms``.  A table that is not
+    one array of numbers is an ``InvariantError`` naming ``table``; a list
+    table or list indices are read as arrays."""
+    from soft_irl import delta_terms
+
     table = np.arange(24.0).reshape(3, 4, 2, 1)
     zeros = np.zeros((1, 3), dtype=np.int64)
     ragged, square = [[0, 1, 0], [0]], [[0, 0, 0], [0, 0, 0]]
@@ -495,19 +501,49 @@ def test_path_readers_reject_indices_off_the_table():
         with pytest.raises(InvariantError, match="index out of range"):
             gather_table(table, np.array(states), np.array(actions))
     assert batch_scores(table, zeros, zeros).tolist() == [[0.0 + 8.0 + 16.0]]
+    for read in (batch_scores, gather_table):
+        assert np.array_equal(read(table.tolist(), zeros, zeros), read(table, zeros, zeros))
+        for bad, message in (({"a": 1}, "table: cannot be read as one array"),
+                             (table.astype(str), "table: expected a nested array of numbers")):
+            with pytest.raises(InvariantError, match=message):
+                read(bad, zeros, zeros)
+
+    rng = np.random.default_rng(19)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    V = rng.normal(size=(mdp.T + 1, mdp.S))
+    states, actions = rng.integers(3, size=(4, 3)), rng.integers(2, size=(4, 3))
+    assert states.min() == actions.min() == 0  # so that index - 1 holds a -1
+    expected = delta_terms(mdp, V, states, actions)
+    assert np.array_equal(delta_terms(mdp, V, states.tolist(), actions.tolist()), expected)
+    for bad_states, bad_actions, message in (
+        (states + 3, actions, r"state index out of range \(S=3\)"),
+        (states, actions + 2, r"action index out of range \(A=2\)"),
+        (states - 1, actions - 1, "state index out of range"),
+        (states, actions - 1, "action index out of range"),
+    ):
+        with pytest.raises(InvariantError, match=message):
+            delta_terms(mdp, V, bad_states, bad_actions)
+    with pytest.raises(DimensionError, match="horizon 3"):
+        delta_terms(mdp, V, states[:, :2], actions[:, :2])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
 def test_path_readers_reject_non_integer_indices(dtype):
     """Float or bool path indices are an ``InvariantError``, as they are in a
     ``Dataset``, not numpy's untyped ``IndexError``."""
+    from soft_irl import delta_terms
+
     table = np.arange(24.0).reshape(3, 4, 2, 1)
     zeros = np.zeros((1, 3), dtype=np.int64)
+    mdp = random_mdp(np.random.default_rng(19), S=4, A=2, T=3)
+    V = np.zeros((mdp.T + 1, mdp.S))
     for states, actions in ((zeros.astype(dtype), zeros), (zeros, zeros.astype(dtype))):
         with pytest.raises(InvariantError, match="indices must be integers"):
             batch_scores(table, states, actions)
         with pytest.raises(InvariantError, match="indices must be integers"):
             gather_table(table, states, actions)
+        with pytest.raises(InvariantError, match="indices must be integers"):
+            delta_terms(mdp, V, states, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +885,16 @@ def test_effective_dimension_bound():
     states, actions, _ = enumerate_support(mdp, expert)
     B_phi = max_cumulative_feature_norm(features, states, actions)
     assert ed.d_star <= B_phi**2 / lam + 1e-8
+
+
+def test_effective_dimension_rejects_a_singular_H_star():
+    """``d_star`` solves with ``H_star``; a singular one is a ``DomainError``
+    naming it, not numpy's untyped ``LinAlgError``."""
+    rng = np.random.default_rng(30)
+    mdp = random_mdp(rng, S=4, A=3, T=3)
+    features = random_features(rng, mdp, 3)
+    with pytest.raises(DomainError, match="H_star"):
+        effective_dimension(mdp, features, uniform_policy(mdp), np.zeros((3, 3)))
 
 
 def test_geometry_constants_constant_features():

@@ -129,9 +129,6 @@ def test_derived_values_are_properties_and_not_fields():
 ARRAY_READER_ALLOWED = {
     "mdp._as_array": "the one place np.asarray meets outside data; every reader wraps it",
     "opt._fit": "target is a feature expectation the package computed itself",
-    "linear_reward._geometry_constants": (
-        "theta_grid is read row by row by geometry_constants, its public caller"
-    ),
 }
 
 
@@ -193,7 +190,7 @@ def test_own_array_conversions_are_found():
 def test_only_the_mdp_reader_converts_an_outside_array():
     """No function converts an array it was given with ``np.asarray`` and
     its kin: public inputs go through ``mdp._as_float_array`` (or, for
-    indices, ``mdp._as_index_array``), so each gets the same typed checks."""
+    paths, ``mdp._as_paths``), so each gets the same typed checks."""
     sources = {p.stem: p.read_text() for p in MODULES}
     found = [
         hit for hit in own_array_conversions(sources)
