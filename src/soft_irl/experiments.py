@@ -44,6 +44,7 @@ from .linear_reward import (
     _batch_soft_values,
     _dikin_radius,
     _geometry_constants,
+    _identifiable_split,
     _score_bound,
 )
 from .opt import FIT_STATUSES, FitConfig, fit_population, _fit_batch
@@ -209,6 +210,31 @@ def _cell_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
 
 
+def _count_averages(mdp: Mdp, expert: Policy, phi: np.ndarray, cells) -> np.ndarray:
+    """The feature average of ``n`` expert trajectories for each ``(n, seed)``
+    cell, stacked ``(len(cells), d)``, from visit counts drawn from their exact
+    law: no trajectory is held, so a cell costs the same at any ``n``."""
+    return np.stack([
+        _occupancy_average(_sample_counts(mdp, expert, n, seed) / n, phi) for n, seed in cells
+    ])
+
+
+def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: float, cfg):
+    """``(theta*, H*, pi*, constants)`` of the population fit to ``expert`` at
+    ``cfg``, whose temperature must be ``beta``: ``pi*`` from the one soft solve
+    at ``theta*``, the geometry constants with the score bound over it and 0."""
+    if cfg.beta != beta:
+        raise InputError("fit config temperature must match the instance temperature")
+    population = fit_population(mdp, features, expert, cfg)
+    if not population.converged:
+        raise DomainError("population fit did not converge; cannot define theta_star")
+    theta_star, H_star = population.theta_hat, population.hessian_at_solution
+    model = LinearRewardModel(features=features, theta=theta_star, B_theta=cfg.B_theta)
+    solution, grid = solve_model(mdp, model, beta), np.zeros((1, features.d))
+    constants = _geometry_constants(mdp, features, solution, H_star, grid, expert)
+    return theta_star, H_star, solution.pi_star, constants
+
+
 # --------------------------------------------------------------------------
 # convergence-rate experiment
 
@@ -307,22 +333,19 @@ def _rate_grid(
     replicate of every sample size of the grid, as arrays of shape
     ``(len(n_grid), replicates)``.
 
-    Each replicate's visit counts are drawn from their exact law, from its
-    cell seed, and reduced to its feature average, so no trajectory is held;
-    the whole grid is then fitted as one lockstep batch, and each metric is
-    one array expression over the batch.  Every value is bit for bit that of
-    a replicate fitted and measured alone.
+    Each replicate's feature average is drawn from its cell seed
+    (:func:`_count_averages`); the whole grid is then fitted as one lockstep
+    batch, and each metric is one array expression over the batch.  Every
+    value is bit for bit that of a replicate fitted and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
-    targets = np.stack([
-        _occupancy_average(
-            _sample_counts(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep)) / n,
-            features.phi,
-        )
+    cells = [
+        (n, _cell_seed(config.data_seed, i_n, rep))
         for i_n, n in enumerate(config.n_grid)
         for rep in range(config.replicates)
-    ])
+    ]
+    targets = _count_averages(mdp, expert, features.phi, cells)
     results = _fit_batch(mdp, features, targets, config.fit_config())
     thetas = np.stack([result.theta_hat for result in results])
     Q, V = _batch_soft_values(mdp, features.phi, beta, thetas)
@@ -362,23 +385,10 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     instance = generate_instance(config.instance)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
-    fit_cfg = config.fit_config()
-    if fit_cfg.beta != beta:
-        raise InputError("fit config temperature must match the instance temperature")
-
-    population = fit_population(mdp, features, expert, fit_cfg)
-    if not population.converged:
-        raise DomainError("population fit did not converge; cannot define theta_star")
-    theta_star = population.theta_hat
-    H_star = population.hessian_at_solution
-    model_star = LinearRewardModel(features=features, theta=theta_star, B_theta=fit_cfg.B_theta)
-    solution_star = solve_model(mdp, model_star, beta)  # the one soft solve at theta_star
-    pi_star = solution_star.pi_star
-    approx_floor = trajectory_kl(mdp, expert, pi_star)
-
-    constants = _geometry_constants(
-        mdp, features, solution_star, H_star, theta_grid=np.zeros((1, features.d)), expert=expert
+    theta_star, H_star, pi_star, constants = _population_reference(
+        mdp, features, expert, beta, config.fit_config()
     )
+    approx_floor = trajectory_kl(mdp, expert, pi_star)
     burn_in = (
         constants.B_A_phi**2
         * constants.d_star
@@ -462,6 +472,19 @@ class GeometryCheck:
         return self.lower - tol <= self.value <= self.upper + tol
 
 
+def _smallest_curvature(mdp: Mdp, features: FeatureMap, H0: np.ndarray, caller: str) -> float:
+    """The smallest eigenvalue of the Hessian ``H0`` at ``theta0``, or a
+    ``DomainError`` naming ``caller`` unless ``H0`` is positive definite: above
+    0 and, within 1e-10 of the largest, with no kernel in the features' units
+    (:func:`linear_reward._identifiable_split`, asked only there)."""
+    w = np.linalg.eigvalsh(H0)
+    if w[0] <= 0.0 or (
+        w[0] <= 1e-10 * w[-1] and _identifiable_split(mdp, features.phi, H0)[0].shape[1]
+    ):
+        raise DomainError(f"{caller} requires a positive-definite Hessian at theta0")
+    return float(w[0])
+
+
 @dataclass(frozen=True)
 class GeometryCheckReport:
     """Inequality checks between two parameters; see :func:`check_local_geometry`."""
@@ -494,8 +517,6 @@ def check_local_geometry(
     displacement, and KL within [1, 3] times squared Hellinger.  Outside it,
     the deviation-dependent global bounds are checked instead.
     """
-    import scipy.linalg
-
     beta = _check_real(beta, "beta", 0.0)
     theta0 = LinearRewardModel(features=features, theta=theta0).theta
     theta1 = LinearRewardModel(features=features, theta=theta1).theta
@@ -504,11 +525,9 @@ def check_local_geometry(
     Q, V = _batch_soft_values(mdp, features.phi, beta, np.stack([theta0, theta1]))
     probs = _gibbs_probs(mdp, beta, Q, V)
     grads, (H0, H1) = _batch_derivatives(mdp, features.phi, beta, probs)
-    lam0 = float(np.linalg.eigvalsh(H0).min())
-    if lam0 <= 0.0:
-        raise DomainError("check_local_geometry requires a positive-definite Hessian at theta0")
+    lam0 = _smallest_curvature(mdp, features, H0, "check_local_geometry")
     try:
-        gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
+        chol = np.linalg.cholesky(H0)
     except np.linalg.LinAlgError as err:
         # H0's Cholesky factorization fails when its smallest eigenvalue is
         # positive but lost in rounding
@@ -516,6 +535,8 @@ def check_local_geometry(
             "check_local_geometry requires a positive-definite Hessian at theta0 "
             f"(smallest eigenvalue {lam0:.3e} is numerically singular)"
         ) from err
+    # the eigenvalues of H1 in the metric of H0: those of L^-1 H1 L^-T, H0 = L L^T
+    gen_eigs = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, H1).T))
 
     alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
     B_A_phi = _score_bound(mdp, features, beta, theta0 + alphas[:, None] * delta)
@@ -586,9 +607,7 @@ def dikin_boundary_pair(
     direction = np.ldexp(direction, -math.frexp(float(np.abs(direction).max()))[1])
     probs = _gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, theta0[None]))
     H0 = _batch_derivatives(mdp, features.phi, beta, probs)[1][0]
-    lam0 = float(np.linalg.eigvalsh(H0).min())
-    if lam0 <= 0.0:
-        raise DomainError("dikin_boundary_pair requires a positive-definite Hessian at theta0")
+    lam0 = _smallest_curvature(mdp, features, H0, "dikin_boundary_pair")
     length = float(np.sqrt(direction @ H0 @ direction))
     if not length > 0.0:
         raise DomainError("dikin_boundary_pair requires a non-zero direction")
@@ -653,52 +672,33 @@ def check_concentration(
     expectation, measured in the inverse-Hessian norm at the population
     solution; the bound is ``sqrt(2 d* log(1/delta) / n) +
     4 B_phi log(1/delta) / (sqrt(lambda*) n)`` and should fail with frequency
-    at most ``delta`` (plus binomial noise).  Each trial draws the visit
-    counts of ``n`` expert trajectories from their exact law by multinomial
-    splitting, from its own seed, and holds no trajectory; so a trial costs
-    the same at any ``n``.  ``n`` and ``trials`` must be positive integers,
-    ``n`` below ``2**63`` (a ``DomainError`` otherwise), ``delta`` a number
-    in ``(0, 1)``, ``seed`` a non-negative integer and ``fit_config``'s
-    temperature ``beta``; anything else raises an ``InputError`` before any
-    work.
+    at most ``delta`` (plus binomial noise).  The trials are cells of the rate
+    grid's draw (:func:`_count_averages`), a seed each, and their ``eta_n`` is
+    one solve against the Cholesky factor of ``H*``.  ``n`` and ``trials``
+    must be positive integers, ``n`` below ``2**63`` (a ``DomainError``
+    otherwise), ``delta`` a number in ``(0, 1)``, ``seed`` a non-negative
+    integer and ``fit_config``'s temperature ``beta``; anything else raises an
+    ``InputError`` before any work.
     """
-    import scipy.linalg
-
     _check_sample_size(n, "n")
     _check_count(trials, "trials")
     _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
-    if cfg.beta != beta:
-        raise InputError("fit config temperature must match beta")
-    population = fit_population(mdp, features, expert, cfg)
-    if not population.converged:
-        raise DomainError("population fit did not converge")
-    model_star = LinearRewardModel(
-        features=features, theta=population.theta_hat, B_theta=cfg.B_theta
-    )
-    constants = _geometry_constants(
-        mdp, features, solve_model(mdp, model_star, beta), population.hessian_at_solution,
-        expert=expert,
-    )
+    _, H_star, _, constants = _population_reference(mdp, features, expert, beta, cfg)
     lambda_star = constants.lambda_star
     if math.isnan(constants.d_star):
         raise DomainError("concentration bound requires a positive-definite Hessian")
 
-    target = feature_expectation(mdp, expert, features)
-    chol = scipy.linalg.cholesky(population.hessian_at_solution, lower=True)
     log_inv_delta = math.log(1.0 / delta)
     bound = math.sqrt(2.0 * constants.d_star * log_inv_delta / n) + (
         4.0 * constants.B_phi * log_inv_delta / (math.sqrt(lambda_star) * n)
     )
-
-    etas = np.empty(trials)
-    for trial in range(trials):
-        counts = _sample_counts(mdp, expert, n, _cell_seed(seed, trial))
-        diff = _occupancy_average(counts / n, features.phi) - target
-        etas[trial] = float(
-            np.linalg.norm(scipy.linalg.solve_triangular(chol, diff, lower=True))
-        )
+    cells = [(n, _cell_seed(seed, trial)) for trial in range(trials)]
+    diffs = _count_averages(mdp, expert, features.phi, cells)
+    diffs -= feature_expectation(mdp, expert, features)
+    chol = np.linalg.cholesky(H_star)
+    etas = np.linalg.norm(np.linalg.solve(chol, diffs.T), axis=0)
 
     violations = int((etas > bound).sum())
     frequency = violations / trials

@@ -85,7 +85,9 @@ class LinearRewardModel:
         _freeze(self, "theta", (self.features.d,))
         if self.B_theta != float("inf"):
             _check_real(self.B_theta, "LinearRewardModel.B_theta", 0.0)
-        if math.hypot(*self.theta) > self.B_theta * (1.0 + 1e-12):  # finite for any finite theta
+        # finite for any finite theta; a float product rounds to inf past the
+        # float range, where a numpy one warns
+        if math.hypot(*self.theta) > float(self.B_theta) * (1.0 + 1e-12):
             raise InvariantError("theta lies outside the parameter ball")
 
     def with_theta(self, theta: np.ndarray) -> "LinearRewardModel":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .mdp import (
     Dataset,
     Mdp,
@@ -145,6 +145,13 @@ class VarianceDecomposition:
 def _check_reward(mdp: Mdp, reward: RewardTable) -> None:
     if reward.r.shape != (mdp.T, mdp.S, mdp.A):
         raise DimensionError("reward.r", (mdp.T, mdp.S, mdp.A), reward.r.shape)
+
+
+def _check_in_range(beta: float, *tables: np.ndarray) -> None:
+    """A ``DomainError`` naming ``beta`` unless every entry of ``tables``, the
+    values of a public solve computed with overflow ignored, is finite."""
+    if not all(np.isfinite(table).all() for table in tables):
+        raise DomainError(f"beta = {beta:g}: the values of this reward leave the float range")
 
 
 def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
@@ -274,11 +281,14 @@ def soft_backward(mdp: Mdp, reward: RewardTable, beta: float) -> SoftSolution:
     Backups are log-sum-exp with max subtraction, stable down to very small
     temperatures (``beta ~ 1e-3``).  ``beta`` must be a finite number above 0,
     not a flag (a ``SoftIrlError`` otherwise); for ``beta = 0`` use :func:`hard_backward`.
+    A ``beta`` so large that the values leave the float range is a ``DomainError``.
     """
     _check_reward(mdp, reward)
     beta = _check_real(beta, "beta (hard_backward solves beta = 0)", 0.0)
-    Q, V = _batch_optimal_values(mdp, reward.r[None], beta)
-    return _gibbs_solution(mdp, beta, Q[:, 0], V[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, V = _batch_optimal_values(mdp, reward.r[None], beta)
+        _check_in_range(beta, Q, V)
+        return _gibbs_solution(mdp, beta, Q[:, 0], V[:, 0])
 
 
 def hard_backward(mdp: Mdp, reward: RewardTable) -> HardSolution:
@@ -315,7 +325,8 @@ def policy_evaluate(
     """Evaluate a fixed policy under the entropy-regularized objective.
 
     Works for any finite ``beta >= 0`` (not a flag; anything else is a
-    ``SoftIrlError`` naming it).  Zero-probability actions contribute nothing
+    ``SoftIrlError`` naming it) whose values stay in the float range (a
+    ``DomainError`` naming it otherwise).  Zero-probability actions contribute nothing
     to the value (the usual ``0 log 0 = 0`` convention); their advantage
     entries are ``+inf`` when ``beta > 0`` and ``Q - V`` when ``beta = 0``.
     """
@@ -323,19 +334,22 @@ def policy_evaluate(
     _check_compatible(mdp, policy)
     beta = _check_real(beta, "beta", 0.0, include_low=True)
     probs = policy.probs[:, None]
-    penalty = _regularizer(mdp, policy, beta)[:, None]
 
     def expected_regularized(t, q):
         return (probs[t] * np.where(probs[t] > 0.0, q - penalty[t], 0.0)).sum(axis=-1)
 
-    Q, V = _backward(mdp.kernels, reward.r[:, None], expected_regularized)
-    Q, V, penalty = Q[:, 0], V[:, 0], penalty[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = _regularizer(mdp, policy, beta)[:, None]
+        Q, V = _backward(mdp.kernels, reward.r[:, None], expected_regularized)
+        Q, V, penalty = Q[:, 0], V[:, 0], penalty[:, 0]
+        advantage = Q - V[:-1, :, None] - penalty
+    _check_in_range(beta, Q, V, advantage[policy.probs > 0.0])
     return PolicyEvaluation(
         beta=float(beta),
         V=V,
         Q=Q,
         J=float(mdp.initial_dist @ V[0]),
-        advantage=Q - V[:-1, :, None] - penalty,
+        advantage=advantage,
     )
 
 

@@ -370,7 +370,7 @@ def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, na
 
 
 def test_importing_the_package_and_cli_leaves_scipy_unloaded():
-    """scipy is imported by the functions that use it, not by the package."""
+    """The package and its CLI import no scipy."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -385,9 +385,9 @@ def test_importing_the_package_and_cli_leaves_scipy_unloaded():
 
 
 def test_a_fit_that_ends_on_the_ball_leaves_scipy_unloaded():
-    """The fitter needs no scipy, on the ball's sphere either: a fresh
-    interpreter runs a ball-constrained ``fit_population`` that ends on the
-    sphere and lists no scipy module."""
+    """The package imports no scipy, and its fitter on the ball's sphere
+    makes no exception: a fresh interpreter runs a ball-constrained
+    ``fit_population`` that ends on the sphere and lists no scipy module."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -403,6 +403,33 @@ def test_a_fit_that_ends_on_the_ball_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
     assert done.stdout.strip() == "True True []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--config", str(path)]
+        for path in sorted(CONFIGS.glob("*.json"))
+        for command in sorted(set(json.loads(path.read_text())) & set(cli._COMMANDS))
+    ]
+    + [["counterexample"]],
+    ids=lambda argv: argv[-1].rsplit("/", 1)[-1],
+)
+def test_each_shipped_command_runs_with_scipy_unimportable(tmp_path, argv):
+    """Every shipped config, and ``counterexample`` without one, exits 0 in a
+    fresh interpreter where ``import scipy`` fails: the package needs numpy alone."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from soft_irl import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--output", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

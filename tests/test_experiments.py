@@ -17,6 +17,7 @@ from soft_irl import (
     Dataset,
     DimensionError,
     DomainError,
+    FeatureMap,
     FitConfig,
     GeometryCheck,
     GeometryCheckReport,
@@ -33,8 +34,11 @@ from soft_irl import (
     dikin_boundary_pair,
     empirical_feature_expectation,
     feature_advantage,
+    feature_expectation,
     fit_empirical,
+    fit_population,
     generate_instance,
+    kernel_basis,
     psi,
     run_rate_experiment,
     sample_trajectories,
@@ -44,14 +48,15 @@ from soft_irl import (
     trajectory_log_prob,
     uniform_policy,
 )
-from soft_irl.experiments import _SEGMENT_POINTS, _cell_seed, _exp
-from soft_irl.mdp import _sample_counts
+from soft_irl.experiments import _SEGMENT_POINTS, _cell_seed, _exp, _spawn_rng
+from soft_irl.mdp import _occupancy_average, _sample_counts
 from soft_irl.linear_reward import LinearRewardModel, _dikin_radius, _score_bound
 from soft_irl.soft_dp import _log_gibbs, _path_max
 
 from test_mdp import enumerate_support, trajectory_probs
 
 TINY = InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +384,56 @@ def test_geometry_with_a_numerically_singular_hessian_is_a_domain_error():
         check_local_geometry(inst.mdp, FeatureMap(phi=phi), 0.5, np.zeros(3), 1e-3 * np.ones(3))
 
 
+def shaping_planted_pair(seed):
+    """An instance whose last feature is a potential-shaping column
+    ``h_t(s) - (P_t h_{t+1})(s, a)`` with ``h_T = 0``, a direction that moves
+    no trajectory law (a one-dimensional Hessian kernel), and a parameter
+    ``theta0`` and ``direction`` drawn after ``h``."""
+    spec = InstanceSpec(S=4, A=2, T=3, d=4, beta=0.5, seed=seed, exclude_kernel=False)
+    inst = generate_instance(spec)
+    mdp = inst.mdp
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(mdp.T + 1, mdp.S))
+    h[mdp.T] = 0.0
+    shaping = np.repeat(h[:-1, :, None], mdp.A, axis=2)
+    shaping[:-1] -= np.einsum("tsaz,tz->tsa", mdp.kernels, h[1:-1])
+    phi = inst.features.phi.copy()
+    phi[..., -1] = shaping
+    return mdp, FeatureMap(phi=phi), 0.5 * rng.normal(size=spec.d), rng.normal(size=spec.d)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_geometry_pair_refuses_a_hessian_with_a_kernel(seed):
+    """A Hessian with a kernel is refused by both geometry functions, though
+    rounding leaves its smallest eigenvalue (2e-32 to 3e-31 here) above 0:
+    without the kernel test the pair is ``theta0`` itself, at a Dikin radius
+    near 1e-17, and the check fails on seeds 0 and 3."""
+    mdp, features, theta0, direction = shaping_planted_pair(seed)
+    assert kernel_basis(mdp, features).shape[1] == 1
+    with pytest.raises(DomainError, match="dikin_boundary_pair requires a positive-definite"):
+        dikin_boundary_pair(mdp, features, 0.5, theta0, direction)
+    with pytest.raises(DomainError, match="check_local_geometry requires a positive-definite"):
+        check_local_geometry(mdp, features, 0.5, theta0, theta0 + direction)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_feature_in_small_units_still_gets_its_geometry_pair(seed):
+    """A feature column scaled by 1e-6 takes the Hessian's eigenvalue ratio
+    below 1e-10, where the kernel is looked for in the features' units; it
+    finds none there, so the pair is placed and every check passes."""
+    inst = generate_instance(InstanceSpec(S=4, A=2, T=3, d=4, beta=0.5, seed=seed))
+    phi = inst.features.phi.copy()
+    phi[..., -1] *= 1e-6
+    features = FeatureMap(phi=phi)
+    rng = np.random.default_rng(seed)
+    theta0, direction = 0.5 * rng.normal(size=4), rng.normal(size=4)
+    model = LinearRewardModel(features=features, theta=theta0)
+    eigs = np.linalg.eigvalsh(derivative_bundle(inst.mdp, model, 0.5).hessian)
+    assert 0.0 < eigs[0] <= 1e-10 * eigs[-1]
+    theta1 = dikin_boundary_pair(inst.mdp, features, 0.5, theta0, direction)
+    assert check_local_geometry(inst.mdp, features, 0.5, theta0, theta1).all_passed
+
+
 def test_check_local_geometry_checks_both_parameter_shapes_before_any_work(monkeypatch):
     """A parameter of the wrong shape is a ``DimensionError`` at entry, not
     numpy's broadcast ``ValueError`` from ``theta1 - theta0``, and no value
@@ -495,9 +550,12 @@ def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
     if lam0 <= 0.0:
         raise DomainError("positive-definite")
     try:
-        gen_eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
+        chol = np.linalg.cholesky(H0)
     except np.linalg.LinAlgError as err:
         raise DomainError("numerically singular") from err
+    # the library's formula, so that == checks the batch and not the algebra;
+    # test_the_sandwich_matches_scipy checks the formula against scipy
+    gen_eigs = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, H1).T))
     alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
     B_A_phi = per_parameter_score_bound(mdp, features, beta, [theta0 + a * delta for a in alphas])
     delta_h0 = float(np.sqrt(delta @ H0 @ delta))
@@ -580,6 +638,112 @@ def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
             return "refused"
 
     assert outcome(check_local_geometry) == outcome(per_parameter_geometry_report)
+
+
+# scipy is an oracle of the suite only: the package takes its factorizations
+# from numpy, and these tests hold them to scipy's within a bound fixed
+# before they were first run.
+ORACLE_RTOL = 1e-12
+
+
+def assert_sandwich_matches_scipy(mdp, features, beta, theta0, theta1):
+    """The sandwich values of ``check_local_geometry`` are the extreme
+    eigenvalues of scipy's generalized ``eigh(H1, H0)`` of the bundles'
+    Hessians, within ``ORACLE_RTOL``, or within the rounding that a backward
+    stable method may make on an ill-conditioned ``H0``, ``16 eps cond(H0)``,
+    where that is larger.  (On a drawn pair with ``cond(H0)`` near 1e6,
+    scipy's smaller value was 2.1e-11 from its 50-digit value, numpy's 5.4e-12.)"""
+    report = check_local_geometry(mdp, features, beta, theta0, theta1)
+    H0, H1 = (
+        derivative_bundle(mdp, LinearRewardModel(features=features, theta=theta), beta).hessian
+        for theta in (theta0, theta1)
+    )
+    eigs = scipy.linalg.eigh(H1, H0, eigvals_only=True)
+    rel = max(ORACLE_RTOL, 16 * np.finfo(float).eps * np.linalg.cond(H0))
+    values = {check.name: check.value for check in report.checks}
+    assert values["hessian_sandwich_min"] == pytest.approx(eigs.min(), rel=rel, abs=0)
+    assert values["hessian_sandwich_max"] == pytest.approx(eigs.max(), rel=rel, abs=0)
+
+
+def assert_etas_match_scipy(mdp, features, beta, expert, n, trials, seed):
+    """``check_concentration``'s ``eta`` of each trial is the norm of scipy's
+    triangular solve, against scipy's Cholesky factor of ``H*``, of that
+    trial's feature deviation."""
+    report = check_concentration(mdp, features, beta, expert, n=n, trials=trials, seed=seed)
+    H_star = fit_population(mdp, features, expert, FitConfig(beta=beta)).hessian_at_solution
+    chol = scipy.linalg.cholesky(H_star, lower=True)
+    target = feature_expectation(mdp, expert, features)
+    for trial, eta in enumerate(report.etas):
+        counts = _sample_counts(mdp, expert, n, _cell_seed(seed, trial))
+        diff = _occupancy_average(counts / n, features.phi) - target
+        expected = np.linalg.norm(scipy.linalg.solve_triangular(chol, diff, lower=True))
+        assert eta == pytest.approx(expected, rel=ORACLE_RTOL, abs=0)
+
+
+def test_the_sandwich_matches_scipy_on_the_shipped_geometry_config():
+    """The pairs of ``configs/geometry.json``, drawn as the CLI draws them."""
+    config = json.loads((CONFIGS / "geometry.json").read_text())
+    section = config["geometry"]
+    spec = InstanceSpec(**section["instance"])
+    inst = generate_instance(spec)
+    rng = _spawn_rng(config["seed"], 7)
+    for _ in range(section["pairs"]):
+        theta0 = section["theta_scale"] * rng.normal(size=spec.d)
+        direction = rng.normal(size=spec.d)
+        theta1 = dikin_boundary_pair(inst.mdp, inst.features, spec.beta, theta0, direction)
+        assert_sandwich_matches_scipy(inst.mdp, inst.features, spec.beta, theta0, theta1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1.0, 10.0]),
+)
+def test_the_sandwich_matches_scipy(seed, S, A, T, d, factor):
+    spec = InstanceSpec(S=S, A=A, T=T, d=d, beta=0.6, seed=seed)
+    try:
+        inst = generate_instance(spec)
+    except InputError:
+        assume(False)  # no identifiable feature draw for this spec
+    rng = np.random.default_rng(seed)
+    theta0, direction = 0.5 * rng.normal(size=d), rng.normal(size=d)
+    try:
+        theta1 = dikin_boundary_pair(inst.mdp, inst.features, spec.beta, theta0, direction, factor)
+    except DomainError:
+        assume(False)  # a Hessian at theta0 singular to rounding has no Dikin boundary
+    assert_sandwich_matches_scipy(inst.mdp, inst.features, spec.beta, theta0, theta1)
+
+
+def test_the_etas_match_scipy_on_the_shipped_concentration_config():
+    section = json.loads((CONFIGS / "concentration.json").read_text())["concentration"]
+    spec = InstanceSpec(**section["instance"])
+    inst = generate_instance(spec)
+    assert_etas_match_scipy(
+        inst.mdp, inst.features, spec.beta, inst.expert,
+        section["n"], section["trials"], section["data_seed"],
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=10_000),
+)
+def test_the_etas_match_scipy(seed, S, A, T, d, n):
+    spec = InstanceSpec(S=S, A=A, T=T, d=d, beta=0.6, seed=seed)
+    try:
+        inst = generate_instance(spec)
+        assert_etas_match_scipy(inst.mdp, inst.features, spec.beta, inst.expert, n, 8, seed)
+    except (InputError, DomainError):
+        assume(False)  # no identifiable features, or no converged population fit
 
 
 def test_the_geometry_study_solves_no_parameter_through_the_public_api(monkeypatch):

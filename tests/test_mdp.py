@@ -339,23 +339,28 @@ def scalar_inputs():
         "equivalence_report": lambda b: equivalence_report(mdp, model, b, data, expert),
         "nonconvexity_probe": lambda b: nonconvexity_probe(beta=b),
     }
+    huge_valid = {"nonconvexity_probe"}  # T = 2 and A = 2: 1e308 * T * log A is a float
     evaluated = {  # through policy_evaluate, so beta >= 0
         "policy_evaluate": lambda b: policy_evaluate(mdp, reward, expert, b),
         "shaping_projector": lambda b: shaping_projector(mdp, reward, expert, b),
         "variance_decomposition": lambda b: variance_decomposition(mdp, reward, expert, b),
         "return_decomposition": lambda b: return_decomposition(mdp, reward, expert, b, data),
     }
-    inputs = {name: ("beta", (), call) for name, call in solved.items()}
+    inputs = {
+        name: ("beta", ("huge",) if name in huge_valid else (), call)
+        for name, call in solved.items()
+    }
     inputs |= {name: ("beta", ("zero",), call) for name, call in evaluated.items()}
     inputs["LinearRewardModel.B_theta"] = (
-        "B_theta", ("inf",), lambda b: LinearRewardModel(features=features, theta=u, B_theta=b)
+        "B_theta", ("inf", "huge", "max"),
+        lambda b: LinearRewardModel(features=features, theta=u, B_theta=b),
     )
     return inputs
 
 
 SCALAR_INPUTS = scalar_inputs()
 SCALAR_CASES = {"string": "1", "true": True, "false": False, "nan": np.nan, "inf": np.inf,
-                "negative": -1.0, "zero": 0.0}
+                "negative": -1.0, "zero": 0.0, "huge": 1e308, "max": np.finfo(float).max}
 
 
 @pytest.mark.parametrize("case", list(SCALAR_CASES))
@@ -364,8 +369,10 @@ def test_scalar_inputs_reject_malformed_values(name, case):
     """The temperature and ``B_theta`` are read by ``mdp._check_real``: a
     string, a flag, a NaN, an infinity or a number below the domain is a
     ``SoftIrlError`` naming the field, with no bare error and no warning.
-    ``beta = 0`` is valid exactly where a policy is evaluated, and
-    ``B_theta = inf`` is no ball."""
+    So is a finite temperature whose values leave the float range (``beta =
+    1e308`` makes ``beta * T * log A`` one, on this instance, and the largest
+    float does too).  ``beta = 0`` is valid exactly where a policy is
+    evaluated, and ``B_theta = inf`` is no ball."""
     from soft_irl import SoftIrlError
 
     field, valid, call = SCALAR_INPUTS[name]

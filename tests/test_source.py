@@ -84,6 +84,44 @@ def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in SOURCES}) == []
 
 
+def scipy_imports(sources: dict[str, str]) -> list[str]:
+    """Imports of scipy or a scipy module in ``sources``, module name to
+    text, as ``module.function (line)`` (``module (line)`` at module level)."""
+    found = []
+    for module, text in sources.items():
+        stack = [(node, module) for node in ast.parse(text).body]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{where} (line {node.lineno})")
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import numpy as np\nimport scipy\n"
+        "def f():\n    import scipy.linalg\n"
+        "class C:\n    def g(self):\n        from scipy import optimize\n"
+        "from .scipy_like import h\n"
+    )
+    assert scipy_imports({"m": source}) == ["m (line 2)", "m.C.g (line 7)", "m.f (line 4)"]
+
+
+def test_the_package_imports_no_scipy():
+    """The package runs on numpy alone; scipy is a test dependency, the
+    suite's independent oracle of the factorizations the package makes."""
+    assert scipy_imports({p.stem: p.read_text() for p in SOURCES}) == []
+
+
 def test_all_lists_the_package_names():
     """``__all__`` is sorted and names exactly the public, non-module names
     that ``soft_irl/__init__.py`` binds."""
