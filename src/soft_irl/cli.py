@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -87,31 +88,44 @@ def _effective_seed(config: RunConfig) -> int:
     return _check_seed(seed)
 
 
-def _section_fields(cls, section: dict, where: str) -> dict:
-    """``section`` itself, once its keys are known to name fields of the dataclass ``cls``."""
-    pio.check_keys(section, set(), {f.name for f in dataclasses.fields(cls)}, where)
-    return section
-
-
 def _read_section(cls, section: dict, where: str, **defaults):
-    """The dataclass ``cls`` from a config section; ``defaults`` fill the fields it leaves out."""
-    return cls(**(defaults | _section_fields(cls, section, where)))
+    """The dataclass ``cls`` from a config section whose keys name its fields;
+    ``defaults`` fill the fields it leaves out."""
+    pio.check_keys(section, set(), {f.name for f in dataclasses.fields(cls)}, where)
+    return cls(**(defaults | section))
 
 
-def _out_dir(args, config: RunConfig) -> Path:
+def _read_instance(section: dict, where: str, seed: int) -> InstanceSpec:
+    """The ``instance`` entry of the section at ``where``; ``seed`` fills its seed."""
+    return _read_section(InstanceSpec, section.get("instance", {}), f"{where}.instance", seed=seed)
+
+
+def _run(name: str, args) -> int:
+    """Run a config command: load the run config, check the command's section
+    against its keys, run the command, and once it has returned make the
+    output directory, write its report and the other files it hands back,
+    and announce each one."""
+    command, keys, report_name = _COMMANDS[name]
+    config = _load_run_config(args.config)
+    section = config.sections.get(name, {})
+    pio.check_keys(section, set(), keys, f"config.{name}")
+    code, report, files = command(args, config, section)
     out = Path(args.output) if args.output else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    pio.dump_json(report, out / report_name)
+    for file, write in files.items():
+        write(out / file)
+    for file in [report_name, *files]:
+        print(f"wrote {out / file}")
+    return code
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its options and section, runs its study, prints its
+# summary and returns (exit code, report, {other file name: writer})
 
 
-def cmd_solve(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("solve", {})
-    pio.check_keys(section, set(), {"beta", "mdp", "reward", "builtin"}, "config.solve")
+def cmd_solve(args, config: RunConfig, section: dict):
     beta = _check_real(section.get("beta", 1.0), "config.solve.beta", 0.0)
     builtin = args.builtin or section.get("builtin")
     if builtin is not None:
@@ -122,36 +136,22 @@ def cmd_solve(args) -> int:
         mdp = pio.mdp_from_dict(pio.load_json(section["mdp"]), section["mdp"])
         reward = pio.reward_from_obj(pio.load_json(section["reward"]), section["reward"])
     solution = soft_backward(mdp, reward, beta)
-    out = _out_dir(args, config)
-    pio.dump_json(solution, out / "solution.json")
     print(f"J_star = {solution.J_star:.12g}")
-    print(f"wrote {out / 'solution.json'}")
-    return 0
+    return 0, solution, {}
 
 
-def cmd_fit(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("fit", {})
-    pio.check_keys(
-        section,
-        set(),
-        {"instance", "mdp", "features", "data", "n", "data_seed", "fit"},
-        "config.fit",
-    )
+def cmd_fit(args, config: RunConfig, section: dict):
     seed = _effective_seed(config)
     if "instance" in section:
-        spec = _read_section(InstanceSpec, section["instance"], "config.fit.instance", seed=seed)
+        spec = _read_instance(section, "config.fit", seed)
         instance = generate_instance(spec)
-        mdp, features = instance.mdp, instance.features
-        beta = instance.spec.beta
-        expert = instance.expert
+        mdp, features, beta, expert = instance.mdp, instance.features, spec.beta, instance.expert
     else:
         if "mdp" not in section or "features" not in section:
             raise InputError("config.fit needs either 'instance' or 'mdp' + 'features'")
         mdp = pio.mdp_from_dict(pio.load_json(section["mdp"]), section["mdp"])
         features = pio.features_from_obj(pio.load_json(section["features"]), section["features"])
-        beta = 1.0
-        expert = None
+        beta, expert = 1.0, None
 
     fit_cfg = _read_section(FitConfig, section.get("fit", {}), "config.fit.fit", beta=beta)
     if "data" in section:
@@ -163,34 +163,24 @@ def cmd_fit(args) -> int:
         data = sample_trajectories(mdp, expert, n, data_seed)
 
     result = fit_empirical(mdp, features, data, fit_cfg)
-    out = _out_dir(args, config)
-    pio.dump_json(result, out / "fit.json")
     theta = ", ".join(f"{x:.6g}" for x in result.theta_hat)
     print(f"theta_hat = [{theta}]")
     print(f"converged = {result.converged} after {result.iterations} iterations")
     print(f"status = {result.status}")
     if result.separation_margin is not None:
         print(f"separation_margin = {result.separation_margin:.6g}")
-    print(f"wrote {out / 'fit.json'}")
-    return 0
+    return 0, result, {}
 
 
-def cmd_rates(args) -> int:
-    config = _load_run_config(args.config)
-    section = _section_fields(RateConfig, config.sections.get("rates", {}), "config.rates")
+def cmd_rates(args, config: RunConfig, section: dict):
     seed = _effective_seed(config)
-    spec = _read_section(
-        InstanceSpec, section.get("instance", {}), "config.rates.instance", seed=seed
-    )
+    spec = _read_instance(section, "config.rates", seed)
     fit = _read_section(FitConfig, section.get("fit", {}), "config.rates.fit", beta=spec.beta)
     report = run_rate_experiment(
         RateConfig(**({"data_seed": seed + 1} | section | {"instance": spec, "fit": fit}))
     )
 
-    out = _out_dir(args, config)
-    pio.dump_json(report, out / "rates.json")
-    pio.rate_report_to_csv(report, out / "rates.csv")
-    written = [out / "rates.json", out / "rates.csv"]
+    files = {"rates.csv": functools.partial(pio.rate_report_to_csv, report)}
     if args.emit_plots or config.emit_plots:
         for metric, slope in report.slopes.items():
             chart = loglog_chart(
@@ -201,27 +191,18 @@ def cmd_rates(args) -> int:
                 intercept=report.intercepts.get(metric),
                 y_label=f"median {metric}",
             )
-            path = out / f"rates_{metric}.svg"
-            path.write_text(chart)
-            written.append(path)
+            files[f"rates_{metric}.svg"] = functools.partial(Path.write_text, data=chart)
     for metric, slope in sorted(report.slopes.items()):
         print(f"slope[{metric}] = {slope:.4f}")
     print(f"non_converged = {report.non_converged}")
     for status, count in report.fit_statuses.items():
         print(f"fits[{status}] = {count}")
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return 0, report, files
 
 
-def cmd_equivalence(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("equivalence", {})
-    pio.check_keys(section, set(), {"instance", "theta", "n", "data_seed"}, "config.equivalence")
+def cmd_equivalence(args, config: RunConfig, section: dict):
     seed = _effective_seed(config)
-    spec = _read_section(
-        InstanceSpec, section.get("instance", {}), "config.equivalence.instance", seed=seed
-    )
+    spec = _read_instance(section, "config.equivalence", seed)
     instance = generate_instance(spec)
     if "theta" in section:
         theta = section["theta"]
@@ -234,42 +215,28 @@ def cmd_equivalence(args) -> int:
         instance.mdp, instance.expert, section.get("n", 1024), section.get("data_seed", seed + 1)
     )
     report = equivalence_report(instance.mdp, model, spec.beta, data, instance.expert)
-    out = _out_dir(args, config)
-    pio.dump_json(report, out / "equivalence.json")
     print(f"irl_empirical  = {report.irl_empirical:.12g}")
     print(f"mle_empirical  = {report.mle_empirical:.12g}")
     print(f"residual_term  = {report.residual_term:.12g}")
     print(f"equivalence_gap = {report.equivalence_gap:.3e}")
-    print(f"wrote {out / 'equivalence.json'}")
-    return 0 if abs(report.equivalence_gap) <= 1e-9 else 1
+    return (0 if abs(report.equivalence_gap) <= 1e-9 else 1), report, {}
 
 
-def cmd_counterexample(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("counterexample", {})
-    pio.check_keys(section, set(), {"theta_a", "theta_b"}, "config.counterexample")
+def cmd_counterexample(args, config: RunConfig, section: dict):
     report = nonconvexity_probe(**section)
-    out = _out_dir(args, config)
-    pio.dump_json(report, out / "counterexample.json")
     print(f"loss(theta_a)  = {report.loss_a:.4f}")
     print(f"loss(theta_b)  = {report.loss_b:.4f}")
     print(f"loss(midpoint) = {report.loss_mid:.4f}")
     if report.quasiconvexity_violated:
         print("midpoint exceeds both endpoints: the likelihood loss is not quasiconvex")
-        return 0
+        return 0, report, {}
     print("no violation observed")
-    return 1
+    return 1, report, {}
 
 
-def cmd_geometry(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("geometry", {})
-    allowed = {"instance", "pairs", "theta_scale", "placement", "far_factor"}
-    pio.check_keys(section, set(), allowed, "config.geometry")
+def cmd_geometry(args, config: RunConfig, section: dict):
     seed = _effective_seed(config)
-    spec = _read_section(
-        InstanceSpec, section.get("instance", {}), "config.geometry.instance", seed=seed
-    )
+    spec = _read_instance(section, "config.geometry", seed)
     pairs = _check_count(section.get("pairs", 5), "config.geometry.pairs")
     scale = _check_real(section.get("theta_scale", 0.5), "config.geometry.theta_scale")
     far_factor = _check_real(section.get("far_factor", 10.0), "config.geometry.far_factor", 0.0)
@@ -281,7 +248,6 @@ def cmd_geometry(args) -> int:
 
     rng = _spawn_rng(seed, 7)
     reports = []
-    failures = 0
     for k in range(pairs):
         theta0 = scale * rng.normal(size=instance.features.d)
         direction = rng.normal(size=instance.features.d)
@@ -290,27 +256,16 @@ def cmd_geometry(args) -> int:
         )
         report = check_local_geometry(instance.mdp, instance.features, spec.beta, theta0, theta1)
         reports.append(report)
-        status = "pass" if report.all_passed else "FAIL"
-        if not report.all_passed:
-            failures += 1
         print(
             f"pair {k}: mode={report.mode} |delta|_H0={report.delta_h0_norm:.4g} "
-            f"dikin={report.dikin_radius:.4g} -> {status}"
+            f"dikin={report.dikin_radius:.4g} -> {'pass' if report.all_passed else 'FAIL'}"
         )
-    out = _out_dir(args, config)
-    pio.dump_json({"pairs": reports}, out / "geometry.json")
-    print(f"wrote {out / 'geometry.json'}")
-    return 0 if failures == 0 else 1
+    return (0 if all(r.all_passed for r in reports) else 1), {"pairs": reports}, {}
 
 
-def cmd_concentration(args) -> int:
-    config = _load_run_config(args.config)
-    section = config.sections.get("concentration", {})
-    pio.check_keys(section, set(), {"instance", "n", "delta", "trials", "data_seed"}, "config.concentration")
+def cmd_concentration(args, config: RunConfig, section: dict):
     seed = _effective_seed(config)
-    spec = _read_section(
-        InstanceSpec, section.get("instance", {}), "config.concentration.instance", seed=seed
-    )
+    spec = _read_instance(section, "config.concentration", seed)
     instance = generate_instance(spec)
     report = check_concentration(
         instance.mdp,
@@ -322,14 +277,11 @@ def cmd_concentration(args) -> int:
         trials=section.get("trials", 500),
         seed=section.get("data_seed", seed + 1),
     )
-    out = _out_dir(args, config)
-    pio.dump_json(report, out / "concentration.json")
     print(
         f"violation_frequency = {report.violation_frequency:.4f} "
         f"(threshold {report.frequency_threshold:.4f})"
     )
-    print(f"wrote {out / 'concentration.json'}")
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report, {}
 
 
 def cmd_validate(args) -> int:
@@ -338,15 +290,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# The commands that run from a config section of the same name.
+# The commands that run from a config section of the same name, through
+# _run: the handler, the keys its section may hold, and its report file.
 _COMMANDS = {
-    "solve": cmd_solve,
-    "fit": cmd_fit,
-    "rates": cmd_rates,
-    "equivalence": cmd_equivalence,
-    "counterexample": cmd_counterexample,
-    "geometry": cmd_geometry,
-    "concentration": cmd_concentration,
+    "solve": (cmd_solve, {"beta", "mdp", "reward", "builtin"}, "solution.json"),
+    "fit": (cmd_fit, {"instance", "mdp", "features", "data", "n", "data_seed", "fit"}, "fit.json"),
+    "rates": (cmd_rates, {f.name for f in dataclasses.fields(RateConfig)}, "rates.json"),
+    "equivalence": (cmd_equivalence, {"instance", "theta", "n", "data_seed"}, "equivalence.json"),
+    "counterexample": (cmd_counterexample, {"theta_a", "theta_b"}, "counterexample.json"),
+    "geometry": (
+        cmd_geometry,
+        {"instance", "pairs", "theta_scale", "placement", "far_factor"},
+        "geometry.json",
+    ),
+    "concentration": (
+        cmd_concentration,
+        {"instance", "n", "delta", "trials", "data_seed"},
+        "concentration.json",
+    ),
 }
 
 
@@ -360,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, handler in _COMMANDS.items():
+    for name in _COMMANDS:
         sp = commands[name] = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
         sp.add_argument("--output", metavar="DIR", help="output directory (overrides config)")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=functools.partial(_run, name))
     commands["solve"].add_argument(
         "--builtin", metavar="NAME", help=f"builtin instance ({', '.join(BUILTIN_NAMES)})"
     )
@@ -381,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -518,8 +518,8 @@ def check_local_geometry(
     the deviation-dependent global bounds are checked instead.
     """
     beta = _check_real(beta, "beta", 0.0)
-    theta0 = LinearRewardModel(features=features, theta=theta0).theta
-    theta1 = LinearRewardModel(features=features, theta=theta1).theta
+    theta0 = _as_float_array(theta0, "theta0", (features.d,))
+    theta1 = _as_float_array(theta1, "theta1", (features.d,))
     delta = theta1 - theta0
 
     Q, V = _batch_soft_values(mdp, features.phi, beta, np.stack([theta0, theta1]))
@@ -600,7 +600,7 @@ def dikin_boundary_pair(
     """
     beta = _check_real(beta, "beta", 0.0)
     boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
-    theta0 = LinearRewardModel(features=features, theta=theta0).theta
+    theta0 = _as_float_array(theta0, "theta0", (features.d,))
     direction = _as_float_array(direction, "direction", theta0.shape)
     # scaled by a power of two to entries below 1 in magnitude, so that its
     # H0-norm cannot overflow; the scaling is exact and leaves the unit vector's bits
@@ -626,7 +626,17 @@ def dikin_boundary_pair(
             break  # rho stays put, so every later round would rebuild this segment
         # move monotonically downward so the final segment's own bound is valid
         rho = new_rho
-    return theta0 + (boundary_factor * rho) * unit
+    length = boundary_factor * rho
+    theta1 = theta0 + length * unit
+    # theta1 - theta0, as check_local_geometry measures it, keeps only the
+    # digits of the step above theta1's ulp.  Where that takes the measure
+    # over a tenth of the checker's 1e-12 tolerance (its radius can sit a few
+    # ulps below rho), shorten the step by the most H0-norm the rounding adds.
+    delta = theta1 - theta0
+    if float(np.sqrt(delta @ H0 @ delta)) > length * (1.0 + 1e-13):
+        rounding = math.sqrt(np.linalg.norm(H0, 2)) * np.linalg.norm(np.spacing(np.abs(theta1)))
+        theta1 = theta0 + (length - rounding) * unit
+    return theta1
 
 
 # --------------------------------------------------------------------------

@@ -294,7 +294,8 @@ def _fit_batch(
     stops at the first that does not.  The step is the last kept trial, whose
     stored value-pass tables become the next bundle.
     """
-    beta, phi, radius = config.beta, features.phi, config.B_theta
+    # a Python float: a huge radius squares to inf without an overflow warning
+    beta, phi, radius = config.beta, features.phi, float(config.B_theta)
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
     K, d = targets.shape
 
@@ -334,9 +335,8 @@ def _fit_batch(
     alpha = np.ones(K)
     trial = np.zeros((K, d))
     unjudged = np.zeros(K, dtype=bool)
-    # a fit trying step sizes above 1, with its last kept trial: point, loss and tables
-    extending = np.zeros(K, dtype=bool)
-    kept_point, kept_loss = np.zeros((K, d)), np.zeros(K)
+    # each search's last kept trial: point, loss, step size (0.0 until one is kept) and tables
+    kept_point, kept_loss, kept_alpha = np.zeros((K, d)), np.zeros(K), np.zeros(K)
     kept_Q, kept_V = (np.zeros((len(table), K) + table.shape[2:]) for table in start_values)
     status = np.full(K, "max_iters", dtype=object)
     direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
@@ -385,7 +385,7 @@ def _fit_batch(
         inner = _dots(theta[fits], targets[fits])  # the loss is J*(theta) - inner
         resolution = _LOSS_RESOLUTION * (np.abs(loss[fits] + inner) + np.abs(inner))
         unjudged[fits] = -directional[fits] <= resolution
-        alpha[fits] = 1.0
+        alpha[fits], kept_loss[fits], kept_alpha[fits] = 1.0, loss[fits], 0.0
         return trials(fits)
 
     all_fits = np.arange(K)
@@ -403,48 +403,39 @@ def _fit_batch(
             accepted[judged], next_alpha[judged] = _armijo(
                 trial_loss[judged], loss[fits], alpha[fits], directional[fits]
             )
-        # a trial lowers the iterate's loss, or an extension trial its kept trial's
-        extended = extending[rows]
-        previous = np.where(extended, kept_loss[rows], loss[rows])
-        better = accepted & (unjudged[rows] | (trial_loss < previous))
+        # keep a trial the loss cannot judge, or one that lowers the iterate's
+        # loss (or the last kept trial's), with its tables
+        keep = accepted & (unjudged[rows] | (trial_loss < kept_loss[rows]))
+        fits = rows[keep]
+        kept_point[fits], kept_loss[fits], kept_alpha[fits] = trial[fits], trial_loss[keep], alpha[fits]
+        kept_Q[:, fits], kept_V[:, fits] = Q[:, keep], V[:, keep]
         # without a ball, far from the minimizer, a judged step of size 1 or
         # more that is kept goes on to twice its size, up to the cap
         sizes = alpha[rows]
-        extend = better & ~unjudged[rows] & (1.0 <= sizes) & (sizes < _EXTENSION_CAP)
+        extend = keep & ~unjudged[rows] & (1.0 <= sizes) & (sizes < _EXTENSION_CAP)
         extend &= (decrement[rows] >= _EXTENSION_GATE) & (not bounded)
-        fallback = extended & ~better  # the step is the last kept trial
-        halved = ~extended & ~accepted & (next_alpha > 0.0)
-        status[rows[~extended & ~better & ~halved]] = "stalled"  # no step size decreased the loss
+        has_kept = kept_alpha[rows] > 0.0
+        halved = ~accepted & ~has_kept & (next_alpha > 0.0)
+        status[rows[~has_kept & ~halved]] = "stalled"  # no step size decreased the loss
         alpha[rows[halved]] = next_alpha[halved]
-        moved = (better & ~extend) | fallback
-
-        # keep each extended trial, with its tables, and try twice its size
-        fits = rows[extend]
-        kept_Q[:, fits], kept_V[:, fits] = Q[:, extend], V[:, extend]
-        kept_point[fits], kept_loss[fits], extending[fits] = trial[fits], trial_loss[extend], True
-        alpha[fits] *= 2.0
-        searching = np.concatenate([trials(rows[halved]), trials(fits)])
+        alpha[rows[extend]] *= 2.0
+        searching = np.concatenate([trials(rows[halved]), trials(rows[extend])])
+        moved = has_kept & ~extend
         if not moved.any():
             continue
 
-        j = np.flatnonzero(moved)
-        fits = rows[j]
-        # C-contiguous, as a lone fit's tables are
-        Q, V = Q.take(j, axis=1), V.take(j, axis=1)
-        # an extension that stopped steps to its last kept trial, whose tables it stored
-        back = rows[fallback]
-        Q[:, fallback[j]], V[:, fallback[j]] = kept_Q[:, back], kept_V[:, back]
-        trial[back], trial_loss[fallback], alpha[back] = kept_point[back], kept_loss[back], alpha[back] / 2
-        extending[fits] = False
-        grads, hessians = derivatives(Q, V)
-        steps, decrements, ridges = newton_steps(trial[fits], grads - targets[fits], hessians)
+        # a search that ends steps to its last kept trial; take makes its
+        # tables C-contiguous, as a lone fit's are
+        fits = rows[moved]
+        grads, hessians = derivatives(kept_Q.take(fits, axis=1), kept_V.take(fits, axis=1))
+        steps, decrements, ridges = newton_steps(kept_point[fits], grads - targets[fits], hessians)
         refined = ~unjudged[fits] | (decrements < decrement[fits])
         status[fits[~refined]] = "stalled"  # the full step did not refine the iterate
-        fits, j, grads, hessians = fits[refined], j[refined], grads[refined], hessians[refined]
+        fits, grads, hessians = fits[refined], grads[refined], hessians[refined]
         steps, decrements, ridges = steps[refined], decrements[refined], ridges[refined]
-        theta[fits], loss[fits] = trial[fits], trial_loss[j]
+        theta[fits], loss[fits] = kept_point[fits], kept_loss[fits]
         bundle_grad[fits], hessian[fits] = grads, hessians
-        for k, size in zip(fits.tolist(), alpha[fits].tolist()):
+        for k, size in zip(fits.tolist(), kept_alpha[fits].tolist()):
             history[k][-1][2] = size  # the step accepted from the fit's last iterate
         again = iterates[fits] < config.max_iters
         record(fits[again], steps[again], decrements[again], ridges[again])

@@ -349,6 +349,26 @@ def test_shipped_config_runs_and_reruns_byte_identical(tmp_path, capsys, name):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--config", str(path)]
+        for path in sorted(CONFIGS.glob("*.json"))
+        for command in sorted(set(json.loads(path.read_text())) & set(cli._COMMANDS))
+    ]
+    + [["rates", "--config", str(CONFIGS / "rates.json"), "--emit-plots"], ["counterexample"]],
+    ids=lambda argv: " ".join(Path(arg).name for arg in argv if arg != "--config"),
+)
+def test_the_wrote_lines_name_exactly_the_files_written(tmp_path, capsys, argv):
+    """Every file a command writes is announced once, and every announced file exists."""
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(file) for file in out.iterdir())
+    assert lines[-len(wrote):] == [f"wrote {path}" for path in wrote]  # after the summary
+
+
 @pytest.mark.parametrize("name", ["fit", "geometry", "concentration", "rates"])
 def test_shipped_config_is_byte_identical_across_blas_thread_counts(tmp_path, name):
     """The successor products and Hessians run in BLAS; on the shipped configs
@@ -665,9 +685,9 @@ def test_each_command_accepts_exactly_the_options_its_handler_reads():
     for name, sub in commands.items():
         accepted = {action.dest for action in sub._actions if action.dest != "help"}
         handler = sub.get_default("handler")
-        source = inspect.getsource(handler)
-        if "_out_dir(args" in source:
-            source += inspect.getsource(cli._out_dir)
+        source = inspect.getsource(getattr(handler, "func", handler))  # a config command's is the runner
+        if name in cli._COMMANDS:
+            source += inspect.getsource(cli._COMMANDS[name][0])
         assert accepted == set(re.findall(r"\bargs\.(\w+)", source)), name
     assert {a.dest for a in commands["solve"]._actions} >= {"builtin"}
     assert {a.dest for a in commands["rates"]._actions} >= {"emit_plots"}

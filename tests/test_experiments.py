@@ -420,7 +420,10 @@ def test_the_geometry_pair_refuses_a_hessian_with_a_kernel(seed):
 def test_a_feature_in_small_units_still_gets_its_geometry_pair(seed):
     """A feature column scaled by 1e-6 takes the Hessian's eigenvalue ratio
     below 1e-10, where the kernel is looked for in the features' units; it
-    finds none there, so the pair is placed and every check passes."""
+    finds none there, so the pair is placed and every check passes.  The
+    step is then near 1e-7 against entries of theta0 near 1, so theta1 -
+    theta0 keeps about eight of its digits; the pair still lands inside the
+    radius that the checker recomputes."""
     inst = generate_instance(InstanceSpec(S=4, A=2, T=3, d=4, beta=0.5, seed=seed))
     phi = inst.features.phi.copy()
     phi[..., -1] *= 1e-6
@@ -431,7 +434,9 @@ def test_a_feature_in_small_units_still_gets_its_geometry_pair(seed):
     eigs = np.linalg.eigvalsh(derivative_bundle(inst.mdp, model, 0.5).hessian)
     assert 0.0 < eigs[0] <= 1e-10 * eigs[-1]
     theta1 = dikin_boundary_pair(inst.mdp, features, 0.5, theta0, direction)
-    assert check_local_geometry(inst.mdp, features, 0.5, theta0, theta1).all_passed
+    report = check_local_geometry(inst.mdp, features, 0.5, theta0, theta1)
+    assert report.all_passed
+    assert report.mode == "local" and report.delta_h0_norm <= report.dikin_radius * (1.0 + 1e-12)
 
 
 def test_check_local_geometry_checks_both_parameter_shapes_before_any_work(monkeypatch):

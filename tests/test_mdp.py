@@ -177,8 +177,10 @@ def boundary_inputs():
     name, the field, a valid value, whether some axis of its shape has a fixed
     size, and a call that reads a value in its place."""
     from soft_irl import (
+        check_local_geometry,
         delta_terms,
         derivative_bundle,
+        dikin_boundary_pair,
         effective_dimension,
         nonconvexity_probe,
         policy_evaluate,
@@ -219,6 +221,15 @@ def boundary_inputs():
         ),
         "nonconvexity_probe.theta_a": ("theta_a", np.array([2.0, 4.0]), True, lambda x: nonconvexity_probe(theta_a=x)),
         "nonconvexity_probe.theta_b": ("theta_b", np.array([-4.0, 2.0]), True, lambda x: nonconvexity_probe(theta_b=x)),
+        "check_local_geometry.theta0": (
+            "theta0", 0.1 * u, True, lambda x: check_local_geometry(mdp, features, beta, x, -0.1 * u)
+        ),
+        "check_local_geometry.theta1": (
+            "theta1", -0.1 * u, True, lambda x: check_local_geometry(mdp, features, beta, 0.1 * u, x)
+        ),
+        "dikin_boundary_pair.theta0": (
+            "theta0", 0.1 * u, True, lambda x: dikin_boundary_pair(mdp, features, beta, x, u)
+        ),
     }
     return types, functions
 

@@ -1,5 +1,7 @@
 """Tests for the damped-Newton IRL fitter."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -773,6 +775,17 @@ def test_ball_constrained_fit_skips_the_certificate():
     assert result.status == "converged" and result.active_ball_constraint
     assert result.separating_direction is None and result.separation_margin is None
     assert np.linalg.norm(result.theta_hat) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_ball_of_the_largest_float_radius_fits_without_overflow():
+    """The ball's radius squares in Python floats, so the largest finite
+    radius rounds to inf silently and the fit ends as it would without a ball."""
+    instance = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    config = FitConfig(beta=0.7, B_theta=np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_population(instance.mdp, instance.features, instance.expert, config)
+    assert result.status == "converged" and not result.active_ball_constraint
 
 
 @settings(max_examples=40, deadline=None)

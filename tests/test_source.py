@@ -237,3 +237,44 @@ def test_only_the_mdp_reader_converts_an_outside_array():
     assert found == []
     for name in ARRAY_READER_ALLOWED:  # an entry that no longer converts is stale
         assert any(hit.startswith(f"{name} ") for hit in own_array_conversions(sources)), name
+
+
+RUNNER_CALLS = ("_load_run_config", "dump_json", "mkdir")
+
+
+def runner_calls(source: str) -> list[str]:
+    """Calls of ``_load_run_config``, ``<module>.dump_json`` or ``<path>.mkdir``
+    in ``source``, as ``call in function (line)``, by top-level function."""
+    found = []
+    for top in ast.parse(source).body:
+        for call in ast.walk(top):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RUNNER_CALLS:
+                found.append(f"{name} in {getattr(top, 'name', '<module>')} (line {call.lineno})")
+    return found
+
+
+def test_runner_calls_are_found():
+    source = (
+        "def _run(args):\n    config = _load_run_config(args.config)\n    pio.dump_json(1, 'x')\n"
+        "def cmd_a(args):\n    out = Path('o')\n    out.mkdir()\n"
+        "    return [pio.dump_json(r, out) for r in (1,)]\n"
+        "X = _load_run_config(None)\n"
+    )
+    assert runner_calls(source) == [
+        "_load_run_config in _run (line 2)",
+        "dump_json in _run (line 3)",
+        "mkdir in cmd_a (line 6)",
+        "dump_json in cmd_a (line 7)",
+        "_load_run_config in <module> (line 8)",
+    ]
+
+
+def test_only_the_cli_runner_loads_the_config_and_writes():
+    """In the CLI, one runner loads the run config, makes the output
+    directory and writes the report; a command only runs its study."""
+    found = runner_calls((Path(soft_irl.__file__).parent / "cli.py").read_text())
+    assert {hit.split(" (")[0] for hit in found} == {f"{name} in _run" for name in RUNNER_CALLS}
