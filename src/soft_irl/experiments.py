@@ -348,8 +348,7 @@ def _rate_grid(
     targets = _count_averages(mdp, expert, features.phi, cells)
     results = _fit_batch(mdp, features, targets, config.fit_config())
     thetas = np.stack([result.theta_hat for result in results])
-    Q, V = _batch_soft_values(mdp, features.phi, beta, thetas)
-    pi_hat = _gibbs_probs(mdp, beta, Q, V)
+    pi_hat = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, thetas)[0])
     expert_b = np.broadcast_to(expert.probs[:, None], pi_hat.shape)
     star_b = np.broadcast_to(pi_star.probs[:, None], pi_hat.shape)
     expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
@@ -523,7 +522,7 @@ def check_local_geometry(
     delta = theta1 - theta0
 
     Q, V = _batch_soft_values(mdp, features.phi, beta, np.stack([theta0, theta1]))
-    probs = _gibbs_probs(mdp, beta, Q, V)
+    probs = _gibbs_probs(mdp, beta, Q)
     grads, (H0, H1) = _batch_derivatives(mdp, features.phi, beta, probs)
     lam0 = _smallest_curvature(mdp, features, H0, "check_local_geometry")
     try:
@@ -549,7 +548,7 @@ def check_local_geometry(
     # The initial and kernel factors of the two trajectory laws cancel, so the
     # log density ratio of a path is its sum of per-step policy log ratios;
     # its largest absolute value is the larger of two path maxima.
-    log_pi = _log_gibbs(mdp, beta, Q, V)
+    log_pi = _log_gibbs(mdp, beta, Q)
     log_ratio = log_pi[:, 1] - log_pi[:, 0]
     max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=1)).max())
 
@@ -605,7 +604,7 @@ def dikin_boundary_pair(
     # scaled by a power of two to entries below 1 in magnitude, so that its
     # H0-norm cannot overflow; the scaling is exact and leaves the unit vector's bits
     direction = np.ldexp(direction, -math.frexp(float(np.abs(direction).max()))[1])
-    probs = _gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, theta0[None]))
+    probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, theta0[None])[0])
     H0 = _batch_derivatives(mdp, features.phi, beta, probs)[1][0]
     lam0 = _smallest_curvature(mdp, features, H0, "dikin_boundary_pair")
     length = float(np.sqrt(direction @ H0 @ direction))

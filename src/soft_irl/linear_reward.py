@@ -39,12 +39,12 @@ from .mdp import (
 from .soft_dp import (
     RewardTable,
     SoftSolution,
+    _advantage_sweep,
     _batch_optimal_values,
     _expected_next,
     _gibbs_probs,
     _martingale_covariance,
     _path_max,
-    _policy_values,
     feature_advantage,
     feature_values,
     policy_evaluate,
@@ -98,10 +98,10 @@ class LinearRewardModel:
 class DerivativeBundle:
     """Value, gradient and Hessian of ``J*`` at one parameter.
 
-    The Hessian is a Gram matrix ``W.T @ W / beta`` (see :func:`_solution_bundle`),
-    exactly symmetric and positive semidefinite by construction.  The tests
-    check both; this constructor, which runs on every accepted Newton iterate,
-    does not.
+    The Hessian is a sum over steps of Grams ``W_t.T @ W_t / beta`` (see
+    :func:`_batch_derivatives`), exactly symmetric and positive semidefinite
+    by construction.  The tests check both; this constructor, which runs on
+    every accepted Newton iterate, does not.
     """
 
     J_star: float
@@ -158,8 +158,8 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
 
     The gradient is the feature expectation of the Gibbs policy; the Hessian
     is its occupancy-weighted second moment of per-step feature advantages,
-    divided by ``beta``: the Gram of the advantage table scaled by the root
-    of the occupancy, built in the table's own memory.
+    divided by ``beta``: a sum of per-step Grams of the advantages scaled by
+    the root of the occupancy, taken one step at a time in one step's memory.
     """
     return _solution_bundle(mdp, model.features, solve_model(mdp, model, beta))
 
@@ -194,15 +194,6 @@ def _batch_soft_values(mdp: Mdp, phi: np.ndarray, beta: float, thetas: np.ndarra
     return _batch_optimal_values(mdp, r, beta)
 
 
-def _batch_feature_advantages(mdp: Mdp, phi: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """The feature advantages ``(T, K, S, A, d)`` under ``K`` policy tables
-    ``probs`` ``(T, K, S, A)``, each bit for bit :func:`feature_advantage`'s."""
-    table = np.broadcast_to(phi[:, None], probs.shape[:2] + phi.shape[1:])
-    Q, V = _policy_values(mdp, table, probs)
-    Q -= V[:-1, ..., None, :]
-    return Q
-
-
 def _batch_derivatives(
     mdp: Mdp, phi: np.ndarray, beta: float, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,20 +201,26 @@ def _batch_derivatives(
     parameters from their Gibbs policy tables ``probs`` of shape ``(T, K, S,
     A)``.
 
-    The gradient is the feature expectation of the Gibbs policy; the Hessian
-    is its occupancy-weighted second moment of per-step feature advantages,
-    divided by ``beta``: the Gram ``W^T W`` of the advantage table scaled by
-    the root of the occupancy, built in the table's own memory, one ``syrk``
-    per parameter.  Every product is a stacked matmul that makes, for each
-    parameter, the BLAS call of a batch of one, so a parameter's derivatives
-    do not depend on the batch it is in.
+    The Hessian is the occupancy-weighted second moment of per-step feature
+    advantages, divided by ``beta``.  One feature sweep
+    (:func:`~soft_irl.soft_dp._advantage_sweep`) hands over each step's
+    advantages ``(K, S, A, d)`` in turn, from ``t = T-1`` down to 0; they are
+    scaled by the root of that step's occupancy in place, and the step's Gram
+    ``W_t^T W_t``, one ``syrk`` per parameter, is added to the Hessian, so it
+    is exactly symmetric and no ``(T, K, S, A, d)`` table is made.  The
+    gradient, the feature expectation of the Gibbs policy, is ``<rho_0,
+    V_0>`` of the sweep's last step.  Every product is a stacked matmul that
+    makes, for each parameter, the BLAS call of a batch of one, so a
+    parameter's derivatives do not depend on the batch it is in.
     """
     K, d = probs.shape[1], phi.shape[-1]
-    mu = np.moveaxis(_occupancy(mdp, probs), 1, 0).reshape(K, 1, -1)
-    grad = (mu @ phi.reshape(-1, d))[:, 0]
-    W = np.moveaxis(_batch_feature_advantages(mdp, phi, probs), 1, 0).reshape(K, -1, d)
-    W *= np.sqrt(mu).reshape(K, -1, 1)
-    return grad, (W.transpose(0, 2, 1) @ W) / beta
+    root_mu = np.sqrt(_occupancy(mdp, probs))[..., None]
+    H = np.zeros((K, d, d))
+    for t, W, v in _advantage_sweep(mdp, phi, probs):
+        W *= root_mu[t]
+        W = W.reshape(K, -1, d)
+        H += W.transpose(0, 2, 1) @ W
+    return mdp.initial_dist @ v, H / beta
 
 
 def batch_scores(adv: np.ndarray, states, actions) -> np.ndarray:
@@ -287,11 +284,11 @@ def _identifiable_split(mdp: Mdp, phi: np.ndarray, H: np.ndarray) -> tuple[np.nd
     scaled, and its eigenvalues up to 1e-10 of the largest are the kernel's (an
     orthonormal basis); the rest, over the units and off the kernel, span the
     image.  A deviation, unlike a range, does not grow with the table size."""
-    rows = phi[_occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0]  # a copy
-    spread = np.ptp(rows, axis=0) > 0.0  # exact, where a constant's deviation can round above 0
-    rows -= rows.mean(axis=0)  # the deviations, in the copy's own memory
-    rows *= rows
-    unit = np.where(spread, np.sqrt(rows.mean(axis=0)), 1.0)
+    reached = _occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0
+    rows = phi.reshape(-1, phi.shape[-1]) if reached.all() else phi[reached]
+    # exact, where a constant's deviation can round above 0
+    spread = rows.max(axis=0) > rows.min(axis=0)
+    unit = np.where(spread, np.sqrt(rows.var(axis=0)), 1.0)
     w, V = np.linalg.eigh(np.where(spread & spread[:, None], H, 0.0) / np.outer(unit, unit))
     in_kernel = w <= 1e-10 * max(w[-1], 0.0)
     kernel = np.linalg.qr(V[:, in_kernel] / unit[:, None])[0]
@@ -358,13 +355,19 @@ def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas, policies=(
 
     By the triangle inequality a score norm is at most the path's sum of
     per-step advantage norms ``||adv_t(s, a)||``; one value pass, one feature
-    pass and one max-plus pass take the largest such sum for all at once.
+    sweep (each step's norms taken as the step comes) and one max-plus pass
+    take the largest such sum for all at once.
     """
     tables = [pi.probs[:, None] for pi in policies]
     if len(thetas):
-        tables.append(_gibbs_probs(mdp, beta, *_batch_soft_values(mdp, features.phi, beta, thetas)))
-    adv = _batch_feature_advantages(mdp, features.phi, np.concatenate(tables, axis=1))
-    return float(_path_max(mdp, np.linalg.norm(adv, axis=-1)).max())
+        Q = _batch_soft_values(mdp, features.phi, beta, thetas)[0]
+        tables.append(_gibbs_probs(mdp, beta, Q))
+    probs = np.concatenate(tables, axis=1)
+    norms = np.empty(probs.shape)
+    for t, adv, _ in _advantage_sweep(mdp, features.phi, probs):
+        # np.linalg.norm's sum of squares, in the sweep's buffer
+        np.square(adv, out=adv).sum(axis=-1, out=norms[t])
+    return float(_path_max(mdp, np.sqrt(norms, out=norms)).max())
 
 
 def _dikin_radius(beta: float, lambda_min: float, B_A_phi: float) -> float:

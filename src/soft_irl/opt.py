@@ -292,21 +292,21 @@ def _fit_batch(
     sizes 2, 4, ... up to ``_EXTENSION_CAP``.  It keeps each trial whose loss
     is below the previous trial's and that passes Armijo at its own size, and
     stops at the first that does not.  The step is the last kept trial, whose
-    stored value-pass tables become the next bundle.
+    stored value-pass Q table becomes the next bundle.
     """
     # a Python float: a huge radius squares to inf without an overflow warning
     beta, phi, radius = config.beta, features.phi, float(config.B_theta)
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
     K, d = targets.shape
 
-    def derivatives(Q, V):
+    def derivatives(Q):
         # gradients and Hessians from value passes already made: no second soft pass
-        return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q, V))
+        return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
 
     # theta = 0 is every fit's start: one value pass, one bundle and one image
     zero = np.zeros((1, d))
-    start_loss, start_values = _loss_and_values(mdp, phi, zero, beta, zero)
-    start_grad, start_hessian = derivatives(*start_values)
+    start_loss, (start_Q, _) = _loss_and_values(mdp, phi, zero, beta, zero)
+    start_grad, start_hessian = derivatives(start_Q)
     # the identifiable subspace, fixed at the start
     image = _identifiable_split(mdp, phi, start_hessian[0])[1]
 
@@ -335,9 +335,9 @@ def _fit_batch(
     alpha = np.ones(K)
     trial = np.zeros((K, d))
     unjudged = np.zeros(K, dtype=bool)
-    # each search's last kept trial: point, loss, step size (0.0 until one is kept) and tables
+    # each search's last kept trial: point, loss, step size (0.0 until one is kept) and Q table
     kept_point, kept_loss, kept_alpha = np.zeros((K, d)), np.zeros(K), np.zeros(K)
-    kept_Q, kept_V = (np.zeros((len(table), K) + table.shape[2:]) for table in start_values)
+    kept_Q = np.zeros((len(start_Q), K) + start_Q.shape[2:])
     status = np.full(K, "max_iters", dtype=object)
     direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
     iterates = np.zeros(K, dtype=np.int64)
@@ -394,7 +394,7 @@ def _fit_batch(
 
     while searching.size:
         rows = searching
-        trial_loss, (Q, V) = _loss_and_values(mdp, phi, targets[rows], beta, trial[rows])
+        trial_loss, (Q, _) = _loss_and_values(mdp, phi, targets[rows], beta, trial[rows])
         # an unjudged step is taken without comparing losses
         accepted, next_alpha = unjudged[rows], np.zeros(len(rows))
         judged = np.flatnonzero(~accepted)
@@ -404,11 +404,11 @@ def _fit_batch(
                 trial_loss[judged], loss[fits], alpha[fits], directional[fits]
             )
         # keep a trial the loss cannot judge, or one that lowers the iterate's
-        # loss (or the last kept trial's), with its tables
+        # loss (or the last kept trial's), with its Q table
         keep = accepted & (unjudged[rows] | (trial_loss < kept_loss[rows]))
         fits = rows[keep]
         kept_point[fits], kept_loss[fits], kept_alpha[fits] = trial[fits], trial_loss[keep], alpha[fits]
-        kept_Q[:, fits], kept_V[:, fits] = Q[:, keep], V[:, keep]
+        kept_Q[:, fits] = Q[:, keep]
         # without a ball, far from the minimizer, a judged step of size 1 or
         # more that is kept goes on to twice its size, up to the cap
         sizes = alpha[rows]
@@ -425,9 +425,9 @@ def _fit_batch(
             continue
 
         # a search that ends steps to its last kept trial; take makes its
-        # tables C-contiguous, as a lone fit's are
+        # table C-contiguous, as a lone fit's is
         fits = rows[moved]
-        grads, hessians = derivatives(kept_Q.take(fits, axis=1), kept_V.take(fits, axis=1))
+        grads, hessians = derivatives(kept_Q.take(fits, axis=1))
         steps, decrements, ridges = newton_steps(kept_point[fits], grads - targets[fits], hessians)
         refined = ~unjudged[fits] | (decrements < decrement[fits])
         status[fits[~refined]] = "stalled"  # the full step did not refine the iterate

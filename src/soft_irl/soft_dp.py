@@ -22,7 +22,10 @@ The kernel has one layout: a batch of ``K`` tables ``(T, K, S, A, ...)``,
 with the batch axis after time and one stacked successor product per step,
 which gives each table the BLAS calls of its own pass.  The fitter's value
 passes and bundles and the rate metrics run large batches; the public
-single-table functions are batches of one.
+single-table functions are batches of one.  The kernel is a per-step sweep,
+``_sweep``: the value recursions collect every step into whole tables, while
+the derivative bundles and the score bound read each step's feature
+advantages as it comes and never hold a ``(T, K, S, A, d)`` table.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ def _check_in_range(beta: float, *tables: np.ndarray) -> None:
         raise DomainError(f"beta = {beta:g}: the values of this reward leave the float range")
 
 
-def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """``(P_t v)(s, a, ...)`` of a batch ``v_next`` ``(K, S, ...)``: shape ``(K, S, A, ...)``.
+def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray, out=None) -> np.ndarray:
+    """``(P_t v)(s, a, ...)`` of a batch ``v_next`` ``(K, S, ...)``: shape
+    ``(K, S, A, ...)``, written into ``out`` (C-contiguous) where given.
 
     A stacked matmul of the ``(S*A, S)`` kernel with each member flattened to
     ``(S, -1)``, so the product runs in BLAS whatever the trailing shape, and
@@ -165,42 +169,61 @@ def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     """
     S, A, Z = kernel_t.shape
     K = v_next.shape[0]
-    flat = kernel_t.reshape(S * A, Z) @ v_next.reshape(K, Z, -1)
-    return flat.reshape((K, S, A) + v_next.shape[2:])
+    shape = (K, S, A) + v_next.shape[2:]
+    if out is None:
+        out = np.empty(shape)
+    np.matmul(kernel_t.reshape(S * A, Z), v_next.reshape(K, Z, -1), out=out.reshape(K, S * A, -1))
+    return out
 
 
-def _support_max(support_t: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+def _support_max(support_t: np.ndarray, v_next: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``max v(s')`` over the support ``P_t(s'|s, a) > 0`` of a batch of value
-    vectors ``v_next`` ``(K, S)``, shape ``(K, S, A)``: the max-plus successor
-    operator.  ``support_t`` is the support ``(S', S, A)`` with the successor
-    first, so the max is an elementwise one of ``S'`` contiguous slices, not
-    one over a short last axis."""
-    return np.where(support_t[:, None], v_next.T[:, :, None, None], -np.inf).max(axis=0)
+    vectors ``v_next`` ``(K, S)``, written into ``out`` ``(K, S, A)``: the
+    max-plus successor operator.  ``support_t`` is the support ``(S', S,
+    A)`` with the successor first, so the max is an elementwise one of ``S'``
+    contiguous slices, not one over a short last axis."""
+    return np.where(support_t[:, None], v_next.T[:, :, None, None], -np.inf).max(axis=0, out=out)
+
+
+def _sweep(kernels: np.ndarray, r: np.ndarray, backup, successor=_expected_next, Q=None):
+    """The one backward-induction loop: for ``t`` from ``T-1`` down to 0,
+    ``Q_t = r_t + successor(P_t, V_{t+1})`` and ``V_t = backup(t, Q_t)``;
+    yields ``(t, Q_t, V_t)`` one step at a time.
+
+    ``r`` is a batch of ``K`` tables ``(T, K, S, A, ...)``; trailing axes ride
+    along unchanged.  The successor operator is the expectation
+    :func:`_expected_next` of the kernels unless another is given, with the
+    per-step tables it reads as ``kernels``; it writes into its third
+    argument.  ``Q_t`` is written into ``Q[t]`` of a given ``(T, ...)``
+    array, else into one step's buffer that every step reuses: the next step
+    reads only ``V_t``, the backup's own array, so a consumer may overwrite
+    ``Q_t`` in place once it has ``V_t``.
+    """
+    T = r.shape[0]
+    step = np.empty(r.shape[1:]) if Q is None else None  # C order, so each Q_t is contiguous
+    v = None
+    for t in reversed(range(T)):
+        q = step if Q is None else Q[t]
+        if v is None:
+            q[...] = r[t]
+        else:  # the successor in place, then r_t: the same sum, with no temporary
+            successor(kernels[t], v, q)
+            q += r[t]
+        v = backup(t, q)
+        yield t, q, v
 
 
 def _backward(
     kernels: np.ndarray, r: np.ndarray, backup, successor=_expected_next
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one backward-induction loop: ``Q_t = r_t + successor(P_t, V_{t+1})``,
-    ``V_t = backup(t, Q_t)``.
-
-    ``r`` is a batch of ``K`` tables ``(T, K, S, A, ...)``; trailing axes ride
-    along unchanged.  The successor operator is the expectation
-    :func:`_expected_next` of the kernels unless another is given, with the
-    per-step tables it reads as ``kernels``.  Returns ``(Q, V)`` with
-    ``V`` of ``Q``'s shape less the action axis the backup removes, ``T+1``
-    rows in time and an all-zero terminal row.
-    """
-    T = r.shape[0]
+    """Every table of :func:`_sweep`: ``(Q, V)``, with ``V`` of ``Q``'s shape
+    less the action axis the backup removes, ``T+1`` rows in time and an
+    all-zero terminal row."""
     Q = np.empty(r.shape)  # C order, whatever the layout of r, so each Q[t] is contiguous
     V = None
-    for t in reversed(range(T)):
-        Q[t] = r[t]
-        if t < T - 1:
-            Q[t] += successor(kernels[t], V[t + 1])
-        v = backup(t, Q[t])
+    for t, _, v in _sweep(kernels, r, backup, successor, Q):
         if V is None:
-            V = np.zeros((T + 1,) + v.shape)
+            V = np.zeros((r.shape[0] + 1,) + v.shape)
         V[t] = v
     return Q, V
 
@@ -247,18 +270,33 @@ def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndar
     return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta))
 
 
-def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``log pi*`` of soft-optimal tables ``(Q, V)``, ``(Q - V) / beta + log nu``:
-    finite wherever ``Q`` is, even where ``pi*`` itself underflows."""
-    return (Q - V[:-1, ..., None]) / beta + mdp.log_ref_measure
+def _gibbs_logits(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
+    """``z - max z`` over the actions, ``z = Q / beta + log nu``: the log
+    weights of the Gibbs policy of a soft-optimal ``Q``, 0 at each row's top
+    action, taken from ``Q`` alone."""
+    z = Q / beta
+    z += mdp.log_ref_measure
+    z -= z.max(axis=-1, keepdims=True)
+    return z
 
 
-def _gibbs_probs(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The Gibbs policy table of soft-optimal tables ``(Q, V)``, a plain
-    array with no :class:`Policy` check; batched tables give a batch."""
-    probs = np.exp(_log_gibbs(mdp, beta, Q, V))
-    # Rows sum to one analytically; renormalize away the last few ulps so
-    # downstream validators can insist on tight stochasticity.
+def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
+    """``log pi*`` of a soft-optimal ``Q``, ``z - log sum exp z`` of the
+    :func:`_gibbs_logits` ``z``: at most 0 by construction (``z <= 0`` and the
+    sum holds the top action's 1), and finite wherever ``Q / beta`` is, even
+    where ``pi*`` itself underflows."""
+    z = _gibbs_logits(mdp, beta, Q)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
+def _gibbs_probs(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
+    """The Gibbs policy table of a soft-optimal ``Q``, a plain array with no
+    :class:`Policy` check; batched tables give a batch.  Each row is its
+    :func:`_gibbs_logits` exponentiated (its top action's weight is 1, so
+    the row sum is at least 1) and divided by its sum."""
+    probs = _gibbs_logits(mdp, beta, Q)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
@@ -270,7 +308,7 @@ def _gibbs_solution(mdp: Mdp, beta: float, Q: np.ndarray, V: np.ndarray) -> Soft
         beta=float(beta),
         V=V,
         Q=Q,
-        pi_star=Policy(probs=_gibbs_probs(mdp, beta, Q, V), label=f"gibbs(beta={beta:g})"),
+        pi_star=Policy(probs=_gibbs_probs(mdp, beta, Q), label=f"gibbs(beta={beta:g})"),
         J_star=float(mdp.initial_dist @ V[0]),
     )
 
@@ -366,13 +404,30 @@ def feature_values(mdp: Mdp, features, policy: Policy) -> tuple[np.ndarray, np.n
     return Q[:, 0], V[:, 0]
 
 
+def _policy_backup(probs: np.ndarray):
+    """The backup ``V_t = sum_a probs_t Q_t`` of the batch of policy tables
+    ``probs`` ``(T, K, S, A)``, for every trailing column of ``Q``."""
+    return lambda t, q: np.matmul(probs[t][..., None, :], q)[..., 0, :]
+
+
 def _policy_values(mdp: Mdp, table: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unregularized ``(Q, V)`` of every trailing column of a batch of tables
     ``(T, K, S, A, ...)`` under the batch of policy tables ``probs`` ``(T, K,
     S, A)``."""
-    return _backward(
-        mdp.kernels, table, lambda t, q: np.matmul(probs[t][..., None, :], q)[..., 0, :]
-    )
+    return _backward(mdp.kernels, table, _policy_backup(probs))
+
+
+def _advantage_sweep(mdp: Mdp, phi: np.ndarray, probs: np.ndarray):
+    """The feature advantages ``Q_t - V_t`` of the features ``phi`` ``(T, S,
+    A, d)`` under ``K`` policy tables ``probs`` ``(T, K, S, A)``, one step at
+    a time from ``t = T-1`` down to 0: yields ``(t, adv_t, V_t)``, ``adv_t``
+    ``(K, S, A, d)`` in the one buffer of :func:`_sweep`, which the consumer
+    may overwrite.  Each step is bit for bit that step of
+    :func:`feature_advantage`; no ``(T, K, S, A, d)`` table is made."""
+    table = np.broadcast_to(phi[:, None], probs.shape[:2] + phi.shape[1:])
+    for t, q, v in _sweep(mdp.kernels, table, _policy_backup(probs)):
+        q -= v[..., None, :]
+        yield t, q, v
 
 
 def feature_advantage(mdp: Mdp, features, policy: Policy) -> np.ndarray:

@@ -38,7 +38,14 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
-from soft_irl.soft_dp import _backward, _expected_next, _path_max, _policy_values, _regularizer
+from soft_irl.soft_dp import (
+    _backward,
+    _expected_next,
+    _log_gibbs,
+    _path_max,
+    _policy_values,
+    _regularizer,
+)
 
 from test_mdp import (
     ENUMERATION_CAP,
@@ -138,6 +145,42 @@ def test_small_beta_stability():
     np.testing.assert_allclose(sol.V[:-1], hard.V[:-1], atol=5e-3)
     # the Gibbs policy collapses onto the greedy one
     np.testing.assert_allclose(sol.pi_star.probs, hard.policy.probs, atol=1e-6)
+
+
+RATES_SPEC = InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5)  # the configs/rates.json instance
+
+
+def near_top(Q):
+    """The actions whose ``Q`` is within 4 ulps of its row's largest."""
+    top = Q.max(axis=-1, keepdims=True)
+    return Q >= top - 4 * np.spacing(np.abs(top))
+
+
+def test_a_temperature_of_1e_300_gives_the_greedy_policy():
+    """A reward of ones at ``beta = 1e-300`` on the ``configs/rates.json``
+    instance: ``Q / beta`` is finite, so the solve returns a valid policy
+    that puts mass only on actions of maximal ``Q`` (up to the few ulps in
+    which ``Q / beta`` can round two values together), with ``log pi <=
+    0``, and its values are the hard ones to rounding."""
+    mdp = generate_instance(RATES_SPEC).mdp
+    ones = RewardTable(r=np.ones((mdp.T, mdp.S, mdp.A)))
+    sol = soft_backward(mdp, ones, 1e-300)
+    assert (sol.pi_star.probs[~near_top(sol.Q)] == 0.0).all()
+    assert _log_gibbs(mdp, 1e-300, sol.Q).max() <= 0.0
+    np.testing.assert_allclose(sol.V, hard_backward(mdp, ones).V, rtol=1e-15)
+
+
+def test_log_gibbs_is_at_most_zero_at_a_huge_reward():
+    """At ``beta = 1e-4`` and ``theta = 1e12 * 1 / sqrt(d)`` on the
+    ``configs/rates.json`` instance, ``(Q - V) / beta`` carries a rounding
+    of about ``max|Q| eps / beta`` and read up to 2.44; ``log pi`` taken
+    from ``Q`` alone is at most 0 and its rows sum to one in probability."""
+    inst = generate_instance(RATES_SPEC)
+    theta = 1e12 * np.ones(6) / np.sqrt(6)
+    sol = solve_model(inst.mdp, LinearRewardModel(features=inst.features, theta=theta), 1e-4)
+    log_pi = _log_gibbs(inst.mdp, 1e-4, sol.Q)
+    assert log_pi.max() <= 0.0
+    np.testing.assert_allclose(np.exp(log_pi).sum(axis=-1), 1.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -568,8 +568,8 @@ def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
     deviation = B_A_phi * float(np.linalg.norm(delta)) / beta
     local = delta_h0 <= dikin * (1.0 + 1e-12)
     log_ratio = (
-        _log_gibbs(mdp, beta, solution1.Q, solution1.V)
-        - _log_gibbs(mdp, beta, solution0.Q, solution0.V)
+        _log_gibbs(mdp, beta, solution1.Q)
+        - _log_gibbs(mdp, beta, solution0.Q)
     )
     max_log_ratio = float(_path_max(mdp, np.stack([log_ratio, -log_ratio], axis=1)).max())
     bregman = bundle1.J_star - bundle0.J_star - float(delta @ bundle0.grad)

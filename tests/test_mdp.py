@@ -1088,9 +1088,7 @@ def test_path_maxima_match_enumeration_property(rng_seed, S, A, T, d, determinis
 
     solutions = [solve_model(mdp, LinearRewardModel(features=features, theta=theta), beta)
                  for theta in (theta0, theta1)]
-    log_ratio = _log_gibbs(mdp, beta, solutions[1].Q, solutions[1].V) - _log_gibbs(
-        mdp, beta, solutions[0].Q, solutions[0].V
-    )
+    log_ratio = _log_gibbs(mdp, beta, solutions[1].Q) - _log_gibbs(mdp, beta, solutions[0].Q)
     exact_ratio = float(np.abs(log_ratio[steps, states, actions].sum(axis=1)).max())
     path_ratio = max(float(_path_max(mdp, log_ratio[:, None])[0]),
                      float(_path_max(mdp, -log_ratio[:, None])[0]))

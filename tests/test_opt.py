@@ -648,7 +648,7 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
     extension trials above 1 among them."""
     inst = generate_instance(RATES_SPEC)
     data = sample_trajectories(inst.mdp, inst.expert, n, data_seed)
-    events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q, V)), one per batch row
+    events = []  # ("value", theta bytes, (Q, V)) or ("bundle", (Q,)), one per batch row
     value_calls = []  # the rows of each value pass
     inside = []  # the fitter step an optimal-value pass runs under
     passes = []  # ("value" or "separation", beta) of each optimal-value pass
@@ -673,9 +673,9 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
     def recorded_separation(*args):
         return under("separation", separation, *args)
 
-    def recorded_gibbs(mdp, beta, Q, V):
-        events.extend(("bundle", (Q[:, k], V[:, k])) for k in range(Q.shape[1]))
-        return gibbs(mdp, beta, Q, V)
+    def recorded_gibbs(mdp, beta, Q):
+        events.extend(("bundle", (Q[:, k],)) for k in range(Q.shape[1]))
+        return gibbs(mdp, beta, Q)
 
     def recorded_backup(mdp, beta):
         # every optimal-value pass, soft or max-plus, takes its backup here

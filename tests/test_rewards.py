@@ -17,6 +17,7 @@ from soft_irl import (
     InvariantError,
     LinearRewardModel,
     Mdp,
+    Policy,
     RateConfig,
     RewardTable,
     batch_scores,
@@ -24,6 +25,7 @@ from soft_irl import (
     derivative_bundle,
     effective_dimension,
     feature_advantage,
+    feature_expectation,
     forward_occupancy,
     gather_table,
     generate_instance,
@@ -42,10 +44,15 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
-from soft_irl.linear_reward import _identifiable_split, _solution_bundle
-from soft_irl.soft_dp import _weighted_second_moment
+from soft_irl.linear_reward import (
+    _batch_derivatives,
+    _identifiable_split,
+    _score_bound,
+    _solution_bundle,
+)
+from soft_irl.soft_dp import _log_gibbs, _weighted_second_moment
 
-from test_dp import sparse_policy
+from test_dp import near_top, sparse_policy
 from test_mdp import (
     ENUMERATION_CAP,
     enumerate_support,
@@ -293,8 +300,8 @@ HESSIAN_ORACLE_RTOL = 1e-12
 @example(seed=2, S=2, A=3, T=3, d=3, deterministic=False, beta=1e-3)
 @example(seed=9999, S=3, A=3, T=4, d=4, deterministic=True, beta=1e-3)  # subnormal Hessian
 def test_hessian_matches_the_weighted_gemm_oracle_property(seed, S, A, T, d, deterministic, beta):
-    """The bundle Hessian, one Gram of the root-occupancy-scaled advantage
-    table, equals the weighted-gemm formula within ``HESSIAN_ORACLE_RTOL``
+    """The bundle Hessian, a sum over steps of Grams of the root-occupancy-
+    scaled advantages, equals the weighted-gemm formula within ``HESSIAN_ORACLE_RTOL``
     of the oracle's trace, is exactly symmetric, and is positive semidefinite
     up to ``HESSIAN_ORACLE_RTOL`` of its own trace.  Deterministic dynamics
     leave states unreached (zero occupancy), and ``beta = 1e-3`` drives Gibbs
@@ -341,6 +348,76 @@ def test_a_derivative_bundle_allocates_under_two_feature_tables():
     finally:
         tracemalloc.stop()
     assert peak / features.phi.nbytes < 2.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_streamed_bundle_matches_the_whole_table_oracle(seed):
+    """A batch of three policy tables (a Gibbs policy, a policy with
+    zero-probability entries and a one-hot policy, on dynamics that may
+    leave states unreached, so with zero-occupancy entries): each member's
+    streamed Hessian equals ``_weighted_second_moment`` of its whole
+    advantage table over ``beta`` within 1e-13 of the oracle's largest
+    entry, is exactly symmetric, and its gradient is the feature
+    expectation within 1e-13."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=5, A=3, T=4, deterministic=seed % 2 == 0)
+    features = random_features(rng, mdp, 4)
+    beta = 0.7
+    one_hot = np.eye(mdp.A)[rng.integers(mdp.A, size=(mdp.T, mdp.S))]
+    policies = [
+        solve_model(mdp, model_at(features, rng.normal(size=4)), beta).pi_star,
+        sparse_policy(rng, mdp),
+        Policy(probs=one_hot),
+    ]
+    probs = np.stack([pi.probs for pi in policies], axis=1)
+    grads, hessians = _batch_derivatives(mdp, features.phi, beta, probs)
+    for pi, grad, H in zip(policies, grads, hessians):
+        mu = forward_occupancy(mdp, pi)
+        oracle = _weighted_second_moment(mu, feature_advantage(mdp, features, pi)) / beta
+        assert np.array_equal(H, H.T)
+        assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        expectation = feature_expectation(mdp, pi, features)
+        assert np.abs(grad - expectation).max() <= 1e-13 * np.abs(expectation).max()
+    assert (forward_occupancy(mdp, policies[1]) == 0.0).any()
+
+
+def test_a_bundle_and_the_score_bound_allocate_under_one_feature_table():
+    """The bundle and the score bound read the feature advantages one step
+    at a time: at S20 A5 T40 d30 the traced peak of a derivative bundle, and
+    of the score bound at two parameters, stays below the size of one
+    ``(T, S, A, d)`` table."""
+    rng = np.random.default_rng(15)
+    mdp = random_mdp(rng, S=20, A=5, T=40)
+    features = random_features(rng, mdp, 30)
+    model = model_at(features, 0.3 * rng.normal(size=30))
+    thetas = 0.3 * rng.normal(size=(2, 30))
+    for run in (
+        lambda: derivative_bundle(mdp, model, 0.5),
+        lambda: _score_bound(mdp, features, 0.5, thetas),
+    ):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.phi.nbytes
+
+
+def test_a_bundle_at_a_huge_parameter_and_tiny_temperature_is_greedy():
+    """At ``theta = 1e12 * 1`` and ``beta = 1e-8`` on the ``configs/rates.json``
+    instance the Gibbs policy is greedy in ``Q``: the derivative bundle is
+    finite and the policy a valid one that puts mass only on actions of
+    maximal ``Q`` (to 4 ulps), with ``log pi <= 0``."""
+    inst = generate_instance(InstanceSpec(S=5, A=3, T=4, d=6, beta=0.5, seed=5))
+    model = model_at(inst.features, 1e12 * np.ones(6))
+    bundle = derivative_bundle(inst.mdp, model, 1e-8)
+    assert np.isfinite(bundle.J_star) and np.isfinite(bundle.grad).all()
+    assert np.isfinite(bundle.hessian).all() and np.array_equal(bundle.hessian, bundle.hessian.T)
+    solution = solve_model(inst.mdp, model, 1e-8)
+    assert (solution.pi_star.probs[~near_top(solution.Q)] == 0.0).all()
+    assert _log_gibbs(inst.mdp, 1e-8, solution.Q).max() <= 0.0
 
 
 def test_hessian_is_psd():

@@ -278,3 +278,44 @@ def test_only_the_cli_runner_loads_the_config_and_writes():
     directory and writes the report; a command only runs its study."""
     found = runner_calls((Path(soft_irl.__file__).parent / "cli.py").read_text())
     assert {hit.split(" (")[0] for hit in found} == {f"{name} in _run" for name in RUNNER_CALLS}
+
+
+def backward_time_loops(sources: dict[str, str]) -> list[str]:
+    """Loops and comprehensions ``for … in reversed(…)`` in ``sources``,
+    module name to text, as ``module.function (line)`` (``module (line)`` at
+    module level)."""
+    found = []
+    for module, text in sources.items():
+        stack = [(node, module) for node in ast.parse(text).body]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if (
+                isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Name)
+                and node.iter.func.id == "reversed"
+            ):
+                found.append(f"{where} (line {node.iter.lineno})")
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_backward_time_loops_are_found():
+    source = (
+        "def f(T):\n    for t in reversed(range(T)):\n        pass\n"
+        "class C:\n    def g(self, xs):\n        return [x for x in reversed(xs)]\n"
+        "for t in range(3):\n    pass\n"
+        "for t in reversed([1, 2]):\n    pass\n"
+    )
+    assert backward_time_loops({"m": source}) == ["m (line 9)", "m.C.g (line 6)", "m.f (line 2)"]
+
+
+def test_the_package_has_one_backward_time_loop():
+    """Every backward recursion runs the one per-step sweep,
+    ``soft_dp._sweep``: the value passes collect its steps and the
+    derivative bundles and the score bound consume them as they come, so
+    no second time loop builds a table of every step."""
+    found = backward_time_loops({p.stem: p.read_text() for p in SOURCES})
+    assert [hit.split(" (")[0] for hit in found] == ["soft_dp._sweep"]
