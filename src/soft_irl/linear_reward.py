@@ -284,11 +284,11 @@ def _identifiable_split(mdp: Mdp, phi: np.ndarray, H: np.ndarray) -> tuple[np.nd
     scaled, and its eigenvalues up to 1e-10 of the largest are the kernel's (an
     orthonormal basis); the rest, over the units and off the kernel, span the
     image.  A deviation, unlike a range, does not grow with the table size."""
-    reached = _occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0
-    rows = phi.reshape(-1, phi.shape[-1]) if reached.all() else phi[reached]
-    # exact, where a constant's deviation can round above 0
-    spread = rows.max(axis=0) > rows.min(axis=0)
-    unit = np.where(spread, np.sqrt(rows.var(axis=0)), 1.0)
+    rows = phi[_occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0]  # a copy
+    spread = np.ptp(rows, axis=0) > 0.0  # exact, where a constant's deviation can round above 0
+    rows -= rows.mean(axis=0)  # the deviations, in the copy's own memory
+    rows *= rows
+    unit = np.where(spread, np.sqrt(rows.mean(axis=0)), 1.0)
     w, V = np.linalg.eigh(np.where(spread & spread[:, None], H, 0.0) / np.outer(unit, unit))
     in_kernel = w <= 1e-10 * max(w[-1], 0.0)
     kernel = np.linalg.qr(V[:, in_kernel] / unit[:, None])[0]
