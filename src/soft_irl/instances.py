@@ -52,15 +52,11 @@ def deterministic_chain_instance(S: int = 4, A: int = 2, T: int = 3) -> tuple[Md
     initial_dist = np.zeros(S)
     initial_dist[0] = 1.0
     kernels = np.zeros((T - 1, S, A, S))
-    for t in range(T - 1):
-        for s in range(S):
-            for a in range(A):
-                kernels[t, s, a, (s + a + 1) % S] = 1.0
+    s, a = np.arange(S)[:, None], np.arange(A)
+    kernels[:, s, a, (s + a + 1) % S] = 1.0
     mdp = Mdp(T=T, S=S, A=A, initial_dist=initial_dist, kernels=kernels, ref_measure=np.ones(A))
 
-    s_grid = np.arange(S)[None, :, None]
-    a_grid = np.arange(A)[None, None, :]
-    r = np.broadcast_to((s_grid + a_grid) / (S + A - 2.0), (T, S, A)).copy()
+    r = np.broadcast_to((s + a) / (S + A - 2.0), (T, S, A)).copy()
     return mdp, RewardTable(r=r)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvariantError
+from .errors import DimensionError, DomainError, InputError, InvariantError
 from .mdp import (
     Dataset,
     Mdp,
@@ -268,9 +268,8 @@ def third_derivative(
     x = feature_advantage(mdp, model.features.phi @ directions, pi)  # (T, S, A, 3)
     pairs = ((1, 2), (0, 2), (0, 1))  # the other two directions of each one
     _, M2 = feature_values(mdp, np.stack([x[..., j] * x[..., k] for j, k in pairs], axis=-1), pi)
-    next_M2 = np.zeros(x.shape)
-    for t in range(mdp.T - 1):
-        next_M2[t] = _expected_next(mdp.kernels[t], M2[t + 1][None])[0]
+    next_M2 = np.zeros(x.shape)  # P_t M2_{t+1} of every step, 0 at the last
+    _expected_next(mdp.kernels, M2[1:-1], next_M2[:-1])
     local = x[..., 0] * x[..., 1] * x[..., 2] + (x * next_M2).sum(axis=-1)
     _, M3 = feature_values(mdp, local[..., None], pi)
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
@@ -392,8 +391,10 @@ def geometry_constants(
     (see :func:`_score_bound`) over ``theta_grid`` plus the model's own
     parameter.  ``lambda_star`` and ``rho_star`` refer to the Hessian at
     ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
-    by default).
+    by default).  ``model`` must be on ``features`` (an ``InputError`` otherwise).
     """
+    if not np.array_equal(model.features.phi, features.phi):
+        raise InputError("model.features: its phi must equal features.phi")
     try:
         grid = () if theta_grid is None else np.atleast_2d(theta_grid)
     except ValueError:  # numpy's "inhomogeneous shape": rows of different lengths

@@ -421,9 +421,9 @@ def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
     states, actions = data.states, data.actions
     factors = np.empty((len(data), 2 * mdp.T))
     factors[:, 0] = mdp.initial_dist[states[:, 0]]
-    factors[:, 1::2] = policy.probs[np.arange(mdp.T), states, actions]
-    for t in range(mdp.T - 1):
-        factors[:, 2 * t + 2] = mdp.kernels[t][states[:, t], actions[:, t], states[:, t + 1]]
+    steps = np.arange(mdp.T)
+    factors[:, 1::2] = policy.probs[steps, states, actions]
+    factors[:, 2::2] = mdp.kernels[steps[:-1], states[:, :-1], actions[:, :-1], states[:, 1:]]
     with np.errstate(divide="ignore"):
         return np.log(factors).sum(axis=1)
 

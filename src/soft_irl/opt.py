@@ -161,9 +161,9 @@ class IrlFitResult:
         return self.status == "converged"
 
 
-def _on_sphere(theta: np.ndarray, radius: float) -> bool:
-    """Whether ``theta`` sits on the sphere of the ball, up to rounding."""
-    return float(np.linalg.norm(theta)) >= radius * (1.0 - 1e-9)
+def _on_sphere(theta: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each row of ``theta`` sits on the sphere of the ball, up to rounding."""
+    return _norms(theta) >= radius * (1.0 - 1e-9)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -172,9 +172,9 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _restricted_newton_step(
-    grad: np.ndarray, hessian: np.ndarray, image: np.ndarray
+    grad: np.ndarray, hessian: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton direction confined to the span of the columns of ``image``.
+    """Newton direction confined to the span of the columns of ``basis``.
 
     Returns ``(step, decrement, ridge_used)``, with ``<grad, step> =
     -decrement**2``, so the step is a descent direction.  The ridge kicks in
@@ -186,16 +186,19 @@ def _restricted_newton_step(
     flat.
 
     ``grad`` ``(..., d)`` and ``hessian`` ``(..., d, d)`` may carry a leading
-    batch axis: the products are stacked matmuls and the eigendecompositions
-    one stacked ``eigh``, so each member gets the bits of its own call.
+    batch axis, and ``basis`` is ``(d, k)``, shared by the batch (the image),
+    or ``(..., d, k)``, one per member (the sphere's tangent spaces): the
+    products are stacked matmuls and the eigendecompositions one stacked
+    ``eigh``, so each member gets the bits of its own call.
     """
-    if image.shape[1] == 0:
+    if basis.shape[-1] == 0:
         return np.zeros_like(grad), np.zeros(grad.shape[:-1]), np.zeros(grad.shape[:-1], dtype=bool)
-    w, V = np.linalg.eigh(image.T @ hessian @ image)
+    basis_t = np.swapaxes(basis, -1, -2)
+    w, V = np.linalg.eigh(basis_t @ hessian @ basis)
     ridge_used = w[..., 0] < _RIDGE_THRESHOLD
     w = np.where(ridge_used[..., None], w + _RIDGE, w)
-    g_proj = (np.swapaxes(V, -1, -2) @ (image.T @ grad[..., None]))[..., 0]
-    step = (-image @ (V @ (g_proj / w)[..., None]))[..., 0]
+    g_proj = (np.swapaxes(V, -1, -2) @ (basis_t @ grad[..., None]))[..., 0]
+    step = (-basis @ (V @ (g_proj / w)[..., None]))[..., 0]
     decrement = np.sqrt((g_proj**2 / w).sum(axis=-1))
     return step, decrement, ridge_used
 
@@ -275,9 +278,11 @@ def _fit_batch(
     within the image, so its decrement is the Lagrangian's.  The fits share
     the rounds: each round makes one value pass over every searching fit's
     trial point, then one bundle and one stacked Newton step over the fits
-    that moved.  Every product makes, for each fit, the BLAS call of a batch
-    of one, and the bookkeeping between them is elementwise array work, so
-    a fit's result is bit for bit the same alone or in any batch.
+    that moved, in which the fits on the sphere take one more stacked step
+    on their tangent bases (one stacked SVD).  Every product makes, for each
+    fit, the BLAS or LAPACK call of a batch of one, and the bookkeeping
+    between them is elementwise array work with no per-fit loop, so a fit's
+    result is bit for bit the same alone or in any batch.
 
     Where the predicted decrease ``-<grad, step>`` is at most
     ``_LOSS_RESOLUTION`` times the loss's terms ``|J*(theta)| + |<theta,
@@ -312,16 +317,16 @@ def _fit_batch(
 
     def newton_steps(points, grads, hessians):
         steps, decrements, ridges = _restricted_newton_step(grads, hessians, image)
-        for j in range(len(points)) if bounded else ():
-            multiplier = -float(grads[j] @ points[j]) / (radius * radius)
-            if multiplier > 0.0 and _on_sphere(points[j], radius):
-                # the directions of the image orthogonal to the point; with
-                # the image only, theta_hat keeps no kernel component
-                tangent = image @ np.linalg.svd((image.T @ points[j])[:, None])[0][:, 1:]
-                lagrangian = hessians[j] + multiplier * np.eye(d)
-                steps[j], decrements[j], ridges[j] = _restricted_newton_step(
-                    grads[j], lagrangian, tangent
-                )
+        if bounded:
+            multipliers = -_dots(grads, points) / (radius * radius)
+            js = np.flatnonzero((multipliers > 0.0) & _on_sphere(points, radius))
+            # the directions of the image orthogonal to each point; with the
+            # image only, theta_hat keeps no kernel component
+            tangents = image @ np.linalg.svd(image.T @ points[js, :, None])[0][..., 1:]
+            lagrangians = hessians[js] + multipliers[js, None, None] * np.eye(d)
+            steps[js], decrements[js], ridges[js] = _restricted_newton_step(
+                grads[js], lagrangians, tangents
+            )
         return steps, decrements, ridges
 
     theta = np.zeros((K, d))
@@ -441,11 +446,11 @@ def _fit_batch(
         record(fits[again], steps[again], decrements[again], ridges[again])
         searching = np.concatenate([searching, search(fits[again])])
 
+    gradient_norms, on_sphere = _norms(bundle_grad - targets), _on_sphere(theta, radius)
     return [
         _result(
-            targets[k], radius, theta[k].copy(), float(loss[k]),
-            (bundle_grad[k].copy(), hessian[k].copy()), status[k],
-            _trace(history[k]),
+            theta[k].copy(), float(loss[k]), float(gradient_norms[k]), hessian[k].copy(),
+            bool(on_sphere[k]), status[k], _trace(history[k]),
             (direction[k].copy(), float(margin[k])) if status[k] == "infeasible" else None,
         )
         for k in range(K)
@@ -457,16 +462,16 @@ def _trace(history: list[list]) -> tuple[IterationRecord, ...]:
     return tuple(IterationRecord(i, *row) for i, row in enumerate(history))
 
 
-def _result(target, radius, theta, loss, bundle, status, trace, separation):
+def _result(theta, loss, gradient_norm, hessian, on_sphere, status, trace, separation):
     """The :class:`IrlFitResult` of a fit the lockstep loop has finished."""
     return IrlFitResult(
         theta_hat=theta,
         final_loss=loss,
         iterations=sum(1 for record in trace if record.step_size > 0.0),
         final_decrement=trace[-1].decrement,
-        gradient_norm=float(np.linalg.norm(bundle[0] - target)),
-        hessian_at_solution=bundle[1],
-        active_ball_constraint=_on_sphere(theta, radius),
+        gradient_norm=gradient_norm,
+        hessian_at_solution=hessian,
+        active_ball_constraint=on_sphere,
         status=status,
         trace=trace,
         separating_direction=None if separation is None else separation[0],

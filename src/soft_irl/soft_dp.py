@@ -30,6 +30,7 @@ advantages as it comes and never hold a ``(T, K, S, A, d)`` table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,22 +158,25 @@ def _check_in_range(beta: float, *tables: np.ndarray) -> None:
         raise DomainError(f"beta = {beta:g}: the values of this reward leave the float range")
 
 
-def _expected_next(kernel_t: np.ndarray, v_next: np.ndarray, out=None) -> np.ndarray:
-    """``(P_t v)(s, a, ...)`` of a batch ``v_next`` ``(K, S, ...)``: shape
-    ``(K, S, A, ...)``, written into ``out`` (C-contiguous) where given.
+def _expected_next(kernels: np.ndarray, v_next: np.ndarray, out=None) -> np.ndarray:
+    """``(P v)(s, a, ...)`` of a batch ``v_next`` ``(K, S, ...)``: shape ``(K,
+    S, A, ...)``, written into ``out`` (C-contiguous) where given.  ``kernels``
+    is one kernel ``(S, A, S)`` for every member or a stack ``(K, S, A, S)``,
+    one per member: ``mdp.kernels`` and ``V[1:T]`` give every step's ``P_t
+    V_{t+1}`` in one call.
 
-    A stacked matmul of the ``(S*A, S)`` kernel with each member flattened to
-    ``(S, -1)``, so the product runs in BLAS whatever the trailing shape, and
-    BLAS gets, for each member, the ``gemv`` or ``gemm`` of a batch of one:
-    every member gets the bits of a lone call (one ``gemm`` over the whole
-    batch would not).
+    A stacked matmul of the ``(S*A, S)`` kernels with each member flattened to
+    ``(S, X)``, ``X`` the trailing size (given: the empty stack of ``T = 1``
+    has none for ``-1`` to infer), so the product runs in BLAS whatever the
+    trailing shape, and BLAS gets, for each member, the ``gemv`` or ``gemm``
+    of a batch of one: every member gets the bits of a lone call (one
+    ``gemm`` over the whole batch would not).
     """
-    S, A, Z = kernel_t.shape
-    K = v_next.shape[0]
-    shape = (K, S, A) + v_next.shape[2:]
+    S, A, Z = kernels.shape[-3:]
+    K, X = v_next.shape[0], math.prod(v_next.shape[2:])
     if out is None:
-        out = np.empty(shape)
-    np.matmul(kernel_t.reshape(S * A, Z), v_next.reshape(K, Z, -1), out=out.reshape(K, S * A, -1))
+        out = np.empty((K, S, A) + v_next.shape[2:])
+    np.matmul(kernels.reshape(-1, S * A, Z), v_next.reshape(K, Z, X), out=out.reshape(K, S * A, X))
     return out
 
 
@@ -467,18 +471,15 @@ def _batch_trajectory_kl(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (broadcast views welcome), shape ``(K,)``; each pair's value is bit for
     bit that of its own call."""
     marginals = _occupancy(mdp, p).sum(axis=-1)  # (T, K, S)
-    K = marginals.shape[1]
-    total = np.zeros(K)
-    infinite = np.zeros(K, dtype=bool)
-    for t in range(mdp.T):
-        pm, qm = p[t], q[t]
-        support = pm > 0.0
-        reachable = marginals[t] > 0.0
-        infinite |= np.any(support & (qm == 0.0) & reachable[..., None], axis=(1, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(support, pm * (np.log(pm) - np.log(qm)), 0.0)
-            action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
-            total += _dots(marginals[t], action_kl)
+    support = p > 0.0
+    reachable = marginals > 0.0
+    infinite = np.any(support & (q == 0.0) & reachable[..., None], axis=(0, 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(support, p * (np.log(p) - np.log(q)), 0.0)
+        action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
+    # a running sum over the steps, in order whatever K is: a reduction of a
+    # lone pair's T >= 8 steps would sum them pairwise
+    total = np.cumsum(_dots(marginals, action_kl), axis=0)[-1]
     return np.where(infinite, np.inf, total)
 
 
@@ -521,12 +522,11 @@ def delta_terms(mdp: Mdp, V: np.ndarray, states: np.ndarray, actions: np.ndarray
     """
     V = _as_float_array(V, "V", (mdp.T + 1, mdp.S))
     states, actions = _as_paths(states, actions, "path", (mdp.T, mdp.S, mdp.A))
-    n, T = states.shape
-    out = np.empty((n, T))
+    steps = np.arange(mdp.T - 1)
+    expected = _expected_next(mdp.kernels, V[1:-1])  # (T-1, S, A): P_t V_{t+1} of every step
+    out = np.empty(states.shape)
     out[:, 0] = V[0][states[:, 0]] - float(mdp.initial_dist @ V[0])
-    for k in range(1, T):
-        expected = _expected_next(mdp.kernels[k - 1], V[k][None])[0]  # (S, A)
-        out[:, k] = V[k][states[:, k]] - expected[states[:, k - 1], actions[:, k - 1]]
+    out[:, 1:] = V[steps + 1, states[:, 1:]] - expected[steps, states[:, :-1], actions[:, :-1]]
     return out
 
 
@@ -581,10 +581,8 @@ def _martingale_covariance(
     """
     mean0 = mdp.initial_dist @ V[0]
     dynamics = _weighted_second_moment(mdp.initial_dist, V[0].copy()) - np.outer(mean0, mean0)
-    for k in range(1, mdp.T):
-        cond_mean = _expected_next(mdp.kernels[k - 1], V[k][None])[0]
-        dynamics += _weighted_second_moment(mu[k].sum(axis=-1), V[k].copy())
-        dynamics -= _weighted_second_moment(mu[k - 1], cond_mean)
+    dynamics += _weighted_second_moment(mu[1:].sum(axis=-1), V[1:-1].copy())
+    dynamics -= _weighted_second_moment(mu[:-1], _expected_next(mdp.kernels, V[1:-1]))
     return _weighted_second_moment(mu, adv), dynamics
 
 

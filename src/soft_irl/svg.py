@@ -28,10 +28,9 @@ def loglog_chart(
     title: str,
     slope: float | None = None,
     intercept: float | None = None,
-    x_label: str = "n",
     y_label: str = "median",
 ) -> str:
-    """Render one log-log series with markers and an optional fitted line."""
+    """Render one log-log series over ``n`` with markers and an optional fitted line."""
     pts = [(float(x), float(y)) for x, y in zip(xs, ys) if y > 0.0]
     if not pts:
         return (
@@ -85,7 +84,7 @@ def loglog_chart(
             )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 10}" '
-        f'text-anchor="middle">{x_label}</text>'
+        f'text-anchor="middle">n</text>'
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '

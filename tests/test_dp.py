@@ -655,12 +655,14 @@ def assert_matches_einsum(value, expected):
 SUCCESSOR_SIZES = [(5, 3, 4, 6), (50, 10, 20, 50)]
 
 
-@pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES)
+@pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES + [(4, 3, 1, 5)])
 @pytest.mark.parametrize("tail", [(), "d", (3,), (2, 3)])
 def test_expected_next_matches_einsum(S, A, T, d, tail):
     """The stacked product of a batch of K = 1 and of K = 3 value tables
     matches the einsum form for each member, and each member of the batch of
-    three is bit for bit its own batch of one."""
+    three is bit for bit its own batch of one.  On the whole kernel stack,
+    one value table per step, each step is bit for bit its lone call, and a
+    horizon of one gives an empty stack and an empty table."""
     rng = np.random.default_rng(S + len(tail))
     mdp = random_mdp(rng, S=S, A=A, T=T)
     tail = (d,) if tail == "d" else tail
@@ -673,6 +675,11 @@ def test_expected_next_matches_einsum(S, A, T, d, tail):
             for k in range(K):
                 assert_matches_einsum(batch[k], einsum_expected_next(kernel, v[k]))
                 assert np.array_equal(batch[k], _expected_next(kernel, v[k : k + 1])[0])
+    values = rng.random((T - 1, S) + tail)
+    stack = _expected_next(mdp.kernels, values)
+    assert stack.shape == (T - 1, S, A) + tail
+    for t in range(T - 1):
+        assert np.array_equal(stack[t], _expected_next(mdp.kernels[t], values[t : t + 1])[0])
 
 
 @pytest.mark.parametrize("S, A, T, d", SUCCESSOR_SIZES + [(4, 3, 1, 5)])

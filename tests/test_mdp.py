@@ -396,6 +396,95 @@ def test_scalar_inputs_reject_malformed_values(name, case):
             call(SCALAR_CASES[case])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.floats(min_value=-3.0, max_value=16.0),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+)
+def test_extreme_temperatures_and_rewards_give_finite_values_or_a_typed_error(
+    log_beta, log_norm, direction
+):
+    """At a temperature log-uniform in [1e-8, 1e8] and a parameter of norm up
+    to 1e16 (or 0, for a zero direction), every public solve, derivative,
+    divergence, loss and fit returns finite values or raises a
+    ``SoftIrlError``, with no ``RuntimeWarning``.  The one exception is a
+    trajectory KL or a likelihood loss of ``+inf``, exactly where the first
+    law puts mass on an entry the second gives none: at a large parameter
+    the Gibbs policy underflows to 0 on actions the expert takes."""
+    from soft_irl import (
+        FitConfig,
+        SoftIrlError,
+        derivative_bundle,
+        fit_population,
+        irl_empirical_loss,
+        irl_population_loss,
+        mle_loss,
+        mle_population_loss,
+        third_derivative,
+        trajectory_hellinger,
+        trajectory_kl,
+    )
+
+    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    mdp, features, expert = inst.mdp, inst.features, inst.expert
+    data = sample_trajectories(mdp, expert, 8, seed=0)
+    beta, u = 10.0**log_beta, np.array(direction, dtype=float)
+    theta = u * (10.0**log_norm / np.linalg.norm(u)) if u.any() else u
+    model = LinearRewardModel(features=features, theta=theta)
+
+    def lacks(p, q):
+        """Whether ``p`` puts mass on an entry, reachable under ``p``, that ``q`` gives none."""
+        return bool(((forward_occupancy(mdp, p) > 0.0) & (q.probs == 0.0)).any())
+
+    def divergences():  # (value, whether +inf is allowed)
+        pi = solve_model(mdp, model, beta).pi_star
+        taken = pi.probs[np.arange(mdp.T), data.states, data.actions]
+        return [
+            (trajectory_kl(mdp, expert, pi), lacks(expert, pi)),
+            (trajectory_kl(mdp, pi, expert), lacks(pi, expert)),
+            (trajectory_hellinger(mdp, expert, pi), False),
+            (mle_population_loss(mdp, pi, expert), lacks(expert, pi)),
+            (mle_loss(mdp, pi, data), bool((taken == 0.0).any())),
+        ]
+
+    def finite(values):
+        return lambda: [(value, False) for value in values()]
+
+    def solution():
+        solved = solve_model(mdp, model, beta)
+        return [solved.V, solved.Q, solved.pi_star.probs, solved.J_star]
+
+    def bundle():
+        bundle = derivative_bundle(mdp, model, beta)
+        return [bundle.J_star, bundle.grad, bundle.hessian]
+
+    def fit():
+        result = fit_population(mdp, features, expert, FitConfig(beta=beta))
+        return [result.theta_hat, result.final_loss, result.final_decrement,
+                result.gradient_norm, result.hessian_at_solution]
+
+    calls = {
+        "solve_model": finite(solution),
+        "derivative_bundle": finite(bundle),
+        "third_derivative": finite(lambda: [third_derivative(mdp, model, beta, *np.eye(3))]),
+        "irl losses": finite(lambda: [irl_population_loss(mdp, model, beta, expert),
+                                      irl_empirical_loss(mdp, model, beta, data)]),
+        "divergences": divergences,
+        "fit_population": finite(fit),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, call in calls.items():
+            try:
+                values = call()
+            except SoftIrlError:
+                continue
+            for value, may_be_inf in values:
+                value = np.asarray(value)
+                assert np.isfinite(value).all() or (may_be_inf and value == np.inf), name
+
+
 def test_distribution_check_bound_and_message():
     """Rows pass within 1e-12 of summing to 1 and fail beyond it, a NaN row
     fails, the message names the worst error, and an empty table passes."""

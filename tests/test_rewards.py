@@ -13,6 +13,7 @@ from soft_irl import (
     DimensionError,
     DomainError,
     FeatureMap,
+    InputError,
     InstanceSpec,
     InvariantError,
     LinearRewardModel,
@@ -981,6 +982,22 @@ def test_geometry_constants_constant_features():
     features = FeatureMap(phi=phi)
     gc = geometry_constants(mdp, features, model_at(features, np.zeros(2)), 1.0)
     assert gc.B_A_phi == pytest.approx(0.0, abs=1e-12)
+
+
+def test_geometry_constants_need_the_model_on_the_features():
+    """``geometry_constants`` reads every constant off one feature map: a
+    model on other features of the same shape is an ``InputError`` naming
+    ``model.features`` (its ``lambda_star`` and ``d_star`` were those of
+    its own features, its ``B_phi`` those of ``features``), while a model
+    on an equal copy of the features gives the instance's own constants."""
+    inst = generate_instance(InstanceSpec())
+    mdp, features, theta, beta = inst.mdp, inst.features, inst.theta_expert, inst.spec.beta
+    other = FeatureMap(phi=np.random.default_rng(5).normal(size=features.phi.shape))
+    with pytest.raises(InputError, match="model.features"):
+        geometry_constants(mdp, features, model_at(other, theta), beta)
+    copy = FeatureMap(phi=features.phi.copy())
+    own = geometry_constants(mdp, features, model_at(features, theta), beta)
+    assert geometry_constants(mdp, features, model_at(copy, theta), beta) == own
 
 
 def triangle_bound(features):

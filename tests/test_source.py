@@ -280,10 +280,12 @@ def test_only_the_cli_runner_loads_the_config_and_writes():
     assert {hit.split(" (")[0] for hit in found} == {f"{name} in _run" for name in RUNNER_CALLS}
 
 
-def backward_time_loops(sources: dict[str, str]) -> list[str]:
-    """Loops and comprehensions ``for … in reversed(…)`` in ``sources``,
-    module name to text, as ``module.function (line)`` (``module (line)`` at
-    module level)."""
+def time_loops(sources: dict[str, str]) -> list[str]:
+    """Loops and comprehensions over a ``range`` whose bounds read the horizon,
+    a name ``T`` or an attribute ``.T``, in ``sources``, module name to text,
+    as ``module.function (line)`` (``module (line)`` at module level), with
+    ``, reversed`` where the range is taken in ``reversed``.  A loop over the
+    columns of a transpose, ``for c in x.T``, is not a time loop."""
     found = []
     for module, text in sources.items():
         stack = [(node, module) for node in ast.parse(text).body]
@@ -291,31 +293,56 @@ def backward_time_loops(sources: dict[str, str]) -> list[str]:
             node, where = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 where = f"{where}.{node.name}"
-            if (
-                isinstance(node, (ast.For, ast.comprehension))
-                and isinstance(node.iter, ast.Call)
-                and isinstance(node.iter.func, ast.Name)
-                and node.iter.func.id == "reversed"
+            if isinstance(node, (ast.For, ast.comprehension)) and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "range"
+                and any(
+                    (isinstance(n, ast.Name) and n.id == "T")
+                    or (isinstance(n, ast.Attribute) and n.attr == "T")
+                    for n in ast.walk(call)
+                )
+                for call in ast.walk(node.iter)
             ):
-                found.append(f"{where} (line {node.iter.lineno})")
+                backward = (
+                    isinstance(node.iter, ast.Call)
+                    and isinstance(node.iter.func, ast.Name)
+                    and node.iter.func.id == "reversed"
+                )
+                found.append(f"{where} (line {node.iter.lineno}{', reversed' if backward else ''})")
             stack += [(child, where) for child in ast.iter_child_nodes(node)]
     return sorted(found)
 
 
-def test_backward_time_loops_are_found():
+def test_time_loops_are_found():
     source = (
         "def f(T):\n    for t in reversed(range(T)):\n        pass\n"
-        "class C:\n    def g(self, xs):\n        return [x for x in reversed(xs)]\n"
+        "class C:\n    def g(self, mdp, xs):\n        return [x for x in range(1, mdp.T - 1)]\n"
         "for t in range(3):\n    pass\n"
         "for t in reversed([1, 2]):\n    pass\n"
+        "for c in x.T[:-1]:\n    pass\n"
+        "for t, s in zip(range(spec.T), 'ab'):\n    pass\n"
     )
-    assert backward_time_loops({"m": source}) == ["m (line 9)", "m.C.g (line 6)", "m.f (line 2)"]
+    assert time_loops({"m": source}) == [
+        "m (line 13)",
+        "m.C.g (line 6)",
+        "m.f (line 2, reversed)",
+    ]
 
 
-def test_the_package_has_one_backward_time_loop():
-    """Every backward recursion runs the one per-step sweep,
-    ``soft_dp._sweep``: the value passes collect its steps and the
-    derivative bundles and the score bound consume them as they come, so
-    no second time loop builds a table of every step."""
-    found = backward_time_loops({p.stem: p.read_text() for p in SOURCES})
-    assert [hit.split(" (")[0] for hit in found] == ["soft_dp._sweep"]
+def test_the_package_loops_in_time_only_where_the_math_recurses():
+    """A loop over the steps is written only where a step needs the one
+    before it: the one backward sweep ``soft_dp._sweep``, the forward
+    propagation of the occupancy, the two samplers and the instance's seeded
+    draws.  Every other per-step product is one stacked call over the kernel
+    stack (``soft_dp._expected_next``) or one expression over the time axis."""
+    found = time_loops({p.stem: p.read_text() for p in SOURCES})
+    assert {hit.split(" (")[0] for hit in found} == {
+        "soft_dp._sweep",
+        "mdp._occupancy",
+        "mdp.sample_trajectories",
+        "mdp._sample_counts",
+        "experiments.generate_instance",
+    }
+    backward = [hit.split(" (")[0] for hit in found if hit.endswith(", reversed)")]
+    assert backward == ["soft_dp._sweep"]
