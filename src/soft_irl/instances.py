@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError
 from .linear_reward import FeatureMap
-from .mdp import Dataset, Mdp
+from .mdp import Dataset, Mdp, _check_count
 from .soft_dp import RewardTable
 
 
@@ -47,8 +47,10 @@ def deterministic_chain_instance(S: int = 4, A: int = 2, T: int = 3) -> tuple[Md
 
     Action ``a`` moves deterministically from state ``s`` to
     ``(s + a + 1) mod S``; the start state is 0 and the reward pays ``s + a``
-    scaled to [0, 1].  Used to exercise the zero-dynamics-noise paths.
+    scaled to [0, 1] (0 where ``S = A = 1``).  Used to exercise the
+    zero-dynamics-noise paths.  The sizes are integers >= 1.
     """
+    S, A, T = _check_count(S, "S"), _check_count(A, "A"), _check_count(T, "T")
     initial_dist = np.zeros(S)
     initial_dist[0] = 1.0
     kernels = np.zeros((T - 1, S, A, S))
@@ -56,12 +58,14 @@ def deterministic_chain_instance(S: int = 4, A: int = 2, T: int = 3) -> tuple[Md
     kernels[:, s, a, (s + a + 1) % S] = 1.0
     mdp = Mdp(T=T, S=S, A=A, initial_dist=initial_dist, kernels=kernels, ref_measure=np.ones(A))
 
-    r = np.broadcast_to((s + a) / (S + A - 2.0), (T, S, A)).copy()
+    r = np.broadcast_to((s + a) / max(S + A - 2.0, 1.0), (T, S, A)).copy()
     return mdp, RewardTable(r=r)
 
 
 def zero_reward_instance(S: int = 3, A: int = 2, T: int = 4) -> tuple[Mdp, RewardTable]:
-    """Uniform-kernel MDP with an all-zero reward (pure-entropy control)."""
+    """Uniform-kernel MDP with an all-zero reward (pure-entropy control); the
+    sizes are integers >= 1."""
+    S, A, T = _check_count(S, "S"), _check_count(A, "A"), _check_count(T, "T")
     initial_dist = np.full(S, 1.0 / S)
     kernels = np.full((T - 1, S, A, S), 1.0 / S)
     mdp = Mdp(T=T, S=S, A=A, initial_dist=initial_dist, kernels=kernels, ref_measure=np.ones(A))

@@ -38,12 +38,23 @@ curvature falls along the Newton direction and a full step undershoots there;
 an extension trial is a value pass, far cheaper than the derivative bundle of
 an extra iteration.
 
+The start ``theta = 0`` belongs to the instance, not to the data: its loss,
+``Q`` table, gradient, Hessian and image basis (the identifiable directions,
+which the paper identifies only up to shaping) depend on ``(mdp, features,
+beta)`` alone.  :func:`_start` makes them once per such triple and keeps them,
+read-only, in ``_STARTS``, which holds the ``Mdp`` and ``FeatureMap`` weakly,
+so every later fit on the same instance and temperature reuses them and an
+entry goes when either object does.  The frozen types hash by identity, so
+their arrays must not be changed while they are alive.
+
 Everything is deterministic: same inputs produce bitwise-identical traces,
-whatever batch a target is fitted in.
+whatever batch a target is fitted in and whether its start was made for it
+or reused.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +92,9 @@ _EXTENSION_CAP = 8.0
 _LOSS_RESOLUTION = 64.0 * float(np.finfo(np.float64).eps)
 
 FIT_STATUSES = ("converged", "infeasible", "max_iters", "stalled")
+
+# theta = 0's start per Mdp, then per FeatureMap, then per float(beta): see _start
+_STARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -220,6 +234,39 @@ def _loss_and_values(
     return _dots(mdp.initial_dist, V[0]) - _dots(thetas, targets), (Q, V)
 
 
+def _derivatives(
+    mdp: Mdp, phi: np.ndarray, beta: float, Q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients and Hessians from the ``Q`` tables of value passes already
+    made: no second soft pass."""
+    return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
+
+
+def _start(
+    mdp: Mdp, features: FeatureMap, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``theta = 0``'s ``(loss (1,), Q (T, 1, S, A), gradient (1, d), Hessian
+    (1, d, d), image basis (d, k))``, every fit's start on ``(mdp, features,
+    beta)``: one value pass, one bundle and one :func:`_identifiable_split`.
+
+    The first call on a triple makes them and stores them read-only in
+    ``_STARTS``; later calls return the same arrays, so a fit has the same
+    bits whichever call made its start.  The entry lives as long as both
+    ``mdp`` and ``features`` do.
+    """
+    by_beta = _STARTS.setdefault(mdp, weakref.WeakKeyDictionary()).setdefault(features, {})
+    key = float(beta)
+    if key not in by_beta:
+        phi, zero = features.phi, np.zeros((1, features.d))
+        loss, (Q, _) = _loss_and_values(mdp, phi, zero, beta, zero)
+        grad, hessian = _derivatives(mdp, phi, beta, Q)
+        image = _identifiable_split(mdp, phi, hessian[0])[1]
+        by_beta[key] = (loss, Q, grad, hessian, image)
+        for array in by_beta[key]:
+            array.setflags(write=False)
+    return by_beta[key]
+
+
 def _separation(
     mdp: Mdp, phi: np.ndarray, targets: np.ndarray, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,22 +345,18 @@ def _fit_batch(
     is below the previous trial's and that passes Armijo at its own size, and
     stops at the first that does not.  The step is the last kept trial, whose
     stored value-pass Q table becomes the next bundle.
+
+    Every fit starts at ``theta = 0`` from :func:`_start`, made by the first
+    fit on ``(mdp, features, beta)`` and reused, unchanged, by every later
+    one: the loop copies what it changes.
     """
     # a Python float: a huge radius squares to inf without an overflow warning
     beta, phi, radius = config.beta, features.phi, float(config.B_theta)
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
     K, d = targets.shape
 
-    def derivatives(Q):
-        # gradients and Hessians from value passes already made: no second soft pass
-        return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
-
-    # theta = 0 is every fit's start: one value pass, one bundle and one image
-    zero = np.zeros((1, d))
-    start_loss, (start_Q, _) = _loss_and_values(mdp, phi, zero, beta, zero)
-    start_grad, start_hessian = derivatives(start_Q)
-    # the identifiable subspace, fixed at the start
-    image = _identifiable_split(mdp, phi, start_hessian[0])[1]
+    # theta = 0 is every fit's start, and the image its identifiable subspace
+    start_loss, start_Q, start_grad, start_hessian, image = _start(mdp, features, beta)
 
     def newton_steps(points, grads, hessians):
         steps, decrements, ridges = _restricted_newton_step(grads, hessians, image)
@@ -432,7 +475,7 @@ def _fit_batch(
         # a search that ends steps to its last kept trial; take makes its
         # table C-contiguous, as a lone fit's is
         fits = rows[moved]
-        grads, hessians = derivatives(kept_Q.take(fits, axis=1))
+        grads, hessians = _derivatives(mdp, phi, beta, kept_Q.take(fits, axis=1))
         steps, decrements, ridges = newton_steps(kept_point[fits], grads - targets[fits], hessians)
         refined = ~unjudged[fits] | (decrements < decrement[fits])
         status[fits[~refined]] = "stalled"  # the full step did not refine the iterate

@@ -171,6 +171,30 @@ def test_mdp_rejects_wrong_kernel_shape():
             kernels=np.full((1, 2, 2, 2), 0.5), ref_measure=[1.0, 1.0])
 
 
+def test_builtin_instances_read_their_sizes():
+    """The built-in builders read ``S``, ``A`` and ``T`` as counts before any
+    array is made: a size that is not an integer >= 1 is a ``SoftIrlError``
+    naming it, with no bare error and no warning.  The chain of one state and
+    one action is valid; its one entry pays 0."""
+    from soft_irl import SoftIrlError, deterministic_chain_instance, zero_reward_instance
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mdp, reward = deterministic_chain_instance(1, 1, 1)
+        assert (mdp.S, mdp.A, mdp.T) == (1, 1, 1) and reward.r.tolist() == [[[0.0]]]
+        cases = [
+            (deterministic_chain_instance, (0, 2, 3), "S"),
+            (deterministic_chain_instance, (2.5, 2, 3), "S"),
+            (deterministic_chain_instance, (3, True, 3), "A"),
+            (deterministic_chain_instance, (3, 2, 0), "T"),
+            (zero_reward_instance, (0, 2, 3), "S"),
+            (zero_reward_instance, (3, 2, "4"), "T"),
+        ]
+        for build, sizes, name in cases:
+            with pytest.raises(SoftIrlError, match=f"{name} must be a positive integer"):
+                build(*sizes)
+
+
 def boundary_inputs():
     """The public array inputs that no test of their own covers, as two
     dicts, the fields of the frozen types and the inputs of functions: by
@@ -401,12 +425,15 @@ def test_scalar_inputs_reject_malformed_values(name, case):
     st.floats(min_value=-8.0, max_value=8.0),
     st.floats(min_value=-3.0, max_value=16.0),
     st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+    st.booleans(),
 )
 def test_extreme_temperatures_and_rewards_give_finite_values_or_a_typed_error(
-    log_beta, log_norm, direction
+    log_beta, log_norm, direction, deterministic
 ):
     """At a temperature log-uniform in [1e-8, 1e8] and a parameter of norm up
-    to 1e16 (or 0, for a zero direction), every public solve, derivative,
+    to 1e16 (or 0, for a zero direction), on an instance with stochastic or
+    with deterministic dynamics (one-hot kernel rows and start, so most
+    entries have probability zero), every public solve, derivative,
     divergence, loss and fit returns finite values or raises a
     ``SoftIrlError``, with no ``RuntimeWarning``.  The one exception is a
     trajectory KL or a likelihood loss of ``+inf``, exactly where the first
@@ -426,7 +453,8 @@ def test_extreme_temperatures_and_rewards_give_finite_values_or_a_typed_error(
         trajectory_kl,
     )
 
-    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1))
+    spec = InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=1, deterministic=deterministic)
+    inst = generate_instance(spec)
     mdp, features, expert = inst.mdp, inst.features, inst.expert
     data = sample_trajectories(mdp, expert, 8, seed=0)
     beta, u = 10.0**log_beta, np.array(direction, dtype=float)

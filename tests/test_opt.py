@@ -1,6 +1,8 @@
 """Tests for the damped-Newton IRL fitter."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -482,7 +484,8 @@ def test_sphere_steps_run_in_the_lockstep_loop(monkeypatch):
     _, _, budget, passes, searches = fit_on_a_small_ball(monkeypatch, spec, max_iters=2)
     assert budget.status == "max_iters" and budget.iterations == 2 and len(budget.trace) == 2
     assert opt._on_sphere(budget.theta_hat, radius)
-    assert passes == 1 + sum(len(search) for search in searches)  # the start, then each trial
+    # each trial and nothing else: the start is the unconstrained fit's, on the same instance and beta
+    assert passes == sum(len(search) for search in searches)
 
 
 def test_max_iters_flags_nonconvergence():
@@ -932,6 +935,102 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     for fit, member in zip(extended[-2:], members[-2:]):
         assert same_fit(fit, opt._fit(mdp, features, member, config))
     assert extended[-1].status == "infeasible" and extended[-1].trace[0].step_size > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the start theta = 0: made once per (mdp, features, beta) and held weakly
+
+
+def started(mdp, features, beta):
+    """Whether ``opt._STARTS`` holds the start of ``(mdp, features, beta)``."""
+    return float(beta) in opt._STARTS.get(mdp, {}).get(features, {})
+
+
+def test_a_second_fit_on_an_instance_reuses_the_start(monkeypatch):
+    """The first fit on an instance and temperature makes the start: one value
+    pass, one bundle and one identifiable split.  A second fit of the same
+    data reuses it, so it makes one value pass and one bundle fewer, no
+    split, and the same fit.  The instance is this test's own, so the start
+    made under the counters reaches no other test."""
+    inst = generate_instance(InstanceSpec(S=4, A=3, T=3, d=4, beta=0.7, seed=6))
+    data = sample_trajectories(inst.mdp, inst.expert, 64, seed=1)
+    counts = dict.fromkeys(("_loss_and_values", "_batch_derivatives", "_identifiable_split"), 0)
+    for name in counts:
+        def counted(*args, name=name, run=getattr(opt, name)):
+            counts[name] += 1
+            return run(*args)
+
+        monkeypatch.setattr(opt, name, counted)
+    fits, per_fit = [], []
+    for _ in range(2):
+        before = dict(counts)
+        fits.append(fit_empirical(inst.mdp, inst.features, data, FitConfig(beta=0.7)))
+        per_fit.append({name: counts[name] - before[name] for name in counts})
+    first, second = per_fit
+    assert fits[0].iterations >= 2 and same_fit(*fits)
+    assert first["_identifiable_split"] == 1 and second["_identifiable_split"] == 0
+    assert second["_loss_and_values"] == first["_loss_and_values"] - 1
+    assert second["_batch_derivatives"] == first["_batch_derivatives"] - 1
+
+
+def test_a_fit_is_bitwise_the_same_from_a_cold_or_a_warm_start():
+    """A fit's ``theta_hat``, status, trace and Hessian do not depend on
+    whether its start was made for it or reused: on new ``Mdp`` and
+    ``FeatureMap`` objects built from the same arrays (whose start is made
+    anew), at two temperatures fitted in either order, and for a batch of 3
+    against its members' lone fits, before and after them.  The stored
+    start is read-only."""
+    inst = generate_instance(InstanceSpec(S=4, A=3, T=3, d=4, beta=0.7, seed=5))
+    targets = np.stack([
+        empirical_feature_expectation(sample_trajectories(inst.mdp, inst.expert, 32, seed), inst.features)
+        for seed in range(3)
+    ])
+
+    def fresh():
+        names = ("T", "S", "A", "initial_dist", "kernels", "ref_measure")
+        mdp = Mdp(**{name: getattr(inst.mdp, name) for name in names})
+        return mdp, FeatureMap(phi=inst.features.phi)
+
+    fits = {}  # (beta, target) -> every fit of it
+    for betas, batch_first in (((0.7, 2.0), False), ((2.0, 0.7), True)):
+        mdp, features = fresh()
+        for beta in betas:
+            config = FitConfig(beta=beta)
+            assert not started(mdp, features, beta)
+            if batch_first:
+                runs = [opt._fit_batch(mdp, features, targets, config)]
+                runs.append([opt._fit(mdp, features, target, config) for target in targets])
+            else:
+                runs = [[opt._fit(mdp, features, target, config) for target in targets]]
+                runs.append(opt._fit_batch(mdp, features, targets, config))
+            assert started(mdp, features, beta)
+            assert not any(a.flags.writeable for a in opt._STARTS[mdp][features][float(beta)])
+            for run in runs:
+                for k, fit in enumerate(run):
+                    fits.setdefault((beta, k), []).append(fit)
+    assert len(fits) == 6
+    for same in fits.values():
+        assert len(same) == 4 and all(same_fit(fit, same[0]) for fit in same)
+    assert fits[0.7, 0][0].hessian_at_solution.flags.writeable  # a copy, not the start's
+
+
+def test_a_start_goes_with_its_instance():
+    """``opt._STARTS`` holds its keys weakly: once the ``FeatureMap`` is gone
+    its starts are, and once the ``Mdp`` is gone its entry is."""
+    gc.collect()
+    inst = generate_instance(InstanceSpec(S=3, A=2, T=3, d=3, beta=0.7, seed=7))
+    mdp, features, expert = inst.mdp, inst.features, inst.expert
+    del inst
+    fit_population(mdp, features, expert, FitConfig(beta=0.7))
+    assert started(mdp, features, 0.7)
+    entries = len(opt._STARTS)
+    refs = weakref.ref(mdp), weakref.ref(features)
+    del features
+    gc.collect()
+    assert refs[1]() is None and len(opt._STARTS[mdp]) == 0
+    del mdp, expert
+    gc.collect()
+    assert refs[0]() is None and len(opt._STARTS) == entries - 1
 
 
 def assert_extension_rule(result, searches, bounded):

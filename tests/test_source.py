@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -346,3 +347,48 @@ def test_the_package_loops_in_time_only_where_the_math_recurses():
     }
     backward = [hit.split(" (")[0] for hit in found if hit.endswith(", reversed)")]
     assert backward == ["soft_dp._sweep"]
+
+
+STRONG_CACHES = ("cache", "lru_cache", "cached_property")
+
+
+def strong_caches(sources: dict[str, str]) -> list[str]:
+    """Uses of ``functools.cache``, ``lru_cache`` or ``cached_property`` in
+    ``sources``, module name to text, as ``module (line)``: an import of one
+    from ``functools`` or an attribute ``functools.<name>``."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                hit = any(alias.name in STRONG_CACHES for alias in node.names)
+            else:
+                hit = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in STRONG_CACHES
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                )
+            if hit:
+                found.append(f"{module} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_strong_caches_are_found():
+    source = (
+        "import functools\nfrom functools import lru_cache as memo, partial\n"
+        "@functools.cache\ndef f():\n    pass\n"
+        "class C:\n    @functools.cached_property\n    def g(self):\n        return 1\n"
+        "cache = {}\nfunctools.partial(f)\nx.lru_cache\n"
+    )
+    assert strong_caches({"m": source}) == ["m (line 2)", "m (line 3)", "m (line 7)"]
+
+
+def test_state_kept_across_calls_is_held_weakly():
+    """What the package keeps from one call to the next is keyed by the
+    objects it belongs to and held weakly: no ``functools`` cache, which
+    would keep its arguments alive, and the fitter's starts in a
+    ``weakref.WeakKeyDictionary``."""
+    from soft_irl import opt
+
+    assert strong_caches({p.stem: p.read_text() for p in SOURCES}) == []
+    assert type(opt._STARTS) is weakref.WeakKeyDictionary
