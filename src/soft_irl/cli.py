@@ -239,11 +239,8 @@ def cmd_geometry(args, config: RunConfig, section: dict):
     spec = _read_instance(section, "config.geometry", seed)
     pairs = _check_count(section.get("pairs", 5), "config.geometry.pairs")
     scale = _check_real(section.get("theta_scale", 0.5), "config.geometry.theta_scale")
-    far_factor = _check_real(section.get("far_factor", 10.0), "config.geometry.far_factor", 0.0)
-    placement = section.get("placement", "boundary")
-    if placement not in ("boundary", "far"):
-        raise InputError("config.geometry.placement must be 'boundary' or 'far'")
-    factor = far_factor if placement == "far" else 1.0
+    factor = section.get("boundary_factor", 1.0)
+    factor = _check_real(factor, "config.geometry.boundary_factor", 0.0)
     instance = generate_instance(spec)
 
     rng = _spawn_rng(seed, 7)
@@ -300,7 +297,7 @@ _COMMANDS = {
     "counterexample": (cmd_counterexample, {"theta_a", "theta_b"}, "counterexample.json"),
     "geometry": (
         cmd_geometry,
-        {"instance", "pairs", "theta_scale", "placement", "far_factor"},
+        {"instance", "pairs", "theta_scale", "boundary_factor"},
         "geometry.json",
     ),
     "concentration": (

@@ -38,12 +38,12 @@ from .soft_dp import (
 from .linear_reward import (
     FeatureMap,
     LinearRewardModel,
+    geometry_constants,
     kernel_basis,
     solve_model,
     _batch_derivatives,
     _batch_soft_values,
     _dikin_radius,
-    _geometry_constants,
     _identifiable_split,
     _score_bound,
 )
@@ -221,18 +221,18 @@ def _count_averages(mdp: Mdp, expert: Policy, phi: np.ndarray, cells) -> np.ndar
 
 def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: float, cfg):
     """``(theta*, H*, pi*, constants)`` of the population fit to ``expert`` at
-    ``cfg``, whose temperature must be ``beta``: ``pi*`` from the one soft solve
-    at ``theta*``, the geometry constants with the score bound over it and 0."""
+    ``cfg``, whose temperature must be ``beta``: ``H*`` the fit's own, and the
+    Gibbs policy and geometry constants at ``theta*`` (score bound over it and 0)."""
     if cfg.beta != beta:
         raise InputError("fit config temperature must match the instance temperature")
     population = fit_population(mdp, features, expert, cfg)
     if not population.converged:
         raise DomainError("population fit did not converge; cannot define theta_star")
-    theta_star, H_star = population.theta_hat, population.hessian_at_solution
+    theta_star = population.theta_hat
     model = LinearRewardModel(features=features, theta=theta_star, B_theta=cfg.B_theta)
-    solution, grid = solve_model(mdp, model, beta), np.zeros((1, features.d))
-    constants = _geometry_constants(mdp, features, solution, H_star, grid, expert)
-    return theta_star, H_star, solution.pi_star, constants
+    constants = geometry_constants(mdp, features, model, beta, np.zeros((1, features.d)), expert)
+    pi_star = solve_model(mdp, model, beta).pi_star
+    return theta_star, population.hessian_at_solution, pi_star, constants
 
 
 # --------------------------------------------------------------------------
@@ -388,12 +388,10 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
         mdp, features, expert, beta, config.fit_config()
     )
     approx_floor = trajectory_kl(mdp, expert, pi_star)
-    burn_in = (
-        constants.B_A_phi**2
-        * constants.d_star
-        * math.log(1.0 / config.burn_in_delta)
-        / (beta**2 * constants.lambda_star)
-    )
+    burn_in = float("nan")  # undefined, as d* is, for a singular Hessian at theta*
+    if constants.lambda_star > 0.0:
+        log_term = constants.B_A_phi**2 * constants.d_star * math.log(1.0 / config.burn_in_delta)
+        burn_in = log_term / (beta**2 * constants.lambda_star)
 
     values, status = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
     # Non-converged fits stay in the grid with their status but are left out

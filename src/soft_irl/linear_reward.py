@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InputError, InvariantError
+from .errors import DomainError, InputError, InvariantError
 from .mdp import (
     Dataset,
     Mdp,
     Policy,
     forward_occupancy,
     _as_float_array,
+    _as_numbers,
     _as_paths,
-    _check_compatible,
     _check_real,
     _freeze,
     _occupancy,
@@ -161,15 +161,9 @@ def derivative_bundle(mdp: Mdp, model: LinearRewardModel, beta: float) -> Deriva
     divided by ``beta``: a sum of per-step Grams of the advantages scaled by
     the root of the occupancy, taken one step at a time in one step's memory.
     """
-    return _solution_bundle(mdp, model.features, solve_model(mdp, model, beta))
-
-
-def _solution_bundle(mdp: Mdp, features: FeatureMap, solution: SoftSolution) -> DerivativeBundle:
-    """:func:`derivative_bundle` at a parameter from the soft solution of its
-    reward, for callers that already hold it."""
-    _check_compatible(mdp, solution.pi_star)
+    solution = solve_model(mdp, model, beta)
     probs = solution.pi_star.probs[:, None]
-    grad, hessian = _batch_derivatives(mdp, features.phi, solution.beta, probs)
+    grad, hessian = _batch_derivatives(mdp, model.features.phi, solution.beta, probs)
     return DerivativeBundle(J_star=solution.J_star, grad=grad[0], hessian=hessian[0])
 
 
@@ -347,21 +341,17 @@ def effective_dimension(
     )
 
 
-def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas, policies=()) -> float:
+def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas: np.ndarray) -> float:
     """Upper bound on the trajectory-score norm ``||sum_t adv_t(s_t, a_t)||``
-    over every path and the rows of ``thetas`` ``(K, d)``, and the parameters
-    whose Gibbs ``policies`` the caller already holds.
+    over every path and the rows of ``thetas`` ``(K, d)``, ``K >= 1``.
 
     By the triangle inequality a score norm is at most the path's sum of
     per-step advantage norms ``||adv_t(s, a)||``; one value pass, one feature
     sweep (each step's norms taken as the step comes) and one max-plus pass
     take the largest such sum for all at once.
     """
-    tables = [pi.probs[:, None] for pi in policies]
-    if len(thetas):
-        Q = _batch_soft_values(mdp, features.phi, beta, thetas)[0]
-        tables.append(_gibbs_probs(mdp, beta, Q))
-    probs = np.concatenate(tables, axis=1)
+    Q = _batch_soft_values(mdp, features.phi, beta, thetas)[0]
+    probs = _gibbs_probs(mdp, beta, Q)
     norms = np.empty(probs.shape)
     for t, adv, _ in _advantage_sweep(mdp, features.phi, probs):
         # np.linalg.norm's sum of squares, in the sweep's buffer
@@ -389,46 +379,30 @@ def geometry_constants(
     trajectory, one max-plus pass each: ``B_phi`` of the per-step feature
     norms ``||phi_t(s, a)||``, ``B_A_phi`` of the per-step advantage norms
     (see :func:`_score_bound`) over ``theta_grid`` plus the model's own
-    parameter.  ``lambda_star`` and ``rho_star`` refer to the Hessian at
-    ``model.theta``; ``d_star`` uses ``expert`` (the model's own Gibbs policy
-    by default).  ``model`` must be on ``features`` (an ``InputError`` otherwise).
+    parameter, one value pass.  ``lambda_star`` and ``rho_star`` refer to the
+    Hessian at ``model.theta``, from one soft solve there; ``d_star`` uses
+    ``expert`` (the model's own Gibbs policy by default).  ``model`` must be on
+    ``features`` (an ``InputError`` otherwise), and ``theta_grid`` is read, before
+    any solve, as a ``(K, d)`` float array (a single row may be flat).
     """
     if not np.array_equal(model.features.phi, features.phi):
         raise InputError("model.features: its phi must equal features.phi")
-    try:
-        grid = () if theta_grid is None else np.atleast_2d(theta_grid)
-    except ValueError:  # numpy's "inhomogeneous shape": rows of different lengths
-        raise DimensionError("theta_grid", "(K, d)", "rows of different shapes") from None
-    thetas = [LinearRewardModel(features=features, theta=t).theta for t in grid]  # each checked
+    d = features.d
+    grid = np.zeros((0, d)) if theta_grid is None else _as_float_array(
+        np.atleast_2d(_as_numbers(theta_grid, "theta_grid")), "theta_grid", ("K", d)
+    )
     solution = solve_model(mdp, model, beta)
-    H = _solution_bundle(mdp, features, solution).hessian
-    grid = np.reshape(thetas, (-1, features.d))
-    return _geometry_constants(mdp, features, solution, H, grid, expert)
-
-
-def _geometry_constants(
-    mdp: Mdp,
-    features: FeatureMap,
-    solution: SoftSolution,
-    H: np.ndarray,
-    theta_grid: np.ndarray = (),
-    expert: Policy | None = None,
-) -> GeometryConstants:
-    """:func:`geometry_constants` at the parameter whose soft solution and
-    Hessian are given, for callers that already hold them: no soft solve at
-    that parameter.  ``theta_grid`` is a checked ``(K, d)`` float array."""
-    beta = solution.beta
+    beta, pi = solution.beta, solution.pi_star
+    H = _batch_derivatives(mdp, features.phi, beta, pi.probs[:, None])[1][0]
     B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)[:, None])[0])
-    B_A_phi = _score_bound(mdp, features, beta, theta_grid, [solution.pi_star])
+    B_A_phi = _score_bound(mdp, features, beta, np.vstack([model.theta, grid]))
 
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)
-    if expert is None:
-        expert = solution.pi_star
     if _identifiable_split(mdp, features.phi, H)[0].shape[1]:
         d_star = float("nan")  # undefined for a singular Hessian
     else:
-        d_star = effective_dimension(mdp, features, expert, H).d_star
+        d_star = effective_dimension(mdp, features, pi if expert is None else expert, H).d_star
     return GeometryConstants(
         B_phi=B_phi,
         B_A_phi=B_A_phi,

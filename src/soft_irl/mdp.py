@@ -294,6 +294,12 @@ def _check_real(value, name: str, low=-np.inf, high=np.inf, include_low=False) -
     return float(value)
 
 
+def _last_positive(table: np.ndarray) -> np.ndarray:
+    """Index of each row's last positive entry along the last axis: the entry
+    a draw of either sampler stops at, past which it never lands."""
+    return table.shape[-1] - 1 - np.argmax(table[..., ::-1] > 0.0, axis=-1)
+
+
 def _inverse_cdf(table: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
     """Index ``i`` drawn from row ``rows[i]`` of ``table`` (a stack of
     distributions) with uniform ``u[i]``; ``rows`` may be one index for every
@@ -303,8 +309,7 @@ def _inverse_cdf(table: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
     # From each row's last positive entry on, no total is ever counted: a
     # draw stops at that entry even when the rounded row total is <= u.  The
     # last column is then always +inf and need not be compared.
-    last = w - 1 - np.argmax(table[:, ::-1] > 0.0, axis=1)
-    cdf[np.arange(w) >= last[:, None]] = np.inf
+    cdf[np.arange(w) >= _last_positive(table)[:, None]] = np.inf
     idx = np.zeros(u.shape, dtype=np.int64)
     for column in cdf.T[:-1]:
         idx += column.take(rows) <= u
@@ -386,7 +391,7 @@ def _split(rng: np.random.Generator, counts, table: np.ndarray) -> np.ndarray:
         return draw
     stray = np.where(table == 0.0, draw, 0)
     if stray.any():
-        last = (table.shape[-1] - 1 - np.argmax(table[..., ::-1] > 0.0, axis=-1))[..., None]
+        last = _last_positive(table)[..., None]
         kept = np.take_along_axis(draw, last, axis=-1) + stray.sum(axis=-1, keepdims=True)
         draw -= stray
         np.put_along_axis(draw, last, kept, axis=-1)
@@ -402,13 +407,6 @@ def gather_table(table: np.ndarray, states, actions) -> np.ndarray:
         raise DimensionError("table", "(T, S, A, ...)", table.shape)
     states, actions = _as_paths(states, actions, "path", table.shape)
     return table[np.arange(table.shape[0])[None, :], states, actions]
-
-
-def _path_rows(shape: tuple[int, ...], states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Row ``(t*S + s_t)*A + a_t`` of each visited entry of a ``(T, S, A, ...)``
-    table flattened over its first three axes, shape ``(T, N)``: one row per step."""
-    T, S, A = shape[:3]
-    return np.ascontiguousarray((np.arange(T)[:, None] * S + states.T) * A + actions.T)
 
 
 def trajectory_log_prob(mdp: Mdp, policy: Policy, data: Dataset) -> np.ndarray:
@@ -437,7 +435,7 @@ def _visit_frequencies(data: Dataset, table: np.ndarray) -> np.ndarray:
     """
     _as_paths(data.states, data.actions, "dataset", table.shape)
     T, S, A = table.shape[:3]
-    rows = _path_rows(table.shape, data.states, data.actions)
+    rows = np.ravel_multi_index((np.arange(T), data.states, data.actions), (T, S, A))
     return (np.bincount(rows.ravel(), minlength=T * S * A) / len(data)).reshape(T, S, A)
 
 

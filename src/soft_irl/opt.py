@@ -234,14 +234,6 @@ def _loss_and_values(
     return _dots(mdp.initial_dist, V[0]) - _dots(thetas, targets), (Q, V)
 
 
-def _derivatives(
-    mdp: Mdp, phi: np.ndarray, beta: float, Q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients and Hessians from the ``Q`` tables of value passes already
-    made: no second soft pass."""
-    return _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
-
-
 def _start(
     mdp: Mdp, features: FeatureMap, beta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -259,7 +251,7 @@ def _start(
     if key not in by_beta:
         phi, zero = features.phi, np.zeros((1, features.d))
         loss, (Q, _) = _loss_and_values(mdp, phi, zero, beta, zero)
-        grad, hessian = _derivatives(mdp, phi, beta, Q)
+        grad, hessian = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
         image = _identifiable_split(mdp, phi, hessian[0])[1]
         by_beta[key] = (loss, Q, grad, hessian, image)
         for array in by_beta[key]:
@@ -475,7 +467,8 @@ def _fit_batch(
         # a search that ends steps to its last kept trial; take makes its
         # table C-contiguous, as a lone fit's is
         fits = rows[moved]
-        grads, hessians = _derivatives(mdp, phi, beta, kept_Q.take(fits, axis=1))
+        probs = _gibbs_probs(mdp, beta, kept_Q.take(fits, axis=1))
+        grads, hessians = _batch_derivatives(mdp, phi, beta, probs)
         steps, decrements, ridges = newton_steps(kept_point[fits], grads - targets[fits], hessians)
         refined = ~unjudged[fits] | (decrements < decrement[fits])
         status[fits[~refined]] = "stalled"  # the full step did not refine the iterate

@@ -330,6 +330,25 @@ def test_rates_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rates_runs_where_the_hessian_at_theta_star_has_a_kernel(tmp_path, capsys):
+    """With the kernel left in, eight features on a 2x2x2 instance give a
+    Hessian at theta* with a kernel, so lambda* is 0.  The burn-in is then
+    undefined, as d* is: both are written as NaN, and the slope window is the
+    grid's last ``min_slope_points`` sizes."""
+    instance = {"S": 2, "A": 2, "T": 2, "d": 8, "seed": 0, "exclude_kernel": False}
+    payload = {
+        "output_dir": str(tmp_path / "out"),
+        "rates": {"instance": instance, "n_grid": [32, 64, 128, 256, 512], "replicates": 2},
+    }
+    assert main(["rates", "--config", write_config(tmp_path, payload)]) == 0
+    assert "fits[converged] =" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "rates.json").read_text())
+    assert report["lambda_star"] == 0.0
+    assert math.isnan(report["burn_in_n"]) and math.isnan(report["d_star"])
+    assert report["slope_window"] == [64, 128, 256, 512]
+    assert sum(report["fit_statuses"].values()) == 10
+
+
 # configs/rates.json runs in test_acceptance.py; these are the other shipped configs
 OTHER_SHIPPED_CONFIGS = [
     "geometry", "concentration", "fit", "equivalence_deterministic", "solve_zero_reward"
@@ -563,7 +582,7 @@ def test_geometry_far_pairs_use_global_mode(tmp_path, capsys):
         {
             "output_dir": str(tmp_path / "out"),
             "seed": 1,
-            "geometry": {"instance": TINY_INSTANCE, "pairs": 2, "placement": "far"},
+            "geometry": {"instance": TINY_INSTANCE, "pairs": 2, "boundary_factor": 10.0},
         },
     )
     assert main(["geometry", "--config", cfg]) == 0
@@ -573,7 +592,7 @@ def test_geometry_far_pairs_use_global_mode(tmp_path, capsys):
 def test_geometry_far_pairs_past_the_float_range_pass(tmp_path, capsys):
     """Deviation bounds above 709.8 give infinite upper bounds, not an OverflowError."""
     geometry = json.loads((CONFIGS / "geometry.json").read_text())["geometry"]
-    geometry.update(pairs=2, placement="far", far_factor=2000.0)
+    geometry.update(pairs=2, boundary_factor=2000.0)
     cfg = write_config(
         tmp_path, {"output_dir": str(tmp_path / "out"), "seed": 1, "geometry": geometry}
     )
@@ -587,9 +606,14 @@ def test_geometry_far_pairs_past_the_float_range_pass(tmp_path, capsys):
         assert 500.0 < ratio["value"] <= pair["deviation_bound"]
 
 
-def test_geometry_bad_placement_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"geometry": {"instance": TINY_INSTANCE, "placement": "near"}})
-    assert main(["geometry", "--config", cfg]) == 2
+def test_geometry_bad_boundary_factor_rejected(tmp_path, capsys):
+    message = "config.geometry.boundary_factor must be a number in (0, inf)"
+    for factor in ("far", True, 0.0, -1.0):
+        section = {"instance": TINY_INSTANCE, "boundary_factor": factor}
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out"), "geometry": section})
+        assert main(["geometry", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_concentration_passes(tmp_path, capsys):
@@ -644,8 +668,8 @@ def test_concentration_non_numeric_delta_is_input_error(tmp_path, capsys, delta)
         ("geometry", {"geometry": {"instance": TINY_INSTANCE, "theta_scale": "x"}}, "theta_scale must be a number"),
         (
             "geometry",
-            {"geometry": {"instance": TINY_INSTANCE, "placement": "far", "far_factor": "x"}},
-            "far_factor must be a number in (0, inf)",
+            {"geometry": {"instance": TINY_INSTANCE, "boundary_factor": "x"}},
+            "geometry.boundary_factor must be a number in (0, inf)",
         ),
         ("solve", {"solve": {"builtin": "zero-reward", "beta": "x"}}, "beta must be a number in (0, inf)"),
         ("solve", {"solve": {"mdp": 5, "reward": "reward.json"}}, "expected a file path, got 5"),
@@ -874,7 +898,7 @@ REPORT_RUNS = [
     ("equivalence", {"instance": TINY_INSTANCE, "n": 16}),
     ("counterexample", {}),
     ("geometry", {"instance": TINY_INSTANCE, "pairs": 1}),
-    ("geometry", {"instance": TINY_INSTANCE, "pairs": 1, "placement": "far"}),
+    ("geometry", {"instance": TINY_INSTANCE, "pairs": 1, "boundary_factor": 10.0}),
     ("concentration", {"instance": TINY_INSTANCE, "n": 16, "trials": 4}),
 ]
 

@@ -512,10 +512,9 @@ def test_a_parameter_whose_reward_overflows_is_an_invariant_error():
 
 
 def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
-    """A grid point of the wrong shape (or a ragged grid) is a
-    ``DimensionError`` and a non-finite one an ``InvariantError``, each
-    before any soft solve, as the per-point models of the batched score
-    bound no longer make them."""
+    """A grid point of the wrong shape is a ``DimensionError``, and a
+    non-finite one or a ragged grid an ``InvariantError``, each before any
+    soft solve: the grid is read as one ``(K, d)`` array."""
     import soft_irl.linear_reward as linear_reward
     from soft_irl import geometry_constants
 
@@ -526,19 +525,19 @@ def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
         (np.zeros(TINY.d + 1), DimensionError),
         (np.zeros((2, TINY.d - 1)), DimensionError),
         ([np.full(TINY.d, np.nan)], InvariantError),
-        ([np.zeros(TINY.d), np.zeros(TINY.d + 1)], DimensionError),
+        ([np.zeros(TINY.d), np.zeros(TINY.d + 1)], InvariantError),
     ):
         with pytest.raises(error, match="theta"):
             geometry_constants(inst.mdp, inst.features, model, TINY.beta, theta_grid=grid)
 
 
-def per_parameter_score_bound(mdp, features, beta, thetas, policies=()):
+def per_parameter_score_bound(mdp, features, beta, thetas):
     """The score bound solved one parameter at a time through the public API:
     the oracle of the batched ``_score_bound``."""
-    policies = list(policies)
-    for theta in thetas:
-        model = LinearRewardModel(features=features, theta=theta)
-        policies.append(solve_model(mdp, model, beta).pi_star)
+    policies = [
+        solve_model(mdp, LinearRewardModel(features=features, theta=theta), beta).pi_star
+        for theta in thetas
+    ]
     norms = [np.linalg.norm(feature_advantage(mdp, features, pi), axis=-1) for pi in policies]
     return float(_path_max(mdp, np.stack(norms, axis=1)).max())
 
@@ -611,8 +610,7 @@ def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
 def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
     seed, S, A, T, d, deterministic, factor
 ):
-    """``_score_bound`` on a random segment, with and without a held policy,
-    and every field of ``check_local_geometry``'s report on a boundary or far
+    """``_score_bound`` on a random segment, and every field of ``check_local_geometry``'s report on a boundary or far
     pair equal, with no tolerance, the same quantities computed one parameter
     at a time through ``solve_model``, ``feature_advantage``,
     ``derivative_bundle``, ``trajectory_kl`` and ``trajectory_hellinger``."""
@@ -624,11 +622,8 @@ def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
     mdp, features, beta = inst.mdp, inst.features, spec.beta
     rng = np.random.default_rng(seed)
     segment = rng.normal(size=(int(rng.integers(1, 5)), d))
-    held_model = LinearRewardModel(features=features, theta=rng.normal(size=d))
-    held = [solve_model(mdp, held_model, beta).pi_star]
-    for policies in ((), held):
-        batched = _score_bound(mdp, features, beta, segment, policies)
-        assert batched == per_parameter_score_bound(mdp, features, beta, segment, policies)
+    batched = _score_bound(mdp, features, beta, segment)
+    assert batched == per_parameter_score_bound(mdp, features, beta, segment)
 
     theta0, direction = 0.5 * rng.normal(size=d), rng.normal(size=d)
     try:
@@ -1219,36 +1214,31 @@ def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     assert batches == [1, 9]
 
 
-@pytest.mark.parametrize("study", ["rates", "concentration"])
-def test_each_study_solves_theta_star_once(monkeypatch, study):
-    """A rate experiment or a concentration check makes one soft solve at the
-    population solution: the fit's own value passes supply its Hessian, and
-    the geometry constants take that solve and Hessian as they are."""
-    import soft_irl.linear_reward as linear_reward
-    import soft_irl.soft_dp as soft_dp
+def test_the_studies_report_the_public_geometry_constants_at_theta_star():
+    """A rate experiment's and a concentration check's constants are, bit for
+    bit, those of ``geometry_constants`` at the population solution with the
+    grid ``[0]`` and the expert: the studies reach them by the public path."""
+    from soft_irl import geometry_constants
 
-    rewards = []
-    soft_backward = soft_dp.soft_backward
-
-    def recorded(mdp, reward, beta):
-        rewards.append(reward.r)
-        return soft_backward(mdp, reward, beta)
-
-    monkeypatch.setattr(soft_dp, "soft_backward", recorded)
-    monkeypatch.setattr(linear_reward, "soft_backward", recorded)
     spec = shipped_rates_spec()
     inst = generate_instance(spec)
-    if study == "rates":
-        config = RateConfig(instance=spec, n_grid=(64, 128), replicates=2, data_seed=1)
-        theta_star = np.asarray(run_rate_experiment(config).theta_star)
-    else:
-        from soft_irl import fit_population
-
-        check_concentration(inst.mdp, inst.features, spec.beta, inst.expert, n=64, trials=3)
-        config = FitConfig(beta=spec.beta)
-        theta_star = fit_population(inst.mdp, inst.features, inst.expert, config).theta_hat
-    at_star = inst.features.phi @ theta_star
-    assert sum(1 for r in rewards if np.array_equal(r, at_star)) == 1
+    mdp, features, beta = inst.mdp, inst.features, spec.beta
+    rates = run_rate_experiment(
+        RateConfig(instance=spec, n_grid=(64, 128), replicates=2, data_seed=1)
+    )
+    concentration = check_concentration(mdp, features, beta, inst.expert, n=64, trials=3)
+    theta_star = fit_population(mdp, features, inst.expert, FitConfig(beta=beta)).theta_hat
+    assert rates.theta_star == tuple(theta_star.tolist())
+    model = LinearRewardModel(features=features, theta=theta_star)
+    constants = geometry_constants(mdp, features, model, beta, [np.zeros(spec.d)], inst.expert)
+    assert (rates.B_phi, rates.B_A_phi) == (constants.B_phi, constants.B_A_phi)
+    assert (rates.lambda_star, rates.d_star) == (constants.lambda_star, constants.d_star)
+    assert rates.rho_star == constants.rho_star
+    assert (concentration.lambda_star, concentration.d_star, concentration.B_phi) == (
+        constants.lambda_star,
+        constants.d_star,
+        constants.B_phi,
+    )
 
 
 # ---------------------------------------------------------------------------

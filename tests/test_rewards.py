@@ -49,7 +49,6 @@ from soft_irl.linear_reward import (
     _batch_derivatives,
     _identifiable_split,
     _score_bound,
-    _solution_bundle,
 )
 from soft_irl.soft_dp import _log_gibbs, _weighted_second_moment
 
@@ -315,9 +314,8 @@ def test_hessian_matches_the_weighted_gemm_oracle_property(seed, S, A, T, d, det
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T, deterministic=deterministic)
     features = random_features(rng, mdp, d)
-    solution = solve_model(mdp, model_at(features, rng.normal(size=d)), beta)
-    H = _solution_bundle(mdp, features, solution).hessian
-    pi = solution.pi_star
+    pi = solve_model(mdp, model_at(features, rng.normal(size=d)), beta).pi_star
+    H = _batch_derivatives(mdp, features.phi, beta, pi.probs[:, None])[1][0]
     oracle = weighted_gemm_second_moment(
         forward_occupancy(mdp, pi), feature_advantage(mdp, features, pi)
     ) / beta
@@ -340,11 +338,11 @@ def test_a_derivative_bundle_allocates_under_two_feature_tables():
     rng = np.random.default_rng(14)
     mdp = random_mdp(rng, S=20, A=5, T=10)
     features = random_features(rng, mdp, 20)
-    solution = solve_model(mdp, model_at(features, 0.3 * rng.normal(size=20)), 0.5)
-    _solution_bundle(mdp, features, solution)
+    probs = solve_model(mdp, model_at(features, 0.3 * rng.normal(size=20)), 0.5).pi_star.probs
+    _batch_derivatives(mdp, features.phi, 0.5, probs[:, None])
     tracemalloc.start()
     try:
-        _solution_bundle(mdp, features, solution)
+        _batch_derivatives(mdp, features.phi, 0.5, probs[:, None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
