@@ -104,17 +104,21 @@ def _run(name: str, args) -> int:
     """Run a config command: load the run config, check the command's section
     against its keys, run the command, and once it has returned make the
     output directory, write its report and the other files it hands back,
-    and announce each one."""
+    and announce each one.  An output path that cannot be made or written
+    (a file, or a path under one) is an ``InputError`` naming it."""
     command, keys, report_name = _COMMANDS[name]
     config = _load_run_config(args.config)
     section = config.sections.get(name, {})
     pio.check_keys(section, set(), keys, f"config.{name}")
     code, report, files = command(args, config, section)
     out = Path(args.output) if args.output else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pio.dump_json(report, out / report_name)
-    for file, write in files.items():
-        write(out / file)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        pio.dump_json(report, out / report_name)
+        for file, write in files.items():
+            write(out / file)
+    except OSError as exc:
+        raise InputError(f"output directory {out}: cannot write there ({exc})") from exc
     for file in [report_name, *files]:
         print(f"wrote {out / file}")
     return code

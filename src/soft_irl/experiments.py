@@ -27,7 +27,6 @@ from .mdp import (
     _sample_counts,
 )
 from .soft_dp import (
-    trajectory_kl,
     _batch_trajectory_hellinger,
     _batch_trajectory_kl,
     _dots,
@@ -220,9 +219,9 @@ def _count_averages(mdp: Mdp, expert: Policy, phi: np.ndarray, cells) -> np.ndar
 
 
 def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: float, cfg):
-    """``(theta*, H*, pi*, constants)`` of the population fit to ``expert`` at
+    """``(theta*, H*, constants)`` of the population fit to ``expert`` at
     ``cfg``, whose temperature must be ``beta``: ``H*`` the fit's own, and the
-    Gibbs policy and geometry constants at ``theta*`` (score bound over it and 0)."""
+    geometry constants at ``theta*`` (score bound over it and 0), but no ``pi*``."""
     if cfg.beta != beta:
         raise InputError("fit config temperature must match the instance temperature")
     population = fit_population(mdp, features, expert, cfg)
@@ -231,8 +230,7 @@ def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: 
     theta_star = population.theta_hat
     model = LinearRewardModel(features=features, theta=theta_star, B_theta=cfg.B_theta)
     constants = geometry_constants(mdp, features, model, beta, np.zeros((1, features.d)), expert)
-    pi_star = solve_model(mdp, model, beta).pi_star
-    return theta_star, population.hessian_at_solution, pi_star, constants
+    return theta_star, population.hessian_at_solution, constants
 
 
 # --------------------------------------------------------------------------
@@ -322,21 +320,17 @@ class RateReport:
 
 
 def _rate_grid(
-    instance: Instance,
-    config: RateConfig,
-    theta_star: np.ndarray,
-    H_star: np.ndarray,
-    pi_star: Policy,
-    approx_floor: float,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    instance: Instance, config: RateConfig, theta_star: np.ndarray, H_star: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray, float]:
     """Each metric of :data:`RATE_METRICS`, and the fit status, of every
     replicate of every sample size of the grid, as arrays of shape
-    ``(len(n_grid), replicates)``.
+    ``(len(n_grid), replicates)``, and the floor ``KL(expert || pi*)``.
 
     Each replicate's feature average is drawn from its cell seed
     (:func:`_count_averages`); the whole grid is then fitted as one lockstep
-    batch, and each metric is one array expression over the batch.  Every
-    value is bit for bit that of a replicate fitted and measured alone.
+    batch, whose value pass takes ``theta*`` as its last row, and each metric
+    is one array expression over the batch.  Every value is bit for bit that
+    of a replicate fitted and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
@@ -348,10 +342,12 @@ def _rate_grid(
     targets = _count_averages(mdp, expert, features.phi, cells)
     results = _fit_batch(mdp, features, targets, config.fit_config())
     thetas = np.stack([result.theta_hat for result in results])
-    pi_hat = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, thetas)[0])
-    expert_b = np.broadcast_to(expert.probs[:, None], pi_hat.shape)
-    star_b = np.broadcast_to(pi_star.probs[:, None], pi_hat.shape)
-    expert_kl = _batch_trajectory_kl(mdp, expert_b, pi_hat)
+    points = np.vstack([thetas, theta_star])  # theta* last: its row gives pi* and the floor
+    probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, points)[0])
+    pi_hat = probs[:, :-1]
+    star_b = np.broadcast_to(probs[:, -1:], pi_hat.shape)
+    expert_kl = _batch_trajectory_kl(mdp, np.broadcast_to(expert.probs[:, None], probs.shape), probs)
+    expert_kl, approx_floor = expert_kl[:-1], expert_kl[-1]
     kl_star_to_hat = _batch_trajectory_kl(mdp, star_b, pi_hat)
     kl_hat_to_star = _batch_trajectory_kl(mdp, pi_hat, star_b)
     diff = thetas - theta_star
@@ -366,7 +362,7 @@ def _rate_grid(
     }
     shape = (len(config.n_grid), config.replicates)
     status = np.array([result.status for result in results]).reshape(shape)
-    return {metric: values[metric].reshape(shape) for metric in RATE_METRICS}, status
+    return {metric: values[metric].reshape(shape) for metric in RATE_METRICS}, status, approx_floor
 
 
 def run_rate_experiment(config: RateConfig) -> RateReport:
@@ -384,16 +380,15 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     instance = generate_instance(config.instance)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
-    theta_star, H_star, pi_star, constants = _population_reference(
+    theta_star, H_star, constants = _population_reference(
         mdp, features, expert, beta, config.fit_config()
     )
-    approx_floor = trajectory_kl(mdp, expert, pi_star)
     burn_in = float("nan")  # undefined, as d* is, for a singular Hessian at theta*
     if constants.lambda_star > 0.0:
         log_term = constants.B_A_phi**2 * constants.d_star * math.log(1.0 / config.burn_in_delta)
         burn_in = log_term / (beta**2 * constants.lambda_star)
 
-    values, status = _rate_grid(instance, config, theta_star, H_star, pi_star, approx_floor)
+    values, status, approx_floor = _rate_grid(instance, config, theta_star, H_star)
     # Non-converged fits stay in the grid with their status but are left out
     # of the medians that the slopes are computed on.
     converged = status == "converged"
@@ -513,14 +508,23 @@ def check_local_geometry(
     Bregman divergence and gradient gap within fixed multiples of the squared
     displacement, and KL within [1, 3] times squared Hellinger.  Outside it,
     the deviation-dependent global bounds are checked instead.
+
+    Everything comes from one value pass over the segment's
+    ``_SEGMENT_POINTS`` parameters from ``theta0`` (its first row, exactly)
+    to ``theta1``, plus ``theta1``: the values, gradients and Hessians at the
+    two ends, their policies' log ratios, KL and Hellinger, and the score
+    bound over the segment.  A ``beta`` whose values leave the float range
+    is a ``DomainError`` naming it, with no warning.
     """
     beta = _check_real(beta, "beta", 0.0)
     theta0 = _as_float_array(theta0, "theta0", (features.d,))
     theta1 = _as_float_array(theta1, "theta1", (features.d,))
     delta = theta1 - theta0
 
-    Q, V = _batch_soft_values(mdp, features.phi, beta, np.stack([theta0, theta1]))
-    probs = _gibbs_probs(mdp, beta, Q)
+    segment = theta0 + np.linspace(0.0, 1.0, _SEGMENT_POINTS)[:, None] * delta  # row 0 is theta0
+    Q, V = _batch_soft_values(mdp, features.phi, beta, np.vstack([segment, theta1]))
+    tables = _gibbs_probs(mdp, beta, Q)
+    Q, V, probs = Q[:, [0, -1]], V[:, [0, -1]], tables[:, [0, -1]]  # at theta0 and theta1
     grads, (H0, H1) = _batch_derivatives(mdp, features.phi, beta, probs)
     lam0 = _smallest_curvature(mdp, features, H0, "check_local_geometry")
     try:
@@ -535,8 +539,7 @@ def check_local_geometry(
     # the eigenvalues of H1 in the metric of H0: those of L^-1 H1 L^-T, H0 = L L^T
     gen_eigs = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, H1).T))
 
-    alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
-    B_A_phi = _score_bound(mdp, features, beta, theta0 + alphas[:, None] * delta)
+    B_A_phi = _score_bound(mdp, features.phi, tables[:, :-1])
 
     delta_h0 = float(np.sqrt(delta @ H0 @ delta))
     dikin = _dikin_radius(beta, lam0, B_A_phi)
@@ -593,7 +596,10 @@ def dikin_boundary_pair(
     The radius depends on the score bound over the segment being constructed,
     so a short fixed-point iteration is used; for ``boundary_factor <= 1`` the
     result is guaranteed to sit inside (or exactly on) the trust region that
-    :func:`check_local_geometry` will recompute for the same pair.
+    :func:`check_local_geometry` will recompute for the same pair.  One value
+    pass at ``theta0`` gives ``H(theta0)`` and the first radius's score bound,
+    and each round makes one more, over its segment.  A ``beta`` whose values
+    leave the float range is a ``DomainError`` naming it, with no warning.
     """
     beta = _check_real(beta, "beta", 0.0)
     boundary_factor = _check_real(boundary_factor, "boundary_factor", 0.0)
@@ -610,12 +616,12 @@ def dikin_boundary_pair(
         raise DomainError("dikin_boundary_pair requires a non-zero direction")
     unit = direction / length
 
-    rho = _dikin_radius(beta, lam0, _score_bound(mdp, features, beta, theta0[None]))
+    rho = _dikin_radius(beta, lam0, _score_bound(mdp, features.phi, probs))
     for _ in range(8):
         alphas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
         thetas = theta0 + alphas[:, None] * (boundary_factor * rho) * unit
-        B = _score_bound(mdp, features, beta, thetas)
-        new_rho = _dikin_radius(beta, lam0, B)
+        probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, thetas)[0])
+        new_rho = _dikin_radius(beta, lam0, _score_bound(mdp, features.phi, probs))
         if abs(new_rho - rho) <= 1e-12 * rho:
             rho = new_rho
             break
@@ -692,7 +698,7 @@ def check_concentration(
     _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
-    _, H_star, _, constants = _population_reference(mdp, features, expert, beta, cfg)
+    _, H_star, constants = _population_reference(mdp, features, expert, beta, cfg)
     lambda_star = constants.lambda_star
     if math.isnan(constants.d_star):
         raise DomainError("concentration bound requires a positive-definite Hessian")

@@ -41,6 +41,7 @@ from .soft_dp import (
     SoftSolution,
     _advantage_sweep,
     _batch_optimal_values,
+    _check_in_range,
     _expected_next,
     _gibbs_probs,
     _martingale_covariance,
@@ -177,15 +178,25 @@ def _batch_rewards(phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phi[None] @ thetas[:, None, None, :, None])[..., 0]
 
 
-def _batch_soft_values(mdp: Mdp, phi: np.ndarray, beta: float, thetas: np.ndarray) -> tuple:
+def _batch_soft_values(
+    mdp: Mdp, phi: np.ndarray, beta: float, thetas: np.ndarray, trial: bool = False
+) -> tuple:
     """Soft-optimal ``Q`` ``(T, K, S, A)`` and ``V`` ``(T+1, K, S)`` at each row
     of ``thetas`` ``(K, d)`` from one value pass, each bit for bit that of
-    :func:`solve_model`; a reward that overflows is an ``InvariantError``."""
+    :func:`solve_model`.  A reward that overflows is an ``InvariantError``,
+    and values that leave the float range are :func:`soft_backward`'s
+    ``DomainError`` naming ``beta``, with no warning; a line-search ``trial``
+    pass returns such values as they come instead, for its loss to reject."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = _batch_rewards(phi, thetas)
     if not np.isfinite(r).all():
         raise InvariantError("the reward at a parameter is not finite")
-    return _batch_optimal_values(mdp, r, beta)
+    if trial:
+        return _batch_optimal_values(mdp, r, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, V = _batch_optimal_values(mdp, r, beta)
+    _check_in_range(beta, Q, V)
+    return Q, V
 
 
 def _batch_derivatives(
@@ -341,19 +352,18 @@ def effective_dimension(
     )
 
 
-def _score_bound(mdp: Mdp, features: FeatureMap, beta: float, thetas: np.ndarray) -> float:
+def _score_bound(mdp: Mdp, phi: np.ndarray, probs: np.ndarray) -> float:
     """Upper bound on the trajectory-score norm ``||sum_t adv_t(s_t, a_t)||``
-    over every path and the rows of ``thetas`` ``(K, d)``, ``K >= 1``.
+    over every path and the ``K >= 1`` Gibbs policy tables ``probs`` ``(T, K,
+    S, A)`` of the features ``phi``, from the caller's value pass.
 
     By the triangle inequality a score norm is at most the path's sum of
-    per-step advantage norms ``||adv_t(s, a)||``; one value pass, one feature
-    sweep (each step's norms taken as the step comes) and one max-plus pass
-    take the largest such sum for all at once.
+    per-step advantage norms ``||adv_t(s, a)||``; one feature sweep (each
+    step's norms taken as the step comes) and one max-plus pass take the
+    largest such sum for all at once.
     """
-    Q = _batch_soft_values(mdp, features.phi, beta, thetas)[0]
-    probs = _gibbs_probs(mdp, beta, Q)
     norms = np.empty(probs.shape)
-    for t, adv, _ in _advantage_sweep(mdp, features.phi, probs):
+    for t, adv, _ in _advantage_sweep(mdp, phi, probs):
         # np.linalg.norm's sum of squares, in the sweep's buffer
         np.square(adv, out=adv).sum(axis=-1, out=norms[t])
     return float(_path_max(mdp, np.sqrt(norms, out=norms)).max())
@@ -378,24 +388,29 @@ def geometry_constants(
     The sup constants are path maxima over every dynamics-consistent
     trajectory, one max-plus pass each: ``B_phi`` of the per-step feature
     norms ``||phi_t(s, a)||``, ``B_A_phi`` of the per-step advantage norms
-    (see :func:`_score_bound`) over ``theta_grid`` plus the model's own
-    parameter, one value pass.  ``lambda_star`` and ``rho_star`` refer to the
-    Hessian at ``model.theta``, from one soft solve there; ``d_star`` uses
-    ``expert`` (the model's own Gibbs policy by default).  ``model`` must be on
-    ``features`` (an ``InputError`` otherwise), and ``theta_grid`` is read, before
-    any solve, as a ``(K, d)`` float array (a single row may be flat).
+    (see :func:`_score_bound`) at the model's own parameter and over
+    ``theta_grid``.  The one soft solve at ``model.theta`` gives the Hessian
+    (``lambda_star``, ``rho_star``), ``d_star``'s default ``expert`` (the
+    model's Gibbs policy) and the bound's first policy; a grid with rows takes
+    one value pass more.  ``model`` must be on ``features`` (an ``InputError``
+    otherwise), and ``theta_grid`` is read, before any solve, as a ``(K, d)``
+    float array (a single row may be flat).
     """
     if not np.array_equal(model.features.phi, features.phi):
         raise InputError("model.features: its phi must equal features.phi")
-    d = features.d
+    phi, d = features.phi, features.d
     grid = np.zeros((0, d)) if theta_grid is None else _as_float_array(
         np.atleast_2d(_as_numbers(theta_grid, "theta_grid")), "theta_grid", ("K", d)
     )
     solution = solve_model(mdp, model, beta)
     beta, pi = solution.beta, solution.pi_star
-    H = _batch_derivatives(mdp, features.phi, beta, pi.probs[:, None])[1][0]
-    B_phi = float(_path_max(mdp, np.linalg.norm(features.phi, axis=-1)[:, None])[0])
-    B_A_phi = _score_bound(mdp, features, beta, np.vstack([model.theta, grid]))
+    probs = pi.probs[:, None]
+    H = _batch_derivatives(mdp, phi, beta, probs)[1][0]
+    B_phi = float(_path_max(mdp, np.linalg.norm(phi, axis=-1)[:, None])[0])
+    if len(grid):
+        grid_probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, phi, beta, grid)[0])
+        probs = np.concatenate([probs, grid_probs], axis=1)
+    B_A_phi = _score_bound(mdp, phi, probs)
 
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)

@@ -69,7 +69,7 @@ from .mdp import (
     _check_real,
 )
 from .linear_reward import FeatureMap, _batch_derivatives, _batch_rewards, _batch_soft_values, _identifiable_split
-from .soft_dp import _batch_optimal_values, _dots, _gibbs_probs
+from .soft_dp import _batch_optimal_values, _check_in_range, _dots, _gibbs_probs
 
 # Separation margins up to this fraction of sum_t max |<u, phi_t>| (which bounds
 # both <u, target> and h_M(u)) are taken for rounding, not for a certificate.
@@ -228,9 +228,10 @@ def _loss_and_values(
     Each row's products are the BLAS calls of a pass on its own, so its loss
     and tables are bit for bit those of a lone pass.  The checks of the
     public types stay at the boundary; :func:`_batch_soft_values` keeps a
-    non-finite trial reward from becoming a silent NaN.
+    non-finite trial reward from becoming a silent NaN, and values out of the
+    float range give a loss that the Armijo rule rejects.
     """
-    Q, V = _batch_soft_values(mdp, phi, beta, thetas)
+    Q, V = _batch_soft_values(mdp, phi, beta, thetas, trial=True)
     return _dots(mdp.initial_dist, V[0]) - _dots(thetas, targets), (Q, V)
 
 
@@ -240,6 +241,8 @@ def _start(
     """``theta = 0``'s ``(loss (1,), Q (T, 1, S, A), gradient (1, d), Hessian
     (1, d, d), image basis (d, k))``, every fit's start on ``(mdp, features,
     beta)``: one value pass, one bundle and one :func:`_identifiable_split`.
+    A ``beta`` so large that the values at ``theta = 0`` leave the float range
+    is :func:`~soft_irl.soft_dp.soft_backward`'s ``DomainError``, with no warning.
 
     The first call on a triple makes them and stores them read-only in
     ``_STARTS``; later calls return the same arrays, so a fit has the same
@@ -250,7 +253,9 @@ def _start(
     key = float(beta)
     if key not in by_beta:
         phi, zero = features.phi, np.zeros((1, features.d))
-        loss, (Q, _) = _loss_and_values(mdp, phi, zero, beta, zero)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, (Q, V) = _loss_and_values(mdp, phi, zero, beta, zero)
+        _check_in_range(beta, Q, V)
         grad, hessian = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
         image = _identifiable_split(mdp, phi, hessian[0])[1]
         by_beta[key] = (loss, Q, grad, hessian, image)

@@ -88,6 +88,22 @@ def test_solve_missing_files_is_input_error(tmp_path):
     assert main(["solve", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_output_path_that_cannot_be_written_is_bad_input(tmp_path, capsys, under):
+    """An ``--output`` that is an existing file, or a path under one, exits 2
+    with an input error naming the path, not a traceback; nothing is
+    announced as written and the file keeps its bytes."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    output = blocker / "sub" if under else blocker
+    config = str(CONFIGS / "solve_zero_reward.json")
+    assert main(["solve", "--config", config, "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert f"input error: output directory {output}" in captured.err
+    assert "wrote" not in captured.out
+    assert blocker.read_text() == "keep"
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -38,6 +38,7 @@ from soft_irl import (
     fit_empirical,
     fit_population,
     generate_instance,
+    geometry_constants,
     kernel_basis,
     psi,
     run_rate_experiment,
@@ -50,8 +51,8 @@ from soft_irl import (
 )
 from soft_irl.experiments import _SEGMENT_POINTS, _cell_seed, _exp, _spawn_rng
 from soft_irl.mdp import _occupancy_average, _sample_counts
-from soft_irl.linear_reward import LinearRewardModel, _dikin_radius, _score_bound
-from soft_irl.soft_dp import _log_gibbs, _path_max
+from soft_irl.linear_reward import LinearRewardModel, _batch_soft_values, _dikin_radius, _score_bound
+from soft_irl.soft_dp import _gibbs_probs, _log_gibbs, _path_max
 
 from test_mdp import enumerate_support, trajectory_probs
 
@@ -312,9 +313,9 @@ def test_dikin_boundary_pair_scores_each_segment_once(monkeypatch):
     segments = []
     score_bound = experiments._score_bound
 
-    def recording(mdp, features, beta, thetas):
-        segments.append(np.asarray(thetas).tobytes())
-        return score_bound(mdp, features, beta, thetas)
+    def recording(mdp, phi, probs):
+        segments.append(np.asarray(probs).tobytes())
+        return score_bound(mdp, phi, probs)
 
     monkeypatch.setattr(experiments, "_score_bound", recording)
     theta1 = dikin_boundary_pair(inst.mdp, inst.features, spec.beta, theta0, direction)
@@ -531,6 +532,12 @@ def test_geometry_constants_check_each_grid_point_at_entry(monkeypatch):
             geometry_constants(inst.mdp, inst.features, model, TINY.beta, theta_grid=grid)
 
 
+def gibbs_tables(mdp, features, beta, thetas):
+    """The Gibbs policy tables ``(T, K, S, A)`` of the rows of ``thetas``
+    from one value pass: what ``_score_bound`` reads."""
+    return _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, np.asarray(thetas))[0])
+
+
 def per_parameter_score_bound(mdp, features, beta, thetas):
     """The score bound solved one parameter at a time through the public API:
     the oracle of the batched ``_score_bound``."""
@@ -610,10 +617,12 @@ def per_parameter_geometry_report(mdp, features, beta, theta0, theta1):
 def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
     seed, S, A, T, d, deterministic, factor
 ):
-    """``_score_bound`` on a random segment, and every field of ``check_local_geometry``'s report on a boundary or far
-    pair equal, with no tolerance, the same quantities computed one parameter
-    at a time through ``solve_model``, ``feature_advantage``,
-    ``derivative_bundle``, ``trajectory_kl`` and ``trajectory_hellinger``."""
+    """``_score_bound`` on a random segment, ``geometry_constants``' bound
+    over a parameter and that segment as its grid, and every field of
+    ``check_local_geometry``'s report on a boundary or far pair equal, with
+    no tolerance, the same quantities computed one parameter at a time
+    through ``solve_model``, ``feature_advantage``, ``derivative_bundle``,
+    ``trajectory_kl`` and ``trajectory_hellinger``."""
     spec = InstanceSpec(S=S, A=A, T=T, d=d, beta=0.6, seed=seed, deterministic=deterministic)
     try:
         inst = generate_instance(spec)
@@ -622,10 +631,13 @@ def test_the_batch_path_is_the_per_parameter_path_bit_for_bit(
     mdp, features, beta = inst.mdp, inst.features, spec.beta
     rng = np.random.default_rng(seed)
     segment = rng.normal(size=(int(rng.integers(1, 5)), d))
-    batched = _score_bound(mdp, features, beta, segment)
+    batched = _score_bound(mdp, features.phi, gibbs_tables(mdp, features, beta, segment))
     assert batched == per_parameter_score_bound(mdp, features, beta, segment)
 
     theta0, direction = 0.5 * rng.normal(size=d), rng.normal(size=d)
+    model0 = LinearRewardModel(features=features, theta=theta0)
+    grid_bound = geometry_constants(mdp, features, model0, beta, theta_grid=segment).B_A_phi
+    assert grid_bound == per_parameter_score_bound(mdp, features, beta, [theta0, *segment])
     try:
         theta1 = dikin_boundary_pair(mdp, features, beta, theta0, direction, factor)
     except DomainError:
@@ -748,8 +760,10 @@ def test_the_etas_match_scipy(seed, S, A, T, d, n):
 
 def test_the_geometry_study_solves_no_parameter_through_the_public_api(monkeypatch):
     """``_score_bound``, ``check_local_geometry`` and ``dikin_boundary_pair``
-    make no public soft solve: each ``_score_bound`` call makes exactly one
-    value pass, and each of the other two one more for its own parameters."""
+    make no public soft solve, and the score bound makes no value pass: it
+    reads the Gibbs tables of its caller's pass.  ``check_local_geometry``
+    makes exactly one value pass, and ``dikin_boundary_pair`` one at
+    ``theta0`` plus one per round."""
     import soft_irl.linear_reward as linear_reward
     import soft_irl.soft_dp as soft_dp
     from soft_irl import experiments
@@ -763,7 +777,8 @@ def test_the_geometry_study_solves_no_parameter_through_the_public_api(monkeypat
 
     def recorded(name, function):
         def call(*args):
-            calls.append((name, args[2]))  # the temperature is each call's third argument
+            # a pass's temperature is its third argument; the score bound takes none
+            calls.append((name, None if name == "score_bound" else args[2]))
             return function(*args)
 
         return call
@@ -777,19 +792,20 @@ def test_the_geometry_study_solves_no_parameter_through_the_public_api(monkeypat
         experiments, "_score_bound", recorded("score_bound", experiments._score_bound)
     )
 
+    one_pass, one_bound = ("pass", beta), ("score_bound", None)
     theta1 = dikin_boundary_pair(mdp, features, beta, theta0, direction)
-    rounds = calls.count(("score_bound", beta))
-    assert rounds >= 2
-    assert calls == [("pass", beta)] + [("score_bound", beta), ("pass", beta)] * rounds
+    bounds = calls.count(one_bound)  # theta0's, then one per round
+    assert bounds >= 2
+    assert calls == [one_pass, one_bound] * bounds
 
-    calls.clear()
     segment = theta0 + np.linspace(0.0, 1.0, _SEGMENT_POINTS)[:, None] * (theta1 - theta0)
-    _score_bound(mdp, features, beta, segment)
-    assert calls == [("pass", beta)]
-
+    probs = gibbs_tables(mdp, features, beta, segment)
     calls.clear()
+    _score_bound(mdp, features.phi, probs)
+    assert calls == []
+
     check_local_geometry(mdp, features, beta, theta0, theta1)
-    assert calls == [("pass", beta), ("score_bound", beta), ("pass", beta)]
+    assert calls == [one_pass, one_bound]
 
 
 # ---------------------------------------------------------------------------
@@ -1239,6 +1255,38 @@ def test_the_studies_report_the_public_geometry_constants_at_theta_star():
         constants.d_star,
         constants.B_phi,
     )
+
+
+@pytest.mark.parametrize("study, rows", [("rates", 3), ("concentration", 2)])
+def test_the_studies_evaluate_theta_star_once_per_use(monkeypatch, study, rows):
+    """The soft values at ``theta*`` are evaluated by the population fit's
+    last value pass and by ``geometry_constants``' one solve; a rate
+    experiment evaluates them once more, as the last row of its grid's value
+    pass, which gives ``pi*`` and the approximation floor.  Counted as the
+    rows of ``_batch_optimal_values`` whose reward is ``phi . theta*``, on the
+    ``configs/rates.json`` instance with a small grid."""
+    import soft_irl.linear_reward as linear_reward
+    import soft_irl.opt as opt
+    import soft_irl.soft_dp as soft_dp
+
+    spec = shipped_rates_spec()
+    inst = generate_instance(spec)
+    mdp, features, beta = inst.mdp, inst.features, spec.beta
+    theta_star = fit_population(mdp, features, inst.expert, FitConfig(beta=beta)).theta_hat
+    reward_star = features.phi @ theta_star
+    value_pass, hits = soft_dp._batch_optimal_values, []
+
+    def counted(mdp, r, beta):
+        hits.append(sum(np.array_equal(row, reward_star) for row in r))
+        return value_pass(mdp, r, beta)
+
+    for module in (soft_dp, linear_reward, opt):
+        monkeypatch.setattr(module, "_batch_optimal_values", counted)
+    if study == "rates":
+        run_rate_experiment(RateConfig(instance=spec, n_grid=(64, 128), replicates=2, data_seed=1))
+    else:
+        check_concentration(mdp, features, beta, inst.expert, n=64, trials=3)
+    assert sum(hits) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -340,8 +340,14 @@ def scalar_inputs():
     ``LinearRewardModel.B_theta``: by name, the field its message names, the
     edge cases it accepts, and a call that reads a value in its place."""
     from soft_irl import (
+        FitConfig,
+        check_concentration,
+        check_local_geometry,
         derivative_bundle,
+        dikin_boundary_pair,
         equivalence_report,
+        fit_empirical,
+        fit_population,
         geometry_constants,
         irl_empirical_loss,
         irl_population_loss,
@@ -373,6 +379,13 @@ def scalar_inputs():
         "soft_optimal_residuals": lambda b: soft_optimal_residuals(mdp, model, b, data),
         "equivalence_report": lambda b: equivalence_report(mdp, model, b, data, expert),
         "nonconvexity_probe": lambda b: nonconvexity_probe(beta=b),
+        # these make their own value pass (the fitter's at its start), not
+        # a soft_backward, and must fail there as it does
+        "check_local_geometry": lambda b: check_local_geometry(mdp, features, b, 0 * u, 0.1 * u),
+        "dikin_boundary_pair": lambda b: dikin_boundary_pair(mdp, features, b, 0 * u, u),
+        "fit_empirical": lambda b: fit_empirical(mdp, features, data, FitConfig(beta=b)),
+        "fit_population": lambda b: fit_population(mdp, features, expert, FitConfig(beta=b)),
+        "check_concentration": lambda b: check_concentration(mdp, features, b, expert, 4, trials=2),
     }
     huge_valid = {"nonconvexity_probe"}  # T = 2 and A = 2: 1e308 * T * log A is a float
     evaluated = {  # through policy_evaluate, so beta >= 0

@@ -47,10 +47,11 @@ from soft_irl import (
 from soft_irl.instances import counterexample_instance
 from soft_irl.linear_reward import (
     _batch_derivatives,
+    _batch_soft_values,
     _identifiable_split,
     _score_bound,
 )
-from soft_irl.soft_dp import _log_gibbs, _weighted_second_moment
+from soft_irl.soft_dp import _gibbs_probs, _log_gibbs, _weighted_second_moment
 
 from test_dp import near_top, sparse_policy
 from test_mdp import (
@@ -390,9 +391,10 @@ def test_a_bundle_and_the_score_bound_allocate_under_one_feature_table():
     features = random_features(rng, mdp, 30)
     model = model_at(features, 0.3 * rng.normal(size=30))
     thetas = 0.3 * rng.normal(size=(2, 30))
+    probs = _gibbs_probs(mdp, 0.5, _batch_soft_values(mdp, features.phi, 0.5, thetas)[0])
     for run in (
         lambda: derivative_bundle(mdp, model, 0.5),
-        lambda: _score_bound(mdp, features, 0.5, thetas),
+        lambda: _score_bound(mdp, features.phi, probs),
     ):
         run()
         tracemalloc.start()

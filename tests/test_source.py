@@ -349,6 +349,70 @@ def test_the_package_loops_in_time_only_where_the_math_recurses():
     assert backward == ["soft_dp._sweep"]
 
 
+VALUE_PASSES = ("_batch_soft_values", "solve_model", "soft_backward")
+
+
+def value_pass_callers(sources: dict[str, str]) -> list[str]:
+    """Calls of ``_batch_soft_values``, ``solve_model`` or ``soft_backward``,
+    as a name or a module attribute, in ``sources``, module name to text, as
+    ``module.function (line)`` (``module (line)`` at module level)."""
+    found = []
+    for module, text in sources.items():
+        stack = [(node, module) for node in ast.parse(text).body]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in VALUE_PASSES:
+                    found.append(f"{where} (line {node.lineno})")
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_value_pass_callers_are_found():
+    source = (
+        "def solve_model(mdp):\n    return soft_backward(mdp)\n"
+        "class C:\n    def g(self, x):\n        return [lr.solve_model(y) for y in x]\n"
+        "def h(q):\n    return _score_bound(q, _batch_soft_values)\n"
+        "Q = _batch_soft_values(1)\n"
+    )
+    assert value_pass_callers({"m": source}) == [
+        "m (line 8)",
+        "m.C.g (line 5)",
+        "m.solve_model (line 2)",
+    ]
+
+
+def test_value_passes_are_made_only_by_entry_points():
+    """A parameter's soft values are solved by the function that holds the
+    parameter: an entry point, a study's own pass or the fitter's loss.
+    What is derived from a pass, the score bound and the derivative
+    bundles, reads the pass's Gibbs tables and solves nothing again."""
+    found = {hit.split(" (")[0] for hit in value_pass_callers({p.stem: p.read_text() for p in SOURCES})}
+    assert found == {
+        "cli.cmd_solve",
+        "experiments._rate_grid",
+        "experiments.check_local_geometry",
+        "experiments.dikin_boundary_pair",
+        "experiments.generate_instance",
+        "linear_reward.derivative_bundle",
+        "linear_reward.geometry_constants",
+        "linear_reward.score",
+        "linear_reward.solve_model",
+        "linear_reward.third_derivative",
+        "losses.equivalence_report",
+        "losses.irl_empirical_loss",
+        "losses.irl_population_loss",
+        "losses.nonconvexity_probe.loss_at",
+        "losses.soft_optimal_residuals",
+        "opt._loss_and_values",
+    }
+    assert not found & {"linear_reward._score_bound", "linear_reward._batch_derivatives"}
+
+
 STRONG_CACHES = ("cache", "lru_cache", "cached_property")
 
 
