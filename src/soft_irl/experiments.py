@@ -23,7 +23,6 @@ from .mdp import (
     _check_real,
     _check_sample_size,
     _check_seed,
-    _occupancy_average,
     _sample_counts,
 )
 from .soft_dp import (
@@ -212,10 +211,16 @@ def _cell_seed(seed: int, *key: int) -> int:
 def _count_averages(mdp: Mdp, expert: Policy, phi: np.ndarray, cells) -> np.ndarray:
     """The feature average of ``n`` expert trajectories for each ``(n, seed)``
     cell, stacked ``(len(cells), d)``, from visit counts drawn from their exact
-    law: no trajectory is held, so a cell costs the same at any ``n``."""
-    return np.stack([
-        _occupancy_average(_sample_counts(mdp, expert, n, seed) / n, phi) for n, seed in cells
-    ])
+    law: no trajectory is held, so a cell costs the same at any ``n``.
+
+    One stacked product ``(cells, 1, T*S*A) @ (T*S*A, d)`` takes every
+    average, which makes for each cell the ``gemv`` of its own
+    :func:`~soft_irl.mdp._occupancy_average`, so each row has that call's bits.
+    """
+    counts = np.stack([_sample_counts(mdp, expert, n, seed) for n, seed in cells])
+    sizes = np.array([n for n, _ in cells], dtype=np.float64)
+    mu = counts.reshape(len(cells), 1, -1) / sizes[:, None, None]
+    return (mu @ phi.reshape(mu.shape[-1], -1))[:, 0]
 
 
 def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: float, cfg):
@@ -250,7 +255,9 @@ class RateConfig:
     data_seed: int = 1
     fit: FitConfig | None = None
     burn_in_delta: float = 0.1
-    min_slope_points: int = 4
+    # the fewest sizes a slope is fitted on: at least 2 and at most the grid's;
+    # unset, 4, or every size of a shorter grid
+    min_slope_points: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_grid, (list, tuple)) or len(self.n_grid) < 2:
@@ -261,9 +268,17 @@ class RateConfig:
         _check_count(self.replicates, "replicates")
         _check_seed(self.data_seed)
         _check_real(self.burn_in_delta, "burn_in_delta", 0.0, 1.0)
-        if _check_count(self.min_slope_points, "min_slope_points") < 2:
+        slope_points = self.min_slope_points
+        if slope_points is None:
+            slope_points = min(4, len(n_grid))
+        elif _check_count(slope_points, "min_slope_points") < 2:
             raise InputError("min_slope_points must be at least 2: a slope needs two points")
+        elif slope_points > len(n_grid):
+            raise InputError(
+                f"min_slope_points = {slope_points} is more than the {len(n_grid)} sizes of n_grid"
+            )
         object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "min_slope_points", int(slope_points))
 
     def fit_config(self) -> FitConfig:
         return self.fit if self.fit is not None else FitConfig(beta=self.instance.beta)
@@ -340,8 +355,8 @@ def _rate_grid(
         for rep in range(config.replicates)
     ]
     targets = _count_averages(mdp, expert, features.phi, cells)
-    results = _fit_batch(mdp, features, targets, config.fit_config())
-    thetas = np.stack([result.theta_hat for result in results])
+    fits = _fit_batch(mdp, features, targets, config.fit_config())
+    thetas = fits.theta
     points = np.vstack([thetas, theta_star])  # theta* last: its row gives pi* and the floor
     probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, points)[0])
     pi_hat = probs[:, :-1]
@@ -361,7 +376,7 @@ def _rate_grid(
         "hellinger_star": _batch_trajectory_hellinger(mdp, star_b, pi_hat),
     }
     shape = (len(config.n_grid), config.replicates)
-    status = np.array([result.status for result in results]).reshape(shape)
+    status = fits.status.reshape(shape)
     return {metric: values[metric].reshape(shape) for metric in RATE_METRICS}, status, approx_floor
 
 

@@ -38,6 +38,13 @@ curvature falls along the Newton direction and a full step undershoots there;
 an extension trial is a value pass, far cheaper than the derivative bundle of
 an extra iteration.
 
+The loop records its history per round, as arrays: the fits a round
+records, with their loss, decrement, ridge flag and ``theta``, and the step
+size accepted from each.  It returns the batch's arrays (:class:`_FitBatch`),
+and an :class:`IrlFitResult` with its :class:`IterationRecord` trace is made
+only for a fit that a caller asks for, so a rate grid reads its ``theta_hat``
+and statuses straight from the arrays.
+
 The start ``theta = 0`` belongs to the instance, not to the data: its loss,
 ``Q`` table, gradient, Hessian and image basis (the identifiable directions,
 which the paper identifies only up to shaping) depend on ``(mdp, features,
@@ -175,6 +182,60 @@ class IrlFitResult:
         return self.status == "converged"
 
 
+@dataclass(frozen=True, eq=False)
+class _FitBatch:
+    """The fits of :func:`_fit_batch` as arrays: one row per fit, and a
+    history of one row per recorded iterate, round after round, so that a
+    fit's rows come in its iteration order.  :meth:`result` makes one fit's
+    :class:`IrlFitResult`, trace included, for a caller that asks for it.
+
+    ``step_size`` is the multiple of the Newton step accepted from an
+    iterate, ``0.0`` where none was; ``direction`` and ``margin`` are the
+    certificates of the ``"infeasible"`` fits.
+    """
+
+    theta: np.ndarray  # (K, d)
+    loss: np.ndarray  # (K,)
+    gradient_norm: np.ndarray  # (K,)
+    hessian: np.ndarray  # (K, d, d)
+    on_sphere: np.ndarray  # (K,)
+    status: np.ndarray  # (K,), of FIT_STATUSES
+    direction: np.ndarray  # (K, d)
+    margin: np.ndarray  # (K,)
+    member: np.ndarray  # (R,): the fit each history row belongs to
+    iterate_loss: np.ndarray  # (R,)
+    decrement: np.ndarray  # (R,)
+    step_size: np.ndarray  # (R,)
+    ridge_used: np.ndarray  # (R,)
+    iterate: np.ndarray  # (R, d)
+
+    def result(self, k: int) -> IrlFitResult:
+        """The :class:`IrlFitResult` of fit ``k``, which owns its arrays."""
+        rows = np.flatnonzero(self.member == k)
+        fields = zip(
+            self.iterate_loss[rows].tolist(),
+            self.decrement[rows].tolist(),
+            self.step_size[rows].tolist(),
+            self.ridge_used[rows].tolist(),
+            map(tuple, self.iterate[rows].tolist()),
+        )
+        trace = tuple(IterationRecord(i, *row) for i, row in enumerate(fields))
+        infeasible = self.status[k] == "infeasible"
+        return IrlFitResult(
+            theta_hat=self.theta[k].copy(),
+            final_loss=float(self.loss[k]),
+            iterations=int(np.count_nonzero(self.step_size[rows] > 0.0)),
+            final_decrement=trace[-1].decrement,
+            gradient_norm=float(self.gradient_norm[k]),
+            hessian_at_solution=self.hessian[k].copy(),
+            active_ball_constraint=bool(self.on_sphere[k]),
+            status=self.status[k],
+            trace=trace,
+            separating_direction=self.direction[k].copy() if infeasible else None,
+            separation_margin=float(self.margin[k]) if infeasible else None,
+        )
+
+
 def _on_sphere(theta: np.ndarray, radius: float) -> np.ndarray:
     """Whether each row of ``theta`` sits on the sphere of the ball, up to rounding."""
     return _norms(theta) >= radius * (1.0 - 1e-9)
@@ -305,13 +366,14 @@ def _armijo(
 
 def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) -> IrlFitResult:
     """One fit: :func:`_fit_batch` on a batch of one."""
-    return _fit_batch(mdp, features, np.asarray(target, dtype=np.float64)[None], config)[0]
+    return _fit_batch(mdp, features, np.asarray(target, dtype=np.float64)[None], config).result(0)
 
 
 def _fit_batch(
     mdp: Mdp, features: FeatureMap, targets: np.ndarray, config: FitConfig
-) -> list[IrlFitResult]:
-    """Fit every row of ``targets`` ``(K, d)`` in lockstep: the one Newton loop.
+) -> _FitBatch:
+    """Fit every row of ``targets`` ``(K, d)`` in lockstep: the one Newton
+    loop, which returns the batch as arrays (:class:`_FitBatch`).
 
     Each fit runs its own damped Newton iteration: at each iterate a
     restricted Newton step, the decrement test, the separation test, then an
@@ -386,21 +448,25 @@ def _fit_batch(
     status = np.full(K, "max_iters", dtype=object)
     direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
     iterates = np.zeros(K, dtype=np.int64)
-    # per iterate: [loss, decrement, step size (0.0 until a step is accepted), ridge, theta]
-    history: list[list[list]] = [[] for _ in range(K)]
+    # the history, one array per round and column of _FitBatch: the fits
+    # recorded, their loss, decrement, ridge flag and theta; then, per accepted
+    # step, the history row of the iterate it left and its size
+    history: dict[str, list] = {
+        name: [] for name in ("member", "iterate_loss", "decrement", "ridge_used", "iterate")
+    }
+    steps_taken: tuple[list, list] = ([], [])
+    rows_recorded, last_row = 0, np.zeros(K, dtype=np.int64)  # each fit's latest history row
 
     def record(fits, steps, decrements, ridges):
         """Set each fit's Newton step at its new iterate and record the iterate."""
+        nonlocal rows_recorded
         step[fits], decrement[fits], ridge_used[fits] = steps, decrements, ridges
         iterates[fits] += 1
-        rows = zip(
-            loss[fits].tolist(),
-            decrement[fits].tolist(),
-            ridge_used[fits].tolist(),
-            map(tuple, theta[fits].tolist()),
-        )
-        for k, (row_loss, row_decrement, ridge, point) in zip(fits.tolist(), rows):
-            history[k].append([row_loss, row_decrement, 0.0, ridge, point])
+        last_row[fits] = rows_recorded + np.arange(len(fits))
+        rows_recorded += len(fits)
+        values = (fits, loss[fits], decrement[fits], ridge_used[fits], theta[fits])
+        for column, value in zip(history.values(), values):
+            column.append(value)
 
     def trials(fits):
         """Set each fit's trial point at its step size; return the fits whose trial moves."""
@@ -481,42 +547,27 @@ def _fit_batch(
         steps, decrements, ridges = steps[refined], decrements[refined], ridges[refined]
         theta[fits], loss[fits] = kept_point[fits], kept_loss[fits]
         bundle_grad[fits], hessian[fits] = grads, hessians
-        for k, size in zip(fits.tolist(), kept_alpha[fits].tolist()):
-            history[k][-1][2] = size  # the step accepted from the fit's last iterate
+        steps_taken[0].append(last_row[fits])  # the step accepted from each fit's last iterate
+        steps_taken[1].append(kept_alpha[fits])
         again = iterates[fits] < config.max_iters
         record(fits[again], steps[again], decrements[again], ridges[again])
         searching = np.concatenate([searching, search(fits[again])])
 
-    gradient_norms, on_sphere = _norms(bundle_grad - targets), _on_sphere(theta, radius)
-    return [
-        _result(
-            theta[k].copy(), float(loss[k]), float(gradient_norms[k]), hessian[k].copy(),
-            bool(on_sphere[k]), status[k], _trace(history[k]),
-            (direction[k].copy(), float(margin[k])) if status[k] == "infeasible" else None,
-        )
-        for k in range(K)
-    ]
-
-
-def _trace(history: list[list]) -> tuple[IterationRecord, ...]:
-    """A fit's records, from its history rows in ``IterationRecord``'s field order."""
-    return tuple(IterationRecord(i, *row) for i, row in enumerate(history))
-
-
-def _result(theta, loss, gradient_norm, hessian, on_sphere, status, trace, separation):
-    """The :class:`IrlFitResult` of a fit the lockstep loop has finished."""
-    return IrlFitResult(
-        theta_hat=theta,
-        final_loss=loss,
-        iterations=sum(1 for record in trace if record.step_size > 0.0),
-        final_decrement=trace[-1].decrement,
-        gradient_norm=gradient_norm,
-        hessian_at_solution=hessian,
-        active_ball_constraint=on_sphere,
+    columns = {name: np.concatenate(column) for name, column in history.items()}
+    step_size = np.zeros(rows_recorded)
+    if steps_taken[0]:
+        step_size[np.concatenate(steps_taken[0])] = np.concatenate(steps_taken[1])
+    return _FitBatch(
+        theta=theta,
+        loss=loss,
+        gradient_norm=_norms(bundle_grad - targets),
+        hessian=hessian,
+        on_sphere=_on_sphere(theta, radius),
         status=status,
-        trace=trace,
-        separating_direction=None if separation is None else separation[0],
-        separation_margin=None if separation is None else separation[1],
+        direction=direction,
+        margin=margin,
+        step_size=step_size,
+        **columns,
     )
 
 

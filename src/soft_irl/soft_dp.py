@@ -25,7 +25,10 @@ passes and bundles and the rate metrics run large batches; the public
 single-table functions are batches of one.  The kernel is a per-step sweep,
 ``_sweep``: the value recursions collect every step into whole tables, while
 the derivative bundles and the score bound read each step's feature
-advantages as it comes and never hold a ``(T, K, S, A, d)`` table.
+advantages as it comes and never hold a ``(T, K, S, A, d)`` table.  The
+backups, the Gibbs tables and the divergences reduce over the short action
+axis through one pair, :func:`_action_reductions`, which on large tables folds
+over the action slices with numpy's bits.
 """
 
 from __future__ import annotations
@@ -180,6 +183,58 @@ def _expected_next(kernels: np.ndarray, v_next: np.ndarray, out=None) -> np.ndar
     return out
 
 
+# numpy reduces over a short last axis row by row, at a cost per row; a fold
+# of np.maximum or np.add over the action slices makes A - 1 calls over the
+# whole table instead.  Up to 7 actions both give numpy's bits: numpy takes up
+# to 7 entries one after another, a sum from 0.0 (8 or more it takes in
+# another order, which moves a sum's rounding and a max's sign of zero).  The
+# fold is the faster from about 256 rows (A = 7, one thread).
+_FOLD_ACTIONS = 7
+_FOLD_ROWS = 256
+
+
+def _fold_max(x: np.ndarray) -> np.ndarray:
+    out = x[..., 0].copy()
+    for a in range(1, x.shape[-1]):
+        np.maximum(out, x[..., a], out=out)
+    return out
+
+
+def _fold_sum(x: np.ndarray) -> np.ndarray:
+    out = x[..., 0] + 0.0  # from 0.0, as numpy's: a row of -0.0 sums to 0.0
+    for a in range(1, x.shape[-1]):
+        out += x[..., a]
+    return out
+
+
+def _numpy_max(x: np.ndarray) -> np.ndarray:
+    return x.max(axis=-1)
+
+
+def _numpy_sum(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=-1)
+
+
+def _action_reductions(shape: tuple[int, ...]):
+    """``(max, sum)`` over the last, action, axis of tables of ``shape``, each
+    with the bits of numpy's own reduction: folds over the action slices for
+    at most ``_FOLD_ACTIONS`` actions and ``_FOLD_ROWS`` rows or more, numpy's
+    reductions otherwise.  A pass reads its pair once, from one step's shape."""
+    if shape[-1] <= _FOLD_ACTIONS and math.prod(shape[:-1]) >= _FOLD_ROWS:
+        return _fold_max, _fold_sum
+    return _numpy_max, _numpy_sum
+
+
+def _action_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``, bit for bit, by :func:`_action_reductions`."""
+    return _action_reductions(x.shape)[0](x)
+
+
+def _action_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)``, bit for bit, by :func:`_action_reductions`."""
+    return _action_reductions(x.shape)[1](x)
+
+
 def _support_max(support_t: np.ndarray, v_next: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``max v(s')`` over the support ``P_t(s'|s, a) > 0`` of a batch of value
     vectors ``v_next`` ``(K, S)``, written into ``out`` ``(K, S, A)``: the
@@ -243,20 +298,23 @@ def _path_max(mdp: Mdp, table: np.ndarray) -> np.ndarray:
     the additions.
     """
     support = (mdp.kernels > 0.0).transpose(0, 3, 1, 2).copy()
-    _, V = _backward(support, table, lambda t, q: q.max(axis=-1), _support_max)
+    top_of = _action_reductions(table.shape[1:])[0]
+    _, V = _backward(support, table, lambda t, q: top_of(q), _support_max)
     return V[0][:, mdp.initial_dist > 0.0].max(axis=1)
 
 
-def _backup(mdp: Mdp, beta: float):
-    """The optimal-control backup: log-sum-exp for ``beta > 0``, max for ``beta = 0``."""
+def _backup(mdp: Mdp, beta: float, shape: tuple[int, ...]):
+    """The optimal-control backup of steps of ``shape``: log-sum-exp for
+    ``beta > 0``, max for ``beta = 0``."""
+    top_of, total_of = _action_reductions(shape)
     if beta == 0.0:
-        return lambda t, q: q.max(axis=-1)
+        return lambda t, q: top_of(q)
     log_nu = mdp.log_ref_measure
 
     def log_sum_exp(t, q):
         z = q / beta + log_nu
-        top = z.max(axis=-1)
-        return beta * (top + np.log(np.exp(z - top[..., None]).sum(axis=-1)))
+        top = top_of(z)
+        return beta * (top + np.log(total_of(np.exp(z - top[..., None]))))
 
     return log_sum_exp
 
@@ -271,7 +329,8 @@ def _batch_optimal_values(mdp: Mdp, r: np.ndarray, beta: float) -> tuple[np.ndar
     bit for bit that of its own call.  For internal loops whose caller has
     already validated ``r`` and ``beta``.
     """
-    return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta))
+    step = (len(r), mdp.S, mdp.A)
+    return _backward(mdp.kernels, r.transpose(1, 0, 2, 3), _backup(mdp, beta, step))
 
 
 def _gibbs_logits(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
@@ -280,7 +339,7 @@ def _gibbs_logits(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
     action, taken from ``Q`` alone."""
     z = Q / beta
     z += mdp.log_ref_measure
-    z -= z.max(axis=-1, keepdims=True)
+    z -= _action_max(z)[..., None]
     return z
 
 
@@ -290,7 +349,7 @@ def _log_gibbs(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
     sum holds the top action's 1), and finite wherever ``Q / beta`` is, even
     where ``pi*`` itself underflows."""
     z = _gibbs_logits(mdp, beta, Q)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(_action_sum(np.exp(z)))[..., None]
     return z
 
 
@@ -301,7 +360,7 @@ def _gibbs_probs(mdp: Mdp, beta: float, Q: np.ndarray) -> np.ndarray:
     the row sum is at least 1) and divided by its sum."""
     probs = _gibbs_logits(mdp, beta, Q)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _action_sum(probs)[..., None]
     return probs
 
 
@@ -470,13 +529,13 @@ def _batch_trajectory_kl(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`trajectory_kl` of ``K`` pairs of policy tables ``(T, K, S, A)``
     (broadcast views welcome), shape ``(K,)``; each pair's value is bit for
     bit that of its own call."""
-    marginals = _occupancy(mdp, p).sum(axis=-1)  # (T, K, S)
+    marginals = _action_sum(_occupancy(mdp, p))  # (T, K, S)
     support = p > 0.0
     reachable = marginals > 0.0
     infinite = np.any(support & (q == 0.0) & reachable[..., None], axis=(0, 2, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(support, p * (np.log(p) - np.log(q)), 0.0)
-        action_kl = np.where(reachable, np.maximum(terms.sum(axis=-1), 0.0), 0.0)
+        action_kl = np.where(reachable, np.maximum(_action_sum(terms), 0.0), 0.0)
     # a running sum over the steps, in order whatever K is: a reduction of a
     # lone pair's T >= 8 steps would sum them pairwise
     total = np.cumsum(_dots(marginals, action_kl), axis=0)[-1]
@@ -504,10 +563,11 @@ def _batch_trajectory_hellinger(mdp: Mdp, p: np.ndarray, q: np.ndarray) -> np.nd
     bit for bit that of its own call."""
     root_p, root_q = np.sqrt(p), np.sqrt(q)
     affinity = root_p * root_q
-    local = 0.5 * ((root_p - root_q) ** 2).sum(axis=-1)
+    local = 0.5 * _action_sum((root_p - root_q) ** 2)
+    step_sum = _action_reductions(affinity.shape[1:])[1]
 
     def remainder(t, expected_next):
-        return local[t] + (affinity[t] * expected_next).sum(axis=-1)
+        return local[t] + step_sum(affinity[t] * expected_next)
 
     _, D = _backward(mdp.kernels, np.zeros(affinity.shape), remainder)
     return 2.0 * _dots(mdp.initial_dist, D[0])

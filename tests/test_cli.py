@@ -689,6 +689,12 @@ def test_concentration_non_numeric_delta_is_input_error(tmp_path, capsys, delta)
         ),
         ("solve", {"solve": {"builtin": "zero-reward", "beta": "x"}}, "beta must be a number in (0, inf)"),
         ("solve", {"solve": {"mdp": 5, "reward": "reward.json"}}, "expected a file path, got 5"),
+        # last, so that the rows above keep their parametrize ids
+        (
+            "rates",
+            {"rates": dict(RATES_SECTION, min_slope_points=20)},
+            f"min_slope_points = 20 is more than the {len(RATES_SECTION['n_grid'])} sizes of n_grid",
+        ),
     ],
 )
 def test_config_values_are_checked_before_conversion(tmp_path, capsys, command, payload, message):

@@ -38,7 +38,11 @@ from soft_irl import (
     variance_decomposition,
 )
 from soft_irl.instances import counterexample_instance
+from soft_irl import soft_dp
 from soft_irl.soft_dp import (
+    _action_max,
+    _action_reductions,
+    _action_sum,
     _backward,
     _expected_next,
     _log_gibbs,
@@ -753,6 +757,66 @@ def sparse_instance(rng, S, A, T, deterministic):
     return Mdp(T=T, S=S, A=A, initial_dist=sparse_distributions(rng, (S,)),
                kernels=sparse_distributions(rng, (T - 1, S, A, S)),
                ref_measure=0.5 + rng.random(A))
+
+
+# entries a reduction must carry through with numpy's bits: infinities, NaNs
+# of both signs, signed zeros and subnormals
+SPECIAL_ENTRIES = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1.0])
+
+
+def layouts(base: np.ndarray) -> dict:
+    """Views of a ``(K, T, S, A)`` table with the layouts the package reduces:
+    C order, the ``(T, K, S, A)`` transpose of a value pass, Fortran order,
+    reversed actions and a member broadcast over the batch."""
+    return {
+        "c": base,
+        "transpose": base.transpose(1, 0, 2, 3),
+        "fortran": np.asfortranarray(base),
+        "reversed": base[..., ::-1],
+        "broadcast": np.broadcast_to(base[:1], base.shape),
+    }
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """NaN where the other is NaN, and the same bits everywhere else (so a
+    signed zero counts)."""
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([1, 5, 42, 43, 100]),  # 6K rows: 252 and 258 straddle the size rule
+    st.sampled_from(["c", "transpose", "fortran", "reversed", "broadcast"]),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_the_action_reductions_are_numpys_bit_for_bit_property(seed, A, K, layout, special):
+    """The action-axis max and sum equal ``x.max(axis=-1)`` and
+    ``x.sum(axis=-1)`` bit for bit, on tables of 1 to 10 actions with rows on
+    both sides of the size rule, entries that include infinities, NaNs,
+    signed zeros and subnormals, and non-contiguous views.  The folds
+    themselves match for at most 7 actions at every row count, and they are
+    taken for at most 7 actions and 256 rows or more only: a reduction over 8
+    or more takes numpy's path."""
+    rng = np.random.default_rng(seed)
+    base = np.ldexp(rng.normal(size=(K, 2, 3, A)), rng.integers(-1074, 1000, size=(K, 2, 3, A)))
+    mask = rng.random(base.shape) < special
+    base[mask] = rng.choice(SPECIAL_ENTRIES, size=int(mask.sum()))
+    x = layouts(base)[layout]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, total = x.max(axis=-1), x.sum(axis=-1)
+        assert same_bits(_action_max(x), top) and same_bits(_action_sum(x), total)
+        if A <= 7:
+            assert same_bits(soft_dp._fold_max(x), top) and same_bits(soft_dp._fold_sum(x), total)
+    folds = A <= 7 and x.size // A >= 256
+    expected = (soft_dp._fold_max, soft_dp._fold_sum) if folds else (soft_dp._numpy_max, soft_dp._numpy_sum)
+    assert _action_reductions(x.shape) == expected
 
 
 BATCH_SIZES = (st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5),

@@ -927,6 +927,18 @@ def test_rate_config_requires_a_strictly_increasing_n_grid(n_grid):
     assert RateConfig(instance=TINY, n_grid=(64, 65, 128)).n_grid == (64, 65, 128)
 
 
+def test_a_slope_is_never_asked_for_more_points_than_the_grid_has():
+    """``min_slope_points`` above the grid's size is an ``InputError`` naming
+    both values, where the slope would silently take fewer points; unset,
+    it is 4, or every size of a shorter grid."""
+    nine = tuple(2**k for k in range(6, 15))
+    with pytest.raises(InputError, match="min_slope_points = 20 is more than the 9 sizes of n_grid"):
+        RateConfig(instance=TINY, n_grid=nine, min_slope_points=20)
+    assert RateConfig(instance=TINY, n_grid=nine, min_slope_points=9).min_slope_points == 9
+    assert RateConfig(instance=TINY, n_grid=nine).min_slope_points == 4
+    assert RateConfig(instance=TINY, n_grid=(64, 128, 256)).min_slope_points == 3
+
+
 def test_rate_config_rejects_an_n_that_counts_cannot_hold():
     """Visit counts are int64, so an ``n`` of ``2**63`` or more is a
     ``DomainError`` when the config is built, before any draw or solve."""
@@ -1228,6 +1240,35 @@ def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     monkeypatch.setattr(experiments, "_fit_batch", recorded)
     run_rate_experiment(RateConfig(instance=TINY, n_grid=(64, 128, 256), replicates=3))
     assert batches == [1, 9]
+
+
+def test_the_rate_grid_builds_no_per_fit_objects(monkeypatch):
+    """The grid reads its fits' ``theta_hat`` and statuses from the batch's
+    arrays: on ``configs/rates.json`` (288 fits) the only ``IrlFitResult``
+    made is the population fit's, and the only ``IterationRecord``s its trace."""
+    from soft_irl import opt
+
+    made = {"IrlFitResult": [], "IterationRecord": 0}
+
+    def result(*args, run=opt.IrlFitResult, **kw):
+        made["IrlFitResult"].append(run(*args, **kw))
+        return made["IrlFitResult"][-1]
+
+    def record(*args, run=opt.IterationRecord, **kw):
+        made["IterationRecord"] += 1
+        return run(*args, **kw)
+
+    monkeypatch.setattr(opt, "IrlFitResult", result)
+    monkeypatch.setattr(opt, "IterationRecord", record)
+    section = json.loads(RATES_CONFIG.read_text())["rates"]
+    config = RateConfig(
+        instance=shipped_rates_spec(), n_grid=tuple(section["n_grid"]),
+        replicates=section["replicates"], data_seed=section["data_seed"],
+    )
+    report = run_rate_experiment(config)
+    assert sum(report.fit_statuses.values()) == 288
+    (population,) = made["IrlFitResult"]
+    assert population.converged and made["IterationRecord"] == len(population.trace)
 
 
 def test_the_studies_report_the_public_geometry_constants_at_theta_star():

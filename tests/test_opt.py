@@ -680,11 +680,11 @@ def test_a_fit_solves_once_per_bundle_the_line_search_did_not_supply(monkeypatch
         events.extend(("bundle", (Q[:, k],)) for k in range(Q.shape[1]))
         return gibbs(mdp, beta, Q)
 
-    def recorded_backup(mdp, beta):
+    def recorded_backup(mdp, beta, shape):
         # every optimal-value pass, soft or max-plus, takes its backup here
         assert len(inside) == 1, "the fit ran an optimal-value pass outside its value passes"
         passes.append((inside[0], beta))
-        return backup(mdp, beta)
+        return backup(mdp, beta, shape)
 
     monkeypatch.setattr(opt, "_loss_and_values", recorded_value_pass)
     monkeypatch.setattr(opt, "_separation", recorded_separation)
@@ -832,6 +832,12 @@ def test_certificate_soundness_property(seed, S, A, T, d, offset):
 # the lockstep batch: a fit's bits do not depend on its batch
 
 
+def fit_members(mdp, features, targets, config):
+    """Every member's :class:`IrlFitResult` of one lockstep batch, trace included."""
+    fits = opt._fit_batch(mdp, features, targets, config)
+    return [fits.result(k) for k in range(len(targets))]
+
+
 def same_fit(a, b):
     """Whether two fit results agree bit for bit."""
     certificate = (
@@ -886,14 +892,14 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     alone = opt._fit(mdp, features, target, config)
 
     others = np.stack([inside() for _ in range(31)])
-    batch = opt._fit_batch(mdp, features, np.insert(others, slot, target, axis=0), config)
+    batch = fit_members(mdp, features, np.insert(others, slot, target, axis=0), config)
     assert same_fit(batch[slot], alone)
     for k, other in zip([k for k in range(32) if k != slot], others):
         assert same_fit(batch[k], opt._fit(mdp, features, other, config))
 
     ball = FitConfig(beta=beta, B_theta=0.5 * float(np.linalg.norm(alone.theta_hat)))
     members = np.vstack([np.insert(others, slot, target, axis=0), at_zero.grad])
-    on_ball = opt._fit_batch(mdp, features, members, ball)
+    on_ball = fit_members(mdp, features, members, ball)
     assert on_ball[slot].active_ball_constraint
     assert not on_ball[-1].active_ball_constraint and on_ball[-1].iterations == 0
     for fit, member in zip(on_ball, members):
@@ -915,7 +921,7 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     off_hull = on_hull + 0.5 * np.eye(d + 1)[d]
     members = np.stack([infeasible, on_hull, at_zero.grad, off_hull])
     limited = FitConfig(beta=beta, max_iters=2)
-    mixed, short = (opt._fit_batch(mdp, shaped, members, c) for c in (config, limited))
+    mixed, short = (fit_members(mdp, shaped, members, c) for c in (config, limited))
     for fit, short_fit, member in zip(mixed, short, members):
         assert same_fit(fit, opt._fit(mdp, shaped, member, config))
         assert same_fit(short_fit, opt._fit(mdp, shaped, member, limited))
@@ -929,7 +935,7 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     far = derivative_bundle(mdp, model_at(features, 16.0 * beta * rng.normal(size=d)), beta).grad
     outside = outside_target(rng, mdp, features, 10.0)
     members = np.vstack([np.insert(others, slot, target, axis=0), far, outside])
-    extended = opt._fit_batch(mdp, features, members, config)
+    extended = fit_members(mdp, features, members, config)
     for fit, member_fit in zip(extended, batch):
         assert same_fit(fit, member_fit)
     for fit, member in zip(extended[-2:], members[-2:]):
@@ -998,11 +1004,11 @@ def test_a_fit_is_bitwise_the_same_from_a_cold_or_a_warm_start():
             config = FitConfig(beta=beta)
             assert not started(mdp, features, beta)
             if batch_first:
-                runs = [opt._fit_batch(mdp, features, targets, config)]
+                runs = [fit_members(mdp, features, targets, config)]
                 runs.append([opt._fit(mdp, features, target, config) for target in targets])
             else:
                 runs = [[opt._fit(mdp, features, target, config) for target in targets]]
-                runs.append(opt._fit_batch(mdp, features, targets, config))
+                runs.append(fit_members(mdp, features, targets, config))
             assert started(mdp, features, beta)
             assert not any(a.flags.writeable for a in opt._STARTS[mdp][features][float(beta)])
             for run in runs:
