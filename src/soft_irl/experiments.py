@@ -45,7 +45,7 @@ from .linear_reward import (
     _identifiable_split,
     _score_bound,
 )
-from .opt import FIT_STATUSES, FitConfig, fit_population, _fit_batch
+from .opt import FIT_STATUSES, FitConfig, _fit_batch, _Start
 
 
 # --------------------------------------------------------------------------
@@ -224,18 +224,21 @@ def _count_averages(mdp: Mdp, expert: Policy, phi: np.ndarray, cells) -> np.ndar
 
 
 def _population_reference(mdp: Mdp, features: FeatureMap, expert: Policy, beta: float, cfg):
-    """``(theta*, H*, constants)`` of the population fit to ``expert`` at
-    ``cfg``, whose temperature must be ``beta``: ``H*`` the fit's own, and the
-    geometry constants at ``theta*`` (score bound over it and 0), but no ``pi*``."""
+    """``(start, constants)`` of the population fit to ``expert`` at ``cfg``,
+    whose temperature must be ``beta``: its last iterate as a start, which
+    holds ``theta*``, ``J*(theta*)``, its gradient and the fit's own ``H*``,
+    and the geometry constants at ``theta*`` (score bound over it and 0), but
+    no ``pi*``.  The population fit is ``fit_population``'s, a batch of one."""
     if cfg.beta != beta:
         raise InputError("fit config temperature must match the instance temperature")
-    population = fit_population(mdp, features, expert, cfg)
-    if not population.converged:
+    target = feature_expectation(mdp, expert, features)
+    population = _fit_batch(mdp, features, target[None], cfg)
+    if population.status[0] != "converged":
         raise DomainError("population fit did not converge; cannot define theta_star")
-    theta_star = population.theta_hat
-    model = LinearRewardModel(features=features, theta=theta_star, B_theta=cfg.B_theta)
+    start = population.start(0, target)
+    model = LinearRewardModel(features=features, theta=start.theta[0], B_theta=cfg.B_theta)
     constants = geometry_constants(mdp, features, model, beta, np.zeros((1, features.d)), expert)
-    return theta_star, population.hessian_at_solution, constants
+    return start, constants
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +338,7 @@ class RateReport:
 
 
 def _rate_grid(
-    instance: Instance, config: RateConfig, theta_star: np.ndarray, H_star: np.ndarray
+    instance: Instance, config: RateConfig, start: _Start
 ) -> tuple[dict[str, np.ndarray], np.ndarray, float]:
     """Each metric of :data:`RATE_METRICS`, and the fit status, of every
     replicate of every sample size of the grid, as arrays of shape
@@ -343,9 +346,11 @@ def _rate_grid(
 
     Each replicate's feature average is drawn from its cell seed
     (:func:`_count_averages`); the whole grid is then fitted as one lockstep
-    batch, whose value pass takes ``theta*`` as its last row, and each metric
-    is one array expression over the batch.  Every value is bit for bit that
-    of a replicate fitted and measured alone.
+    batch from ``start``, the population fit's last iterate ``theta*``, near
+    which every target's minimizer lies.  The value pass over the fits takes
+    ``theta*`` as its last row, and each metric is one array expression over
+    the batch.  Every value is bit for bit that of a replicate fitted from
+    ``start`` and measured alone.
     """
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
@@ -355,8 +360,8 @@ def _rate_grid(
         for rep in range(config.replicates)
     ]
     targets = _count_averages(mdp, expert, features.phi, cells)
-    fits = _fit_batch(mdp, features, targets, config.fit_config())
-    thetas = fits.theta
+    fits = _fit_batch(mdp, features, targets, config.fit_config(), start)
+    thetas, theta_star, H_star = fits.theta, start.theta[0], start.hessian[0]
     points = np.vstack([thetas, theta_star])  # theta* last: its row gives pi* and the floor
     probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, points)[0])
     pi_hat = probs[:, :-1]
@@ -395,15 +400,13 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
     instance = generate_instance(config.instance)
     mdp, features, expert = instance.mdp, instance.features, instance.expert
     beta = config.instance.beta
-    theta_star, H_star, constants = _population_reference(
-        mdp, features, expert, beta, config.fit_config()
-    )
+    start, constants = _population_reference(mdp, features, expert, beta, config.fit_config())
     burn_in = float("nan")  # undefined, as d* is, for a singular Hessian at theta*
     if constants.lambda_star > 0.0:
         log_term = constants.B_A_phi**2 * constants.d_star * math.log(1.0 / config.burn_in_delta)
         burn_in = log_term / (beta**2 * constants.lambda_star)
 
-    values, status, approx_floor = _rate_grid(instance, config, theta_star, H_star)
+    values, status, approx_floor = _rate_grid(instance, config, start)
     # Non-converged fits stay in the grid with their status but are left out
     # of the medians that the slopes are computed on.
     converged = status == "converged"
@@ -439,7 +442,7 @@ def run_rate_experiment(config: RateConfig) -> RateReport:
 
     return RateReport(
         config=config,
-        theta_star=tuple(float(x) for x in theta_star),
+        theta_star=tuple(float(x) for x in start.theta[0]),
         lambda_star=constants.lambda_star,
         d_star=constants.d_star,
         B_phi=constants.B_phi,
@@ -479,14 +482,17 @@ class GeometryCheck:
         return self.lower - tol <= self.value <= self.upper + tol
 
 
-def _smallest_curvature(mdp: Mdp, features: FeatureMap, H0: np.ndarray, caller: str) -> float:
-    """The smallest eigenvalue of the Hessian ``H0`` at ``theta0``, or a
-    ``DomainError`` naming ``caller`` unless ``H0`` is positive definite: above
-    0 and, within 1e-10 of the largest, with no kernel in the features' units
-    (:func:`linear_reward._identifiable_split`, asked only there)."""
+def _smallest_curvature(
+    mdp: Mdp, features: FeatureMap, beta: float, H0: np.ndarray, caller: str
+) -> float:
+    """The smallest eigenvalue of the Hessian ``H0`` at ``theta0`` and
+    temperature ``beta``, or a ``DomainError`` naming ``caller`` unless ``H0``
+    is positive definite: above 0 and, within 1e-10 of the largest, with no
+    kernel in the features' units (:func:`linear_reward._identifiable_split`,
+    asked only there)."""
     w = np.linalg.eigvalsh(H0)
     if w[0] <= 0.0 or (
-        w[0] <= 1e-10 * w[-1] and _identifiable_split(mdp, features.phi, H0)[0].shape[1]
+        w[0] <= 1e-10 * w[-1] and _identifiable_split(mdp, features.phi, H0, beta)[0].shape[1]
     ):
         raise DomainError(f"{caller} requires a positive-definite Hessian at theta0")
     return float(w[0])
@@ -541,7 +547,7 @@ def check_local_geometry(
     tables = _gibbs_probs(mdp, beta, Q)
     Q, V, probs = Q[:, [0, -1]], V[:, [0, -1]], tables[:, [0, -1]]  # at theta0 and theta1
     grads, (H0, H1) = _batch_derivatives(mdp, features.phi, beta, probs)
-    lam0 = _smallest_curvature(mdp, features, H0, "check_local_geometry")
+    lam0 = _smallest_curvature(mdp, features, beta, H0, "check_local_geometry")
     try:
         chol = np.linalg.cholesky(H0)
     except np.linalg.LinAlgError as err:
@@ -625,7 +631,7 @@ def dikin_boundary_pair(
     direction = np.ldexp(direction, -math.frexp(float(np.abs(direction).max()))[1])
     probs = _gibbs_probs(mdp, beta, _batch_soft_values(mdp, features.phi, beta, theta0[None])[0])
     H0 = _batch_derivatives(mdp, features.phi, beta, probs)[1][0]
-    lam0 = _smallest_curvature(mdp, features, H0, "dikin_boundary_pair")
+    lam0 = _smallest_curvature(mdp, features, beta, H0, "dikin_boundary_pair")
     length = float(np.sqrt(direction @ H0 @ direction))
     if not length > 0.0:
         raise DomainError("dikin_boundary_pair requires a non-zero direction")
@@ -713,7 +719,7 @@ def check_concentration(
     _check_real(delta, "delta", 0.0, 1.0)
     _check_seed(seed)
     cfg = fit_config if fit_config is not None else FitConfig(beta=beta)
-    _, H_star, constants = _population_reference(mdp, features, expert, beta, cfg)
+    start, constants = _population_reference(mdp, features, expert, beta, cfg)
     lambda_star = constants.lambda_star
     if math.isnan(constants.d_star):
         raise DomainError("concentration bound requires a positive-definite Hessian")
@@ -725,7 +731,7 @@ def check_concentration(
     cells = [(n, _cell_seed(seed, trial)) for trial in range(trials)]
     diffs = _count_averages(mdp, expert, features.phi, cells)
     diffs -= feature_expectation(mdp, expert, features)
-    chol = np.linalg.cholesky(H_star)
+    chol = np.linalg.cholesky(start.hessian[0])
     etas = np.linalg.norm(np.linalg.solve(chol, diffs.T), axis=0)
 
     violations = int((etas > bound).sum())

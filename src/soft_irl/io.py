@@ -11,7 +11,6 @@ path and field.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -161,16 +160,19 @@ def policy_from_dict(obj: dict, where: str = "policy") -> Policy:
 
 def rate_report_to_csv(report: RateReport, path: str | Path) -> None:
     """One row per (metric, n, replicate), in (n, replicate, metric) order;
-    the fitted slope is repeated per metric."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "n", "replicate", "value", "converged", "slope", "status"])
-        for i, n in enumerate(report.config.n_grid):
-            for rep, status in enumerate(report.statuses[i]):
-                converged = status == "converged"
-                for metric, grid in report.values.items():
-                    value, slope = repr(grid[i][rep]), report.slopes.get(metric, "")
-                    writer.writerow([metric, n, rep, value, converged, slope, status])
+    the fitted slope is repeated per metric.  The lines are those
+    ``csv.writer`` writes, ``\r\n``-terminated (no field holds a comma, a
+    quote or a line break, so none is quoted), joined and written at once."""
+    slopes = {metric: str(report.slopes.get(metric, "")) for metric in report.values}
+    lines = ["metric,n,replicate,value,converged,slope,status"]
+    for i, n in enumerate(report.config.n_grid):
+        for rep, status in enumerate(report.statuses[i]):
+            converged = status == "converged"
+            for metric, grid in report.values.items():
+                value, slope = grid[i][rep], slopes[metric]
+                lines.append(f"{metric},{n},{rep},{value!r},{converged},{slope},{status}")
+    lines.append("")
+    Path(path).write_text("\r\n".join(lines), newline="")
 
 
 # --------------------------------------------------------------------------

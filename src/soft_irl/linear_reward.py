@@ -52,6 +52,8 @@ from .soft_dp import (
     soft_backward,
 )
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
@@ -280,21 +282,41 @@ def third_derivative(
     return float(mdp.initial_dist @ M3[0, :, 0]) / beta**2
 
 
-def _identifiable_split(mdp: Mdp, phi: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bases (columns) ``(kernel, image)`` of a Hessian ``H`` of ``J*`` in the
-    units of the features ``phi``: their deviations over the entries that the
-    uniform (so every Gibbs) policy reaches; a feature of one value there is in
-    the kernel.  Over the units, ``H`` is the same however the features are
-    scaled, and its eigenvalues up to 1e-10 of the largest are the kernel's (an
+def _identifiable_split(
+    mdp: Mdp, phi: np.ndarray, H: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bases (columns) ``(kernel, image)`` of a Hessian ``H`` of ``J*`` at
+    temperature ``beta``, in the units of the features ``phi``: their
+    deviations over the entries that the uniform (so every Gibbs) policy
+    reaches; a feature of one value there is in the kernel.  Over the units,
+    ``H`` is the same however the features are scaled, and its eigenvalues up
+    to 1e-10 of the largest, or up to the rounding floor, are the kernel's (an
     orthonormal basis); the rest, over the units and off the kernel, span the
-    image.  A deviation, unlike a range, does not grow with the table size."""
+    image.  A deviation, unlike a range, does not grow with the table size.
+
+    The floor is the most rounding can put in an eigenvalue, so that a kernel
+    that is the whole space, where ``H`` is rounding alone, is seen.  A
+    constant cancels from every advantage, so take each feature about its
+    mean over the reached entries, and let ``M`` be the largest deviation
+    there in the units.  A feature's values are then at most ``T M``, and a
+    step of the backward sweep rounds them by at most ``(S + A + 2) eps T M``
+    (a successor sum over ``S`` states, a policy sum over ``A`` actions, the
+    advantage); so a kernel direction's advantages round to at most ``e =
+    (S + A + 2) eps T**2 M``.  ``H`` sums their squares under occupancy
+    weights of total 1 per step, over ``T`` steps, divided by ``beta``, and
+    its ``d`` eigenvalues sum to its trace: none rounds above ``d T e**2 /
+    beta``.  (A mean far above the deviation rounds the advantages more; that
+    is left to the relative cut.)"""
     rows = phi[_occupancy(mdp, np.full((mdp.T, mdp.S, mdp.A), 1.0 / mdp.A)) > 0.0]  # a copy
     spread = np.ptp(rows, axis=0) > 0.0  # exact, where a constant's deviation can round above 0
     rows -= rows.mean(axis=0)  # the deviations, in the copy's own memory
+    peak = np.maximum(rows.max(axis=0), -rows.min(axis=0))  # the largest |deviation|, no copy
     rows *= rows
     unit = np.where(spread, np.sqrt(rows.mean(axis=0)), 1.0)
+    M = np.max(peak / unit, where=spread, initial=0.0)
+    floor = phi.shape[-1] * mdp.T * ((mdp.S + mdp.A + 2) * _EPS * mdp.T**2 * M) ** 2 / beta
     w, V = np.linalg.eigh(np.where(spread & spread[:, None], H, 0.0) / np.outer(unit, unit))
-    in_kernel = w <= 1e-10 * max(w[-1], 0.0)
+    in_kernel = w <= max(1e-10 * w[-1], floor)
     kernel = np.linalg.qr(V[:, in_kernel] / unit[:, None])[0]
     image = V[:, ~in_kernel] / unit[:, None]
     return kernel, image - kernel @ (kernel.T @ image)
@@ -305,7 +327,8 @@ def kernel_basis(mdp: Mdp, features: FeatureMap) -> np.ndarray:
     do not move the trajectory law: the same at every parameter and temperature,
     so read at ``theta = 0``, in feature units (:func:`_identifiable_split`)."""
     model = LinearRewardModel(features=features, theta=np.zeros(features.d))
-    return _identifiable_split(mdp, features.phi, derivative_bundle(mdp, model, 1.0).hessian)[0]
+    H = derivative_bundle(mdp, model, 1.0).hessian
+    return _identifiable_split(mdp, features.phi, H, 1.0)[0]
 
 
 def shaping_projector(
@@ -414,7 +437,7 @@ def geometry_constants(
 
     # the Hessian is a Gram, so an eigenvalue below 0 is rounding
     lambda_star = max(float(np.linalg.eigvalsh(H).min()), 0.0)
-    if _identifiable_split(mdp, features.phi, H)[0].shape[1]:
+    if _identifiable_split(mdp, features.phi, H, beta)[0].shape[1]:
         d_star = float("nan")  # undefined for a singular Hessian
     else:
         d_star = effective_dimension(mdp, features, pi if expert is None else expert, H).d_star

@@ -45,14 +45,20 @@ and an :class:`IrlFitResult` with its :class:`IterationRecord` trace is made
 only for a fit that a caller asks for, so a rate grid reads its ``theta_hat``
 and statuses straight from the arrays.
 
-The start ``theta = 0`` belongs to the instance, not to the data: its loss,
-``Q`` table, gradient, Hessian and image basis (the identifiable directions,
-which the paper identifies only up to shaping) depend on ``(mdp, features,
-beta)`` alone.  :func:`_start` makes them once per such triple and keeps them,
-read-only, in ``_STARTS``, which holds the ``Mdp`` and ``FeatureMap`` weakly,
-so every later fit on the same instance and temperature reuses them and an
-entry goes when either object does.  The frozen types hash by identity, so
-their arrays must not be changed while they are alive.
+Every fit starts at ``theta = 0``, unless its caller shares a start: a
+point that every fit of a batch starts at, with its value and derivatives
+(:class:`_Start`).  The rate grid shares the population fit's last iterate
+``theta*``, which every grid target lies near, so its fits begin close to
+their minimizers.  The image basis is ``theta = 0``'s whatever the start.
+
+``theta = 0`` belongs to the instance, not to the data: its loss, gradient,
+Hessian and image basis (the identifiable directions, which the paper
+identifies only up to shaping) depend on ``(mdp, features, beta)`` alone.
+:func:`_start` makes them once per such triple and keeps them, read-only, in
+``_STARTS``, which holds the ``Mdp`` and ``FeatureMap`` weakly, so every
+later fit on the same instance and temperature reuses them and an entry goes
+when either object does.  The frozen types hash by identity, so their arrays
+must not be changed while they are alive.
 
 Everything is deterministic: same inputs produce bitwise-identical traces,
 whatever batch a target is fitted in and whether its start was made for it
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +189,16 @@ class IrlFitResult:
         return self.status == "converged"
 
 
+class _Start(NamedTuple):
+    """A point that every fit of a batch starts at, with ``J*`` and its
+    derivatives there, each with a leading axis of 1."""
+
+    theta: np.ndarray  # (1, d)
+    value: np.ndarray  # (1,): J*(theta)
+    gradient: np.ndarray  # (1, d): the gradient of J* at theta
+    hessian: np.ndarray  # (1, d, d)
+
+
 @dataclass(frozen=True, eq=False)
 class _FitBatch:
     """The fits of :func:`_fit_batch` as arrays: one row per fit, and a
@@ -189,13 +206,15 @@ class _FitBatch:
     fit's rows come in its iteration order.  :meth:`result` makes one fit's
     :class:`IrlFitResult`, trace included, for a caller that asks for it.
 
-    ``step_size`` is the multiple of the Newton step accepted from an
-    iterate, ``0.0`` where none was; ``direction`` and ``margin`` are the
-    certificates of the ``"infeasible"`` fits.
+    ``gradient`` is the gradient of ``J*`` at each fit's last iterate, from
+    its last bundle; ``step_size`` is the multiple of the Newton step
+    accepted from an iterate, ``0.0`` where none was; ``direction`` and
+    ``margin`` are the certificates of the ``"infeasible"`` fits.
     """
 
     theta: np.ndarray  # (K, d)
     loss: np.ndarray  # (K,)
+    gradient: np.ndarray  # (K, d)
     gradient_norm: np.ndarray  # (K,)
     hessian: np.ndarray  # (K, d, d)
     on_sphere: np.ndarray  # (K,)
@@ -235,6 +254,14 @@ class _FitBatch:
             separation_margin=float(self.margin[k]) if infeasible else None,
         )
 
+    def start(self, k: int, target: np.ndarray) -> _Start:
+        """Fit ``k``'s last iterate as a :class:`_Start`, from that iterate's
+        own value pass and bundle: ``J*`` is its loss plus ``<theta,
+        target>``, where ``target`` ``(d,)`` is the one it was fitted to."""
+        theta = self.theta[k : k + 1]
+        value = self.loss[k : k + 1] + _dots(theta, target[None])
+        return _Start(theta, value, self.gradient[k : k + 1], self.hessian[k : k + 1])
+
 
 def _on_sphere(theta: np.ndarray, radius: float) -> np.ndarray:
     """Whether each row of ``theta`` sits on the sphere of the ball, up to rounding."""
@@ -264,7 +291,9 @@ def _restricted_newton_step(
     batch axis, and ``basis`` is ``(d, k)``, shared by the batch (the image),
     or ``(..., d, k)``, one per member (the sphere's tangent spaces): the
     products are stacked matmuls and the eigendecompositions one stacked
-    ``eigh``, so each member gets the bits of its own call.
+    ``eigh``, so each member gets the bits of its own call.  A ``hessian``
+    ``(1, d, d)`` that the members share is decomposed once and broadcast,
+    which gives each member the same bits.
     """
     if basis.shape[-1] == 0:
         return np.zeros_like(grad), np.zeros(grad.shape[:-1]), np.zeros(grad.shape[:-1], dtype=bool)
@@ -275,7 +304,7 @@ def _restricted_newton_step(
     g_proj = (np.swapaxes(V, -1, -2) @ (basis_t @ grad[..., None]))[..., 0]
     step = (-basis @ (V @ (g_proj / w)[..., None]))[..., 0]
     decrement = np.sqrt((g_proj**2 / w).sum(axis=-1))
-    return step, decrement, ridge_used
+    return step, decrement, np.broadcast_to(ridge_used, decrement.shape).copy()
 
 
 def _loss_and_values(
@@ -298,10 +327,11 @@ def _loss_and_values(
 
 def _start(
     mdp: Mdp, features: FeatureMap, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``theta = 0``'s ``(loss (1,), Q (T, 1, S, A), gradient (1, d), Hessian
-    (1, d, d), image basis (d, k))``, every fit's start on ``(mdp, features,
-    beta)``: one value pass, one bundle and one :func:`_identifiable_split`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``theta = 0``'s ``(J* (1,), gradient (1, d), Hessian (1, d, d), image
+    basis (d, k))`` on ``(mdp, features, beta)``, the default start of a fit
+    and the image of every fit: one value pass, one bundle and one
+    :func:`_identifiable_split`.
     A ``beta`` so large that the values at ``theta = 0`` leave the float range
     is :func:`~soft_irl.soft_dp.soft_backward`'s ``DomainError``, with no warning.
 
@@ -318,8 +348,8 @@ def _start(
             loss, (Q, V) = _loss_and_values(mdp, phi, zero, beta, zero)
         _check_in_range(beta, Q, V)
         grad, hessian = _batch_derivatives(mdp, phi, beta, _gibbs_probs(mdp, beta, Q))
-        image = _identifiable_split(mdp, phi, hessian[0])[1]
-        by_beta[key] = (loss, Q, grad, hessian, image)
+        image = _identifiable_split(mdp, phi, hessian[0], beta)[1]
+        by_beta[key] = (loss, grad, hessian, image)
         for array in by_beta[key]:
             array.setflags(write=False)
     return by_beta[key]
@@ -370,7 +400,11 @@ def _fit(mdp: Mdp, features: FeatureMap, target: np.ndarray, config: FitConfig) 
 
 
 def _fit_batch(
-    mdp: Mdp, features: FeatureMap, targets: np.ndarray, config: FitConfig
+    mdp: Mdp,
+    features: FeatureMap,
+    targets: np.ndarray,
+    config: FitConfig,
+    start: _Start | None = None,
 ) -> _FitBatch:
     """Fit every row of ``targets`` ``(K, d)`` in lockstep: the one Newton
     loop, which returns the batch as arrays (:class:`_FitBatch`).
@@ -405,17 +439,22 @@ def _fit_batch(
     stops at the first that does not.  The step is the last kept trial, whose
     stored value-pass Q table becomes the next bundle.
 
-    Every fit starts at ``theta = 0`` from :func:`_start`, made by the first
-    fit on ``(mdp, features, beta)`` and reused, unchanged, by every later
-    one: the loop copies what it changes.
+    Every fit starts at ``start``, by default ``theta = 0`` from
+    :func:`_start`, made by the first fit on ``(mdp, features, beta)`` and
+    reused, unchanged, by every later one: the loop copies what it changes.
+    The fits share the start's Hessian, so the first round's restricted
+    Newton system is decomposed once; the image basis is ``theta = 0``'s
+    whatever the start.
     """
     # a Python float: a huge radius squares to inf without an overflow warning
     beta, phi, radius = config.beta, features.phi, float(config.B_theta)
     bounded = radius != float("inf")  # a ball-constrained problem always has a minimizer
     K, d = targets.shape
 
-    # theta = 0 is every fit's start, and the image its identifiable subspace
-    start_loss, start_Q, start_grad, start_hessian, image = _start(mdp, features, beta)
+    # the image is every fit's identifiable subspace, and theta = 0 the default start
+    zero_value, zero_grad, zero_hessian, image = _start(mdp, features, beta)
+    if start is None:
+        start = _Start(np.zeros((1, d)), zero_value, zero_grad, zero_hessian)
 
     def newton_steps(points, grads, hessians):
         steps, decrements, ridges = _restricted_newton_step(grads, hessians, image)
@@ -425,16 +464,17 @@ def _fit_batch(
             # the directions of the image orthogonal to each point; with the
             # image only, theta_hat keeps no kernel component
             tangents = image @ np.linalg.svd(image.T @ points[js, :, None])[0][..., 1:]
-            lagrangians = hessians[js] + multipliers[js, None, None] * np.eye(d)
+            lagrangians = np.broadcast_to(hessians, (len(points), d, d))[js]
+            lagrangians = lagrangians + multipliers[js, None, None] * np.eye(d)
             steps[js], decrements[js], ridges[js] = _restricted_newton_step(
                 grads[js], lagrangians, tangents
             )
         return steps, decrements, ridges
 
-    theta = np.zeros((K, d))
-    loss = start_loss[0] - _dots(theta, targets)
-    bundle_grad = np.repeat(start_grad, K, axis=0)
-    hessian = np.repeat(start_hessian, K, axis=0)
+    theta = np.repeat(start.theta, K, axis=0)
+    loss = start.value - _dots(theta, targets)
+    bundle_grad = np.repeat(start.gradient, K, axis=0)
+    hessian = np.repeat(start.hessian, K, axis=0)
     step = np.zeros((K, d))
     decrement = np.full(K, np.nan)
     ridge_used = np.zeros(K, dtype=bool)
@@ -444,7 +484,7 @@ def _fit_batch(
     unjudged = np.zeros(K, dtype=bool)
     # each search's last kept trial: point, loss, step size (0.0 until one is kept) and Q table
     kept_point, kept_loss, kept_alpha = np.zeros((K, d)), np.zeros(K), np.zeros(K)
-    kept_Q = np.zeros((len(start_Q), K) + start_Q.shape[2:])
+    kept_Q = np.zeros((mdp.T, K, mdp.S, mdp.A))
     status = np.full(K, "max_iters", dtype=object)
     direction, margin = np.zeros((K, d)), np.zeros(K)  # the certificates of infeasible fits
     iterates = np.zeros(K, dtype=np.int64)
@@ -500,7 +540,7 @@ def _fit_batch(
         return trials(fits)
 
     all_fits = np.arange(K)
-    record(all_fits, *newton_steps(theta, bundle_grad - targets, hessian))
+    record(all_fits, *newton_steps(theta, bundle_grad - targets, start.hessian))
     searching = search(all_fits)
 
     while searching.size:
@@ -560,6 +600,7 @@ def _fit_batch(
     return _FitBatch(
         theta=theta,
         loss=loss,
+        gradient=bundle_grad,
         gradient_norm=_norms(bundle_grad - targets),
         hessian=hessian,
         on_sphere=_on_sphere(theta, radius),

@@ -192,7 +192,7 @@ def test_criterion_5_identifiability():
             H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
             if np.linalg.norm(H @ direction) > 1e-8 * max(np.linalg.norm(H), 1.0):
                 failures.append(f"instance {k}: shaping direction not in ker H")
-            bases.append(_identifiable_split(mdp, phi, H)[0])
+            bases.append(_identifiable_split(mdp, phi, H, beta)[0])
         b0 = bases[0]
         for b1 in bases[1:]:
             if b0.shape != b1.shape:

@@ -881,7 +881,7 @@ def test_concentration_rejects_bad_counts_before_any_work(monkeypatch, name, kwa
     def no_fit(*args, **kw):
         raise AssertionError("the population fit ran before the inputs were checked")
 
-    monkeypatch.setattr(experiments, "fit_population", no_fit)
+    monkeypatch.setattr(experiments, "_fit_batch", no_fit)
     inst = generate_instance(TINY)
     with pytest.raises(InputError, match=name):
         check_concentration(inst.mdp, inst.features, TINY.beta, inst.expert, **kwargs)
@@ -896,7 +896,7 @@ def test_concentration_rejects_a_fit_config_of_another_temperature(monkeypatch):
     def no_fit(*args, **kw):
         raise AssertionError("the population fit ran before the inputs were checked")
 
-    monkeypatch.setattr(experiments, "fit_population", no_fit)
+    monkeypatch.setattr(experiments, "_fit_batch", no_fit)
     inst = generate_instance(TINY)
     with pytest.raises(InputError, match="temperature"):
         check_concentration(
@@ -954,7 +954,7 @@ def test_concentration_rejects_an_n_that_counts_cannot_hold(monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("a fit or a draw ran before the inputs were checked")
 
-    monkeypatch.setattr(experiments, "fit_population", no_work)
+    monkeypatch.setattr(experiments, "_fit_batch", no_work)
     monkeypatch.setattr(experiments, "_sample_counts", no_work)
     inst = generate_instance(TINY)
     for n in (2**63, 2**70):
@@ -1095,13 +1095,14 @@ def dataset_with_counts(counts):
 
 
 def per_fit_rate_report(config):
-    """The rate experiment fitted and measured one replicate at a time, through
+    """The rate experiment one replicate at a time, each fitted alone as a
+    batch of one from the population fit's last iterate and measured through
     the public API: the oracle of the lockstep batch."""
     from soft_irl import (
         RateReport,
         SLOPE_METRICS,
-        fit_population,
         geometry_constants,
+        opt,
         trajectory_hellinger,
         trajectory_kl,
     )
@@ -1110,7 +1111,10 @@ def per_fit_rate_report(config):
     mdp, features, expert = inst.mdp, inst.features, inst.expert
     beta = config.instance.beta
     fit_cfg = config.fit_config()
-    population = fit_population(mdp, features, expert, fit_cfg)
+    population_target = feature_expectation(mdp, expert, features)
+    population_fit = opt._fit_batch(mdp, features, population_target[None], fit_cfg)
+    population = population_fit.result(0)
+    start = population_fit.start(0, population_target)
     theta_star, H_star = population.theta_hat, population.hessian_at_solution
     model_star = LinearRewardModel(features=features, theta=theta_star)
     pi_star = solve_model(mdp, model_star, beta).pi_star
@@ -1127,7 +1131,8 @@ def per_fit_rate_report(config):
         cells, row = [], []
         for rep in range(config.replicates):
             counts = _sample_counts(mdp, expert, n, _cell_seed(config.data_seed, i_n, rep))
-            result = fit_empirical(mdp, features, dataset_with_counts(counts), fit_cfg)
+            target = empirical_feature_expectation(dataset_with_counts(counts), features)
+            result = opt._fit_batch(mdp, features, target[None], fit_cfg, start).result(0)
             model_hat = LinearRewardModel(features=features, theta=result.theta_hat)
             pi_hat = solve_model(mdp, model_hat, beta).pi_star
             diff = result.theta_hat - theta_star
@@ -1224,6 +1229,41 @@ def test_rates_csv_marks_only_converged_fits_as_converged(tmp_path):
         assert row["converged"] == str(status == "converged")
 
 
+def test_rates_csv_has_the_bytes_of_csv_writer(tmp_path):
+    """``rate_report_to_csv`` writes the bytes that ``csv.writer`` writes for
+    the same rows, ``\r\n``-terminated, on a report that holds a NaN, an
+    infinity, negative values (set here) and infeasible fits (4 at these
+    sizes), with a NaN slope and the metrics that have no slope."""
+    import csv
+
+    from soft_irl.io import rate_report_to_csv
+
+    config = RateConfig(instance=shipped_rates_spec(), n_grid=(16, 32), replicates=8, data_seed=1)
+    report = run_rate_experiment(config)
+    first, *rest = report.values["expert_kl"]
+    expert_kl = ((math.nan, -1.5e-300, math.inf, -2.0) + first[4:], *rest)
+    report = dataclasses.replace(
+        report,
+        values={**report.values, "expert_kl": expert_kl},
+        slopes={**report.slopes, "excess_kl": math.nan},
+    )
+    assert report.fit_statuses["infeasible"] == 4
+    rate_report_to_csv(report, tmp_path / "rates.csv")
+    with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["metric", "n", "replicate", "value", "converged", "slope", "status"])
+        for i, n in enumerate(config.n_grid):
+            for rep, status in enumerate(report.statuses[i]):
+                for metric, grid in report.values.items():
+                    slope = report.slopes.get(metric, "")
+                    writer.writerow(
+                        [metric, n, rep, repr(grid[i][rep]), status == "converged", slope, status]
+                    )
+    text = (tmp_path / "rates.csv").read_bytes()
+    assert text == (tmp_path / "oracle.csv").read_bytes()
+    assert text.count(b"\r\n") == 1 + 16 * len(RATE_METRICS) and b",nan," in text
+
+
 def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     """A rate experiment makes two calls of the Newton loop: the population
     fit, a batch of one, and one batch of every replicate of every ``n``."""
@@ -1232,9 +1272,9 @@ def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     batches = []
     fit_batch = opt._fit_batch
 
-    def recorded(mdp, features, targets, config):
+    def recorded(mdp, features, targets, config, start=None):
         batches.append(len(targets))
-        return fit_batch(mdp, features, targets, config)
+        return fit_batch(mdp, features, targets, config, start)
 
     monkeypatch.setattr(opt, "_fit_batch", recorded)
     monkeypatch.setattr(experiments, "_fit_batch", recorded)
@@ -1242,10 +1282,83 @@ def test_the_rate_grid_is_fitted_as_one_lockstep_batch(monkeypatch):
     assert batches == [1, 9]
 
 
+def grid_fitted_from_theta_star_and_zero(monkeypatch, config):
+    """Run ``config``'s rate experiment and fit its grid's targets again from
+    ``theta = 0``: ``(start, fits, cold fits, bundle rows, cold bundle rows)``,
+    with the grid's start ``theta*`` and the rows of the bundles each grid
+    fit made."""
+    from soft_irl import experiments, opt
+
+    fit_batch, bundle, rows, grids = opt._fit_batch, opt._batch_derivatives, [0], []
+
+    def counted(mdp, phi, beta, probs):
+        rows[0] += probs.shape[1]
+        return bundle(mdp, phi, beta, probs)
+
+    def both(mdp, features, targets, config, start=None):
+        before = rows[0]
+        fits = fit_batch(mdp, features, targets, config, start)
+        if start is not None:
+            made = rows[0]
+            cold = fit_batch(mdp, features, targets, config)
+            grids.append((start, fits, cold, made - before, rows[0] - made))
+        return fits
+
+    monkeypatch.setattr(opt, "_batch_derivatives", counted)
+    monkeypatch.setattr(experiments, "_fit_batch", both)
+    run_rate_experiment(config)
+    (grid,) = grids
+    return grid
+
+
+@pytest.mark.parametrize("grid", ["shipped", "small_n", "on_the_sphere"])
+def test_the_grid_start_does_not_change_the_estimator(monkeypatch, grid):
+    """The grid's fits start at ``theta*``, the population fit's last
+    iterate, instead of ``theta = 0``: each fit's status is the same from
+    either start, and each converged ``theta_hat`` moves by at most 1e-8 in
+    ``H*`` norm.  On the shipped grid, where ``theta*`` is interior, at n =
+    16 and 32, where some targets lie outside the moment set, and with a
+    ball half as wide as ``|theta*|``, which puts ``theta*`` on its sphere.
+    From ``theta*`` the shipped grid makes at most 0.7 times the bundle rows
+    it makes from ``theta = 0``."""
+    spec = shipped_rates_spec()
+    section = json.loads(RATES_CONFIG.read_text())["rates"]
+    if grid == "shipped":
+        config = RateConfig(
+            instance=spec, n_grid=tuple(section["n_grid"]),
+            replicates=section["replicates"], data_seed=section["data_seed"],
+        )
+    elif grid == "small_n":
+        config = RateConfig(instance=spec, n_grid=(16, 32), replicates=8, data_seed=1)
+    else:
+        inst = generate_instance(spec)
+        population = fit_population(inst.mdp, inst.features, inst.expert, FitConfig(beta=spec.beta))
+        radius = 0.5 * float(np.linalg.norm(population.theta_hat))
+        config = RateConfig(
+            instance=spec, n_grid=(64, 256, 1024), replicates=8, data_seed=1,
+            fit=FitConfig(beta=spec.beta, B_theta=radius),
+        )
+    start, fits, cold, rows, cold_rows = grid_fitted_from_theta_star_and_zero(monkeypatch, config)
+    assert fits.status.tolist() == cold.status.tolist()
+    converged = fits.status == "converged"
+    assert converged.any()
+    diff = fits.theta[converged] - cold.theta[converged]
+    moved = np.sqrt(np.einsum("ki,ij,kj->k", diff, start.hessian[0], diff)).max()
+    assert moved <= 1e-8
+    if grid == "small_n":
+        assert (fits.status == "infeasible").sum() == 4
+    if grid == "on_the_sphere":
+        assert np.linalg.norm(start.theta[0]) == pytest.approx(config.fit.B_theta, rel=1e-9)
+        assert fits.on_sphere.all()
+    if grid == "shipped":
+        assert rows <= 0.7 * cold_rows
+
+
 def test_the_rate_grid_builds_no_per_fit_objects(monkeypatch):
     """The grid reads its fits' ``theta_hat`` and statuses from the batch's
-    arrays: on ``configs/rates.json`` (288 fits) the only ``IrlFitResult``
-    made is the population fit's, and the only ``IterationRecord``s its trace."""
+    arrays, and the population fit's status and start from its own: on
+    ``configs/rates.json`` (288 fits) no ``IrlFitResult`` or
+    ``IterationRecord`` is made."""
     from soft_irl import opt
 
     made = {"IrlFitResult": [], "IterationRecord": 0}
@@ -1267,8 +1380,7 @@ def test_the_rate_grid_builds_no_per_fit_objects(monkeypatch):
     )
     report = run_rate_experiment(config)
     assert sum(report.fit_statuses.values()) == 288
-    (population,) = made["IrlFitResult"]
-    assert population.converged and made["IterationRecord"] == len(population.trace)
+    assert made == {"IrlFitResult": [], "IterationRecord": 0}
 
 
 def test_the_studies_report_the_public_geometry_constants_at_theta_star():

@@ -832,9 +832,9 @@ def test_certificate_soundness_property(seed, S, A, T, d, offset):
 # the lockstep batch: a fit's bits do not depend on its batch
 
 
-def fit_members(mdp, features, targets, config):
+def fit_members(mdp, features, targets, config, start=None):
     """Every member's :class:`IrlFitResult` of one lockstep batch, trace included."""
-    fits = opt._fit_batch(mdp, features, targets, config)
+    fits = opt._fit_batch(mdp, features, targets, config, start)
     return [fits.result(k) for k in range(len(targets))]
 
 
@@ -876,8 +876,9 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     whose other members stop in every other way.  So are the fits of a batch
     that shares a ball half as wide as the target's unconstrained optimum,
     which holds the target's fit on the sphere and the expectation at
-    ``theta = 0`` off it, and of a batch with members whose steps extend
-    past the full Newton step."""
+    ``theta = 0`` off it, of a batch with members whose steps extend past
+    the full Newton step, and of a batch that shares a drawn start, without
+    a ball and on the sphere of one."""
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, S=S, A=A, T=T)
     features = random_features(rng, mdp, d)
@@ -941,6 +942,21 @@ def test_a_fit_is_bitwise_the_same_alone_and_in_any_batch_property(seed, S, A, T
     for fit, member in zip(extended[-2:], members[-2:]):
         assert same_fit(fit, opt._fit(mdp, features, member, config))
     assert extended[-1].status == "infeasible" and extended[-1].trace[0].step_size > 1.0
+
+    # A start that the members share, drawn off the sphere without a ball and
+    # on it with one: each member's fit from it is its lone fit's from it.
+    members = np.insert(others[:7], slot % 8, target, axis=0)
+    unit = rng.normal(size=d)
+    unit /= np.linalg.norm(unit)
+    for cfg, point in ((config, rng.uniform(0.0, 2.0) * unit), (ball, ball.B_theta * unit)):
+        at_point = derivative_bundle(mdp, model_at(features, point), beta)
+        start = opt._Start(
+            point[None], np.array([at_point.J_star]), at_point.grad[None], at_point.hessian[None]
+        )
+        shared = fit_members(mdp, features, members, cfg, start)
+        assert np.array_equal(shared[0].trace[0].theta, point)
+        for fit, member in zip(shared, members):
+            assert same_fit(fit, fit_members(mdp, features, member[None], cfg, start)[0])
 
 
 # ---------------------------------------------------------------------------

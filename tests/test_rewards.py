@@ -761,11 +761,30 @@ def test_shaping_direction_lies_in_kernel():
 
     theta = rng.normal(size=4)
     H = derivative_bundle(mdp, model_at(features, theta), 0.8).hessian
-    basis = _identifiable_split(mdp, phi, H)[0]
+    basis = _identifiable_split(mdp, phi, H, 0.8)[0]
     assert basis.shape[1] >= 1
     # the pure-shaping parameter direction is reproduced by the kernel projector
     e3 = np.eye(4)[3]
     np.testing.assert_allclose(basis @ (basis.T @ e3), e3, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_kernel_that_is_the_whole_space_is_seen(seed):
+    """With one feature, a pure shaping reward, ``H(0)`` is rounding alone
+    (7e-35 to 2e-32 on these instances), its own largest eigenvalue, which no
+    cut relative to it can tell from curvature: the rounding floor puts the
+    line in the kernel.  The same instance's generic column scaled by 1e-6
+    stays in the image, alone and beside the shaping column."""
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, S=3, A=2, T=3)
+    shaping = shaping_feature(rng, mdp)[..., None]
+    basis = kernel_basis(mdp, FeatureMap(phi=shaping))
+    assert basis.shape == (1, 1) and abs(basis[0, 0]) == pytest.approx(1.0)
+    small = 1e-6 * rng.normal(size=shaping.shape)
+    assert kernel_basis(mdp, FeatureMap(phi=small)).shape == (1, 0)
+    basis = kernel_basis(mdp, FeatureMap(phi=np.concatenate([small, shaping], axis=-1)))
+    assert basis.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0], atol=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -810,10 +829,9 @@ def test_kernel_is_theta_independent():
     phi[:, :, :, 3] = shaping_feature(rng, mdp)
     features = FeatureMap(phi=phi)
 
-    b1, b2 = (
-        _identifiable_split(mdp, phi, derivative_bundle(mdp, model_at(features, theta), 0.8).hessian)[0]
-        for theta in rng.normal(size=(2, 4))
-    )
+    thetas = rng.normal(size=(2, 4))
+    hessians = (derivative_bundle(mdp, model_at(features, theta), 0.8).hessian for theta in thetas)
+    b1, b2 = (_identifiable_split(mdp, phi, H, 0.8)[0] for H in hessians)
     assert b1.shape == b2.shape and b1.shape[1] >= 2
     angles = np.linalg.svd(b1.T @ b2, compute_uv=False)
     np.testing.assert_allclose(angles, 1.0, atol=1e-6)
@@ -829,7 +847,7 @@ def test_trajectory_law_invariant_along_kernel():
     beta = 1.2
 
     H = derivative_bundle(mdp, model_at(features, theta), beta).hessian
-    basis = _identifiable_split(mdp, phi, H)[0]
+    basis = _identifiable_split(mdp, phi, H, beta)[0]
     pi0 = solve_model(mdp, model_at(features, theta), beta).pi_star
     for k in range(basis.shape[1]):
         pi1 = solve_model(mdp, model_at(features, theta + 2.0 * basis[:, k]), beta).pi_star
